@@ -4,15 +4,16 @@ establish_ac is the classic arc-revision worklist.  ns_to_convergence keeps
 the block counters (counters.build_ns) and deletes any value all of whose
 replacement blocks have disappeared, requeueing candidates as blocks vanish.
 Both are deterministic: worklists are FIFO and every scan runs ascending.
+The block counters and their propagation live in kernel.Kernel; plain
+substitution adds only its worklist.
 """
 
 from __future__ import annotations
 
-import time
 from collections import deque
 
-from . import counters
 from .instance import Instance
+from .kernel import Kernel
 from .trace import (
     AC,
     NS,
@@ -82,6 +83,31 @@ def establish_ac(inst: Instance) -> tuple[Instance, Trace]:
     return inst.restrict(domains), Trace(inst.name, steps)
 
 
+class NsEngine(Kernel):
+    """Plain substitution: FIFO triples (variable, value, substitute)."""
+
+    RULE = NS
+    LABELS = (NS,)
+    BUILD = "build_ns"
+
+    def __init__(self, inst: Instance):
+        super().__init__(inst)
+        self.work = deque(self._substitutions())
+        self.updates += len(self.work)
+
+    def _pop(self):
+        while self.work:
+            r, u, v = self.work.popleft()
+            dom = self.inst.domain_set(r)
+            if u in dom and v in dom:
+                return r, u, NS, NsWitness(substitute=v)
+        return None
+
+    def _substitutable(self, k: int, d: int, e: int) -> None:
+        self.work.append((k, d, e))
+        self.updates += 1
+
+
 def ns_to_convergence(inst: Instance) -> tuple[Instance, Trace, ReductionReport]:
     """Eliminate values substitutable by a same-domain value that is blocked
     nowhere, until no such value remains.
@@ -91,66 +117,4 @@ def ns_to_convergence(inst: Instance) -> tuple[Instance, Trace, ReductionReport]
     whose value or substitute is gone is skipped.
     """
     require_arc_consistent(inst, "ns_to_convergence")
-    start = time.perf_counter_ns()
-    tables = counters.build_ns(inst)
-    updates = tables.probes
-    debug = counters.debug_recompute_enabled()
-
-    work: deque[tuple[int, int, int]] = deque()
-    for i in range(inst.n):
-        for b in inst.domains[i]:
-            for a in inst.domains[i]:
-                if a != b and not tables.block_vars[(i, b, a)]:
-                    work.append((i, b, a))
-                    updates += 1
-
-    cur = inst
-    steps: list[EliminationRecord] = []
-    while work:
-        r, u, v = work.popleft()
-        dom = cur.domain_set(r)
-        if u not in dom or v not in dom:
-            continue
-        cur = cur.remove_value(r, u)
-        steps.append(
-            EliminationRecord(len(steps) + 1, NS, r, u, NsWitness(substitute=v))
-        )
-        # blocks through u disappear at r's neighbours
-        for k in cur.neighbors(r):
-            row = cur.rows[(k, r)]
-            dom_k = cur.domains[k]
-            for d in dom_k:
-                if u not in row[d]:
-                    continue
-                for e in dom_k:
-                    if e == d or u in row[e]:
-                        continue
-                    cell = (k, d, e, r)
-                    tables.nb_blocks[cell] -= 1
-                    updates += 1
-                    left = tables.nb_blocks[cell]
-                    if left < 0:
-                        raise RuntimeError(f"nb_blocks{cell} went negative")
-                    if left == 0:
-                        holders = tables.block_vars[(k, d, e)]
-                        holders.remove(r)
-                        updates += 1
-                        if not holders:
-                            work.append((k, d, e))
-                            updates += 1
-        if debug:
-            counters.verify_tables(
-                cur, nb_blocks=tables.nb_blocks, block_vars=tables.block_vars
-            )
-
-    micros = (time.perf_counter_ns() - start) // 1000
-    report = ReductionReport(
-        instance=inst.name,
-        rules=(NS,),
-        eliminations={NS: len(steps)},
-        updates=updates,
-        micros=micros,
-        initial_domain_sizes=tuple(len(d) for d in inst.domains),
-        final_domain_sizes=tuple(len(d) for d in cur.domains),
-    )
-    return cur, Trace(inst.name, steps), report
+    return NsEngine(inst).converge()

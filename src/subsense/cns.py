@@ -7,77 +7,55 @@ nb_covers / uncovered on top of the block counters and runs two FIFO
 worklists: plain substitution triples and conditioned (variable, value,
 conditioning) triples.  ns_priority picks which list drains first; the two
 orders may eliminate different (equally safe) value sets.
+
+The block counters and their pass come from kernel.Kernel; this module adds
+the cover counters and their two passes.
 """
 
 from __future__ import annotations
 
-import time
 from collections import deque
 
-from . import counters
 from .acns import require_arc_consistent
 from .counters import subset1
 from .instance import Instance
+from .kernel import Kernel
 from .trace import (
     CNS,
     NS,
     CnsWitness,
-    EliminationRecord,
     NsWitness,
     ReductionReport,
     Trace,
 )
 
 
-class _Run:
-    def __init__(self, inst: Instance, ns_priority: bool):
-        self.inst = inst
-        self.ns_priority = ns_priority
-        self.tables = counters.build_cns(inst)
-        self.updates = self.tables.probes
-        self.ns_list: deque[tuple[int, int, int]] = deque()
-        self.cns_list: deque[tuple[int, int, int]] = deque()
-        self.steps: list[EliminationRecord] = []
-        self.debug = counters.debug_recompute_enabled()
-        self.unsat = False
-        for i in range(inst.n):
-            for b in inst.domains[i]:
-                for a in inst.domains[i]:
-                    if a != b and not self.tables.block_vars[(i, b, a)]:
-                        self.ns_list.append((i, b, a))
-                        self.updates += 1
-        for i in range(inst.n):
-            for b in inst.domains[i]:
-                for j in inst.neighbors(i):
-                    if not self.tables.uncovered[(i, b, j)]:
-                        self.cns_list.append((i, b, j))
-                        self.updates += 1
+class CnsEngine(Kernel):
+    RULE = CNS
+    LABELS = (NS, CNS)
+    BUILD = "build_cns"
 
-    def run(self) -> None:
+    def __init__(self, inst: Instance, ns_priority: bool):
+        super().__init__(inst)
+        self.ns_priority = ns_priority
+        self.ns_list = deque(self._substitutions())
+        self.cns_list = deque(self._conditioned(self.tables.uncovered))
+        self.updates += len(self.ns_list) + len(self.cns_list)
+
+    def _pop(self):
         while self.ns_list or self.cns_list:
             take_ns = bool(self.ns_list) if self.ns_priority else not self.cns_list
             if take_ns:
                 p, u, v = self.ns_list.popleft()
                 dom = self.inst.domain_set(p)
-                if u not in dom or v not in dom:
-                    continue
-                rule, witness = NS, NsWitness(substitute=v)
+                if u in dom and v in dom:
+                    return p, u, NS, NsWitness(substitute=v)
             else:
                 p, u, q = self.cns_list.popleft()
-                if u not in self.inst.domain_set(p) or self.tables.uncovered[(p, u, q)]:
-                    continue
-                rule = CNS
-                witness = CnsWitness(conditioning=q, covers=self._covers(p, u, q))
-            self.inst = self.inst.remove_value(p, u)
-            self.steps.append(
-                EliminationRecord(len(self.steps) + 1, rule, p, u, witness)
-            )
-            if not self.inst.domains[p]:
-                self.unsat = True
-                break
-            self._propagate(p, u)
-            if self.debug:
-                self._verify()
+                if u in self.inst.domain_set(p) and not self.tables.uncovered[(p, u, q)]:
+                    witness = CnsWitness(conditioning=q, covers=self._covers(p, u, q))
+                    return p, u, CNS, witness
+        return None
 
     def _covers(self, p: int, u: int, q: int) -> dict[int, int]:
         row = self.inst.rows[(p, q)]
@@ -99,19 +77,10 @@ class _Run:
         return covers
 
     def _propagate(self, p: int, u: int) -> None:
+        super()._propagate(p, u)
         inst = self.inst
         tables = self.tables
-        # 1. blocks through u disappear at p's neighbours
-        for i in inst.neighbors(p):
-            row = inst.rows[(i, p)]
-            dom_i = inst.domains[i]
-            for b in dom_i:
-                if u not in row[b]:
-                    continue
-                for a in dom_i:
-                    if a != b and u not in row[a]:
-                        self._block_gone(i, b, a, p)
-        # 2. u no longer counts as a cover at p
+        # u no longer counts as a cover at p
         for b in inst.domains[p]:
             for j in inst.neighbors(p):
                 if not subset1(tables.block_vars[(p, b, u)], j):
@@ -130,41 +99,14 @@ class _Run:
                     if tables.nb_covers[cell] == 0 and c in row_b:
                         tables.uncovered[(p, b, j)].add(c)
                         self.updates += 1
-        # 3. u no longer serves as a conditioning value at p
-        for i in inst.neighbors(p):
-            for b in inst.domains[i]:
-                values = tables.uncovered[(i, b, p)]
-                if u in values:
-                    values.remove(u)
-                    self.updates += 1
-                    if not values:
-                        self.cns_list.append((i, b, p))
-                        self.updates += 1
+        self._conditioning_gone(p, u, tables.uncovered, self.cns_list)
 
-    def _block_gone(self, i: int, b: int, a: int, p: int) -> None:
-        tables = self.tables
-        cell = (i, b, a, p)
-        tables.nb_blocks[cell] -= 1
+    def _substitutable(self, i: int, b: int, a: int) -> None:
+        self.ns_list.append((i, b, a))
         self.updates += 1
-        if tables.nb_blocks[cell] < 0:
-            raise RuntimeError(f"nb_blocks{cell} went negative")
-        if tables.nb_blocks[cell]:
-            return
-        holders = tables.block_vars[(i, b, a)]
-        holders.remove(p)
-        self.updates += 1
-        if not holders:
-            self.ns_list.append((i, b, a))
-            self.updates += 1
-            for j in self.inst.neighbors(i):
-                if j != p:
-                    self._cover_appeared(i, b, j, a)
-        elif len(holders) == 1:
-            (j,) = tuple(holders)
-            self._cover_appeared(i, b, j, a)
 
-    def _cover_appeared(self, i: int, b: int, j: int, a: int) -> None:
-        # block_vars(i,b,a) newly fits within {j}: a covers its compatible c
+    def _fits_within(self, i: int, b: int, a: int, j: int) -> None:
+        # a now covers b for each conditioning value c at x_j it supports
         tables = self.tables
         row_a = self.inst.rows[(i, j)][a]
         values = tables.uncovered[(i, b, j)]
@@ -180,16 +122,6 @@ class _Run:
                     self.cns_list.append((i, b, j))
                     self.updates += 1
 
-    def _verify(self) -> None:
-        tables = self.tables
-        counters.verify_tables(
-            self.inst,
-            nb_blocks=tables.nb_blocks,
-            block_vars=tables.block_vars,
-            nb_covers=tables.nb_covers,
-            uncovered=tables.uncovered,
-        )
-
 
 def cns_to_convergence(
     inst: Instance, ns_priority: bool = True
@@ -204,19 +136,4 @@ def cns_to_convergence(
     many values go (the rule is not confluent across pop orders).
     """
     require_arc_consistent(inst, "cns_to_convergence")
-    start = time.perf_counter_ns()
-    run = _Run(inst, ns_priority)
-    run.run()
-    micros = (time.perf_counter_ns() - start) // 1000
-    trace = Trace(inst.name, run.steps)
-    report = ReductionReport(
-        instance=inst.name,
-        rules=(CNS,),
-        eliminations={rule: trace.count(rule) for rule in (NS, CNS)},
-        updates=run.updates,
-        micros=micros,
-        initial_domain_sizes=tuple(len(d) for d in inst.domains),
-        final_domain_sizes=tuple(len(d) for d in run.inst.domains),
-        unsatisfiable=run.unsat,
-    )
-    return run.inst, trace, report
+    return CnsEngine(inst, ns_priority).converge()

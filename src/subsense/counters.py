@@ -160,13 +160,7 @@ def compute_stop_vars(inst: Instance, nb_stops: Count) -> tuple[VarSet, int]:
     return table, probes
 
 
-def compute_nb_stop_vars(inst: Instance, nb_stops: Count) -> tuple[Count, int]:
-    """Size-only variant of compute_stop_vars."""
-    sets, probes = compute_stop_vars(inst, nb_stops)
-    return {key: len(s) for key, s in sets.items()}, probes
-
-
-def compute_nb_snake(inst: Instance, nb_stop_vars: Count) -> tuple[Count, int]:
+def compute_nb_snake(inst: Instance, stop_vars: VarSet) -> tuple[Count, int]:
     """nb_snake[i,b] = number of values a != b with no stop variable, i.e.
     the number of ways to eliminate b by a (possibly swapped) replacement."""
     table: Count = {}
@@ -178,7 +172,7 @@ def compute_nb_snake(inst: Instance, nb_stop_vars: Count) -> tuple[Count, int]:
                 if a == b:
                     continue
                 probes += 1
-                if nb_stop_vars[(i, a, b)] == 0:
+                if not stop_vars[(i, a, b)]:
                     cnt += 1
             table[(i, b)] = cnt
     return table, probes
@@ -296,7 +290,7 @@ class SsTables:
     block_vars: VarSet
     nb_subs: Count
     nb_stops: Count
-    nb_stop_vars: Count
+    stop_vars: VarSet
     nb_snake: Count
     inconsistent: Count
     probes: int
@@ -334,15 +328,15 @@ def build_ss(inst: Instance) -> SsTables:
     block_vars, p2 = compute_block_vars(inst, nb_blocks)
     nb_subs, p3 = compute_nb_subs(inst, block_vars)
     nb_stops, p4 = compute_nb_stops(inst, nb_subs)
-    nb_stop_vars, p5 = compute_nb_stop_vars(inst, nb_stops)
-    nb_snake, p6 = compute_nb_snake(inst, nb_stop_vars)
+    stop_vars, p5 = compute_stop_vars(inst, nb_stops)
+    nb_snake, p6 = compute_nb_snake(inst, stop_vars)
     inconsistent, p7 = compute_inconsistent(inst)
     return SsTables(
         nb_blocks,
         block_vars,
         nb_subs,
         nb_stops,
-        nb_stop_vars,
+        stop_vars,
         nb_snake,
         inconsistent,
         p1 + p2 + p3 + p4 + p5 + p6 + p7,
@@ -400,32 +394,27 @@ def verify_tables(inst: Instance, **kept: dict) -> None:
     block_vars, _ = compute_block_vars(inst, nb_blocks)
     if "block_vars" in kept:
         _compare("block_vars", block_vars, kept["block_vars"])
-    if {"nb_subs", "nb_stops", "nb_stop_vars", "nb_snake", "stop_vars",
+    if {"nb_subs", "nb_stops", "stop_vars", "nb_snake",
         "nb_snake_covers", "not_snake_covered"} & kept.keys():
         nb_subs, _ = compute_nb_subs(inst, block_vars)
         nb_stops, _ = compute_nb_stops(inst, nb_subs)
+        stop_vars, _ = compute_stop_vars(inst, nb_stops)
         if "nb_subs" in kept:
             _compare("nb_subs", nb_subs, kept["nb_subs"])
         if "nb_stops" in kept:
             _compare("nb_stops", nb_stops, kept["nb_stops"])
-        if "nb_stop_vars" in kept:
-            fresh, _ = compute_nb_stop_vars(inst, nb_stops)
-            _compare("nb_stop_vars", fresh, kept["nb_stop_vars"])
+        if "stop_vars" in kept:
+            _compare("stop_vars", stop_vars, kept["stop_vars"])
         if "nb_snake" in kept:
-            nb_stop_vars, _ = compute_nb_stop_vars(inst, nb_stops)
-            fresh, _ = compute_nb_snake(inst, nb_stop_vars)
+            fresh, _ = compute_nb_snake(inst, stop_vars)
             _compare("nb_snake", fresh, kept["nb_snake"])
-        if {"stop_vars", "nb_snake_covers", "not_snake_covered"} & kept.keys():
-            stop_vars, _ = compute_stop_vars(inst, nb_stops)
-            if "stop_vars" in kept:
-                _compare("stop_vars", stop_vars, kept["stop_vars"])
-            if {"nb_snake_covers", "not_snake_covered"} & kept.keys():
-                nsc, _ = compute_nb_snake_covers(inst, nb_subs, stop_vars)
-                if "nb_snake_covers" in kept:
-                    _compare("nb_snake_covers", nsc, kept["nb_snake_covers"])
-                if "not_snake_covered" in kept:
-                    fresh, _ = compute_not_snake_covered(inst, nsc)
-                    _compare("not_snake_covered", fresh, kept["not_snake_covered"])
+        if {"nb_snake_covers", "not_snake_covered"} & kept.keys():
+            nsc, _ = compute_nb_snake_covers(inst, nb_subs, stop_vars)
+            if "nb_snake_covers" in kept:
+                _compare("nb_snake_covers", nsc, kept["nb_snake_covers"])
+            if "not_snake_covered" in kept:
+                fresh, _ = compute_not_snake_covered(inst, nsc)
+                _compare("not_snake_covered", fresh, kept["not_snake_covered"])
     if "inconsistent" in kept:
         fresh, _ = compute_inconsistent(inst)
         for key, want in fresh.items():

@@ -49,19 +49,30 @@ def solve(
         checks[j].append((i, inst.rows[(j, i)]))
     solutions: list[tuple[int, ...]] = []
     assign = [0] * n
-
-    def dfs(i: int) -> bool:
+    # an explicit stack, so that deep instances cannot overflow the
+    # interpreter's: tried[i] is the position in D(x_i) to resume from
+    tried = [0] * n
+    i = 0
+    while i >= 0:
         if i == n:
             solutions.append(tuple(assign))
-            return limit is None or len(solutions) < limit
-        for v in inst.domains[i]:
-            if all(assign[jj] in row[v] for jj, row in checks[i]):
-                assign[i] = v
-                if not dfs(i + 1):
-                    return False
-        return True
-
-    dfs(0)
+            if limit is not None and len(solutions) >= limit:
+                break
+            i -= 1
+            continue
+        dom = inst.domains[i]
+        pos = tried[i]
+        while pos < len(dom) and not all(
+            assign[jj] in row[dom[pos]] for jj, row in checks[i]
+        ):
+            pos += 1
+        if pos == len(dom):
+            tried[i] = 0
+            i -= 1
+            continue
+        assign[i] = dom[pos]
+        tried[i] = pos + 1
+        i += 1
     return solutions
 
 

@@ -6,13 +6,13 @@ cover a (a takes c directly or has a sub for it, and stops at most at x_j).
 It needs no arc-consistency precondition; unsupported values fall out as
 vacuous cases.
 
-The engine keeps block / sub / stop counters, stop-variable sets, and the
-snake-cover tables of counters.build_scss.  Deleting u from D(x_r) runs
-five update passes (blocks, subs, stops, snake covers, conditioning sets);
-the cascade helpers mirror the counter definitions and fire only on 0-to-1
-count transitions, where a value's contribution actually flips.  Cells
-indexed by u are read before they go stale and never written during the
-pass.
+The engine keeps the tables of counters.build_scss.  The block, sub and
+stop counters with their passes come from kernel.SnakeKernel; this module
+adds the snake-cover counters.  Deleting u from D(x_r) runs the kernel's
+passes, then two of its own: u stops snake-covering r's remaining values,
+and u stops serving as a conditioning value at r.  A snake cover's scope
+changes exactly when stop_vars(i,a,b) comes to fit inside {j} or stops
+fitting, and its reach when nb_subs flips between zero and one.
 
 Variables with no constraints at all sit outside the edge-indexed tables,
 so a pre-pass reduces their domains directly (any value substitutes for
@@ -21,12 +21,12 @@ any other when nothing is constrained).
 
 from __future__ import annotations
 
-import time
 from collections import deque
 
 from . import counters, oracle
 from .counters import subset1
 from .instance import Instance
+from .kernel import SnakeKernel
 from .trace import (
     AC,
     CNS,
@@ -59,41 +59,26 @@ def check_scss(inst: Instance) -> list[tuple[int, int, int]]:
     return found
 
 
-class _Run:
-    def __init__(self, inst: Instance):
-        self.inst = inst
-        self.tables = counters.build_scss(inst)
-        self.updates = self.tables.probes
-        self.work: deque[tuple[int, int, int]] = deque()
-        self.steps: list[EliminationRecord] = []
-        self.debug = counters.debug_recompute_enabled()
-        self.unsat = False
-        for i in range(inst.n):
-            for b in inst.domains[i]:
-                for j in inst.neighbors(i):
-                    if not self.tables.not_snake_covered[(i, b, j)]:
-                        self.work.append((i, b, j))
-                        self.updates += 1
+class ScssEngine(SnakeKernel):
+    RULE = SCSS
+    LABELS = (SCSS,)
+    BUILD = "build_scss"
 
-    def run(self) -> None:
+    def __init__(self, inst: Instance):
+        super().__init__(inst)
+        self.work = deque(self._conditioned(self.tables.not_snake_covered))
+        self.updates += len(self.work)
+
+    def converge(self):
         self._reduce_unconstrained()
+        return super().converge()
+
+    def _pop(self):
         while self.work:
             r, u, t = self.work.popleft()
-            if u not in self.inst.domain_set(r):
-                continue
-            if self.tables.not_snake_covered[(r, u, t)]:
-                continue
-            witness = self._witness(r, u, t)
-            self.inst = self.inst.remove_value(r, u)
-            self.steps.append(
-                EliminationRecord(len(self.steps) + 1, SCSS, r, u, witness)
-            )
-            if not self.inst.domains[r]:
-                self.unsat = True
-                break
-            self._propagate(r, u)
-            if self.debug:
-                self._verify()
+            if u in self.inst.domain_set(r) and not self.tables.not_snake_covered[(r, u, t)]:
+                return r, u, SCSS, self._witness(r, u, t)
+        return None
 
     def _reduce_unconstrained(self) -> None:
         # the counter tables only cover constrained variables; a variable
@@ -105,13 +90,9 @@ class _Run:
                 continue
             while len(self.inst.domains[i]) > 1:
                 b = self.inst.domains[i][0]
-                witness = self._unconstrained_witness(i, b)
-                self.inst = self.inst.remove_value(i, b)
-                self.steps.append(
-                    EliminationRecord(len(self.steps) + 1, SCSS, i, b, witness)
-                )
+                self.eliminate(i, b, SCSS, self._unconstrained_witness(i, b))
                 if self.debug:
-                    self._verify()
+                    self.verify()
 
     def _unconstrained_witness(self, i: int, b: int) -> ScssWitness:
         # condition on the smallest other variable; with no constraints on
@@ -149,7 +130,7 @@ class _Run:
                 if c not in row[a] and tables.nb_subs[(r, a, t, c)] == 0:
                     continue
                 if a not in swap_cache:
-                    swap_cache[a] = self._swaps(r, u, a, t)
+                    swap_cache[a] = self._swaps(r, u, a, skip=t)
                 g = self._conditioning_swap(r, t, a, c)
                 covers[c] = ScssCover(a, g, swap_cache[a])
                 break
@@ -168,67 +149,13 @@ class _Run:
                 return g
         raise RuntimeError(f"no conditioning swap for x{t}={c} toward {a}")
 
-    def _swaps(self, r: int, u: int, a: int, t: int) -> dict[int, dict[int, int]]:
-        swaps: dict[int, dict[int, int]] = {}
-        for k in self.inst.neighbors(r):
-            if k == t:
-                continue
-            row = self.inst.rows[(r, k)]
-            row_u = row[u]
-            row_a = row[a]
-            needed: dict[int, int] = {}
-            for d in self.inst.domains[k]:
-                if d not in row_u or d in row_a:
-                    continue
-                for e in self.inst.domains[k]:
-                    if e in row_a and subset1(self.tables.block_vars[(k, d, e)], r):
-                        needed[d] = e
-                        break
-                else:
-                    raise RuntimeError(
-                        f"no replacement at x{k} for {d} when x{r}={u} yields to {a}"
-                    )
-            if needed:
-                swaps[k] = needed
-        return swaps
-
     # -- propagation ----------------------------------------------------------
 
     def _propagate(self, r: int, u: int) -> None:
+        super()._propagate(r, u)
         inst = self.inst
         tables = self.tables
-        # 1. blocks through u disappear at r's neighbours
-        for k in inst.neighbors(r):
-            row = inst.rows[(k, r)]
-            dom_k = inst.domains[k]
-            for d in dom_k:
-                if u not in row[d]:
-                    continue
-                for e in dom_k:
-                    if e != d and u not in row[e]:
-                        self._block_gone(k, d, e, r)
-        # 2. u no longer counts as a sub at r
-        for i in inst.neighbors(r):
-            row = inst.rows[(i, r)]
-            for a in inst.domains[i]:
-                row_a = row[a]
-                if u not in row_a:
-                    continue
-                for d in inst.domains[r]:
-                    if d in row_a:
-                        continue
-                    if subset1(tables.block_vars[(r, d, u)], i):
-                        self._dec_nb_subs(i, a, r, d)
-        # 3. u no longer counts as a stop at r
-        for i in inst.neighbors(r):
-            row = inst.rows[(i, r)]
-            for a in inst.domains[i]:
-                if u in row[a] or tables.nb_subs[(i, a, r, u)] != 0:
-                    continue
-                for b in inst.domains[i]:
-                    if u in row[b]:
-                        self._dec_nb_stops(i, a, b, r)
-        # 4. u no longer snake-covers r's remaining values
+        # u no longer snake-covers r's remaining values
         for j in inst.neighbors(r):
             row = inst.rows[(r, j)]
             row_u = row[u]
@@ -244,138 +171,42 @@ class _Run:
                     continue
                 for b in eligible:
                     self._dec_nb_snake_covers(r, b, j, c)
-        # 5. u no longer serves as a conditioning value at r
-        for i in inst.neighbors(r):
-            for b in inst.domains[i]:
-                values = tables.not_snake_covered[(i, b, r)]
-                if u in values:
-                    values.remove(u)
-                    self.updates += 1
-                    if not values:
-                        self.work.append((i, b, r))
-                        self.updates += 1
+        self._conditioning_gone(r, u, tables.not_snake_covered, self.work)
 
-    def _block_gone(self, k: int, d: int, e: int, l: int) -> None:
-        tables = self.tables
-        cell = (k, d, e, l)
-        tables.nb_blocks[cell] -= 1
-        self.updates += 1
-        if tables.nb_blocks[cell] < 0:
-            raise RuntimeError(f"nb_blocks{cell} went negative")
-        if tables.nb_blocks[cell]:
-            return
-        holders = tables.block_vars[(k, d, e)]
-        holders.remove(l)
-        self.updates += 1
-        if not holders:
-            for i in self.inst.neighbors(k):
-                if i != l:
-                    self._sub_appeared(i, k, d, e)
-        elif len(holders) == 1:
-            (i,) = tuple(holders)
-            self._sub_appeared(i, k, d, e)
+    def _sub_flipped(self, i: int, a: int, k: int, d: int, gained: bool) -> None:
+        # a starts (or stops) snake-covering conditioning value d at x_k
+        change = self._inc_nb_snake_covers if gained else self._dec_nb_snake_covers
+        for b in self.inst.domains[i]:
+            if b != a and subset1(self.tables.stop_vars[(i, a, b)], k):
+                change(i, b, k, d)
 
-    def _sub_appeared(self, i: int, k: int, d: int, e: int) -> None:
-        # block_vars(k,d,e) newly fits within {i}: e becomes a sub for d
-        row = self.inst.rows[(i, k)]
-        for a in self.inst.domains[i]:
-            row_a = row[a]
-            if d not in row_a and e in row_a:
-                self._inc_nb_subs(i, a, k, d)
-
-    # -- cascade helpers -------------------------------------------------------
-
-    def _inc_nb_subs(self, i: int, a: int, k: int, d: int) -> None:
-        tables = self.tables
-        cell = (i, a, k, d)
-        tables.nb_subs[cell] += 1
-        self.updates += 1
-        if tables.nb_subs[cell] != 1:
-            return
-        inst = self.inst
-        row = inst.rows[(i, k)]
-        # d stops stopping replacements by a ...
-        for b in inst.domains[i]:
-            if d in row[b]:
-                self._dec_nb_stops(i, a, b, k)
-        # ... and a starts snake-covering conditioning value d at x_k
-        for b in inst.domains[i]:
-            if b != a and subset1(tables.stop_vars[(i, a, b)], k):
-                self._inc_nb_snake_covers(i, b, k, d)
-
-    def _dec_nb_subs(self, i: int, a: int, k: int, d: int) -> None:
-        tables = self.tables
-        cell = (i, a, k, d)
-        tables.nb_subs[cell] -= 1
-        self.updates += 1
-        if tables.nb_subs[cell] < 0:
-            raise RuntimeError(f"nb_subs{cell} went negative")
-        if tables.nb_subs[cell]:
-            return
-        inst = self.inst
-        row = inst.rows[(i, k)]
-        # d resumes stopping replacements by a ...
-        for b in inst.domains[i]:
-            if d in row[b]:
-                self._inc_nb_stops(i, a, b, k)
-        # ... and a stops snake-covering conditioning value d at x_k
-        for b in inst.domains[i]:
-            if b != a and subset1(tables.stop_vars[(i, a, b)], k):
-                self._dec_nb_snake_covers(i, b, k, d)
-
-    def _inc_nb_stops(self, i: int, a: int, b: int, k: int) -> None:
-        tables = self.tables
-        cell = (i, a, b, k)
-        tables.nb_stops[cell] += 1
-        self.updates += 1
-        if tables.nb_stops[cell] != 1:
-            return
-        holders = tables.stop_vars[(i, a, b)]
-        holders.add(k)
-        self.updates += 1
+    def _stop_var_added(self, i: int, a: int, b: int, k: int, holders: set) -> None:
         if len(holders) == 1:
             # the set was empty: a stops covering b everywhere except x_k
             for j in self.inst.neighbors(i):
                 if j != k:
-                    self._cover_scope_lost(i, a, b, j)
+                    self._cover_scope(i, a, b, j, self._dec_nb_snake_covers)
         elif len(holders) == 2:
-            (j,) = tuple(v for v in holders if v != k)
-            self._cover_scope_lost(i, a, b, j)
+            (j,) = holders - {k}
+            self._cover_scope(i, a, b, j, self._dec_nb_snake_covers)
 
-    def _dec_nb_stops(self, i: int, a: int, b: int, k: int) -> None:
-        tables = self.tables
-        cell = (i, a, b, k)
-        tables.nb_stops[cell] -= 1
-        self.updates += 1
-        if tables.nb_stops[cell] < 0:
-            raise RuntimeError(f"nb_stops{cell} went negative")
-        if tables.nb_stops[cell]:
-            return
-        holders = tables.stop_vars[(i, a, b)]
-        holders.remove(k)
-        self.updates += 1
+    def _stop_var_removed(self, i: int, a: int, b: int, k: int, holders: set) -> None:
         if len(holders) == 1:
-            (j,) = tuple(holders)
-            self._cover_scope_gained(i, a, b, j)
+            (j,) = holders
+            self._cover_scope(i, a, b, j, self._inc_nb_snake_covers)
         elif not holders:
             for j in self.inst.neighbors(i):
                 if j != k:
-                    self._cover_scope_gained(i, a, b, j)
+                    self._cover_scope(i, a, b, j, self._inc_nb_snake_covers)
 
-    def _cover_scope_gained(self, i: int, a: int, b: int, j: int) -> None:
-        # stop_vars(i,a,b) newly fits within {j}: a snake-covers b there
+    def _cover_scope(self, i: int, a: int, b: int, j: int, change) -> None:
+        # stop_vars(i,a,b) newly fits within {j} (or no longer does): a
+        # snake-covers b for each value of x_j it takes or has a sub for
         row_a = self.inst.rows[(i, j)][a]
         nb_subs = self.tables.nb_subs
         for c in self.inst.domains[j]:
             if c in row_a or nb_subs[(i, a, j, c)] > 0:
-                self._inc_nb_snake_covers(i, b, j, c)
-
-    def _cover_scope_lost(self, i: int, a: int, b: int, j: int) -> None:
-        row_a = self.inst.rows[(i, j)][a]
-        nb_subs = self.tables.nb_subs
-        for c in self.inst.domains[j]:
-            if c in row_a or nb_subs[(i, a, j, c)] > 0:
-                self._dec_nb_snake_covers(i, b, j, c)
+                change(i, b, j, c)
 
     def _inc_nb_snake_covers(self, i: int, b: int, j: int, c: int) -> None:
         tables = self.tables
@@ -404,19 +235,6 @@ class _Run:
             tables.not_snake_covered[(i, b, j)].add(c)
             self.updates += 1
 
-    def _verify(self) -> None:
-        tables = self.tables
-        counters.verify_tables(
-            self.inst,
-            nb_blocks=tables.nb_blocks,
-            block_vars=tables.block_vars,
-            nb_subs=tables.nb_subs,
-            nb_stops=tables.nb_stops,
-            stop_vars=tables.stop_vars,
-            nb_snake_covers=tables.nb_snake_covers,
-            not_snake_covered=tables.not_snake_covered,
-        )
-
 
 def scss_to_convergence(inst: Instance) -> tuple[Instance, Trace, ReductionReport]:
     """Apply snake-conditioned snake substitution until no eliminable value
@@ -426,22 +244,7 @@ def scss_to_convergence(inst: Instance) -> tuple[Instance, Trace, ReductionRepor
     without support fall out along the way.  If a domain empties the run
     stops and the report is flagged unsatisfiable.
     """
-    start = time.perf_counter_ns()
-    run = _Run(inst)
-    run.run()
-    micros = (time.perf_counter_ns() - start) // 1000
-    trace = Trace(inst.name, run.steps)
-    report = ReductionReport(
-        instance=inst.name,
-        rules=(SCSS,),
-        eliminations={SCSS: len(run.steps)},
-        updates=run.updates,
-        micros=micros,
-        initial_domain_sizes=tuple(len(d) for d in inst.domains),
-        final_domain_sizes=tuple(len(d) for d in run.inst.domains),
-        unsatisfiable=run.unsat,
-    )
-    return run.inst, trace, report
+    return ScssEngine(inst).converge()
 
 
 # -- replay -------------------------------------------------------------------
@@ -489,8 +292,9 @@ def replay_sequence(inst: Instance, steps, rules=None):
         else:
             raise ValueError(f"step {pos}: expected (variable, value[, conditioning])")
         rule = rules[pos - 1]
-        if not 0 <= i < cur.n:
-            raise ReplayError(f"step {pos} ({rule}): no variable with index {i}")
+        for v in (i,) if j is None else (i, j):
+            if not 0 <= v < cur.n:
+                raise ReplayError(f"step {pos} ({rule}): no variable with index {v}")
         label = f"step {pos} ({rule} at {cur.names[i]}={b})"
         if b not in cur.domain_set(i):
             raise ReplayError(f"{label}: value not in the current domain")

@@ -9,29 +9,26 @@ because a snake substitution appeared go to the low class.  Classes are
 fixed when a pair is pushed; on popping, a pair is revalidated and labelled
 by the strongest rule that applies (ac over ns over ss).
 
-Deleting u from D(x_r) triggers five update passes, mirroring the counter
-definitions: blocks through u vanish at r's neighbours (which can create
-subs), u stops being a sub, then a stop, then a support, and finally a
-replacement for r's remaining values.  Cells indexed by u itself are read
-before they go stale and are never written during the pass.
+Deleting u from D(x_r) runs the block, sub and stop passes of
+kernel.SnakeKernel; every stop_vars set that empties raises nb_snake, and
+one that gains its first member lowers it.  This module adds two passes:
+values whose last support at r was u are flagged inconsistent, and u stops
+counting as a replacement for r's remaining values.
 """
 
 from __future__ import annotations
 
-import time
 from collections import deque
-from typing import Callable, Optional
+from typing import Optional
 
-from . import counters
 from .acns import require_arc_consistent
-from .counters import subset1
 from .instance import Instance
+from .kernel import SnakeKernel
 from .trace import (
     AC,
     NS,
     SS,
     AcWitness,
-    EliminationRecord,
     NsWitness,
     ReductionReport,
     SsWitness,
@@ -39,67 +36,15 @@ from .trace import (
 )
 
 
-def dec_stops(
-    tables: counters.SsTables,
-    i: int,
-    a: int,
-    b: int,
-    k: int,
-    on_eliminable: Optional[Callable[[int, int], None]] = None,
-) -> int:
-    """A stop against replacing b by a at x_i vanished at x_k.
+class SsEngine(SnakeKernel):
+    RULE = SS
+    LABELS = (AC, NS, SS)
+    BUILD = "build_ss"
 
-    Cascades into nb_stop_vars and nb_snake; when nb_snake(i,b) rises from
-    zero the callback receives (i, b) so the engine can queue the pair.
-    Returns the number of elementary updates.  A count falling below zero
-    signals an internal-consistency bug.
-    """
-    cell = (i, a, b, k)
-    tables.nb_stops[cell] -= 1
-    updates = 1
-    if tables.nb_stops[cell] < 0:
-        raise RuntimeError(f"nb_stops{cell} went negative")
-    if tables.nb_stops[cell] == 0:
-        tables.nb_stop_vars[(i, a, b)] -= 1
-        updates += 1
-        remaining = tables.nb_stop_vars[(i, a, b)]
-        if remaining < 0:
-            raise RuntimeError(f"nb_stop_vars{(i, a, b)} went negative")
-        if remaining == 0:
-            tables.nb_snake[(i, b)] += 1
-            updates += 1
-            if tables.nb_snake[(i, b)] == 1 and on_eliminable is not None:
-                on_eliminable(i, b)
-                updates += 1
-    return updates
-
-
-def inc_stops(tables: counters.SsTables, i: int, a: int, b: int, k: int) -> int:
-    """Mirror of dec_stops for a stop that reappeared at x_k."""
-    cell = (i, a, b, k)
-    tables.nb_stops[cell] += 1
-    updates = 1
-    if tables.nb_stops[cell] == 1:
-        tables.nb_stop_vars[(i, a, b)] += 1
-        updates += 1
-        if tables.nb_stop_vars[(i, a, b)] == 1:
-            tables.nb_snake[(i, b)] -= 1
-            updates += 1
-            if tables.nb_snake[(i, b)] < 0:
-                raise RuntimeError(f"nb_snake{(i, b)} went negative")
-    return updates
-
-
-class _Run:
     def __init__(self, inst: Instance):
-        self.inst = inst
-        self.tables = counters.build_ss(inst)
-        self.updates = self.tables.probes
+        super().__init__(inst)
         self.high: deque[tuple[int, int]] = deque()
         self.low: deque[tuple[int, int]] = deque()
-        self.steps: list[EliminationRecord] = []
-        self.debug = counters.debug_recompute_enabled()
-        self.unsat = False
         # arc-consistent input: nothing is inconsistent yet
         for i in range(inst.n):
             for b in inst.domains[i]:
@@ -110,29 +55,15 @@ class _Run:
                         self.high.append((i, b))
                     self.updates += 1
 
-    def run(self) -> None:
+    def _pop(self):
         while self.high or self.low:
-            r, u = self.high.popleft() if self.high else self.low.popleft()
+            r, u = (self.high or self.low).popleft()
             if u not in self.inst.domain_set(r):
                 continue
             if self.tables.nb_snake[(r, u)] == 0 and not self.tables.inconsistent[(r, u)]:
                 continue
-            rule, witness = self._classify(r, u)
-            self.inst = self.inst.remove_value(r, u)
-            self.steps.append(
-                EliminationRecord(len(self.steps) + 1, rule, r, u, witness)
-            )
-            if not self.inst.domains[r]:
-                self.unsat = True
-                break
-            newly_flagged = self._propagate(r, u)
-            if self.debug:
-                self._verify()
-                if rule == AC and newly_flagged:
-                    raise AssertionError(
-                        "support-loss deletions are not expected to expose "
-                        f"further unsupported values, yet {newly_flagged} appeared"
-                    )
+            return (r, u, *self._classify(r, u))
+        return None
 
     # -- labelling ----------------------------------------------------------
 
@@ -152,69 +83,17 @@ class _Run:
         if a is not None:
             return NS, NsWitness(substitute=a)
         for a in self.inst.domains[r]:
-            if a != u and self.tables.nb_stop_vars[(r, a, u)] == 0:
+            if a != u and not self.tables.stop_vars[(r, a, u)]:
                 return SS, SsWitness(substitute=a, swaps=self._swaps(r, u, a))
         raise RuntimeError(f"queued pair x{r}={u} has no eliminating value")
 
-    def _swaps(self, r: int, u: int, a: int) -> dict[int, dict[int, int]]:
-        swaps: dict[int, dict[int, int]] = {}
-        for k in self.inst.neighbors(r):
-            row = self.inst.rows[(r, k)]
-            row_u = row[u]
-            row_a = row[a]
-            needed: dict[int, int] = {}
-            for d in self.inst.domains[k]:
-                if d not in row_u or d in row_a:
-                    continue
-                for e in self.inst.domains[k]:
-                    if e in row_a and subset1(self.tables.block_vars[(k, d, e)], r):
-                        needed[d] = e
-                        break
-                else:
-                    raise RuntimeError(
-                        f"no replacement at x{k} for {d} when x{r}={u} yields to {a}"
-                    )
-            if needed:
-                swaps[k] = needed
-        return swaps
-
     # -- propagation --------------------------------------------------------
 
-    def _propagate(self, r: int, u: int) -> list[tuple[int, int]]:
+    def _propagate(self, r: int, u: int) -> None:
+        super()._propagate(r, u)
         inst = self.inst
         tables = self.tables
-        # 1. blocks through u disappear at r's neighbours
-        for k in inst.neighbors(r):
-            row = inst.rows[(k, r)]
-            dom_k = inst.domains[k]
-            for d in dom_k:
-                if u not in row[d]:
-                    continue
-                for e in dom_k:
-                    if e != d and u not in row[e]:
-                        self._block_gone(k, d, e, r)
-        # 2. u no longer counts as a sub at r
-        for i in inst.neighbors(r):
-            row = inst.rows[(i, r)]
-            for a in inst.domains[i]:
-                row_a = row[a]
-                if u not in row_a:
-                    continue
-                for d in inst.domains[r]:
-                    if d in row_a:
-                        continue
-                    if subset1(tables.block_vars[(r, d, u)], i):
-                        self._sub_gone(i, a, r, d)
-        # 3. u no longer counts as a stop at r
-        for i in inst.neighbors(r):
-            row = inst.rows[(i, r)]
-            for a in inst.domains[i]:
-                if u in row[a] or tables.nb_subs[(i, a, r, u)] != 0:
-                    continue
-                for b in inst.domains[i]:
-                    if u in row[b]:
-                        self.updates += dec_stops(tables, i, a, b, r, self._queue_low)
-        # 4. values whose last support at r was u
+        # values whose last support at r was u
         newly_flagged: list[tuple[int, int]] = []
         cur_r = inst.domain_set(r)
         for i in inst.neighbors(r):
@@ -226,83 +105,39 @@ class _Run:
                 self.high.append((i, v))
                 self.updates += 2
                 newly_flagged.append((i, v))
-        # 5. u no longer counts as a replacement for r's remaining values
+        # u no longer counts as a replacement for r's remaining values
         for b in inst.domains[r]:
-            if tables.nb_stop_vars[(r, u, b)] == 0:
-                tables.nb_snake[(r, b)] -= 1
-                self.updates += 1
-                if tables.nb_snake[(r, b)] < 0:
-                    raise RuntimeError(f"nb_snake{(r, b)} went negative")
-        return newly_flagged
+            if not tables.stop_vars[(r, u, b)]:
+                self._dec_snake(r, b)
+        if self.debug and self.steps[-1].rule == AC and newly_flagged:
+            raise AssertionError(
+                "support-loss deletions are not expected to expose "
+                f"further unsupported values, yet {newly_flagged} appeared"
+            )
 
-    def _queue_low(self, i: int, b: int) -> None:
-        self.low.append((i, b))
-
-    def _block_gone(self, k: int, d: int, e: int, l: int) -> None:
-        tables = self.tables
-        cell = (k, d, e, l)
-        tables.nb_blocks[cell] -= 1
+    def _substitutable(self, k: int, d: int, e: int) -> None:
+        self.high.append((k, d))
         self.updates += 1
-        if tables.nb_blocks[cell] < 0:
-            raise RuntimeError(f"nb_blocks{cell} went negative")
-        if tables.nb_blocks[cell]:
+
+    def _stop_var_removed(self, i: int, a: int, b: int, k: int, holders: set) -> None:
+        if holders:
             return
-        holders = tables.block_vars[(k, d, e)]
-        holders.remove(l)
+        # a now replaces b with swaps: one more way to eliminate b
+        self.tables.nb_snake[(i, b)] += 1
         self.updates += 1
-        if not holders:
-            # d became plainly substitutable by e
-            self.high.append((k, d))
+        if self.tables.nb_snake[(i, b)] == 1:
+            self.low.append((i, b))
             self.updates += 1
-            for i in self.inst.neighbors(k):
-                if i != l:
-                    self._sub_appeared(i, k, d, e)
-        elif len(holders) == 1:
-            (i,) = tuple(holders)
-            self._sub_appeared(i, k, d, e)
 
-    def _sub_appeared(self, i: int, k: int, d: int, e: int) -> None:
-        # block_vars(k,d,e) newly fits within {i}: e becomes a sub for d
-        tables = self.tables
-        row = self.inst.rows[(i, k)]
-        for a in self.inst.domains[i]:
-            row_a = row[a]
-            if d in row_a or e not in row_a:
-                continue
-            cell = (i, a, k, d)
-            tables.nb_subs[cell] += 1
-            self.updates += 1
-            if tables.nb_subs[cell] == 1:
-                # d stops stopping a's substitutions
-                for b in self.inst.domains[i]:
-                    if d in row[b]:
-                        self.updates += dec_stops(tables, i, a, b, k, self._queue_low)
+    def _stop_var_added(self, i: int, a: int, b: int, k: int, holders: set) -> None:
+        if len(holders) == 1:
+            self._dec_snake(i, b)
 
-    def _sub_gone(self, i: int, a: int, k: int, d: int) -> None:
-        tables = self.tables
-        cell = (i, a, k, d)
-        tables.nb_subs[cell] -= 1
+    def _dec_snake(self, i: int, b: int) -> None:
+        self.tables.nb_snake[(i, b)] -= 1
         self.updates += 1
-        if tables.nb_subs[cell] < 0:
-            raise RuntimeError(f"nb_subs{cell} went negative")
-        if tables.nb_subs[cell] == 0:
-            row = self.inst.rows[(i, k)]
-            for b in self.inst.domains[i]:
-                if d in row[b]:
-                    self.updates += inc_stops(tables, i, a, b, k)
-
-    def _verify(self) -> None:
-        tables = self.tables
-        counters.verify_tables(
-            self.inst,
-            nb_blocks=tables.nb_blocks,
-            block_vars=tables.block_vars,
-            nb_subs=tables.nb_subs,
-            nb_stops=tables.nb_stops,
-            nb_stop_vars=tables.nb_stop_vars,
-            nb_snake=tables.nb_snake,
-            inconsistent=tables.inconsistent,
-        )
+        if self.tables.nb_snake[(i, b)] < 0:
+            raise RuntimeError(f"nb_snake{(i, b)} went negative")
 
 
 def ss_to_convergence(inst: Instance) -> tuple[Instance, Trace, ReductionReport]:
@@ -316,19 +151,4 @@ def ss_to_convergence(inst: Instance) -> tuple[Instance, Trace, ReductionReport]
     and the report is flagged unsatisfiable.
     """
     require_arc_consistent(inst, "ss_to_convergence")
-    start = time.perf_counter_ns()
-    run = _Run(inst)
-    run.run()
-    micros = (time.perf_counter_ns() - start) // 1000
-    trace = Trace(inst.name, run.steps)
-    report = ReductionReport(
-        instance=inst.name,
-        rules=(SS,),
-        eliminations={rule: trace.count(rule) for rule in (AC, NS, SS)},
-        updates=run.updates,
-        micros=micros,
-        initial_domain_sizes=tuple(len(d) for d in inst.domains),
-        final_domain_sizes=tuple(len(d) for d in run.inst.domains),
-        unsatisfiable=run.unsat,
-    )
-    return run.inst, trace, report
+    return SsEngine(inst).converge()

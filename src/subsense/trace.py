@@ -148,11 +148,17 @@ def _witness_to_json(w: Optional[Witness]):
     raise TypeError(f"unknown witness type {type(w)!r}")
 
 
+def _int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
 def _witness_from_json(rule: str, obj) -> Optional[Witness]:
     if obj is None:
         return None
     if rule == AC:
-        return AcWitness(unsupported_at=obj["unsupported_at"])
+        return AcWitness(unsupported_at=_int(obj["unsupported_at"], "unsupported_at"))
     if rule == NS:
         return NsWitness(substitute=obj["substitute"])
     if rule == SS:
@@ -165,12 +171,12 @@ def _witness_from_json(rule: str, obj) -> Optional[Witness]:
         )
     if rule == CNS:
         return CnsWitness(
-            conditioning=obj["conditioning"],
+            conditioning=_int(obj["conditioning"], "conditioning"),
             covers={int(c): a for c, a in obj.get("covers", {}).items()},
         )
     if rule == SCSS:
         return ScssWitness(
-            conditioning=obj["conditioning"],
+            conditioning=_int(obj["conditioning"], "conditioning"),
             covers={
                 int(c): ScssCover(
                     substitute=cov["substitute"],
@@ -214,6 +220,8 @@ def trace_from_json_dict(obj: dict) -> Trace:
     missing = {"instance", "steps"} - set(obj)
     if missing:
         raise ValueError(f"trace is missing keys: {sorted(missing)}")
+    if not isinstance(obj["steps"], list):
+        raise ValueError("trace steps must be a list")
     steps = []
     for rec in obj["steps"]:
         if not isinstance(rec, dict) or not {"rule", "variable", "value"} <= set(rec):
@@ -221,20 +229,27 @@ def trace_from_json_dict(obj: dict) -> Trace:
         rule = rec["rule"]
         if rule not in RULES:
             raise ValueError(f"unknown rule {rule!r} in trace")
+        pos = len(steps) + 1
+        try:
+            witness = _witness_from_json(rule, rec.get("witness"))
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"step {pos}: malformed {rule} witness ({exc!r})") from exc
         steps.append(
             EliminationRecord(
-                step=rec.get("step", len(steps) + 1),
+                step=_int(rec.get("step", pos), "step"),
                 rule=rule,
-                variable=rec["variable"],
-                value=rec["value"],
-                witness=_witness_from_json(rule, rec.get("witness")),
+                variable=_int(rec["variable"], "variable"),
+                value=_int(rec["value"], "value"),
+                witness=witness,
             )
         )
-    return Trace(
-        instance=obj["instance"],
-        steps=steps,
-        final_domains=obj.get("final_domains"),
-    )
+    final_domains = obj.get("final_domains")
+    if final_domains is not None:
+        try:
+            final_domains = [sorted(dom) for dom in final_domains]
+        except TypeError as exc:
+            raise ValueError(f"final_domains must be lists of integers ({exc})") from exc
+    return Trace(instance=obj["instance"], steps=steps, final_domains=final_domains)
 
 
 def dump_trace(trace: Trace, path) -> None:

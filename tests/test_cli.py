@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from subsense import cli, generators, load_file, load_trace
+from subsense import cli, dump_file, generators, load_file, load_trace
 
 
 def run(argv):
@@ -143,6 +143,13 @@ def test_solve_search_space_cap(tmp_path):
     assert run(["solve", inst_path]) == 1
 
 
+def test_solve_deep_chain(tmp_path, capsys):
+    path = tmp_path / "chain.json"
+    dump_file(generators.geq_chain(3000).restrict([(2,)] * 3000), path)
+    assert run(["solve", path]) == 0
+    assert capsys.readouterr().out.split() == ["2"] * 3000
+
+
 def test_verify_round_trip(tmp_path, capsys):
     inst_path, trace_path = tmp_path / "c.json", tmp_path / "tr.json"
     run(["gen", "figure1c", "-o", inst_path])
@@ -184,6 +191,32 @@ def test_verify_rejects_wrong_final_domains(tmp_path, capsys):
     capsys.readouterr()
     assert run(["verify", inst_path, bad]) == 1
     assert "final domains" in capsys.readouterr().out
+
+
+def _verify_steps(tmp_path, steps):
+    inst_path, trace_path = tmp_path / "b.json", tmp_path / "tr.json"
+    run(["gen", "figure1b", "-o", inst_path])
+    trace_path.write_text(json.dumps({"instance": "b", "steps": steps}))
+    return run(["verify", inst_path, trace_path])
+
+
+@pytest.mark.parametrize(
+    "steps",
+    [
+        [{"rule": "cns", "variable": 1, "value": 0, "witness": {"covers": {}}}],
+        [{"rule": "scss", "variable": "0", "value": 0}],
+        5,
+    ],
+)
+def test_verify_rejects_unreadable_trace(tmp_path, capsys, steps):
+    assert _verify_steps(tmp_path, steps) == 2
+    assert "cannot read trace" in capsys.readouterr().err
+
+
+def test_verify_fails_on_unknown_conditioning_variable(tmp_path, capsys):
+    step = {"rule": "cns", "variable": 1, "value": 0, "witness": {"conditioning": 99}}
+    assert _verify_steps(tmp_path, [step]) == 1
+    assert "no variable with index 99" in capsys.readouterr().out
 
 
 def test_bench_grid_shape_and_determinism(tmp_path):

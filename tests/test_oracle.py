@@ -58,6 +58,15 @@ def test_solve_unconstrained_single_variable():
     assert solve(inst) == [(0,), (2,)]
 
 
+def deep_singleton_chain(length=3000):
+    # one solution, but one search level per variable
+    return generators.geq_chain(length).restrict([(2,)] * length)
+
+
+def test_solve_deep_chain_without_recursion():
+    assert solve(deep_singleton_chain()) == [(2,) * 3000]
+
+
 def test_is_ns_smallest_substitute_wins():
     inst = make_instance("free", [(0, 1, 2), (0, 1)], {})
     assert is_ns(inst, 0, 1) == NsWitness(substitute=0)

@@ -16,7 +16,7 @@ from subsense import (
     ss_to_convergence,
 )
 from subsense.oracle import is_ss, solvable
-from subsense.ss import dec_stops, inc_stops
+from subsense.ss import SsEngine
 
 from conftest import corpus
 
@@ -39,48 +39,52 @@ def test_counter_init_on_figures():
     assert not any(ta.inconsistent.values())
 
 
-def test_stop_cascade_and_callback():
-    cell = (0, 1, 0, 2)  # replacing b=0 by a=1 at x1, stop at x3
-    tables = counters.SsTables(
+def _cascade_engine(nb_stops, stop_vars, nb_snake):
+    # an ss engine whose tables hold only the cells the stop cascade reads
+    engine = SsEngine(generators.figure1a())
+    engine.tables = counters.SsTables(
         nb_blocks={},
         block_vars={},
         nb_subs={},
-        nb_stops={cell: 1},
-        nb_stop_vars={(0, 1, 0): 1},
-        nb_snake={(0, 0): 0},
+        nb_stops=nb_stops,
+        stop_vars=stop_vars,
+        nb_snake=nb_snake,
         inconsistent={},
         probes=0,
     )
-    seen = []
-    updates = dec_stops(tables, 0, 1, 0, 2, on_eliminable=lambda i, b: seen.append((i, b)))
-    assert seen == [(0, 0)]
-    assert updates == 4
+    engine.updates = 0
+    engine.high.clear()
+    engine.low.clear()
+    return engine
+
+
+def test_stop_cascade_and_callback():
+    cell = (0, 1, 0, 2)  # replacing b=0 by a=1 at x1, stop at x3
+    engine = _cascade_engine({cell: 1}, {(0, 1, 0): {2}}, {(0, 0): 0})
+    tables = engine.tables
+    engine.dec_stops(0, 1, 0, 2)
+    # nb_stops, stop_vars, nb_snake and the low-class push
+    assert list(engine.low) == [(0, 0)]
+    assert engine.updates == 4
     assert tables.nb_stops[cell] == 0
-    assert tables.nb_stop_vars[(0, 1, 0)] == 0
+    assert tables.stop_vars[(0, 1, 0)] == set()
     assert tables.nb_snake[(0, 0)] == 1
     # the mirror restores every level
-    assert inc_stops(tables, 0, 1, 0, 2) == 3
+    engine.updates = 0
+    engine.inc_stops(0, 1, 0, 2)
+    assert engine.updates == 3
     assert tables.nb_stops[cell] == 1
-    assert tables.nb_stop_vars[(0, 1, 0)] == 1
+    assert tables.stop_vars[(0, 1, 0)] == {2}
     assert tables.nb_snake[(0, 0)] == 0
 
 
 def test_stop_cascade_underflow_is_an_error():
-    tables = counters.SsTables(
-        nb_blocks={},
-        block_vars={},
-        nb_subs={},
-        nb_stops={(0, 1, 0, 2): 0},
-        nb_stop_vars={(0, 1, 0): 0},
-        nb_snake={(0, 0): 0},
-        inconsistent={},
-        probes=0,
-    )
+    engine = _cascade_engine({(0, 1, 0, 2): 0}, {(0, 1, 0): set()}, {(0, 0): 0})
     with pytest.raises(RuntimeError):
-        dec_stops(tables, 0, 1, 0, 2)
-    tables.nb_stops[(0, 1, 0, 2)] = 0
+        engine.dec_stops(0, 1, 0, 2)
+    engine.tables.nb_stops[(0, 1, 0, 2)] = 0
     with pytest.raises(RuntimeError):
-        inc_stops(tables, 0, 1, 0, 2)
+        engine.inc_stops(0, 1, 0, 2)
 
 
 def test_ss_requires_arc_consistency():

@@ -65,9 +65,28 @@ def test_trace_without_final_domains():
     assert back == trace
 
 
+def test_hand_written_trace_without_witness_or_step_loads():
+    obj = {"instance": "t", "steps": [{"rule": "scss", "variable": 0, "value": 1}]}
+    assert trace_from_json_dict(obj) == Trace("t", [EliminationRecord(1, "scss", 0, 1, None)])
+
+
+def _step(**fields):
+    return {"rule": "cns", "variable": 0, "value": 1, **fields}
+
+
 def test_trace_rejects_malformed_objects():
     good = trace_to_json_dict(Trace("t", []))
-    bad = dict(good)
-    bad["surprise"] = 1
-    with pytest.raises(ValueError):
-        trace_from_json_dict(bad)
+    for change in (
+        {"surprise": 1},
+        {"steps": 5},
+        {"steps": [_step(variable="0")]},
+        {"steps": [_step(value=True)]},
+        {"steps": [_step(step="one")]},
+        {"steps": [_step(witness={"covers": {"2": 1}})]},
+        {"steps": [_step(witness={"conditioning": "1"})]},
+        {"steps": [_step(rule="ss", witness={"substitute": 0, "swaps": [1]})]},
+        {"final_domains": 5},
+        {"final_domains": [[0, "1"]]},
+    ):
+        with pytest.raises(ValueError):
+            trace_from_json_dict({**good, **change})
