@@ -268,9 +268,7 @@ def cmd_bench(args) -> int:
         for d in d_values:
             for seed in range(args.seeds):
                 # the gen families, with --n as the geqchain length
-                point = dict(
-                    vars(args), d=d, seed=seed, length=args.n, universe=None, sets=None
-                )
+                point = dict(vars(args), d=d, seed=seed, length=args.n)
                 base = _build_family(argparse.Namespace(**point))
                 for rule in rules:
                     inst = base
@@ -322,6 +320,11 @@ def cmd_bench(args) -> int:
 
 # -- parser -------------------------------------------------------------------
 
+def _add_setcover_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--universe", type=int, help="setcover universe size (elements 1..N)")
+    parser.add_argument("--sets", help="setcover sets as digit runs, e.g. 12,23,13")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="subsense",
@@ -347,10 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--density", type=float, default=0.5)
     gen.add_argument("--tightness", type=float, default=0.5)
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--universe", type=int, help="setcover universe size (elements 1..N)")
-    gen.add_argument(
-        "--sets", help="setcover sets as digit runs, e.g. 12,23,13"
-    )
+    _add_setcover_arguments(gen)
     gen.add_argument("--length", type=int, default=3, help="geqchain length")
     gen.add_argument("-o", "--out", help="output path (default: stdout)")
     gen.set_defaults(func=cmd_gen)
@@ -384,6 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--density", type=float, default=0.3)
     ben.add_argument("--tightness", type=float, default=0.5)
     ben.add_argument("--seeds", type=int, default=5, help="seeds 0..N-1")
+    _add_setcover_arguments(ben)
     ben.add_argument(
         "--rules", default="ss", help="comma-separated from ns,ss,cns,scss"
     )

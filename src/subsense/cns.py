@@ -19,7 +19,7 @@ from collections import deque
 from .acns import require_arc_consistent
 from .counters import subset1
 from .instance import Instance
-from .kernel import Kernel
+from .kernel import Kernel, conditioned
 from .trace import (
     CNS,
     NS,
@@ -39,7 +39,7 @@ class CnsEngine(Kernel):
         super().__init__(inst)
         self.ns_priority = ns_priority
         self.ns_list = deque(self._substitutions())
-        self.cns_list = deque(self._conditioned(self.tables.uncovered))
+        self.cns_list = deque(conditioned(inst, self.tables.uncovered))
         self.updates += len(self.ns_list) + len(self.cns_list)
 
     def _pop(self):

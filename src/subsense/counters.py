@@ -1,10 +1,15 @@
 """From-scratch computation of the counting structures the engines maintain.
 
 The engines keep these tables incrementally; everything here evaluates the
-defining set-builders directly over the current domains.  Engine
-initialisation calls the build_* helpers, and with SUBSENSE_DEBUG_RECOMPUTE=1
-the engines re-derive the tables after every elimination and compare
-(verify_tables), which is what makes the incremental bookkeeping trustworthy.
+defining set-builders directly over the current domains.  TABLES is the one
+statement of which table is computed from which: it maps each of the eleven
+table names to its compute function and the tables that function reads.
+build(inst, *names) computes the named tables plus everything they read, in
+TABLES order, and returns them as one Tables object.  Engine initialisation
+calls the build_* helpers, one per rule, which only name the rule's tables;
+with SUBSENSE_DEBUG_RECOMPUTE=1 the engines re-derive every kept table after
+each elimination and compare it cell by cell (verify_tables), which is what
+makes the incremental bookkeeping trustworthy.
 
 Vocabulary, for a candidate replacement of value b by value a at variable
 x_i (indices as in Instance.arrow / Instance.snake_arrow):
@@ -33,8 +38,8 @@ accounting as the cost of initialisation.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Iterator
+from types import SimpleNamespace
+from typing import Callable, Iterator
 
 from .instance import Instance
 
@@ -82,9 +87,14 @@ def compute_nb_blocks(inst: Instance) -> tuple[Count, int]:
     return table, probes
 
 
-def compute_block_vars(inst: Instance, nb_blocks: Count) -> tuple[VarSet, int]:
-    """block_vars[k,d,e] = neighbours of x_k where a block remains; empty
-    means d is substitutable by e."""
+def compute_holders(inst: Instance, counts: Count) -> tuple[VarSet, int]:
+    """The neighbours where a 4-index count is still positive, for every
+    ordered pair of one variable's values:
+
+    - block_vars[k,d,e] = neighbours x_l of x_k with nb_blocks[k,d,e,l] > 0;
+      empty means d is substitutable by e.
+    - stop_vars[i,a,b] = neighbours x_k of x_i with nb_stops[i,a,b,k] > 0,
+      the neighbours holding at least one stop."""
     table: VarSet = {}
     probes = 0
     for k in range(inst.n):
@@ -94,7 +104,7 @@ def compute_block_vars(inst: Instance, nb_blocks: Count) -> tuple[VarSet, int]:
                 if e == d:
                     continue
                 table[(k, d, e)] = {
-                    l for l in nbrs if nb_blocks[(k, d, e, l)] > 0
+                    l for l in nbrs if counts[(k, d, e, l)] > 0
                 }
                 probes += len(nbrs)
     return table, probes
@@ -140,23 +150,6 @@ def compute_nb_stops(inst: Instance, nb_subs: Count) -> tuple[Count, int]:
                     if d in row_b and d not in row_a and nb_subs[(i, a, k, d)] == 0:
                         cnt += 1
                 table[(i, a, b, k)] = cnt
-    return table, probes
-
-
-def compute_stop_vars(inst: Instance, nb_stops: Count) -> tuple[VarSet, int]:
-    """stop_vars[i,a,b] = neighbours of x_i holding at least one stop."""
-    table: VarSet = {}
-    probes = 0
-    for i in range(inst.n):
-        nbrs = inst.neighbors(i)
-        for a in inst.domains[i]:
-            for b in inst.domains[i]:
-                if b == a:
-                    continue
-                table[(i, a, b)] = {
-                    k for k in nbrs if nb_stops[(i, a, b, k)] > 0
-                }
-                probes += len(nbrs)
     return table, probes
 
 
@@ -215,9 +208,13 @@ def compute_nb_covers(inst: Instance, block_vars: VarSet) -> tuple[Count, int]:
     return table, probes
 
 
-def compute_uncovered(inst: Instance, nb_covers: Count) -> tuple[VarSet, int]:
-    """uncovered[i,b,j] = conditioning values compatible with b that have no
-    cover; empty means b is eliminable conditioned by x_j."""
+def compute_uncovered(inst: Instance, covers: Count) -> tuple[VarSet, int]:
+    """The conditioning values compatible with b that have no cover, for
+    every edge {i,j} and b in D(x_i); empty means b is eliminable
+    conditioned by x_j:
+
+    - uncovered[i,b,j] reads the cover counts nb_covers.
+    - not_snake_covered[i,b,j] reads the snake-cover counts nb_snake_covers."""
     table: VarSet = {}
     probes = 0
     for i, j in oriented_edges(inst):
@@ -227,7 +224,7 @@ def compute_uncovered(inst: Instance, nb_covers: Count) -> tuple[VarSet, int]:
             table[(i, b, j)] = {
                 c
                 for c in inst.domains[j]
-                if c in row_b and nb_covers[(i, b, j, c)] == 0
+                if c in row_b and covers[(i, b, j, c)] == 0
             }
             probes += len(inst.domains[j])
     return table, probes
@@ -257,178 +254,76 @@ def compute_nb_snake_covers(
     return table, probes
 
 
-def compute_not_snake_covered(
-    inst: Instance, nb_snake_covers: Count
-) -> tuple[VarSet, int]:
-    """not_snake_covered[i,b,j] = conditioning values compatible with b that
-    lack a snake cover; empty means b is eliminable conditioned by x_j."""
-    table: VarSet = {}
+# The table graph: name -> (compute function, the tables it reads), in an
+# order where every table comes after the tables it reads.
+TABLES: dict[str, tuple[Callable[..., tuple[dict, int]], tuple[str, ...]]] = {
+    "nb_blocks": (compute_nb_blocks, ()),
+    "block_vars": (compute_holders, ("nb_blocks",)),
+    "nb_subs": (compute_nb_subs, ("block_vars",)),
+    "nb_stops": (compute_nb_stops, ("nb_subs",)),
+    "stop_vars": (compute_holders, ("nb_stops",)),
+    "nb_snake": (compute_nb_snake, ("stop_vars",)),
+    "inconsistent": (compute_inconsistent, ()),
+    "nb_covers": (compute_nb_covers, ("block_vars",)),
+    "uncovered": (compute_uncovered, ("nb_covers",)),
+    "nb_snake_covers": (compute_nb_snake_covers, ("nb_subs", "stop_vars")),
+    "not_snake_covered": (compute_uncovered, ("nb_snake_covers",)),
+}
+
+
+class Tables(SimpleNamespace):
+    """Built tables, one attribute per name, plus ``probes``: the membership
+    probes their set-builders made."""
+
+
+def build(inst: Instance, *names: str) -> Tables:
+    """Compute the named tables and every table they read, in TABLES order."""
+    need = set(names)
+    if not need <= TABLES.keys():
+        raise KeyError(f"no counter table named {sorted(need - TABLES.keys())}")
+    for name in reversed(TABLES):
+        if name in need:
+            need.update(TABLES[name][1])
+    built: dict[str, dict] = {}
     probes = 0
-    for i, j in oriented_edges(inst):
-        row = inst.rows[(i, j)]
-        for b in inst.domains[i]:
-            row_b = row[b]
-            table[(i, b, j)] = {
-                c
-                for c in inst.domains[j]
-                if c in row_b and nb_snake_covers[(i, b, j, c)] == 0
-            }
-            probes += len(inst.domains[j])
-    return table, probes
+    for name, (compute, reads) in TABLES.items():
+        if name in need:
+            built[name], p = compute(inst, *(built[r] for r in reads))
+            probes += p
+    return Tables(**built, probes=probes)
 
 
-@dataclass
-class NsTables:
-    nb_blocks: Count
-    block_vars: VarSet
-    probes: int
+def build_ns(inst: Instance) -> Tables:
+    return build(inst, "block_vars")
 
 
-@dataclass
-class SsTables:
-    nb_blocks: Count
-    block_vars: VarSet
-    nb_subs: Count
-    nb_stops: Count
-    stop_vars: VarSet
-    nb_snake: Count
-    inconsistent: Count
-    probes: int
+def build_ss(inst: Instance) -> Tables:
+    return build(inst, "nb_snake", "inconsistent")
 
 
-@dataclass
-class CnsTables:
-    nb_blocks: Count
-    block_vars: VarSet
-    nb_covers: Count
-    uncovered: VarSet
-    probes: int
+def build_cns(inst: Instance) -> Tables:
+    return build(inst, "uncovered")
 
 
-@dataclass
-class ScssTables:
-    nb_blocks: Count
-    block_vars: VarSet
-    nb_subs: Count
-    nb_stops: Count
-    stop_vars: VarSet
-    nb_snake_covers: Count
-    not_snake_covered: VarSet
-    probes: int
-
-
-def build_ns(inst: Instance) -> NsTables:
-    nb_blocks, p1 = compute_nb_blocks(inst)
-    block_vars, p2 = compute_block_vars(inst, nb_blocks)
-    return NsTables(nb_blocks, block_vars, p1 + p2)
-
-
-def build_ss(inst: Instance) -> SsTables:
-    nb_blocks, p1 = compute_nb_blocks(inst)
-    block_vars, p2 = compute_block_vars(inst, nb_blocks)
-    nb_subs, p3 = compute_nb_subs(inst, block_vars)
-    nb_stops, p4 = compute_nb_stops(inst, nb_subs)
-    stop_vars, p5 = compute_stop_vars(inst, nb_stops)
-    nb_snake, p6 = compute_nb_snake(inst, stop_vars)
-    inconsistent, p7 = compute_inconsistent(inst)
-    return SsTables(
-        nb_blocks,
-        block_vars,
-        nb_subs,
-        nb_stops,
-        stop_vars,
-        nb_snake,
-        inconsistent,
-        p1 + p2 + p3 + p4 + p5 + p6 + p7,
-    )
-
-
-def build_cns(inst: Instance) -> CnsTables:
-    nb_blocks, p1 = compute_nb_blocks(inst)
-    block_vars, p2 = compute_block_vars(inst, nb_blocks)
-    nb_covers, p3 = compute_nb_covers(inst, block_vars)
-    uncovered, p4 = compute_uncovered(inst, nb_covers)
-    return CnsTables(nb_blocks, block_vars, nb_covers, uncovered, p1 + p2 + p3 + p4)
-
-
-def build_scss(inst: Instance) -> ScssTables:
-    nb_blocks, p1 = compute_nb_blocks(inst)
-    block_vars, p2 = compute_block_vars(inst, nb_blocks)
-    nb_subs, p3 = compute_nb_subs(inst, block_vars)
-    nb_stops, p4 = compute_nb_stops(inst, nb_subs)
-    stop_vars, p5 = compute_stop_vars(inst, nb_stops)
-    nb_snake_covers, p6 = compute_nb_snake_covers(inst, nb_subs, stop_vars)
-    not_snake_covered, p7 = compute_not_snake_covered(inst, nb_snake_covers)
-    return ScssTables(
-        nb_blocks,
-        block_vars,
-        nb_subs,
-        nb_stops,
-        stop_vars,
-        nb_snake_covers,
-        not_snake_covered,
-        p1 + p2 + p3 + p4 + p5 + p6 + p7,
-    )
+def build_scss(inst: Instance) -> Tables:
+    return build(inst, "not_snake_covered")
 
 
 class CounterMismatch(AssertionError):
     """An incrementally maintained cell disagrees with its definition."""
 
 
-def _compare(name: str, fresh: dict, kept: dict) -> None:
-    for key, want in fresh.items():
-        if key not in kept:
-            raise CounterMismatch(f"{name}{key}: cell missing from engine state")
-        got = kept[key]
-        if got != want:
-            raise CounterMismatch(f"{name}{key}: engine has {got!r}, definition gives {want!r}")
-
-
 def verify_tables(inst: Instance, **kept: dict) -> None:
     """Recompute the named tables for the current domains of ``inst`` and
     compare against the engine-maintained dicts (live cells only; stale
     cells for eliminated values are ignored)."""
-    nb_blocks, _ = compute_nb_blocks(inst)
-    if "nb_blocks" in kept:
-        _compare("nb_blocks", nb_blocks, kept["nb_blocks"])
-    block_vars, _ = compute_block_vars(inst, nb_blocks)
-    if "block_vars" in kept:
-        _compare("block_vars", block_vars, kept["block_vars"])
-    if {"nb_subs", "nb_stops", "stop_vars", "nb_snake",
-        "nb_snake_covers", "not_snake_covered"} & kept.keys():
-        nb_subs, _ = compute_nb_subs(inst, block_vars)
-        nb_stops, _ = compute_nb_stops(inst, nb_subs)
-        stop_vars, _ = compute_stop_vars(inst, nb_stops)
-        if "nb_subs" in kept:
-            _compare("nb_subs", nb_subs, kept["nb_subs"])
-        if "nb_stops" in kept:
-            _compare("nb_stops", nb_stops, kept["nb_stops"])
-        if "stop_vars" in kept:
-            _compare("stop_vars", stop_vars, kept["stop_vars"])
-        if "nb_snake" in kept:
-            fresh, _ = compute_nb_snake(inst, stop_vars)
-            _compare("nb_snake", fresh, kept["nb_snake"])
-        if {"nb_snake_covers", "not_snake_covered"} & kept.keys():
-            nsc, _ = compute_nb_snake_covers(inst, nb_subs, stop_vars)
-            if "nb_snake_covers" in kept:
-                _compare("nb_snake_covers", nsc, kept["nb_snake_covers"])
-            if "not_snake_covered" in kept:
-                fresh, _ = compute_not_snake_covered(inst, nsc)
-                _compare("not_snake_covered", fresh, kept["not_snake_covered"])
-    if "inconsistent" in kept:
-        fresh, _ = compute_inconsistent(inst)
-        for key, want in fresh.items():
-            got = kept["inconsistent"].get(key)
-            if got is None:
-                raise CounterMismatch(f"inconsistent{key}: cell missing")
-            if bool(got) != want:
+    fresh = build(inst, *kept)
+    for name, table in kept.items():
+        for key, want in getattr(fresh, name).items():
+            if key not in table:
+                raise CounterMismatch(f"{name}{key}: cell missing from engine state")
+            got = table[key]
+            if got != want:
                 raise CounterMismatch(
-                    f"inconsistent{key}: engine has {got!r}, definition gives {want!r}"
+                    f"{name}{key}: engine has {got!r}, definition gives {want!r}"
                 )
-    if "nb_covers" in kept or "uncovered" in kept:
-        nb_covers, _ = compute_nb_covers(inst, block_vars)
-        if "nb_covers" in kept:
-            _compare("nb_covers", nb_covers, kept["nb_covers"])
-        if "uncovered" in kept:
-            fresh, _ = compute_uncovered(inst, nb_covers)
-            _compare("uncovered", fresh, kept["uncovered"])

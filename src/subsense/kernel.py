@@ -28,6 +28,17 @@ from .instance import Instance
 from .trace import EliminationRecord, ReductionReport, Trace, Witness
 
 
+def conditioned(inst: Instance, uncovered: dict) -> Iterator[tuple[int, int, int]]:
+    """Triples (i, b, j) whose conditioning values at x_j are all covered:
+    the (variable, value, conditioning) triples with an empty ``uncovered``
+    (or ``not_snake_covered``) set."""
+    for i in range(inst.n):
+        for b in inst.domains[i]:
+            for j in inst.neighbors(i):
+                if not uncovered[(i, b, j)]:
+                    yield i, b, j
+
+
 class Kernel:
     """Shared state and block propagation of one engine run."""
 
@@ -142,14 +153,6 @@ class Kernel:
                 for a in dom:
                     if a != b and not block_vars[(i, b, a)]:
                         yield i, b, a
-
-    def _conditioned(self, uncovered: dict) -> Iterator[tuple[int, int, int]]:
-        """Triples (i, b, j) whose conditioning values at x_j are all covered."""
-        for i in range(self.inst.n):
-            for b in self.inst.domains[i]:
-                for j in self.inst.neighbors(i):
-                    if not uncovered[(i, b, j)]:
-                        yield i, b, j
 
     def _conditioning_gone(self, r: int, u: int, uncovered: dict, work: deque) -> None:
         """u no longer serves as a conditioning value at x_r."""

@@ -26,7 +26,7 @@ from collections import deque
 from . import counters, oracle
 from .counters import subset1
 from .instance import Instance
-from .kernel import SnakeKernel
+from .kernel import SnakeKernel, conditioned
 from .trace import (
     AC,
     CNS,
@@ -49,14 +49,7 @@ def check_scss(inst: Instance) -> list[tuple[int, int, int]]:
     anything; a triple qualifies when every conditioning value compatible
     with the value has a snake cover.
     """
-    tables = counters.build_scss(inst)
-    found = []
-    for i in range(inst.n):
-        for b in inst.domains[i]:
-            for j in inst.neighbors(i):
-                if not tables.not_snake_covered[(i, b, j)]:
-                    found.append((i, b, j))
-    return found
+    return list(conditioned(inst, counters.build_scss(inst).not_snake_covered))
 
 
 class ScssEngine(SnakeKernel):
@@ -66,7 +59,7 @@ class ScssEngine(SnakeKernel):
 
     def __init__(self, inst: Instance):
         super().__init__(inst)
-        self.work = deque(self._conditioned(self.tables.not_snake_covered))
+        self.work = deque(conditioned(inst, self.tables.not_snake_covered))
         self.updates += len(self.work)
 
     def converge(self):

@@ -261,3 +261,17 @@ def test_bench_rejects_bad_arguments(tmp_path):
     path = tmp_path / "b.csv"
     assert run(["bench", "--family", "random", "--rules", "ac", "-o", path]) == 2
     assert run(["bench", "--family", "random", "--d", "x", "-o", path]) == 2
+    assert run(["bench", "--family", "setcover", "--sets", "12,23,13",
+                "--rules", "ns", "--seeds", 1, "-o", path]) == 2
+
+
+def test_bench_setcover(tmp_path):
+    path = tmp_path / "sc.csv"
+    assert run(["bench", "--family", "setcover", "--universe", 3, "--sets", "12,23,13",
+                "--rules", "ns", "--seeds", 1, "-o", path]) == 0
+    with open(path, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == 1
+    assert rows[0]["family"] == "setcover"
+    assert rows[0]["n"] == "4"
+    assert rows[0]["rule"] == "ns"

@@ -47,6 +47,46 @@ def test_verify_tables_rejects_a_corrupted_set():
         )
 
 
+def _corrupt(value):
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    return set() if value else {-1}
+
+
+@pytest.mark.parametrize("name", list(counters.TABLES))
+def test_verify_tables_rechecks_every_table_alone(name):
+    # one kept table is enough: verify_tables builds what it reads itself
+    inst = generators.figure1c()
+    table = getattr(counters.build(inst, name), name)
+    counters.verify_tables(inst, **{name: table})
+    cell, value = next(iter(table.items()))
+    table[cell] = _corrupt(value)
+    with pytest.raises(counters.CounterMismatch, match="definition gives"):
+        counters.verify_tables(inst, **{name: table})
+    del table[cell]
+    with pytest.raises(counters.CounterMismatch, match="cell missing"):
+        counters.verify_tables(inst, **{name: table})
+
+
+def test_build_adds_exactly_what_the_named_tables_read():
+    inst = generators.figure1b()
+    kept = {
+        counters.build_ns: {"nb_blocks", "block_vars"},
+        counters.build_ss: {"nb_blocks", "block_vars", "nb_subs", "nb_stops",
+                            "stop_vars", "nb_snake", "inconsistent"},
+        counters.build_cns: {"nb_blocks", "block_vars", "nb_covers", "uncovered"},
+        counters.build_scss: {"nb_blocks", "block_vars", "nb_subs", "nb_stops",
+                              "stop_vars", "nb_snake_covers", "not_snake_covered"},
+    }
+    for build, names in kept.items():
+        assert set(vars(build(inst))) == names | {"probes"}
+    assert set(vars(counters.build(inst, "inconsistent"))) == {"inconsistent", "probes"}
+    with pytest.raises(KeyError):
+        counters.build(inst, "nb_stop_vars")
+
+
 def test_verify_tables_ignores_dead_cells():
     # cells for removed values linger in the kept tables; only cells the
     # fresh build produces are compared

@@ -40,18 +40,12 @@ def test_counter_init_on_figures():
 
 
 def _cascade_engine(nb_stops, stop_vars, nb_snake):
-    # an ss engine whose tables hold only the cells the stop cascade reads
+    # an ss engine whose own tables hold the given values in the three cells
+    # the stop cascade reads
     engine = SsEngine(generators.figure1a())
-    engine.tables = counters.SsTables(
-        nb_blocks={},
-        block_vars={},
-        nb_subs={},
-        nb_stops=nb_stops,
-        stop_vars=stop_vars,
-        nb_snake=nb_snake,
-        inconsistent={},
-        probes=0,
-    )
+    engine.tables.nb_stops.update(nb_stops)
+    engine.tables.stop_vars.update(stop_vars)
+    engine.tables.nb_snake.update(nb_snake)
     engine.updates = 0
     engine.high.clear()
     engine.low.clear()
