@@ -263,10 +263,14 @@ def cmd_bench(args) -> int:
         d_values = [int(token) for token in str(args.d).split(",")]
     except ValueError:
         return _fail(f"bad --d list {args.d!r}")
+    # run a family once per parameter it reads; unread columns stay empty
+    seeded = args.family == "random"
+    if args.family not in ("random", "cnsvsns"):
+        d_values = [None]
     rows = []
     try:
         for d in d_values:
-            for seed in range(args.seeds):
+            for seed in range(args.seeds) if seeded else [None]:
                 # the gen families, with --n as the geqchain length
                 point = dict(vars(args), d=d, seed=seed, length=args.n)
                 base = _build_family(argparse.Namespace(**point))
@@ -286,8 +290,8 @@ def cmd_bench(args) -> int:
                             args.family,
                             base.n,
                             d,
-                            args.density,
-                            args.tightness,
+                            args.density if seeded else None,
+                            args.tightness if seeded else None,
                             seed,
                             rule,
                             eliminations,

@@ -275,3 +275,36 @@ def test_bench_setcover(tmp_path):
     assert rows[0]["family"] == "setcover"
     assert rows[0]["n"] == "4"
     assert rows[0]["rule"] == "ns"
+
+
+def _bench_rows(tmp_path, argv):
+    path = tmp_path / "b.csv"
+    assert run(["bench"] + argv + ["-o", path]) == 0
+    with open(path, newline="") as handle:
+        return list(csv.DictReader(handle))
+
+
+@pytest.mark.parametrize(
+    "argv,grid",
+    [
+        # set cover reads neither --d nor the seed: one row, not one per grid point
+        (["--family", "setcover", "--universe", 3, "--sets", "12,23,13"], [("", "")]),
+        (["--family", "figure1c"], [("", "")]),
+        # cnsvsns reads --d only
+        (["--family", "cnsvsns"], [("4", ""), ("8", "")]),
+    ],
+)
+def test_bench_runs_a_family_once_per_parameter_it_reads(tmp_path, argv, grid):
+    rows = _bench_rows(tmp_path, argv + ["--d", "4,8", "--seeds", 3, "--rules", "ns"])
+    assert [(row["d"], row["seed"]) for row in rows] == grid
+    for row in rows:
+        assert row["density"] == row["tightness"] == ""
+
+
+def test_bench_random_labels_every_grid_point(tmp_path):
+    rows = _bench_rows(tmp_path, ["--family", "random", "--n", 5, "--d", "3,4",
+                                  "--density", 0.5, "--seeds", 2, "--rules", "ns"])
+    assert [(row["d"], row["seed"]) for row in rows] == [
+        ("3", "0"), ("3", "1"), ("4", "0"), ("4", "1")
+    ]
+    assert {(row["density"], row["tightness"]) for row in rows} == {("0.5", "0.5")}

@@ -201,6 +201,130 @@ def test_restrict_sorts_and_validates():
     assert r.domains == ((0, 1, 2), (1,), (0, 2))
 
 
+@pytest.mark.parametrize(
+    "derive",
+    [
+        lambda inst: inst.remove_value(-1, 0),
+        lambda inst: inst.remove_value(3, 0),
+        lambda inst: inst.remove_value(1, 7),
+        lambda inst: inst.remove_value(1, 0).remove_value(1, 0),
+        lambda inst: inst.restrict([(0, 1, 2), (0, 1, 2)]),
+        lambda inst: inst.restrict([(0, 1, 2)] * 4),
+        lambda inst: inst.restrict([(0, 1, 2), (0, 5), (0,)]),
+        lambda inst: inst.remove_value(2, 1).restrict([(0,), (0,), (1,)]),
+    ],
+)
+def test_derived_snapshot_rejects(derive):
+    with pytest.raises(ValueError):
+        derive(generators.figure1b())
+
+
+random_instances = st.builds(
+    generators.random_instance,
+    n=st.integers(2, 6),
+    d=st.integers(1, 4),
+    density=st.floats(0.0, 1.0),
+    tightness=st.floats(0.0, 0.9),
+    seed=st.integers(0, 10**6),
+)
+
+
+def _draw_removals(inst, data):
+    """A few (variable, value) removals from the current domains, in order."""
+    removals = []
+    live = [list(dom) for dom in inst.domains]
+    for _ in range(data.draw(st.integers(0, 6))):
+        choices = [(i, b) for i in range(inst.n) for b in live[i]]
+        if not choices:
+            break
+        i, b = data.draw(st.sampled_from(choices))
+        live[i].remove(b)
+        removals.append((i, b))
+    return removals, live
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=random_instances, data=st.data())
+def test_removal_chain_restrict_and_fresh_instance_agree(inst, data):
+    removals, live = _draw_removals(inst, data)
+    chain = inst
+    for i, b in removals:
+        chain = chain.remove_value(i, b)
+    # the public constructor recomputes every derived field from scratch
+    fresh = Instance(
+        name=inst.name,
+        names=inst.names,
+        domains=tuple(tuple(dom) for dom in live),
+        original_domains=inst.original_domains,
+        edges=inst.edges,
+        rows=inst.rows,
+    )
+    # make_instance on the narrowed domains keeps only the pairs left there
+    built = make_instance(
+        inst.name,
+        live,
+        {
+            (i, j): [(a, b) for a in live[i] for b in live[j] if inst.allows(i, a, j, b)]
+            for i, j in inst.edges
+        },
+        names=inst.names,
+    )
+    for other in (inst.restrict(live), fresh):
+        assert other == chain
+        assert other.domains == chain.domains
+        for i in range(inst.n):
+            assert other.domain_set(i) == chain.domain_set(i)
+            assert other.neighbors(i) == chain.neighbors(i)
+    assert built.domains == chain.domains
+    for i in range(inst.n):
+        assert built.domain_set(i) == chain.domain_set(i) == frozenset(live[i])
+        # a constraint trivial on the narrowed domains is not an edge of built
+        assert set(built.neighbors(i)) <= set(chain.neighbors(i))
+    for i in range(inst.n):
+        for j in range(inst.n):
+            if i == j:
+                continue
+            for b in live[i]:
+                for a in live[i]:
+                    expected = chain.arrow(i, j, b, a)
+                    assert inst.restrict(live).arrow(i, j, b, a) == expected
+                    assert fresh.arrow(i, j, b, a) == expected
+                    assert built.arrow(i, j, b, a) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=random_instances, data=st.data())
+def test_derived_snapshots_share_and_leave_the_parent_alone(inst, data):
+    removals, live = _draw_removals(inst, data)
+    if not removals:
+        return
+    parent = inst
+    for i, b in removals[:-1]:
+        parent = parent.remove_value(i, b)
+    before = (parent.domains, [parent.domain_set(k) for k in range(parent.n)])
+    i, b = removals[-1]
+    children = [
+        (parent.remove_value(i, b), {i}),
+        # untouched domains are passed unsorted and as lists
+        (parent.restrict(live[:i] + [live[i]] + [sorted(dom, reverse=True)
+                                               for dom in live[i + 1 :]]), {i}),
+        (parent.restrict(parent.domains), set()),
+    ]
+    assert (parent.domains, [parent.domain_set(k) for k in range(parent.n)]) == before
+    assert b in parent.domain_set(i) and b in parent.domains[i]
+    for child, changed in children:
+        assert child is not parent
+        for attr in ("names", "original_domains", "edges", "rows",
+                     "_orig_sets", "_neighbors"):
+            assert getattr(child, attr) is getattr(parent, attr)
+        for k in range(parent.n):
+            if k not in changed:
+                assert child.domains[k] is parent.domains[k]
+                assert child.domain_set(k) is parent.domain_set(k)
+        if changed:
+            assert b not in child.domain_set(i) and b not in child.domains[i]
+
+
 def test_json_round_trip_figures():
     for inst in (
         generators.figure1a(),
