@@ -1,15 +1,23 @@
 """From-scratch computation of the counting structures the engines maintain.
 
-The engines keep these tables incrementally; everything here evaluates the
-defining set-builders directly over the current domains.  TABLES is the one
-statement of which table is computed from which: it maps each of the eleven
-table names to its compute function and the tables that function reads.
-build(inst, *names) computes the named tables plus everything they read, in
-TABLES order, and returns them as one Tables object.  Engine initialisation
-calls the build_* helpers, one per rule, which only name the rule's tables;
-with SUBSENSE_DEBUG_RECOMPUTE=1 the engines re-derive every kept table after
-each elimination and compare it cell by cell (verify_tables), which is what
-makes the incremental bookkeeping trustworthy.
+The engines keep these tables incrementally; everything here computes them
+directly over the current domains.  TABLES is the one statement of which
+table is computed from which: it maps each of the eleven table names to its
+set-builder, which evaluates the definition directly, and the tables that
+set-builder reads.  build(inst, *names) computes the named tables plus
+everything they read, in TABLES order, and returns them as one Tables
+object.  Engine initialisation calls the build_* helpers, one per rule,
+which only name the rule's tables.
+
+build() computes five of the tables, nb_blocks, nb_subs, nb_stops,
+nb_covers and nb_snake_covers, with the bitmask builders of BITMASK: each
+count is an int.bit_count() over per-edge value masks (Masks), which
+build() makes once per call and drops after it.  The other six come from
+their set-builders.  The set-builders stay the reference: verify_tables
+rebuilds every table with them, so with SUBSENSE_DEBUG_RECOMPUTE=1 the
+engines compare the bitmask build plus every incremental update, cell by
+cell, against the definitions after each elimination.  That recheck is
+what makes the incremental bookkeeping trustworthy.
 
 Vocabulary, for a candidate replacement of value b by value a at variable
 x_i (indices as in Instance.arrow / Instance.snake_arrow):
@@ -32,14 +40,16 @@ only cover live tuples.
 
 Each build step also reports how many elementary membership probes the
 set-builder evaluation performs; engines fold that into their update
-accounting as the cost of initialisation.
+accounting as the cost of initialisation.  A bitmask builder charges the
+probes of the set-builder it replaces, as a closed formula in the domain
+sizes and the row masks, so ``updates`` does not depend on which one ran.
 """
 
 from __future__ import annotations
 
 import os
 from types import SimpleNamespace
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .instance import Instance
 
@@ -271,6 +281,182 @@ TABLES: dict[str, tuple[Callable[..., tuple[dict, int]], tuple[str, ...]]] = {
 }
 
 
+# -- bitmask builders ---------------------------------------------------------
+
+
+class Masks(NamedTuple):
+    """The current domains as bitmasks, built once per build() call.
+
+    A bit stands for a value's position in its variable's current domain,
+    never for the value itself: values are arbitrary non-negative ints."""
+
+    # bit[k][v] = 1 << the position of v in D(x_k), in domain order
+    bit: tuple[dict[int, int], ...]
+    # row[i,j][p] = the D(x_j) mask of rows[(i,j)][a] ∩ D(x_j), for the
+    # value a at position p of D(x_i), for both orientations of every edge
+    row: dict[tuple[int, int], tuple[int, ...]]
+
+
+def value_masks(inst: Instance) -> Masks:
+    """The masks of the current domains of ``inst``."""
+    bit = tuple({v: 1 << p for p, v in enumerate(dom)} for dom in inst.domains)
+    row = {}
+    for i, j in inst.edges:
+        # one pass over the allowed pairs of the edge fills both orientations
+        rel, bit_i, bit_j = inst.rows[(i, j)], bit[i], bit[j]
+        back = dict.fromkeys(bit_j, 0)
+        forth = []
+        for a, ba in bit_i.items():
+            ma = 0
+            for c in rel[a]:
+                bc = bit_j.get(c)
+                if bc is not None:
+                    ma |= bc
+                    back[c] |= ba
+            forth.append(ma)
+        row[(i, j)] = tuple(forth)
+        row[(j, i)] = tuple(back.values())
+    return Masks(bit, row)
+
+
+def _fits(inst: Instance, masks: Masks, holders: VarSet, transposed=False) -> dict:
+    """fits[k,v] = (free, only) for the holder sets (block_vars or
+    stop_vars) of the pairs (v,w), or transposed (w,v), of D(x_k): free is
+    the mask of the w != v whose holder set is empty, only[l] the mask of
+    those whose holder set is {l}.  The w whose holder set fits inside {l}
+    are then free | only.get(l, 0)."""
+    fits = {}
+    for k, dom in enumerate(inst.domains):
+        bit = masks.bit[k]
+        for v in dom:
+            free = 0
+            only: dict[int, int] = {}
+            for w, bw in bit.items():
+                if w == v:
+                    continue
+                held = holders[(k, w, v) if transposed else (k, v, w)]
+                if not held:
+                    free |= bw
+                elif len(held) == 1:
+                    (l,) = held
+                    only[l] = only.get(l, 0) | bw
+            fits[(k, v)] = free, only
+    return fits
+
+
+def bitmask_nb_blocks(inst: Instance, masks: Masks) -> tuple[Count, int]:
+    """compute_nb_blocks as (m_d & ~m_e).bit_count() over the row masks."""
+    table: Count = {}
+    probes = 0
+    for k, l in oriented_edges(inst):
+        rows = tuple(zip(inst.domains[k], masks.row[(k, l)]))
+        complements = [(e, ~me) for e, me in rows]
+        for d, md in rows:
+            for e, not_me in complements:
+                if e != d:
+                    table[(k, d, e, l)] = (md & not_me).bit_count()
+        probes += len(rows) * (len(rows) - 1) * len(inst.domains[l])
+    return table, probes
+
+
+def bitmask_nb_subs(inst: Instance, masks: Masks, block_vars: VarSet) -> tuple[Count, int]:
+    """compute_nb_subs as the popcount of a's row mask and the mask of the
+    e that d may be replaced by, blocked at most at x_i."""
+    fits = _fits(inst, masks, block_vars)
+    table: Count = {}
+    probes = 0
+    for i, k in oriented_edges(inst):
+        size_k = len(inst.domains[k])
+        cells = []
+        for d, bd in masks.bit[k].items():
+            free, only = fits[(k, d)]
+            cells.append((d, bd, free | only.get(i, 0)))
+        for a, ma in zip(inst.domains[i], masks.row[(i, k)]):
+            for d, bd, fd in cells:
+                if not ma & bd:
+                    table[(i, a, k, d)] = (ma & fd).bit_count()
+            probes += (size_k - ma.bit_count()) * size_k
+    return table, probes
+
+
+def bitmask_nb_stops(inst: Instance, masks: Masks, nb_subs: Count) -> tuple[Count, int]:
+    """compute_nb_stops as the popcount of b's row mask and the mask of the
+    d incompatible with a that have no sub."""
+    table: Count = {}
+    probes = 0
+    for i, k in oriented_edges(inst):
+        bit_k = masks.bit[k]
+        rows = tuple(zip(inst.domains[i], masks.row[(i, k)]))
+        for a, ma in rows:
+            nosub = 0
+            for d, bd in bit_k.items():
+                if not ma & bd and nb_subs[(i, a, k, d)] == 0:
+                    nosub |= bd
+            for b, mb in rows:
+                if b != a:
+                    table[(i, a, b, k)] = (mb & nosub).bit_count()
+        probes += len(rows) * (len(rows) - 1) * len(bit_k)
+    return table, probes
+
+
+def _count_covers(inst: Instance, fits: dict, cols) -> tuple[Count, int]:
+    """table[i,b,j,c] = (m_c & ok).bit_count() for every oriented edge
+    (i,j), b in D(x_i) and (c, m_c) in cols(i, j), where ok is the mask of
+    the a whose holder set of (b,a), or (a,b), fits inside {j}; charged the
+    probes of the cover set-builders."""
+    table: Count = {}
+    probes = 0
+    for i, j in oriented_edges(inst):
+        col = cols(i, j)
+        for b in inst.domains[i]:
+            free, only = fits[(i, b)]
+            ok = free | only.get(j, 0)
+            for c, mc in col:
+                table[(i, b, j, c)] = (mc & ok).bit_count()
+        size_i = len(inst.domains[i])
+        probes += size_i * (size_i - 1) * len(col)
+    return table, probes
+
+
+def bitmask_nb_covers(inst: Instance, masks: Masks, block_vars: VarSet) -> tuple[Count, int]:
+    """compute_nb_covers as the popcount of the mask of the a that take c
+    and the mask of the a != b blocked at most at x_j."""
+    return _count_covers(
+        inst,
+        _fits(inst, masks, block_vars),
+        lambda i, j: tuple(zip(inst.domains[j], masks.row[(j, i)])),
+    )
+
+
+def bitmask_nb_snake_covers(
+    inst: Instance, masks: Masks, nb_subs: Count, stop_vars: VarSet
+) -> tuple[Count, int]:
+    """compute_nb_snake_covers as nb_covers, with the a that have a sub for
+    c added to c's mask and the fit taken over stop_vars(i,a,b)."""
+
+    def cols(i, j):
+        col = []
+        for c, mc in zip(inst.domains[j], masks.row[(j, i)]):
+            for a, ba in masks.bit[i].items():
+                if not mc & ba and nb_subs[(i, a, j, c)] > 0:
+                    mc |= ba
+            col.append((c, mc))
+        return col
+
+    return _count_covers(inst, _fits(inst, masks, stop_vars, transposed=True), cols)
+
+
+# The tables build() computes from the masks, each equal, cell for cell, key
+# order and probe count included, to its set-builder in TABLES.
+BITMASK: dict[str, Callable[..., tuple[dict, int]]] = {
+    "nb_blocks": bitmask_nb_blocks,
+    "nb_subs": bitmask_nb_subs,
+    "nb_stops": bitmask_nb_stops,
+    "nb_covers": bitmask_nb_covers,
+    "nb_snake_covers": bitmask_nb_snake_covers,
+}
+
+
 class Tables(SimpleNamespace):
     """Built tables, one attribute per name, plus ``probes``: the membership
     probes their set-builders made."""
@@ -278,6 +464,12 @@ class Tables(SimpleNamespace):
 
 def build(inst: Instance, *names: str) -> Tables:
     """Compute the named tables and every table they read, in TABLES order."""
+    return _build(inst, names, BITMASK)
+
+
+def _build(inst: Instance, names, bitmask: dict) -> Tables:
+    """build() with the tables named in ``bitmask`` computed by those
+    builders and every other one by its set-builder."""
     need = set(names)
     if not need <= TABLES.keys():
         raise KeyError(f"no counter table named {sorted(need - TABLES.keys())}")
@@ -286,10 +478,18 @@ def build(inst: Instance, *names: str) -> Tables:
             need.update(TABLES[name][1])
     built: dict[str, dict] = {}
     probes = 0
+    masks = None
     for name, (compute, reads) in TABLES.items():
-        if name in need:
-            built[name], p = compute(inst, *(built[r] for r in reads))
-            probes += p
+        if name not in need:
+            continue
+        args = [built[r] for r in reads]
+        if name in bitmask:
+            if masks is None:
+                masks = value_masks(inst)
+            built[name], p = bitmask[name](inst, masks, *args)
+        else:
+            built[name], p = compute(inst, *args)
+        probes += p
     return Tables(**built, probes=probes)
 
 
@@ -314,10 +514,10 @@ class CounterMismatch(AssertionError):
 
 
 def verify_tables(inst: Instance, **kept: dict) -> None:
-    """Recompute the named tables for the current domains of ``inst`` and
-    compare against the engine-maintained dicts (live cells only; stale
-    cells for eliminated values are ignored)."""
-    fresh = build(inst, *kept)
+    """Recompute the named tables for the current domains of ``inst`` with
+    their set-builders and compare against the engine-maintained dicts
+    (live cells only; stale cells for eliminated values are ignored)."""
+    fresh = _build(inst, kept, {})
     for name, table in kept.items():
         for key, want in getattr(fresh, name).items():
             if key not in table:

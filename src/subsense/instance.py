@@ -170,7 +170,11 @@ class Instance:
         )
 
     def restrict(self, domains: Sequence[Iterable[int]]) -> "Instance":
-        """Return a copy whose current domains are the given subsets."""
+        """Return a copy whose current domains are the given subsets.
+
+        A domain that repeats a value is rejected, as ``make_instance``
+        rejects one that is not strictly increasing.
+        """
         if len(domains) != self.n:
             raise ValueError("restrict() needs one domain per variable")
         new_domains, new_sets = [], []
@@ -180,6 +184,8 @@ class Instance:
                 sub, sub_set = self.domains[i], self._cur_sets[i]
             else:
                 sub_set = frozenset(sub)
+                if len(sub_set) != len(sub):
+                    raise ValueError(f"domain for variable {i} repeats a value")
                 if not sub_set <= self._cur_sets[i]:
                     raise ValueError(f"domain for variable {i} is not a subset")
             new_domains.append(sub)

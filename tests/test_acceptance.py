@@ -1,4 +1,4 @@
-"""Acceptance suite: twelve end-to-end criteria, one test per criterion.
+"""Acceptance suite: thirteen end-to-end criteria, one test per criterion.
 
 Each test prints one `criterion NN: PASS/FAIL - detail` line (run pytest
 with -s to see them alongside the verdicts) and then asserts.  The corpus
@@ -423,3 +423,59 @@ def test_criterion_12(capsys):
         report(12, ok, f"untouched chains inert: {untouched_ok}; seeded value 2 "
                        f"fully propagated from either end: {propagation_ok}")
     assert ok
+
+
+# Criterion 13 grid: two families, each doubled on one axis.  It was fixed
+# before any ratio was looked at, by a seed scan that checked only that
+# establish_ac leaves every instance standing: seed 0 stands at every point.
+# The d axis uses tightness 0.7, the lowest of 0.5/0.6/0.7/0.85 at which AC
+# leaves nearly every d=4 seed standing (29 of 30).
+COMPLEXITY_N_AXIS = [(n, 4, 6 / n, 0.85, 0) for n in (100, 200, 400, 800)]
+COMPLEXITY_D_AXIS = [(20, d, 0.3, 0.7, 0) for d in (4, 8, 16, 32)]
+# C per engine: the measured maximum of updates / (e*d^3) over the grid
+# (ns 2.00, ss 4.91, cns 4.13, scss 7.24), times 1.25, rounded up
+COMPLEXITY_C = {"ns": 2.5, "ss": 6.2, "cns": 5.2, "scss": 9.1}
+# the ratio may grow by at most this factor per doubling of n or of d; the
+# measured worst is 1.24 (ns, d 4->8), and a rule whose work grew one power
+# of n or d faster than e*d^3 would double it
+COMPLEXITY_GROWTH = 1.5
+
+
+def test_criterion_13(capsys):
+    engines = {"ns": ns_to_convergence, "ss": ss_to_convergence,
+               "cns": cns_to_convergence, "scss": scss_to_convergence}
+    ratios = {}
+    for shape in COMPLEXITY_N_AXIS + COMPLEXITY_D_AXIS:
+        inst = generators.random_instance(*shape)
+        ac, _ = establish_ac(inst)
+        assert not ac.unsatisfiable, f"{inst.name}: the grid must survive AC"
+        scale = inst.e * inst.d ** 3
+        for rule, engine in engines.items():
+            # scss needs no arc-consistent input, as in the corpus runs
+            updates = engine(inst if rule == "scss" else ac)[2].updates
+            ratios[(rule, shape)] = updates / scale
+
+    over = [
+        f"{rule} {shape[:2]}: {ratio:.2f} > {COMPLEXITY_C[rule]}"
+        for (rule, shape), ratio in ratios.items()
+        if ratio > COMPLEXITY_C[rule]
+    ]
+    worst = {}
+    for rule in engines:
+        for axis in (COMPLEXITY_N_AXIS, COMPLEXITY_D_AXIS):
+            for lo, hi in zip(axis, axis[1:]):
+                growth = ratios[(rule, hi)] / ratios[(rule, lo)]
+                worst[rule] = max(worst.get(rule, 0.0), growth)
+                if growth > COMPLEXITY_GROWTH:
+                    over.append(f"{rule} {lo[:2]}->{hi[:2]}: grew {growth:.2f}x")
+
+    ok = not over
+    shown = ", ".join(
+        f"{rule} max {max(r for (ru, _), r in ratios.items() if ru == rule):.2f} "
+        f"(C {COMPLEXITY_C[rule]}, worst doubling {worst[rule]:.2f}x)"
+        for rule in engines
+    )
+    with capsys.disabled():
+        report(13, ok, f"updates/(e*d^3) over {len(ratios) // len(engines)} "
+                       f"instances [{shown}]")
+    assert ok, "; ".join(over)

@@ -1,8 +1,15 @@
 """Counter construction and the from-scratch verification hook."""
 
-import pytest
+import random
 
-from subsense import counters, generators
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from subsense import counters, establish_ac, generators, make_instance
+
+from conftest import corpus
+from test_golden_traces import SET_COVER_SETS
 
 
 def test_build_probes_are_positive():
@@ -114,3 +121,106 @@ def test_subset1_checks_containment_in_a_singleton():
     assert counters.subset1({3}, 3)
     assert not counters.subset1({2}, 3)
     assert not counters.subset1({2, 3}, 3)
+
+
+def _reference(inst):
+    """Every table by its set-builder, as (table, probes) by name."""
+    built = {}
+    for name, (compute, reads) in counters.TABLES.items():
+        built[name] = compute(inst, *(built[r][0] for r in reads))
+    return built
+
+
+def assert_bitmask_builders_match(inst):
+    ref = _reference(inst)
+    masks = counters.value_masks(inst)
+    for name, bitmask in counters.BITMASK.items():
+        reads = counters.TABLES[name][1]
+        table, probes = bitmask(inst, masks, *(ref[r][0] for r in reads))
+        want, want_probes = ref[name]
+        assert list(table) == list(want), f"{inst.name} {name}: key order"
+        assert table == want, f"{inst.name} {name}: cells"
+        assert probes == want_probes, f"{inst.name} {name}: probes"
+    built = counters.build(inst, *counters.TABLES)
+    assert vars(built) == {name: t for name, (t, _) in ref.items()} | {
+        "probes": sum(p for _, p in ref.values())
+    }
+
+
+def _partly_reduced(inst):
+    """``inst`` with the smallest value removed from every other variable
+    that has two or more, so that the relations name dead values."""
+    for i in range(0, inst.n, 2):
+        if len(inst.domains[i]) > 1:
+            inst = inst.remove_value(i, inst.domains[i][0])
+    return inst
+
+
+def _with_ac(instances):
+    for inst in instances:
+        yield inst
+        ac, _ = establish_ac(inst)
+        if not ac.unsatisfiable:
+            yield ac
+
+
+BITMASK_INPUTS = {
+    "figures": lambda: [generators.figure1a(), generators.figure1b(),
+                        generators.figure1c()],
+    "gadgets": lambda: [
+        generators.geq_chain(60),
+        generators.set_cover_instance(range(1, 7), SET_COVER_SETS),
+        generators.two_var_cns_vs_ns(30),
+    ],
+    "corpus-0": lambda: _with_ac(corpus(seeds=(0,))),
+    "corpus-1": lambda: _with_ac(corpus(seeds=(1,))),
+    "partly-reduced": lambda: [
+        _partly_reduced(inst)
+        for inst in [generators.figure1c(), generators.geq_chain(8),
+                     generators.random_instance(12, 8, 0.4, 0.6, 5),
+                     generators.random_instance(8, 16, 0.5, 0.7, 2),
+                     *corpus(seeds=(2,))]
+    ],
+}
+
+
+@pytest.mark.parametrize("inputs", list(BITMASK_INPUTS))
+def test_bitmask_builders_equal_the_set_builders(inputs):
+    for inst in BITMASK_INPUTS[inputs]():
+        assert_bitmask_builders_match(inst)
+
+
+def _relabel(inst, seed):
+    """``inst`` with each variable's values mapped to sparse, non-contiguous
+    ints in a random order, so that value labels and mask positions differ."""
+    rng = random.Random(seed)
+    maps = [dict(zip(dom, rng.sample(range(10**6), len(dom)))) for dom in inst.domains]
+    constraints = {
+        (i, j): [(maps[i][a], maps[j][b]) for a in inst.domains[i]
+                 for b in inst.rows[(i, j)][a]]
+        for i, j in inst.edges
+    }
+    domains = [sorted(m.values()) for m in maps]
+    return make_instance(f"{inst.name}-relabelled", domains, constraints)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    inst=st.builds(
+        generators.random_instance,
+        n=st.integers(1, 5),
+        d=st.integers(1, 16),
+        density=st.floats(0.0, 1.0),
+        tightness=st.floats(0.0, 1.0),
+        seed=st.integers(0, 10**6),
+    ),
+    relabel_seed=st.integers(0, 10**6),
+    reduce=st.booleans(),
+)
+def test_bitmask_builders_equal_the_set_builders_on_sparse_labels(
+    inst, relabel_seed, reduce
+):
+    inst = _relabel(inst, relabel_seed)
+    if reduce:
+        inst = _partly_reduced(inst)
+    assert_bitmask_builders_match(inst)

@@ -212,6 +212,7 @@ def test_restrict_sorts_and_validates():
         lambda inst: inst.restrict([(0, 1, 2)] * 4),
         lambda inst: inst.restrict([(0, 1, 2), (0, 5), (0,)]),
         lambda inst: inst.remove_value(2, 1).restrict([(0,), (0,), (1,)]),
+        lambda inst: inst.restrict([(0, 0, 1), (1,), (2,)]),
     ],
 )
 def test_derived_snapshot_rejects(derive):
