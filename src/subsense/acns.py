@@ -4,8 +4,8 @@ establish_ac is the classic arc-revision worklist.  ns_to_convergence keeps
 the block counters (counters.build_ns) and deletes any value all of whose
 replacement blocks have disappeared, requeueing candidates as blocks vanish.
 Both are deterministic: worklists are FIFO and every scan runs ascending.
-The block counters and their propagation live in kernel.Kernel; plain
-substitution adds only its worklist.
+The block counters, their propagation and the substitution worklist live
+in kernel.Substitutions; plain substitution adds nothing of its own.
 """
 
 from __future__ import annotations
@@ -13,13 +13,12 @@ from __future__ import annotations
 from collections import deque
 
 from .instance import Instance
-from .kernel import Kernel
+from .kernel import Substitutions
 from .trace import (
     AC,
     NS,
     AcWitness,
     EliminationRecord,
-    NsWitness,
     ReductionReport,
     Trace,
 )
@@ -83,29 +82,12 @@ def establish_ac(inst: Instance) -> tuple[Instance, Trace]:
     return inst.restrict(domains), Trace(inst.name, steps)
 
 
-class NsEngine(Kernel):
-    """Plain substitution: FIFO triples (variable, value, substitute)."""
+class NsEngine(Substitutions):
+    """Plain substitution: the kernel's substitution worklist alone."""
 
     RULE = NS
     LABELS = (NS,)
     BUILD = "build_ns"
-
-    def __init__(self, inst: Instance):
-        super().__init__(inst)
-        self.work = deque(self._substitutions())
-        self.updates += len(self.work)
-
-    def _pop(self):
-        while self.work:
-            r, u, v = self.work.popleft()
-            dom = self.inst.domain_set(r)
-            if u in dom and v in dom:
-                return r, u, NS, NsWitness(substitute=v)
-        return None
-
-    def _substitutable(self, k: int, d: int, e: int) -> None:
-        self.work.append((k, d, e))
-        self.updates += 1
 
 
 def ns_to_convergence(inst: Instance) -> tuple[Instance, Trace, ReductionReport]:

@@ -29,6 +29,10 @@ from .trace import (
 
 PIPELINE_RULES = ("ac", "ns", "ss", "cns", "scss")
 BENCH_RULES = ("ns", "ss", "cns", "scss")
+TIGHTNESS_HELP = (
+    "random: probability that a value pair is allowed "
+    "(the reverse of the usual CSP tightness)"
+)
 
 ENGINES = {
     "ns": ns_to_convergence,
@@ -206,6 +210,8 @@ def cmd_solve(args) -> int:
         solutions = oracle.solve(inst, limit=args.limit)
     except oracle.SearchSpaceError as exc:
         return _fail(str(exc), code=1)
+    except ValueError as exc:
+        return _fail(str(exc))
     if not solutions:
         print("UNSAT")
         return 0
@@ -352,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n", type=int, default=8)
     gen.add_argument("--d", type=int, default=4)
     gen.add_argument("--density", type=float, default=0.5)
-    gen.add_argument("--tightness", type=float, default=0.5)
+    gen.add_argument("--tightness", type=float, default=0.5, help=TIGHTNESS_HELP)
     gen.add_argument("--seed", type=int, default=0)
     _add_setcover_arguments(gen)
     gen.add_argument("--length", type=int, default=3, help="geqchain length")
@@ -386,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--n", type=int, default=20)
     ben.add_argument("--d", default="4", help="comma-separated domain sizes")
     ben.add_argument("--density", type=float, default=0.3)
-    ben.add_argument("--tightness", type=float, default=0.5)
+    ben.add_argument("--tightness", type=float, default=0.5, help=TIGHTNESS_HELP)
     ben.add_argument("--seeds", type=int, default=5, help="seeds 0..N-1")
     _add_setcover_arguments(ben)
     ben.add_argument(
@@ -401,7 +407,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:
+        # an output path that cannot be written is bad input, not a failure
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

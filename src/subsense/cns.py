@@ -8,119 +8,49 @@ worklists: plain substitution triples and conditioned (variable, value,
 conditioning) triples.  ns_priority picks which list drains first; the two
 orders may eliminate different (equally safe) value sets.
 
-The block counters and their pass come from kernel.Kernel; this module adds
-the cover counters and their two passes.
+The block counters, the substitution worklist and the cover layer that cns
+shares with scss come from kernel.Kernel, kernel.Substitutions and
+kernel.CoverKernel.  This module states only what a cover is: a fits when
+block_vars(p,b,a) fits inside {q}, which the block pass reports through
+``_fits_within``, and a reaches c when it takes c.
 """
 
 from __future__ import annotations
 
-from collections import deque
-
 from .acns import require_arc_consistent
 from .counters import subset1
 from .instance import Instance
-from .kernel import Kernel, conditioned
-from .trace import (
-    CNS,
-    NS,
-    CnsWitness,
-    NsWitness,
-    ReductionReport,
-    Trace,
-)
+from .kernel import CoverKernel, Substitutions
+from .trace import CNS, NS, CnsWitness, ReductionReport, Trace
 
 
-class CnsEngine(Kernel):
+class CnsEngine(CoverKernel, Substitutions):
     RULE = CNS
     LABELS = (NS, CNS)
     BUILD = "build_cns"
+    COVERS = "nb_covers"
+    UNCOVERED = "uncovered"
 
     def __init__(self, inst: Instance, ns_priority: bool):
         super().__init__(inst)
         self.ns_priority = ns_priority
-        self.ns_list = deque(self._substitutions())
-        self.cns_list = deque(conditioned(inst, self.tables.uncovered))
-        self.updates += len(self.ns_list) + len(self.cns_list)
 
     def _pop(self):
-        while self.ns_list or self.cns_list:
-            take_ns = bool(self.ns_list) if self.ns_priority else not self.cns_list
-            if take_ns:
-                p, u, v = self.ns_list.popleft()
-                dom = self.inst.domain_set(p)
-                if u in dom and v in dom:
-                    return p, u, NS, NsWitness(substitute=v)
-            else:
-                p, u, q = self.cns_list.popleft()
-                if u in self.inst.domain_set(p) and not self.tables.uncovered[(p, u, q)]:
-                    witness = CnsWitness(conditioning=q, covers=self._covers(p, u, q))
-                    return p, u, CNS, witness
-        return None
+        if self.ns_priority:
+            return self._pop_substitution() or self._pop_conditioned()
+        return self._pop_conditioned() or self._pop_substitution()
 
-    def _covers(self, p: int, u: int, q: int) -> dict[int, int]:
-        row = self.inst.rows[(p, q)]
-        row_u = row[u]
-        covers: dict[int, int] = {}
-        for c in self.inst.domains[q]:
-            if c not in row_u:
-                continue
-            for a in self.inst.domains[p]:
-                if a == u or c not in row[a]:
-                    continue
-                if subset1(self.tables.block_vars[(p, u, a)], q):
-                    covers[c] = a
-                    break
-            else:
-                raise RuntimeError(
-                    f"no cover for x{q}={c} while eliminating x{p}={u}"
-                )
-        return covers
+    def _fits(self, i: int, b: int, a: int, j: int) -> bool:
+        return subset1(self.tables.block_vars[(i, b, a)], j)
 
-    def _propagate(self, p: int, u: int) -> None:
-        super()._propagate(p, u)
-        inst = self.inst
-        tables = self.tables
-        # u no longer counts as a cover at p
-        for b in inst.domains[p]:
-            for j in inst.neighbors(p):
-                if not subset1(tables.block_vars[(p, b, u)], j):
-                    continue
-                row = inst.rows[(p, j)]
-                row_u = row[u]
-                row_b = row[b]
-                for c in inst.domains[j]:
-                    if c not in row_u:
-                        continue
-                    cell = (p, b, j, c)
-                    tables.nb_covers[cell] -= 1
-                    self.updates += 1
-                    if tables.nb_covers[cell] < 0:
-                        raise RuntimeError(f"nb_covers{cell} went negative")
-                    if tables.nb_covers[cell] == 0 and c in row_b:
-                        tables.uncovered[(p, b, j)].add(c)
-                        self.updates += 1
-        self._conditioning_gone(p, u, tables.uncovered, self.cns_list)
-
-    def _substitutable(self, i: int, b: int, a: int) -> None:
-        self.ns_list.append((i, b, a))
-        self.updates += 1
+    def _reaches(self, i: int, a: int, j: int, c: int) -> bool:
+        return c in self.inst.rows[(i, j)][a]
 
     def _fits_within(self, i: int, b: int, a: int, j: int) -> None:
-        # a now covers b for each conditioning value c at x_j it supports
-        tables = self.tables
-        row_a = self.inst.rows[(i, j)][a]
-        values = tables.uncovered[(i, b, j)]
-        for c in self.inst.domains[j]:
-            if c not in row_a:
-                continue
-            tables.nb_covers[(i, b, j, c)] += 1
-            self.updates += 1
-            if c in values:
-                values.remove(c)
-                self.updates += 1
-                if not values:
-                    self.cns_list.append((i, b, j))
-                    self.updates += 1
+        self._scope_changed(i, b, a, j, self._cover_up)
+
+    def _witness(self, i: int, b: int, j: int) -> CnsWitness:
+        return CnsWitness(conditioning=j, covers=self._first_covers(i, b, j))
 
 
 def cns_to_convergence(

@@ -6,10 +6,18 @@ engines share: the current instance, the counter tables, the ``updates``
 count, the trace, the unsatisfiable flag, the debug recheck, the run loop,
 the report, and the pass every elimination starts with, in which the
 blocks through the removed value disappear at its variable's neighbours.
-SnakeKernel adds the sub and stop cascades that ss and scss both keep.
+Three layers sit on it:
 
-A rule module adds its table choice (``BUILD``), worklist seeding and pop
-policy (``_pop``), its witness builder and its own passes, appended to
+- SnakeKernel adds the sub and stop cascades that ss and scss both keep.
+- Substitutions adds the worklist of plain substitutions that ns and cns
+  both pop.
+- CoverKernel adds the cover layer that cns and scss share: the cover
+  counters and uncovered sets, the conditioned worklist, the pass in which
+  a removed value stops covering, the scope change and the first-cover
+  search.  Each of the two rules states only its fit and reach predicates.
+
+A rule module adds its table choice (``BUILD``), its pop policy
+(``_pop``), its witness builder and its own passes, appended to
 ``_propagate``.  The kernel calls the rule hooks only where a count flips.
 Cells indexed by the removed value are read before they go stale and are
 never written during a pass.  Each counter step, set change, flag change
@@ -20,12 +28,12 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from . import counters
 from .counters import subset1
 from .instance import Instance
-from .trace import EliminationRecord, ReductionReport, Trace, Witness
+from .trace import NS, EliminationRecord, NsWitness, ReductionReport, Trace, Witness
 
 
 def conditioned(inst: Instance, uncovered: dict) -> Iterator[tuple[int, int, int]]:
@@ -135,36 +143,21 @@ class Kernel:
                     self.updates += 1
                     if not holders:
                         self._substitutable(k, d, e)
-                        for i in inst.neighbors(k):
-                            if i != r:
-                                self._fits_within(k, d, e, i)
-                    elif len(holders) == 1:
-                        (i,) = holders
+                    for i in self._fit_changes(k, holders, r):
                         self._fits_within(k, d, e, i)
 
+    def _fit_changes(self, i: int, holders: set, k: int) -> Iterable[int]:
+        """The x_j such that ``holders``, a holder set at x_i that x_k just
+        left or joined, newly fits inside {j} or stops fitting inside it.
+        ``holders`` is the set after the change."""
+        rest = len(holders) - (k in holders)
+        if rest == 0:
+            return [j for j in self.inst.neighbors(i) if j != k]
+        if rest == 1:
+            return [j for j in holders if j != k]
+        return ()
+
     # -- helpers shared by several rules --------------------------------------
-
-    def _substitutions(self) -> Iterator[tuple[int, int, int]]:
-        """Triples (i, b, a) where a replaces b at x_i with no block anywhere."""
-        block_vars = self.tables.block_vars
-        for i in range(self.inst.n):
-            dom = self.inst.domains[i]
-            for b in dom:
-                for a in dom:
-                    if a != b and not block_vars[(i, b, a)]:
-                        yield i, b, a
-
-    def _conditioning_gone(self, r: int, u: int, uncovered: dict, work: deque) -> None:
-        """u no longer serves as a conditioning value at x_r."""
-        for i in self.inst.neighbors(r):
-            for b in self.inst.domains[i]:
-                values = uncovered[(i, b, r)]
-                if u in values:
-                    values.remove(u)
-                    self.updates += 1
-                    if not values:
-                        work.append((i, b, r))
-                        self.updates += 1
 
     def _swaps(
         self, r: int, u: int, a: int, skip: Optional[int] = None
@@ -304,3 +297,165 @@ class SnakeKernel(Kernel):
         holders.add(k)
         self.updates += 1
         self._stop_var_added(i, a, b, k, holders)
+
+
+class Substitutions(Kernel):
+    """Kernel plus the FIFO worklist of plain substitution triples
+    (variable, value, substitute) that ns and cns keep."""
+
+    def __init__(self, inst: Instance):
+        super().__init__(inst)
+        block_vars = self.tables.block_vars
+        self.substitutions = deque(
+            (i, b, a)
+            for i in range(inst.n)
+            for b in inst.domains[i]
+            for a in inst.domains[i]
+            if a != b and not block_vars[(i, b, a)]
+        )
+        self.updates += len(self.substitutions)
+
+    def _pop_substitution(self) -> Optional[tuple[int, int, str, Witness]]:
+        """The next triple whose value and substitute are both still live."""
+        while self.substitutions:
+            i, b, a = self.substitutions.popleft()
+            dom = self.inst.domain_set(i)
+            if b in dom and a in dom:
+                return i, b, NS, NsWitness(substitute=a)
+        return None
+
+    _pop = _pop_substitution
+
+    def _substitutable(self, k: int, d: int, e: int) -> None:
+        self.substitutions.append((k, d, e))
+        self.updates += 1
+
+
+class CoverKernel(Kernel):
+    """Kernel plus the cover layer of the conditioned rules cns and scss.
+
+    b at x_i is eliminable conditioned by a neighbour x_j when every c in
+    D(x_j) compatible with b has a cover: a value a != b whose holder set
+    for b fits inside {j} (``_fits``) and that reaches c (``_reaches``).  A
+    rule states only those two predicates.  The layer keeps the cover count
+    of every cell (i,b,j,c) in the table named by COVERS, the compatible
+    values without a cover of every (i,b,j) in the table named by
+    UNCOVERED, and a FIFO worklist of the triples (i,b,j) whose set emptied.
+    """
+
+    COVERS: str
+    UNCOVERED: str
+
+    def __init__(self, inst: Instance):
+        super().__init__(inst)
+        self.covers = getattr(self.tables, self.COVERS)
+        self.uncovered = getattr(self.tables, self.UNCOVERED)
+        self.conditioned_work = deque(conditioned(inst, self.uncovered))
+        self.updates += len(self.conditioned_work)
+
+    # -- rule hooks -----------------------------------------------------------
+
+    def _fits(self, i: int, b: int, a: int, j: int) -> bool:
+        """a's holder set for b at x_i fits inside {j}."""
+        raise NotImplementedError
+
+    def _reaches(self, i: int, a: int, j: int, c: int) -> bool:
+        """a at x_i reaches the conditioning value c at x_j."""
+        raise NotImplementedError
+
+    def _witness(self, i: int, b: int, j: int) -> Witness:
+        """The witness for eliminating b at x_i conditioned by x_j."""
+        raise NotImplementedError
+
+    # -- worklist and witnesses -----------------------------------------------
+
+    def _pop_conditioned(self) -> Optional[tuple[int, int, str, Witness]]:
+        """The next triple whose value is live and whose values are all covered."""
+        while self.conditioned_work:
+            i, b, j = self.conditioned_work.popleft()
+            if b in self.inst.domain_set(i) and not self.uncovered[(i, b, j)]:
+                return i, b, self.RULE, self._witness(i, b, j)
+        return None
+
+    _pop = _pop_conditioned
+
+    def _first_covers(self, i: int, b: int, j: int) -> dict[int, int]:
+        """For each c in D(x_j) compatible with b, its first cover in D(x_i)."""
+        fitting = [a for a in self.inst.domains[i] if a != b and self._fits(i, b, a, j)]
+        row_b = self.inst.rows[(i, j)][b]
+        covers: dict[int, int] = {}
+        for c in self.inst.domains[j]:
+            if c not in row_b:
+                continue
+            for a in fitting:
+                if self._reaches(i, a, j, c):
+                    covers[c] = a
+                    break
+            else:
+                raise RuntimeError(f"no cover for x{j}={c} while eliminating x{i}={b}")
+        return covers
+
+    # -- counter steps --------------------------------------------------------
+
+    def _cover_up(self, i: int, b: int, j: int, c: int) -> None:
+        """One more cover of c for b; queue (i,b,j) once all of b's are covered."""
+        cell = (i, b, j, c)
+        self.covers[cell] += 1
+        self.updates += 1
+        if self.covers[cell] != 1 or c not in self.inst.rows[(i, j)][b]:
+            return
+        values = self.uncovered[(i, b, j)]
+        values.remove(c)
+        self.updates += 1
+        if not values:
+            self.conditioned_work.append((i, b, j))
+            self.updates += 1
+
+    def _cover_down(self, i: int, b: int, j: int, c: int) -> None:
+        """One cover of c for b fewer.  A count falling below zero signals an
+        internal-consistency bug."""
+        cell = (i, b, j, c)
+        self.covers[cell] -= 1
+        self.updates += 1
+        left = self.covers[cell]
+        if left < 0:
+            raise RuntimeError(f"{self.COVERS}{cell} went negative")
+        if not left and c in self.inst.rows[(i, j)][b]:
+            self.uncovered[(i, b, j)].add(c)
+            self.updates += 1
+
+    def _scope_changed(self, i: int, b: int, a: int, j: int, step) -> None:
+        """a's holder set for b came to fit inside {j} (``step`` is
+        _cover_up) or stopped fitting (_cover_down): a covers b for each
+        value of x_j it reaches."""
+        for c in self.inst.domains[j]:
+            if self._reaches(i, a, j, c):
+                step(i, b, j, c)
+
+    # -- propagation ----------------------------------------------------------
+
+    def _propagate(self, r: int, u: int) -> None:
+        super()._propagate(r, u)
+        inst = self.inst
+        # u no longer covers r's remaining values
+        for j in inst.neighbors(r):
+            lost = [b for b in inst.domains[r] if self._fits(r, b, u, j)]
+            if not lost:
+                continue
+            for c in inst.domains[j]:
+                if self._reaches(r, u, j, c):
+                    for b in lost:
+                        self._cover_down(r, b, j, c)
+        self._conditioning_gone(r, u)
+
+    def _conditioning_gone(self, r: int, u: int) -> None:
+        """u no longer serves as a conditioning value at x_r."""
+        for i in self.inst.neighbors(r):
+            for b in self.inst.domains[i]:
+                values = self.uncovered[(i, b, r)]
+                if u in values:
+                    values.remove(u)
+                    self.updates += 1
+                    if not values:
+                        self.conditioned_work.append((i, b, r))
+                        self.updates += 1

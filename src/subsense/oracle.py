@@ -33,8 +33,10 @@ def solve(
     ascending), up to ``limit`` if given.
 
     Raises SearchSpaceError when the product of domain sizes exceeds
-    ``space_cap``.
+    ``space_cap``, and ValueError for a ``limit`` below 1.
     """
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be at least 1, not {limit}")
     space = 1
     for dom in inst.domains:
         space *= len(dom)

@@ -7,12 +7,12 @@ It needs no arc-consistency precondition; unsupported values fall out as
 vacuous cases.
 
 The engine keeps the tables of counters.build_scss.  The block, sub and
-stop counters with their passes come from kernel.SnakeKernel; this module
-adds the snake-cover counters.  Deleting u from D(x_r) runs the kernel's
-passes, then two of its own: u stops snake-covering r's remaining values,
-and u stops serving as a conditioning value at r.  A snake cover's scope
-changes exactly when stop_vars(i,a,b) comes to fit inside {j} or stops
-fitting, and its reach when nb_subs flips between zero and one.
+stop counters with their passes come from kernel.SnakeKernel, and the cover
+layer that scss shares with cns from kernel.CoverKernel.  This module states
+only what a snake cover is: a fits when stop_vars(i,a,b) fits inside {j},
+which the stop cascade reports through its two stop hooks, and a reaches c
+when it takes c or has a sub for it, which changes when nb_subs flips
+between zero and one.
 
 Variables with no constraints at all sit outside the edge-indexed tables,
 so a pre-pass reduces their domains directly (any value substitutes for
@@ -21,12 +21,10 @@ any other when nothing is constrained).
 
 from __future__ import annotations
 
-from collections import deque
-
 from . import counters, oracle
 from .counters import subset1
 from .instance import Instance
-from .kernel import SnakeKernel, conditioned
+from .kernel import CoverKernel, SnakeKernel, conditioned
 from .trace import (
     AC,
     CNS,
@@ -52,26 +50,22 @@ def check_scss(inst: Instance) -> list[tuple[int, int, int]]:
     return list(conditioned(inst, counters.build_scss(inst).not_snake_covered))
 
 
-class ScssEngine(SnakeKernel):
+class ScssEngine(CoverKernel, SnakeKernel):
     RULE = SCSS
     LABELS = (SCSS,)
     BUILD = "build_scss"
-
-    def __init__(self, inst: Instance):
-        super().__init__(inst)
-        self.work = deque(conditioned(inst, self.tables.not_snake_covered))
-        self.updates += len(self.work)
+    COVERS = "nb_snake_covers"
+    UNCOVERED = "not_snake_covered"
 
     def converge(self):
         self._reduce_unconstrained()
         return super().converge()
 
-    def _pop(self):
-        while self.work:
-            r, u, t = self.work.popleft()
-            if u in self.inst.domain_set(r) and not self.tables.not_snake_covered[(r, u, t)]:
-                return r, u, SCSS, self._witness(r, u, t)
-        return None
+    def _fits(self, i: int, b: int, a: int, j: int) -> bool:
+        return subset1(self.tables.stop_vars[(i, a, b)], j)
+
+    def _reaches(self, i: int, a: int, j: int, c: int) -> bool:
+        return c in self.inst.rows[(i, j)][a] or self.tables.nb_subs[(i, a, j, c)] > 0
 
     def _reduce_unconstrained(self) -> None:
         # the counter tables only cover constrained variables; a variable
@@ -109,28 +103,13 @@ class ScssEngine(SnakeKernel):
     # -- witness construction ------------------------------------------------
 
     def _witness(self, r: int, u: int, t: int) -> ScssWitness:
-        inst, tables = self.inst, self.tables
-        row = inst.rows[(r, t)]
-        row_u = row[u]
         swap_cache: dict[int, dict[int, dict[int, int]]] = {}
         covers: dict[int, ScssCover] = {}
-        for c in inst.domains[t]:
-            if c not in row_u:
-                continue
-            for a in inst.domains[r]:
-                if a == u or not subset1(tables.stop_vars[(r, a, u)], t):
-                    continue
-                if c not in row[a] and tables.nb_subs[(r, a, t, c)] == 0:
-                    continue
-                if a not in swap_cache:
-                    swap_cache[a] = self._swaps(r, u, a, skip=t)
-                g = self._conditioning_swap(r, t, a, c)
-                covers[c] = ScssCover(a, g, swap_cache[a])
-                break
-            else:
-                raise RuntimeError(
-                    f"no snake cover for x{t}={c} while eliminating x{r}={u}"
-                )
+        for c, a in self._first_covers(r, u, t).items():
+            if a not in swap_cache:
+                swap_cache[a] = self._swaps(r, u, a, skip=t)
+            g = self._conditioning_swap(r, t, a, c)
+            covers[c] = ScssCover(a, g, swap_cache[a])
         return ScssWitness(conditioning=t, covers=covers)
 
     def _conditioning_swap(self, r: int, t: int, a: int, c: int) -> int:
@@ -142,91 +121,22 @@ class ScssEngine(SnakeKernel):
                 return g
         raise RuntimeError(f"no conditioning swap for x{t}={c} toward {a}")
 
-    # -- propagation ----------------------------------------------------------
-
-    def _propagate(self, r: int, u: int) -> None:
-        super()._propagate(r, u)
-        inst = self.inst
-        tables = self.tables
-        # u no longer snake-covers r's remaining values
-        for j in inst.neighbors(r):
-            row = inst.rows[(r, j)]
-            row_u = row[u]
-            eligible = [
-                b
-                for b in inst.domains[r]
-                if subset1(tables.stop_vars[(r, u, b)], j)
-            ]
-            if not eligible:
-                continue
-            for c in inst.domains[j]:
-                if c not in row_u and tables.nb_subs[(r, u, j, c)] == 0:
-                    continue
-                for b in eligible:
-                    self._dec_nb_snake_covers(r, b, j, c)
-        self._conditioning_gone(r, u, tables.not_snake_covered, self.work)
+    # -- cover scope and reach ------------------------------------------------
 
     def _sub_flipped(self, i: int, a: int, k: int, d: int, gained: bool) -> None:
-        # a starts (or stops) snake-covering conditioning value d at x_k
-        change = self._inc_nb_snake_covers if gained else self._dec_nb_snake_covers
+        # a starts (or stops) reaching conditioning value d at x_k
+        step = self._cover_up if gained else self._cover_down
         for b in self.inst.domains[i]:
-            if b != a and subset1(self.tables.stop_vars[(i, a, b)], k):
-                change(i, b, k, d)
+            if b != a and self._fits(i, b, a, k):
+                step(i, b, k, d)
 
     def _stop_var_added(self, i: int, a: int, b: int, k: int, holders: set) -> None:
-        if len(holders) == 1:
-            # the set was empty: a stops covering b everywhere except x_k
-            for j in self.inst.neighbors(i):
-                if j != k:
-                    self._cover_scope(i, a, b, j, self._dec_nb_snake_covers)
-        elif len(holders) == 2:
-            (j,) = holders - {k}
-            self._cover_scope(i, a, b, j, self._dec_nb_snake_covers)
+        for j in self._fit_changes(i, holders, k):
+            self._scope_changed(i, b, a, j, self._cover_down)
 
     def _stop_var_removed(self, i: int, a: int, b: int, k: int, holders: set) -> None:
-        if len(holders) == 1:
-            (j,) = holders
-            self._cover_scope(i, a, b, j, self._inc_nb_snake_covers)
-        elif not holders:
-            for j in self.inst.neighbors(i):
-                if j != k:
-                    self._cover_scope(i, a, b, j, self._inc_nb_snake_covers)
-
-    def _cover_scope(self, i: int, a: int, b: int, j: int, change) -> None:
-        # stop_vars(i,a,b) newly fits within {j} (or no longer does): a
-        # snake-covers b for each value of x_j it takes or has a sub for
-        row_a = self.inst.rows[(i, j)][a]
-        nb_subs = self.tables.nb_subs
-        for c in self.inst.domains[j]:
-            if c in row_a or nb_subs[(i, a, j, c)] > 0:
-                change(i, b, j, c)
-
-    def _inc_nb_snake_covers(self, i: int, b: int, j: int, c: int) -> None:
-        tables = self.tables
-        cell = (i, b, j, c)
-        tables.nb_snake_covers[cell] += 1
-        self.updates += 1
-        if tables.nb_snake_covers[cell] != 1:
-            return
-        if c not in self.inst.rows[(i, j)][b]:
-            return
-        values = tables.not_snake_covered[(i, b, j)]
-        values.remove(c)
-        self.updates += 1
-        if not values:
-            self.work.append((i, b, j))
-            self.updates += 1
-
-    def _dec_nb_snake_covers(self, i: int, b: int, j: int, c: int) -> None:
-        tables = self.tables
-        cell = (i, b, j, c)
-        tables.nb_snake_covers[cell] -= 1
-        self.updates += 1
-        if tables.nb_snake_covers[cell] < 0:
-            raise RuntimeError(f"nb_snake_covers{cell} went negative")
-        if tables.nb_snake_covers[cell] == 0 and c in self.inst.rows[(i, j)][b]:
-            tables.not_snake_covered[(i, b, j)].add(c)
-            self.updates += 1
+        for j in self._fit_changes(i, holders, k):
+            self._scope_changed(i, b, a, j, self._cover_up)
 
 
 def scss_to_convergence(inst: Instance) -> tuple[Instance, Trace, ReductionReport]:

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Union
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from typing import Mapping, Optional, Union, get_args, get_type_hints
 
 AC = "ac"
 NS = "ns"
@@ -110,86 +110,42 @@ class ReductionReport:
 
 # -- trace JSON --------------------------------------------------------------
 
-def _witness_to_json(w: Optional[Witness]):
-    if w is None:
-        return None
-    if isinstance(w, AcWitness):
-        return {"unsupported_at": w.unsupported_at}
-    if isinstance(w, NsWitness):
-        return {"substitute": w.substitute}
-    if isinstance(w, SsWitness):
-        return {
-            "substitute": w.substitute,
-            "swaps": {
-                str(k): {str(d): e for d, e in emap.items()}
-                for k, emap in w.swaps.items()
-            },
-        }
-    if isinstance(w, CnsWitness):
-        return {
-            "conditioning": w.conditioning,
-            "covers": {str(c): a for c, a in w.covers.items()},
-        }
-    if isinstance(w, ScssWitness):
-        return {
-            "conditioning": w.conditioning,
-            "covers": {
-                str(c): {
-                    "substitute": cov.substitute,
-                    "conditioning_swap": cov.conditioning_swap,
-                    "swaps": {
-                        str(k): {str(d): e for d, e in emap.items()}
-                        for k, emap in cov.swaps.items()
-                    },
-                }
-                for c, cov in w.covers.items()
-            },
-        }
-    raise TypeError(f"unknown witness type {type(w)!r}")
-
-
 def _int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{what} must be an integer, not {value!r}")
     return value
 
 
-def _witness_from_json(rule: str, obj) -> Optional[Witness]:
-    if obj is None:
-        return None
-    if rule == AC:
-        return AcWitness(unsupported_at=_int(obj["unsupported_at"], "unsupported_at"))
-    if rule == NS:
-        return NsWitness(substitute=obj["substitute"])
-    if rule == SS:
-        return SsWitness(
-            substitute=obj["substitute"],
-            swaps={
-                int(k): {int(d): e for d, e in emap.items()}
-                for k, emap in obj.get("swaps", {}).items()
-            },
+def _reader(shape):
+    """The function that reads a value of type ``shape`` back from its JSON
+    form: an int, a witness dataclass, whose missing map fields read as
+    empty, or a Mapping[int, ...], whose JSON keys are strings."""
+    if shape is int:
+        return _int
+    if is_dataclass(shape):
+        hints = get_type_hints(shape)
+        parts = [(f.name, hints[f.name] is int, _reader(hints[f.name])) for f in fields(shape)]
+        return lambda obj, what: shape(
+            **{
+                name: read(obj[name] if scalar else obj.get(name, {}), name)
+                for name, scalar, read in parts
+            }
         )
-    if rule == CNS:
-        return CnsWitness(
-            conditioning=_int(obj["conditioning"], "conditioning"),
-            covers={int(c): a for c, a in obj.get("covers", {}).items()},
-        )
-    if rule == SCSS:
-        return ScssWitness(
-            conditioning=_int(obj["conditioning"], "conditioning"),
-            covers={
-                int(c): ScssCover(
-                    substitute=cov["substitute"],
-                    conditioning_swap=cov["conditioning_swap"],
-                    swaps={
-                        int(k): {int(d): e for d, e in emap.items()}
-                        for k, emap in cov.get("swaps", {}).items()
-                    },
-                )
-                for c, cov in obj.get("covers", {}).items()
-            },
-        )
-    raise ValueError(f"unknown rule {rule!r}")
+    read = _reader(get_args(shape)[1])
+    return lambda obj, what: {int(k): read(v, what) for k, v in obj.items()}
+
+
+# each rule's witness class, read back from the JSON of dataclasses.asdict
+WITNESS_READERS = {
+    rule: _reader(cls)
+    for rule, cls in (
+        (AC, AcWitness),
+        (NS, NsWitness),
+        (SS, SsWitness),
+        (CNS, CnsWitness),
+        (SCSS, ScssWitness),
+    )
+}
 
 
 def trace_to_json_dict(trace: Trace) -> dict:
@@ -201,7 +157,7 @@ def trace_to_json_dict(trace: Trace) -> dict:
                 "rule": rec.rule,
                 "variable": rec.variable,
                 "value": rec.value,
-                "witness": _witness_to_json(rec.witness),
+                "witness": None if rec.witness is None else asdict(rec.witness),
             }
             for rec in trace.steps
         ],
@@ -231,7 +187,8 @@ def trace_from_json_dict(obj: dict) -> Trace:
             raise ValueError(f"unknown rule {rule!r} in trace")
         pos = len(steps) + 1
         try:
-            witness = _witness_from_json(rule, rec.get("witness"))
+            raw = rec.get("witness")
+            witness = None if raw is None else WITNESS_READERS[rule](raw, rule)
         except (KeyError, TypeError, AttributeError) as exc:
             raise ValueError(f"step {pos}: malformed {rule} witness ({exc!r})") from exc
         steps.append(

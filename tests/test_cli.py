@@ -113,6 +113,29 @@ def test_reduce_exit_codes(tmp_path):
     assert run(["reduce", good, "--rules", ""]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "figure1a", "-o", "{missing}"],
+        ["reduce", "{inst}", "--rules", "ss", "--out", "{missing}"],
+        ["reduce", "{inst}", "--rules", "ss", "--trace", "{missing}"],
+        ["reduce", "{inst}", "--rules", "ss", "--stats", "{missing}"],
+        ["bench", "--rules", "ns", "--seeds", 1, "-o", "{missing}"],
+    ],
+    ids=["gen-o", "reduce-out", "reduce-trace", "reduce-stats", "bench-o"],
+)
+def test_unwritable_output_path_is_bad_input(tmp_path, capsys, argv):
+    inst_path = tmp_path / "a.json"
+    run(["gen", "figure1a", "-o", inst_path])
+    capsys.readouterr()
+    missing = tmp_path / "no-such-dir" / "out"
+    argv = [str(a).format(inst=inst_path, missing=missing) for a in argv]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_reduce_rejects_unparseable_instance(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"name\": \"x\"}")
@@ -126,6 +149,16 @@ def test_solve_prints_solutions(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == ["0 0 1 1", "1 1 0 0", "1 1 1 1"]
     assert run(["solve", inst_path, "--limit", 1]) == 0
     assert capsys.readouterr().out.splitlines() == ["0 0 1 1"]
+
+
+@pytest.mark.parametrize("limit", [0, -1])
+def test_solve_rejects_a_limit_below_one(tmp_path, capsys, limit):
+    inst_path = tmp_path / "a.json"
+    run(["gen", "figure1a", "-o", inst_path])
+    assert run(["solve", inst_path, "--limit", limit]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 def test_solve_reports_unsat(tmp_path, capsys):

@@ -40,6 +40,9 @@ def test_solve_is_lexicographic():
 def test_solve_limit():
     sols = solve(generators.figure1b())
     assert solve(generators.figure1b(), limit=3) == sols[:3]
+    for limit in (0, -1):
+        with pytest.raises(ValueError):
+            solve(generators.figure1b(), limit=limit)
 
 
 def test_solve_space_cap():

@@ -85,6 +85,11 @@ def test_trace_rejects_malformed_objects():
         {"steps": [_step(witness={"covers": {"2": 1}})]},
         {"steps": [_step(witness={"conditioning": "1"})]},
         {"steps": [_step(rule="ss", witness={"substitute": 0, "swaps": [1]})]},
+        {"steps": [_step(rule="ns", witness={"substitute": "0"})]},
+        {"steps": [_step(rule="ss", witness={"substitute": 0, "swaps": {"1": {"0": 1.5}}})]},
+        {"steps": [_step(witness={"conditioning": 1, "covers": {"2": None}})]},
+        {"steps": [_step(rule="scss", witness={"conditioning": 1, "covers": {
+            "2": {"substitute": 0, "conditioning_swap": [2], "swaps": {}}}})]},
         {"final_domains": 5},
         {"final_domains": [[0, "1"]]},
     ):
