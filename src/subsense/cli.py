@@ -16,16 +16,9 @@ from dataclasses import replace
 from . import generators, instance, oracle
 from .acns import establish_ac, ns_to_convergence
 from .cns import cns_to_convergence
-from .scss import ReplayError, replay_sequence, scss_to_convergence
+from .scss import ReplayError, replay_sequence, replay_steps, scss_to_convergence
 from .ss import ss_to_convergence
-from .trace import (
-    AcWitness,
-    CnsWitness,
-    ScssWitness,
-    Trace,
-    dump_trace,
-    load_trace,
-)
+from .trace import Trace, dump_trace, load_trace
 
 PIPELINE_RULES = ("ac", "ns", "ss", "cns", "scss")
 BENCH_RULES = ("ns", "ss", "cns", "scss")
@@ -230,19 +223,7 @@ def cmd_verify(args) -> int:
         trace = load_trace(args.trace)
     except (OSError, ValueError) as exc:
         return _fail(f"cannot read trace {args.trace}: {exc}")
-    steps = []
-    rules = []
-    for rec in trace.steps:
-        conditioning = None
-        if isinstance(rec.witness, (CnsWitness, ScssWitness)):
-            conditioning = rec.witness.conditioning
-        elif isinstance(rec.witness, AcWitness):
-            conditioning = rec.witness.unsupported_at
-        if conditioning is None:
-            steps.append((rec.variable, rec.value))
-        else:
-            steps.append((rec.variable, rec.value, conditioning))
-        rules.append(rec.rule)
+    steps, rules = replay_steps(trace)
     try:
         reduced, _ = replay_sequence(inst, steps, rules)
     except (ReplayError, ValueError) as exc:

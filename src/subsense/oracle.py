@@ -1,11 +1,16 @@
 """Reference implementations used to certify the incremental engines.
 
-Everything here favours directness over speed: the solver is plain
-backtracking with no propagation, and the rule checkers transcribe the
-elimination definitions using ``arrow``/``snake_arrow`` quantifier by
-quantifier.  Ties always break toward the smallest qualifying value, then
-the smallest conditioning variable, then the smallest replacement, so
-results are deterministic.
+The solver is plain backtracking with no propagation.  The rule checkers
+state the elimination definitions quantifier by quantifier, as
+``Instance.arrow``/``snake_arrow`` do, but every domination they ask about
+("e dominates d at x_k on every neighbour but one") goes through one
+private helper that reads the relation rows directly and decides each
+question once per call: replay asks the same question again for every
+candidate substitute and every conditioning value.  Nothing is cached
+beyond the call.  A check validates its arguments once on entry.  Ties
+always break toward the smallest qualifying value, then the smallest
+conditioning variable, then the smallest replacement, so results are
+deterministic.
 """
 
 from __future__ import annotations
@@ -87,19 +92,95 @@ def preserves_satisfiability(inst: Instance, i: int, b: int) -> bool:
     return solvable(inst) == solvable(inst.remove_value(i, b))
 
 
-def _check_member(inst: Instance, i: int, b: int) -> None:
+def _check_target(inst: Instance, i: int, b: int) -> None:
+    if not 0 <= i < inst.n:
+        raise ValueError(f"variable index {i} out of range (n={inst.n})")
     if b not in inst.domain_set(i):
         raise ValueError(f"value {b} not in the current domain of variable {i}")
 
 
+def _check_conditioning(inst: Instance, i: int, j: int) -> None:
+    if not 0 <= j < inst.n:
+        raise ValueError(f"conditioning variable {j} out of range (n={inst.n})")
+    if j == i:
+        raise ValueError("conditioning variable must differ from the target")
+
+
+def _row(inst: Instance, i: int, j: int):
+    """``rows[(i, j)]``, or a row allowing everything when x_i and x_j
+    share no constraint: ``c in row[a]`` is ``allows(i, a, j, c)``."""
+    row = inst.rows.get((i, j))
+    if row is None:
+        row = dict.fromkeys(inst.original_domains[i], frozenset(inst.original_domains[j]))
+    return row
+
+
+def _dominance(inst: Instance):
+    """The domination test of one check, memoised for that check only.
+
+    ``dominates(k, d, e, skip)`` is ``arrow(k, l, d, e)`` for every
+    neighbour x_l of x_k other than x_skip: each current value of x_l
+    compatible with d is compatible with e.  It reads the relation rows and
+    current domains directly; the checks validate their arguments on entry.
+    """
+    rows = inst.rows
+    memo: dict[tuple, bool] = {}
+
+    def dominates(k: int, d: int, e: int, skip: Optional[int]) -> bool:
+        key = (k, d, e, skip)
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = all(
+                (rows[k, l][d] & inst.domain_set(l)) <= rows[k, l][e]
+                for l in inst.neighbors(k)
+                if l != skip
+            )
+        return hit
+
+    return dominates
+
+
+def _swap(inst: Instance, dominates, k: int, d: int, takes, skip: int) -> Optional[int]:
+    """The smallest e of x_k in ``takes`` that dominates d at x_k on every
+    neighbour but x_skip, or None."""
+    for e in inst.domains[k]:
+        if e in takes and dominates(k, d, e, skip):
+            return e
+    return None
+
+
+def _snake_swaps(inst: Instance, dominates, i: int, b: int, a: int, ks):
+    """The swaps by which a snake-dominates b at x_i on the neighbours
+    ``ks``, or None when it does not.
+
+    This is ``snake_arrow(i, k, b, a)`` for each k, keeping the swaps of
+    the values d that b takes and a does not: each such d needs a swap
+    that a takes, dominating d at x_k on every neighbour but x_i.  A d that
+    a takes needs no swap and would qualify as its own, so it is skipped.
+    """
+    swaps: dict[int, dict[int, int]] = {}
+    for k in ks:
+        row = inst.rows[i, k]
+        takes_b, takes_a = row[b], row[a]
+        needed: dict[int, int] = {}
+        for d in inst.domains[k]:
+            if d not in takes_b or d in takes_a:
+                continue
+            e = _swap(inst, dominates, k, d, takes_a, i)
+            if e is None:
+                return None
+            needed[d] = e
+        if needed:
+            swaps[k] = needed
+    return swaps
+
+
 def is_ns(inst: Instance, i: int, b: int) -> Optional[NsWitness]:
     """Smallest a whose compatibilities cover b's at every other variable."""
-    _check_member(inst, i, b)
-    nbrs = inst.neighbors(i)
+    _check_target(inst, i, b)
+    dominates = _dominance(inst)
     for a in inst.domains[i]:
-        if a == b:
-            continue
-        if all(inst.arrow(i, j, b, a) for j in nbrs):
+        if a != b and dominates(i, b, a, None):
             return NsWitness(substitute=a)
     return None
 
@@ -107,20 +188,14 @@ def is_ns(inst: Instance, i: int, b: int) -> Optional[NsWitness]:
 def is_ss(inst: Instance, i: int, b: int) -> Optional[SsWitness]:
     """Like is_ns but each support of b may be swapped for a dominating
     support of a; returns the swap maps as witness."""
-    _check_member(inst, i, b)
+    _check_target(inst, i, b)
+    dominates = _dominance(inst)
     nbrs = inst.neighbors(i)
     for a in inst.domains[i]:
         if a == b:
             continue
-        swaps: dict[int, dict[int, int]] = {}
-        for k in nbrs:
-            ok, emap = inst.snake_arrow(i, k, b, a)
-            if not ok:
-                break
-            needed = {d: e for d, e in emap.items() if not inst.allows(i, a, k, d)}
-            if needed:
-                swaps[k] = needed
-        else:
+        swaps = _snake_swaps(inst, dominates, i, b, a, nbrs)
+        if swaps is not None:
             return SsWitness(substitute=a, swaps=swaps)
     return None
 
@@ -138,18 +213,16 @@ def cns_with_conditioning(
     inst: Instance, i: int, b: int, j: int
 ) -> Optional[CnsWitness]:
     """Direct check of conditioned substitution of b at x_i by values of x_j."""
-    _check_member(inst, i, b)
-    if j == i:
-        raise ValueError("conditioning variable must differ from the target")
-    ks = [k for k in inst.neighbors(i) if k != j]
+    _check_target(inst, i, b)
+    _check_conditioning(inst, i, j)
+    dominates = _dominance(inst)
+    row = _row(inst, i, j)
     covers: dict[int, int] = {}
     for c in inst.domains[j]:
-        if not inst.allows(i, b, j, c):
+        if c not in row[b]:
             continue
         for a in inst.domains[i]:
-            if a == b or not inst.allows(i, a, j, c):
-                continue
-            if all(inst.arrow(i, k, b, a) for k in ks):
+            if a != b and c in row[a] and dominates(i, b, a, j):
                 covers[c] = a
                 break
         else:
@@ -174,50 +247,27 @@ def scss_with_conditioning(
     snake-dominates b at every third variable and has a compatible value g
     dominating c at all of x_j's other neighbours.
     """
-    _check_member(inst, i, b)
-    if j == i:
-        raise ValueError("conditioning variable must differ from the target")
+    _check_target(inst, i, b)
+    _check_conditioning(inst, i, j)
+    dominates = _dominance(inst)
     ks = [k for k in inst.neighbors(i) if k != j]
-    ms = [m for m in inst.neighbors(j) if m != i]
-    snake_cache: dict[int, Optional[dict[int, dict[int, int]]]] = {}
-
-    def snake_swaps(a: int) -> Optional[dict[int, dict[int, int]]]:
-        if a not in snake_cache:
-            swaps: dict[int, dict[int, int]] = {}
-            for k in ks:
-                ok, emap = inst.snake_arrow(i, k, b, a)
-                if not ok:
-                    snake_cache[a] = None
-                    break
-                needed = {d: e for d, e in emap.items() if not inst.allows(i, a, k, d)}
-                if needed:
-                    swaps[k] = needed
-            else:
-                snake_cache[a] = swaps
-        return snake_cache[a]
-
+    row = _row(inst, i, j)
+    snake: dict[int, Optional[dict[int, dict[int, int]]]] = {}
     covers: dict[int, ScssCover] = {}
     for c in inst.domains[j]:
-        if not inst.allows(i, b, j, c):
+        if c not in row[b]:
             continue
-        hit = None
         for a in inst.domains[i]:
             if a == b:
                 continue
-            swaps = snake_swaps(a)
-            if swaps is None:
-                continue
-            for g in inst.domains[j]:
-                if inst.allows(i, a, j, g) and all(
-                    inst.arrow(j, m, c, g) for m in ms
-                ):
-                    hit = ScssCover(substitute=a, conditioning_swap=g, swaps=swaps)
-                    break
-            if hit is not None:
+            if a not in snake:
+                snake[a] = _snake_swaps(inst, dominates, i, b, a, ks)
+            g = None if snake[a] is None else _swap(inst, dominates, j, c, row[a], i)
+            if g is not None:
+                covers[c] = ScssCover(substitute=a, conditioning_swap=g, swaps=snake[a])
                 break
-        if hit is None:
+        else:
             return None
-        covers[c] = hit
     return ScssWitness(conditioning=j, covers=covers)
 
 

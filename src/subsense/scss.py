@@ -32,6 +32,7 @@ from .trace import (
     SCSS,
     SS,
     AcWitness,
+    CnsWitness,
     EliminationRecord,
     ReductionReport,
     ScssCover,
@@ -164,6 +165,23 @@ def _certify_ac(inst: Instance, i: int, b: int, j):
         if row is not None and not (row[b] & inst.domain_set(k)):
             return AcWitness(unsupported_at=k)
     return None
+
+
+def replay_steps(trace: Trace) -> tuple[list[tuple[int, ...]], list[str]]:
+    """The steps and rules of a trace as ``replay_sequence`` takes them:
+    each step carries the conditioning variable of a cns or scss witness,
+    or the variable an ac witness names, when it has one."""
+    steps, rules = [], []
+    for rec in trace.steps:
+        cond = None
+        if isinstance(rec.witness, (CnsWitness, ScssWitness)):
+            cond = rec.witness.conditioning
+        elif isinstance(rec.witness, AcWitness):
+            cond = rec.witness.unsupported_at
+        step = (rec.variable, rec.value)
+        steps.append(step if cond is None else (*step, cond))
+        rules.append(rec.rule)
+    return steps, rules
 
 
 def replay_sequence(inst: Instance, steps, rules=None):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Mapping, Optional, Union, get_args, get_type_hints
 
 AC = "ac"
@@ -135,17 +135,37 @@ def _reader(shape):
     return lambda obj, what: {int(k): read(v, what) for k, v in obj.items()}
 
 
-# each rule's witness class, read back from the JSON of dataclasses.asdict
-WITNESS_READERS = {
-    rule: _reader(cls)
-    for rule, cls in (
-        (AC, AcWitness),
-        (NS, NsWitness),
-        (SS, SsWitness),
-        (CNS, CnsWitness),
-        (SCSS, ScssWitness),
-    )
+def _as_is(value):
+    return value
+
+
+def _writer(shape):
+    """The function that turns a value of type ``shape`` into its JSON
+    form, the inverse of ``_reader``: a witness dataclass becomes a dict of
+    its fields and a map a new dict, as ``dataclasses.asdict`` writes them,
+    but the ints are not deep-copied one by one."""
+    if is_dataclass(shape):
+        hints = get_type_hints(shape)
+        parts = [(f.name, _writer(hints[f.name])) for f in fields(shape)]
+        return lambda obj: {name: write(getattr(obj, name)) for name, write in parts}
+    if shape is int:
+        return _as_is
+    write = _writer(get_args(shape)[1])
+    if write is _as_is:
+        return dict
+    return lambda obj: {key: write(value) for key, value in obj.items()}
+
+
+WITNESS_CLASSES = {
+    AC: AcWitness,
+    NS: NsWitness,
+    SS: SsWitness,
+    CNS: CnsWitness,
+    SCSS: ScssWitness,
 }
+# each rule's witness read back from its JSON, and each witness class written
+WITNESS_READERS = {rule: _reader(cls) for rule, cls in WITNESS_CLASSES.items()}
+WITNESS_WRITERS = {cls: _writer(cls) for cls in WITNESS_CLASSES.values()}
 
 
 def trace_to_json_dict(trace: Trace) -> dict:
@@ -157,7 +177,11 @@ def trace_to_json_dict(trace: Trace) -> dict:
                 "rule": rec.rule,
                 "variable": rec.variable,
                 "value": rec.value,
-                "witness": None if rec.witness is None else asdict(rec.witness),
+                "witness": (
+                    None
+                    if rec.witness is None
+                    else WITNESS_WRITERS[type(rec.witness)](rec.witness)
+                ),
             }
             for rec in trace.steps
         ],
@@ -203,7 +227,10 @@ def trace_from_json_dict(obj: dict) -> Trace:
     final_domains = obj.get("final_domains")
     if final_domains is not None:
         try:
-            final_domains = [sorted(dom) for dom in final_domains]
+            final_domains = [
+                sorted(_int(value, "final_domains entry") for value in dom)
+                for dom in final_domains
+            ]
         except TypeError as exc:
             raise ValueError(f"final_domains must be lists of integers ({exc})") from exc
     return Trace(instance=obj["instance"], steps=steps, final_domains=final_domains)

@@ -226,6 +226,23 @@ def test_verify_rejects_wrong_final_domains(tmp_path, capsys):
     assert "final domains" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "entry", [float, lambda v: True if v == 1 else v], ids=["float", "bool"]
+)
+def test_verify_rejects_non_integer_final_domains(tmp_path, capsys, entry):
+    inst_path, trace_path = tmp_path / "c.json", tmp_path / "tr.json"
+    run(["gen", "figure1c", "-o", inst_path])
+    run(["reduce", inst_path, "--rules", "scss", "--trace", trace_path])
+    obj = json.loads(trace_path.read_text())
+    assert obj["final_domains"] == [[1], [0], [3], [0]]
+    obj["final_domains"] = [[entry(v) for v in dom] for dom in obj["final_domains"]]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run(["verify", inst_path, bad]) == 2
+    assert "final_domains entry" in capsys.readouterr().err
+
+
 def _verify_steps(tmp_path, steps):
     inst_path, trace_path = tmp_path / "b.json", tmp_path / "tr.json"
     run(["gen", "figure1b", "-o", inst_path])

@@ -4,6 +4,9 @@
 the ``dump_trace`` bytes of every run, the reported ``updates`` of each run
 and the sha256 of the final domains.  A refactor or speed-up of the engines
 must leave all three unchanged, with or without SUBSENSE_DEBUG_RECOMPUTE.
+Each case also pins, as ``replay_sha256``, the ``dump_trace`` bytes of the
+trace that ``replay_sequence`` certifies from every run, so the oracle's
+witnesses cannot drift under a rewrite of the checks either.
 A change that alters them on purpose re-records the file with
 
     PYTHONPATH=src python tests/test_golden_traces.py
@@ -26,10 +29,12 @@ from subsense import (
     establish_ac,
     generators,
     ns_to_convergence,
+    replay_sequence,
     scss_to_convergence,
     ss_to_convergence,
 )
 from subsense.counters import DEBUG_ENV
+from subsense.scss import replay_steps
 
 from conftest import corpus
 
@@ -68,18 +73,23 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _runs(engine: str, inputs: str):
+    """Each input of the set as the engine takes it, with the engine's run."""
+    for inst in INPUTS[inputs]():
+        if engine in NEEDS_AC:
+            inst, _ = establish_ac(inst)
+            if inst.unsatisfiable:
+                continue
+        yield inst, ENGINES[engine](inst)
+
+
 def record(engine: str, inputs: str, workdir: Path) -> dict:
     """Run one engine over one input set and digest what it produced."""
     traces = hashlib.sha256()
     updates = []
     domains = []
     path = workdir / "trace.json"
-    for inst in INPUTS[inputs]():
-        if engine in NEEDS_AC:
-            inst, _ = establish_ac(inst)
-            if inst.unsatisfiable:
-                continue
-        reduced, trace, report = ENGINES[engine](inst)
+    for _, (reduced, trace, report) in _runs(engine, inputs):
         dump_trace(trace, path)
         traces.update(path.read_bytes())
         updates.append(report.updates)
@@ -89,6 +99,17 @@ def record(engine: str, inputs: str, workdir: Path) -> dict:
         "updates": updates,
         "domains_sha256": _sha256(json.dumps(domains).encode()),
     }
+
+
+def record_replay(engine: str, inputs: str, workdir: Path) -> str:
+    """Digest the witnesses replay_sequence certifies for every run."""
+    traces = hashlib.sha256()
+    path = workdir / "replay.json"
+    for inst, (_, trace, _) in _runs(engine, inputs):
+        _, replayed = replay_sequence(inst, *replay_steps(trace))
+        dump_trace(replayed, path)
+        traces.update(path.read_bytes())
+    return traces.hexdigest()
 
 
 CASES = [f"{engine}/{inputs}" for engine in ENGINES for inputs in INPUTS]
@@ -108,7 +129,14 @@ def test_golden_file_covers_every_case(golden):
 def test_engine_reproduces_golden_trace(case, debug, golden, tmp_path, monkeypatch):
     monkeypatch.setenv(DEBUG_ENV, debug)
     engine, inputs = case.split("/")
-    assert record(engine, inputs, tmp_path) == golden[case]
+    expected = {key: value for key, value in golden[case].items() if key != "replay_sha256"}
+    assert record(engine, inputs, tmp_path) == expected
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_replay_reproduces_golden_witnesses(case, golden, tmp_path):
+    engine, inputs = case.split("/")
+    assert record_replay(engine, inputs, tmp_path) == golden[case]["replay_sha256"]
 
 
 if __name__ == "__main__":
@@ -117,6 +145,7 @@ if __name__ == "__main__":
         for case in CASES:
             engine, inputs = case.split("/")
             recorded[case] = record(engine, inputs, Path(tmp))
+            recorded[case]["replay_sha256"] = record_replay(engine, inputs, Path(tmp))
     lines = [f"{json.dumps(case)}: {json.dumps(recorded[case])}" for case in CASES]
     GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
     print(f"wrote {len(recorded)} cases to {GOLDEN}")

@@ -2,15 +2,21 @@
 
 The values asserted here were derived by hand from the definitions on the
 small fixture instances and are frozen so a regression in either the
-checkers or the fixtures shows up immediately.
+checkers or the fixtures shows up immediately.  The rule checks are also
+compared with a literal transcription of each definition over
+``Instance.allows``/``arrow``/``snake_arrow``.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from subsense import generators, make_instance
+from subsense import establish_ac, generators, make_instance
 from subsense.oracle import (
     CnsWitness,
     NsWitness,
+    ScssCover,
+    ScssWitness,
     SearchSpaceError,
     SsWitness,
     cns_with_conditioning,
@@ -21,9 +27,14 @@ from subsense.oracle import (
     longest_elimination_sequence,
     preserves_satisfiability,
     scss_conditionings,
+    scss_with_conditioning,
     solvable,
     solve,
 )
+
+from conftest import corpus
+from test_counters import _partly_reduced, _relabel, _with_ac
+from test_golden_traces import SET_COVER_SETS
 
 
 def pair_instance(dom1, dom2, pairs):
@@ -213,3 +224,188 @@ def test_longest_sequence_rejects_unknown_rule():
 def test_longest_sequence_state_cap():
     with pytest.raises(SearchSpaceError):
         longest_elimination_sequence(generators.figure1b(), "cns", state_cap=0)
+
+
+# -- the rule checks against a literal transcription --------------------------
+#
+# Each ref_* states its rule quantifier by quantifier over Instance.allows,
+# arrow and snake_arrow, which validate every call, and takes the smallest
+# qualifying value at each choice, as the oracle does.
+
+
+def ref_ns(inst, i, b):
+    for a in inst.domains[i]:
+        if a != b and all(inst.arrow(i, k, b, a) for k in inst.neighbors(i)):
+            return NsWitness(substitute=a)
+    return None
+
+
+def ref_snake_swaps(inst, i, b, a, ks):
+    swaps = {}
+    for k in ks:
+        ok, emap = inst.snake_arrow(i, k, b, a)
+        if not ok:
+            return None
+        needed = {d: e for d, e in emap.items() if not inst.allows(i, a, k, d)}
+        if needed:
+            swaps[k] = needed
+    return swaps
+
+
+def ref_ss(inst, i, b):
+    for a in inst.domains[i]:
+        if a != b:
+            swaps = ref_snake_swaps(inst, i, b, a, inst.neighbors(i))
+            if swaps is not None:
+                return SsWitness(substitute=a, swaps=swaps)
+    return None
+
+
+def ref_cns(inst, i, b, j):
+    ks = [k for k in inst.neighbors(i) if k != j]
+    covers = {}
+    for c in inst.domains[j]:
+        if not inst.allows(i, b, j, c):
+            continue
+        subs = [
+            a
+            for a in inst.domains[i]
+            if a != b
+            and inst.allows(i, a, j, c)
+            and all(inst.arrow(i, k, b, a) for k in ks)
+        ]
+        if not subs:
+            return None
+        covers[c] = subs[0]
+    return CnsWitness(conditioning=j, covers=covers)
+
+
+def ref_scss(inst, i, b, j):
+    ks = [k for k in inst.neighbors(i) if k != j]
+    ms = [m for m in inst.neighbors(j) if m != i]
+    covers = {}
+    for c in inst.domains[j]:
+        if not inst.allows(i, b, j, c):
+            continue
+        hits = [
+            ScssCover(substitute=a, conditioning_swap=g, swaps=swaps)
+            for a in inst.domains[i]
+            if a != b
+            for swaps in [ref_snake_swaps(inst, i, b, a, ks)]
+            if swaps is not None
+            for g in inst.domains[j]
+            if inst.allows(i, a, j, g) and all(inst.arrow(j, m, c, g) for m in ms)
+        ]
+        if not hits:
+            return None
+        covers[c] = hits[0]
+    return ScssWitness(conditioning=j, covers=covers)
+
+
+def ref_conditioned(ref, inst, i, b):
+    # an unconstrained x_i is conditioned on the smallest other variable
+    candidates = inst.neighbors(i) or [j for j in range(inst.n) if j != i][:1]
+    for j in candidates:
+        witness = ref(inst, i, b, j)
+        if witness is not None:
+            return witness
+    return None
+
+
+def assert_checks_match_definitions(inst):
+    for i in range(inst.n):
+        for b in inst.domains[i]:
+            where = f"{inst.name}: x{i}={b}"
+            assert is_ns(inst, i, b) == ref_ns(inst, i, b), where
+            assert is_ss(inst, i, b) == ref_ss(inst, i, b), where
+            assert is_cns(inst, i, b) == ref_conditioned(ref_cns, inst, i, b), where
+            assert is_scss(inst, i, b) == ref_conditioned(ref_scss, inst, i, b), where
+            assert scss_conditionings(inst, i, b) == tuple(
+                j for j in inst.neighbors(i) if ref_scss(inst, i, b, j) is not None
+            ), where
+            # every other variable, neighbour or not, as conditioning variable
+            for j in range(inst.n):
+                if j != i:
+                    assert cns_with_conditioning(inst, i, b, j) == ref_cns(
+                        inst, i, b, j
+                    ), f"{where} | x{j}"
+                    assert scss_with_conditioning(inst, i, b, j) == ref_scss(
+                        inst, i, b, j
+                    ), f"{where} | x{j}"
+
+
+def _figures():
+    return [generators.figure1a(), generators.figure1b(), generators.figure1c()]
+
+
+def _gadgets():
+    return [
+        generators.geq_chain(60),
+        generators.set_cover_instance(range(1, 7), SET_COVER_SETS),
+        generators.two_var_cns_vs_ns(30),
+    ]
+
+
+CHECK_INPUTS = {
+    "figures": _figures,
+    "gadgets": _gadgets,
+    "corpus-0": lambda: _with_ac(corpus(seeds=(0,))),
+    "corpus-1": lambda: _with_ac(corpus(seeds=(1,))),
+    "partly-reduced": lambda: [
+        _partly_reduced(inst)
+        for inst in [*_figures(), *_gadgets(), *corpus(seeds=(2,))]
+    ],
+}
+
+
+@pytest.mark.parametrize("inputs", list(CHECK_INPUTS))
+def test_checks_match_the_literal_definitions(inputs):
+    for inst in CHECK_INPUTS[inputs]():
+        assert_checks_match_definitions(inst)
+
+
+def _with_isolated(inst, domain):
+    """``inst`` plus one more variable that no constraint names."""
+    constraints = {
+        (i, j): [(a, c) for a in inst.original_domains[i] for c in inst.rows[(i, j)][a]]
+        for i, j in inst.edges
+    }
+    return make_instance(inst.name, [*inst.domains, sorted(domain)], constraints)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    inst=st.builds(
+        generators.random_instance,
+        n=st.integers(1, 4),
+        d=st.integers(1, 5),
+        density=st.floats(0.0, 1.0),
+        tightness=st.floats(0.0, 1.0),
+        seed=st.integers(0, 10**6),
+    ),
+    relabel_seed=st.integers(0, 10**6),
+    isolated=st.sets(st.integers(0, 10**6), min_size=1, max_size=4),
+    reduce=st.booleans(),
+    ac=st.booleans(),
+)
+def test_checks_match_the_literal_definitions_on_sparse_labels(
+    inst, relabel_seed, isolated, reduce, ac
+):
+    inst = _with_isolated(_relabel(inst, relabel_seed), isolated)
+    assert not inst.neighbors(inst.n - 1)
+    if ac:
+        inst, _ = establish_ac(inst)
+    if reduce:
+        inst = _partly_reduced(inst)
+    assert_checks_match_definitions(inst)
+
+
+@pytest.mark.parametrize("check", [cns_with_conditioning, scss_with_conditioning])
+def test_conditioned_checks_reject_out_of_range_variables(check):
+    inst = generators.figure1b()
+    for j in (inst.n, -1, 99):
+        with pytest.raises(ValueError, match="out of range"):
+            check(inst, 1, 0, j)
+    for i in (inst.n, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            check(inst, i, 0, 1)

@@ -1,5 +1,7 @@
 """Trace records and their JSON round trip."""
 
+from dataclasses import asdict
+
 import pytest
 
 from subsense import (
@@ -40,8 +42,11 @@ def test_round_trip_of_every_witness_shape():
         EliminationRecord(6, "scss", 2, 0, None),
     ]
     trace = Trace("mixed", steps, final_domains=[[0], [1], [2]])
-    back = trace_from_json_dict(trace_to_json_dict(trace))
-    assert back == trace
+    obj = trace_to_json_dict(trace)
+    assert [step["witness"] for step in obj["steps"]] == [
+        None if rec.witness is None else asdict(rec.witness) for rec in steps
+    ]
+    assert trace_from_json_dict(obj) == trace
 
 
 def test_engine_traces_round_trip(tmp_path):
@@ -92,6 +97,8 @@ def test_trace_rejects_malformed_objects():
             "2": {"substitute": 0, "conditioning_swap": [2], "swaps": {}}}})]},
         {"final_domains": 5},
         {"final_domains": [[0, "1"]]},
+        {"final_domains": [[1.0], [0.0], [3.0], [0.0]]},
+        {"final_domains": [[True], [0], [3], [0]]},
     ):
         with pytest.raises(ValueError):
             trace_from_json_dict({**good, **change})
