@@ -22,6 +22,9 @@ from .trace import Trace, dump_trace, load_trace
 
 PIPELINE_RULES = ("ac", "ns", "ss", "cns", "scss")
 BENCH_RULES = ("ns", "ss", "cns", "scss")
+# the engines that take only arc-consistent input; scss removes
+# unsupported values itself
+NEEDS_AC = ("ns", "ss", "cns")
 TIGHTNESS_HELP = (
     "random: probability that a value pair is allowed "
     "(the reverse of the usual CSP tightness)"
@@ -117,7 +120,7 @@ def run_pipeline(inst, rules):
     needs it.  Returns (reduced, steps, updates, micros, unsatisfiable).
     """
     stages = list(rules)
-    if any(rule in ("ns", "ss", "cns") for rule in stages) and stages[0] != "ac":
+    if any(rule in NEEDS_AC for rule in stages) and stages[0] != "ac":
         stages.insert(0, "ac")
     cur = inst
     steps: list = []
@@ -263,7 +266,7 @@ def cmd_bench(args) -> int:
                 base = _build_family(argparse.Namespace(**point))
                 for rule in rules:
                     inst = base
-                    if rule != "scss":
+                    if rule in NEEDS_AC:
                         inst, _ = establish_ac(inst)
                     if inst.unsatisfiable:
                         eliminations, updates, micros = 0, 0, 0

@@ -31,6 +31,12 @@ class InstanceFormatError(ValueError):
 Pair = tuple[int, int]
 
 
+def _is_int(value) -> bool:
+    """An int that is not a bool: ``True`` and ``1.0`` equal 1 but are not
+    value labels or variable ids."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True, eq=False)
 class Instance:
     name: str
@@ -234,7 +240,7 @@ def make_instance(
     doms: list[tuple[int, ...]] = []
     for idx, dom in enumerate(domains):
         vals = tuple(dom)
-        if any(not isinstance(v, int) or isinstance(v, bool) for v in vals):
+        if not all(_is_int(v) for v in vals):
             raise InstanceFormatError(f"domain of variable {idx} must hold ints")
         if any(v < 0 for v in vals):
             raise InstanceFormatError(f"domain of variable {idx} has a negative value")
@@ -277,6 +283,9 @@ def make_instance(
             i, j = j, i
         pair_set: set[Pair] = set()
         for a, b in pairs:
+            # the exact type test is a fast path of _is_int for the common case
+            if (type(a) is not int or type(b) is not int) and not (_is_int(a) and _is_int(b)):
+                raise InstanceFormatError(f"pair ({a!r}, {b!r}) must hold ints")
             if a not in dom_sets[i] or b not in dom_sets[j]:
                 raise InstanceFormatError(
                     f"pair ({a}, {b}) outside the domains of variables {i} and {j}"
@@ -358,7 +367,7 @@ def from_json_dict(obj: dict) -> Instance:
     names: list[str] = []
     for pos, var in enumerate(variables):
         _require_keys(var, {"id", "name", "domain"}, {"id", "name", "domain"}, "variable")
-        if var["id"] != pos:
+        if not _is_int(var["id"]) or var["id"] != pos:
             raise InstanceFormatError(
                 f"variable ids must be dense and 0-based; got {var['id']} at position {pos}"
             )
@@ -375,7 +384,7 @@ def from_json_dict(obj: dict) -> Instance:
         if (
             not isinstance(scope, list)
             or len(scope) != 2
-            or not all(isinstance(v, int) for v in scope)
+            or not all(_is_int(v) for v in scope)
         ):
             raise InstanceFormatError("constraint scope must be a pair of variable ids")
         i, j = scope
@@ -402,7 +411,8 @@ def dumps(inst: Instance) -> str:
 def loads(text: str) -> Instance:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # a RecursionError comes from arrays or objects nested too deeply
         raise InstanceFormatError(f"invalid JSON: {exc}") from exc
     return from_json_dict(obj)
 

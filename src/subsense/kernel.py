@@ -18,7 +18,10 @@ Three layers sit on it:
 
 A rule module adds its table choice (``BUILD``), its pop policy
 (``_pop``), its witness builder and its own passes, appended to
-``_propagate``.  The kernel calls the rule hooks only where a count flips.
+``_propagate``.  ``converge`` is the one elimination loop: a rule never
+removes a value outside it.  Every swap in a witness (a value of x_k that
+stands in for d) comes from ``_swap``, which reads ``block_vars``.  The
+kernel calls the rule hooks only where a count flips.
 Cells indexed by the removed value are read before they go stale and are
 never written during a pass.  Each counter step, set change, flag change
 and worklist push adds one to ``updates``.
@@ -159,32 +162,33 @@ class Kernel:
 
     # -- helpers shared by several rules --------------------------------------
 
+    def _swap(self, k: int, d: int, takes, r: int) -> Optional[int]:
+        """The smallest e of x_k in ``takes`` that is d itself or is blocked
+        at most at x_r, or None: e stands in for d on every neighbour of x_k
+        but x_r."""
+        block_vars = self.tables.block_vars
+        for e in self.inst.domains[k]:
+            if e in takes and (e == d or subset1(block_vars[(k, d, e)], r)):
+                return e
+        return None
+
     def _swaps(
         self, r: int, u: int, a: int, skip: Optional[int] = None
     ) -> dict[int, dict[int, int]]:
-        """For each neighbour x_k of x_r other than ``skip``, a replacement
-        compatible with a and blocked at most at x_r for every value of x_k
-        that supports u but not a."""
+        """For each neighbour x_k of x_r other than ``skip``, the swap that a
+        takes for every value of x_k that supports u but not a."""
         swaps: dict[int, dict[int, int]] = {}
-        block_vars = self.tables.block_vars
         for k in self.inst.neighbors(r):
             if k == skip:
                 continue
-            row = self.inst.rows[(r, k)]
-            row_u = row[u]
-            row_a = row[a]
-            needed: dict[int, int] = {}
-            for d in self.inst.domains[k]:
-                if d not in row_u or d in row_a:
-                    continue
-                for e in self.inst.domains[k]:
-                    if e in row_a and subset1(block_vars[(k, d, e)], r):
-                        needed[d] = e
-                        break
-                else:
-                    raise RuntimeError(
-                        f"no replacement at x{k} for {d} when x{r}={u} yields to {a}"
-                    )
+            row_u, row_a = self.inst.rows[(r, k)][u], self.inst.rows[(r, k)][a]
+            needed = {
+                d: self._swap(k, d, row_a, r)
+                for d in self.inst.domains[k]
+                if d in row_u and d not in row_a
+            }
+            if None in needed.values():
+                raise RuntimeError(f"no replacement at x{k} when x{r}={u} yields to {a}")
             if needed:
                 swaps[k] = needed
         return swaps

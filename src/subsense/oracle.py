@@ -11,20 +11,20 @@ beyond the call.  A check validates its arguments once on entry.  Ties
 always break toward the smallest qualifying value, then the smallest
 conditioning variable, then the smallest replacement, so results are
 deterministic.
+
+``certify`` is the one place that maps a rule name to its check: replay
+(``scss.replay_sequence``) and the longest-sequence search both ask it.
+The solver and that search keep their own stacks, so deep instances cannot
+overflow the interpreter's.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional
 
 from .instance import Instance
-from .trace import (
-    CnsWitness,
-    NsWitness,
-    ScssCover,
-    ScssWitness,
-    SsWitness,
-)
+from .trace import AC, CNS, NS, SCSS, SS, Witness
+from .trace import AcWitness, CnsWitness, NsWitness, ScssCover, ScssWitness, SsWitness
 
 
 class SearchSpaceError(RuntimeError):
@@ -200,13 +200,15 @@ def is_ss(inst: Instance, i: int, b: int) -> Optional[SsWitness]:
     return None
 
 
-def _conditioning_candidates(inst: Instance, i: int) -> list[int]:
-    nbrs = inst.neighbors(i)
-    if nbrs:
-        return list(nbrs)
-    # with no constraint on x_i the conditioning variable only matters as a
-    # quantifier domain, so trying the smallest other variable is enough
-    return [j for j in range(inst.n) if j != i][:1]
+def _first_conditioned(check, inst: Instance, i: int, b: int):
+    """The witness ``check`` gives for the first conditioning variable that
+    works: a neighbour of x_i, or with no constraint on x_i the smallest
+    other variable, since then it only matters as a quantifier domain."""
+    for j in inst.neighbors(i) or [j for j in range(inst.n) if j != i][:1]:
+        w = check(inst, i, b, j)
+        if w is not None:
+            return w
+    return None
 
 
 def cns_with_conditioning(
@@ -231,11 +233,7 @@ def cns_with_conditioning(
 
 
 def is_cns(inst: Instance, i: int, b: int) -> Optional[CnsWitness]:
-    for j in _conditioning_candidates(inst, i):
-        w = cns_with_conditioning(inst, i, b, j)
-        if w is not None:
-            return w
-    return None
+    return _first_conditioned(cns_with_conditioning, inst, i, b)
 
 
 def scss_with_conditioning(
@@ -272,11 +270,7 @@ def scss_with_conditioning(
 
 
 def is_scss(inst: Instance, i: int, b: int) -> Optional[ScssWitness]:
-    for j in _conditioning_candidates(inst, i):
-        w = scss_with_conditioning(inst, i, b, j)
-        if w is not None:
-            return w
-    return None
+    return _first_conditioned(scss_with_conditioning, inst, i, b)
 
 
 def scss_conditionings(inst: Instance, i: int, b: int) -> tuple[int, ...]:
@@ -288,12 +282,39 @@ def scss_conditionings(inst: Instance, i: int, b: int) -> tuple[int, ...]:
     )
 
 
-_RULE_CHECKS = {
-    "ns": is_ns,
-    "ss": is_ss,
-    "cns": is_cns,
-    "scss": is_scss,
-}
+def is_ac(inst: Instance, i: int, b: int, j: Optional[int] = None) -> Optional[AcWitness]:
+    """The neighbour of x_i where b has no current support left, x_j when
+    given, else the smallest such neighbour."""
+    _check_target(inst, i, b)
+    for k in inst.neighbors(i) if j is None else (j,):
+        row = inst.rows.get((i, k))
+        if row is not None and not (row[b] & inst.domain_set(k)):
+            return AcWitness(unsupported_at=k)
+    return None
+
+
+def certify(
+    rule: str, inst: Instance, i: int, b: int, j: Optional[int] = None
+) -> Optional[Witness]:
+    """The definition-level witness that ``rule`` (ac, ns, ss, cns or scss)
+    allows removing b from D(x_i), or None.
+
+    A given j is the conditioning variable of cns and scss and the
+    unsupported neighbour of ac; ns and ss ignore it.  Without j the
+    smallest that works is taken.  Each check is looked up when called, so
+    a check replaced on the module is the one that runs.
+    """
+    if rule == AC:
+        return is_ac(inst, i, b, j)
+    if rule == NS:
+        return is_ns(inst, i, b)
+    if rule == SS:
+        return is_ss(inst, i, b)
+    if rule == CNS:
+        return is_cns(inst, i, b) if j is None else cns_with_conditioning(inst, i, b, j)
+    if rule == SCSS:
+        return is_scss(inst, i, b) if j is None else scss_with_conditioning(inst, i, b, j)
+    raise ValueError(f"unknown rule {rule!r}")
 
 
 def longest_elimination_sequence(
@@ -301,54 +322,48 @@ def longest_elimination_sequence(
 ) -> int:
     """Length of the longest elimination sequence the rule admits.
 
-    ``rule`` is one of ns/ss/cns/scss, or ``cns_ns_priority`` which allows a
-    conditioned elimination only when no plain substitution is available.
-    Explores all orders with memoisation on the domain state; raises
-    SearchSpaceError past ``state_cap`` distinct states.
+    ``rule`` is one of ns/ss/cns/scss, or ``cns_ns_priority`` which allows
+    a conditioned elimination only when no plain substitution is available.
+    Explores all orders depth first on an explicit stack, with memoisation
+    on the domain state; raises SearchSpaceError past ``state_cap``
+    distinct states.
     """
-    if rule == "cns_ns_priority":
-        def moves(state: Instance) -> list[tuple[int, int]]:
-            ns_moves = [
-                (i, b)
-                for i in range(state.n)
-                for b in state.domains[i]
-                if is_ns(state, i, b)
-            ]
-            if ns_moves:
-                return ns_moves
-            return [
-                (i, b)
-                for i in range(state.n)
-                for b in state.domains[i]
-                if is_cns(state, i, b)
-            ]
-    elif rule in _RULE_CHECKS:
-        check = _RULE_CHECKS[rule]
-
-        def moves(state: Instance) -> list[tuple[int, int]]:
-            return [
-                (i, b)
-                for i in range(state.n)
-                for b in state.domains[i]
-                if check(state, i, b)
-            ]
-    else:
+    rules = (NS, CNS) if rule == "cns_ns_priority" else (rule,)
+    if not set(rules) <= {NS, SS, CNS, SCSS}:
         raise ValueError(f"unknown rule {rule!r}")
 
+    def moves(state: Instance) -> Iterator[tuple[int, int]]:
+        # the eliminations of the first rule that has any, found as the
+        # search reaches them
+        for r in rules:
+            found = False
+            for i in range(state.n):
+                for b in state.domains[i]:
+                    if certify(r, state, i, b):
+                        found = True
+                        yield i, b
+            if found:
+                return
+
     memo: dict[tuple, int] = {}
-
-    def best(state: Instance) -> int:
-        key = state.domains
-        if key in memo:
-            return memo[key]
-        if len(memo) >= state_cap:
-            raise SearchSpaceError(
-                f"elimination search exceeded {state_cap} distinct states"
-            )
-        result = 0
-        for i, b in moves(state):
-            result = max(result, 1 + best(state.remove_value(i, b)))
-        memo[key] = result
-        return result
-
-    return best(inst)
+    # each frame is [state, its moves not yet tried, the longest so far]
+    stack: list[list] = []
+    state: Optional[Instance] = inst
+    while True:
+        if state is not None:
+            if len(memo) >= state_cap:
+                raise SearchSpaceError(f"elimination search exceeded {state_cap} distinct states")
+            stack.append([state, moves(state), 0])
+        frame, state = stack[-1], None
+        for i, b in frame[1]:
+            child = frame[0].remove_value(i, b)
+            if child.domains not in memo:
+                state = child
+                break
+            frame[2] = max(frame[2], 1 + memo[child.domains])
+        else:
+            stack.pop()
+            memo[frame[0].domains] = frame[2]
+            if not stack:
+                return frame[2]
+            stack[-1][2] = max(stack[-1][2], 1 + frame[2])

@@ -15,22 +15,22 @@ when it takes c or has a sub for it, which changes when nb_subs flips
 between zero and one.
 
 Variables with no constraints at all sit outside the edge-indexed tables,
-so a pre-pass reduces their domains directly (any value substitutes for
-any other when nothing is constrained).
+so the engine pops their eliminations first (any value substitutes for any
+other when nothing is constrained).  Replay certifies each step of a trace
+with ``oracle.certify``.
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 from . import counters, oracle
 from .counters import subset1
 from .instance import Instance
 from .kernel import CoverKernel, SnakeKernel, conditioned
 from .trace import (
-    AC,
-    CNS,
-    NS,
+    RULES,
     SCSS,
-    SS,
     AcWitness,
     CnsWitness,
     EliminationRecord,
@@ -58,9 +58,22 @@ class ScssEngine(CoverKernel, SnakeKernel):
     COVERS = "nb_snake_covers"
     UNCOVERED = "not_snake_covered"
 
-    def converge(self):
-        self._reduce_unconstrained()
-        return super().converge()
+    def __init__(self, inst: Instance):
+        super().__init__(inst)
+        # the counter tables cover only constrained variables; before anything
+        # else goes, each variable with no constraint sheds all but one value
+        self.unconstrained = deque(
+            i for i in range(inst.n) if inst.n > 1 and not inst.neighbors(i)
+        )
+
+    def _pop(self):
+        while self.unconstrained:
+            i = self.unconstrained[0]
+            if len(self.inst.domains[i]) > 1:
+                b = self.inst.domains[i][0]
+                return i, b, SCSS, self._unconstrained_witness(i, b)
+            self.unconstrained.popleft()
+        return self._pop_conditioned()
 
     def _fits(self, i: int, b: int, a: int, j: int) -> bool:
         return subset1(self.tables.stop_vars[(i, a, b)], j)
@@ -68,38 +81,18 @@ class ScssEngine(CoverKernel, SnakeKernel):
     def _reaches(self, i: int, a: int, j: int, c: int) -> bool:
         return c in self.inst.rows[(i, j)][a] or self.tables.nb_subs[(i, a, j, c)] > 0
 
-    def _reduce_unconstrained(self) -> None:
-        # the counter tables only cover constrained variables; a variable
-        # with no edges keeps one value and sheds the rest
-        if self.inst.n < 2:
-            return
-        for i in range(self.inst.n):
-            if self.inst.neighbors(i):
-                continue
-            while len(self.inst.domains[i]) > 1:
-                b = self.inst.domains[i][0]
-                self.eliminate(i, b, SCSS, self._unconstrained_witness(i, b))
-                if self.debug:
-                    self.verify()
-
     def _unconstrained_witness(self, i: int, b: int) -> ScssWitness:
-        # condition on the smallest other variable; with no constraints on
-        # x_i every compatibility check is vacuous
-        inst = self.inst
-        j = next(v for v in range(inst.n) if v != i)
-        a = next(v for v in inst.domains[i] if v != b)
-        ms = [m for m in inst.neighbors(j) if m != i]
-        covers: dict[int, ScssCover] = {}
-        for c in inst.domains[j]:
-            for g in inst.domains[j]:
-                if all(inst.arrow(j, m, c, g) for m in ms):
-                    covers[c] = ScssCover(a, g, {})
-                    break
-            else:
-                raise RuntimeError(
-                    f"no conditioning swap for x{j}={c} at unconstrained x{i}"
-                )
-        return ScssWitness(conditioning=j, covers=covers)
+        # condition on the smallest other variable: with no constraint on
+        # x_i, any other a takes every value of x_j and needs no snake swaps
+        j = 1 if i == 0 else 0
+        a = next(v for v in self.inst.domains[i] if v != b)
+        return ScssWitness(
+            conditioning=j,
+            covers={
+                c: ScssCover(a, self._conditioning_swap(i, j, a, c), {})
+                for c in self.inst.domains[j]
+            },
+        )
 
     # -- witness construction ------------------------------------------------
 
@@ -114,13 +107,12 @@ class ScssEngine(CoverKernel, SnakeKernel):
         return ScssWitness(conditioning=t, covers=covers)
 
     def _conditioning_swap(self, r: int, t: int, a: int, c: int) -> int:
-        row_a = self.inst.rows[(r, t)][a]
-        for g in self.inst.domains[t]:
-            if g not in row_a:
-                continue
-            if g == c or subset1(self.tables.block_vars[(t, c, g)], r):
-                return g
-        raise RuntimeError(f"no conditioning swap for x{t}={c} toward {a}")
+        """The swap g for c at x_t that a at x_r takes."""
+        row = self.inst.rows.get((r, t))
+        g = self._swap(t, c, self.inst.domain_set(t) if row is None else row[a], r)
+        if g is None:
+            raise RuntimeError(f"no conditioning swap for x{t}={c} toward {a}")
+        return g
 
     # -- cover scope and reach ------------------------------------------------
 
@@ -156,15 +148,6 @@ def scss_to_convergence(inst: Instance) -> tuple[Instance, Trace, ReductionRepor
 
 class ReplayError(ValueError):
     """A claimed elimination step failed certification."""
-
-
-def _certify_ac(inst: Instance, i: int, b: int, j):
-    candidates = [j] if j is not None else inst.neighbors(i)
-    for k in candidates:
-        row = inst.rows.get((i, k))
-        if row is not None and not (row[b] & inst.domain_set(k)):
-            return AcWitness(unsupported_at=k)
-    return None
 
 
 def replay_steps(trace: Trace) -> tuple[list[tuple[int, ...]], list[str]]:
@@ -219,26 +202,9 @@ def replay_sequence(inst: Instance, steps, rules=None):
         label = f"step {pos} ({rule} at {cur.names[i]}={b})"
         if b not in cur.domain_set(i):
             raise ReplayError(f"{label}: value not in the current domain")
-        if rule == AC:
-            witness = _certify_ac(cur, i, b, j)
-        elif rule == NS:
-            witness = oracle.is_ns(cur, i, b)
-        elif rule == SS:
-            witness = oracle.is_ss(cur, i, b)
-        elif rule == CNS:
-            witness = (
-                oracle.cns_with_conditioning(cur, i, b, j)
-                if j is not None
-                else oracle.is_cns(cur, i, b)
-            )
-        elif rule == SCSS:
-            witness = (
-                oracle.scss_with_conditioning(cur, i, b, j)
-                if j is not None
-                else oracle.is_scss(cur, i, b)
-            )
-        else:
+        if rule not in RULES:
             raise ValueError(f"step {pos}: unknown rule {rule!r}")
+        witness = oracle.certify(rule, cur, i, b, j)
         if witness is None:
             raise ReplayError(f"{label}: the rule does not hold at this point")
         cur = cur.remove_value(i, b)

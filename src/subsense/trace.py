@@ -103,10 +103,6 @@ class ReductionReport:
     final_domain_sizes: tuple[int, ...]
     unsatisfiable: bool = False
 
-    @property
-    def total_eliminations(self) -> int:
-        return sum(self.eliminations.values())
-
 
 # -- trace JSON --------------------------------------------------------------
 
@@ -244,4 +240,8 @@ def dump_trace(trace: Trace, path) -> None:
 
 def load_trace(path) -> Trace:
     with open(path, "r", encoding="utf-8") as fh:
-        return trace_from_json_dict(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except RecursionError as exc:
+            raise ValueError(f"trace nests too deeply ({exc})") from exc
+    return trace_from_json_dict(obj)

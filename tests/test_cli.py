@@ -142,6 +142,45 @@ def test_reduce_rejects_unparseable_instance(tmp_path):
     assert run(["reduce", bad, "--rules", "ss"]) == 2
 
 
+def _assert_cannot_read(capsys, argv):
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read")
+    assert "Traceback" not in err
+
+
+def test_deeply_nested_json_is_bad_input(tmp_path, capsys):
+    deep, inst_path = tmp_path / "deep.json", tmp_path / "a.json"
+    deep.write_text("[" * 100_000)
+    run(["gen", "figure1a", "-o", inst_path])
+    _assert_cannot_read(capsys, ["reduce", deep, "--rules", "ns"])
+    _assert_cannot_read(capsys, ["verify", inst_path, deep])
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda obj: obj["constraints"][0].update(allowed=[[True, 0.0], [0, 1]]),
+        lambda obj: obj["variables"][1].update(id=1.0),
+        lambda obj: obj["constraints"][0].update(scope=[False, True]),
+    ],
+    ids=["pair", "id", "scope"],
+)
+def test_reduce_rejects_non_integer_instances(tmp_path, capsys, mutate):
+    obj = {
+        "name": "pair",
+        "variables": [{"id": 0, "name": "x1", "domain": [0, 1]},
+                      {"id": 1, "name": "x2", "domain": [0, 1]}],
+        "constraints": [{"scope": [0, 1], "allowed": [[1, 0], [0, 1]]}],
+    }
+    mutate(obj)
+    path, out = tmp_path / "p.json", tmp_path / "out.json"
+    path.write_text(json.dumps(obj))
+    _assert_cannot_read(capsys, ["reduce", path, "--rules", "ns", "--out", out])
+    assert not out.exists()
+
+
 def test_solve_prints_solutions(tmp_path, capsys):
     inst_path = tmp_path / "a.json"
     run(["gen", "figure1a", "-o", inst_path])

@@ -88,6 +88,8 @@ def test_allows_rejects_foreign_value():
         ([(0, 0, 1), (0, 1)], {}),  # repeated domain value
         ([(-1, 0), (0, 1)], {}),  # negative value
         ([(0, True), (0, 1)], {}),  # bool is not an int label
+        ([(0, 1), (0, 1)], {(0, 1): [(True, 0), (0, 1)]}),  # bool in a pair
+        ([(0, 1), (0, 1)], {(0, 1): [(0, 0.0), (0, 1)]}),  # float in a pair
     ],
 )
 def test_make_instance_rejects(domains, constraints):
@@ -382,6 +384,11 @@ def test_json_drops_constraints_trivial_on_current_domains():
         lambda obj: obj["constraints"][0].update(allowed=[[0, 1, 2]]),
         lambda obj: obj["constraints"][0].pop("allowed"),
         lambda obj: obj.update(name=7),
+        lambda obj: obj["variables"][1].update(id=1.0),
+        lambda obj: obj["variables"][1].update(id=True),
+        lambda obj: obj["constraints"][0].update(scope=[False, True]),
+        lambda obj: obj["constraints"][0]["allowed"][0].__setitem__(0, False),
+        lambda obj: obj["constraints"][0]["allowed"][0].__setitem__(1, 1.0),
     ],
 )
 def test_from_json_dict_rejects(mutate):

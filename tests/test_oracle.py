@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subsense import AC, CNS, NS, SCSS, SS, AcWitness
 from subsense import establish_ac, generators, make_instance
 from subsense.oracle import (
     CnsWitness,
@@ -19,7 +20,9 @@ from subsense.oracle import (
     ScssWitness,
     SearchSpaceError,
     SsWitness,
+    certify,
     cns_with_conditioning,
+    is_ac,
     is_cns,
     is_ns,
     is_scss,
@@ -209,6 +212,10 @@ def test_longest_sequence_priority_mode():
     inst = generators.two_var_cns_vs_ns(4)
     assert longest_elimination_sequence(inst, "cns_ns_priority") == 5
     assert longest_elimination_sequence(inst, "cns") == 5
+    # here conditioned eliminations taken before the plain ones go further
+    inst, _ = establish_ac(generators.random_instance(3, 3, 0.7, 0.6, 72))
+    assert longest_elimination_sequence(inst, "cns_ns_priority") == 2
+    assert longest_elimination_sequence(inst, "cns") == 4
 
 
 def test_longest_sequence_zero_when_nothing_applies():
@@ -224,6 +231,14 @@ def test_longest_sequence_rejects_unknown_rule():
 def test_longest_sequence_state_cap():
     with pytest.raises(SearchSpaceError):
         longest_elimination_sequence(generators.figure1b(), "cns", state_cap=0)
+
+
+def test_longest_sequence_searches_deeper_than_the_interpreter_stack():
+    # every order of removing 1,099 of these values is a sequence, so the
+    # first path the search follows is deeper than the recursion limit
+    inst = make_instance("one", [tuple(range(1100))], {})
+    with pytest.raises(SearchSpaceError):
+        longest_elimination_sequence(inst, "ns", state_cap=20)
 
 
 # -- the rule checks against a literal transcription --------------------------
@@ -356,6 +371,44 @@ CHECK_INPUTS = {
         for inst in [*_figures(), *_gadgets(), *corpus(seeds=(2,))]
     ],
 }
+
+
+def ref_ac(inst, i, b, ks):
+    for k in ks:
+        if k in inst.neighbors(i) and not any(
+            inst.allows(i, b, k, c) for c in inst.domains[k]
+        ):
+            return AcWitness(unsupported_at=k)
+    return None
+
+
+@pytest.mark.parametrize("inputs", ["figures", "gadgets", "partly-reduced"])
+def test_certify_asks_each_rule_its_check(inputs):
+    plain = {NS: is_ns, SS: is_ss, CNS: is_cns, SCSS: is_scss}
+    conditioned = {CNS: cns_with_conditioning, SCSS: scss_with_conditioning}
+    for inst in CHECK_INPUTS[inputs]():
+        for i in range(inst.n):
+            for b in inst.domains[i]:
+                where = f"{inst.name}: x{i}={b}"
+                assert certify(AC, inst, i, b) == ref_ac(inst, i, b, inst.neighbors(i))
+                for rule, check in plain.items():
+                    assert certify(rule, inst, i, b) == check(inst, i, b), where
+                for j in range(inst.n):
+                    if j == i:
+                        continue
+                    assert is_ac(inst, i, b, j) == ref_ac(inst, i, b, [j]), where
+                    for rule, check in conditioned.items():
+                        assert certify(rule, inst, i, b, j) == check(inst, i, b, j), where
+                    for rule in (NS, SS):
+                        assert certify(rule, inst, i, b, j) == plain[rule](inst, i, b)
+
+
+def test_certify_rejects_unknown_rules_and_values():
+    inst = generators.figure1b()
+    with pytest.raises(ValueError, match="unknown rule"):
+        certify("nope", inst, 1, 0)
+    with pytest.raises(ValueError, match="not in the current domain"):
+        certify(AC, inst, 1, 7)
 
 
 @pytest.mark.parametrize("inputs", list(CHECK_INPUTS))
