@@ -9,15 +9,14 @@ everything they read, in TABLES order, and returns them as one Tables
 object.  Engine initialisation calls the build_* helpers, one per rule,
 which only name the rule's tables.
 
-build() computes five of the tables, nb_blocks, nb_subs, nb_stops,
-nb_covers and nb_snake_covers, with the bitmask builders of BITMASK: each
-count is an int.bit_count() over per-edge value masks (Masks), which
-build() makes once per call and drops after it.  The other six come from
-their set-builders.  The set-builders stay the reference: verify_tables
-rebuilds every table with them, so with SUBSENSE_DEBUG_RECOMPUTE=1 the
-engines compare the bitmask build plus every incremental update, cell by
-cell, against the definitions after each elimination.  That recheck is
-what makes the incremental bookkeeping trustworthy.
+build() computes nine of the tables with the flat builders of FLAT, from
+per-edge value masks (Masks) that it makes once per call and drops after
+it.  nb_snake and inconsistent come from their set-builders.  The
+set-builders stay the reference: verify_tables rebuilds every table with
+them, so with SUBSENSE_DEBUG_RECOMPUTE=1 the engines compare the flat build
+plus every incremental update, cell by cell, against the definitions after
+each elimination.  That recheck is what makes the incremental bookkeeping
+trustworthy.
 
 Vocabulary, for a candidate replacement of value b by value a at variable
 x_i (indices as in Instance.arrow / Instance.snake_arrow):
@@ -33,14 +32,24 @@ x_i (indices as in Instance.arrow / Instance.snake_arrow):
 - snake cover: as cover, but a only needs a sub at x_j and may rely on
   swaps elsewhere (stops at most at x_j).
 
-Tables are plain dicts.  Cells are created for every live index tuple; a
-missing cell on lookup is a bug, never an implicit zero.  Cells indexed by
-an eliminated value become dead: engines stop reading them, and comparisons
-only cover live tuples.
+Each variable has a value index that no elimination changes: the position
+of a value in its original domain (Instance.positions), since relations are
+stored over the original domains.  The five count tables (nb_blocks,
+nb_subs, nb_stops, nb_covers, nb_snake_covers) are flat: a dict from each
+oriented edge to one list of ints, with one slot per pair of value
+positions, which slot() maps a definition key to.  Each count is an
+int.bit_count() over the masks, and one list comprehension fills an edge's
+list.  A slot indexed by an eliminated value, or by a pair the definition
+leaves out (the compatible pairs of nb_subs), is dead: it holds whatever
+the build or the updates left there, engines never read it, and
+comparisons skip it.  The other six tables are dicts keyed by tuples, and
+their cells exist for every live index tuple; a missing cell on lookup is
+a bug, never an implicit zero.  Cells indexed by an eliminated value go
+stale and are likewise never read.
 
 Each build step also reports how many elementary membership probes the
 set-builder evaluation performs; engines fold that into their update
-accounting as the cost of initialisation.  A bitmask builder charges the
+accounting as the cost of initialisation.  A flat builder charges the
 probes of the set-builder it replaces, as a closed formula in the domain
 sizes and the row masks, so ``updates`` does not depend on which one ran.
 """
@@ -48,6 +57,8 @@ sizes and the row masks, so ``updates`` does not depend on which one ran.
 from __future__ import annotations
 
 import os
+from itertools import compress
+from operator import not_
 from types import SimpleNamespace
 from typing import Callable, Iterator, NamedTuple
 
@@ -55,6 +66,7 @@ from .instance import Instance
 
 Count = dict
 VarSet = dict
+Flat = dict
 
 DEBUG_ENV = "SUBSENSE_DEBUG_RECOMPUTE"
 
@@ -281,179 +293,258 @@ TABLES: dict[str, tuple[Callable[..., tuple[dict, int]], tuple[str, ...]]] = {
 }
 
 
-# -- bitmask builders ---------------------------------------------------------
+# -- flat builders ------------------------------------------------------------
+
+
+# The count tables build() stores flat, each mapped to whether its second
+# value sits at the far end of the edge: a key (i, v, k, w) has v at x_i and
+# w at x_k, a key (k, v, w, l) has both values at x_k.  Either way the cell
+# is the list of the oriented edge, (i, k) or (k, l), at the pair_index of
+# its two values.
+FLAT_COUNTS = {
+    "nb_blocks": False,
+    "nb_subs": True,
+    "nb_stops": False,
+    "nb_covers": True,
+    "nb_snake_covers": True,
+}
+
+
+def pair_index(pos: tuple[dict[int, int], ...], i: int, v: int, k: int, w: int) -> int:
+    """The list index of the pair of v at x_i and w at x_k in the value
+    index ``pos`` (Instance.positions): one row of |original D(x_k)| slots
+    per position of x_i."""
+    pos_k = pos[k]
+    return pos[i][v] * len(pos_k) + pos_k[w]
+
+
+def slot(inst: Instance, name: str, key: tuple[int, int, int, int]) -> tuple[tuple[int, int], int]:
+    """The oriented edge and list index that hold the cell ``key`` of the
+    flat count table ``name``."""
+    if FLAT_COUNTS[name]:
+        i, v, k, w = key
+        return (i, k), pair_index(inst.positions, i, v, k, w)
+    k, v, w, l = key
+    return (k, l), pair_index(inst.positions, k, v, k, w)
 
 
 class Masks(NamedTuple):
     """The current domains as bitmasks, built once per build() call.
 
-    A bit stands for a value's position in its variable's current domain,
-    never for the value itself: values are arbitrary non-negative ints."""
+    Bit p of a mask of x_k stands for the value at position p of the
+    original domain of x_k (Instance.positions), never for the value itself:
+    values are arbitrary non-negative ints."""
 
-    # bit[k][v] = 1 << the position of v in D(x_k), in domain order
-    bit: tuple[dict[int, int], ...]
-    # row[i,j][p] = the D(x_j) mask of rows[(i,j)][a] ∩ D(x_j), for the
-    # value a at position p of D(x_i), for both orientations of every edge
-    row: dict[tuple[int, int], tuple[int, ...]]
+    # live[k] = the mask of D(x_k)
+    live: tuple[int, ...]
+    # row[i,j][p] = the mask of rows[(i,j)][a] ∩ D(x_j) for the value a at
+    # position p of x_i, 0 when a is not in D(x_i); for both orientations of
+    # every edge
+    row: dict[tuple[int, int], list[int]]
 
 
 def value_masks(inst: Instance) -> Masks:
     """The masks of the current domains of ``inst``."""
-    bit = tuple({v: 1 << p for p, v in enumerate(dom)} for dom in inst.domains)
+    pos = inst.positions
+    bit = [{v: 1 << p[v] for v in dom} for p, dom in zip(pos, inst.domains)]
     row = {}
     for i, j in inst.edges:
         # one pass over the allowed pairs of the edge fills both orientations
-        rel, bit_i, bit_j = inst.rows[(i, j)], bit[i], bit[j]
-        back = dict.fromkeys(bit_j, 0)
-        forth = []
-        for a, ba in bit_i.items():
+        rel, bit_j, pos_i, pos_j = inst.rows[(i, j)], bit[j], pos[i], pos[j]
+        forth = [0] * len(pos_i)
+        back = [0] * len(pos_j)
+        for a, ba in bit[i].items():
             ma = 0
             for c in rel[a]:
                 bc = bit_j.get(c)
                 if bc is not None:
                     ma |= bc
-                    back[c] |= ba
-            forth.append(ma)
-        row[(i, j)] = tuple(forth)
-        row[(j, i)] = tuple(back.values())
-    return Masks(bit, row)
+                    back[pos_j[c]] |= ba
+            forth[pos_i[a]] = ma
+        row[(i, j)] = forth
+        row[(j, i)] = back
+    return Masks(tuple(sum(b.values()) for b in bit), row)
 
 
-def _fits(inst: Instance, masks: Masks, holders: VarSet, transposed=False) -> dict:
-    """fits[k,v] = (free, only) for the holder sets (block_vars or
-    stop_vars) of the pairs (v,w), or transposed (w,v), of D(x_k): free is
-    the mask of the w != v whose holder set is empty, only[l] the mask of
-    those whose holder set is {l}.  The w whose holder set fits inside {l}
-    are then free | only.get(l, 0)."""
-    fits = {}
+def _bits(size: int) -> list[int]:
+    return [1 << p for p in range(size)]
+
+
+def _fits(inst: Instance, masks: Masks, holders: VarSet, transposed=False) -> list:
+    """fits[k][p] = (free, only) for the holder sets (block_vars or
+    stop_vars) of the pairs (v,w), or transposed (w,v), of D(x_k), where v
+    is the value at position p: free is the mask of the w != v whose holder
+    set is empty, only[l] the mask of those whose holder set is {l}.  The w
+    whose holder set fits inside {l} are then free | only.get(l, 0).  Dead
+    positions hold (0, {})."""
+    fits = []
     for k, dom in enumerate(inst.domains):
-        bit = masks.bit[k]
+        pos_k = inst.positions[k]
+        row = [(0, {})] * len(pos_k)
         for v in dom:
             free = 0
             only: dict[int, int] = {}
-            for w, bw in bit.items():
+            for w in dom:
                 if w == v:
                     continue
                 held = holders[(k, w, v) if transposed else (k, v, w)]
                 if not held:
-                    free |= bw
+                    free |= 1 << pos_k[w]
                 elif len(held) == 1:
                     (l,) = held
-                    only[l] = only.get(l, 0) | bw
-            fits[(k, v)] = free, only
+                    only[l] = only.get(l, 0) | 1 << pos_k[w]
+            row[pos_k[v]] = free, only
+        fits.append(row)
     return fits
 
 
-def bitmask_nb_blocks(inst: Instance, masks: Masks) -> tuple[Count, int]:
+def flat_nb_blocks(inst: Instance, masks: Masks) -> tuple[Flat, int]:
     """compute_nb_blocks as (m_d & ~m_e).bit_count() over the row masks."""
-    table: Count = {}
+    table: Flat = {}
     probes = 0
     for k, l in oriented_edges(inst):
-        rows = tuple(zip(inst.domains[k], masks.row[(k, l)]))
-        complements = [(e, ~me) for e, me in rows]
-        for d, md in rows:
-            for e, not_me in complements:
-                if e != d:
-                    table[(k, d, e, l)] = (md & not_me).bit_count()
-        probes += len(rows) * (len(rows) - 1) * len(inst.domains[l])
+        rows = masks.row[(k, l)]
+        complements = [~m for m in rows]
+        table[(k, l)] = [(md & not_me).bit_count() for md in rows for not_me in complements]
+        size_k = len(inst.domains[k])
+        probes += size_k * (size_k - 1) * len(inst.domains[l])
     return table, probes
 
 
-def bitmask_nb_subs(inst: Instance, masks: Masks, block_vars: VarSet) -> tuple[Count, int]:
+def flat_holders(inst: Instance, masks: Masks, counts: Flat) -> tuple[VarSet, int]:
+    """compute_holders over a flat table of pairs of one variable's values:
+    each neighbour x_l joins the holder sets of the slots where the list of
+    (k,l) is positive."""
+    table: VarSet = {}
+    probes = 0
+    for k, dom in enumerate(inst.domains):
+        nbrs = inst.neighbors(k)
+        pos_k = inst.positions[k]
+        size = len(pos_k)
+        held: list[set] = [set() for _ in range(size * size)]
+        slots = range(size * size)
+        for l in nbrs:
+            for s in compress(slots, counts[(k, l)]):
+                held[s].add(l)
+        for d in dom:
+            base = pos_k[d] * size
+            for e in dom:
+                if e != d:
+                    table[(k, d, e)] = held[base + pos_k[e]]
+        probes += len(dom) * (len(dom) - 1) * len(nbrs)
+    return table, probes
+
+
+def flat_nb_subs(inst: Instance, masks: Masks, block_vars: VarSet) -> tuple[Flat, int]:
     """compute_nb_subs as the popcount of a's row mask and the mask of the
-    e that d may be replaced by, blocked at most at x_i."""
+    e that d may be replaced by, blocked at most at x_i.  The slots of the
+    compatible pairs (a,d), which compute_nb_subs leaves out, are never
+    read."""
     fits = _fits(inst, masks, block_vars)
-    table: Count = {}
+    table: Flat = {}
     probes = 0
     for i, k in oriented_edges(inst):
+        fit = [free | only.get(i, 0) for free, only in fits[k]]
+        rows = masks.row[(i, k)]
+        table[(i, k)] = [(ma & fd).bit_count() for ma in rows for fd in fit]
         size_k = len(inst.domains[k])
-        cells = []
-        for d, bd in masks.bit[k].items():
-            free, only = fits[(k, d)]
-            cells.append((d, bd, free | only.get(i, 0)))
-        for a, ma in zip(inst.domains[i], masks.row[(i, k)]):
-            for d, bd, fd in cells:
-                if not ma & bd:
-                    table[(i, a, k, d)] = (ma & fd).bit_count()
-            probes += (size_k - ma.bit_count()) * size_k
+        probes += size_k * (len(inst.domains[i]) * size_k - sum(m.bit_count() for m in rows))
     return table, probes
 
 
-def bitmask_nb_stops(inst: Instance, masks: Masks, nb_subs: Count) -> tuple[Count, int]:
+def flat_nb_stops(inst: Instance, masks: Masks, nb_subs: Flat) -> tuple[Flat, int]:
     """compute_nb_stops as the popcount of b's row mask and the mask of the
     d incompatible with a that have no sub."""
-    table: Count = {}
+    table: Flat = {}
     probes = 0
     for i, k in oriented_edges(inst):
-        bit_k = masks.bit[k]
-        rows = tuple(zip(inst.domains[i], masks.row[(i, k)]))
-        for a, ma in rows:
-            nosub = 0
-            for d, bd in bit_k.items():
-                if not ma & bd and nb_subs[(i, a, k, d)] == 0:
-                    nosub |= bd
-            for b, mb in rows:
-                if b != a:
-                    table[(i, a, b, k)] = (mb & nosub).bit_count()
-        probes += len(rows) * (len(rows) - 1) * len(bit_k)
+        rows = masks.row[(i, k)]
+        subs = nb_subs[(i, k)]
+        size_k = len(inst.positions[k])
+        bits, live = _bits(size_k), masks.live[k]
+        nosub = [
+            sum(compress(bits, map(not_, subs[p * size_k : (p + 1) * size_k]))) & live & ~ma
+            for p, ma in enumerate(rows)
+        ]
+        table[(i, k)] = [(mb & ns).bit_count() for ns in nosub for mb in rows]
+        size_i = len(inst.domains[i])
+        probes += size_i * (size_i - 1) * len(inst.domains[k])
     return table, probes
 
 
-def _count_covers(inst: Instance, fits: dict, cols) -> tuple[Count, int]:
-    """table[i,b,j,c] = (m_c & ok).bit_count() for every oriented edge
-    (i,j), b in D(x_i) and (c, m_c) in cols(i, j), where ok is the mask of
-    the a whose holder set of (b,a), or (a,b), fits inside {j}; charged the
-    probes of the cover set-builders."""
-    table: Count = {}
+def _count_covers(inst: Instance, fits: list, cols) -> tuple[Flat, int]:
+    """table[i,j][b,c] = (m_c & ok).bit_count() for every oriented edge
+    (i,j) and every position of b at x_i and c at x_j, where m_c is
+    cols(i, j)[c] and ok the mask of the a whose holder set of (b,a), or
+    (a,b), fits inside {j}; charged the probes of the cover set-builders."""
+    table: Flat = {}
     probes = 0
     for i, j in oriented_edges(inst):
         col = cols(i, j)
-        for b in inst.domains[i]:
-            free, only = fits[(i, b)]
-            ok = free | only.get(j, 0)
-            for c, mc in col:
-                table[(i, b, j, c)] = (mc & ok).bit_count()
+        ok = [free | only.get(j, 0) for free, only in fits[i]]
+        table[(i, j)] = [(mc & okb).bit_count() for okb in ok for mc in col]
         size_i = len(inst.domains[i])
-        probes += size_i * (size_i - 1) * len(col)
+        probes += size_i * (size_i - 1) * len(inst.domains[j])
     return table, probes
 
 
-def bitmask_nb_covers(inst: Instance, masks: Masks, block_vars: VarSet) -> tuple[Count, int]:
+def flat_nb_covers(inst: Instance, masks: Masks, block_vars: VarSet) -> tuple[Flat, int]:
     """compute_nb_covers as the popcount of the mask of the a that take c
     and the mask of the a != b blocked at most at x_j."""
-    return _count_covers(
-        inst,
-        _fits(inst, masks, block_vars),
-        lambda i, j: tuple(zip(inst.domains[j], masks.row[(j, i)])),
-    )
+    return _count_covers(inst, _fits(inst, masks, block_vars), lambda i, j: masks.row[(j, i)])
 
 
-def bitmask_nb_snake_covers(
-    inst: Instance, masks: Masks, nb_subs: Count, stop_vars: VarSet
-) -> tuple[Count, int]:
+def flat_nb_snake_covers(
+    inst: Instance, masks: Masks, nb_subs: Flat, stop_vars: VarSet
+) -> tuple[Flat, int]:
     """compute_nb_snake_covers as nb_covers, with the a that have a sub for
     c added to c's mask and the fit taken over stop_vars(i,a,b)."""
 
     def cols(i, j):
-        col = []
-        for c, mc in zip(inst.domains[j], masks.row[(j, i)]):
-            for a, ba in masks.bit[i].items():
-                if not mc & ba and nb_subs[(i, a, j, c)] > 0:
-                    mc |= ba
-            col.append((c, mc))
-        return col
+        # the nb_subs slot of an a that takes c holds no defined count,
+        # but such an a is in m_c already
+        subs, size_j = nb_subs[(i, j)], len(inst.positions[j])
+        bits, live = _bits(len(inst.positions[i])), masks.live[i]
+        return [
+            mc | sum(compress(bits, subs[pc::size_j])) & live
+            for pc, mc in enumerate(masks.row[(j, i)])
+        ]
 
     return _count_covers(inst, _fits(inst, masks, stop_vars, transposed=True), cols)
 
 
-# The tables build() computes from the masks, each equal, cell for cell, key
-# order and probe count included, to its set-builder in TABLES.
-BITMASK: dict[str, Callable[..., tuple[dict, int]]] = {
-    "nb_blocks": bitmask_nb_blocks,
-    "nb_subs": bitmask_nb_subs,
-    "nb_stops": bitmask_nb_stops,
-    "nb_covers": bitmask_nb_covers,
-    "nb_snake_covers": bitmask_nb_snake_covers,
+def flat_uncovered(inst: Instance, masks: Masks, covers: Flat) -> tuple[VarSet, int]:
+    """compute_uncovered over the flat cover counts."""
+    table: VarSet = {}
+    probes = 0
+    pos = inst.positions
+    for i, j in oriented_edges(inst):
+        row, cov = inst.rows[(i, j)], covers[(i, j)]
+        pos_i, pos_j, dom_j = pos[i], pos[j], inst.domains[j]
+        size_j = len(pos_j)
+        for b in inst.domains[i]:
+            row_b = row[b]
+            base = pos_i[b] * size_j
+            table[(i, b, j)] = {
+                c for c in dom_j if c in row_b and cov[base + pos_j[c]] == 0
+            }
+        probes += len(inst.domains[i]) * len(dom_j)
+    return table, probes
+
+
+# The tables build() computes from the masks, each equal on every live cell,
+# read through slot() for the five counts, to its set-builder in TABLES, key
+# order of the holder and uncovered sets and probe count included.
+FLAT: dict[str, Callable[..., tuple[dict, int]]] = {
+    "nb_blocks": flat_nb_blocks,
+    "block_vars": flat_holders,
+    "nb_subs": flat_nb_subs,
+    "nb_stops": flat_nb_stops,
+    "stop_vars": flat_holders,
+    "nb_covers": flat_nb_covers,
+    "uncovered": flat_uncovered,
+    "nb_snake_covers": flat_nb_snake_covers,
+    "not_snake_covered": flat_uncovered,
 }
 
 
@@ -464,12 +555,12 @@ class Tables(SimpleNamespace):
 
 def build(inst: Instance, *names: str) -> Tables:
     """Compute the named tables and every table they read, in TABLES order."""
-    return _build(inst, names, BITMASK)
+    return _build(inst, names, FLAT)
 
 
-def _build(inst: Instance, names, bitmask: dict) -> Tables:
-    """build() with the tables named in ``bitmask`` computed by those
-    builders and every other one by its set-builder."""
+def _build(inst: Instance, names, flat: dict) -> Tables:
+    """build() with the tables named in ``flat`` computed by those builders
+    and every other one by its set-builder."""
     need = set(names)
     if not need <= TABLES.keys():
         raise KeyError(f"no counter table named {sorted(need - TABLES.keys())}")
@@ -483,10 +574,10 @@ def _build(inst: Instance, names, bitmask: dict) -> Tables:
         if name not in need:
             continue
         args = [built[r] for r in reads]
-        if name in bitmask:
+        if name in flat:
             if masks is None:
                 masks = value_masks(inst)
-            built[name], p = bitmask[name](inst, masks, *args)
+            built[name], p = flat[name](inst, masks, *args)
         else:
             built[name], p = compute(inst, *args)
         probes += p
@@ -515,14 +606,22 @@ class CounterMismatch(AssertionError):
 
 def verify_tables(inst: Instance, **kept: dict) -> None:
     """Recompute the named tables for the current domains of ``inst`` with
-    their set-builders and compare against the engine-maintained dicts
-    (live cells only; stale cells for eliminated values are ignored)."""
+    their set-builders and compare against the engine-maintained tables,
+    the flat counts read through slot() (live cells only; dead slots and
+    stale cells for eliminated values are ignored)."""
     fresh = _build(inst, kept, {})
     for name, table in kept.items():
         for key, want in getattr(fresh, name).items():
-            if key not in table:
+            if name in FLAT_COUNTS:
+                edge, index = slot(inst, name, key)
+                cells = table.get(edge, [])
+                present = index < len(cells)
+            else:
+                cells, index = table, key
+                present = key in table
+            if not present:
                 raise CounterMismatch(f"{name}{key}: cell missing from engine state")
-            got = table[key]
+            got = cells[index]
             if got != want:
                 raise CounterMismatch(
                     f"{name}{key}: engine has {got!r}, definition gives {want!r}"

@@ -9,12 +9,13 @@ touches.  Pairs of variables without a stored relation are unconstrained
 
 Instances are treated as immutable snapshots.  A derived snapshot
 (``remove_value``, ``restrict``) shares with its parent the relation
-tables, the neighbour lists, the original domains and the domain tuple and
-set of every variable it leaves alone.  ``remove_value`` builds only the
-changed variable's domain tuple and set, plus two tuple slices that copy n
-references in C, so an elimination no longer pays O(n+e) Python work.
-Only the constructor, which ``make_instance`` calls, computes the
-neighbour lists.
+tables, the neighbour lists, the original domains with their value index
+(``positions``) and the domain tuple and set of every variable it leaves
+alone.  ``remove_value`` builds only the changed variable's domain tuple
+and set, plus two tuple slices that copy n references in C, so an
+elimination no longer pays O(n+e) Python work.  Only the constructor,
+which ``make_instance`` calls, computes the neighbour lists and the value
+index.
 """
 
 from __future__ import annotations
@@ -47,15 +48,19 @@ class Instance:
     # rows[(i, j)][a] = frozenset of values b of x_j compatible with x_i = a,
     # present for both orientations of every edge
     rows: Mapping[Pair, Mapping[int, frozenset[int]]]
+    # positions[i][v] = the position of v in the original domain of x_i: a
+    # dense value index that no snapshot changes
+    positions: tuple[dict[int, int], ...] = field(init=False, repr=False)
     _cur_sets: tuple[frozenset[int], ...] = field(init=False, repr=False)
-    _orig_sets: tuple[frozenset[int], ...] = field(init=False, repr=False)
     _neighbors: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_cur_sets", tuple(frozenset(d) for d in self.domains))
         object.__setattr__(
-            self, "_orig_sets", tuple(frozenset(d) for d in self.original_domains)
+            self,
+            "positions",
+            tuple({v: p for p, v in enumerate(d)} for d in self.original_domains),
         )
+        object.__setattr__(self, "_cur_sets", tuple(frozenset(d) for d in self.domains))
         nbrs: list[list[int]] = [[] for _ in range(len(self.domains))]
         for i, j in self.edges:
             nbrs[i].append(j)
@@ -94,7 +99,7 @@ class Instance:
             raise ValueError(f"variable index {i} out of range (n={self.n})")
 
     def _check_value(self, i: int, a: int) -> None:
-        if a not in self._orig_sets[i]:
+        if a not in self.positions[i]:
             raise ValueError(f"value {a} not in the original domain of variable {i}")
 
     def allows(self, i: int, a: int, j: int, b: int) -> bool:
@@ -263,7 +268,7 @@ def make_instance(
         items = list(constraints)
 
     dom_sets = [frozenset(dom) for dom in doms]
-    rows: dict[Pair, dict[int, set[int]]] = {}
+    rows: dict[Pair, dict[int, frozenset[int]]] = {}
     edges: list[Pair] = []
     seen: set[Pair] = set()
     for i, j, pairs in items:
@@ -303,19 +308,19 @@ def make_instance(
         for a, b in pair_set:
             fwd[a].add(b)
             bwd[b].add(a)
-        rows[(i, j)] = fwd
-        rows[(j, i)] = bwd
+        # frozen edge by edge, so that the working sets die young: held to
+        # the end, they are promoted to the oldest generation of the garbage
+        # collector and hasten its next full collection
+        rows[(i, j)] = {a: frozenset(bs) for a, bs in fwd.items()}
+        rows[(j, i)] = {b: frozenset(bs) for b, bs in bwd.items()}
 
-    frozen_rows = {
-        key: {a: frozenset(bs) for a, bs in row.items()} for key, row in rows.items()
-    }
     return Instance(
         name=name,
         names=names,
         domains=tuple(doms),
         original_domains=tuple(doms),
         edges=tuple(sorted(edges)),
-        rows=frozen_rows,
+        rows=rows,
     )
 
 

@@ -22,9 +22,15 @@ A rule module adds its table choice (``BUILD``), its pop policy
 removes a value outside it.  Every swap in a witness (a value of x_k that
 stands in for d) comes from ``_swap``, which reads ``block_vars``.  The
 kernel calls the rule hooks only where a count flips.
-Cells indexed by the removed value are read before they go stale and are
-never written during a pass.  Each counter step, set change, flag change
-and worklist push adds one to ``updates``.
+
+The five count tables are flat: one list of ints per oriented edge, with
+one slot per pair of value positions in the value index
+``Instance.positions``, laid out as ``counters.slot`` states; each pass
+computes its slots inline.  The holder and uncovered sets stay dicts of
+sets keyed by tuples.  Slots and cells indexed by the removed value are
+read before they go stale, are never written during a pass, and are never
+read after it.  Each counter step, set change, flag change and worklist
+push adds one to ``updates``.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from collections import deque
 from typing import Iterable, Iterator, Optional
 
 from . import counters
-from .counters import subset1
+from .counters import pair_index, subset1
 from .instance import Instance
 from .trace import NS, EliminationRecord, NsWitness, ReductionReport, Trace, Witness
 
@@ -63,6 +69,7 @@ class Kernel:
         self.inst = inst
         # looked up at call time, so wrappers installed on counters see it
         self.tables = getattr(counters, self.BUILD)(inst)
+        self.pos = inst.positions
         self.updates = self.tables.probes
         self.steps: list[EliminationRecord] = []
         self.unsat = False
@@ -122,23 +129,26 @@ class Kernel:
     def _propagate(self, r: int, u: int) -> None:
         """Blocks through u disappear at r's neighbours."""
         inst = self.inst
-        nb_blocks = self.tables.nb_blocks
         block_vars = self.tables.block_vars
         for k in inst.neighbors(r):
             row = inst.rows[(k, r)]
             dom_k = inst.domains[k]
+            blocks = self.tables.nb_blocks[(k, r)]
+            pos_k = self.pos[k]
+            size_k = len(pos_k)
             for d in dom_k:
                 if u not in row[d]:
                     continue
+                base = pos_k[d] * size_k  # pair_index, hoisted out of the e loop
                 for e in dom_k:
                     if e == d or u in row[e]:
                         continue
-                    cell = (k, d, e, r)
-                    nb_blocks[cell] -= 1
+                    cell = base + pos_k[e]
+                    blocks[cell] -= 1
                     self.updates += 1
-                    left = nb_blocks[cell]
+                    left = blocks[cell]
                     if left < 0:
-                        raise RuntimeError(f"nb_blocks{cell} went negative")
+                        raise RuntimeError(f"nb_blocks{(k, d, e, r)} went negative")
                     if left:
                         continue
                     holders = block_vars[(k, d, e)]
@@ -223,8 +233,9 @@ class SnakeKernel(Kernel):
         # u no longer counts as a stop at r
         for i in inst.neighbors(r):
             row = inst.rows[(i, r)]
+            subs = tables.nb_subs[(i, r)]
             for a in inst.domains[i]:
-                if u in row[a] or tables.nb_subs[(i, a, r, u)] != 0:
+                if u in row[a] or subs[pair_index(self.pos, i, a, r, u)] != 0:
                     continue
                 for b in inst.domains[i]:
                     if u in row[b]:
@@ -244,11 +255,11 @@ class SnakeKernel(Kernel):
     # -- cascades -------------------------------------------------------------
 
     def _inc_subs(self, i: int, a: int, k: int, d: int) -> None:
-        nb_subs = self.tables.nb_subs
-        cell = (i, a, k, d)
-        nb_subs[cell] += 1
+        subs = self.tables.nb_subs[(i, k)]
+        cell = pair_index(self.pos, i, a, k, d)
+        subs[cell] += 1
         self.updates += 1
-        if nb_subs[cell] != 1:
+        if subs[cell] != 1:
             return
         # d stops stopping replacements by a
         row = self.inst.rows[(i, k)]
@@ -258,13 +269,13 @@ class SnakeKernel(Kernel):
         self._sub_flipped(i, a, k, d, True)
 
     def _dec_subs(self, i: int, a: int, k: int, d: int) -> None:
-        nb_subs = self.tables.nb_subs
-        cell = (i, a, k, d)
-        nb_subs[cell] -= 1
+        subs = self.tables.nb_subs[(i, k)]
+        cell = pair_index(self.pos, i, a, k, d)
+        subs[cell] -= 1
         self.updates += 1
-        if nb_subs[cell] < 0:
-            raise RuntimeError(f"nb_subs{cell} went negative")
-        if nb_subs[cell]:
+        if subs[cell] < 0:
+            raise RuntimeError(f"nb_subs{(i, a, k, d)} went negative")
+        if subs[cell]:
             return
         # d resumes stopping replacements by a
         row = self.inst.rows[(i, k)]
@@ -276,13 +287,13 @@ class SnakeKernel(Kernel):
     def dec_stops(self, i: int, a: int, b: int, k: int) -> None:
         """A stop against replacing b by a at x_i vanished at x_k.  A count
         falling below zero signals an internal-consistency bug."""
-        nb_stops = self.tables.nb_stops
-        cell = (i, a, b, k)
-        nb_stops[cell] -= 1
+        stops = self.tables.nb_stops[(i, k)]
+        cell = pair_index(self.pos, i, a, i, b)
+        stops[cell] -= 1
         self.updates += 1
-        if nb_stops[cell] < 0:
-            raise RuntimeError(f"nb_stops{cell} went negative")
-        if nb_stops[cell]:
+        if stops[cell] < 0:
+            raise RuntimeError(f"nb_stops{(i, a, b, k)} went negative")
+        if stops[cell]:
             return
         holders = self.tables.stop_vars[(i, a, b)]
         holders.remove(k)
@@ -291,11 +302,11 @@ class SnakeKernel(Kernel):
 
     def inc_stops(self, i: int, a: int, b: int, k: int) -> None:
         """Mirror of dec_stops for a stop that reappeared at x_k."""
-        nb_stops = self.tables.nb_stops
-        cell = (i, a, b, k)
-        nb_stops[cell] += 1
+        stops = self.tables.nb_stops[(i, k)]
+        cell = pair_index(self.pos, i, a, i, b)
+        stops[cell] += 1
         self.updates += 1
-        if nb_stops[cell] != 1:
+        if stops[cell] != 1:
             return
         holders = self.tables.stop_vars[(i, a, b)]
         holders.add(k)
@@ -403,10 +414,11 @@ class CoverKernel(Kernel):
 
     def _cover_up(self, i: int, b: int, j: int, c: int) -> None:
         """One more cover of c for b; queue (i,b,j) once all of b's are covered."""
-        cell = (i, b, j, c)
-        self.covers[cell] += 1
+        covers = self.covers[(i, j)]
+        cell = pair_index(self.pos, i, b, j, c)
+        covers[cell] += 1
         self.updates += 1
-        if self.covers[cell] != 1 or c not in self.inst.rows[(i, j)][b]:
+        if covers[cell] != 1 or c not in self.inst.rows[(i, j)][b]:
             return
         values = self.uncovered[(i, b, j)]
         values.remove(c)
@@ -418,12 +430,13 @@ class CoverKernel(Kernel):
     def _cover_down(self, i: int, b: int, j: int, c: int) -> None:
         """One cover of c for b fewer.  A count falling below zero signals an
         internal-consistency bug."""
-        cell = (i, b, j, c)
-        self.covers[cell] -= 1
+        covers = self.covers[(i, j)]
+        cell = pair_index(self.pos, i, b, j, c)
+        covers[cell] -= 1
         self.updates += 1
-        left = self.covers[cell]
+        left = covers[cell]
         if left < 0:
-            raise RuntimeError(f"{self.COVERS}{cell} went negative")
+            raise RuntimeError(f"{self.COVERS}{(i, b, j, c)} went negative")
         if not left and c in self.inst.rows[(i, j)][b]:
             self.uncovered[(i, b, j)].add(c)
             self.updates += 1

@@ -300,7 +300,8 @@ def certify(
     allows removing b from D(x_i), or None.
 
     A given j is the conditioning variable of cns and scss and the
-    unsupported neighbour of ac; ns and ss ignore it.  Without j the
+    unsupported neighbour of ac.  ns and ss take no j: replay_sequence
+    rejects a step that gives them one, and replay_steps never writes one.  Without j the
     smallest that works is taken.  Each check is looked up when called, so
     a check replaced on the module is the one that runs.
     """

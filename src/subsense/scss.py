@@ -29,8 +29,10 @@ from .counters import subset1
 from .instance import Instance
 from .kernel import CoverKernel, SnakeKernel, conditioned
 from .trace import (
+    NS,
     RULES,
     SCSS,
+    SS,
     AcWitness,
     CnsWitness,
     EliminationRecord,
@@ -79,7 +81,10 @@ class ScssEngine(CoverKernel, SnakeKernel):
         return subset1(self.tables.stop_vars[(i, a, b)], j)
 
     def _reaches(self, i: int, a: int, j: int, c: int) -> bool:
-        return c in self.inst.rows[(i, j)][a] or self.tables.nb_subs[(i, a, j, c)] > 0
+        return (
+            c in self.inst.rows[(i, j)][a]
+            or self.tables.nb_subs[(i, j)][counters.pair_index(self.pos, i, a, j, c)] > 0
+        )
 
     def _unconstrained_witness(self, i: int, b: int) -> ScssWitness:
         # condition on the smallest other variable: with no constraint on
@@ -174,7 +179,8 @@ def replay_sequence(inst: Instance, steps, rules=None):
     ``steps`` holds (variable, value) or (variable, value, conditioning)
     tuples; ``rules`` is an optional parallel list of rule names, default
     ``scss``.  Conditioned rules are certified against the given
-    conditioning variable when one is present, otherwise against any.
+    conditioning variable when one is present, otherwise against any; an
+    ns or ss step with a third element fails.
     Returns the reduced instance and a trace carrying the certifying
     witnesses; raises ReplayError naming the first step that fails.
     """
@@ -196,14 +202,16 @@ def replay_sequence(inst: Instance, steps, rules=None):
         else:
             raise ValueError(f"step {pos}: expected (variable, value[, conditioning])")
         rule = rules[pos - 1]
+        if rule not in RULES:
+            raise ValueError(f"step {pos}: unknown rule {rule!r}")
+        if j is not None and rule in (NS, SS):
+            raise ReplayError(f"step {pos} ({rule}): the rule takes no third element, got {j}")
         for v in (i,) if j is None else (i, j):
             if not 0 <= v < cur.n:
                 raise ReplayError(f"step {pos} ({rule}): no variable with index {v}")
         label = f"step {pos} ({rule} at {cur.names[i]}={b})"
         if b not in cur.domain_set(i):
             raise ReplayError(f"{label}: value not in the current domain")
-        if rule not in RULES:
-            raise ValueError(f"step {pos}: unknown rule {rule!r}")
         witness = oracle.certify(rule, cur, i, b, j)
         if witness is None:
             raise ReplayError(f"{label}: the rule does not hold at this point")

@@ -112,10 +112,26 @@ def _int(value, what: str) -> int:
     return value
 
 
+def _key(key, what: str) -> int:
+    """A map key read back as an int: an int, or exactly the string that
+    json.dumps writes for one, so "1_0", " 3 " and "01" are not keys."""
+    if isinstance(key, str):
+        try:
+            value = int(key)
+        except ValueError:
+            value = None
+        if value is not None and str(value) == key:
+            return value
+    elif isinstance(key, int) and not isinstance(key, bool):
+        return key
+    raise ValueError(f"{what} keys must be integers, not {key!r}")
+
+
 def _reader(shape):
     """The function that reads a value of type ``shape`` back from its JSON
     form: an int, a witness dataclass, whose missing map fields read as
-    empty, or a Mapping[int, ...], whose JSON keys are strings."""
+    empty, or a Mapping[int, ...], whose JSON keys are the decimal strings
+    of ints."""
     if shape is int:
         return _int
     if is_dataclass(shape):
@@ -128,7 +144,7 @@ def _reader(shape):
             }
         )
     read = _reader(get_args(shape)[1])
-    return lambda obj, what: {int(k): read(v, what) for k, v in obj.items()}
+    return lambda obj, what: {_key(k, what): read(v, what) for k, v in obj.items()}
 
 
 def _as_is(value):

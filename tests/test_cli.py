@@ -294,6 +294,8 @@ def _verify_steps(tmp_path, steps):
     [
         [{"rule": "cns", "variable": 1, "value": 0, "witness": {"covers": {}}}],
         [{"rule": "scss", "variable": "0", "value": 0}],
+        [{"rule": "cns", "variable": 1, "value": 0,
+          "witness": {"conditioning": 0, "covers": {"1_0": 2}}}],
         5,
     ],
 )

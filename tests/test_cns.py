@@ -20,11 +20,13 @@ from conftest import corpus
 
 
 def test_counter_init_on_figures():
-    t = counters.build_cns(generators.figure1b())
+    inst = generators.figure1b()
+    t = counters.build_cns(inst)
     # eliminating 0 at x2 conditioned on x1: both compatible x1 values
     # have a cover, and x1 = 2 has exactly one (a = 1)
     assert t.uncovered[(1, 0, 0)] == set()
-    assert t.nb_covers[(1, 0, 0, 2)] == 1
+    edge, index = counters.slot(inst, "nb_covers", (1, 0, 0, 2))
+    assert t.nb_covers[edge][index] == 1
     # nothing is conditioned-substitutable anywhere in figure1a
     ta = counters.build_cns(generators.figure1a())
     assert all(ta.uncovered[cell] for cell in ta.uncovered)

@@ -37,8 +37,8 @@ def test_verify_tables_accepts_fresh_tables():
 def test_verify_tables_rejects_a_corrupted_count():
     inst = generators.figure1b()
     t = counters.build_ss(inst)
-    cell = next(iter(t.nb_stops))
-    t.nb_stops[cell] += 1
+    edge, index = counters.slot(inst, "nb_stops", (0, 1, 0, 1))
+    t.nb_stops[edge][index] += 1
     with pytest.raises(counters.CounterMismatch):
         counters.verify_tables(inst, nb_stops=t.nb_stops)
 
@@ -68,11 +68,17 @@ def test_verify_tables_rechecks_every_table_alone(name):
     inst = generators.figure1c()
     table = getattr(counters.build(inst, name), name)
     counters.verify_tables(inst, **{name: table})
-    cell, value = next(iter(table.items()))
-    table[cell] = _corrupt(value)
+    key, value = next(iter(_reference(inst)[name][0].items()))
+    if name in counters.FLAT_COUNTS:
+        # a flat table: one slot of one per-edge list, then the whole list
+        cells, index = counters.slot(inst, name, key)
+        table[cells][index] = _corrupt(value)
+    else:
+        cells, index = key, key
+        table[key] = _corrupt(value)
     with pytest.raises(counters.CounterMismatch, match="definition gives"):
         counters.verify_tables(inst, **{name: table})
-    del table[cell]
+    del table[cells]
     with pytest.raises(counters.CounterMismatch, match="cell missing"):
         counters.verify_tables(inst, **{name: table})
 
@@ -95,16 +101,24 @@ def test_build_adds_exactly_what_the_named_tables_read():
 
 
 def test_verify_tables_ignores_dead_cells():
-    # cells for removed values linger in the kept tables; only cells the
-    # fresh build produces are compared
+    # slots and cells for removed values linger in the kept tables; only
+    # the cells the fresh set-builders produce are compared
     inst = generators.figure1b()
-    t = counters.build_ss(inst)
     smaller = inst.remove_value(1, 0)
-    fresh = counters.build_ss(smaller)
-    merged = dict(fresh.nb_stops)
-    for cell, count in t.nb_stops.items():
-        merged.setdefault(cell, count)
-    counters.verify_tables(smaller, nb_stops=merged)
+    t = counters.build_ss(smaller)
+    ref = _reference(smaller)
+    for name in ("nb_blocks", "nb_subs", "nb_stops"):
+        table = getattr(t, name)
+        live = {counters.slot(smaller, name, key) for key in ref[name][0]}
+        dead = [(edge, i) for edge, cells in table.items() for i in range(len(cells))
+                if (edge, i) not in live]
+        assert dead, name
+        for edge, i in dead:
+            table[edge][i] = -7
+        counters.verify_tables(smaller, **{name: table})
+    stale = counters.build_ss(inst)
+    t.block_vars.update((key, {-1}) for key in stale.block_vars if key not in t.block_vars)
+    counters.verify_tables(smaller, block_vars=t.block_vars)
 
 
 def test_debug_flag_reads_environment(monkeypatch):
@@ -131,20 +145,43 @@ def _reference(inst):
     return built
 
 
-def assert_bitmask_builders_match(inst):
+def _flat_cells(inst, name, table, keys):
+    """The cells of the flat count table ``name`` at ``keys``, read through
+    counters.slot."""
+    cells = {}
+    for key in keys:
+        edge, index = counters.slot(inst, name, key)
+        cells[key] = table[edge][index]
+    return cells
+
+
+def assert_flat_builders_match(inst):
+    # each flat builder, fed the reference tables it reads (flat counts in
+    # their flat form), and build() equal the set-builders on every live
+    # cell, with the same probes
     ref = _reference(inst)
     masks = counters.value_masks(inst)
-    for name, bitmask in counters.BITMASK.items():
-        reads = counters.TABLES[name][1]
-        table, probes = bitmask(inst, masks, *(ref[r][0] for r in reads))
-        want, want_probes = ref[name]
-        assert list(table) == list(want), f"{inst.name} {name}: key order"
-        assert table == want, f"{inst.name} {name}: cells"
-        assert probes == want_probes, f"{inst.name} {name}: probes"
     built = counters.build(inst, *counters.TABLES)
-    assert vars(built) == {name: t for name, (t, _) in ref.items()} | {
-        "probes": sum(p for _, p in ref.values())
-    }
+    flat = {}
+    for name, (want, want_probes) in ref.items():
+        got = getattr(built, name)
+        if name in counters.FLAT:
+            reads = [flat[r] if r in counters.FLAT_COUNTS else ref[r][0]
+                     for r in counters.TABLES[name][1]]
+            table, probes = counters.FLAT[name](inst, masks, *reads)
+            assert probes == want_probes, f"{inst.name} {name}: probes"
+            flat[name] = table
+        else:
+            table = got
+        if name in counters.FLAT_COUNTS:
+            assert set(table) == set(counters.oriented_edges(inst)), f"{inst.name} {name}: lists"
+            assert _flat_cells(inst, name, table, want) == want, f"{inst.name} {name}: cells"
+            assert _flat_cells(inst, name, got, want) == want, f"{inst.name} {name}: build"
+        else:
+            assert list(table) == list(want), f"{inst.name} {name}: key order"
+            assert table == want, f"{inst.name} {name}: cells"
+            assert got == want, f"{inst.name} {name}: build"
+    assert built.probes == sum(p for _, p in ref.values())
 
 
 def _partly_reduced(inst):
@@ -164,7 +201,7 @@ def _with_ac(instances):
             yield ac
 
 
-BITMASK_INPUTS = {
+FLAT_INPUTS = {
     "figures": lambda: [generators.figure1a(), generators.figure1b(),
                         generators.figure1c()],
     "gadgets": lambda: [
@@ -174,6 +211,15 @@ BITMASK_INPUTS = {
     ],
     "corpus-0": lambda: _with_ac(corpus(seeds=(0,))),
     "corpus-1": lambda: _with_ac(corpus(seeds=(1,))),
+    "relabelled": lambda: [
+        make_instance("spread", [(3, 17, 40), (3, 17, 40), (5, 9)],
+                      {(0, 1): [(3, 17), (17, 17), (40, 3), (40, 40)],
+                       (1, 2): [(3, 5), (17, 9), (40, 5)], (0, 2): [(3, 9), (40, 5)]}),
+        *(_partly_reduced(_relabel(inst, seed)) if seed % 2 else _relabel(inst, seed)
+          for seed, inst in enumerate([generators.figure1c(), generators.geq_chain(8),
+                                       generators.random_instance(10, 6, 0.5, 0.6, 3),
+                                       *corpus(seeds=(3,))]))
+    ],
     "partly-reduced": lambda: [
         _partly_reduced(inst)
         for inst in [generators.figure1c(), generators.geq_chain(8),
@@ -184,10 +230,10 @@ BITMASK_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("inputs", list(BITMASK_INPUTS))
+@pytest.mark.parametrize("inputs", list(FLAT_INPUTS))
 def test_bitmask_builders_equal_the_set_builders(inputs):
-    for inst in BITMASK_INPUTS[inputs]():
-        assert_bitmask_builders_match(inst)
+    for inst in FLAT_INPUTS[inputs]():
+        assert_flat_builders_match(inst)
 
 
 def _relabel(inst, seed):
@@ -223,4 +269,4 @@ def test_bitmask_builders_equal_the_set_builders_on_sparse_labels(
     inst = _relabel(inst, relabel_seed)
     if reduce:
         inst = _partly_reduced(inst)
-    assert_bitmask_builders_match(inst)
+    assert_flat_builders_match(inst)

@@ -318,7 +318,7 @@ def test_derived_snapshots_share_and_leave_the_parent_alone(inst, data):
     for child, changed in children:
         assert child is not parent
         for attr in ("names", "original_domains", "edges", "rows",
-                     "_orig_sets", "_neighbors"):
+                     "positions", "_neighbors"):
             assert getattr(child, attr) is getattr(parent, attr)
         for k in range(parent.n):
             if k not in changed:

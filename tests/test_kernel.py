@@ -2,7 +2,7 @@
 
 import pytest
 
-from subsense import generators
+from subsense import counters, generators
 from subsense.cns import CnsEngine
 from subsense.scss import ScssEngine
 
@@ -19,11 +19,21 @@ def _cover_engine(make):
     b = inst.domains[0][0]
     c = min(inst.rows[(0, 1)][b])
     engine = make(inst)
-    engine.covers[(0, b, 1, c)] = 1
+    _set_cover(engine, (0, b, 1, c), 1)
     engine.uncovered[(0, b, 1)] = set()
     engine.conditioned_work.clear()
     engine.updates = 0
     return engine, (0, b, 1, c)
+
+
+def _set_cover(engine, cell, count):
+    edge, index = counters.slot(engine.inst, engine.COVERS, cell)
+    engine.covers[edge][index] = count
+
+
+def _cover(engine, cell):
+    edge, index = counters.slot(engine.inst, engine.COVERS, cell)
+    return engine.covers[edge][index]
 
 
 @pytest.mark.parametrize("rule", sorted(ENGINES))
@@ -33,14 +43,14 @@ def test_cover_steps_keep_the_uncovered_set_and_the_worklist(rule):
     engine._cover_down(*cell)
     # the count and the uncovered set
     assert engine.updates == 2
-    assert engine.covers[cell] == 0
+    assert _cover(engine, cell) == 0
     assert engine.uncovered[(i, b, j)] == {c}
     assert not engine.conditioned_work
     engine.updates = 0
     engine._cover_up(*cell)
     # the count, the uncovered set and the push of the emptied triple
     assert engine.updates == 3
-    assert engine.covers[cell] == 1
+    assert _cover(engine, cell) == 1
     assert engine.uncovered[(i, b, j)] == set()
     assert list(engine.conditioned_work) == [(i, b, j)]
 
@@ -48,7 +58,7 @@ def test_cover_steps_keep_the_uncovered_set_and_the_worklist(rule):
 @pytest.mark.parametrize("rule", sorted(ENGINES))
 def test_cover_underflow_is_an_error(rule):
     engine, cell = _cover_engine(ENGINES[rule])
-    engine.covers[cell] = 0
+    _set_cover(engine, cell, 0)
     with pytest.raises(RuntimeError, match="went negative"):
         engine._cover_down(*cell)
 

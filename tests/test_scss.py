@@ -5,6 +5,7 @@ import pytest
 from subsense import (
     NS,
     SCSS,
+    SS,
     ReplayError,
     check_scss,
     counters,
@@ -14,8 +15,10 @@ from subsense import (
     ns_to_convergence,
     replay_sequence,
     scss_to_convergence,
+    ss_to_convergence,
 )
 from subsense.oracle import is_scss, scss_conditionings, solvable, solve
+from subsense.scss import replay_steps
 
 from conftest import corpus
 
@@ -183,6 +186,22 @@ def test_replay_rejects_missing_value():
         replay_sequence(generators.figure1a(), [(0, 0), (0, 0)], [SCSS, SCSS])
     with pytest.raises(ReplayError):
         replay_sequence(generators.figure1a(), [(0, 5)])
+
+
+@pytest.mark.parametrize("rule", [NS, SS])
+def test_replay_rejects_a_third_element_on_ns_and_ss_steps(rule):
+    # x1 = 0 is plainly substitutable by 1 on this two-variable instance
+    inst = make_instance("two", [(0, 1), (0, 1)], {(0, 1): [(0, 0), (1, 0), (1, 1)]})
+    reduced, _ = replay_sequence(inst, [(0, 0)], [rule])
+    assert reduced.domains == ((1,), (0, 1))
+    for step in ((0, 0, 0), (0, 0, 1), (0, 0, 5)):
+        with pytest.raises(ReplayError, match="takes no third element"):
+            replay_sequence(inst, [step], [rule])
+    # the steps an engine's trace replays as never give ns or ss one
+    _, trace, _ = ss_to_convergence(generators.figure1a())
+    steps, rules = replay_steps(trace)
+    assert {NS, SS} & set(rules)
+    assert all(len(step) == 2 for step, r in zip(steps, rules) if r in (NS, SS))
 
 
 def test_replay_validates_arguments():

@@ -21,15 +21,22 @@ from subsense.ss import SsEngine
 from conftest import corpus
 
 
+def _cell(inst, tables, name, key):
+    edge, index = counters.slot(inst, name, key)
+    return getattr(tables, name)[edge][index]
+
+
 def test_counter_init_on_figures():
-    t = counters.build_ss(generators.figure1b())
+    inst = generators.figure1b()
+    t = counters.build_ss(inst)
     # replacing 0 by 1 at x2 is blocked once at x1 (by f=1) and never at x3
-    assert t.nb_blocks[(1, 0, 1, 0)] == 1
-    assert t.nb_blocks[(1, 0, 1, 2)] == 0
+    assert _cell(inst, t, "nb_blocks", (1, 0, 1, 0)) == 1
+    assert _cell(inst, t, "nb_blocks", (1, 0, 1, 2)) == 0
     assert t.block_vars[(1, 0, 1)] == {0}
-    # substitute counts exist only for incompatible (a, d) pairs
-    assert t.nb_subs[(0, 1, 1, 1)] == 1
-    assert (0, 1, 1, 0) not in t.nb_subs
+    # substitute counts are defined only for incompatible (a, d) pairs; the
+    # flat slot of a compatible pair is never read
+    assert _cell(inst, t, "nb_subs", (0, 1, 1, 1)) == 1
+    assert (0, 1, 1, 0) not in counters.compute_nb_subs(inst, t.block_vars)[0]
     # x1's extreme values are snake substitutable by the middle one
     assert {b: t.nb_snake[(0, b)] for b in (0, 1, 2)} == {0: 1, 1: 0, 2: 1}
 
@@ -43,7 +50,9 @@ def _cascade_engine(nb_stops, stop_vars, nb_snake):
     # an ss engine whose own tables hold the given values in the three cells
     # the stop cascade reads
     engine = SsEngine(generators.figure1a())
-    engine.tables.nb_stops.update(nb_stops)
+    for key, count in nb_stops.items():
+        edge, index = counters.slot(engine.inst, "nb_stops", key)
+        engine.tables.nb_stops[edge][index] = count
     engine.tables.stop_vars.update(stop_vars)
     engine.tables.nb_snake.update(nb_snake)
     engine.updates = 0
@@ -53,32 +62,33 @@ def _cascade_engine(nb_stops, stop_vars, nb_snake):
 
 
 def test_stop_cascade_and_callback():
-    cell = (0, 1, 0, 2)  # replacing b=0 by a=1 at x1, stop at x3
-    engine = _cascade_engine({cell: 1}, {(0, 1, 0): {2}}, {(0, 0): 0})
+    cell = (0, 1, 0, 3)  # replacing b=0 by a=1 at x1, stop at x4
+    engine = _cascade_engine({cell: 1}, {(0, 1, 0): {3}}, {(0, 0): 0})
     tables = engine.tables
-    engine.dec_stops(0, 1, 0, 2)
+    engine.dec_stops(0, 1, 0, 3)
     # nb_stops, stop_vars, nb_snake and the low-class push
     assert list(engine.low) == [(0, 0)]
     assert engine.updates == 4
-    assert tables.nb_stops[cell] == 0
+    assert _cell(engine.inst, tables, "nb_stops", cell) == 0
     assert tables.stop_vars[(0, 1, 0)] == set()
     assert tables.nb_snake[(0, 0)] == 1
     # the mirror restores every level
     engine.updates = 0
-    engine.inc_stops(0, 1, 0, 2)
+    engine.inc_stops(0, 1, 0, 3)
     assert engine.updates == 3
-    assert tables.nb_stops[cell] == 1
-    assert tables.stop_vars[(0, 1, 0)] == {2}
+    assert _cell(engine.inst, tables, "nb_stops", cell) == 1
+    assert tables.stop_vars[(0, 1, 0)] == {3}
     assert tables.nb_snake[(0, 0)] == 0
 
 
 def test_stop_cascade_underflow_is_an_error():
-    engine = _cascade_engine({(0, 1, 0, 2): 0}, {(0, 1, 0): set()}, {(0, 0): 0})
+    engine = _cascade_engine({(0, 1, 0, 3): 0}, {(0, 1, 0): set()}, {(0, 0): 0})
     with pytest.raises(RuntimeError):
-        engine.dec_stops(0, 1, 0, 2)
-    engine.tables.nb_stops[(0, 1, 0, 2)] = 0
+        engine.dec_stops(0, 1, 0, 3)
+    edge, index = counters.slot(engine.inst, "nb_stops", (0, 1, 0, 3))
+    engine.tables.nb_stops[edge][index] = 0
     with pytest.raises(RuntimeError):
-        engine.inc_stops(0, 1, 0, 2)
+        engine.inc_stops(0, 1, 0, 3)
 
 
 def test_ss_requires_arc_consistency():

@@ -88,6 +88,10 @@ def test_trace_rejects_malformed_objects():
         {"steps": [_step(value=True)]},
         {"steps": [_step(step="one")]},
         {"steps": [_step(witness={"covers": {"2": 1}})]},
+        # map keys must be the decimal form json.dumps writes for an int
+        *({"steps": [_step(witness={"conditioning": 1, "covers": {key: 2}})]}
+          for key in ("1_0", " 3 ", "01", "+1", "-0", "\uff11", "", "1.0", "0x1")),
+        {"steps": [_step(rule="ss", witness={"substitute": 0, "swaps": {"1": {"0_0": 1}}})]},
         {"steps": [_step(witness={"conditioning": "1"})]},
         {"steps": [_step(rule="ss", witness={"substitute": 0, "swaps": [1]})]},
         {"steps": [_step(rule="ns", witness={"substitute": "0"})]},
