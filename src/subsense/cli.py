@@ -253,6 +253,8 @@ def cmd_bench(args) -> int:
         d_values = [int(token) for token in str(args.d).split(",")]
     except ValueError:
         return _fail(f"bad --d list {args.d!r}")
+    if args.seeds < 1:
+        return _fail(f"--seeds must be at least 1, not {args.seeds}")
     # run a family once per parameter it reads; unread columns stay empty
     seeded = args.family == "random"
     if args.family not in ("random", "cnsvsns"):

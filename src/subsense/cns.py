@@ -18,7 +18,7 @@ block_vars(p,b,a) fits inside {q}, which the block pass reports through
 from __future__ import annotations
 
 from .acns import require_arc_consistent
-from .counters import subset1
+from .counters import pair_index
 from .instance import Instance
 from .kernel import CoverKernel, Substitutions
 from .trace import CNS, NS, CnsWitness, ReductionReport, Trace
@@ -41,7 +41,7 @@ class CnsEngine(CoverKernel, Substitutions):
         return self._pop_conditioned() or self._pop_substitution()
 
     def _fits(self, i: int, b: int, a: int, j: int) -> bool:
-        return subset1(self.tables.block_vars[(i, b, a)], j)
+        return not self.tables.block_vars[i][pair_index(self.pos, i, b, i, a)] & ~self.nbit[i][j]
 
     def _reaches(self, i: int, a: int, j: int, c: int) -> bool:
         return c in self.inst.rows[(i, j)][a]

@@ -9,13 +9,13 @@ everything they read, in TABLES order, and returns them as one Tables
 object.  Engine initialisation calls the build_* helpers, one per rule,
 which only name the rule's tables.
 
-build() computes nine of the tables with the flat builders of FLAT, from
+build() computes ten of the tables with the flat builders of FLAT, from
 per-edge value masks (Masks) that it makes once per call and drops after
-it.  nb_snake and inconsistent come from their set-builders.  The
-set-builders stay the reference: verify_tables rebuilds every table with
-them, so with SUBSENSE_DEBUG_RECOMPUTE=1 the engines compare the flat build
-plus every incremental update, cell by cell, against the definitions after
-each elimination.  That recheck is what makes the incremental bookkeeping
+it.  inconsistent comes from its set-builder.  The set-builders stay the
+reference: verify_tables rebuilds every table with them, so with
+SUBSENSE_DEBUG_RECOMPUTE=1 the engines compare the flat build plus every
+incremental update, cell by cell, against the definitions after each
+elimination.  That recheck is what makes the incremental bookkeeping
 trustworthy.
 
 Vocabulary, for a candidate replacement of value b by value a at variable
@@ -34,18 +34,27 @@ x_i (indices as in Instance.arrow / Instance.snake_arrow):
 
 Each variable has a value index that no elimination changes: the position
 of a value in its original domain (Instance.positions), since relations are
-stored over the original domains.  The five count tables (nb_blocks,
-nb_subs, nb_stops, nb_covers, nb_snake_covers) are flat: a dict from each
-oriented edge to one list of ints, with one slot per pair of value
-positions, which slot() maps a definition key to.  Each count is an
-int.bit_count() over the masks, and one list comprehension fills an edge's
-list.  A slot indexed by an eliminated value, or by a pair the definition
-leaves out (the compatible pairs of nb_subs), is dead: it holds whatever
-the build or the updates left there, engines never read it, and
-comparisons skip it.  The other six tables are dicts keyed by tuples, and
-their cells exist for every live index tuple; a missing cell on lookup is
-a bug, never an implicit zero.  Cells indexed by an eliminated value go
-stale and are likewise never read.
+stored over the original domains.  Nine tables are flat, laid out as LAYOUT
+states and read through cell():
+
+- the five count tables (nb_blocks, nb_subs, nb_stops, nb_covers,
+  nb_snake_covers): a dict from each oriented edge to one list of ints,
+  with one slot per pair of value positions;
+- the holder tables (block_vars, stop_vars): a dict from each variable x_k
+  to one list with a slot per pair of its value positions, as nb_blocks
+  has, each an int mask with bit t for the t-th neighbour of x_k;
+- the uncovered tables (uncovered, not_snake_covered): a dict from each
+  oriented edge (i,j) to one list with a slot per value position of x_i,
+  each an int mask over the value positions of x_j.
+
+Each count is an int.bit_count() over the masks, and one list
+comprehension fills a list.  A slot indexed by an eliminated value, or by
+a pair the definition leaves out (the compatible pairs of nb_subs), is
+dead: it holds whatever the build or the updates left there, engines never
+read it, and comparisons skip it.  nb_snake and inconsistent are dicts
+keyed by (variable, value), with a cell for every live value; a missing
+cell on lookup is a bug, never an implicit zero.  Cells indexed by an
+eliminated value go stale and are likewise never read.
 
 Each build step also reports how many elementary membership probes the
 set-builder evaluation performs; engines fold that into their update
@@ -65,7 +74,7 @@ from typing import Callable, Iterator, NamedTuple
 from .instance import Instance
 
 Count = dict
-VarSet = dict
+Sets = dict
 Flat = dict
 
 DEBUG_ENV = "SUBSENSE_DEBUG_RECOMPUTE"
@@ -81,12 +90,6 @@ def oriented_edges(inst: Instance) -> Iterator[tuple[int, int]]:
     for i, j in inst.edges:
         yield i, j
         yield j, i
-
-
-def subset1(s: set, only: int) -> bool:
-    """s ⊆ {only} without building a set."""
-    n = len(s)
-    return n == 0 or (n == 1 and only in s)
 
 
 def compute_nb_blocks(inst: Instance) -> tuple[Count, int]:
@@ -109,7 +112,7 @@ def compute_nb_blocks(inst: Instance) -> tuple[Count, int]:
     return table, probes
 
 
-def compute_holders(inst: Instance, counts: Count) -> tuple[VarSet, int]:
+def compute_holders(inst: Instance, counts: Count) -> tuple[Sets, int]:
     """The neighbours where a 4-index count is still positive, for every
     ordered pair of one variable's values:
 
@@ -117,7 +120,7 @@ def compute_holders(inst: Instance, counts: Count) -> tuple[VarSet, int]:
       empty means d is substitutable by e.
     - stop_vars[i,a,b] = neighbours x_k of x_i with nb_stops[i,a,b,k] > 0,
       the neighbours holding at least one stop."""
-    table: VarSet = {}
+    table: Sets = {}
     probes = 0
     for k in range(inst.n):
         nbrs = inst.neighbors(k)
@@ -132,7 +135,7 @@ def compute_holders(inst: Instance, counts: Count) -> tuple[VarSet, int]:
     return table, probes
 
 
-def compute_nb_subs(inst: Instance, block_vars: VarSet) -> tuple[Count, int]:
+def compute_nb_subs(inst: Instance, block_vars: Sets) -> tuple[Count, int]:
     """nb_subs[i,a,k,d] = number of subs e for d at x_k in the context of
     substituting by a at x_i; stored only where (a,d) is disallowed."""
     table: Count = {}
@@ -147,7 +150,7 @@ def compute_nb_subs(inst: Instance, block_vars: VarSet) -> tuple[Count, int]:
                 cnt = 0
                 for e in inst.domains[k]:
                     probes += 1
-                    if e in allowed and subset1(block_vars[(k, d, e)], i):
+                    if e in allowed and block_vars[(k, d, e)] <= {i}:
                         cnt += 1
                 table[(i, a, k, d)] = cnt
     return table, probes
@@ -175,7 +178,7 @@ def compute_nb_stops(inst: Instance, nb_subs: Count) -> tuple[Count, int]:
     return table, probes
 
 
-def compute_nb_snake(inst: Instance, stop_vars: VarSet) -> tuple[Count, int]:
+def compute_nb_snake(inst: Instance, stop_vars: Sets) -> tuple[Count, int]:
     """nb_snake[i,b] = number of values a != b with no stop variable, i.e.
     the number of ways to eliminate b by a (possibly swapped) replacement."""
     table: Count = {}
@@ -210,7 +213,7 @@ def compute_inconsistent(inst: Instance) -> tuple[Count, int]:
     return table, probes
 
 
-def compute_nb_covers(inst: Instance, block_vars: VarSet) -> tuple[Count, int]:
+def compute_nb_covers(inst: Instance, block_vars: Sets) -> tuple[Count, int]:
     """nb_covers[i,b,j,c] = number of values a != b compatible with c and
     blocked at most at x_j: the covers for conditioning value c."""
     table: Count = {}
@@ -224,20 +227,20 @@ def compute_nb_covers(inst: Instance, block_vars: VarSet) -> tuple[Count, int]:
                     if a == b:
                         continue
                     probes += 1
-                    if c in row[a] and subset1(block_vars[(i, b, a)], j):
+                    if c in row[a] and block_vars[(i, b, a)] <= {j}:
                         cnt += 1
                 table[(i, b, j, c)] = cnt
     return table, probes
 
 
-def compute_uncovered(inst: Instance, covers: Count) -> tuple[VarSet, int]:
+def compute_uncovered(inst: Instance, covers: Count) -> tuple[Sets, int]:
     """The conditioning values compatible with b that have no cover, for
     every edge {i,j} and b in D(x_i); empty means b is eliminable
     conditioned by x_j:
 
     - uncovered[i,b,j] reads the cover counts nb_covers.
     - not_snake_covered[i,b,j] reads the snake-cover counts nb_snake_covers."""
-    table: VarSet = {}
+    table: Sets = {}
     probes = 0
     for i, j in oriented_edges(inst):
         row = inst.rows[(i, j)]
@@ -253,7 +256,7 @@ def compute_uncovered(inst: Instance, covers: Count) -> tuple[VarSet, int]:
 
 
 def compute_nb_snake_covers(
-    inst: Instance, nb_subs: Count, stop_vars: VarSet
+    inst: Instance, nb_subs: Count, stop_vars: Sets
 ) -> tuple[Count, int]:
     """nb_snake_covers[i,b,j,c] = number of values a != b that either take c
     directly or have a sub for it, and stop at most at x_j."""
@@ -268,9 +271,8 @@ def compute_nb_snake_covers(
                     if a == b:
                         continue
                     probes += 1
-                    if (c in row[a] or nb_subs[(i, a, j, c)] > 0) and subset1(
-                        stop_vars[(i, a, b)], j
-                    ):
+                    takes = c in row[a] or nb_subs[(i, a, j, c)] > 0
+                    if takes and stop_vars[(i, a, b)] <= {j}:
                         cnt += 1
                 table[(i, b, j, c)] = cnt
     return table, probes
@@ -296,20 +298,6 @@ TABLES: dict[str, tuple[Callable[..., tuple[dict, int]], tuple[str, ...]]] = {
 # -- flat builders ------------------------------------------------------------
 
 
-# The count tables build() stores flat, each mapped to whether its second
-# value sits at the far end of the edge: a key (i, v, k, w) has v at x_i and
-# w at x_k, a key (k, v, w, l) has both values at x_k.  Either way the cell
-# is the list of the oriented edge, (i, k) or (k, l), at the pair_index of
-# its two values.
-FLAT_COUNTS = {
-    "nb_blocks": False,
-    "nb_subs": True,
-    "nb_stops": False,
-    "nb_covers": True,
-    "nb_snake_covers": True,
-}
-
-
 def pair_index(pos: tuple[dict[int, int], ...], i: int, v: int, k: int, w: int) -> int:
     """The list index of the pair of v at x_i and w at x_k in the value
     index ``pos`` (Instance.positions): one row of |original D(x_k)| slots
@@ -318,14 +306,71 @@ def pair_index(pos: tuple[dict[int, int], ...], i: int, v: int, k: int, w: int) 
     return pos[i][v] * len(pos_k) + pos_k[w]
 
 
-def slot(inst: Instance, name: str, key: tuple[int, int, int, int]) -> tuple[tuple[int, int], int]:
-    """The oriented edge and list index that hold the cell ``key`` of the
-    flat count table ``name``."""
-    if FLAT_COUNTS[name]:
-        i, v, k, w = key
-        return (i, k), pair_index(inst.positions, i, v, k, w)
-    k, v, w, l = key
-    return (k, l), pair_index(inst.positions, k, v, k, w)
+# How build() lays out each table it stores flat: a function from the value
+# index and a definition key to the key of the list that holds the cell and
+# the index in that list.
+def _across(pos, i, v, k, w):
+    # v at x_i, w at the far end of the oriented edge (i, k)
+    return (i, k), pair_index(pos, i, v, k, w)
+
+
+def _along(pos, k, v, w, l):
+    # both values at x_k, counted at the neighbour x_l
+    return (k, l), pair_index(pos, k, v, k, w)
+
+
+def _pair(pos, k, v, w):
+    # both values at x_k: one list per variable
+    return k, pair_index(pos, k, v, k, w)
+
+
+def _value(pos, i, b, j):
+    # one slot per value of x_i, for the edge (i, j)
+    return (i, j), pos[i][b]
+
+
+LAYOUT: dict[str, Callable[..., tuple]] = {
+    "nb_blocks": _along,
+    "block_vars": _pair,
+    "nb_subs": _across,
+    "nb_stops": _along,
+    "stop_vars": _pair,
+    "nb_covers": _across,
+    "uncovered": _value,
+    "nb_snake_covers": _across,
+    "not_snake_covered": _value,
+}
+
+# The mask tables, each mapped to what bit t of a cell stands for: the t-th
+# neighbour of x_k for a holder cell (k, d, e), the value at position t of
+# the original D(x_j) for an uncovered cell (i, b, j).
+MASKS: dict[str, Callable[[Instance, tuple], tuple[int, ...]]] = {
+    "block_vars": lambda inst, key: inst.neighbors(key[0]),
+    "stop_vars": lambda inst, key: inst.neighbors(key[0]),
+    "uncovered": lambda inst, key: inst.original_domains[key[2]],
+    "not_snake_covered": lambda inst, key: inst.original_domains[key[2]],
+}
+
+
+def slot(inst: Instance, name: str, key: tuple) -> tuple:
+    """The list key (an oriented edge or a variable) and the list index that
+    hold the cell ``key`` of the flat table ``name``."""
+    return LAYOUT[name](inst.positions, *key)
+
+
+def cell(inst: Instance, name: str, table: Flat, key: tuple):
+    """The cell ``key`` of the flat table ``name`` in the form its
+    set-builder gives: the count, or the set a mask has a bit for.  Raises
+    LookupError when the table has no such cell, and CounterMismatch for a
+    mask with a bit that stands for no neighbour or value."""
+    where, index = slot(inst, name, key)
+    value = table[where][index]
+    if name not in MASKS:
+        return value
+    labels = MASKS[name](inst, key)
+    if value >> len(labels):
+        raise CounterMismatch(f"{name}{key}: mask {value:#b} has a bit past {len(labels)}")
+    return {x for t, x in enumerate(labels) if value >> t & 1}
 
 
 class Masks(NamedTuple):
@@ -341,6 +386,14 @@ class Masks(NamedTuple):
     # position p of x_i, 0 when a is not in D(x_i); for both orientations of
     # every edge
     row: dict[tuple[int, int], list[int]]
+    # nbit[k][l] = the bit of the neighbour x_l in the holder masks of x_k
+    nbit: tuple[dict[int, int], ...]
+
+
+def neighbour_bits(inst: Instance) -> tuple[dict[int, int], ...]:
+    """nbit[k][l] = 1 << t for the t-th neighbour x_l of x_k: the bit that
+    stands for x_l in a holder mask of x_k."""
+    return tuple({l: 1 << t for t, l in enumerate(inst.neighbors(k))} for k in range(inst.n))
 
 
 def value_masks(inst: Instance) -> Masks:
@@ -363,37 +416,42 @@ def value_masks(inst: Instance) -> Masks:
             forth[pos_i[a]] = ma
         row[(i, j)] = forth
         row[(j, i)] = back
-    return Masks(tuple(sum(b.values()) for b in bit), row)
+    return Masks(tuple(sum(b.values()) for b in bit), row, neighbour_bits(inst))
 
 
 def _bits(size: int) -> list[int]:
     return [1 << p for p in range(size)]
 
 
-def _fits(inst: Instance, masks: Masks, holders: VarSet, transposed=False) -> list:
-    """fits[k][p] = (free, only) for the holder sets (block_vars or
+def _fits(inst: Instance, holders: Flat, transposed=False) -> list:
+    """fits[k][p] = (free, only) for the holder masks (block_vars or
     stop_vars) of the pairs (v,w), or transposed (w,v), of D(x_k), where v
     is the value at position p: free is the mask of the w != v whose holder
-    set is empty, only[l] the mask of those whose holder set is {l}.  The w
-    whose holder set fits inside {l} are then free | only.get(l, 0).  Dead
-    positions hold (0, {})."""
+    mask is empty, only[h] the mask of those whose holder mask is the one
+    neighbour bit h.  The w whose holders fit inside {x_l} are then
+    free | only.get(bit of x_l, 0).  Dead positions hold (0, {})."""
     fits = []
     for k, dom in enumerate(inst.domains):
         pos_k = inst.positions[k]
-        row = [(0, {})] * len(pos_k)
+        size = len(pos_k)
+        held = holders[k]
+        row = [(0, {})] * size
         for v in dom:
+            pv = pos_k[v]
+            # the holder masks of v's pairs, by the position of w
+            cells = held[pv::size] if transposed else held[pv * size : (pv + 1) * size]
             free = 0
             only: dict[int, int] = {}
             for w in dom:
                 if w == v:
                     continue
-                held = holders[(k, w, v) if transposed else (k, v, w)]
-                if not held:
-                    free |= 1 << pos_k[w]
-                elif len(held) == 1:
-                    (l,) = held
-                    only[l] = only.get(l, 0) | 1 << pos_k[w]
-            row[pos_k[v]] = free, only
+                pw = pos_k[w]
+                h = cells[pw]
+                if not h:
+                    free |= 1 << pw
+                elif h.bit_count() == 1:
+                    only[h] = only.get(h, 0) | 1 << pw
+            row[pv] = free, only
         fits.append(row)
     return fits
 
@@ -411,40 +469,34 @@ def flat_nb_blocks(inst: Instance, masks: Masks) -> tuple[Flat, int]:
     return table, probes
 
 
-def flat_holders(inst: Instance, masks: Masks, counts: Flat) -> tuple[VarSet, int]:
-    """compute_holders over a flat table of pairs of one variable's values:
-    each neighbour x_l joins the holder sets of the slots where the list of
+def flat_holders(inst: Instance, masks: Masks, counts: Flat) -> tuple[Flat, int]:
+    """compute_holders as masks: the list of x_k holds, at the slot of each
+    pair of its values, the bit of every neighbour x_l where the list of
     (k,l) is positive."""
-    table: VarSet = {}
+    table: Flat = {}
     probes = 0
     for k, dom in enumerate(inst.domains):
         nbrs = inst.neighbors(k)
-        pos_k = inst.positions[k]
-        size = len(pos_k)
-        held: list[set] = [set() for _ in range(size * size)]
-        slots = range(size * size)
+        held = [0] * len(inst.positions[k]) ** 2
         for l in nbrs:
-            for s in compress(slots, counts[(k, l)]):
-                held[s].add(l)
-        for d in dom:
-            base = pos_k[d] * size
-            for e in dom:
-                if e != d:
-                    table[(k, d, e)] = held[base + pos_k[e]]
+            bit = masks.nbit[k][l]
+            held = [h | bit if c else h for h, c in zip(held, counts[(k, l)])]
+        table[k] = held
         probes += len(dom) * (len(dom) - 1) * len(nbrs)
     return table, probes
 
 
-def flat_nb_subs(inst: Instance, masks: Masks, block_vars: VarSet) -> tuple[Flat, int]:
+def flat_nb_subs(inst: Instance, masks: Masks, block_vars: Flat) -> tuple[Flat, int]:
     """compute_nb_subs as the popcount of a's row mask and the mask of the
     e that d may be replaced by, blocked at most at x_i.  The slots of the
     compatible pairs (a,d), which compute_nb_subs leaves out, are never
     read."""
-    fits = _fits(inst, masks, block_vars)
+    fits = _fits(inst, block_vars)
     table: Flat = {}
     probes = 0
     for i, k in oriented_edges(inst):
-        fit = [free | only.get(i, 0) for free, only in fits[k]]
+        bit_i = masks.nbit[k][i]
+        fit = [free | only.get(bit_i, 0) for free, only in fits[k]]
         rows = masks.row[(i, k)]
         table[(i, k)] = [(ma & fd).bit_count() for ma in rows for fd in fit]
         size_k = len(inst.domains[k])
@@ -472,7 +524,7 @@ def flat_nb_stops(inst: Instance, masks: Masks, nb_subs: Flat) -> tuple[Flat, in
     return table, probes
 
 
-def _count_covers(inst: Instance, fits: list, cols) -> tuple[Flat, int]:
+def _count_covers(inst: Instance, masks: Masks, fits: list, cols) -> tuple[Flat, int]:
     """table[i,j][b,c] = (m_c & ok).bit_count() for every oriented edge
     (i,j) and every position of b at x_i and c at x_j, where m_c is
     cols(i, j)[c] and ok the mask of the a whose holder set of (b,a), or
@@ -481,21 +533,22 @@ def _count_covers(inst: Instance, fits: list, cols) -> tuple[Flat, int]:
     probes = 0
     for i, j in oriented_edges(inst):
         col = cols(i, j)
-        ok = [free | only.get(j, 0) for free, only in fits[i]]
+        bit_j = masks.nbit[i][j]
+        ok = [free | only.get(bit_j, 0) for free, only in fits[i]]
         table[(i, j)] = [(mc & okb).bit_count() for okb in ok for mc in col]
         size_i = len(inst.domains[i])
         probes += size_i * (size_i - 1) * len(inst.domains[j])
     return table, probes
 
 
-def flat_nb_covers(inst: Instance, masks: Masks, block_vars: VarSet) -> tuple[Flat, int]:
+def flat_nb_covers(inst: Instance, masks: Masks, block_vars: Flat) -> tuple[Flat, int]:
     """compute_nb_covers as the popcount of the mask of the a that take c
     and the mask of the a != b blocked at most at x_j."""
-    return _count_covers(inst, _fits(inst, masks, block_vars), lambda i, j: masks.row[(j, i)])
+    return _count_covers(inst, masks, _fits(inst, block_vars), lambda i, j: masks.row[(j, i)])
 
 
 def flat_nb_snake_covers(
-    inst: Instance, masks: Masks, nb_subs: Flat, stop_vars: VarSet
+    inst: Instance, masks: Masks, nb_subs: Flat, stop_vars: Flat
 ) -> tuple[Flat, int]:
     """compute_nb_snake_covers as nb_covers, with the a that have a sub for
     c added to c's mask and the fit taken over stop_vars(i,a,b)."""
@@ -510,37 +563,52 @@ def flat_nb_snake_covers(
             for pc, mc in enumerate(masks.row[(j, i)])
         ]
 
-    return _count_covers(inst, _fits(inst, masks, stop_vars, transposed=True), cols)
+    return _count_covers(inst, masks, _fits(inst, stop_vars, transposed=True), cols)
 
 
-def flat_uncovered(inst: Instance, masks: Masks, covers: Flat) -> tuple[VarSet, int]:
-    """compute_uncovered over the flat cover counts."""
-    table: VarSet = {}
+def flat_uncovered(inst: Instance, masks: Masks, covers: Flat) -> tuple[Flat, int]:
+    """compute_uncovered as masks: the list of (i,j) holds, at the position
+    of b, b's row mask less the c whose cover slot is positive."""
+    table: Flat = {}
     probes = 0
-    pos = inst.positions
     for i, j in oriented_edges(inst):
-        row, cov = inst.rows[(i, j)], covers[(i, j)]
-        pos_i, pos_j, dom_j = pos[i], pos[j], inst.domains[j]
-        size_j = len(pos_j)
-        for b in inst.domains[i]:
-            row_b = row[b]
-            base = pos_i[b] * size_j
-            table[(i, b, j)] = {
-                c for c in dom_j if c in row_b and cov[base + pos_j[c]] == 0
-            }
-        probes += len(inst.domains[i]) * len(dom_j)
+        cov = covers[(i, j)]
+        size_j = len(inst.positions[j])
+        bits = _bits(size_j)
+        table[(i, j)] = [
+            mb & sum(compress(bits, map(not_, cov[p * size_j : (p + 1) * size_j])))
+            for p, mb in enumerate(masks.row[(i, j)])
+        ]
+        probes += len(inst.domains[i]) * len(inst.domains[j])
+    return table, probes
+
+
+def flat_nb_snake(inst: Instance, masks: Masks, stop_vars: Flat) -> tuple[Count, int]:
+    """compute_nb_snake over the stop_vars masks."""
+    table: Count = {}
+    probes = 0
+    for i, dom in enumerate(inst.domains):
+        pos_i = inst.positions[i]
+        size = len(pos_i)
+        held = stop_vars[i]
+        for b in dom:
+            # the stop_vars masks of (a,b), by the position of a
+            cells = held[pos_i[b] :: size]
+            table[(i, b)] = sum(1 for a in dom if a != b and not cells[pos_i[a]])
+        probes += len(dom) * (len(dom) - 1)
     return table, probes
 
 
 # The tables build() computes from the masks, each equal on every live cell,
-# read through slot() for the five counts, to its set-builder in TABLES, key
-# order of the holder and uncovered sets and probe count included.
+# read through cell(), to its set-builder in TABLES, probe count included
+# (and key order, for nb_snake).
 FLAT: dict[str, Callable[..., tuple[dict, int]]] = {
     "nb_blocks": flat_nb_blocks,
     "block_vars": flat_holders,
     "nb_subs": flat_nb_subs,
     "nb_stops": flat_nb_stops,
     "stop_vars": flat_holders,
+    "nb_snake": flat_nb_snake,
     "nb_covers": flat_nb_covers,
     "uncovered": flat_uncovered,
     "nb_snake_covers": flat_nb_snake_covers,
@@ -607,21 +675,15 @@ class CounterMismatch(AssertionError):
 def verify_tables(inst: Instance, **kept: dict) -> None:
     """Recompute the named tables for the current domains of ``inst`` with
     their set-builders and compare against the engine-maintained tables,
-    the flat counts read through slot() (live cells only; dead slots and
+    the flat ones read through cell() (live cells only; dead slots and
     stale cells for eliminated values are ignored)."""
     fresh = _build(inst, kept, {})
     for name, table in kept.items():
         for key, want in getattr(fresh, name).items():
-            if name in FLAT_COUNTS:
-                edge, index = slot(inst, name, key)
-                cells = table.get(edge, [])
-                present = index < len(cells)
-            else:
-                cells, index = table, key
-                present = key in table
-            if not present:
-                raise CounterMismatch(f"{name}{key}: cell missing from engine state")
-            got = cells[index]
+            try:
+                got = cell(inst, name, table, key) if name in LAYOUT else table[key]
+            except LookupError:
+                raise CounterMismatch(f"{name}{key}: cell missing from engine state") from None
             if got != want:
                 raise CounterMismatch(
                     f"{name}{key}: engine has {got!r}, definition gives {want!r}"

@@ -12,7 +12,7 @@ Three layers sit on it:
 - Substitutions adds the worklist of plain substitutions that ns and cns
   both pop.
 - CoverKernel adds the cover layer that cns and scss share: the cover
-  counters and uncovered sets, the conditioned worklist, the pass in which
+  counters and uncovered masks, the conditioned worklist, the pass in which
   a removed value stops covering, the scope change and the first-cover
   search.  Each of the two rules states only its fit and reach predicates.
 
@@ -23,14 +23,15 @@ removes a value outside it.  Every swap in a witness (a value of x_k that
 stands in for d) comes from ``_swap``, which reads ``block_vars``.  The
 kernel calls the rule hooks only where a count flips.
 
-The five count tables are flat: one list of ints per oriented edge, with
-one slot per pair of value positions in the value index
-``Instance.positions``, laid out as ``counters.slot`` states; each pass
-computes its slots inline.  The holder and uncovered sets stay dicts of
-sets keyed by tuples.  Slots and cells indexed by the removed value are
-read before they go stale, are never written during a pass, and are never
-read after it.  Each counter step, set change, flag change and worklist
-push adds one to ``updates``.
+The count, holder and uncovered tables are flat lists indexed by value
+position (``Instance.positions``), laid out as ``counters.LAYOUT`` states;
+each pass computes its slots inline.  A holder cell is an int mask with
+the bit ``nbit[k][l]`` for each neighbour x_l of x_k that holds it; an
+uncovered cell is an int mask over the value positions of the
+conditioning variable.  Slots indexed by the removed value are read before
+they go stale, are never written during a pass, and are never read after
+it.  Each counter step, bit set or cleared, flag change and worklist push
+adds one to ``updates``; clearing a bit that is not set is an error.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from collections import deque
 from typing import Iterable, Iterator, Optional
 
 from . import counters
-from .counters import pair_index, subset1
+from .counters import pair_index
 from .instance import Instance
 from .trace import NS, EliminationRecord, NsWitness, ReductionReport, Trace, Witness
 
@@ -48,12 +49,23 @@ from .trace import NS, EliminationRecord, NsWitness, ReductionReport, Trace, Wit
 def conditioned(inst: Instance, uncovered: dict) -> Iterator[tuple[int, int, int]]:
     """Triples (i, b, j) whose conditioning values at x_j are all covered:
     the (variable, value, conditioning) triples with an empty ``uncovered``
-    (or ``not_snake_covered``) set."""
+    (or ``not_snake_covered``) mask."""
     for i in range(inst.n):
+        pos_i = inst.positions[i]
         for b in inst.domains[i]:
+            p = pos_i[b]
             for j in inst.neighbors(i):
-                if not uncovered[(i, b, j)]:
+                if not uncovered[(i, j)][p]:
                     yield i, b, j
+
+
+def _cleared(mask: int, bit: int, name: str, key: tuple, member: int) -> int:
+    """``mask`` without ``bit``, which stands for ``member`` in the cell
+    ``key`` of the mask table ``name``.  A bit that is not set signals an
+    internal-consistency bug."""
+    if not mask & bit:
+        raise RuntimeError(f"{name}{key} does not hold {member}")
+    return mask ^ bit
 
 
 class Kernel:
@@ -70,6 +82,7 @@ class Kernel:
         # looked up at call time, so wrappers installed on counters see it
         self.tables = getattr(counters, self.BUILD)(inst)
         self.pos = inst.positions
+        self.nbit = counters.neighbour_bits(inst)
         self.updates = self.tables.probes
         self.steps: list[EliminationRecord] = []
         self.unsat = False
@@ -129,11 +142,12 @@ class Kernel:
     def _propagate(self, r: int, u: int) -> None:
         """Blocks through u disappear at r's neighbours."""
         inst = self.inst
-        block_vars = self.tables.block_vars
         for k in inst.neighbors(r):
             row = inst.rows[(k, r)]
             dom_k = inst.domains[k]
             blocks = self.tables.nb_blocks[(k, r)]
+            block_vars = self.tables.block_vars[k]
+            bit_r = self.nbit[k][r]
             pos_k = self.pos[k]
             size_k = len(pos_k)
             for d in dom_k:
@@ -151,23 +165,23 @@ class Kernel:
                         raise RuntimeError(f"nb_blocks{(k, d, e, r)} went negative")
                     if left:
                         continue
-                    holders = block_vars[(k, d, e)]
-                    holders.remove(r)
+                    holders = _cleared(block_vars[cell], bit_r, "block_vars", (k, d, e), r)
+                    block_vars[cell] = holders
                     self.updates += 1
                     if not holders:
                         self._substitutable(k, d, e)
                     for i in self._fit_changes(k, holders, r):
                         self._fits_within(k, d, e, i)
 
-    def _fit_changes(self, i: int, holders: set, k: int) -> Iterable[int]:
-        """The x_j such that ``holders``, a holder set at x_i that x_k just
+    def _fit_changes(self, i: int, holders: int, k: int) -> Iterable[int]:
+        """The x_j such that ``holders``, a holder mask at x_i that x_k just
         left or joined, newly fits inside {j} or stops fitting inside it.
-        ``holders`` is the set after the change."""
-        rest = len(holders) - (k in holders)
-        if rest == 0:
+        ``holders`` is the mask after the change."""
+        rest = holders & ~self.nbit[i][k]
+        if not rest:
             return [j for j in self.inst.neighbors(i) if j != k]
-        if rest == 1:
-            return [j for j in holders if j != k]
+        if rest.bit_count() == 1:
+            return (self.inst.neighbors(i)[rest.bit_length() - 1],)
         return ()
 
     # -- helpers shared by several rules --------------------------------------
@@ -175,10 +189,13 @@ class Kernel:
     def _swap(self, k: int, d: int, takes, r: int) -> Optional[int]:
         """The smallest e of x_k in ``takes`` that is d itself or is blocked
         at most at x_r, or None: e stands in for d on every neighbour of x_k
-        but x_r."""
-        block_vars = self.tables.block_vars
+        but x_r, which need not be a neighbour of x_k."""
+        block_vars = self.tables.block_vars[k]
+        pos_k = self.pos[k]
+        base = pos_k[d] * len(pos_k)
+        others = ~self.nbit[k].get(r, 0)
         for e in self.inst.domains[k]:
-            if e in takes and (e == d or subset1(block_vars[(k, d, e)], r)):
+            if e in takes and (e == d or not block_vars[base + pos_k[e]] & others):
                 return e
         return None
 
@@ -221,14 +238,18 @@ class SnakeKernel(Kernel):
         inst = self.inst
         tables = self.tables
         # u no longer counts as a sub at r
+        block_vars = tables.block_vars[r]
+        pos_r = self.pos[r]
+        size_r, pos_u = len(pos_r), pos_r[u]
         for i in inst.neighbors(r):
             row = inst.rows[(i, r)]
+            others = ~self.nbit[r][i]
             for a in inst.domains[i]:
                 row_a = row[a]
                 if u not in row_a:
                     continue
                 for d in inst.domains[r]:
-                    if d not in row_a and subset1(tables.block_vars[(r, d, u)], i):
+                    if d not in row_a and not block_vars[pos_r[d] * size_r + pos_u] & others:
                         self._dec_subs(i, a, r, d)
         # u no longer counts as a stop at r
         for i in inst.neighbors(r):
@@ -243,11 +264,11 @@ class SnakeKernel(Kernel):
 
     # -- rule hooks -----------------------------------------------------------
 
-    def _stop_var_removed(self, i: int, a: int, b: int, k: int, holders: set) -> None:
-        """stop_vars(i,a,b) lost x_k; ``holders`` is the set after the change."""
+    def _stop_var_removed(self, i: int, a: int, b: int, k: int, holders: int) -> None:
+        """stop_vars(i,a,b) lost x_k; ``holders`` is the mask after the change."""
 
-    def _stop_var_added(self, i: int, a: int, b: int, k: int, holders: set) -> None:
-        """stop_vars(i,a,b) gained x_k; ``holders`` is the set after the change."""
+    def _stop_var_added(self, i: int, a: int, b: int, k: int, holders: int) -> None:
+        """stop_vars(i,a,b) gained x_k; ``holders`` is the mask after the change."""
 
     def _sub_flipped(self, i: int, a: int, k: int, d: int, gained: bool) -> None:
         """nb_subs(i,a,k,d) rose from zero (gained) or fell to zero."""
@@ -295,8 +316,9 @@ class SnakeKernel(Kernel):
             raise RuntimeError(f"nb_stops{(i, a, b, k)} went negative")
         if stops[cell]:
             return
-        holders = self.tables.stop_vars[(i, a, b)]
-        holders.remove(k)
+        stop_vars = self.tables.stop_vars[i]
+        holders = _cleared(stop_vars[cell], self.nbit[i][k], "stop_vars", (i, a, b), k)
+        stop_vars[cell] = holders
         self.updates += 1
         self._stop_var_removed(i, a, b, k, holders)
 
@@ -308,8 +330,9 @@ class SnakeKernel(Kernel):
         self.updates += 1
         if stops[cell] != 1:
             return
-        holders = self.tables.stop_vars[(i, a, b)]
-        holders.add(k)
+        stop_vars = self.tables.stop_vars[i]
+        holders = stop_vars[cell] | self.nbit[i][k]
+        stop_vars[cell] = holders
         self.updates += 1
         self._stop_var_added(i, a, b, k, holders)
 
@@ -326,7 +349,7 @@ class Substitutions(Kernel):
             for i in range(inst.n)
             for b in inst.domains[i]
             for a in inst.domains[i]
-            if a != b and not block_vars[(i, b, a)]
+            if a != b and not block_vars[i][pair_index(self.pos, i, b, i, a)]
         )
         self.updates += len(self.substitutions)
 
@@ -354,8 +377,9 @@ class CoverKernel(Kernel):
     for b fits inside {j} (``_fits``) and that reaches c (``_reaches``).  A
     rule states only those two predicates.  The layer keeps the cover count
     of every cell (i,b,j,c) in the table named by COVERS, the compatible
-    values without a cover of every (i,b,j) in the table named by
-    UNCOVERED, and a FIFO worklist of the triples (i,b,j) whose set emptied.
+    values without a cover of every (i,b,j), as a mask, in the table named
+    by UNCOVERED, and a FIFO worklist of the triples (i,b,j) whose mask
+    emptied.
     """
 
     COVERS: str
@@ -388,7 +412,7 @@ class CoverKernel(Kernel):
         """The next triple whose value is live and whose values are all covered."""
         while self.conditioned_work:
             i, b, j = self.conditioned_work.popleft()
-            if b in self.inst.domain_set(i) and not self.uncovered[(i, b, j)]:
+            if b in self.inst.domain_set(i) and not self.uncovered[(i, j)][self.pos[i][b]]:
                 return i, b, self.RULE, self._witness(i, b, j)
         return None
 
@@ -420,8 +444,10 @@ class CoverKernel(Kernel):
         self.updates += 1
         if covers[cell] != 1 or c not in self.inst.rows[(i, j)][b]:
             return
-        values = self.uncovered[(i, b, j)]
-        values.remove(c)
+        uncovered = self.uncovered[(i, j)]
+        p = self.pos[i][b]
+        values = _cleared(uncovered[p], 1 << self.pos[j][c], self.UNCOVERED, (i, b, j), c)
+        uncovered[p] = values
         self.updates += 1
         if not values:
             self.conditioned_work.append((i, b, j))
@@ -438,7 +464,7 @@ class CoverKernel(Kernel):
         if left < 0:
             raise RuntimeError(f"{self.COVERS}{(i, b, j, c)} went negative")
         if not left and c in self.inst.rows[(i, j)][b]:
-            self.uncovered[(i, b, j)].add(c)
+            self.uncovered[(i, j)][self.pos[i][b]] |= 1 << self.pos[j][c]
             self.updates += 1
 
     def _scope_changed(self, i: int, b: int, a: int, j: int, step) -> None:
@@ -467,12 +493,15 @@ class CoverKernel(Kernel):
 
     def _conditioning_gone(self, r: int, u: int) -> None:
         """u no longer serves as a conditioning value at x_r."""
+        bit_u = 1 << self.pos[r][u]
         for i in self.inst.neighbors(r):
+            uncovered = self.uncovered[(i, r)]
+            pos_i = self.pos[i]
             for b in self.inst.domains[i]:
-                values = self.uncovered[(i, b, r)]
-                if u in values:
-                    values.remove(u)
+                p = pos_i[b]
+                if uncovered[p] & bit_u:
+                    uncovered[p] ^= bit_u
                     self.updates += 1
-                    if not values:
+                    if not uncovered[p]:
                         self.conditioned_work.append((i, b, r))
                         self.updates += 1

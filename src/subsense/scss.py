@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import deque
 
 from . import counters, oracle
-from .counters import subset1
+from .counters import pair_index
 from .instance import Instance
 from .kernel import CoverKernel, SnakeKernel, conditioned
 from .trace import (
@@ -78,12 +78,12 @@ class ScssEngine(CoverKernel, SnakeKernel):
         return self._pop_conditioned()
 
     def _fits(self, i: int, b: int, a: int, j: int) -> bool:
-        return subset1(self.tables.stop_vars[(i, a, b)], j)
+        return not self.tables.stop_vars[i][pair_index(self.pos, i, a, i, b)] & ~self.nbit[i][j]
 
     def _reaches(self, i: int, a: int, j: int, c: int) -> bool:
         return (
             c in self.inst.rows[(i, j)][a]
-            or self.tables.nb_subs[(i, j)][counters.pair_index(self.pos, i, a, j, c)] > 0
+            or self.tables.nb_subs[(i, j)][pair_index(self.pos, i, a, j, c)] > 0
         )
 
     def _unconstrained_witness(self, i: int, b: int) -> ScssWitness:
@@ -128,11 +128,11 @@ class ScssEngine(CoverKernel, SnakeKernel):
             if b != a and self._fits(i, b, a, k):
                 step(i, b, k, d)
 
-    def _stop_var_added(self, i: int, a: int, b: int, k: int, holders: set) -> None:
+    def _stop_var_added(self, i: int, a: int, b: int, k: int, holders: int) -> None:
         for j in self._fit_changes(i, holders, k):
             self._scope_changed(i, b, a, j, self._cover_down)
 
-    def _stop_var_removed(self, i: int, a: int, b: int, k: int, holders: set) -> None:
+    def _stop_var_removed(self, i: int, a: int, b: int, k: int, holders: int) -> None:
         for j in self._fit_changes(i, holders, k):
             self._scope_changed(i, b, a, j, self._cover_up)
 

@@ -10,8 +10,8 @@ fixed when a pair is pushed; on popping, a pair is revalidated and labelled
 by the strongest rule that applies (ac over ns over ss).
 
 Deleting u from D(x_r) runs the block, sub and stop passes of
-kernel.SnakeKernel; every stop_vars set that empties raises nb_snake, and
-one that gains its first member lowers it.  This module adds two passes:
+kernel.SnakeKernel; every stop_vars mask that empties raises nb_snake, and
+one that gains its first bit lowers it.  This module adds two passes:
 values whose last support at r was u are flagged inconsistent, and u stops
 counting as a replacement for r's remaining values.
 """
@@ -22,6 +22,7 @@ from collections import deque
 from typing import Optional
 
 from .acns import require_arc_consistent
+from .counters import pair_index
 from .instance import Instance
 from .kernel import SnakeKernel
 from .trace import (
@@ -69,7 +70,7 @@ class SsEngine(SnakeKernel):
 
     def _ns_substitute(self, r: int, u: int) -> Optional[int]:
         for a in self.inst.domains[r]:
-            if a != u and not self.tables.block_vars[(r, u, a)]:
+            if a != u and not self.tables.block_vars[r][pair_index(self.pos, r, u, r, a)]:
                 return a
         return None
 
@@ -83,7 +84,7 @@ class SsEngine(SnakeKernel):
         if a is not None:
             return NS, NsWitness(substitute=a)
         for a in self.inst.domains[r]:
-            if a != u and not self.tables.stop_vars[(r, a, u)]:
+            if a != u and not self.tables.stop_vars[r][pair_index(self.pos, r, a, r, u)]:
                 return SS, SsWitness(substitute=a, swaps=self._swaps(r, u, a))
         raise RuntimeError(f"queued pair x{r}={u} has no eliminating value")
 
@@ -107,7 +108,7 @@ class SsEngine(SnakeKernel):
                 newly_flagged.append((i, v))
         # u no longer counts as a replacement for r's remaining values
         for b in inst.domains[r]:
-            if not tables.stop_vars[(r, u, b)]:
+            if not tables.stop_vars[r][pair_index(self.pos, r, u, r, b)]:
                 self._dec_snake(r, b)
         if self.debug and self.steps[-1].rule == AC and newly_flagged:
             raise AssertionError(
@@ -119,7 +120,7 @@ class SsEngine(SnakeKernel):
         self.high.append((k, d))
         self.updates += 1
 
-    def _stop_var_removed(self, i: int, a: int, b: int, k: int, holders: set) -> None:
+    def _stop_var_removed(self, i: int, a: int, b: int, k: int, holders: int) -> None:
         if holders:
             return
         # a now replaces b with swaps: one more way to eliminate b
@@ -129,8 +130,8 @@ class SsEngine(SnakeKernel):
             self.low.append((i, b))
             self.updates += 1
 
-    def _stop_var_added(self, i: int, a: int, b: int, k: int, holders: set) -> None:
-        if len(holders) == 1:
+    def _stop_var_added(self, i: int, a: int, b: int, k: int, holders: int) -> None:
+        if holders.bit_count() == 1:
             self._dec_snake(i, b)
 
     def _dec_snake(self, i: int, b: int) -> None:

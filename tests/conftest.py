@@ -2,14 +2,15 @@
 
 The "corpus" is a seeded grid of small random instances used by the
 invariant and acceptance tests.  One seed gives a quick slice for unit
-tests; the acceptance suite runs eight seeds (1080 instances).
+tests; the acceptance suite runs eight seeds (1080 instances).  set_cell
+writes one cell of a flat counter table, the mirror of counters.cell.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from subsense import Instance
+from subsense import Instance, counters
 from subsense.generators import random_instance
 
 CORPUS_NS = (2, 3, 4, 5, 6)
@@ -35,3 +36,13 @@ def corpus_size(seeds=(0,)) -> int:
         * len(CORPUS_TIGHTNESSES)
         * len(seeds)
     )
+
+
+def set_cell(inst: Instance, name: str, table: dict, key: tuple, value) -> None:
+    """Write ``value``, in the form counters.cell reads (a count, or the set
+    a mask has a bit for), into the cell ``key`` of the flat table ``name``."""
+    where, index = counters.slot(inst, name, key)
+    if name in counters.MASKS:
+        labels = counters.MASKS[name](inst, key)
+        value = sum(1 << labels.index(x) for x in value)
+    table[where][index] = value

@@ -348,12 +348,20 @@ def test_bench_ns_never_beats_ss(tmp_path):
         assert cell["ns"] <= cell["ss"]
 
 
-def test_bench_rejects_bad_arguments(tmp_path):
+def test_bench_rejects_bad_arguments(tmp_path, capsys):
     path = tmp_path / "b.csv"
     assert run(["bench", "--family", "random", "--rules", "ac", "-o", path]) == 2
     assert run(["bench", "--family", "random", "--d", "x", "-o", path]) == 2
     assert run(["bench", "--family", "setcover", "--sets", "12,23,13",
                 "--rules", "ns", "--seeds", 1, "-o", path]) == 2
+    # no seed would run: an error, not a CSV with only a header
+    capsys.readouterr()
+    for seeds in (0, -2):
+        assert run(["bench", "--family", "random", "--seeds", seeds, "-o", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --seeds")
+    assert not path.exists()
 
 
 def test_bench_setcover(tmp_path):

@@ -14,6 +14,7 @@ from subsense import (
     make_instance,
     to_json_dict,
 )
+from subsense.kernel import conditioned
 from subsense.oracle import is_cns, solvable
 
 from conftest import corpus
@@ -24,12 +25,12 @@ def test_counter_init_on_figures():
     t = counters.build_cns(inst)
     # eliminating 0 at x2 conditioned on x1: both compatible x1 values
     # have a cover, and x1 = 2 has exactly one (a = 1)
-    assert t.uncovered[(1, 0, 0)] == set()
-    edge, index = counters.slot(inst, "nb_covers", (1, 0, 0, 2))
-    assert t.nb_covers[edge][index] == 1
-    # nothing is conditioned-substitutable anywhere in figure1a
-    ta = counters.build_cns(generators.figure1a())
-    assert all(ta.uncovered[cell] for cell in ta.uncovered)
+    assert counters.cell(inst, "uncovered", t.uncovered, (1, 0, 0)) == set()
+    assert counters.cell(inst, "nb_covers", t.nb_covers, (1, 0, 0, 2)) == 1
+    # nothing is conditioned-substitutable anywhere in figure1a: no live
+    # uncovered mask is empty
+    fig_a = generators.figure1a()
+    assert list(conditioned(fig_a, counters.build_cns(fig_a).uncovered)) == []
 
 
 def test_cns_requires_arc_consistency():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from subsense import counters, establish_ac, generators, make_instance
 
-from conftest import corpus
+from conftest import corpus, set_cell
 from test_golden_traces import SET_COVER_SETS
 
 
@@ -43,23 +43,18 @@ def test_verify_tables_rejects_a_corrupted_count():
         counters.verify_tables(inst, nb_stops=t.nb_stops)
 
 
-def test_verify_tables_rejects_a_corrupted_set():
+def test_verify_tables_rejects_a_corrupted_mask():
     inst = generators.figure1b()
     t = counters.build_cns(inst)
-    cell = next(k for k, v in t.uncovered.items() if v)
-    t.uncovered[cell] = set()
-    with pytest.raises(counters.CounterMismatch):
-        counters.verify_tables(
-            inst, nb_covers=t.nb_covers, uncovered=t.uncovered
-        )
-
-
-def _corrupt(value):
-    if isinstance(value, bool):
-        return not value
-    if isinstance(value, int):
-        return value + 1
-    return set() if value else {-1}
+    key = next(key for key, values in _reference(inst)["uncovered"][0].items() if values)
+    set_cell(inst, "uncovered", t.uncovered, key, set())
+    with pytest.raises(counters.CounterMismatch, match=r"engine has set\(\)"):
+        counters.verify_tables(inst, nb_covers=t.nb_covers, uncovered=t.uncovered)
+    # a bit past the last value of x_j stands for nothing
+    edge, index = counters.slot(inst, "uncovered", key)
+    t.uncovered[edge][index] = 1 << len(inst.original_domains[key[2]])
+    with pytest.raises(counters.CounterMismatch, match="has a bit past"):
+        counters.verify_tables(inst, uncovered=t.uncovered)
 
 
 @pytest.mark.parametrize("name", list(counters.TABLES))
@@ -68,17 +63,19 @@ def test_verify_tables_rechecks_every_table_alone(name):
     inst = generators.figure1c()
     table = getattr(counters.build(inst, name), name)
     counters.verify_tables(inst, **{name: table})
-    key, value = next(iter(_reference(inst)[name][0].items()))
-    if name in counters.FLAT_COUNTS:
-        # a flat table: one slot of one per-edge list, then the whole list
-        cells, index = counters.slot(inst, name, key)
-        table[cells][index] = _corrupt(value)
+    key = next(iter(_reference(inst)[name][0]))
+    if name in counters.LAYOUT:
+        # a flat table: one slot of one list, then the whole list
+        where, index = counters.slot(inst, name, key)
+        cells = table[where]
     else:
-        cells, index = key, key
-        table[key] = _corrupt(value)
+        where, index, cells = key, key, table
+    # a different count, flag or mask (bit 0 stands for a neighbour or a value)
+    value = cells[index]
+    cells[index] = not value if isinstance(value, bool) else value ^ 1
     with pytest.raises(counters.CounterMismatch, match="definition gives"):
         counters.verify_tables(inst, **{name: table})
-    del table[cells]
+    del table[where]
     with pytest.raises(counters.CounterMismatch, match="cell missing"):
         counters.verify_tables(inst, **{name: table})
 
@@ -101,24 +98,22 @@ def test_build_adds_exactly_what_the_named_tables_read():
 
 
 def test_verify_tables_ignores_dead_cells():
-    # slots and cells for removed values linger in the kept tables; only
-    # the cells the fresh set-builders produce are compared
+    # slots for removed values linger in the kept tables; only the cells
+    # the fresh set-builders produce are compared
     inst = generators.figure1b()
     smaller = inst.remove_value(1, 0)
-    t = counters.build_ss(smaller)
+    t = counters.build(smaller, *counters.TABLES)
     ref = _reference(smaller)
-    for name in ("nb_blocks", "nb_subs", "nb_stops"):
+    for name in counters.LAYOUT:
         table = getattr(t, name)
         live = {counters.slot(smaller, name, key) for key in ref[name][0]}
-        dead = [(edge, i) for edge, cells in table.items() for i in range(len(cells))
-                if (edge, i) not in live]
+        dead = [(where, i) for where, cells in table.items() for i in range(len(cells))
+                if (where, i) not in live]
         assert dead, name
-        for edge, i in dead:
-            table[edge][i] = -7
+        for where, i in dead:
+            # as a mask, -7 has bits past every neighbour and value
+            table[where][i] = -7
         counters.verify_tables(smaller, **{name: table})
-    stale = counters.build_ss(inst)
-    t.block_vars.update((key, {-1}) for key in stale.block_vars if key not in t.block_vars)
-    counters.verify_tables(smaller, block_vars=t.block_vars)
 
 
 def test_debug_flag_reads_environment(monkeypatch):
@@ -130,13 +125,6 @@ def test_debug_flag_reads_environment(monkeypatch):
     assert not counters.debug_recompute_enabled()
 
 
-def test_subset1_checks_containment_in_a_singleton():
-    assert counters.subset1(set(), 3)
-    assert counters.subset1({3}, 3)
-    assert not counters.subset1({2}, 3)
-    assert not counters.subset1({2, 3}, 3)
-
-
 def _reference(inst):
     """Every table by its set-builder, as (table, probes) by name."""
     built = {}
@@ -146,35 +134,37 @@ def _reference(inst):
 
 
 def _flat_cells(inst, name, table, keys):
-    """The cells of the flat count table ``name`` at ``keys``, read through
-    counters.slot."""
-    cells = {}
-    for key in keys:
-        edge, index = counters.slot(inst, name, key)
-        cells[key] = table[edge][index]
-    return cells
+    """The cells of the flat table ``name`` at ``keys``, read through
+    counters.cell."""
+    return {key: counters.cell(inst, name, table, key) for key in keys}
+
+
+def _holds_only_ints(table):
+    cells = [c for v in table.values() for c in (v if isinstance(v, list) else [v])]
+    return all(type(c) in (int, bool) for c in cells)
 
 
 def assert_flat_builders_match(inst):
-    # each flat builder, fed the reference tables it reads (flat counts in
-    # their flat form), and build() equal the set-builders on every live
-    # cell, with the same probes
+    # each flat builder, fed the flat tables it reads, and build() equal the
+    # set-builders on every live cell, with the same probes; no built table
+    # holds a set
     ref = _reference(inst)
     masks = counters.value_masks(inst)
     built = counters.build(inst, *counters.TABLES)
     flat = {}
     for name, (want, want_probes) in ref.items():
         got = getattr(built, name)
+        assert _holds_only_ints(got), f"{inst.name} {name}: cell types"
         if name in counters.FLAT:
-            reads = [flat[r] if r in counters.FLAT_COUNTS else ref[r][0]
-                     for r in counters.TABLES[name][1]]
+            reads = [flat[r] for r in counters.TABLES[name][1]]
             table, probes = counters.FLAT[name](inst, masks, *reads)
             assert probes == want_probes, f"{inst.name} {name}: probes"
             flat[name] = table
         else:
             table = got
-        if name in counters.FLAT_COUNTS:
-            assert set(table) == set(counters.oriented_edges(inst)), f"{inst.name} {name}: lists"
+        if name in counters.LAYOUT:
+            lists = range(inst.n) if name in ("block_vars", "stop_vars") else counters.oriented_edges(inst)
+            assert set(table) == set(lists), f"{inst.name} {name}: lists"
             assert _flat_cells(inst, name, table, want) == want, f"{inst.name} {name}: cells"
             assert _flat_cells(inst, name, got, want) == want, f"{inst.name} {name}: build"
         else:

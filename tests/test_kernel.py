@@ -1,10 +1,16 @@
-"""The shared kernel layers: cover counter steps and fit changes."""
+"""The shared kernel layers: cover counter steps, fit changes, mask
+updates, and every engine's recheck on relabelled inputs."""
 
 import pytest
 
-from subsense import counters, generators
+from subsense import cli, counters, establish_ac, generators, make_instance, replay_sequence
+from subsense.acns import NsEngine
 from subsense.cns import CnsEngine
-from subsense.scss import ScssEngine
+from subsense.scss import ScssEngine, replay_steps
+from subsense.ss import SsEngine
+
+from conftest import set_cell
+from test_counters import FLAT_INPUTS
 
 ENGINES = {
     "cns": lambda inst: CnsEngine(inst, ns_priority=True),
@@ -14,26 +20,28 @@ ENGINES = {
 
 def _cover_engine(make):
     # an engine on figure1c whose cover cell (0,b,1,c), with c compatible
-    # with b, holds one cover and whose uncovered set for (0,b,1) is empty
+    # with b, holds one cover and whose uncovered mask for (0,b,1) is empty
     inst = generators.figure1c()
     b = inst.domains[0][0]
     c = min(inst.rows[(0, 1)][b])
     engine = make(inst)
     _set_cover(engine, (0, b, 1, c), 1)
-    engine.uncovered[(0, b, 1)] = set()
+    set_cell(inst, engine.UNCOVERED, engine.uncovered, (0, b, 1), set())
     engine.conditioned_work.clear()
     engine.updates = 0
     return engine, (0, b, 1, c)
 
 
 def _set_cover(engine, cell, count):
-    edge, index = counters.slot(engine.inst, engine.COVERS, cell)
-    engine.covers[edge][index] = count
+    set_cell(engine.inst, engine.COVERS, engine.covers, cell, count)
 
 
 def _cover(engine, cell):
-    edge, index = counters.slot(engine.inst, engine.COVERS, cell)
-    return engine.covers[edge][index]
+    return counters.cell(engine.inst, engine.COVERS, engine.covers, cell)
+
+
+def _uncovered(engine, key):
+    return counters.cell(engine.inst, engine.UNCOVERED, engine.uncovered, key)
 
 
 @pytest.mark.parametrize("rule", sorted(ENGINES))
@@ -44,14 +52,14 @@ def test_cover_steps_keep_the_uncovered_set_and_the_worklist(rule):
     # the count and the uncovered set
     assert engine.updates == 2
     assert _cover(engine, cell) == 0
-    assert engine.uncovered[(i, b, j)] == {c}
+    assert _uncovered(engine, (i, b, j)) == {c}
     assert not engine.conditioned_work
     engine.updates = 0
     engine._cover_up(*cell)
     # the count, the uncovered set and the push of the emptied triple
     assert engine.updates == 3
     assert _cover(engine, cell) == 1
-    assert engine.uncovered[(i, b, j)] == set()
+    assert _uncovered(engine, (i, b, j)) == set()
     assert list(engine.conditioned_work) == [(i, b, j)]
 
 
@@ -79,4 +87,65 @@ def test_cover_underflow_is_an_error(rule):
 )
 def test_fit_changes(holders, changed):
     engine = ScssEngine(generators.figure1c())
-    assert list(engine._fit_changes(0, holders, 1)) == changed
+    assert engine.inst.neighbors(0) == (1, 2, 3)
+    mask = sum(engine.nbit[0][l] for l in holders)
+    assert list(engine._fit_changes(0, mask, 1)) == changed
+
+
+def _unset_bit_engine(name):
+    """The step that next clears a bit of the table ``name`` in a fresh
+    engine, with that bit already cleared by hand."""
+    inst = generators.figure1b()
+    if name == "block_vars":
+        # the nb_blocks cell (k,d,e,r) at one: removing u, which supports d
+        # but not e, clears x_r from block_vars(k,d,e)
+        engine = NsEngine(inst)
+        k, d, e, r, u = next(
+            (k, d, e, r, u)
+            for k, r in counters.oriented_edges(inst)
+            for d in inst.domains[k]
+            for e in inst.domains[k]
+            for u in inst.rows[(k, r)][d] - inst.rows[(k, r)][e]
+        )
+        set_cell(inst, "nb_blocks", engine.tables.nb_blocks, (k, d, e, r), 1)
+        set_cell(inst, name, engine.tables.block_vars, (k, d, e), set())
+        engine.inst = inst.remove_value(r, u)
+        return lambda: engine._propagate(r, u)
+    if name == "stop_vars":
+        engine = SsEngine(inst)
+        set_cell(inst, "nb_stops", engine.tables.nb_stops, (0, 1, 0, 1), 1)
+        set_cell(inst, name, engine.tables.stop_vars, (0, 1, 0), set())
+        return lambda: engine.dec_stops(0, 1, 0, 1)
+    engine, cell = _cover_engine(ENGINES["cns" if name == "uncovered" else "scss"])
+    _set_cover(engine, cell, 0)
+    return lambda: engine._cover_up(*cell)
+
+
+@pytest.mark.parametrize("name", sorted(counters.MASKS))
+def test_clearing_a_bit_that_is_not_set_is_an_error(name):
+    with pytest.raises(RuntimeError, match=rf"^{name}\("):
+        _unset_bit_engine(name)()
+
+
+@pytest.mark.parametrize("rule", sorted(cli.ENGINES))
+def test_engines_recheck_their_tables_on_relabelled_inputs(rule, monkeypatch):
+    # sparse, non-contiguous value labels, some inputs partly reduced, so a
+    # mask bit indexed by a value label instead of its position shows; plus
+    # a variable with no constraint, whose scss witness swaps at a variable
+    # that has no bit for it
+    monkeypatch.setenv(counters.DEBUG_ENV, "1")
+    isolated = make_instance(
+        "isolated", [(3, 8, 20), (1, 6, 40), (50, 70, 90)],
+        {(0, 1): [(3, 1), (8, 6), (20, 6), (20, 40)]},
+    )
+    removed = 0
+    for inst in [*FLAT_INPUTS["relabelled"](), isolated]:
+        if rule != "scss":
+            inst, _ = establish_ac(inst)
+            if inst.unsatisfiable:
+                continue
+        reduced, trace, _ = cli.ENGINES[rule](inst)
+        replayed, _ = replay_sequence(inst, *replay_steps(trace))
+        assert replayed == reduced
+        removed += len(trace)
+    assert removed

@@ -18,12 +18,11 @@ from subsense import (
 from subsense.oracle import is_ss, solvable
 from subsense.ss import SsEngine
 
-from conftest import corpus
+from conftest import corpus, set_cell
 
 
 def _cell(inst, tables, name, key):
-    edge, index = counters.slot(inst, name, key)
-    return getattr(tables, name)[edge][index]
+    return counters.cell(inst, name, getattr(tables, name), key)
 
 
 def test_counter_init_on_figures():
@@ -32,11 +31,12 @@ def test_counter_init_on_figures():
     # replacing 0 by 1 at x2 is blocked once at x1 (by f=1) and never at x3
     assert _cell(inst, t, "nb_blocks", (1, 0, 1, 0)) == 1
     assert _cell(inst, t, "nb_blocks", (1, 0, 1, 2)) == 0
-    assert t.block_vars[(1, 0, 1)] == {0}
+    assert _cell(inst, t, "block_vars", (1, 0, 1)) == {0}
     # substitute counts are defined only for incompatible (a, d) pairs; the
     # flat slot of a compatible pair is never read
     assert _cell(inst, t, "nb_subs", (0, 1, 1, 1)) == 1
-    assert (0, 1, 1, 0) not in counters.compute_nb_subs(inst, t.block_vars)[0]
+    block_vars, _ = counters.compute_holders(inst, counters.compute_nb_blocks(inst)[0])
+    assert (0, 1, 1, 0) not in counters.compute_nb_subs(inst, block_vars)[0]
     # x1's extreme values are snake substitutable by the middle one
     assert {b: t.nb_snake[(0, b)] for b in (0, 1, 2)} == {0: 1, 1: 0, 2: 1}
 
@@ -50,10 +50,9 @@ def _cascade_engine(nb_stops, stop_vars, nb_snake):
     # an ss engine whose own tables hold the given values in the three cells
     # the stop cascade reads
     engine = SsEngine(generators.figure1a())
-    for key, count in nb_stops.items():
-        edge, index = counters.slot(engine.inst, "nb_stops", key)
-        engine.tables.nb_stops[edge][index] = count
-    engine.tables.stop_vars.update(stop_vars)
+    for name, cells in (("nb_stops", nb_stops), ("stop_vars", stop_vars)):
+        for key, value in cells.items():
+            set_cell(engine.inst, name, getattr(engine.tables, name), key, value)
     engine.tables.nb_snake.update(nb_snake)
     engine.updates = 0
     engine.high.clear()
@@ -70,14 +69,14 @@ def test_stop_cascade_and_callback():
     assert list(engine.low) == [(0, 0)]
     assert engine.updates == 4
     assert _cell(engine.inst, tables, "nb_stops", cell) == 0
-    assert tables.stop_vars[(0, 1, 0)] == set()
+    assert _cell(engine.inst, tables, "stop_vars", (0, 1, 0)) == set()
     assert tables.nb_snake[(0, 0)] == 1
     # the mirror restores every level
     engine.updates = 0
     engine.inc_stops(0, 1, 0, 3)
     assert engine.updates == 3
     assert _cell(engine.inst, tables, "nb_stops", cell) == 1
-    assert tables.stop_vars[(0, 1, 0)] == {3}
+    assert _cell(engine.inst, tables, "stop_vars", (0, 1, 0)) == {3}
     assert tables.nb_snake[(0, 0)] == 0
 
 
@@ -85,8 +84,7 @@ def test_stop_cascade_underflow_is_an_error():
     engine = _cascade_engine({(0, 1, 0, 3): 0}, {(0, 1, 0): set()}, {(0, 0): 0})
     with pytest.raises(RuntimeError):
         engine.dec_stops(0, 1, 0, 3)
-    edge, index = counters.slot(engine.inst, "nb_stops", (0, 1, 0, 3))
-    engine.tables.nb_stops[edge][index] = 0
+    set_cell(engine.inst, "nb_stops", engine.tables.nb_stops, (0, 1, 0, 3), 0)
     with pytest.raises(RuntimeError):
         engine.inc_stops(0, 1, 0, 3)
 
