@@ -19,7 +19,7 @@ elimination.  That recheck is what makes the incremental bookkeeping
 trustworthy.
 
 Vocabulary, for a candidate replacement of value b by value a at variable
-x_i (indices as in Instance.arrow / Instance.snake_arrow):
+x_i:
 
 - block: a value f at a third variable x_l compatible with d but not with e,
   witnessing that e cannot replace d at x_k.
@@ -47,14 +47,16 @@ states and read through cell():
   oriented edge (i,j) to one list with a slot per value position of x_i,
   each an int mask over the value positions of x_j.
 
-Each count is an int.bit_count() over the masks, and one list
-comprehension fills a list.  A slot indexed by an eliminated value, or by
-a pair the definition leaves out (the compatible pairs of nb_subs), is
-dead: it holds whatever the build or the updates left there, engines never
-read it, and comparisons skip it.  nb_snake and inconsistent are dicts
-keyed by (variable, value), with a cell for every live value; a missing
-cell on lookup is a bug, never an implicit zero.  Cells indexed by an
-eliminated value go stale and are likewise never read.
+Each count is the popcount of the AND of two masks.  The flat builders
+compute them with the packed byte kernels (section below), for a whole
+group of equally sized edges at a time, with no Python loop per slot.  A
+slot indexed by an eliminated value, or by a pair the definition leaves
+out (the compatible pairs of nb_subs), is dead: it holds whatever the
+build or the updates left there, engines never read it, and comparisons
+skip it.  nb_snake and inconsistent are dicts keyed by (variable, value),
+with a cell for every live value; a missing cell on lookup is a bug, never
+an implicit zero.  Cells indexed by an eliminated value go stale and are
+likewise never read.
 
 Each build step also reports how many elementary membership probes the
 set-builder evaluation performs; engines fold that into their update
@@ -66,8 +68,10 @@ sizes and the row masks, so ``updates`` does not depend on which one ran.
 from __future__ import annotations
 
 import os
-from itertools import compress
-from operator import not_
+import sys
+from array import array
+from itertools import chain, repeat
+from operator import lshift, or_
 from types import SimpleNamespace
 from typing import Callable, Iterator, NamedTuple
 
@@ -388,6 +392,10 @@ class Masks(NamedTuple):
     row: dict[tuple[int, int], list[int]]
     # nbit[k][l] = the bit of the neighbour x_l in the holder masks of x_k
     nbit: tuple[dict[int, int], ...]
+    # groups[s, t] = the oriented edges (i,j) where the original D(x_i) has
+    # s values and the original D(x_j) has t: the packed byte kernels work
+    # on one group at a time
+    groups: dict[tuple[int, int], list[tuple[int, int]]]
 
 
 def neighbour_bits(inst: Instance) -> tuple[dict[int, int], ...]:
@@ -401,9 +409,12 @@ def value_masks(inst: Instance) -> Masks:
     pos = inst.positions
     bit = [{v: 1 << p[v] for v in dom} for p, dom in zip(pos, inst.domains)]
     row = {}
+    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for i, j in inst.edges:
         # one pass over the allowed pairs of the edge fills both orientations
         rel, bit_j, pos_i, pos_j = inst.rows[(i, j)], bit[j], pos[i], pos[j]
+        groups.setdefault((len(pos_i), len(pos_j)), []).append((i, j))
+        groups.setdefault((len(pos_j), len(pos_i)), []).append((j, i))
         forth = [0] * len(pos_i)
         back = [0] * len(pos_j)
         for a, ba in bit[i].items():
@@ -416,73 +427,250 @@ def value_masks(inst: Instance) -> Masks:
             forth[pos_i[a]] = ma
         row[(i, j)] = forth
         row[(j, i)] = back
-    return Masks(tuple(sum(b.values()) for b in bit), row, neighbour_bits(inst))
+    return Masks(tuple(sum(b.values()) for b in bit), row, neighbour_bits(inst), groups)
 
 
-def _bits(size: int) -> list[int]:
-    return [1 << p for p in range(size)]
+# -- packed byte kernels --------------------------------------------------------
+#
+# The flat builders do their per-slot work in C, on bytes and big ints, for a
+# whole group of oriented edges whose two ends have the same original domain
+# sizes (Masks.groups).  _pack lays the masks of every edge of a group out as
+# little-endian fields of one width, one edge after the other; the kernels
+# combine the fields with a few big-int operations per step and count with
+# bytes.translate; _unpack turns each edge's slice of the result into its
+# list.  The Python work per edge grows with D, not D².  _pair_counts pairs
+# every mask of one list with every mask of another and counts the common
+# bits; _run_masks is a movemask, gathering runs of 0/1 bytes into one int
+# each.
+
+# array typecodes by item size, for the fields array packs and unpacks
+_TYPECODE = {array(code).itemsize: code for code in "QLIHB"}
+_BIG_ENDIAN = sys.byteorder == "big"
+# bytes.translate tables: a byte's popcount, and 0/1 flags for nonzero and zero
+_POPCOUNT = bytes(map(int.bit_count, range(256)))
+_NONZERO = bytes(1) + bytes([1]) * 255
+_ZERO = bytes([1]) + bytes(255)
+# _FITS[t][h] = 1 when the byte h has no bit set but bit t: h is 0 or 1 << t
+_FITS = [bytes(int(h in (0, 1 << t)) for h in range(256)) for t in range(8)]
 
 
-def _fits(inst: Instance, holders: Flat, transposed=False) -> list:
-    """fits[k][p] = (free, only) for the holder masks (block_vars or
-    stop_vars) of the pairs (v,w), or transposed (w,v), of D(x_k), where v
-    is the value at position p: free is the mask of the w != v whose holder
-    mask is empty, only[h] the mask of those whose holder mask is the one
-    neighbour bit h.  The w whose holders fit inside {x_l} are then
-    free | only.get(bit of x_l, 0).  Dead positions hold (0, {})."""
-    fits = []
-    for k, dom in enumerate(inst.domains):
-        pos_k = inst.positions[k]
-        size = len(pos_k)
-        held = holders[k]
-        row = [(0, {})] * size
-        for v in dom:
-            pv = pos_k[v]
-            # the holder masks of v's pairs, by the position of w
-            cells = held[pv::size] if transposed else held[pv * size : (pv + 1) * size]
-            free = 0
-            only: dict[int, int] = {}
-            for w in dom:
-                if w == v:
-                    continue
-                pw = pos_k[w]
-                h = cells[pw]
-                if not h:
-                    free |= 1 << pw
-                elif h.bit_count() == 1:
-                    only[h] = only.get(h, 0) | 1 << pw
-            row[pv] = free, only
-        fits.append(row)
+def _field(bits: int) -> int:
+    """The bytes of a field that holds ``bits`` bits: a power of two."""
+    size = 1
+    while 8 * size < bits:
+        size *= 2
+    return size
+
+
+def _pack(lists, size: int) -> bytes:
+    """The non-negative ints of ``lists``, one list after the other, as
+    little-endian fields of ``size`` bytes."""
+    values = chain.from_iterable(lists)
+    if size > 8:
+        return b"".join(v.to_bytes(size, "little") for v in values)
+    packed = array(_TYPECODE[size], values)
+    if _BIG_ENDIAN:
+        packed.byteswap()
+    return packed.tobytes()
+
+
+def _unpack(buf, size: int) -> list[int]:
+    """The little-endian fields of ``size`` bytes in ``buf``, as ints."""
+    if size > 8:
+        # eight-byte words, word w of each field shifted into place
+        words, step = _unpack(buf, 8), size // 8
+        fields = words[::step]
+        for w in range(1, step):
+            fields = list(map(or_, fields, map(lshift, words[w::step], repeat(64 * w))))
+        return fields
+    packed = array(_TYPECODE[size], buf)
+    if _BIG_ENDIAN:
+        packed.byteswap()
+    return packed.tolist()
+
+
+def _unpack_each(packed: int, count: int, span: int, size: int) -> list[list[int]]:
+    """The fields of ``size`` bytes of ``packed`` as ``count`` lists, one
+    per ``span`` bytes (an edge's or a variable's), each unpacked from its
+    own slice."""
+    buf = packed.to_bytes(count * span, "little")
+    return [_unpack(buf[n * span : (n + 1) * span], size) for n in range(count)]
+
+
+def _flag_bytes(lists: list[list[int]], table: bytes) -> bytes:
+    """One 0/1 byte per count in ``lists``, one list after the other, by
+    the translate table ``_NONZERO`` or ``_ZERO``."""
+    try:
+        return bytes(chain.from_iterable(lists)).translate(table)
+    except ValueError:  # a count past 255, from a domain past 255 values
+        return bytes(map(bool, chain.from_iterable(lists))).translate(table)
+
+
+def _interleave(lanes: list[int], count: int, size: int) -> int:
+    """The int of ``count`` fields of ``size`` bytes whose byte b is, in
+    every field, the matching byte of ``lanes[b]``."""
+    if size == 1:
+        return lanes[0]
+    buf = bytearray(count * size)
+    for b, lane in enumerate(lanes):
+        buf[b::size] = lane.to_bytes(count, "little")
+    return int.from_bytes(buf, "little")
+
+
+def _run_masks(flags, run: int) -> int:
+    """A movemask: for ``flags``, 0/1 bytes in runs of ``run``, one field
+    of _field(run) bytes per run with bit q set where its byte q is 1."""
+    size = _field(run)
+    lanes = [0] * size
+    for q in range(run):
+        lanes[q >> 3] |= int.from_bytes(flags[q::run], "little") << (q & 7)
+    return _interleave(lanes, len(flags) // run, size)
+
+
+def _transpose(flags: bytes, rows: int, cols: int) -> bytearray:
+    """``flags`` with each block of ``rows`` x ``cols`` bytes transposed."""
+    block = rows * cols
+    out = bytearray(len(flags))
+    for r in range(rows):
+        for c in range(cols):
+            out[c * rows + r :: block] = flags[r * cols + c :: block]
+    return out
+
+
+def _spread(packed: bytes, chunk: int, stride: int) -> int:
+    """The int whose bytes hold each block of ``chunk`` bytes of ``packed``
+    at the start of a stride of ``stride`` bytes, the rest zero."""
+    out = bytearray(len(packed) // chunk * stride)
+    for b in range(chunk):
+        out[b::stride] = packed[b::chunk]
+    return int.from_bytes(out, "little")
+
+
+def _replicate(packed: int, unit: int, copies: int) -> int:
+    """``packed`` with the first block of ``unit`` bits of every run of
+    ``copies`` blocks copied into the rest of the run, by doubling shifts."""
+    done = 1
+    while done < copies:
+        step = min(done, copies - done)
+        packed |= packed << step * unit
+        done += step
+    return packed
+
+
+def _pair_counts(
+    xs: bytes, ys: bytes, nx: int, ny: int, size: int, invert: bool = False
+) -> list[list[int]]:
+    """[(x & y).bit_count() for x in X for y in Y] for every edge of a
+    group, where xs holds the nx masks X of each edge and ys its ny masks
+    Y, packed into fields of ``size`` bytes; with ``invert``, each y is
+    taken as ~y.
+
+    Each x goes at the start of its run of ny fields and each edge's Y at
+    the start of its span of nx runs; doubling shifts fill the rest, one
+    AND pairs them all, and the popcount of a field is the sum of its
+    bytes' popcounts."""
+    run, span = ny * size, nx * ny * size
+    edges = len(xs) // (nx * size)
+    x = _replicate(_spread(xs, size, run), 8 * size, ny)
+    y = _replicate(_spread(ys, run, span), 8 * run, nx)
+    if invert:
+        y ^= (1 << 8 * edges * span) - 1
+    counts = (x & y).to_bytes(edges * span, "little").translate(_POPCOUNT)
+    if size == 1:
+        return [list(counts[n * span : (n + 1) * span]) for n in range(edges)]
+    # sum each field's bytes into its first byte, or into its first two
+    # past 16-byte fields, whose counts may pass 255
+    total, lane = int.from_bytes(counts, "little"), 1
+    if size > 16:
+        even = int.from_bytes(b"\xff\x00" * (len(counts) // 2), "little")
+        total, lane = (total & even) + (total >> 8 & even), 2
+    while lane < size:
+        total += total >> 8 * lane
+        lane *= 2
+    if size <= 16:
+        sums = total.to_bytes(len(counts), "little")
+        return [list(sums[n * span : (n + 1) * span : size]) for n in range(edges)]
+    return [cells[:: size // 2] for cells in _unpack_each(total, edges, span, 2)]
+
+
+def _pair_probes(inst: Instance) -> int:
+    """The probes of a set-builder that visits, for every oriented edge
+    (i,j), each ordered pair of distinct values of x_i against each value
+    of x_j."""
+    sizes = [len(dom) for dom in inst.domains]
+    return sum(sizes[i] * (sizes[i] - 1) * sizes[j] for i, j in oriented_edges(inst))
+
+
+def _fits(inst: Instance, masks: Masks, holders: Flat, transposed=False) -> Callable[[list], bytes]:
+    """The fit masks of the holder masks ``holders`` (block_vars or
+    stop_vars), as a function of pairs (k,l) whose x_k all have original
+    domains of one size S: it packs, for each pair, S fields of _field(S)
+    bytes, one pair after the other.  The field at the position of v holds
+    the mask of the w != v of D(x_k) whose holder mask of (v,w), or
+    transposed (w,v), holds no neighbour but x_l; 0 for a dead v."""
+    held = [_pack([holders[k]], _field(len(inst.neighbors(k)))) for k in range(inst.n)]
+    others = [
+        [live & ~(1 << p) if live >> p & 1 else 0 for p in range(len(pos))]
+        for live, pos in zip(masks.live, inst.positions)
+    ]
+
+    def fits(pairs: list[tuple[int, int]]) -> bytes:
+        size_k = len(inst.positions[pairs[0][0]])
+        flags = []
+        for k, l in pairs:
+            cells, t = held[k], masks.nbit[k][l].bit_length() - 1
+            width = len(cells) // (size_k * size_k)
+            fit = cells[t >> 3 :: width].translate(_FITS[t & 7])
+            if width > 1:
+                # every other byte of the holder field must be 0
+                mask = int.from_bytes(fit, "little")
+                for b in range(width):
+                    if b != t >> 3:
+                        mask &= int.from_bytes(cells[b::width].translate(_ZERO), "little")
+                fit = mask.to_bytes(len(fit), "little")
+            flags.append(fit)
+        flags = b"".join(flags)
+        if transposed:
+            flags = _transpose(flags, size_k, size_k)
+        allowed = _pack([others[k] for k, _ in pairs], _field(size_k))
+        fit = _run_masks(flags, size_k) & int.from_bytes(allowed, "little")
+        return fit.to_bytes(len(allowed), "little")
+
     return fits
 
 
 def flat_nb_blocks(inst: Instance, masks: Masks) -> tuple[Flat, int]:
     """compute_nb_blocks as (m_d & ~m_e).bit_count() over the row masks."""
-    table: Flat = {}
-    probes = 0
-    for k, l in oriented_edges(inst):
-        rows = masks.row[(k, l)]
-        complements = [~m for m in rows]
-        table[(k, l)] = [(md & not_me).bit_count() for md in rows for not_me in complements]
-        size_k = len(inst.domains[k])
-        probes += size_k * (size_k - 1) * len(inst.domains[l])
-    return table, probes
+    table: Flat = dict.fromkeys(oriented_edges(inst))
+    for (size_k, size_l), edges in masks.groups.items():
+        size = _field(size_l)
+        rows = _pack([masks.row[e] for e in edges], size)
+        table.update(zip(edges, _pair_counts(rows, rows, size_k, size_k, size, invert=True)))
+    return table, _pair_probes(inst)
 
 
 def flat_holders(inst: Instance, masks: Masks, counts: Flat) -> tuple[Flat, int]:
     """compute_holders as masks: the list of x_k holds, at the slot of each
     pair of its values, the bit of every neighbour x_l where the list of
-    (k,l) is positive."""
-    table: Flat = {}
-    probes = 0
-    for k, dom in enumerate(inst.domains):
-        nbrs = inst.neighbors(k)
-        held = [0] * len(inst.positions[k]) ** 2
-        for l in nbrs:
-            bit = masks.nbit[k][l]
-            held = [h | bit if c else h for h, c in zip(held, counts[(k, l)])]
-        table[k] = held
-        probes += len(dom) * (len(dom) - 1) * len(nbrs)
+    (k,l) is positive.  For the variables of one original domain size and
+    holder field width, the lists of every t-th neighbour, as 0/1 bytes,
+    go to bit t of the holder fields at once."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for k, pos in enumerate(inst.positions):
+        groups.setdefault((len(pos), _field(len(inst.neighbors(k)))), []).append(k)
+    table: Flat = dict.fromkeys(range(inst.n))
+    for (size_k, size), group in groups.items():
+        cells = size_k * size_k
+        nbrs = [inst.neighbors(k) for k in group]
+        lanes, none = [0] * size, [0] * cells
+        for t in range(max(map(len, nbrs))):
+            lists = [counts[(k, ls[t])] if t < len(ls) else none for k, ls in zip(group, nbrs)]
+            lanes[t >> 3] |= int.from_bytes(_flag_bytes(lists, _NONZERO), "little") << (t & 7)
+        held = _interleave(lanes, len(group) * cells, size)
+        table.update(zip(group, _unpack_each(held, len(group), cells * size, size)))
+    probes = sum(
+        len(dom) * (len(dom) - 1) * len(inst.neighbors(k)) for k, dom in enumerate(inst.domains)
+    )
     return table, probes
 
 
@@ -491,60 +679,58 @@ def flat_nb_subs(inst: Instance, masks: Masks, block_vars: Flat) -> tuple[Flat, 
     e that d may be replaced by, blocked at most at x_i.  The slots of the
     compatible pairs (a,d), which compute_nb_subs leaves out, are never
     read."""
-    fits = _fits(inst, block_vars)
-    table: Flat = {}
+    fits = _fits(inst, masks, block_vars)
+    sizes = [len(dom) for dom in inst.domains]
+    table: Flat = dict.fromkeys(oriented_edges(inst))
     probes = 0
-    for i, k in oriented_edges(inst):
-        bit_i = masks.nbit[k][i]
-        fit = [free | only.get(bit_i, 0) for free, only in fits[k]]
-        rows = masks.row[(i, k)]
-        table[(i, k)] = [(ma & fd).bit_count() for ma in rows for fd in fit]
-        size_k = len(inst.domains[k])
-        probes += size_k * (len(inst.domains[i]) * size_k - sum(m.bit_count() for m in rows))
+    for (size_i, size_k), edges in masks.groups.items():
+        size = _field(size_k)
+        rows = [masks.row[e] for e in edges]
+        fit = fits([(k, i) for i, k in edges])
+        table.update(zip(edges, _pair_counts(_pack(rows, size), fit, size_i, size_k, size)))
+        for (i, k), row in zip(edges, rows):
+            probes += sizes[k] * (sizes[i] * sizes[k] - sum(map(int.bit_count, row)))
     return table, probes
 
 
 def flat_nb_stops(inst: Instance, masks: Masks, nb_subs: Flat) -> tuple[Flat, int]:
     """compute_nb_stops as the popcount of b's row mask and the mask of the
     d incompatible with a that have no sub."""
-    table: Flat = {}
-    probes = 0
-    for i, k in oriented_edges(inst):
-        rows = masks.row[(i, k)]
-        subs = nb_subs[(i, k)]
-        size_k = len(inst.positions[k])
-        bits, live = _bits(size_k), masks.live[k]
-        nosub = [
-            sum(compress(bits, map(not_, subs[p * size_k : (p + 1) * size_k]))) & live & ~ma
-            for p, ma in enumerate(rows)
-        ]
-        table[(i, k)] = [(mb & ns).bit_count() for ns in nosub for mb in rows]
-        size_i = len(inst.domains[i])
-        probes += size_i * (size_i - 1) * len(inst.domains[k])
-    return table, probes
+    table: Flat = dict.fromkeys(oriented_edges(inst))
+    for (size_i, size_k), edges in masks.groups.items():
+        size = _field(size_k)
+        rows = _pack([masks.row[e] for e in edges], size)
+        # by the position of a, the d with no sub less those a takes; b's
+        # row mask holds no dead d
+        subless = _run_masks(_flag_bytes([nb_subs[e] for e in edges], _ZERO), size_k)
+        nosubs = (subless & ~int.from_bytes(rows, "little")).to_bytes(len(rows), "little")
+        table.update(zip(edges, _pair_counts(nosubs, rows, size_i, size_i, size)))
+    return table, _pair_probes(inst)
 
 
-def _count_covers(inst: Instance, masks: Masks, fits: list, cols) -> tuple[Flat, int]:
+def _count_covers(inst: Instance, masks: Masks, fits, cols) -> tuple[Flat, int]:
     """table[i,j][b,c] = (m_c & ok).bit_count() for every oriented edge
-    (i,j) and every position of b at x_i and c at x_j, where m_c is
-    cols(i, j)[c] and ok the mask of the a whose holder set of (b,a), or
-    (a,b), fits inside {j}; charged the probes of the cover set-builders."""
-    table: Flat = {}
-    probes = 0
-    for i, j in oriented_edges(inst):
-        col = cols(i, j)
-        bit_j = masks.nbit[i][j]
-        ok = [free | only.get(bit_j, 0) for free, only in fits[i]]
-        table[(i, j)] = [(mc & okb).bit_count() for okb in ok for mc in col]
-        size_i = len(inst.domains[i])
-        probes += size_i * (size_i - 1) * len(inst.domains[j])
-    return table, probes
+    (i,j) and every position of b at x_i and c at x_j, where ok is the mask
+    of the a whose holder set of (b,a), or (a,b), fits inside {j}, from
+    ``fits`` (see _fits), and m_c comes from cols(edges, size_i, size_j,
+    size), the masks m_c of each edge of a group packed into fields of
+    ``size`` bytes; charged the probes of the cover set-builders."""
+    table: Flat = dict.fromkeys(oriented_edges(inst))
+    for (size_i, size_j), edges in masks.groups.items():
+        size = _field(size_i)
+        col = cols(edges, size_i, size_j, size)
+        table.update(zip(edges, _pair_counts(fits(edges), col, size_i, size_j, size)))
+    return table, _pair_probes(inst)
 
 
 def flat_nb_covers(inst: Instance, masks: Masks, block_vars: Flat) -> tuple[Flat, int]:
     """compute_nb_covers as the popcount of the mask of the a that take c
     and the mask of the a != b blocked at most at x_j."""
-    return _count_covers(inst, masks, _fits(inst, block_vars), lambda i, j: masks.row[(j, i)])
+
+    def cols(edges, size_i, size_j, size):
+        return _pack([masks.row[(j, i)] for i, j in edges], size)
+
+    return _count_covers(inst, masks, _fits(inst, masks, block_vars), cols)
 
 
 def flat_nb_snake_covers(
@@ -553,33 +739,28 @@ def flat_nb_snake_covers(
     """compute_nb_snake_covers as nb_covers, with the a that have a sub for
     c added to c's mask and the fit taken over stop_vars(i,a,b)."""
 
-    def cols(i, j):
-        # the nb_subs slot of an a that takes c holds no defined count,
-        # but such an a is in m_c already
-        subs, size_j = nb_subs[(i, j)], len(inst.positions[j])
-        bits, live = _bits(len(inst.positions[i])), masks.live[i]
-        return [
-            mc | sum(compress(bits, subs[pc::size_j])) & live
-            for pc, mc in enumerate(masks.row[(j, i)])
-        ]
+    def cols(edges, size_i, size_j, size):
+        # the nb_subs slot of an a that takes c holds no defined count, but
+        # such an a is in m_c already; the slot of a dead a holds 0
+        takes = _pack([masks.row[(j, i)] for i, j in edges], size)
+        subbed = _flag_bytes([nb_subs[e] for e in edges], _NONZERO)
+        subbed = _run_masks(_transpose(subbed, size_i, size_j), size_i)
+        return (int.from_bytes(takes, "little") | subbed).to_bytes(len(takes), "little")
 
-    return _count_covers(inst, masks, _fits(inst, stop_vars, transposed=True), cols)
+    return _count_covers(inst, masks, _fits(inst, masks, stop_vars, transposed=True), cols)
 
 
 def flat_uncovered(inst: Instance, masks: Masks, covers: Flat) -> tuple[Flat, int]:
     """compute_uncovered as masks: the list of (i,j) holds, at the position
     of b, b's row mask less the c whose cover slot is positive."""
-    table: Flat = {}
-    probes = 0
-    for i, j in oriented_edges(inst):
-        cov = covers[(i, j)]
-        size_j = len(inst.positions[j])
-        bits = _bits(size_j)
-        table[(i, j)] = [
-            mb & sum(compress(bits, map(not_, cov[p * size_j : (p + 1) * size_j])))
-            for p, mb in enumerate(masks.row[(i, j)])
-        ]
-        probes += len(inst.domains[i]) * len(inst.domains[j])
+    table: Flat = dict.fromkeys(oriented_edges(inst))
+    for (size_i, size_j), edges in masks.groups.items():
+        size = _field(size_j)
+        rows = _pack([masks.row[e] for e in edges], size)
+        uncovered = _run_masks(_flag_bytes([covers[e] for e in edges], _ZERO), size_j)
+        uncovered &= int.from_bytes(rows, "little")
+        table.update(zip(edges, _unpack_each(uncovered, len(edges), size_i * size, size)))
+    probes = sum(len(inst.domains[i]) * len(inst.domains[j]) for i, j in oriented_edges(inst))
     return table, probes
 
 

@@ -98,71 +98,6 @@ class Instance:
         if not 0 <= i < self.n:
             raise ValueError(f"variable index {i} out of range (n={self.n})")
 
-    def _check_value(self, i: int, a: int) -> None:
-        if a not in self.positions[i]:
-            raise ValueError(f"value {a} not in the original domain of variable {i}")
-
-    def allows(self, i: int, a: int, j: int, b: int) -> bool:
-        """True iff x_i = a is compatible with x_j = b.
-
-        Values are checked against the original domains; pairs of variables
-        without a stored constraint allow everything.
-        """
-        self._check_var(i)
-        self._check_var(j)
-        if i == j:
-            raise ValueError("allows() needs two distinct variables")
-        self._check_value(i, a)
-        self._check_value(j, b)
-        row = self.rows.get((i, j))
-        if row is None:
-            return True
-        return b in row[a]
-
-    def arrow(self, i: int, j: int, b: int, a: int) -> bool:
-        """True iff every current value of x_j compatible with b is compatible with a.
-
-        Quantifies over the *current* domain of x_j.  For an unconstrained
-        pair this holds trivially.
-        """
-        self._check_var(i)
-        self._check_var(j)
-        if i == j:
-            raise ValueError("arrow() needs two distinct variables")
-        row = self.rows.get((i, j))
-        if row is None:
-            return True
-        return (row[b] & self._cur_sets[j]) <= row[a]
-
-    def snake_arrow(
-        self, i: int, k: int, b: int, a: int
-    ) -> tuple[bool, Optional[dict[int, int]]]:
-        """Like arrow, but each value supporting b may be swapped for one
-        supporting a that dominates it at every third variable.
-
-        Returns ``(True, emap)`` where ``emap[d]`` is the smallest
-        replacement for each current d of x_k compatible with b, or
-        ``(False, None)``.  ``arrow(i, k, b, a)`` true implies this holds.
-        """
-        self._check_var(i)
-        self._check_var(k)
-        if i == k:
-            raise ValueError("snake_arrow() needs two distinct variables")
-        others = [ell for ell in self._neighbors[k] if ell != i]
-        emap: dict[int, int] = {}
-        for d in self.domains[k]:
-            if not self.allows(i, b, k, d):
-                continue
-            for e in self.domains[k]:
-                if self.allows(i, a, k, e) and all(
-                    self.arrow(k, ell, d, e) for ell in others
-                ):
-                    emap[d] = e
-                    break
-            else:
-                return False, None
-        return True, emap
-
     # -- derived snapshots -------------------------------------------------
 
     def remove_value(self, i: int, b: int) -> "Instance":

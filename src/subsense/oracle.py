@@ -1,12 +1,12 @@
 """Reference implementations used to certify the incremental engines.
 
 The solver is plain backtracking with no propagation.  The rule checkers
-state the elimination definitions quantifier by quantifier, as
-``Instance.arrow``/``snake_arrow`` do, but every domination they ask about
-("e dominates d at x_k on every neighbour but one") goes through one
-private helper that reads the relation rows directly and decides each
-question once per call: replay asks the same question again for every
-candidate substitute and every conditioning value.  Nothing is cached
+state the elimination definitions quantifier by quantifier, and every
+domination they ask about ("e dominates d at x_k on every neighbour but
+one") goes through one private helper that reads the relation rows
+directly and decides each question once per call: replay asks the same
+question again for every candidate substitute and every conditioning
+value.  Nothing is cached
 beyond the call.  A check validates its arguments once on entry.  Ties
 always break toward the smallest qualifying value, then the smallest
 conditioning variable, then the smallest replacement, so results are
@@ -87,11 +87,6 @@ def solvable(inst: Instance, space_cap: int = 10**8) -> bool:
     return bool(solve(inst, limit=1, space_cap=space_cap))
 
 
-def preserves_satisfiability(inst: Instance, i: int, b: int) -> bool:
-    """Does removing b from D(x_i) leave satisfiability unchanged?"""
-    return solvable(inst) == solvable(inst.remove_value(i, b))
-
-
 def _check_target(inst: Instance, i: int, b: int) -> None:
     if not 0 <= i < inst.n:
         raise ValueError(f"variable index {i} out of range (n={inst.n})")
@@ -108,7 +103,8 @@ def _check_conditioning(inst: Instance, i: int, j: int) -> None:
 
 def _row(inst: Instance, i: int, j: int):
     """``rows[(i, j)]``, or a row allowing everything when x_i and x_j
-    share no constraint: ``c in row[a]`` is ``allows(i, a, j, c)``."""
+    share no constraint: ``c in row[a]`` says x_i = a is compatible with
+    x_j = c."""
     row = inst.rows.get((i, j))
     if row is None:
         row = dict.fromkeys(inst.original_domains[i], frozenset(inst.original_domains[j]))
@@ -118,7 +114,7 @@ def _row(inst: Instance, i: int, j: int):
 def _dominance(inst: Instance):
     """The domination test of one check, memoised for that check only.
 
-    ``dominates(k, d, e, skip)`` is ``arrow(k, l, d, e)`` for every
+    ``dominates(k, d, e, skip)`` says e dominates d at x_k on every
     neighbour x_l of x_k other than x_skip: each current value of x_l
     compatible with d is compatible with e.  It reads the relation rows and
     current domains directly; the checks validate their arguments on entry.
@@ -153,10 +149,10 @@ def _snake_swaps(inst: Instance, dominates, i: int, b: int, a: int, ks):
     """The swaps by which a snake-dominates b at x_i on the neighbours
     ``ks``, or None when it does not.
 
-    This is ``snake_arrow(i, k, b, a)`` for each k, keeping the swaps of
-    the values d that b takes and a does not: each such d needs a swap
-    that a takes, dominating d at x_k on every neighbour but x_i.  A d that
-    a takes needs no swap and would qualify as its own, so it is skipped.
+    For each k, every current d of x_k that b takes and a does not needs a
+    swap e that a takes, dominating d at x_k on every neighbour but x_i.  A
+    d that a takes needs no swap and would qualify as its own, so it is
+    skipped.
     """
     swaps: dict[int, dict[int, int]] = {}
     for k in ks:
@@ -271,15 +267,6 @@ def scss_with_conditioning(
 
 def is_scss(inst: Instance, i: int, b: int) -> Optional[ScssWitness]:
     return _first_conditioned(scss_with_conditioning, inst, i, b)
-
-
-def scss_conditionings(inst: Instance, i: int, b: int) -> tuple[int, ...]:
-    """All constrained neighbours of x_i that work as conditioning variable."""
-    return tuple(
-        j
-        for j in inst.neighbors(i)
-        if scss_with_conditioning(inst, i, b, j) is not None
-    )
 
 
 def is_ac(inst: Instance, i: int, b: int, j: Optional[int] = None) -> Optional[AcWitness]:

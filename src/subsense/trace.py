@@ -212,6 +212,8 @@ def trace_from_json_dict(obj: dict) -> Trace:
     missing = {"instance", "steps"} - set(obj)
     if missing:
         raise ValueError(f"trace is missing keys: {sorted(missing)}")
+    if not isinstance(obj["instance"], str):
+        raise ValueError(f"trace instance must be a string, not {obj['instance']!r}")
     if not isinstance(obj["steps"], list):
         raise ValueError("trace steps must be a list")
     steps = []
@@ -227,9 +229,12 @@ def trace_from_json_dict(obj: dict) -> Trace:
             witness = None if raw is None else WITNESS_READERS[rule](raw, rule)
         except (KeyError, TypeError, AttributeError) as exc:
             raise ValueError(f"step {pos}: malformed {rule} witness ({exc!r})") from exc
+        step = _int(rec.get("step", pos), "step")
+        if step != pos:
+            raise ValueError(f"step {pos} is numbered {step}")
         steps.append(
             EliminationRecord(
-                step=_int(rec.get("step", pos), "step"),
+                step=step,
                 rule=rule,
                 variable=_int(rec["variable"], "variable"),
                 value=_int(rec["value"], "value"),

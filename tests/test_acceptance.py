@@ -34,12 +34,12 @@ from subsense.oracle import (
     is_scss,
     is_ss,
     longest_elimination_sequence,
-    scss_conditionings,
     solvable,
     solve,
 )
 
 from conftest import corpus, corpus_size
+from reference import scss_conditionings
 
 CORPUS_SEEDS = tuple(range(8))
 

@@ -282,25 +282,31 @@ def test_verify_rejects_non_integer_final_domains(tmp_path, capsys, entry):
     assert "final_domains entry" in capsys.readouterr().err
 
 
-def _verify_steps(tmp_path, steps):
+def _verify_steps(tmp_path, steps, instance="b"):
     inst_path, trace_path = tmp_path / "b.json", tmp_path / "tr.json"
     run(["gen", "figure1b", "-o", inst_path])
-    trace_path.write_text(json.dumps({"instance": "b", "steps": steps}))
+    trace_path.write_text(json.dumps({"instance": instance, "steps": steps}))
     return run(["verify", inst_path, trace_path])
 
 
 @pytest.mark.parametrize(
-    "steps",
+    ("steps", "instance"),
     [
-        [{"rule": "cns", "variable": 1, "value": 0, "witness": {"covers": {}}}],
-        [{"rule": "scss", "variable": "0", "value": 0}],
-        [{"rule": "cns", "variable": 1, "value": 0,
-          "witness": {"conditioning": 0, "covers": {"1_0": 2}}}],
-        5,
+        pytest.param([{"rule": "cns", "variable": 1, "value": 0, "witness": {"covers": {}}}],
+                     "b", id="steps0"),
+        pytest.param([{"rule": "scss", "variable": "0", "value": 0}], "b", id="steps1"),
+        pytest.param([{"rule": "cns", "variable": 1, "value": 0,
+                       "witness": {"conditioning": 0, "covers": {"1_0": 2}}}], "b", id="steps2"),
+        pytest.param(5, "b", id="5"),
+        # a step numbered other than by its position, and an instance name
+        # that is no string
+        pytest.param([{"step": 7, "rule": "ac", "variable": 1, "value": 0}], "b",
+                     id="renumbered-step"),
+        pytest.param([], [1], id="non-string-instance"),
     ],
 )
-def test_verify_rejects_unreadable_trace(tmp_path, capsys, steps):
-    assert _verify_steps(tmp_path, steps) == 2
+def test_verify_rejects_unreadable_trace(tmp_path, capsys, steps, instance):
+    assert _verify_steps(tmp_path, steps, instance) == 2
     assert "cannot read trace" in capsys.readouterr().err
 
 

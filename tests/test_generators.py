@@ -5,6 +5,8 @@ import pytest
 from subsense import generators, make_instance
 from subsense.oracle import solve
 
+from reference import allows
+
 
 def test_figure1a_shape():
     inst = generators.figure1a()
@@ -12,9 +14,9 @@ def test_figure1a_shape():
     assert inst.domains == ((0, 1),) * 4
     assert inst.edges == ((0, 1), (0, 3), (1, 2), (2, 3))
     # x1 = x2, x3 = x4, x2 or x3, x1 or x4
-    assert inst.allows(0, 1, 1, 1) and not inst.allows(0, 0, 1, 1)
-    assert not inst.allows(1, 0, 2, 0) and inst.allows(1, 0, 2, 1)
-    assert not inst.allows(0, 0, 3, 0)
+    assert allows(inst, 0, 1, 1, 1) and not allows(inst, 0, 0, 1, 1)
+    assert not allows(inst, 1, 0, 2, 0) and allows(inst, 1, 0, 2, 1)
+    assert not allows(inst, 0, 0, 3, 0)
 
 
 def test_figure1a_solutions():
@@ -28,8 +30,8 @@ def test_figure1a_solutions():
 def test_figure1b_shape():
     inst = generators.figure1b()
     assert inst.domains == ((0, 1, 2),) * 3
-    assert not inst.allows(0, 1, 1, 1)  # x1 != x2
-    assert inst.allows(1, 2, 2, 1) and not inst.allows(1, 1, 2, 2)  # x2 >= x3
+    assert not allows(inst, 0, 1, 1, 1)  # x1 != x2
+    assert allows(inst, 1, 2, 2, 1) and not allows(inst, 1, 1, 2, 2)  # x2 >= x3
     assert len(solve(inst)) == 9
 
 
@@ -37,10 +39,10 @@ def test_figure1c_shape():
     inst = generators.figure1c()
     assert inst.n == 4
     assert inst.e == 6
-    assert not inst.allows(0, 2, 3, 2)  # x1 != x4
-    assert inst.allows(1, 1, 2, 3) and not inst.allows(1, 3, 2, 1)  # x2 <= x3
-    assert inst.allows(1, 3, 3, 1) and not inst.allows(1, 1, 3, 3)  # x2 >= x4
-    assert inst.allows(2, 3, 3, 1) and not inst.allows(2, 1, 3, 3)  # x4 <= x3
+    assert not allows(inst, 0, 2, 3, 2)  # x1 != x4
+    assert allows(inst, 1, 1, 2, 3) and not allows(inst, 1, 3, 2, 1)  # x2 <= x3
+    assert allows(inst, 1, 3, 3, 1) and not allows(inst, 1, 1, 3, 3)  # x2 >= x4
+    assert allows(inst, 2, 3, 3, 1) and not allows(inst, 2, 1, 3, 3)  # x4 <= x3
     assert len(solve(inst)) == 40
 
 
@@ -49,7 +51,7 @@ def test_two_var_cns_vs_ns():
     assert inst.domains == ((1, 2, 3), (0, 1, 2, 3))
     for a in (1, 2, 3):
         for b in (0, 1, 2, 3):
-            assert inst.allows(0, a, 1, b) == (a == b or b == 0)
+            assert allows(inst, 0, a, 1, b) == (a == b or b == 0)
 
 
 def test_two_var_cns_vs_ns_minimum_size():
@@ -65,12 +67,12 @@ def test_set_cover_canonicalises_universe():
     assert inst.domains[0] == (1, 2)
     assert inst.domains[1:] == ((1, 2, 3),) * 3
     # 5 -> 1, 7 -> 2, 9 -> 3; set 1 = {5, 7}, set 2 = {9}
-    assert inst.allows(0, 1, 1, 1) and inst.allows(0, 1, 1, 2)
-    assert not inst.allows(0, 1, 1, 3)
-    assert inst.allows(0, 2, 1, 3) and not inst.allows(0, 2, 1, 1)
+    assert allows(inst, 0, 1, 1, 1) and allows(inst, 0, 1, 1, 2)
+    assert not allows(inst, 0, 1, 1, 3)
+    assert allows(inst, 0, 2, 1, 3) and not allows(inst, 0, 2, 1, 1)
     # equality triangle on the universe variables
     for i, j in ((1, 2), (1, 3), (2, 3)):
-        assert inst.allows(i, 2, j, 2) and not inst.allows(i, 1, j, 2)
+        assert allows(inst, i, 2, j, 2) and not allows(inst, i, 1, j, 2)
 
 
 @pytest.mark.parametrize(
@@ -91,15 +93,15 @@ def test_geq_chain_shape():
     inst = generators.geq_chain(4)
     assert inst.domains == ((1, 2, 3),) * 4
     assert sorted(inst.edges) == [(0, 1), (0, 3), (1, 2), (2, 3)]
-    assert inst.allows(0, 3, 1, 1) and not inst.allows(0, 1, 1, 3)
-    assert inst.allows(0, 2, 3, 2) and not inst.allows(0, 2, 3, 3)  # end tie
+    assert allows(inst, 0, 3, 1, 1) and not allows(inst, 0, 1, 1, 3)
+    assert allows(inst, 0, 2, 3, 2) and not allows(inst, 0, 2, 3, 3)  # end tie
 
 
 def test_geq_chain_small_lengths():
     assert generators.geq_chain(1).e == 0
     two = generators.geq_chain(2)
     assert two.e == 1
-    assert [b for b in two.domains[1] if two.allows(0, 2, 1, b)] == [2]
+    assert [b for b in two.domains[1] if allows(two, 0, 2, 1, b)] == [2]
     with pytest.raises(ValueError):
         generators.geq_chain(0)
 

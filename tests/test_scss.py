@@ -17,10 +17,11 @@ from subsense import (
     scss_to_convergence,
     ss_to_convergence,
 )
-from subsense.oracle import is_scss, scss_conditionings, solvable, solve
+from subsense.oracle import is_scss, solvable, solve
 from subsense.scss import replay_steps
 
 from conftest import corpus
+from reference import scss_conditionings
 
 
 def oracle_triples(inst):
