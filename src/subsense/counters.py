@@ -440,7 +440,8 @@ def value_masks(inst: Instance) -> Masks:
 # bytes.translate; _unpack turns each edge's slice of the result into its
 # list.  The Python work per edge grows with D, not D².  _pair_counts pairs
 # every mask of one list with every mask of another and counts the common
-# bits; _run_masks is a movemask, gathering runs of 0/1 bytes into one int
+# bits, one 8-byte word of a wider mask and at most _PAIR_BATCH slots at a
+# time; _run_masks is a movemask, gathering runs of 0/1 bytes into one int
 # each.
 
 # array typecodes by item size, for the fields array packs and unpacks
@@ -450,12 +451,19 @@ _BIG_ENDIAN = sys.byteorder == "big"
 _POPCOUNT = bytes(map(int.bit_count, range(256)))
 _NONZERO = bytes(1) + bytes([1]) * 255
 _ZERO = bytes([1]) + bytes(255)
+# the most slots _pair_counts pairs at once, unless one edge has more: each
+# of its buffers then holds a field of at most 8 bytes a slot, no more than
+# the list pointers of the counts
+_PAIR_BATCH = 1 << 15
 # _FITS[t][h] = 1 when the byte h has no bit set but bit t: h is 0 or 1 << t
 _FITS = [bytes(int(h in (0, 1 << t)) for h in range(256)) for t in range(8)]
 
 
 def _field(bits: int) -> int:
-    """The bytes of a field that holds ``bits`` bits: a power of two."""
+    """The bytes of a field that holds ``bits`` bits: 1, 2, 4 or 8, or a
+    multiple of 8 past 64 bits."""
+    if bits > 64:
+        return -(-bits // 64) * 8
     size = 1
     while 8 * size < bits:
         size *= 2
@@ -509,8 +517,6 @@ def _flag_bytes(lists: list[list[int]], table: bytes) -> bytes:
 def _interleave(lanes: list[int], count: int, size: int) -> int:
     """The int of ``count`` fields of ``size`` bytes whose byte b is, in
     every field, the matching byte of ``lanes[b]``."""
-    if size == 1:
-        return lanes[0]
     buf = bytearray(count * size)
     for b, lane in enumerate(lanes):
         buf[b::size] = lane.to_bytes(count, "little")
@@ -557,6 +563,12 @@ def _replicate(packed: int, unit: int, copies: int) -> int:
     return packed
 
 
+def _word(packed: bytes, w: int, words: int, size: int) -> bytes:
+    """Word w of every field of ``words`` words of ``size`` bytes in
+    ``packed``."""
+    return array(_TYPECODE[size], packed)[w::words].tobytes()
+
+
 def _pair_counts(
     xs: bytes, ys: bytes, nx: int, ny: int, size: int, invert: bool = False
 ) -> list[list[int]]:
@@ -568,29 +580,48 @@ def _pair_counts(
     Each x goes at the start of its run of ny fields and each edge's Y at
     the start of its span of nx runs; doubling shifts fill the rest, one
     AND pairs them all, and the popcount of a field is the sum of its
-    bytes' popcounts."""
+    bytes' popcounts.  A field past 8 bytes is paired one 8-byte word at a
+    time, and the counts of its words summed.  The edges are paired at
+    most _PAIR_BATCH slots at a time, so that no buffer outgrows the
+    lists it fills."""
+    words, size = max(1, size // 8), min(size, 8)
     run, span = ny * size, nx * ny * size
-    edges = len(xs) // (nx * size)
-    x = _replicate(_spread(xs, size, run), 8 * size, ny)
-    y = _replicate(_spread(ys, run, span), 8 * run, nx)
-    if invert:
-        y ^= (1 << 8 * edges * span) - 1
-    counts = (x & y).to_bytes(edges * span, "little").translate(_POPCOUNT)
-    if size == 1:
-        return [list(counts[n * span : (n + 1) * span]) for n in range(edges)]
-    # sum each field's bytes into its first byte, or into its first two
-    # past 16-byte fields, whose counts may pass 255
-    total, lane = int.from_bytes(counts, "little"), 1
-    if size > 16:
-        even = int.from_bytes(b"\xff\x00" * (len(counts) // 2), "little")
-        total, lane = (total & even) + (total >> 8 & even), 2
-    while lane < size:
-        total += total >> 8 * lane
-        lane *= 2
-    if size <= 16:
-        sums = total.to_bytes(len(counts), "little")
-        return [list(sums[n * span : (n + 1) * span : size]) for n in range(edges)]
-    return [cells[:: size // 2] for cells in _unpack_each(total, edges, span, 2)]
+    xlen, ylen = nx * size * words, ny * size * words
+    edges, batch = len(xs) // xlen, max(1, _PAIR_BATCH // (nx * ny))
+    lists = []
+    for start in range(0, edges, batch):
+        count = min(batch, edges - start)
+        xb = xs[start * xlen : (start + count) * xlen]
+        yb = ys[start * ylen : (start + count) * ylen]
+        total = 0
+        for w in range(words):
+            x = _replicate(_spread(_word(xb, w, words, size), size, run), 8 * size, ny)
+            y = _replicate(_spread(_word(yb, w, words, size), run, span), 8 * run, nx)
+            if invert:
+                y ^= (1 << 8 * count * span) - 1
+            counts = (x & y).to_bytes(count * span, "little").translate(_POPCOUNT)
+            del x, y
+            # sum each field's bytes into its first byte; every byte is then
+            # at most 64, so up to three words add up with no carry, and
+            # past three each keeps only its counts
+            sums, lane = int.from_bytes(counts, "little"), 1
+            del counts
+            while lane < size:
+                sums += sums >> 8 * lane
+                lane *= 2
+            total += sums if words < 4 else sums & _first_bytes(count * nx * ny)
+        if words < 4:
+            buf = total.to_bytes(count * span, "little")
+            lists += [list(buf[n * span : (n + 1) * span : size]) for n in range(count)]
+        else:
+            lists += _unpack_each(total, count, span, size)
+    return lists
+
+
+def _first_bytes(fields: int) -> int:
+    """The int whose fields of 8 bytes have their first byte all ones and
+    the rest zero."""
+    return int.from_bytes(b"\xff\0\0\0\0\0\0\0" * fields, "little")
 
 
 def _pair_probes(inst: Instance) -> int:

@@ -229,12 +229,9 @@ def trace_from_json_dict(obj: dict) -> Trace:
             witness = None if raw is None else WITNESS_READERS[rule](raw, rule)
         except (KeyError, TypeError, AttributeError) as exc:
             raise ValueError(f"step {pos}: malformed {rule} witness ({exc!r})") from exc
-        step = _int(rec.get("step", pos), "step")
-        if step != pos:
-            raise ValueError(f"step {pos} is numbered {step}")
         steps.append(
             EliminationRecord(
-                step=step,
+                step=_int(rec.get("step", pos), "step"),
                 rule=rule,
                 variable=_int(rec["variable"], "variable"),
                 value=_int(rec["value"], "value"),

@@ -298,10 +298,7 @@ def _verify_steps(tmp_path, steps, instance="b"):
         pytest.param([{"rule": "cns", "variable": 1, "value": 0,
                        "witness": {"conditioning": 0, "covers": {"1_0": 2}}}], "b", id="steps2"),
         pytest.param(5, "b", id="5"),
-        # a step numbered other than by its position, and an instance name
-        # that is no string
-        pytest.param([{"step": 7, "rule": "ac", "variable": 1, "value": 0}], "b",
-                     id="renumbered-step"),
+        # an instance name that is no string
         pytest.param([], [1], id="non-string-instance"),
     ],
 )

@@ -264,7 +264,8 @@ def _star(leaves):
 WIDTH_INPUTS = {
     # masks of x_0 past 64 bits: 16-byte fields
     "domain-70": lambda: _sized("d70", [70, 5, 3], [(0, 1), (0, 2), (1, 2)], 1),
-    # counts past one byte and 64-byte fields
+    # counts past one byte, fields of five 8-byte words, and groups of
+    # 90,000 slots an edge, paired one edge at a time
     "counts-300": _wide_counts,
     # holder masks of the centre past 64 bits
     "star-70": lambda: _star(70),
