@@ -95,7 +95,7 @@ def cmd_gen(args) -> int:
     if args.out:
         instance.dump_file(inst, args.out)
     else:
-        print(instance.dumps(inst))
+        sys.stdout.write(instance.dumps(inst))
     return 0
 
 

@@ -16,6 +16,10 @@ and set, plus two tuple slices that copy n references in C, so an
 elimination no longer pays O(n+e) Python work.  Only the constructor,
 which ``make_instance`` calls, computes the neighbour lists and the value
 index.
+
+An instance file is ``json.dumps(to_json_dict(inst), indent=2)`` and a
+newline, written by the one writer of instance and trace files
+(``_jsonwrite``) in C-joined pieces and streamed to disk.
 """
 
 from __future__ import annotations
@@ -24,12 +28,16 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
+from ._jsonwrite import dump, pieces
+
 
 class InstanceFormatError(ValueError):
     """Raised for malformed instance data (files or constructor input)."""
 
 
 Pair = tuple[int, int]
+
+_NOT_PAIRS = "constraint 'allowed' must be a list of pairs"
 
 
 def _is_int(value) -> bool:
@@ -202,7 +210,6 @@ def make_instance(
     else:
         items = list(constraints)
 
-    dom_sets = [frozenset(dom) for dom in doms]
     rows: dict[Pair, dict[int, frozenset[int]]] = {}
     edges: list[Pair] = []
     seen: set[Pair] = set()
@@ -218,31 +225,39 @@ def make_instance(
                 f"duplicate constraint on variables {key[0]} and {key[1]}"
             )
         seen.add(key)
-        if i > j:
-            pairs = [(b, a) for (a, b) in pairs]
-            i, j = j, i
-        pair_set: set[Pair] = set()
-        for a, b in pairs:
+        flip = i > j
+        i, j = key
+        # one pass over the pairs checks each and files it in both rows
+        fwd = {a: set() for a in doms[i]}
+        bwd = {b: set() for b in doms[j]}
+        for pair in pairs:
+            try:
+                a, b = pair
+            except (TypeError, ValueError):
+                raise InstanceFormatError(_NOT_PAIRS) from None
+            if flip:
+                a, b = b, a
             # the exact type test is a fast path of _is_int for the common case
             if (type(a) is not int or type(b) is not int) and not (_is_int(a) and _is_int(b)):
+                if not isinstance(pair, (list, tuple)):
+                    # a two-character string or two-key object unpacks too
+                    raise InstanceFormatError(_NOT_PAIRS)
                 raise InstanceFormatError(f"pair ({a!r}, {b!r}) must hold ints")
-            if a not in dom_sets[i] or b not in dom_sets[j]:
+            row_a, col_b = fwd.get(a), bwd.get(b)
+            if row_a is None or col_b is None:
                 raise InstanceFormatError(
                     f"pair ({a}, {b}) outside the domains of variables {i} and {j}"
                 )
-            if (a, b) in pair_set:
+            size = len(row_a)
+            row_a.add(b)
+            if len(row_a) == size:
                 raise InstanceFormatError(
                     f"duplicate allowed pair ({a}, {b}) on variables {i} and {j}"
                 )
-            pair_set.add((a, b))
-        if len(pair_set) == len(dom_sets[i]) * len(dom_sets[j]):
+            col_b.add(a)
+        if sum(map(len, fwd.values())) == len(doms[i]) * len(doms[j]):
             continue  # trivial: allows everything
         edges.append((i, j))
-        fwd = {a: set() for a in doms[i]}
-        bwd = {b: set() for b in doms[j]}
-        for a, b in pair_set:
-            fwd[a].add(b)
-            bwd[b].add(a)
         # frozen edge by edge, so that the working sets die young: held to
         # the end, they are promoted to the oldest generation of the garbage
         # collector and hasten its next full collection
@@ -273,13 +288,12 @@ def to_json_dict(inst: Instance) -> dict:
     ]
     constraints = []
     for i, j in inst.edges:
-        row = inst.rows[(i, j)]
-        pairs = sorted(
-            (a, b) for a in inst.domains[i] for b in row[a] if b in inst.domain_set(j)
-        )
-        if len(pairs) == len(inst.domains[i]) * len(inst.domains[j]):
+        row, dom_j = inst.rows[(i, j)], inst.domain_set(j)
+        # ascending in a, then in b, as sorting the pairs would give
+        pairs = [[a, b] for a in inst.domains[i] for b in sorted(row[a] & dom_j)]
+        if len(pairs) == len(inst.domains[i]) * len(dom_j):
             continue
-        constraints.append({"scope": [i, j], "allowed": [list(p) for p in pairs]})
+        constraints.append({"scope": [i, j], "allowed": pairs})
     return {"name": inst.name, "variables": variables, "constraints": constraints}
 
 
@@ -317,8 +331,11 @@ def from_json_dict(obj: dict) -> Instance:
             raise InstanceFormatError("variable domain must be a list")
         domains.append(var["domain"])
         names.append(var["name"])
+    cons = obj.get("constraints", [])
+    if not isinstance(cons, list):
+        raise InstanceFormatError("constraints must be a list")
     constraints = []
-    for con in obj.get("constraints", []):
+    for con in cons:
         _require_keys(con, {"scope", "allowed"}, {"scope", "allowed"}, "constraint")
         scope = con["scope"]
         if (
@@ -331,11 +348,10 @@ def from_json_dict(obj: dict) -> Instance:
         if not i < j:
             raise InstanceFormatError(f"constraint scope must be ordered; got [{i}, {j}]")
         allowed = con["allowed"]
-        if not isinstance(allowed, list) or not all(
-            isinstance(p, list) and len(p) == 2 for p in allowed
-        ):
-            raise InstanceFormatError("constraint 'allowed' must be a list of pairs")
-        constraints.append((i, j, [tuple(p) for p in allowed]))
+        if not isinstance(allowed, list):
+            raise InstanceFormatError(_NOT_PAIRS)
+        # make_instance checks that each item is a pair as it reads it
+        constraints.append((i, j, allowed))
     try:
         return make_instance(name, domains, constraints, names=names)
     except InstanceFormatError:
@@ -345,7 +361,7 @@ def from_json_dict(obj: dict) -> Instance:
 
 
 def dumps(inst: Instance) -> str:
-    return json.dumps(to_json_dict(inst), indent=2) + "\n"
+    return "".join(pieces(to_json_dict(inst))) + "\n"
 
 
 def loads(text: str) -> Instance:
@@ -358,8 +374,7 @@ def loads(text: str) -> Instance:
 
 
 def dump_file(inst: Instance, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(inst))
+    dump(to_json_dict(inst), path)
 
 
 def load_file(path) -> Instance:

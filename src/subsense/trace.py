@@ -1,10 +1,17 @@
-"""Elimination records, per-rule witnesses, and reduction reports."""
+"""Elimination records, per-rule witnesses, and reduction reports.
+
+A trace file is ``json.dumps(trace_to_json_dict(trace), indent=2)`` and a
+newline, streamed to disk by the writer that also writes instance files
+(``_jsonwrite``).
+"""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Mapping, Optional, Union, get_args, get_type_hints
+
+from ._jsonwrite import dump
 
 AC = "ac"
 NS = "ns"
@@ -251,9 +258,7 @@ def trace_from_json_dict(obj: dict) -> Trace:
 
 
 def dump_trace(trace: Trace, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(trace_to_json_dict(trace), fh, indent=2)
-        fh.write("\n")
+    dump(trace_to_json_dict(trace), path)
 
 
 def load_trace(path) -> Trace:

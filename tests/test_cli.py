@@ -43,6 +43,13 @@ def test_gen_without_out_prints_the_instance(capsys):
     assert loads(capsys.readouterr().out) == generators.figure1c()
 
 
+def test_gen_prints_the_bytes_it_writes(tmp_path, capsysbinary):
+    path = tmp_path / "a.json"
+    assert run(["gen", "figure1a", "-o", path]) == 0
+    assert run(["gen", "figure1a"]) == 0
+    assert capsysbinary.readouterr().out == path.read_bytes()
+
+
 def test_gen_setcover_needs_its_parameters():
     assert run(["gen", "setcover", "--universe", 3]) == 2
 
@@ -179,6 +186,16 @@ def test_reduce_rejects_non_integer_instances(tmp_path, capsys, mutate):
     path.write_text(json.dumps(obj))
     _assert_cannot_read(capsys, ["reduce", path, "--rules", "ns", "--out", out])
     assert not out.exists()
+
+
+@pytest.mark.parametrize("constraints", [None, 5, "ab", {}], ids=["null", "int", "str", "object"])
+def test_reduce_rejects_constraints_that_are_not_a_list(tmp_path, capsys, constraints):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"name": "p", "variables": [], "constraints": constraints}))
+    assert run(["reduce", path, "--rules", "ns"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read instance {path}: constraints must be a list")
+    assert "Traceback" not in err
 
 
 def test_solve_prints_solutions(tmp_path, capsys):

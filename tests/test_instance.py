@@ -91,6 +91,8 @@ def test_allows_rejects_foreign_value():
         ([(0, True), (0, 1)], {}),  # bool is not an int label
         ([(0, 1), (0, 1)], {(0, 1): [(True, 0), (0, 1)]}),  # bool in a pair
         ([(0, 1), (0, 1)], {(0, 1): [(0, 0.0), (0, 1)]}),  # float in a pair
+        ([(0, 1), (0, 1)], {(1, 0): [(0, 1, 2)]}),  # not a pair, scope reversed
+        ([(0, 1), (0, 1)], {(1, 0): [5]}),  # not a pair, scope reversed
     ],
 )
 def test_make_instance_rejects(domains, constraints):
@@ -390,12 +392,29 @@ def test_json_drops_constraints_trivial_on_current_domains():
         lambda obj: obj["constraints"][0].update(scope=[False, True]),
         lambda obj: obj["constraints"][0]["allowed"][0].__setitem__(0, False),
         lambda obj: obj["constraints"][0]["allowed"][0].__setitem__(1, 1.0),
+        pytest.param(lambda obj: obj.update(constraints=None), id="constraints-null"),
+        pytest.param(lambda obj: obj.update(constraints=5), id="constraints-int"),
+        pytest.param(lambda obj: obj.update(constraints="ab"), id="constraints-str"),
+        pytest.param(lambda obj: obj.update(constraints={}), id="constraints-object"),
     ],
 )
 def test_from_json_dict_rejects(mutate):
     obj = to_json_dict(generators.figure1b())
     mutate(obj)
-    with pytest.raises(InstanceFormatError):
+    with pytest.raises(InstanceFormatError) as err:
+        from_json_dict(obj)
+    if not isinstance(obj.get("constraints", []), list):
+        assert str(err.value) == "constraints must be a list"
+
+
+@pytest.mark.parametrize(
+    "allowed",
+    [[[0, 1, 2]], [[0]], [5], [None], ["ab"], [{"a": 0, "b": 1}], [[0, 1], "ab"], 5, "ab"],
+)
+def test_from_json_dict_rejects_allowed_that_is_not_pairs(allowed):
+    obj = to_json_dict(generators.figure1b())
+    obj["constraints"][0]["allowed"] = allowed
+    with pytest.raises(InstanceFormatError, match="^constraint 'allowed' must be a list of pairs$"):
         from_json_dict(obj)
 
 
