@@ -1,17 +1,17 @@
 """From-scratch computation of the counting structures the engines maintain.
 
 The engines keep these tables incrementally; everything here computes them
-directly over the current domains.  TABLES is the one statement of which
-table is computed from which: it maps each of the eleven table names to its
-set-builder, which evaluates the definition directly, and the tables that
-set-builder reads.  build(inst, *names) computes the named tables plus
-everything they read, in TABLES order, and returns them as one Tables
-object.  Engine initialisation calls the build_* helpers, one per rule,
-which only name the rule's tables.
+directly over the current domains.  TABLES states each of the eleven tables
+once: its set-builder, which evaluates the definition directly, the tables
+that set-builder reads, its flat builder, its flat layout and, for a mask
+table, what each bit stands for.  build(inst, *names) computes the named
+tables plus everything they read, in TABLES order, and returns them as one
+Tables object.  Engine initialisation calls the build_* helpers, one per
+rule, which only name the rule's tables.
 
-build() computes ten of the tables with the flat builders of FLAT, from
-per-edge value masks (Masks) that it makes once per call and drops after
-it.  inconsistent comes from its set-builder.  The set-builders stay the
+build() computes ten of the tables with their flat builders, from per-edge
+value masks (Masks) that it makes once per call and drops after it.
+inconsistent comes from its set-builder.  The set-builders stay the
 reference: verify_tables rebuilds every table with them, so with
 SUBSENSE_DEBUG_RECOMPUTE=1 the engines compare the flat build plus every
 incremental update, cell by cell, against the definitions after each
@@ -34,8 +34,8 @@ x_i:
 
 Each variable has a value index that no elimination changes: the position
 of a value in its original domain (Instance.positions), since relations are
-stored over the original domains.  Nine tables are flat, laid out as LAYOUT
-states and read through cell():
+stored over the original domains.  Nine tables are flat, laid out as their
+TABLES entry states and read through cell():
 
 - the five count tables (nb_blocks, nb_subs, nb_stops, nb_covers,
   nb_snake_covers): a dict from each oriented edge to one list of ints,
@@ -282,23 +282,6 @@ def compute_nb_snake_covers(
     return table, probes
 
 
-# The table graph: name -> (compute function, the tables it reads), in an
-# order where every table comes after the tables it reads.
-TABLES: dict[str, tuple[Callable[..., tuple[dict, int]], tuple[str, ...]]] = {
-    "nb_blocks": (compute_nb_blocks, ()),
-    "block_vars": (compute_holders, ("nb_blocks",)),
-    "nb_subs": (compute_nb_subs, ("block_vars",)),
-    "nb_stops": (compute_nb_stops, ("nb_subs",)),
-    "stop_vars": (compute_holders, ("nb_stops",)),
-    "nb_snake": (compute_nb_snake, ("stop_vars",)),
-    "inconsistent": (compute_inconsistent, ()),
-    "nb_covers": (compute_nb_covers, ("block_vars",)),
-    "uncovered": (compute_uncovered, ("nb_covers",)),
-    "nb_snake_covers": (compute_nb_snake_covers, ("nb_subs", "stop_vars")),
-    "not_snake_covered": (compute_uncovered, ("nb_snake_covers",)),
-}
-
-
 # -- flat builders ------------------------------------------------------------
 
 
@@ -333,33 +316,21 @@ def _value(pos, i, b, j):
     return (i, j), pos[i][b]
 
 
-LAYOUT: dict[str, Callable[..., tuple]] = {
-    "nb_blocks": _along,
-    "block_vars": _pair,
-    "nb_subs": _across,
-    "nb_stops": _along,
-    "stop_vars": _pair,
-    "nb_covers": _across,
-    "uncovered": _value,
-    "nb_snake_covers": _across,
-    "not_snake_covered": _value,
-}
+# What bit t of a mask cell stands for: the t-th neighbour of x_k for a holder
+# cell (k, d, e), the value at position t of the original D(x_j) for an
+# uncovered cell (i, b, j).
+def _neighbours(inst, key):
+    return inst.neighbors(key[0])
 
-# The mask tables, each mapped to what bit t of a cell stands for: the t-th
-# neighbour of x_k for a holder cell (k, d, e), the value at position t of
-# the original D(x_j) for an uncovered cell (i, b, j).
-MASKS: dict[str, Callable[[Instance, tuple], tuple[int, ...]]] = {
-    "block_vars": lambda inst, key: inst.neighbors(key[0]),
-    "stop_vars": lambda inst, key: inst.neighbors(key[0]),
-    "uncovered": lambda inst, key: inst.original_domains[key[2]],
-    "not_snake_covered": lambda inst, key: inst.original_domains[key[2]],
-}
+
+def _values(inst, key):
+    return inst.original_domains[key[2]]
 
 
 def slot(inst: Instance, name: str, key: tuple) -> tuple:
     """The list key (an oriented edge or a variable) and the list index that
     hold the cell ``key`` of the flat table ``name``."""
-    return LAYOUT[name](inst.positions, *key)
+    return TABLES[name].layout(inst.positions, *key)
 
 
 def cell(inst: Instance, name: str, table: Flat, key: tuple):
@@ -368,10 +339,10 @@ def cell(inst: Instance, name: str, table: Flat, key: tuple):
     LookupError when the table has no such cell, and CounterMismatch for a
     mask with a bit that stands for no neighbour or value."""
     where, index = slot(inst, name, key)
-    value = table[where][index]
-    if name not in MASKS:
+    value, labels = table[where][index], TABLES[name].labels
+    if labels is None:
         return value
-    labels = MASKS[name](inst, key)
+    labels = labels(inst, key)
     if value >> len(labels):
         raise CounterMismatch(f"{name}{key}: mask {value:#b} has a bit past {len(labels)}")
     return {x for t, x in enumerate(labels) if value >> t & 1}
@@ -440,9 +411,8 @@ def value_masks(inst: Instance) -> Masks:
 # bytes.translate; _unpack turns each edge's slice of the result into its
 # list.  The Python work per edge grows with D, not D².  _pair_counts pairs
 # every mask of one list with every mask of another and counts the common
-# bits, one 8-byte word of a wider mask and at most _PAIR_BATCH slots at a
-# time; _run_masks is a movemask, gathering runs of 0/1 bytes into one int
-# each.
+# bits, at most _PAIR_BATCH slots at a time; _run_masks is a movemask,
+# gathering runs of 0/1 bytes into one int each.
 
 # array typecodes by item size, for the fields array packs and unpacks
 _TYPECODE = {array(code).itemsize: code for code in "QLIHB"}
@@ -563,12 +533,6 @@ def _replicate(packed: int, unit: int, copies: int) -> int:
     return packed
 
 
-def _word(packed: bytes, w: int, words: int, size: int) -> bytes:
-    """Word w of every field of ``words`` words of ``size`` bytes in
-    ``packed``."""
-    return array(_TYPECODE[size], packed)[w::words].tobytes()
-
-
 def _pair_counts(
     xs: bytes, ys: bytes, nx: int, ny: int, size: int, invert: bool = False
 ) -> list[list[int]]:
@@ -580,48 +544,40 @@ def _pair_counts(
     Each x goes at the start of its run of ny fields and each edge's Y at
     the start of its span of nx runs; doubling shifts fill the rest, one
     AND pairs them all, and the popcount of a field is the sum of its
-    bytes' popcounts.  A field past 8 bytes is paired one 8-byte word at a
-    time, and the counts of its words summed.  The edges are paired at
-    most _PAIR_BATCH slots at a time, so that no buffer outgrows the
-    lists it fills."""
-    words, size = max(1, size // 8), min(size, 8)
+    bytes' popcounts.  The edges are paired at most _PAIR_BATCH slots at a
+    time, so that no buffer outgrows the lists it fills.  Fields past 8
+    bytes are paired by the formula, slot by slot."""
+    if size > 8:
+        xs, ys = _unpack(xs, size), _unpack(ys, size)
+        if invert:
+            ys = [~y for y in ys]
+        lists = []
+        for n in range(len(xs) // nx):
+            ye = ys[n * ny : (n + 1) * ny]
+            lists.append([(x & y).bit_count() for x in xs[n * nx : (n + 1) * nx] for y in ye])
+        return lists
     run, span = ny * size, nx * ny * size
-    xlen, ylen = nx * size * words, ny * size * words
-    edges, batch = len(xs) // xlen, max(1, _PAIR_BATCH // (nx * ny))
+    edges, batch = len(xs) // (nx * size), max(1, _PAIR_BATCH // (nx * ny))
     lists = []
     for start in range(0, edges, batch):
         count = min(batch, edges - start)
-        xb = xs[start * xlen : (start + count) * xlen]
-        yb = ys[start * ylen : (start + count) * ylen]
-        total = 0
-        for w in range(words):
-            x = _replicate(_spread(_word(xb, w, words, size), size, run), 8 * size, ny)
-            y = _replicate(_spread(_word(yb, w, words, size), run, span), 8 * run, nx)
-            if invert:
-                y ^= (1 << 8 * count * span) - 1
-            counts = (x & y).to_bytes(count * span, "little").translate(_POPCOUNT)
-            del x, y
-            # sum each field's bytes into its first byte; every byte is then
-            # at most 64, so up to three words add up with no carry, and
-            # past three each keeps only its counts
-            sums, lane = int.from_bytes(counts, "little"), 1
-            del counts
-            while lane < size:
-                sums += sums >> 8 * lane
-                lane *= 2
-            total += sums if words < 4 else sums & _first_bytes(count * nx * ny)
-        if words < 4:
-            buf = total.to_bytes(count * span, "little")
-            lists += [list(buf[n * span : (n + 1) * span : size]) for n in range(count)]
-        else:
-            lists += _unpack_each(total, count, span, size)
+        xb = xs[start * nx * size : (start + count) * nx * size]
+        yb = ys[start * run : (start + count) * run]
+        x = _replicate(_spread(xb, size, run), 8 * size, ny)
+        y = _replicate(_spread(yb, run, span), 8 * run, nx)
+        if invert:
+            y ^= (1 << 8 * count * span) - 1
+        counts = (x & y).to_bytes(count * span, "little").translate(_POPCOUNT)
+        del x, y
+        # sum each field's bytes into its first byte, at most 64
+        sums, lane = int.from_bytes(counts, "little"), 1
+        del counts
+        while lane < size:
+            sums += sums >> 8 * lane
+            lane *= 2
+        buf = sums.to_bytes(count * span, "little")
+        lists += [list(buf[n * span : (n + 1) * span : size]) for n in range(count)]
     return lists
-
-
-def _first_bytes(fields: int) -> int:
-    """The int whose fields of 8 bytes have their first byte all ones and
-    the rest zero."""
-    return int.from_bytes(b"\xff\0\0\0\0\0\0\0" * fields, "little")
 
 
 def _pair_probes(inst: Instance) -> int:
@@ -811,20 +767,39 @@ def flat_nb_snake(inst: Instance, masks: Masks, stop_vars: Flat) -> tuple[Count,
     return table, probes
 
 
-# The tables build() computes from the masks, each equal on every live cell,
-# read through cell(), to its set-builder in TABLES, probe count included
-# (and key order, for nb_snake).
-FLAT: dict[str, Callable[..., tuple[dict, int]]] = {
-    "nb_blocks": flat_nb_blocks,
-    "block_vars": flat_holders,
-    "nb_subs": flat_nb_subs,
-    "nb_stops": flat_nb_stops,
-    "stop_vars": flat_holders,
-    "nb_snake": flat_nb_snake,
-    "nb_covers": flat_nb_covers,
-    "uncovered": flat_uncovered,
-    "nb_snake_covers": flat_nb_snake_covers,
-    "not_snake_covered": flat_uncovered,
+class Table(NamedTuple):
+    """One counter table, as build(), slot() and cell() read it."""
+
+    # the set-builder, and the tables it and the flat builder read
+    compute: Callable[..., tuple[dict, int]]
+    reads: tuple[str, ...]
+    # the builder from the masks, equal to compute on every live cell read
+    # through cell(), probe count included (and key order, for nb_snake);
+    # None where build() runs compute
+    flat: Callable[..., tuple[dict, int]] | None
+    # the flat layout (see _across), None for a dict keyed by (variable, value)
+    layout: Callable[..., tuple] | None
+    # for a mask table, what each bit stands for (see _neighbours)
+    labels: Callable[[Instance, tuple], tuple[int, ...]] | None = None
+
+
+# Every table, in an order where each comes after the tables it reads.
+TABLES: dict[str, Table] = {
+    "nb_blocks": Table(compute_nb_blocks, (), flat_nb_blocks, _along),
+    "block_vars": Table(compute_holders, ("nb_blocks",), flat_holders, _pair, _neighbours),
+    "nb_subs": Table(compute_nb_subs, ("block_vars",), flat_nb_subs, _across),
+    "nb_stops": Table(compute_nb_stops, ("nb_subs",), flat_nb_stops, _along),
+    "stop_vars": Table(compute_holders, ("nb_stops",), flat_holders, _pair, _neighbours),
+    "nb_snake": Table(compute_nb_snake, ("stop_vars",), flat_nb_snake, None),
+    "inconsistent": Table(compute_inconsistent, (), None, None),
+    "nb_covers": Table(compute_nb_covers, ("block_vars",), flat_nb_covers, _across),
+    "uncovered": Table(compute_uncovered, ("nb_covers",), flat_uncovered, _value, _values),
+    "nb_snake_covers": Table(
+        compute_nb_snake_covers, ("nb_subs", "stop_vars"), flat_nb_snake_covers, _across
+    ),
+    "not_snake_covered": Table(
+        compute_uncovered, ("nb_snake_covers",), flat_uncovered, _value, _values
+    ),
 }
 
 
@@ -835,31 +810,31 @@ class Tables(SimpleNamespace):
 
 def build(inst: Instance, *names: str) -> Tables:
     """Compute the named tables and every table they read, in TABLES order."""
-    return _build(inst, names, FLAT)
+    return _build(inst, names, reference=False)
 
 
-def _build(inst: Instance, names, flat: dict) -> Tables:
-    """build() with the tables named in ``flat`` computed by those builders
-    and every other one by its set-builder."""
+def _build(inst: Instance, names, reference: bool) -> Tables:
+    """build(), with every table computed by its set-builder when
+    ``reference`` is set."""
     need = set(names)
     if not need <= TABLES.keys():
         raise KeyError(f"no counter table named {sorted(need - TABLES.keys())}")
     for name in reversed(TABLES):
         if name in need:
-            need.update(TABLES[name][1])
+            need.update(TABLES[name].reads)
     built: dict[str, dict] = {}
     probes = 0
     masks = None
-    for name, (compute, reads) in TABLES.items():
+    for name, table in TABLES.items():
         if name not in need:
             continue
-        args = [built[r] for r in reads]
-        if name in flat:
+        args = [built[r] for r in table.reads]
+        if reference or table.flat is None:
+            built[name], p = table.compute(inst, *args)
+        else:
             if masks is None:
                 masks = value_masks(inst)
-            built[name], p = flat[name](inst, masks, *args)
-        else:
-            built[name], p = compute(inst, *args)
+            built[name], p = table.flat(inst, masks, *args)
         probes += p
     return Tables(**built, probes=probes)
 
@@ -889,11 +864,11 @@ def verify_tables(inst: Instance, **kept: dict) -> None:
     their set-builders and compare against the engine-maintained tables,
     the flat ones read through cell() (live cells only; dead slots and
     stale cells for eliminated values are ignored)."""
-    fresh = _build(inst, kept, {})
+    fresh = _build(inst, kept, reference=True)
     for name, table in kept.items():
         for key, want in getattr(fresh, name).items():
             try:
-                got = cell(inst, name, table, key) if name in LAYOUT else table[key]
+                got = cell(inst, name, table, key) if TABLES[name].layout else table[key]
             except LookupError:
                 raise CounterMismatch(f"{name}{key}: cell missing from engine state") from None
             if got != want:

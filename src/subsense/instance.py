@@ -86,11 +86,6 @@ class Instance:
         return len(self.edges)
 
     @property
-    def d(self) -> int:
-        """Largest current domain size."""
-        return max((len(dom) for dom in self.domains), default=0)
-
-    @property
     def unsatisfiable(self) -> bool:
         """True once some domain has been emptied."""
         return any(not dom for dom in self.domains)

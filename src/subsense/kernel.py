@@ -24,7 +24,7 @@ stands in for d) comes from ``_swap``, which reads ``block_vars``.  The
 kernel calls the rule hooks only where a count flips.
 
 The count, holder and uncovered tables are flat lists indexed by value
-position (``Instance.positions``), laid out as ``counters.LAYOUT`` states;
+position (``Instance.positions``), laid out as ``counters.TABLES`` states;
 each pass computes its slots inline.  A holder cell is an int mask with
 the bit ``nbit[k][l]`` for each neighbour x_l of x_k that holds it; an
 uncovered cell is an int mask over the value positions of the
@@ -85,12 +85,12 @@ class Kernel:
         self.nbit = counters.neighbour_bits(inst)
         self.updates = self.tables.probes
         self.steps: list[EliminationRecord] = []
-        self.unsat = False
+        self.unsat = inst.unsatisfiable
         self.debug = counters.debug_recompute_enabled()
 
     def converge(self) -> tuple[Instance, Trace, ReductionReport]:
-        """Eliminate until no candidate is left or a domain empties."""
-        while (picked := self._pop()) is not None:
+        """Eliminate until no candidate is left or a domain is empty."""
+        while not self.unsat and (picked := self._pop()) is not None:
             r, u, rule, witness = picked
             if not self.eliminate(r, u, rule, witness):
                 break

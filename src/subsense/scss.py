@@ -210,6 +210,8 @@ def replay_sequence(inst: Instance, steps, rules=None):
             if not 0 <= v < cur.n:
                 raise ReplayError(f"step {pos} ({rule}): no variable with index {v}")
         label = f"step {pos} ({rule} at {cur.names[i]}={b})"
+        if j == i:
+            raise ReplayError(f"{label}: the conditioning variable must differ from the target")
         if b not in cur.domain_set(i):
             raise ReplayError(f"{label}: value not in the current domain")
         witness = oracle.certify(rule, cur, i, b, j)

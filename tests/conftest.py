@@ -42,7 +42,7 @@ def set_cell(inst: Instance, name: str, table: dict, key: tuple, value) -> None:
     """Write ``value``, in the form counters.cell reads (a count, or the set
     a mask has a bit for), into the cell ``key`` of the flat table ``name``."""
     where, index = counters.slot(inst, name, key)
-    if name in counters.MASKS:
-        labels = counters.MASKS[name](inst, key)
-        value = sum(1 << labels.index(x) for x in value)
+    labels = counters.TABLES[name].labels
+    if labels is not None:
+        value = sum(1 << labels(inst, key).index(x) for x in value)
     table[where][index] = value

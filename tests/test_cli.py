@@ -330,6 +330,15 @@ def test_verify_fails_on_unknown_conditioning_variable(tmp_path, capsys):
     assert "no variable with index 99" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("rule", ["cns", "scss"])
+def test_verify_fails_on_a_step_conditioned_on_its_own_variable(tmp_path, capsys, rule):
+    step = {"rule": rule, "variable": 1, "value": 0, "witness": {"conditioning": 1}}
+    assert _verify_steps(tmp_path, [step]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL: step 1 (")
+    assert "must differ from the target" in out
+
+
 def test_bench_grid_shape_and_determinism(tmp_path):
     argv = ["bench", "--family", "random", "--n", 6, "--d", "3,4",
             "--density", 0.5, "--tightness", 0.8, "--seeds", 3,

@@ -64,7 +64,7 @@ def test_verify_tables_rechecks_every_table_alone(name):
     table = getattr(counters.build(inst, name), name)
     counters.verify_tables(inst, **{name: table})
     key = next(iter(_reference(inst)[name][0]))
-    if name in counters.LAYOUT:
+    if counters.TABLES[name].layout:
         # a flat table: one slot of one list, then the whole list
         where, index = counters.slot(inst, name, key)
         cells = table[where]
@@ -104,7 +104,9 @@ def test_verify_tables_ignores_dead_cells():
     smaller = inst.remove_value(1, 0)
     t = counters.build(smaller, *counters.TABLES)
     ref = _reference(smaller)
-    for name in counters.LAYOUT:
+    for name, entry in counters.TABLES.items():
+        if not entry.layout:
+            continue
         table = getattr(t, name)
         live = {counters.slot(smaller, name, key) for key in ref[name][0]}
         dead = [(where, i) for where, cells in table.items() for i in range(len(cells))
@@ -128,8 +130,8 @@ def test_debug_flag_reads_environment(monkeypatch):
 def _reference(inst):
     """Every table by its set-builder, as (table, probes) by name."""
     built = {}
-    for name, (compute, reads) in counters.TABLES.items():
-        built[name] = compute(inst, *(built[r][0] for r in reads))
+    for name, table in counters.TABLES.items():
+        built[name] = table.compute(inst, *(built[r][0] for r in table.reads))
     return built
 
 
@@ -155,14 +157,14 @@ def assert_flat_builders_match(inst):
     for name, (want, want_probes) in ref.items():
         got = getattr(built, name)
         assert _holds_only_ints(got), f"{inst.name} {name}: cell types"
-        if name in counters.FLAT:
-            reads = [flat[r] for r in counters.TABLES[name][1]]
-            table, probes = counters.FLAT[name](inst, masks, *reads)
+        entry = counters.TABLES[name]
+        if entry.flat:
+            table, probes = entry.flat(inst, masks, *(flat[r] for r in entry.reads))
             assert probes == want_probes, f"{inst.name} {name}: probes"
             flat[name] = table
         else:
             table = got
-        if name in counters.LAYOUT:
+        if entry.layout:
             lists = range(inst.n) if name in ("block_vars", "stop_vars") else counters.oriented_edges(inst)
             assert set(table) == set(lists), f"{inst.name} {name}: lists"
             assert _flat_cells(inst, name, table, want) == want, f"{inst.name} {name}: cells"
@@ -262,10 +264,13 @@ def _star(leaves):
 # domain sizes and the degrees and work on one group of equally sized edges
 # at a time: these inputs reach every width and more than one group.
 WIDTH_INPUTS = {
-    # masks of x_0 past 64 bits: 16-byte fields
+    # masks of x_0 of 64 bits, the last packed width (8-byte fields), of 65,
+    # the first paired slot by slot, and past 64 bits
+    "domain-64": lambda: _sized("d64", [64, 5, 3], [(0, 1), (0, 2), (1, 2)], 1),
+    "domain-65": lambda: _sized("d65", [65, 5, 3], [(0, 1), (0, 2), (1, 2)], 1),
     "domain-70": lambda: _sized("d70", [70, 5, 3], [(0, 1), (0, 2), (1, 2)], 1),
-    # counts past one byte, fields of five 8-byte words, and groups of
-    # 90,000 slots an edge, paired one edge at a time
+    # counts past one byte from 40-byte fields, and groups of 90,000 slots
+    # an edge, paired one edge at a time
     "counts-300": _wide_counts,
     # holder masks of the centre past 64 bits
     "star-70": lambda: _star(70),

@@ -26,7 +26,6 @@ def test_basic_shape():
     inst = generators.figure1b()
     assert inst.n == 3
     assert inst.e == 3
-    assert inst.d == 3
     assert inst.names == ("x1", "x2", "x3")
     assert inst.domains == ((0, 1, 2),) * 3
     assert inst.edges == ((0, 1), (0, 2), (1, 2))

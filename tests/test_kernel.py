@@ -121,10 +121,23 @@ def _unset_bit_engine(name):
     return lambda: engine._cover_up(*cell)
 
 
-@pytest.mark.parametrize("name", sorted(counters.MASKS))
+@pytest.mark.parametrize(
+    "name", sorted(name for name, table in counters.TABLES.items() if table.labels)
+)
 def test_clearing_a_bit_that_is_not_set_is_an_error(name):
     with pytest.raises(RuntimeError, match=rf"^{name}\("):
         _unset_bit_engine(name)()
+
+
+@pytest.mark.parametrize("rule", sorted(cli.ENGINES))
+def test_engines_eliminate_nothing_when_a_domain_is_already_empty(rule):
+    # x0 = x1 would let ss and scss remove values, but x2 has none left
+    inst = make_instance("wiped", [(0, 1), (0, 1), ()], {(0, 1): [(0, 0), (1, 1)]})
+    assert inst.unsatisfiable
+    reduced, trace, report = cli.ENGINES[rule](inst)
+    assert not trace.steps
+    assert report.unsatisfiable
+    assert reduced.domains == inst.domains
 
 
 @pytest.mark.parametrize("rule", sorted(cli.ENGINES))

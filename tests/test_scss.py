@@ -3,6 +3,7 @@
 import pytest
 
 from subsense import (
+    CNS,
     NS,
     SCSS,
     SS,
@@ -205,11 +206,18 @@ def test_replay_rejects_a_third_element_on_ns_and_ss_steps(rule):
     assert all(len(step) == 2 for step, r in zip(steps, rules) if r in (NS, SS))
 
 
+@pytest.mark.parametrize("rule", [CNS, SCSS])
+def test_replay_rejects_a_step_conditioned_on_its_own_variable(rule):
+    inst = generators.figure1b()
+    with pytest.raises(ReplayError, match=r"^step 1 .*must differ from the target"):
+        replay_sequence(inst, [(1, 0, 1)], [rule])
+
+
 def test_replay_validates_arguments():
     inst = generators.figure1a()
     with pytest.raises(ValueError):
         replay_sequence(inst, [(0, 0)], [SCSS, SCSS])  # length mismatch
     with pytest.raises(ValueError):
-        replay_sequence(inst, [(0, 0, 0)])  # wrong arity
+        replay_sequence(inst, [(0, 0, 0, 0)])  # wrong arity
     with pytest.raises(ValueError):
         replay_sequence(inst, [(0, 0)], ["nope"])  # unknown rule
