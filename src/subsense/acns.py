@@ -1,6 +1,7 @@
 """Arc consistency and plain neighbourhood substitution to convergence.
 
-establish_ac is the classic arc-revision worklist.  ns_to_convergence keeps
+establish_ac is the classic arc-revision worklist over the row masks
+(counters.Static), with no walk over allowed pairs.  ns_to_convergence keeps
 the block counters (counters.build_ns) and deletes any value all of whose
 replacement blocks have disappeared, requeueing candidates as blocks vanish.
 Both are deterministic: worklists are FIFO and every scan runs ascending.
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 
+from . import counters
 from .instance import Instance
 from .kernel import Substitutions
 from .trace import (
@@ -25,14 +27,15 @@ from .trace import (
 
 
 def is_arc_consistent(inst: Instance) -> bool:
-    """True when every current value has a support at every neighbour."""
-    for i in range(inst.n):
-        for j in inst.neighbors(i):
-            row = inst.rows[(i, j)]
-            cur = inst.domain_set(j)
-            for b in inst.domains[i]:
-                if not (row[b] & cur):
-                    return False
+    """True when every current value has a support at every neighbour: its
+    full row mask (counters.Static) meets the live mask of the neighbour."""
+    static = counters.static_masks(inst)
+    live = counters.live_masks(inst)
+    for (i, j), full in zip(static.edges, static.full):
+        live_j, pos_i = live[j], inst.positions[i]
+        for b in inst.domains[i]:
+            if not full[pos_i[b]] & live_j:
+                return False
     return True
 
 
@@ -49,30 +52,26 @@ def establish_ac(inst: Instance) -> tuple[Instance, Trace]:
     Returns the reduced instance and the trace of removals; a wiped-out
     domain shows up as ``unsatisfiable`` on the result.
     """
+    static = counters.static_masks(inst)
+    full = dict(zip(static.edges, static.full))
+    live = list(counters.live_masks(inst))
     domains = [list(dom) for dom in inst.domains]
-    sets = [set(dom) for dom in inst.domains]
-    queue: deque[tuple[int, int]] = deque()
-    for i, j in inst.edges:
-        queue.append((i, j))
-        queue.append((j, i))
+    queue: deque[tuple[int, int]] = deque(static.edges)
     queued = set(queue)
     steps: list[EliminationRecord] = []
     while queue:
         i, j = queue.popleft()
         queued.discard((i, j))
-        row = inst.rows[(i, j)]
-        removed = False
-        for b in list(domains[i]):
-            if row[b] & sets[j]:
-                continue
-            domains[i].remove(b)
-            sets[i].discard(b)
-            steps.append(
-                EliminationRecord(len(steps) + 1, AC, i, b, AcWitness(unsupported_at=j))
-            )
-            removed = True
-        if not removed:
+        rows, live_j, pos_i = full[(i, j)], live[j], inst.positions[i]
+        # positions ascend with values, so these go in ascending order
+        unsupported = [b for b in domains[i] if not rows[pos_i[b]] & live_j]
+        if not unsupported:
             continue
+        for b in unsupported:
+            live[i] ^= 1 << pos_i[b]
+            steps.append(EliminationRecord(len(steps) + 1, AC, i, b, AcWitness(unsupported_at=j)))
+        live_i = live[i]
+        domains[i] = [b for b in domains[i] if live_i >> pos_i[b] & 1]
         if not domains[i]:
             break
         for k in inst.neighbors(i):

@@ -9,9 +9,10 @@ tables plus everything they read, in TABLES order, and returns them as one
 Tables object.  Engine initialisation calls the build_* helpers, one per
 rule, which only name the rule's tables.
 
-build() computes ten of the tables with their flat builders, from per-edge
-value masks (Masks) that it makes once per call and drops after it.
-inconsistent comes from its set-builder.  The set-builders stay the
+build() computes every table with its flat builder, from per-edge value
+masks (Masks): the row masks over the original domains (Static), which
+the first build of any snapshot makes and every snapshot of the lineage
+shares, ANDed with the live masks of the build.  The set-builders stay the
 reference: verify_tables rebuilds every table with them, so with
 SUBSENSE_DEBUG_RECOMPUTE=1 the engines compare the flat build plus every
 incremental update, cell by cell, against the definitions after each
@@ -348,57 +349,90 @@ def cell(inst: Instance, name: str, table: Flat, key: tuple):
     return {x for t, x in enumerate(labels) if value >> t & 1}
 
 
-class Masks(NamedTuple):
-    """The current domains as bitmasks, built once per build() call.
+class Static(NamedTuple):
+    """The masks that no snapshot changes, since relations are stored over
+    the original domains: built at the first table build of any snapshot
+    and shared by its whole lineage (static_masks).  Tuples of ints, which
+    the cyclic garbage collector stops tracking, and dicts of ints, which it
+    never tracks."""
 
-    Bit p of a mask of x_k stands for the value at position p of the
-    original domain of x_k (Instance.positions), never for the value itself:
-    values are arbitrary non-negative ints."""
-
-    # live[k] = the mask of D(x_k)
-    live: tuple[int, ...]
-    # row[i,j][p] = the mask of rows[(i,j)][a] ∩ D(x_j) for the value a at
-    # position p of x_i, 0 when a is not in D(x_i); for both orientations of
-    # every edge
-    row: dict[tuple[int, int], list[int]]
+    # the oriented edges, in oriented_edges() order
+    edges: tuple[tuple[int, int], ...]
+    # full[n][p] = the mask of rows[edges[n]][a] over the original D(x_j),
+    # for the value a at position p of the original D(x_i)
+    full: tuple[tuple[int, ...], ...]
     # nbit[k][l] = the bit of the neighbour x_l in the holder masks of x_k
     nbit: tuple[dict[int, int], ...]
-    # groups[s, t] = the oriented edges (i,j) where the original D(x_i) has
-    # s values and the original D(x_j) has t: the packed byte kernels work
-    # on one group at a time
-    groups: dict[tuple[int, int], list[tuple[int, int]]]
+    # ((s, t), edges) for the oriented edges (i,j) whose original D(x_i) has
+    # s values and D(x_j) has t: the packed byte kernels take one at a time
+    groups: tuple[tuple[tuple[int, int], tuple[tuple[int, int], ...]], ...]
+
+
+def static_masks(inst: Instance) -> Static:
+    """The Static of ``inst``'s lineage, walking every allowed pair of every
+    edge at the first call on any of its snapshots."""
+    held = inst._static
+    if not held:
+        pos = inst.positions
+        bits = [{v: 1 << p for v, p in pos_k.items()} for pos_k in pos]
+        edges = tuple(oriented_edges(inst))
+        full = []
+        for i, j in edges:
+            # the bits are distinct, so their sum is their OR
+            rel, bit_j = inst.rows[(i, j)], bits[j].__getitem__
+            full.append(tuple(sum(map(bit_j, rel[a])) for a in inst.original_domains[i]))
+        nbit = tuple({l: 1 << t for t, l in enumerate(inst.neighbors(k))} for k in range(inst.n))
+        by_sizes: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for i, j in edges:
+            by_sizes.setdefault((len(pos[i]), len(pos[j])), []).append((i, j))
+        groups = tuple((sizes, tuple(group)) for sizes, group in by_sizes.items())
+        held.append(Static(edges, tuple(full), nbit, groups))
+    return held[0]
+
+
+def live_masks(inst: Instance) -> tuple[int, ...]:
+    """live[k] = the mask of D(x_k)."""
+    pos = inst.positions
+    return tuple(sum([1 << pos[k][v] for v in dom]) for k, dom in enumerate(inst.domains))
+
+
+class Masks(NamedTuple):
+    """The current domains as bitmasks, for one build() call: the Static
+    masks ANDed with the live ones.  Bit p of a mask of x_k stands for the
+    value at position p of the original D(x_k) (Instance.positions), never
+    for the value itself: values are arbitrary non-negative ints."""
+
+    live: tuple[int, ...]  # live_masks
+    # row[i,j][p] = the mask of rows[(i,j)][a] ∩ D(x_j) for the value a at
+    # position p of x_i, 0 when a is not in D(x_i); Static.edges order
+    row: dict[tuple[int, int], list[int]]
+    nbit: tuple[dict[int, int], ...]  # Static.nbit
+    groups: tuple[tuple[tuple[int, int], tuple[tuple[int, int], ...]], ...]  # Static.groups
 
 
 def neighbour_bits(inst: Instance) -> tuple[dict[int, int], ...]:
     """nbit[k][l] = 1 << t for the t-th neighbour x_l of x_k: the bit that
-    stands for x_l in a holder mask of x_k."""
-    return tuple({l: 1 << t for t, l in enumerate(inst.neighbors(k))} for k in range(inst.n))
+    stands for x_l in a holder mask of x_k (Static.nbit)."""
+    return static_masks(inst).nbit
 
 
 def value_masks(inst: Instance) -> Masks:
-    """The masks of the current domains of ``inst``."""
-    pos = inst.positions
-    bit = [{v: 1 << p[v] for v in dom} for p, dom in zip(pos, inst.domains)]
+    """The masks of the current domains of ``inst``: a live value's row is
+    its full row ANDed with the live mask of the far end, a dead one's 0."""
+    static, live = static_masks(inst), live_masks(inst)
+    whole = [(1 << len(pos_k)) - 1 for pos_k in inst.positions]
+    dead = [
+        [p for p in range(len(pos_k)) if not live_k >> p & 1] if live_k != whole_k else ()
+        for pos_k, live_k, whole_k in zip(inst.positions, live, whole)
+    ]
     row = {}
-    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for i, j in inst.edges:
-        # one pass over the allowed pairs of the edge fills both orientations
-        rel, bit_j, pos_i, pos_j = inst.rows[(i, j)], bit[j], pos[i], pos[j]
-        groups.setdefault((len(pos_i), len(pos_j)), []).append((i, j))
-        groups.setdefault((len(pos_j), len(pos_i)), []).append((j, i))
-        forth = [0] * len(pos_i)
-        back = [0] * len(pos_j)
-        for a, ba in bit[i].items():
-            ma = 0
-            for c in rel[a]:
-                bc = bit_j.get(c)
-                if bc is not None:
-                    ma |= bc
-                    back[pos_j[c]] |= ba
-            forth[pos_i[a]] = ma
-        row[(i, j)] = forth
-        row[(j, i)] = back
-    return Masks(tuple(sum(b.values()) for b in bit), row, neighbour_bits(inst), groups)
+    for (i, j), full in zip(static.edges, static.full):
+        live_j = live[j]
+        cur = list(full) if live_j == whole[j] else [f & live_j for f in full]
+        for p in dead[i]:
+            cur[p] = 0
+        row[(i, j)] = cur
+    return Masks(live, row, static.nbit, static.groups)
 
 
 # -- packed byte kernels --------------------------------------------------------
@@ -628,8 +662,8 @@ def _fits(inst: Instance, masks: Masks, holders: Flat, transposed=False) -> Call
 
 def flat_nb_blocks(inst: Instance, masks: Masks) -> tuple[Flat, int]:
     """compute_nb_blocks as (m_d & ~m_e).bit_count() over the row masks."""
-    table: Flat = dict.fromkeys(oriented_edges(inst))
-    for (size_k, size_l), edges in masks.groups.items():
+    table: Flat = dict.fromkeys(masks.row)
+    for (size_k, size_l), edges in masks.groups:
         size = _field(size_l)
         rows = _pack([masks.row[e] for e in edges], size)
         table.update(zip(edges, _pair_counts(rows, rows, size_k, size_k, size, invert=True)))
@@ -668,9 +702,9 @@ def flat_nb_subs(inst: Instance, masks: Masks, block_vars: Flat) -> tuple[Flat, 
     read."""
     fits = _fits(inst, masks, block_vars)
     sizes = [len(dom) for dom in inst.domains]
-    table: Flat = dict.fromkeys(oriented_edges(inst))
+    table: Flat = dict.fromkeys(masks.row)
     probes = 0
-    for (size_i, size_k), edges in masks.groups.items():
+    for (size_i, size_k), edges in masks.groups:
         size = _field(size_k)
         rows = [masks.row[e] for e in edges]
         fit = fits([(k, i) for i, k in edges])
@@ -683,8 +717,8 @@ def flat_nb_subs(inst: Instance, masks: Masks, block_vars: Flat) -> tuple[Flat, 
 def flat_nb_stops(inst: Instance, masks: Masks, nb_subs: Flat) -> tuple[Flat, int]:
     """compute_nb_stops as the popcount of b's row mask and the mask of the
     d incompatible with a that have no sub."""
-    table: Flat = dict.fromkeys(oriented_edges(inst))
-    for (size_i, size_k), edges in masks.groups.items():
+    table: Flat = dict.fromkeys(masks.row)
+    for (size_i, size_k), edges in masks.groups:
         size = _field(size_k)
         rows = _pack([masks.row[e] for e in edges], size)
         # by the position of a, the d with no sub less those a takes; b's
@@ -702,8 +736,8 @@ def _count_covers(inst: Instance, masks: Masks, fits, cols) -> tuple[Flat, int]:
     ``fits`` (see _fits), and m_c comes from cols(edges, size_i, size_j,
     size), the masks m_c of each edge of a group packed into fields of
     ``size`` bytes; charged the probes of the cover set-builders."""
-    table: Flat = dict.fromkeys(oriented_edges(inst))
-    for (size_i, size_j), edges in masks.groups.items():
+    table: Flat = dict.fromkeys(masks.row)
+    for (size_i, size_j), edges in masks.groups:
         size = _field(size_i)
         col = cols(edges, size_i, size_j, size)
         table.update(zip(edges, _pair_counts(fits(edges), col, size_i, size_j, size)))
@@ -740,8 +774,8 @@ def flat_nb_snake_covers(
 def flat_uncovered(inst: Instance, masks: Masks, covers: Flat) -> tuple[Flat, int]:
     """compute_uncovered as masks: the list of (i,j) holds, at the position
     of b, b's row mask less the c whose cover slot is positive."""
-    table: Flat = dict.fromkeys(oriented_edges(inst))
-    for (size_i, size_j), edges in masks.groups.items():
+    table: Flat = dict.fromkeys(masks.row)
+    for (size_i, size_j), edges in masks.groups:
         size = _field(size_j)
         rows = _pack([masks.row[e] for e in edges], size)
         uncovered = _run_masks(_flag_bytes([covers[e] for e in edges], _ZERO), size_j)
@@ -767,6 +801,24 @@ def flat_nb_snake(inst: Instance, masks: Masks, stop_vars: Flat) -> tuple[Count,
     return table, probes
 
 
+def flat_inconsistent(inst: Instance, masks: Masks) -> tuple[Count, int]:
+    """compute_inconsistent over the row masks, charging each neighbour's
+    domain up to and including the first that gives b no support."""
+    table: Count = {}
+    probes = 0
+    for i, dom in enumerate(inst.domains):
+        rows = [(masks.row[(i, k)], len(inst.domains[k])) for k in inst.neighbors(i)]
+        for b in dom:
+            p = inst.positions[i][b]
+            table[(i, b)] = False
+            for row, size in rows:
+                probes += size
+                if not row[p]:
+                    table[(i, b)] = True
+                    break
+    return table, probes
+
+
 class Table(NamedTuple):
     """One counter table, as build(), slot() and cell() read it."""
 
@@ -774,9 +826,8 @@ class Table(NamedTuple):
     compute: Callable[..., tuple[dict, int]]
     reads: tuple[str, ...]
     # the builder from the masks, equal to compute on every live cell read
-    # through cell(), probe count included (and key order, for nb_snake);
-    # None where build() runs compute
-    flat: Callable[..., tuple[dict, int]] | None
+    # through cell(), probe count included (and key order, for the dicts)
+    flat: Callable[..., tuple[dict, int]]
     # the flat layout (see _across), None for a dict keyed by (variable, value)
     layout: Callable[..., tuple] | None
     # for a mask table, what each bit stands for (see _neighbours)
@@ -791,7 +842,7 @@ TABLES: dict[str, Table] = {
     "nb_stops": Table(compute_nb_stops, ("nb_subs",), flat_nb_stops, _along),
     "stop_vars": Table(compute_holders, ("nb_stops",), flat_holders, _pair, _neighbours),
     "nb_snake": Table(compute_nb_snake, ("stop_vars",), flat_nb_snake, None),
-    "inconsistent": Table(compute_inconsistent, (), None, None),
+    "inconsistent": Table(compute_inconsistent, (), flat_inconsistent, None),
     "nb_covers": Table(compute_nb_covers, ("block_vars",), flat_nb_covers, _across),
     "uncovered": Table(compute_uncovered, ("nb_covers",), flat_uncovered, _value, _values),
     "nb_snake_covers": Table(
@@ -824,16 +875,14 @@ def _build(inst: Instance, names, reference: bool) -> Tables:
             need.update(TABLES[name].reads)
     built: dict[str, dict] = {}
     probes = 0
-    masks = None
+    masks = None if reference else value_masks(inst)
     for name, table in TABLES.items():
         if name not in need:
             continue
         args = [built[r] for r in table.reads]
-        if reference or table.flat is None:
+        if reference:
             built[name], p = table.compute(inst, *args)
         else:
-            if masks is None:
-                masks = value_masks(inst)
             built[name], p = table.flat(inst, masks, *args)
         probes += p
     return Tables(**built, probes=probes)

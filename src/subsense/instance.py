@@ -10,12 +10,13 @@ touches.  Pairs of variables without a stored relation are unconstrained
 Instances are treated as immutable snapshots.  A derived snapshot
 (``remove_value``, ``restrict``) shares with its parent the relation
 tables, the neighbour lists, the original domains with their value index
-(``positions``) and the domain tuple and set of every variable it leaves
-alone.  ``remove_value`` builds only the changed variable's domain tuple
-and set, plus two tuple slices that copy n references in C, so an
-elimination no longer pays O(n+e) Python work.  Only the constructor,
-which ``make_instance`` calls, computes the neighbour lists and the value
-index.
+(``positions``), the masks no snapshot changes (``counters.Static``) and
+the domain tuple and set of every variable it leaves alone.
+``remove_value`` builds only the changed variable's domain tuple and set,
+plus two tuple slices that copy n references in C, so an elimination no
+longer pays O(n+e) Python work.  Only the constructor, which
+``make_instance`` calls, computes the neighbour lists and the value index;
+the masks wait for the first table build of any snapshot.
 
 An instance file is ``json.dumps(to_json_dict(inst), indent=2)`` and a
 newline, written by the one writer of instance and trace files
@@ -61,6 +62,9 @@ class Instance:
     positions: tuple[dict[int, int], ...] = field(init=False, repr=False)
     _cur_sets: tuple[frozenset[int], ...] = field(init=False, repr=False)
     _neighbors: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    # the masks no snapshot changes (counters.Static): an empty list until
+    # the first table build of any snapshot puts them in, shared by all
+    _static: list = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -74,6 +78,7 @@ class Instance:
             nbrs[i].append(j)
             nbrs[j].append(i)
         object.__setattr__(self, "_neighbors", tuple(tuple(sorted(ns)) for ns in nbrs))
+        object.__setattr__(self, "_static", [])
 
     # -- basic queries ----------------------------------------------------
 
@@ -206,6 +211,7 @@ def make_instance(
         items = list(constraints)
 
     rows: dict[Pair, dict[int, frozenset[int]]] = {}
+    distinct: dict[frozenset[int], frozenset[int]] = {}
     edges: list[Pair] = []
     seen: set[Pair] = set()
     for i, j, pairs in items:
@@ -253,11 +259,12 @@ def make_instance(
         if sum(map(len, fwd.values())) == len(doms[i]) * len(doms[j]):
             continue  # trivial: allows everything
         edges.append((i, j))
-        # frozen edge by edge, so that the working sets die young: held to
-        # the end, they are promoted to the oldest generation of the garbage
-        # collector and hasten its next full collection
-        rows[(i, j)] = {a: frozenset(bs) for a, bs in fwd.items()}
-        rows[(j, i)] = {b: frozenset(bs) for b, bs in bwd.items()}
+        # frozen edge by edge, so that the working sets die young (held to the
+        # end, they would hasten the collector's next full collection), and
+        # equal rows share one frozenset: fewer containers for it to trace
+        for key, working in (((i, j), fwd), ((j, i), bwd)):
+            frozen = map(frozenset, working.values())
+            rows[key] = dict(zip(working, [distinct.setdefault(row, row) for row in frozen]))
 
     return Instance(
         name=name,

@@ -245,16 +245,12 @@ def trace_from_json_dict(obj: dict) -> Trace:
                 witness=witness,
             )
         )
-    final_domains = obj.get("final_domains")
-    if final_domains is not None:
-        try:
-            final_domains = [
-                sorted(_int(value, "final_domains entry") for value in dom)
-                for dom in final_domains
-            ]
-        except TypeError as exc:
-            raise ValueError(f"final_domains must be lists of integers ({exc})") from exc
-    return Trace(instance=obj["instance"], steps=steps, final_domains=final_domains)
+    final = obj.get("final_domains")
+    if final is not None:
+        if not (isinstance(final, list) and all(isinstance(dom, list) for dom in final)):
+            raise ValueError("trace final_domains must be a list of lists of integers")
+        final = [sorted(_int(v, "final_domains entry") for v in dom) for dom in final]
+    return Trace(instance=obj["instance"], steps=steps, final_domains=final)
 
 
 def dump_trace(trace: Trace, path) -> None:

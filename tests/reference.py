@@ -4,14 +4,21 @@ Compatibility, domination and snake domination stated over an instance's
 relation rows, each call validating its arguments, plus two questions the
 oracle tests ask about a single value.  The library itself decides these
 through ``oracle`` and the counter tables.
+
+Below them, the walks over allowed pairs that the library replaced with
+masks built once per instance lineage (``counters.Static``): the value
+masks of one build, the arc-consistency test and the arc-revision
+worklist, each as it read the relation rows directly.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Optional
 
 from subsense.instance import Instance
 from subsense.oracle import scss_with_conditioning, solvable
+from subsense.trace import AC, AcWitness, EliminationRecord, Trace
 
 
 def _check_value(inst: Instance, i: int, a: int) -> None:
@@ -95,3 +102,79 @@ def scss_conditionings(inst: Instance, i: int, b: int) -> tuple[int, ...]:
         for j in inst.neighbors(i)
         if scss_with_conditioning(inst, i, b, j) is not None
     )
+
+
+def value_masks(inst: Instance):
+    """(live, row, nbit, groups) of ``counters.Masks`` for the current
+    domains, walking every allowed pair of every edge; groups as a dict
+    from the two domain sizes to a list of oriented edges."""
+    pos = inst.positions
+    bit = [{v: 1 << p[v] for v in dom} for p, dom in zip(pos, inst.domains)]
+    row = {}
+    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for i, j in inst.edges:
+        # one pass over the allowed pairs of the edge fills both orientations
+        rel, bit_j, pos_i, pos_j = inst.rows[(i, j)], bit[j], pos[i], pos[j]
+        groups.setdefault((len(pos_i), len(pos_j)), []).append((i, j))
+        groups.setdefault((len(pos_j), len(pos_i)), []).append((j, i))
+        forth = [0] * len(pos_i)
+        back = [0] * len(pos_j)
+        for a, ba in bit[i].items():
+            ma = 0
+            for c in rel[a]:
+                bc = bit_j.get(c)
+                if bc is not None:
+                    ma |= bc
+                    back[pos_j[c]] |= ba
+            forth[pos_i[a]] = ma
+        row[(i, j)] = forth
+        row[(j, i)] = back
+    nbit = tuple({l: 1 << t for t, l in enumerate(inst.neighbors(k))} for k in range(inst.n))
+    return tuple(sum(b.values()) for b in bit), row, nbit, groups
+
+
+def is_arc_consistent(inst: Instance) -> bool:
+    """True when every current value has a support at every neighbour."""
+    for i in range(inst.n):
+        for j in inst.neighbors(i):
+            row = inst.rows[(i, j)]
+            cur = inst.domain_set(j)
+            for b in inst.domains[i]:
+                if not (row[b] & cur):
+                    return False
+    return True
+
+
+def establish_ac(inst: Instance) -> tuple[Instance, Trace]:
+    """Remove unsupported values until arc consistent or a domain empties."""
+    domains = [list(dom) for dom in inst.domains]
+    sets = [set(dom) for dom in inst.domains]
+    queue: deque[tuple[int, int]] = deque()
+    for i, j in inst.edges:
+        queue.append((i, j))
+        queue.append((j, i))
+    queued = set(queue)
+    steps: list[EliminationRecord] = []
+    while queue:
+        i, j = queue.popleft()
+        queued.discard((i, j))
+        row = inst.rows[(i, j)]
+        removed = False
+        for b in list(domains[i]):
+            if row[b] & sets[j]:
+                continue
+            domains[i].remove(b)
+            sets[i].discard(b)
+            steps.append(
+                EliminationRecord(len(steps) + 1, AC, i, b, AcWitness(unsupported_at=j))
+            )
+            removed = True
+        if not removed:
+            continue
+        if not domains[i]:
+            break
+        for k in inst.neighbors(i):
+            if k != j and (k, i) not in queued:
+                queue.append((k, i))
+                queued.add((k, i))
+    return inst.restrict(domains), Trace(inst.name, steps)

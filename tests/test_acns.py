@@ -16,7 +16,10 @@ from subsense import (
 from subsense.acns import require_arc_consistent
 from subsense.oracle import is_ns, solvable
 
+import reference
 from conftest import corpus
+from test_counters import _partly_reduced
+from test_golden_traces import SET_COVER_SETS
 
 
 def brute_force_ac(inst):
@@ -86,6 +89,35 @@ def test_establish_ac_is_idempotent_and_matches_brute_force():
         ) - sum(len(d) for d in reduced.domains)
         checked += 1
     assert checked == 135
+
+
+def _ac_inputs():
+    """The corpus, the figures, the perfbench gadgets and an input with an
+    empty domain."""
+    yield from corpus(seeds=range(8))
+    yield from (generators.figure1a(), generators.figure1b(), generators.figure1c())
+    yield generators.geq_chain(60)
+    yield generators.set_cover_instance(range(1, 7), SET_COVER_SETS)
+    yield generators.two_var_cns_vs_ns(30)
+    yield make_instance("empty", [(0, 1), (0, 1), (), (3, 8)],
+                        {(0, 1): [(0, 0), (1, 1)], (1, 3): [(0, 3)]})
+
+
+def test_ac_equals_the_pair_walk():
+    # records, their order, witnesses and final domains, from the masks
+    # shared by the lineage and from a walk over the relation rows, on each
+    # input and on a snapshot of it whose relations name dead values
+    checked = 0
+    for root in _ac_inputs():
+        for inst in (root, _partly_reduced(root)):
+            assert is_arc_consistent(inst) == reference.is_arc_consistent(inst)
+            reduced, trace = establish_ac(inst)
+            want, want_trace = reference.establish_ac(inst)
+            assert reduced.domains == want.domains
+            assert trace.steps == want_trace.steps
+            assert is_arc_consistent(reduced) == reference.is_arc_consistent(reduced)
+        checked += 1
+    assert checked == 1080 + 7
 
 
 def test_ns_requires_arc_consistency():

@@ -299,6 +299,22 @@ def test_verify_rejects_non_integer_final_domains(tmp_path, capsys, entry):
     assert "final_domains entry" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("final", ["ab", {"a": 1}, [5]], ids=["string", "dict", "int-entry"])
+def test_verify_rejects_final_domains_not_a_list_of_lists(tmp_path, capsys, final):
+    inst_path, trace_path = tmp_path / "c.json", tmp_path / "tr.json"
+    run(["gen", "figure1c", "-o", inst_path])
+    run(["reduce", inst_path, "--rules", "scss", "--trace", trace_path])
+    obj = json.loads(trace_path.read_text())
+    obj["final_domains"] = final
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run(["verify", inst_path, bad]) == 2
+    err = capsys.readouterr().err
+    assert "trace final_domains must be a list of lists of integers" in err
+    assert "Traceback" not in err
+
+
 def _verify_steps(tmp_path, steps, instance="b"):
     inst_path, trace_path = tmp_path / "b.json", tmp_path / "tr.json"
     run(["gen", "figure1b", "-o", inst_path])

@@ -6,8 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subsense import counters, establish_ac, generators, make_instance
+from subsense import (
+    cns_to_convergence,
+    counters,
+    establish_ac,
+    generators,
+    make_instance,
+    ns_to_convergence,
+    scss_to_convergence,
+    ss_to_convergence,
+)
 
+import reference
 from conftest import corpus, set_cell
 from test_golden_traces import SET_COVER_SETS
 
@@ -158,12 +168,9 @@ def assert_flat_builders_match(inst):
         got = getattr(built, name)
         assert _holds_only_ints(got), f"{inst.name} {name}: cell types"
         entry = counters.TABLES[name]
-        if entry.flat:
-            table, probes = entry.flat(inst, masks, *(flat[r] for r in entry.reads))
-            assert probes == want_probes, f"{inst.name} {name}: probes"
-            flat[name] = table
-        else:
-            table = got
+        table, probes = entry.flat(inst, masks, *(flat[r] for r in entry.reads))
+        assert probes == want_probes, f"{inst.name} {name}: probes"
+        flat[name] = table
         if entry.layout:
             lists = range(inst.n) if name in ("block_vars", "stop_vars") else counters.oriented_edges(inst)
             assert set(table) == set(lists), f"{inst.name} {name}: lists"
@@ -332,3 +339,97 @@ def test_bitmask_builders_equal_the_set_builders_on_sparse_labels(
     if reduce:
         inst = _partly_reduced(inst)
     assert_flat_builders_match(inst)
+
+
+def _gapped(seed, n, most, empty=1 / 6):
+    """n variables of 0 to ``most`` values each, labelled with gaps, a share
+    ``empty`` of them empty, and a random relation on about half of the
+    pairs of variables."""
+    rng = random.Random(seed)
+    domains = [
+        [] if rng.random() < empty else sorted(rng.sample(range(3 * most), rng.randint(1, most)))
+        for _ in range(n)
+    ]
+    constraints = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.5:
+                allow = rng.random()
+                constraints[(i, j)] = [
+                    (a, b) for a in domains[i] for b in domains[j] if rng.random() < allow
+                ]
+    return make_instance(f"gapped-{seed}", domains, constraints)
+
+
+def _lineage(inst, seed, steps):
+    """``inst`` and the snapshots of a random chain of remove_value and
+    restrict calls from it."""
+    rng = random.Random(seed)
+    snapshots = [inst]
+    for _ in range(steps):
+        live = [(i, b) for i, dom in enumerate(inst.domains) for b in dom]
+        if live and rng.random() < 0.5:
+            inst = inst.remove_value(*rng.choice(live))
+        else:
+            inst = inst.restrict([[b for b in dom if rng.random() < 0.8] for dom in inst.domains])
+        snapshots.append(inst)
+    return snapshots
+
+
+def _assert_masks_match_the_walk(inst):
+    live, row, nbit, groups = reference.value_masks(inst)
+    masks = counters.value_masks(inst)
+    assert masks.live == live
+    assert list(masks.row) == list(row) and masks.row == row
+    assert masks.nbit == nbit and counters.neighbour_bits(inst) == nbit
+    assert masks.groups == tuple((key, tuple(edges)) for key, edges in groups.items())
+
+
+def _assert_static_matches_the_walk(root):
+    # the root's domains are its original ones, so the walk gives full rows
+    assert root.domains == root.original_domains
+    static = counters.static_masks(root)
+    _, row, nbit, _ = reference.value_masks(root)
+    assert static.edges == tuple(row)
+    assert [list(full) for full in static.full] == list(row.values())
+    assert static.nbit == nbit
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(1, 5),
+    most=st.integers(1, 70),
+    chain_seed=st.integers(0, 10**6),
+    steps=st.integers(0, 8),
+)
+def test_value_masks_share_one_static_walk_per_lineage(seed, n, most, chain_seed, steps):
+    root = _gapped(seed, n, most)
+    snapshots = _lineage(root, chain_seed, steps)
+    assert root._static == []  # loading builds no masks
+    # built at the first call on any snapshot, here the last one
+    static = counters.static_masks(snapshots[-1])
+    for inst in snapshots:
+        assert inst._static is root._static
+        assert counters.static_masks(inst) is static
+        _assert_masks_match_the_walk(inst)
+    assert len(root._static) == 1
+    _assert_static_matches_the_walk(root)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(2, 5), most=st.integers(1, 6))
+def test_engines_leave_the_static_masks_unchanged(seed, n, most):
+    # every engine of one lineage builds its tables from the same Static;
+    # none may change what it shares
+    root = _gapped(seed, n, most, empty=0)
+    inst, _ = establish_ac(root)
+    static = counters.static_masks(root)
+    if not inst.unsatisfiable:
+        for engine in (ns_to_convergence, ss_to_convergence, cns_to_convergence,
+                       scss_to_convergence):
+            reduced = engine(inst)[0]
+            assert counters.static_masks(reduced) is static
+            _assert_masks_match_the_walk(reduced)
+    assert counters.static_masks(inst) is static
+    _assert_static_matches_the_walk(root)

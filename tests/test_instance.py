@@ -191,6 +191,19 @@ def test_remove_last_value_flags_unsatisfiable():
     assert wiped.domains[0] == ()
 
 
+def test_equal_rows_share_one_frozenset():
+    # across values, orientations and edges
+    inst = make_instance("eq", [(0, 1, 2), (0, 1, 2), (0, 1)],
+                         {(0, 1): [(0, 0), (0, 1), (1, 0), (1, 1)], (0, 2): [(0, 0), (0, 1)]})
+    rows = inst.rows
+    assert rows[(0, 1)][0] == frozenset({0, 1})
+    assert rows[(0, 1)][0] is rows[(0, 1)][1] is rows[(1, 0)][0] is rows[(1, 0)][1]
+    assert rows[(0, 1)][0] is rows[(0, 2)][0]
+    assert rows[(2, 0)][0] == frozenset({0}) and rows[(2, 0)][0] is rows[(2, 0)][1]
+    assert inst == make_instance("eq", inst.domains, {
+        (0, 1): [(0, 0), (0, 1), (1, 0), (1, 1)], (0, 2): [(0, 0), (0, 1)]})
+
+
 def test_relations_keep_original_domain_rows():
     inst = generators.figure1b()
     smaller = inst.remove_value(1, 2)
@@ -320,7 +333,7 @@ def test_derived_snapshots_share_and_leave_the_parent_alone(inst, data):
     for child, changed in children:
         assert child is not parent
         for attr in ("names", "original_domains", "edges", "rows",
-                     "positions", "_neighbors"):
+                     "positions", "_neighbors", "_static"):
             assert getattr(child, attr) is getattr(parent, attr)
         for k in range(parent.n):
             if k not in changed:
