@@ -1,5 +1,10 @@
 """Command-line front end: generate, reduce, solve, verify, bench.
 
+The families are stated once, in ``FAMILIES``: each name maps to its
+builder and to the bench parameters it reads, and ``gen`` and ``bench``
+both read that table.  ``reduce`` and ``bench`` run arc consistency and
+every engine through ``_run_stage``.
+
 Exit codes: 0 success (for reduce: reduced without emptying a domain),
 10 proven unsatisfiable during reduction, 2 bad input (parse error,
 unknown family or rule), 1 failed verification.
@@ -9,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import sys
 import time
 from dataclasses import replace
@@ -20,8 +26,13 @@ from .scss import ReplayError, replay_sequence, replay_steps, scss_to_convergenc
 from .ss import ss_to_convergence
 from .trace import Trace, dump_trace, load_trace
 
-PIPELINE_RULES = ("ac", "ns", "ss", "cns", "scss")
-BENCH_RULES = ("ns", "ss", "cns", "scss")
+ENGINES = {
+    "ns": ns_to_convergence,
+    "ss": ss_to_convergence,
+    "cns": cns_to_convergence,
+    "scss": scss_to_convergence,
+}
+PIPELINE_RULES = ("ac", *ENGINES)
 # the engines that take only arc-consistent input; scss removes
 # unsupported values itself
 NEEDS_AC = ("ns", "ss", "cns")
@@ -29,13 +40,6 @@ TIGHTNESS_HELP = (
     "random: probability that a value pair is allowed "
     "(the reverse of the usual CSP tightness)"
 )
-
-ENGINES = {
-    "ns": ns_to_convergence,
-    "ss": ss_to_convergence,
-    "cns": cns_to_convergence,
-    "scss": scss_to_convergence,
-}
 
 
 def _fail(message: str, code: int = 2) -> int:
@@ -62,34 +66,35 @@ def _parse_sets(text: str) -> list[list[int]]:
     return groups
 
 
-def _build_family(args) -> instance.Instance:
-    family = args.family
-    if family == "figure1a":
-        return generators.figure1a()
-    if family == "figure1b":
-        return generators.figure1b()
-    if family == "figure1c":
-        return generators.figure1c()
-    if family == "random":
-        return generators.random_instance(
+def _setcover(args) -> instance.Instance:
+    if args.universe is None or args.sets is None:
+        raise ValueError("setcover needs --universe and --sets")
+    return generators.set_cover_instance(
+        range(1, args.universe + 1), _parse_sets(args.sets)
+    )
+
+
+# each family: its builder, and the bench parameters it reads; a builder
+# looks its generator up at call time, so a wrapper installed on it runs
+FAMILIES = {
+    "figure1a": (lambda args: generators.figure1a(), ()),
+    "figure1b": (lambda args: generators.figure1b(), ()),
+    "figure1c": (lambda args: generators.figure1c(), ()),
+    "random": (
+        lambda args: generators.random_instance(
             args.n, args.d, args.density, args.tightness, args.seed
-        )
-    if family == "setcover":
-        if args.universe is None or args.sets is None:
-            raise ValueError("setcover needs --universe and --sets")
-        return generators.set_cover_instance(
-            range(1, args.universe + 1), _parse_sets(args.sets)
-        )
-    if family == "geqchain":
-        return generators.geq_chain(args.length)
-    if family == "cnsvsns":
-        return generators.two_var_cns_vs_ns(args.d)
-    raise ValueError(f"unknown family {family!r}")
+        ),
+        ("d", "density", "tightness", "seed"),
+    ),
+    "setcover": (_setcover, ()),
+    "geqchain": (lambda args: generators.geq_chain(args.length), ()),
+    "cnsvsns": (lambda args: generators.two_var_cns_vs_ns(args.d), ("d",)),
+}
 
 
 def cmd_gen(args) -> int:
     try:
-        inst = _build_family(args)
+        inst = FAMILIES[args.family][0](args)
     except ValueError as exc:
         return _fail(str(exc))
     if args.out:
@@ -247,7 +252,7 @@ def cmd_bench(args) -> int:
     if not rules:
         return _fail("no rules given")
     for rule in rules:
-        if rule not in BENCH_RULES:
+        if rule not in ENGINES:
             return _fail(f"unknown bench rule {rule!r}")
     try:
         d_values = [int(token) for token in str(args.d).split(",")]
@@ -255,60 +260,38 @@ def cmd_bench(args) -> int:
         return _fail(f"bad --d list {args.d!r}")
     if args.seeds < 1:
         return _fail(f"--seeds must be at least 1, not {args.seeds}")
-    # run a family once per parameter it reads; unread columns stay empty
-    seeded = args.family == "random"
-    if args.family not in ("random", "cnsvsns"):
-        d_values = [None]
+    if args.family not in FAMILIES:
+        return _fail(f"unknown family {args.family!r}")
+    build, reads = FAMILIES[args.family]
+    # the parameter columns of the CSV: a family runs once per value of each
+    # parameter it reads and leaves the other columns empty
+    grid = {
+        "d": d_values,
+        "density": [args.density],
+        "tightness": [args.tightness],
+        "seed": range(args.seeds),
+    }
+    needs_ac = any(rule in NEEDS_AC for rule in rules)
     rows = []
     try:
-        for d in d_values:
-            for seed in range(args.seeds) if seeded else [None]:
-                # the gen families, with --n as the geqchain length
-                point = dict(vars(args), d=d, seed=seed, length=args.n)
-                base = _build_family(argparse.Namespace(**point))
-                for rule in rules:
-                    inst = base
-                    if rule in NEEDS_AC:
-                        inst, _ = establish_ac(inst)
-                    if inst.unsatisfiable:
-                        eliminations, updates, micros = 0, 0, 0
-                    else:
-                        _, trace, report = ENGINES[rule](inst)
-                        eliminations = len(trace)
-                        updates = report.updates
-                        micros = report.micros
-                    rows.append(
-                        [
-                            args.family,
-                            base.n,
-                            d,
-                            args.density if seeded else None,
-                            args.tightness if seeded else None,
-                            seed,
-                            rule,
-                            eliminations,
-                            updates,
-                            micros,
-                        ]
-                    )
+        for point in itertools.product(*(grid[key] if key in reads else [None] for key in grid)):
+            # the gen arguments, with --n as the geqchain length
+            params = dict(vars(args), **dict(zip(grid, point)), length=args.n)
+            base = build(argparse.Namespace(**params))
+            after_ac = _run_stage(base, "ac")[0] if needs_ac else base
+            for rule in rules:
+                inst = after_ac if rule in NEEDS_AC else base
+                records, updates, micros = [], 0, 0
+                if not inst.unsatisfiable:
+                    _, records, updates, micros = _run_stage(inst, rule)
+                rows.append(
+                    [args.family, base.n, *point, rule, len(records), updates, micros]
+                )
     except ValueError as exc:
         return _fail(str(exc))
     with open(args.out, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(
-            [
-                "family",
-                "n",
-                "d",
-                "density",
-                "tightness",
-                "seed",
-                "rule",
-                "eliminations",
-                "updates",
-                "micros",
-            ]
-        )
+        writer.writerow(["family", "n", *grid, "rule", "eliminations", "updates", "micros"])
         writer.writerows(rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
@@ -329,18 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(required=True)
 
     gen = sub.add_parser("gen", help="generate an instance")
-    gen.add_argument(
-        "family",
-        choices=[
-            "figure1a",
-            "figure1b",
-            "figure1c",
-            "random",
-            "setcover",
-            "geqchain",
-            "cnsvsns",
-        ],
-    )
+    gen.add_argument("family", choices=list(FAMILIES))
     gen.add_argument("--n", type=int, default=8)
     gen.add_argument("--d", type=int, default=4)
     gen.add_argument("--density", type=float, default=0.5)

@@ -410,12 +410,6 @@ class Masks(NamedTuple):
     groups: tuple[tuple[tuple[int, int], tuple[tuple[int, int], ...]], ...]  # Static.groups
 
 
-def neighbour_bits(inst: Instance) -> tuple[dict[int, int], ...]:
-    """nbit[k][l] = 1 << t for the t-th neighbour x_l of x_k: the bit that
-    stands for x_l in a holder mask of x_k (Static.nbit)."""
-    return static_masks(inst).nbit
-
-
 def value_masks(inst: Instance) -> Masks:
     """The masks of the current domains of ``inst``: a live value's row is
     its full row ANDed with the live mask of the far end, a dead one's 0."""

@@ -47,7 +47,9 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True, eq=False)
+# equality compares the six defining fields; hash() raises TypeError, since
+# rows is a dict
+@dataclass(frozen=True)
 class Instance:
     name: str
     names: tuple[str, ...]
@@ -59,12 +61,12 @@ class Instance:
     rows: Mapping[Pair, Mapping[int, frozenset[int]]]
     # positions[i][v] = the position of v in the original domain of x_i: a
     # dense value index that no snapshot changes
-    positions: tuple[dict[int, int], ...] = field(init=False, repr=False)
-    _cur_sets: tuple[frozenset[int], ...] = field(init=False, repr=False)
-    _neighbors: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    positions: tuple[dict[int, int], ...] = field(init=False, repr=False, compare=False)
+    _cur_sets: tuple[frozenset[int], ...] = field(init=False, repr=False, compare=False)
+    _neighbors: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     # the masks no snapshot changes (counters.Static): an empty list until
     # the first table build of any snapshot puts them in, shared by all
-    _static: list = field(init=False, repr=False)
+    _static: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -140,6 +142,8 @@ class Instance:
                 sub_set = frozenset(sub)
                 if len(sub_set) != len(sub):
                     raise ValueError(f"domain for variable {i} repeats a value")
+                if not all(map(_is_int, sub)):
+                    raise ValueError(f"domain for variable {i} must hold ints")
                 if not sub_set <= self._cur_sets[i]:
                     raise ValueError(f"domain for variable {i} is not a subset")
             new_domains.append(sub)
@@ -158,18 +162,6 @@ class Instance:
         object.__setattr__(child, "_cur_sets", cur_sets)
         return child
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Instance):
-            return NotImplemented
-        return (
-            self.name == other.name
-            and self.names == other.names
-            and self.domains == other.domains
-            and self.original_domains == other.original_domains
-            and self.edges == other.edges
-            and self.rows == other.rows
-        )
-
 
 def make_instance(
     name: str,
@@ -185,6 +177,8 @@ def make_instance(
     of the two domains is dropped (it constrains nothing, so the pair is
     not an edge).
     """
+    if not isinstance(name, str):
+        raise InstanceFormatError("instance name must be a string")
     doms: list[tuple[int, ...]] = []
     for idx, dom in enumerate(domains):
         vals = tuple(dom)
@@ -204,6 +198,8 @@ def make_instance(
         names = tuple(names)
         if len(names) != n:
             raise InstanceFormatError("need exactly one name per variable")
+        if not all(isinstance(nm, str) for nm in names):
+            raise InstanceFormatError("variable name must be a string")
 
     if isinstance(constraints, Mapping):
         items = [(i, j, pairs) for (i, j), pairs in constraints.items()]
@@ -215,6 +211,8 @@ def make_instance(
     edges: list[Pair] = []
     seen: set[Pair] = set()
     for i, j, pairs in items:
+        if not (_is_int(i) and _is_int(j)):
+            raise InstanceFormatError("constraint scope must be a pair of variable ids")
         for v in (i, j):
             if not 0 <= v < n:
                 raise InstanceFormatError(f"constraint scope variable {v} out of range")
@@ -299,23 +297,22 @@ def to_json_dict(inst: Instance) -> dict:
     return {"name": inst.name, "variables": variables, "constraints": constraints}
 
 
-def _require_keys(obj: dict, allowed: set[str], required: set[str], what: str) -> None:
+def _require_keys(
+    obj: dict, allowed: set[str], required: set[str], what: str, error=InstanceFormatError
+) -> None:
     if not isinstance(obj, dict):
-        raise InstanceFormatError(f"{what} must be an object")
+        raise error(f"{what} must be an object")
     extra = set(obj) - allowed
     if extra:
-        raise InstanceFormatError(f"{what} has unknown keys: {sorted(extra)}")
+        raise error(f"{what} has unknown keys: {sorted(extra)}")
     missing = required - set(obj)
     if missing:
-        raise InstanceFormatError(f"{what} is missing keys: {sorted(missing)}")
+        raise error(f"{what} is missing keys: {sorted(missing)}")
 
 
 def from_json_dict(obj: dict) -> Instance:
     """Parse and validate the JSON object form of an instance."""
     _require_keys(obj, {"name", "variables", "constraints"}, {"name", "variables"}, "instance")
-    name = obj["name"]
-    if not isinstance(name, str):
-        raise InstanceFormatError("instance name must be a string")
     variables = obj["variables"]
     if not isinstance(variables, list):
         raise InstanceFormatError("variables must be a list")
@@ -327,8 +324,6 @@ def from_json_dict(obj: dict) -> Instance:
             raise InstanceFormatError(
                 f"variable ids must be dense and 0-based; got {var['id']} at position {pos}"
             )
-        if not isinstance(var["name"], str):
-            raise InstanceFormatError("variable name must be a string")
         if not isinstance(var["domain"], list):
             raise InstanceFormatError("variable domain must be a list")
         domains.append(var["domain"])
@@ -355,7 +350,7 @@ def from_json_dict(obj: dict) -> Instance:
         # make_instance checks that each item is a pair as it reads it
         constraints.append((i, j, allowed))
     try:
-        return make_instance(name, domains, constraints, names=names)
+        return make_instance(obj["name"], domains, constraints, names=names)
     except InstanceFormatError:
         raise
     except (TypeError, KeyError) as exc:

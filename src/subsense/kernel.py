@@ -82,7 +82,7 @@ class Kernel:
         # looked up at call time, so wrappers installed on counters see it
         self.tables = getattr(counters, self.BUILD)(inst)
         self.pos = inst.positions
-        self.nbit = counters.neighbour_bits(inst)
+        self.nbit = counters.static_masks(inst).nbit
         self.updates = self.tables.probes
         self.steps: list[EliminationRecord] = []
         self.unsat = inst.unsatisfiable

@@ -44,11 +44,14 @@ from .trace import (
 
 
 def check_scss(inst: Instance) -> list[tuple[int, int, int]]:
-    """All (variable, value, conditioning) triples eliminable right now.
+    """All (variable, value, conditioning) triples eliminable right now
+    whose conditioning variable is a constrained neighbour of the variable.
 
     Builds the counter tables for the current domains without mutating
     anything; a triple qualifies when every conditioning value compatible
-    with the value has a snake cover.
+    with the value has a snake cover.  A variable with no constraint may be
+    conditioned on any other variable, as ``oracle.is_scss`` and the engine
+    do, but none of its triples is listed.
     """
     return list(conditioned(inst, counters.build_scss(inst).not_snake_covered))
 

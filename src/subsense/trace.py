@@ -12,6 +12,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Mapping, Optional, Union, get_args, get_type_hints
 
 from ._jsonwrite import dump
+from .instance import _require_keys
 
 AC = "ac"
 NS = "ns"
@@ -211,14 +212,8 @@ def trace_to_json_dict(trace: Trace) -> dict:
 
 
 def trace_from_json_dict(obj: dict) -> Trace:
-    if not isinstance(obj, dict):
-        raise ValueError("trace must be an object")
-    extra = set(obj) - {"instance", "steps", "final_domains"}
-    if extra:
-        raise ValueError(f"trace has unknown keys: {sorted(extra)}")
-    missing = {"instance", "steps"} - set(obj)
-    if missing:
-        raise ValueError(f"trace is missing keys: {sorted(missing)}")
+    allowed = {"instance", "steps", "final_domains"}
+    _require_keys(obj, allowed, {"instance", "steps"}, "trace", ValueError)
     if not isinstance(obj["instance"], str):
         raise ValueError(f"trace instance must be a string, not {obj['instance']!r}")
     if not isinstance(obj["steps"], list):

@@ -381,7 +381,7 @@ def _assert_masks_match_the_walk(inst):
     masks = counters.value_masks(inst)
     assert masks.live == live
     assert list(masks.row) == list(row) and masks.row == row
-    assert masks.nbit == nbit and counters.neighbour_bits(inst) == nbit
+    assert masks.nbit == nbit and counters.static_masks(inst).nbit == nbit
     assert masks.groups == tuple((key, tuple(edges)) for key, edges in groups.items())
 
 

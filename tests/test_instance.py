@@ -12,7 +12,7 @@ from subsense import (
     make_instance,
     to_json_dict,
 )
-from subsense import generators
+from subsense import counters, generators
 
 from conftest import corpus
 from reference import allows, arrow, snake_arrow
@@ -210,6 +210,40 @@ def test_relations_keep_original_domain_rows():
     # the row for the removed value is still indexable (stable labels)
     assert smaller.rows[(1, 2)][2] == inst.rows[(1, 2)][2]
     assert smaller.original_domains == inst.original_domains
+
+
+@pytest.mark.parametrize(
+    "args,kwargs,message",
+    [
+        (("x", [(0, 1)], {}), {"names": [5]}, "variable name must be a string"),
+        ((5, [(0, 1)], {}), {}, "instance name must be a string"),
+        (
+            ("x", [(0, 1), (0, 1)], [(False, True, [(0, 0)])]),
+            {},
+            "constraint scope must be a pair of variable ids",
+        ),
+    ],
+    ids=["variable-name", "instance-name", "bool-scope"],
+)
+def test_make_instance_rejects_what_a_file_cannot_hold(args, kwargs, message):
+    # each was once stored, and then failed to be written or read back
+    with pytest.raises(InstanceFormatError, match=f"^{message}$"):
+        make_instance(*args, **kwargs)
+
+
+def test_restrict_rejects_a_value_that_is_not_an_int():
+    # True == 1, so the subset test alone lets it in as a value label
+    with pytest.raises(ValueError, match="^domain for variable 0 must hold ints$"):
+        generators.figure1a().restrict([(True,), (0,), (0, 1), (0, 1)])
+
+
+def test_equality_reads_the_defining_fields_only():
+    inst = generators.figure1c()
+    counters.static_masks(inst)  # fills the derived _static of inst alone
+    assert inst == loads(dumps(inst)) and inst._static != loads(dumps(inst))._static
+    assert inst != inst.remove_value(0, 0) and inst != "figure1c"
+    with pytest.raises(TypeError):
+        hash(inst)
 
 
 def test_restrict_sorts_and_validates():

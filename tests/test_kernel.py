@@ -10,7 +10,7 @@ from subsense.scss import ScssEngine, replay_steps
 from subsense.ss import SsEngine
 
 from conftest import set_cell
-from test_counters import FLAT_INPUTS
+from test_counters import FLAT_INPUTS, WIDTH_INPUTS
 
 ENGINES = {
     "cns": lambda inst: CnsEngine(inst, ns_priority=True),
@@ -145,14 +145,16 @@ def test_engines_recheck_their_tables_on_relabelled_inputs(rule, monkeypatch):
     # sparse, non-contiguous value labels, some inputs partly reduced, so a
     # mask bit indexed by a value label instead of its position shows; plus
     # a variable with no constraint, whose scss witness swaps at a variable
-    # that has no bit for it
+    # that has no bit for it; plus masks past 64 bits, paired slot by slot,
+    # and holder masks of 70 neighbours
     monkeypatch.setenv(counters.DEBUG_ENV, "1")
     isolated = make_instance(
         "isolated", [(3, 8, 20), (1, 6, 40), (50, 70, 90)],
         {(0, 1): [(3, 1), (8, 6), (20, 6), (20, 40)]},
     )
     removed = 0
-    for inst in [*FLAT_INPUTS["relabelled"](), isolated]:
+    wide = [WIDTH_INPUTS[name]() for name in ("domain-65", "star-70")]
+    for inst in [*FLAT_INPUTS["relabelled"](), isolated, *wide]:
         if rule != "scss":
             inst, _ = establish_ac(inst)
             if inst.unsatisfiable:

@@ -9,6 +9,7 @@ from subsense import (
     SS,
     ReplayError,
     check_scss,
+    cns_to_convergence,
     counters,
     establish_ac,
     generators,
@@ -51,6 +52,26 @@ def test_check_scss_on_two_var_equality():
     triples = check_scss(inst)
     assert triples == oracle_triples(inst)
     assert triples == [(0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 1, 0)]
+
+
+def test_scss_removes_nothing_from_a_lone_variable():
+    # the other rules keep one value; scss needs a second variable to condition on
+    one = make_instance("one", [(0, 1, 2)], {})
+    for engine in (ns_to_convergence, ss_to_convergence, cns_to_convergence):
+        assert engine(one)[0].domains == ((2,),)
+    assert scss_to_convergence(one)[0].domains == ((0, 1, 2),)
+    assert [is_scss(one, 0, b) for b in (0, 1, 2)] == [None, None, None]
+    assert check_scss(one) == []
+
+
+def test_check_scss_lists_only_conditioning_by_a_neighbour():
+    # an unconstrained variable may be conditioned on any other variable,
+    # which the oracle and the engine do but check_scss does not list
+    two = make_instance("two", [(0, 1), (0, 1)], {})
+    assert check_scss(two) == []
+    witness = is_scss(two, 0, 0)
+    assert witness is not None and witness.conditioning == 1
+    assert scss_to_convergence(two)[0].domains == ((1,), (1,))
 
 
 def test_check_scss_does_not_mutate():
