@@ -54,6 +54,18 @@ def _load(path: str):
         return _fail(f"cannot read instance {path}: {exc}")
 
 
+def _rules(text: str, allowed, word: str):
+    """The names of a comma-separated ``--rules`` list, or the exit code
+    when it names none or one outside ``allowed`` (an unknown ``word``)."""
+    rules = [rule.strip() for rule in text.split(",") if rule.strip()]
+    if not rules:
+        return _fail("no rules given")
+    for rule in rules:
+        if rule not in allowed:
+            return _fail(f"unknown {word} {rule!r}")
+    return rules
+
+
 # -- gen ----------------------------------------------------------------------
 
 def _parse_sets(text: str) -> list[list[int]]:
@@ -147,12 +159,9 @@ def run_pipeline(inst, rules):
 
 
 def cmd_reduce(args) -> int:
-    rules = [rule.strip() for rule in args.rules.split(",") if rule.strip()]
-    if not rules:
-        return _fail("no rules given")
-    for rule in rules:
-        if rule not in PIPELINE_RULES:
-            return _fail(f"unknown rule {rule!r}")
+    rules = _rules(args.rules, PIPELINE_RULES, "rule")
+    if isinstance(rules, int):
+        return rules
     inst = _load(args.instance)
     if isinstance(inst, int):
         return inst
@@ -248,12 +257,9 @@ def cmd_verify(args) -> int:
 # -- bench --------------------------------------------------------------------
 
 def cmd_bench(args) -> int:
-    rules = [rule.strip() for rule in args.rules.split(",") if rule.strip()]
-    if not rules:
-        return _fail("no rules given")
-    for rule in rules:
-        if rule not in ENGINES:
-            return _fail(f"unknown bench rule {rule!r}")
+    rules = _rules(args.rules, ENGINES, "bench rule")
+    if isinstance(rules, int):
+        return rules
     try:
         d_values = [int(token) for token in str(args.d).split(",")]
     except ValueError:

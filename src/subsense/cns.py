@@ -12,7 +12,7 @@ The block counters, the substitution worklist and the cover layer that cns
 shares with scss come from kernel.Kernel, kernel.Substitutions and
 kernel.CoverKernel.  This module states only what a cover is: a fits when
 block_vars(p,b,a) fits inside {q}, which the block pass reports through
-``_fits_within``, and a reaches c when it takes c.
+``_fits_within`` as a +1 cover step, and a reaches c when it takes c.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ class CnsEngine(CoverKernel, Substitutions):
         return c in self.inst.rows[(i, j)][a]
 
     def _fits_within(self, i: int, b: int, a: int, j: int) -> None:
-        self._scope_changed(i, b, a, j, self._cover_up)
+        self._scope_changed(i, b, a, j, 1)
 
     def _witness(self, i: int, b: int, j: int) -> CnsWitness:
         return CnsWitness(conditioning=j, covers=self._first_covers(i, b, j))

@@ -20,8 +20,10 @@ A rule module adds its table choice (``BUILD``), its pop policy
 (``_pop``), its witness builder and its own passes, appended to
 ``_propagate``.  ``converge`` is the one elimination loop: a rule never
 removes a value outside it.  Every swap in a witness (a value of x_k that
-stands in for d) comes from ``_swap``, which reads ``block_vars``.  The
-kernel calls the rule hooks only where a count flips.
+stands in for d) comes from ``_swap``, which reads ``block_vars``.  Each
+counter that rises and falls has one step that moves it by ``delta`` (+1
+or -1).  Only where the count flips, up to one or down to none, does it go
+further; the rule hook it then calls takes the same ``delta``.
 
 The count, holder and uncovered tables are flat lists indexed by value
 position (``Instance.positions``), laid out as ``counters.TABLES`` states;
@@ -31,7 +33,8 @@ uncovered cell is an int mask over the value positions of the
 conditioning variable.  Slots indexed by the removed value are read before
 they go stale, are never written during a pass, and are never read after
 it.  Each counter step, bit set or cleared, flag change and worklist push
-adds one to ``updates``; clearing a bit that is not set is an error.
+adds one to ``updates``.  A count below zero, a bit set that is already set
+and a bit cleared that is not set are errors.
 """
 
 from __future__ import annotations
@@ -59,12 +62,12 @@ def conditioned(inst: Instance, uncovered: dict) -> Iterator[tuple[int, int, int
                     yield i, b, j
 
 
-def _cleared(mask: int, bit: int, name: str, key: tuple, member: int) -> int:
-    """``mask`` without ``bit``, which stands for ``member`` in the cell
-    ``key`` of the mask table ``name``.  A bit that is not set signals an
-    internal-consistency bug."""
-    if not mask & bit:
-        raise RuntimeError(f"{name}{key} does not hold {member}")
+def _toggled(mask: int, bit: int, on: bool, name: str, key: tuple, member: int) -> int:
+    """``mask`` with ``bit``, which stands for ``member`` in the cell ``key``
+    of the mask table ``name``, set (``on``) or cleared.  A bit that is
+    already so signals an internal-consistency bug."""
+    if bool(mask & bit) == on:
+        raise RuntimeError(f"{name}{key} {'already holds' if on else 'does not hold'} {member}")
     return mask ^ bit
 
 
@@ -165,7 +168,7 @@ class Kernel:
                         raise RuntimeError(f"nb_blocks{(k, d, e, r)} went negative")
                     if left:
                         continue
-                    holders = _cleared(block_vars[cell], bit_r, "block_vars", (k, d, e), r)
+                    holders = _toggled(block_vars[cell], bit_r, False, "block_vars", (k, d, e), r)
                     block_vars[cell] = holders
                     self.updates += 1
                     if not holders:
@@ -231,7 +234,7 @@ class SnakeKernel(Kernel):
         for a in self.inst.domains[i]:
             row_a = row[a]
             if d not in row_a and e in row_a:
-                self._inc_subs(i, a, k, d)
+                self._step_subs(i, a, k, d, 1)
 
     def _propagate(self, r: int, u: int) -> None:
         super()._propagate(r, u)
@@ -250,7 +253,7 @@ class SnakeKernel(Kernel):
                     continue
                 for d in inst.domains[r]:
                     if d not in row_a and not block_vars[pos_r[d] * size_r + pos_u] & others:
-                        self._dec_subs(i, a, r, d)
+                        self._step_subs(i, a, r, d, -1)
         # u no longer counts as a stop at r
         for i in inst.neighbors(r):
             row = inst.rows[(i, r)]
@@ -260,81 +263,54 @@ class SnakeKernel(Kernel):
                     continue
                 for b in inst.domains[i]:
                     if u in row[b]:
-                        self.dec_stops(i, a, b, r)
+                        self._step_stops(i, a, b, r, -1)
 
     # -- rule hooks -----------------------------------------------------------
 
-    def _stop_var_removed(self, i: int, a: int, b: int, k: int, holders: int) -> None:
-        """stop_vars(i,a,b) lost x_k; ``holders`` is the mask after the change."""
+    def _stop_var_changed(self, i: int, a: int, b: int, k: int, holders: int, delta: int) -> None:
+        """x_k joined (``delta`` +1) or left (-1) stop_vars(i,a,b);
+        ``holders`` is the mask after the change."""
 
-    def _stop_var_added(self, i: int, a: int, b: int, k: int, holders: int) -> None:
-        """stop_vars(i,a,b) gained x_k; ``holders`` is the mask after the change."""
-
-    def _sub_flipped(self, i: int, a: int, k: int, d: int, gained: bool) -> None:
-        """nb_subs(i,a,k,d) rose from zero (gained) or fell to zero."""
+    def _sub_flipped(self, i: int, a: int, k: int, d: int, delta: int) -> None:
+        """nb_subs(i,a,k,d) rose to one (``delta`` +1) or fell to none (-1)."""
 
     # -- cascades -------------------------------------------------------------
 
-    def _inc_subs(self, i: int, a: int, k: int, d: int) -> None:
+    def _step_subs(self, i: int, a: int, k: int, d: int, delta: int) -> None:
+        """nb_subs(i,a,k,d) moves by ``delta``.  Once d at x_k has a sub for
+        a, it stops stopping replacements by a; once it has none, it resumes."""
         subs = self.tables.nb_subs[(i, k)]
         cell = pair_index(self.pos, i, a, k, d)
-        subs[cell] += 1
+        left = subs[cell] = subs[cell] + delta
         self.updates += 1
-        if subs[cell] != 1:
-            return
-        # d stops stopping replacements by a
-        row = self.inst.rows[(i, k)]
-        for b in self.inst.domains[i]:
-            if d in row[b]:
-                self.dec_stops(i, a, b, k)
-        self._sub_flipped(i, a, k, d, True)
-
-    def _dec_subs(self, i: int, a: int, k: int, d: int) -> None:
-        subs = self.tables.nb_subs[(i, k)]
-        cell = pair_index(self.pos, i, a, k, d)
-        subs[cell] -= 1
-        self.updates += 1
-        if subs[cell] < 0:
+        if left < 0:
             raise RuntimeError(f"nb_subs{(i, a, k, d)} went negative")
-        if subs[cell]:
+        if left != (delta > 0):  # a flip leaves one after +1, none after -1
             return
-        # d resumes stopping replacements by a
         row = self.inst.rows[(i, k)]
         for b in self.inst.domains[i]:
             if d in row[b]:
-                self.inc_stops(i, a, b, k)
-        self._sub_flipped(i, a, k, d, False)
+                self._step_stops(i, a, b, k, -delta)
+        self._sub_flipped(i, a, k, d, delta)
 
-    def dec_stops(self, i: int, a: int, b: int, k: int) -> None:
-        """A stop against replacing b by a at x_i vanished at x_k.  A count
-        falling below zero signals an internal-consistency bug."""
+    def _step_stops(self, i: int, a: int, b: int, k: int, delta: int) -> None:
+        """The stops against replacing b by a at x_i that sit at x_k move by
+        ``delta``; x_k joins stop_vars(i,a,b) with the first and leaves it
+        with the last."""
         stops = self.tables.nb_stops[(i, k)]
         cell = pair_index(self.pos, i, a, i, b)
-        stops[cell] -= 1
+        left = stops[cell] = stops[cell] + delta
         self.updates += 1
-        if stops[cell] < 0:
+        if left < 0:
             raise RuntimeError(f"nb_stops{(i, a, b, k)} went negative")
-        if stops[cell]:
+        if left != (delta > 0):
             return
         stop_vars = self.tables.stop_vars[i]
-        holders = _cleared(stop_vars[cell], self.nbit[i][k], "stop_vars", (i, a, b), k)
-        stop_vars[cell] = holders
+        holders = stop_vars[cell] = _toggled(
+            stop_vars[cell], self.nbit[i][k], delta > 0, "stop_vars", (i, a, b), k
+        )
         self.updates += 1
-        self._stop_var_removed(i, a, b, k, holders)
-
-    def inc_stops(self, i: int, a: int, b: int, k: int) -> None:
-        """Mirror of dec_stops for a stop that reappeared at x_k."""
-        stops = self.tables.nb_stops[(i, k)]
-        cell = pair_index(self.pos, i, a, i, b)
-        stops[cell] += 1
-        self.updates += 1
-        if stops[cell] != 1:
-            return
-        stop_vars = self.tables.stop_vars[i]
-        holders = stop_vars[cell] | self.nbit[i][k]
-        stop_vars[cell] = holders
-        self.updates += 1
-        self._stop_var_added(i, a, b, k, holders)
+        self._stop_var_changed(i, a, b, k, holders, delta)
 
 
 class Substitutions(Kernel):
@@ -436,44 +412,34 @@ class CoverKernel(Kernel):
 
     # -- counter steps --------------------------------------------------------
 
-    def _cover_up(self, i: int, b: int, j: int, c: int) -> None:
-        """One more cover of c for b; queue (i,b,j) once all of b's are covered."""
+    def _step_cover(self, i: int, b: int, j: int, c: int, delta: int) -> None:
+        """The covers of c for b move by ``delta``.  A compatible c leaves b's
+        uncovered mask with its first cover, queueing (i,b,j) once the mask
+        is empty, and rejoins it when its last cover goes."""
         covers = self.covers[(i, j)]
         cell = pair_index(self.pos, i, b, j, c)
-        covers[cell] += 1
+        left = covers[cell] = covers[cell] + delta
         self.updates += 1
-        if covers[cell] != 1 or c not in self.inst.rows[(i, j)][b]:
+        if left < 0:
+            raise RuntimeError(f"{self.COVERS}{(i, b, j, c)} went negative")
+        if left != (delta > 0) or c not in self.inst.rows[(i, j)][b]:
             return
         uncovered = self.uncovered[(i, j)]
         p = self.pos[i][b]
-        values = _cleared(uncovered[p], 1 << self.pos[j][c], self.UNCOVERED, (i, b, j), c)
-        uncovered[p] = values
+        values = uncovered[p] = _toggled(
+            uncovered[p], 1 << self.pos[j][c], delta < 0, self.UNCOVERED, (i, b, j), c
+        )
         self.updates += 1
         if not values:
             self.conditioned_work.append((i, b, j))
             self.updates += 1
 
-    def _cover_down(self, i: int, b: int, j: int, c: int) -> None:
-        """One cover of c for b fewer.  A count falling below zero signals an
-        internal-consistency bug."""
-        covers = self.covers[(i, j)]
-        cell = pair_index(self.pos, i, b, j, c)
-        covers[cell] -= 1
-        self.updates += 1
-        left = covers[cell]
-        if left < 0:
-            raise RuntimeError(f"{self.COVERS}{(i, b, j, c)} went negative")
-        if not left and c in self.inst.rows[(i, j)][b]:
-            self.uncovered[(i, j)][self.pos[i][b]] |= 1 << self.pos[j][c]
-            self.updates += 1
-
-    def _scope_changed(self, i: int, b: int, a: int, j: int, step) -> None:
-        """a's holder set for b came to fit inside {j} (``step`` is
-        _cover_up) or stopped fitting (_cover_down): a covers b for each
-        value of x_j it reaches."""
+    def _scope_changed(self, i: int, b: int, a: int, j: int, delta: int) -> None:
+        """a's holder set for b came to fit inside {j} (``delta`` +1) or
+        stopped fitting (-1): a covers b for each value of x_j it reaches."""
         for c in self.inst.domains[j]:
             if self._reaches(i, a, j, c):
-                step(i, b, j, c)
+                self._step_cover(i, b, j, c, delta)
 
     # -- propagation ----------------------------------------------------------
 
@@ -488,7 +454,7 @@ class CoverKernel(Kernel):
             for c in inst.domains[j]:
                 if self._reaches(r, u, j, c):
                     for b in lost:
-                        self._cover_down(r, b, j, c)
+                        self._step_cover(r, b, j, c, -1)
         self._conditioning_gone(r, u)
 
     def _conditioning_gone(self, r: int, u: int) -> None:

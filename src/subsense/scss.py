@@ -10,9 +10,9 @@ The engine keeps the tables of counters.build_scss.  The block, sub and
 stop counters with their passes come from kernel.SnakeKernel, and the cover
 layer that scss shares with cns from kernel.CoverKernel.  This module states
 only what a snake cover is: a fits when stop_vars(i,a,b) fits inside {j},
-which the stop cascade reports through its two stop hooks, and a reaches c
-when it takes c or has a sub for it, which changes when nb_subs flips
-between zero and one.
+which ``_stop_var_changed`` reports, and a reaches c when it takes c or has
+a sub for it, which ``_sub_flipped`` reports.  Both hand the cover step a
+``delta``: -1 for a stop var gained or a last sub lost, +1 otherwise.
 
 Variables with no constraints at all sit outside the edge-indexed tables,
 so the engine pops their eliminations first (any value substitutes for any
@@ -124,20 +124,16 @@ class ScssEngine(CoverKernel, SnakeKernel):
 
     # -- cover scope and reach ------------------------------------------------
 
-    def _sub_flipped(self, i: int, a: int, k: int, d: int, gained: bool) -> None:
+    def _sub_flipped(self, i: int, a: int, k: int, d: int, delta: int) -> None:
         # a starts (or stops) reaching conditioning value d at x_k
-        step = self._cover_up if gained else self._cover_down
         for b in self.inst.domains[i]:
             if b != a and self._fits(i, b, a, k):
-                step(i, b, k, d)
+                self._step_cover(i, b, k, d, delta)
 
-    def _stop_var_added(self, i: int, a: int, b: int, k: int, holders: int) -> None:
+    def _stop_var_changed(self, i: int, a: int, b: int, k: int, holders: int, delta: int) -> None:
+        # a stop var more narrows a's scope for b, one fewer widens it
         for j in self._fit_changes(i, holders, k):
-            self._scope_changed(i, b, a, j, self._cover_down)
-
-    def _stop_var_removed(self, i: int, a: int, b: int, k: int, holders: int) -> None:
-        for j in self._fit_changes(i, holders, k):
-            self._scope_changed(i, b, a, j, self._cover_up)
+            self._scope_changed(i, b, a, j, -delta)
 
 
 def scss_to_convergence(inst: Instance) -> tuple[Instance, Trace, ReductionReport]:

@@ -10,8 +10,8 @@ fixed when a pair is pushed; on popping, a pair is revalidated and labelled
 by the strongest rule that applies (ac over ns over ss).
 
 Deleting u from D(x_r) runs the block, sub and stop passes of
-kernel.SnakeKernel; every stop_vars mask that empties raises nb_snake, and
-one that gains its first bit lowers it.  This module adds two passes:
+kernel.SnakeKernel; nb_snake takes one step up for each stop_vars mask that
+empties and one down for each that gains its first bit.  Two passes follow:
 values whose last support at r was u are flagged inconsistent, and u stops
 counting as a replacement for r's remaining values.
 """
@@ -109,7 +109,7 @@ class SsEngine(SnakeKernel):
         # u no longer counts as a replacement for r's remaining values
         for b in inst.domains[r]:
             if not tables.stop_vars[r][pair_index(self.pos, r, u, r, b)]:
-                self._dec_snake(r, b)
+                self._step_snake(r, b, -1)
         if self.debug and self.steps[-1].rule == AC and newly_flagged:
             raise AssertionError(
                 "support-loss deletions are not expected to expose "
@@ -120,25 +120,21 @@ class SsEngine(SnakeKernel):
         self.high.append((k, d))
         self.updates += 1
 
-    def _stop_var_removed(self, i: int, a: int, b: int, k: int, holders: int) -> None:
-        if holders:
-            return
-        # a now replaces b with swaps: one more way to eliminate b
-        self.tables.nb_snake[(i, b)] += 1
+    def _stop_var_changed(self, i: int, a: int, b: int, k: int, holders: int, delta: int) -> None:
+        # a replaces b with swaps exactly while stop_vars(i,a,b) is empty
+        if not holders & ~self.nbit[i][k]:
+            self._step_snake(i, b, -delta)
+
+    def _step_snake(self, i: int, b: int, delta: int) -> None:
+        """nb_snake(i,b) moves by ``delta``; a rise to one queues (i,b)."""
+        snake = self.tables.nb_snake
+        left = snake[(i, b)] = snake[(i, b)] + delta
         self.updates += 1
-        if self.tables.nb_snake[(i, b)] == 1:
+        if left < 0:
+            raise RuntimeError(f"nb_snake{(i, b)} went negative")
+        if delta > 0 and left == 1:
             self.low.append((i, b))
             self.updates += 1
-
-    def _stop_var_added(self, i: int, a: int, b: int, k: int, holders: int) -> None:
-        if holders.bit_count() == 1:
-            self._dec_snake(i, b)
-
-    def _dec_snake(self, i: int, b: int) -> None:
-        self.tables.nb_snake[(i, b)] -= 1
-        self.updates += 1
-        if self.tables.nb_snake[(i, b)] < 0:
-            raise RuntimeError(f"nb_snake{(i, b)} went negative")
 
 
 def ss_to_convergence(inst: Instance) -> tuple[Instance, Trace, ReductionReport]:

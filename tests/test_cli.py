@@ -120,6 +120,26 @@ def test_reduce_exit_codes(tmp_path):
     assert run(["reduce", good, "--rules", ""]) == 2
 
 
+@pytest.mark.parametrize("rules, bad", [("", None), (" , ", None), ("ns, bogus", "bogus")])
+@pytest.mark.parametrize(
+    "command, unknown",
+    [(["reduce", "{inst}", "--out"], "unknown rule"), (["bench", "-o"], "unknown bench rule")],
+)
+def test_rules_lists_are_checked(tmp_path, capsys, command, unknown, rules, bad):
+    # an empty list or an unknown name: exit 2, one error line, nothing written
+    inst_path = tmp_path / "a.json"
+    run(["gen", "figure1a", "-o", inst_path])
+    out = tmp_path / "out"
+    argv = [str(a).format(inst=inst_path) for a in command]
+    capsys.readouterr()
+    assert run([*argv, out, "--rules", rules]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    expected = "no rules given" if bad is None else f"{unknown} {bad!r}"
+    assert captured.err == f"error: {expected}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,5 +1,7 @@
-"""The shared kernel layers: cover counter steps, fit changes, mask
+"""The shared kernel layers: cover and sub counter steps, fit changes, mask
 updates, and every engine's recheck on relabelled inputs."""
+
+import copy
 
 import pytest
 
@@ -48,14 +50,14 @@ def _uncovered(engine, key):
 def test_cover_steps_keep_the_uncovered_set_and_the_worklist(rule):
     engine, cell = _cover_engine(ENGINES[rule])
     i, b, j, c = cell
-    engine._cover_down(*cell)
+    engine._step_cover(*cell, -1)
     # the count and the uncovered set
     assert engine.updates == 2
     assert _cover(engine, cell) == 0
     assert _uncovered(engine, (i, b, j)) == {c}
     assert not engine.conditioned_work
     engine.updates = 0
-    engine._cover_up(*cell)
+    engine._step_cover(*cell, 1)
     # the count, the uncovered set and the push of the emptied triple
     assert engine.updates == 3
     assert _cover(engine, cell) == 1
@@ -68,7 +70,7 @@ def test_cover_underflow_is_an_error(rule):
     engine, cell = _cover_engine(ENGINES[rule])
     _set_cover(engine, cell, 0)
     with pytest.raises(RuntimeError, match="went negative"):
-        engine._cover_down(*cell)
+        engine._step_cover(*cell, -1)
 
 
 @pytest.mark.parametrize(
@@ -115,10 +117,27 @@ def _unset_bit_engine(name):
         engine = SsEngine(inst)
         set_cell(inst, "nb_stops", engine.tables.nb_stops, (0, 1, 0, 1), 1)
         set_cell(inst, name, engine.tables.stop_vars, (0, 1, 0), set())
-        return lambda: engine.dec_stops(0, 1, 0, 1)
+        return lambda: engine._step_stops(0, 1, 0, 1, -1)
     engine, cell = _cover_engine(ENGINES["cns" if name == "uncovered" else "scss"])
     _set_cover(engine, cell, 0)
-    return lambda: engine._cover_up(*cell)
+    return lambda: engine._step_cover(*cell, 1)
+
+
+def _set_bit_engine(name):
+    """The step that next sets a bit of the table ``name`` in a fresh
+    engine, with that bit already set by hand."""
+    if name == "stop_vars":
+        # nb_stops(0,1,0,1) rising to one adds x_1 to stop_vars(0,1,0)
+        inst = generators.figure1b()
+        engine = ScssEngine(inst)
+        set_cell(inst, "nb_stops", engine.tables.nb_stops, (0, 1, 0, 1), 0)
+        set_cell(inst, name, engine.tables.stop_vars, (0, 1, 0), {1})
+        return lambda: engine._step_stops(0, 1, 0, 1, 1)
+    # the cover cell falling to none adds c to the uncovered set of (i,b,j)
+    engine, cell = _cover_engine(ENGINES["cns" if name == "uncovered" else "scss"])
+    i, b, j, c = cell
+    set_cell(engine.inst, name, engine.uncovered, (i, b, j), {c})
+    return lambda: engine._step_cover(*cell, -1)
 
 
 @pytest.mark.parametrize(
@@ -127,6 +146,42 @@ def _unset_bit_engine(name):
 def test_clearing_a_bit_that_is_not_set_is_an_error(name):
     with pytest.raises(RuntimeError, match=rf"^{name}\("):
         _unset_bit_engine(name)()
+    # and setting one that is set; a block bit is only ever cleared
+    if name != "block_vars":
+        with pytest.raises(RuntimeError, match=rf"^{name}\(.* already holds"):
+            _set_bit_engine(name)()
+
+
+SUB_CASCADE = ("nb_subs", "nb_stops", "stop_vars", "nb_snake_covers", "not_snake_covered")
+
+
+def test_sub_steps_round_trip():
+    # for every incompatible (a at x_i, d at x_k), one sub more and then one
+    # fewer leave every table the sub cascade writes as it was
+    cells = cascaded = 0
+    for make in (generators.figure1a, generators.figure1b, generators.figure1c):
+        inst = make()
+        for i, k in counters.oriented_edges(inst):
+            for a in inst.domains[i]:
+                for d in sorted(set(inst.domains[k]) - inst.rows[(i, k)][a]):
+                    engine = ScssEngine(inst)
+                    before = copy.deepcopy([getattr(engine.tables, t) for t in SUB_CASCADE])
+                    engine.updates = 0
+                    engine._step_subs(i, a, k, d, 1)
+                    cascaded += engine.updates > 1
+                    engine._step_subs(i, a, k, d, -1)
+                    assert [getattr(engine.tables, t) for t in SUB_CASCADE] == before
+                    cells += 1
+    # both a plain step and a flip that cascades ran
+    assert 0 < cascaded < cells
+
+
+def test_sub_underflow_is_an_error():
+    inst = generators.figure1a()
+    engine = ScssEngine(inst)
+    set_cell(inst, "nb_subs", engine.tables.nb_subs, (0, 1, 1, 0), 0)
+    with pytest.raises(RuntimeError, match=r"^nb_subs\(0, 1, 1, 0\) went negative"):
+        engine._step_subs(0, 1, 1, 0, -1)
 
 
 @pytest.mark.parametrize("rule", sorted(cli.ENGINES))

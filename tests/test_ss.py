@@ -64,7 +64,7 @@ def test_stop_cascade_and_callback():
     cell = (0, 1, 0, 3)  # replacing b=0 by a=1 at x1, stop at x4
     engine = _cascade_engine({cell: 1}, {(0, 1, 0): {3}}, {(0, 0): 0})
     tables = engine.tables
-    engine.dec_stops(0, 1, 0, 3)
+    engine._step_stops(0, 1, 0, 3, -1)
     # nb_stops, stop_vars, nb_snake and the low-class push
     assert list(engine.low) == [(0, 0)]
     assert engine.updates == 4
@@ -73,7 +73,7 @@ def test_stop_cascade_and_callback():
     assert tables.nb_snake[(0, 0)] == 1
     # the mirror restores every level
     engine.updates = 0
-    engine.inc_stops(0, 1, 0, 3)
+    engine._step_stops(0, 1, 0, 3, 1)
     assert engine.updates == 3
     assert _cell(engine.inst, tables, "nb_stops", cell) == 1
     assert _cell(engine.inst, tables, "stop_vars", (0, 1, 0)) == {3}
@@ -83,10 +83,10 @@ def test_stop_cascade_and_callback():
 def test_stop_cascade_underflow_is_an_error():
     engine = _cascade_engine({(0, 1, 0, 3): 0}, {(0, 1, 0): set()}, {(0, 0): 0})
     with pytest.raises(RuntimeError):
-        engine.dec_stops(0, 1, 0, 3)
+        engine._step_stops(0, 1, 0, 3, -1)
     set_cell(engine.inst, "nb_stops", engine.tables.nb_stops, (0, 1, 0, 3), 0)
     with pytest.raises(RuntimeError):
-        engine.inc_stops(0, 1, 0, 3)
+        engine._step_stops(0, 1, 0, 3, 1)
 
 
 def test_ss_requires_arc_consistency():
