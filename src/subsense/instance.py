@@ -7,16 +7,17 @@ a stable integer label for its variable's column in every relation it
 touches.  Pairs of variables without a stored relation are unconstrained
 (every combination allowed).
 
-Instances are treated as immutable snapshots.  A derived snapshot
-(``remove_value``, ``restrict``) shares with its parent the relation
-tables, the neighbour lists, the original domains with their value index
-(``positions``), the masks no snapshot changes (``counters.Static``) and
-the domain tuple and set of every variable it leaves alone.
-``remove_value`` builds only the changed variable's domain tuple and set,
-plus two tuple slices that copy n references in C, so an elimination no
-longer pays O(n+e) Python work.  Only the constructor, which
-``make_instance`` calls, computes the neighbour lists and the value index;
-the masks wait for the first table build of any snapshot.
+Instances are immutable snapshots.  A derived snapshot (``remove_value``,
+``restrict``) shares with its parent the relation tables, the neighbour
+lists, the original domains with their value index (``positions``), the
+masks no snapshot changes (``counters.Static``) and the domain tuple and
+set of every variable it leaves alone.  An engine run or a replay instead
+drops values in place (``_drop``) from one private working snapshot, which
+holds its domains in lists, so an elimination pays O(d), not O(n); frozen
+copies (``_frozen``) leave the run.  ``remove_value`` stays for the API and
+for the backtracking ``oracle.longest_elimination_sequence``.  Only the
+constructor computes the neighbour lists and the value index; the masks
+wait for the first table build of any snapshot.
 
 An instance file is ``json.dumps(to_json_dict(inst), indent=2)`` and a
 newline, written by the one writer of instance and trace files
@@ -116,14 +117,9 @@ class Instance:
         Removing the last value is permitted; the result then reports
         ``unsatisfiable``.
         """
-        self._check_var(i)
-        if b not in self._cur_sets[i]:
-            raise ValueError(f"value {b} not in the current domain of variable {i}")
-        dom = tuple(v for v in self.domains[i] if v != b)
-        return self._derive(
-            self.domains[:i] + (dom,) + self.domains[i + 1 :],
-            self._cur_sets[:i] + (frozenset(dom),) + self._cur_sets[i + 1 :],
-        )
+        child = self._working()
+        child._drop(i, b)
+        return child._frozen()
 
     def restrict(self, domains: Sequence[Iterable[int]]) -> "Instance":
         """Return a copy whose current domains are the given subsets.
@@ -149,6 +145,22 @@ class Instance:
             new_domains.append(sub)
             new_sets.append(sub_set)
         return self._derive(tuple(new_domains), tuple(new_sets))
+
+    def _working(self) -> "Instance":
+        """A private snapshot whose domains ``_drop`` changes in place."""
+        return self._derive(list(self.domains), list(self._cur_sets))
+
+    def _drop(self, i: int, b: int) -> None:
+        """Remove b from the current domain of x_i of this working snapshot."""
+        self._check_var(i)
+        if b not in self._cur_sets[i]:
+            raise ValueError(f"value {b} not in the current domain of variable {i}")
+        dom = self.domains[i] = tuple(v for v in self.domains[i] if v != b)
+        self._cur_sets[i] = frozenset(dom)
+
+    def _frozen(self) -> "Instance":
+        """An immutable snapshot of the current domains of this one."""
+        return self._derive(tuple(self.domains), tuple(self._cur_sets))
 
     def _derive(self, domains, cur_sets) -> "Instance":
         """A snapshot with new current domains sharing everything else."""

@@ -2,10 +2,12 @@
 
 Every rule keeps the block counters of plain neighbourhood substitution
 (nb_blocks, block_vars) beneath its own tables.  Kernel owns what the four
-engines share: the current instance, the counter tables, the ``updates``
+engines share: the working snapshot, the counter tables, the ``updates``
 count, the trace, the unsatisfiable flag, the debug recheck, the run loop,
 the report, and the pass every elimination starts with, in which the
 blocks through the removed value disappear at its variable's neighbours.
+Each elimination drops its value from the working snapshot in place
+(``Instance._drop``); only frozen copies of it leave the kernel.
 Three layers sit on it:
 
 - SnakeKernel adds the sub and stop cascades that ss and scss both keep.
@@ -81,7 +83,7 @@ class Kernel:
     def __init__(self, inst: Instance):
         self.start = time.perf_counter_ns()
         self.initial = inst
-        self.inst = inst
+        self.inst = inst._working()
         # looked up at call time, so wrappers installed on counters see it
         self.tables = getattr(counters, self.BUILD)(inst)
         self.pos = inst.positions
@@ -104,7 +106,7 @@ class Kernel:
 
     def eliminate(self, r: int, u: int, rule: str, witness: Witness) -> bool:
         """Remove u from D(x_r) and record it; False once that domain is empty."""
-        self.inst = self.inst.remove_value(r, u)
+        self.inst._drop(r, u)
         self.steps.append(EliminationRecord(len(self.steps) + 1, rule, r, u, witness))
         self.unsat = not self.inst.domains[r]
         return not self.unsat
@@ -112,9 +114,10 @@ class Kernel:
     def verify(self) -> None:
         """Recompute every kept table from its definition and compare."""
         kept = {name: t for name, t in vars(self.tables).items() if name != "probes"}
-        counters.verify_tables(self.inst, **kept)
+        counters.verify_tables(self.inst._frozen(), **kept)
 
     def report(self) -> tuple[Instance, Trace, ReductionReport]:
+        final = self.inst._frozen()
         trace = Trace(self.initial.name, self.steps)
         report = ReductionReport(
             instance=self.initial.name,
@@ -123,10 +126,10 @@ class Kernel:
             updates=self.updates,
             micros=(time.perf_counter_ns() - self.start) // 1000,
             initial_domain_sizes=tuple(len(d) for d in self.initial.domains),
-            final_domain_sizes=tuple(len(d) for d in self.inst.domains),
+            final_domain_sizes=tuple(len(d) for d in final.domains),
             unsatisfiable=self.unsat,
         )
-        return self.inst, trace, report
+        return final, trace, report
 
     # -- rule hooks -----------------------------------------------------------
 

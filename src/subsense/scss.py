@@ -17,7 +17,8 @@ a sub for it, which ``_sub_flipped`` reports.  Both hand the cover step a
 Variables with no constraints at all sit outside the edge-indexed tables,
 so the engine pops their eliminations first (any value substitutes for any
 other when nothing is constrained).  Replay certifies each step of a trace
-with ``oracle.certify``.
+with ``oracle.certify``, which caches nothing, on one working snapshot that
+drops each value in place, and returns a frozen copy of it.
 """
 
 from __future__ import annotations
@@ -189,7 +190,7 @@ def replay_sequence(inst: Instance, steps, rules=None):
     rules = list(rules)
     if len(rules) != len(steps):
         raise ValueError("need exactly one rule per step")
-    cur = inst
+    cur = inst._working()
     records: list[EliminationRecord] = []
     for pos, step in enumerate(steps, start=1):
         step = tuple(step)
@@ -216,6 +217,6 @@ def replay_sequence(inst: Instance, steps, rules=None):
         witness = oracle.certify(rule, cur, i, b, j)
         if witness is None:
             raise ReplayError(f"{label}: the rule does not hold at this point")
-        cur = cur.remove_value(i, b)
+        cur._drop(i, b)
         records.append(EliminationRecord(pos, rule, i, b, witness))
-    return cur, Trace(inst.name, records)
+    return cur._frozen(), Trace(inst.name, records)

@@ -10,6 +10,7 @@ from subsense.acns import NsEngine
 from subsense.cns import CnsEngine
 from subsense.scss import ScssEngine, replay_steps
 from subsense.ss import SsEngine
+from subsense.trace import NS, NsWitness
 
 from conftest import set_cell
 from test_counters import FLAT_INPUTS, WIDTH_INPUTS
@@ -111,7 +112,9 @@ def _unset_bit_engine(name):
         )
         set_cell(inst, "nb_blocks", engine.tables.nb_blocks, (k, d, e, r), 1)
         set_cell(inst, name, engine.tables.block_vars, (k, d, e), set())
-        engine.inst = inst.remove_value(r, u)
+        # u goes from the engine's working domains as converge removes it
+        a = next(v for v in inst.domains[r] if v != u)
+        assert engine.eliminate(r, u, NS, NsWitness(substitute=a))
         return lambda: engine._propagate(r, u)
     if name == "stop_vars":
         engine = SsEngine(inst)
