@@ -364,7 +364,9 @@ class Static(NamedTuple):
     # nbit[k][l] = the bit of the neighbour x_l in the holder masks of x_k
     nbit: tuple[dict[int, int], ...]
     # ((s, t), edges) for the oriented edges (i,j) whose original D(x_i) has
-    # s values and D(x_j) has t: the packed byte kernels take one at a time
+    # s values and D(x_j) has t, in ``edges`` order, so that (t,s) lists the
+    # reverse of each edge of (s,t) in turn, and (s,s) both orientations of
+    # an edge side by side: the packed byte kernels take one at a time
     groups: tuple[tuple[tuple[int, int], tuple[tuple[int, int], ...]], ...]
 
 
@@ -408,6 +410,9 @@ class Masks(NamedTuple):
     row: dict[tuple[int, int], list[int]]
     nbit: tuple[dict[int, int], ...]  # Static.nbit
     groups: tuple[tuple[tuple[int, int], tuple[tuple[int, int], ...]], ...]  # Static.groups
+    # packed[s,t] = the rows of the edges of the group (s,t), one edge after
+    # the other, as fields of _field(t) bytes: packed once for every builder
+    packed: dict[tuple[int, int], bytes]
 
 
 def value_masks(inst: Instance) -> Masks:
@@ -426,21 +431,32 @@ def value_masks(inst: Instance) -> Masks:
         for p in dead[i]:
             cur[p] = 0
         row[(i, j)] = cur
-    return Masks(live, row, static.nbit, static.groups)
+    packed = {(s, t): _pack([row[e] for e in edges], _field(t)) for (s, t), edges in static.groups}
+    return Masks(live, row, static.nbit, static.groups, packed)
+
+
+class Packed(NamedTuple):
+    """A count or holder table as one build() hands it from builder to
+    builder: its lists, and by list the bytes that its readers take, for a
+    count table one a slot, nonzero where the count is, and for a holder
+    table its masks as fields of _field(degree of x_k) bytes."""
+
+    lists: Flat
+    packed: dict
 
 
 # -- packed byte kernels --------------------------------------------------------
 #
 # The flat builders do their per-slot work in C, on bytes and big ints, for a
 # whole group of oriented edges whose two ends have the same original domain
-# sizes (Masks.groups).  _pack lays the masks of every edge of a group out as
-# little-endian fields of one width, one edge after the other; the kernels
-# combine the fields with a few big-int operations per step and count with
-# bytes.translate; _unpack turns each edge's slice of the result into its
-# list.  The Python work per edge grows with D, not D².  _pair_counts pairs
-# every mask of one list with every mask of another and counts the common
-# bits, at most _PAIR_BATCH slots at a time; _run_masks is a movemask,
-# gathering runs of 0/1 bytes into one int each.
+# sizes (Masks.groups), and hand each other bytes (Packed): the rows of a group
+# are packed once per build (Masks.packed), a reader of a count table flags
+# its count bytes with one translate, and _fits reads the holder fields that
+# flat_holders interleaved.  Each list of a table is made once, for the
+# engines.  The Python work per edge grows with D, not D².  _pair_counts
+# pairs every mask of one list with every mask of another and counts the
+# common bits, at most _PAIR_BATCH slots at a time; _run_masks is a
+# movemask, gathering runs of 0/1 bytes into one int each.
 
 # array typecodes by item size, for the fields array packs and unpacks
 _TYPECODE = {array(code).itemsize: code for code in "QLIHB"}
@@ -495,30 +511,26 @@ def _unpack(buf, size: int) -> list[int]:
     return packed.tolist()
 
 
-def _unpack_each(packed: int, count: int, span: int, size: int) -> list[list[int]]:
-    """The fields of ``size`` bytes of ``packed`` as ``count`` lists, one
-    per ``span`` bytes (an edge's or a variable's), each unpacked from its
-    own slice."""
-    buf = packed.to_bytes(count * span, "little")
-    return [_unpack(buf[n * span : (n + 1) * span], size) for n in range(count)]
+def _split(seq, count: int) -> list:
+    """The bytes or list ``seq`` cut into ``count`` slices of equal length,
+    one per edge or variable."""
+    span = len(seq) // count
+    return [seq[n * span : (n + 1) * span] for n in range(count)]
 
 
-def _flag_bytes(lists: list[list[int]], table: bytes) -> bytes:
-    """One 0/1 byte per count in ``lists``, one list after the other, by
-    the translate table ``_NONZERO`` or ``_ZERO``."""
-    try:
-        return bytes(chain.from_iterable(lists)).translate(table)
-    except ValueError:  # a count past 255, from a domain past 255 values
-        return bytes(map(bool, chain.from_iterable(lists))).translate(table)
+def _flags(counts: Packed, edges, translate: bytes) -> bytes:
+    """The count bytes of ``counts`` for ``edges``, one edge after the
+    other, as 0/1 bytes by the translate table ``_NONZERO`` or ``_ZERO``."""
+    return b"".join([counts.packed[e] for e in edges]).translate(translate)
 
 
-def _interleave(lanes: list[int], count: int, size: int) -> int:
-    """The int of ``count`` fields of ``size`` bytes whose byte b is, in
-    every field, the matching byte of ``lanes[b]``."""
+def _interleave(lanes: list[int], count: int, size: int) -> bytearray:
+    """``count`` fields of ``size`` bytes whose byte b is, in every field,
+    the matching byte of ``lanes[b]``."""
     buf = bytearray(count * size)
     for b, lane in enumerate(lanes):
         buf[b::size] = lane.to_bytes(count, "little")
-    return int.from_bytes(buf, "little")
+    return buf
 
 
 def _run_masks(flags, run: int) -> int:
@@ -528,7 +540,7 @@ def _run_masks(flags, run: int) -> int:
     lanes = [0] * size
     for q in range(run):
         lanes[q >> 3] |= int.from_bytes(flags[q::run], "little") << (q & 7)
-    return _interleave(lanes, len(flags) // run, size)
+    return int.from_bytes(_interleave(lanes, len(flags) // run, size), "little")
 
 
 def _transpose(flags: bytes, rows: int, cols: int) -> bytearray:
@@ -562,33 +574,34 @@ def _replicate(packed: int, unit: int, copies: int) -> int:
 
 
 def _pair_counts(
-    xs: bytes, ys: bytes, nx: int, ny: int, size: int, invert: bool = False
-) -> list[list[int]]:
-    """[(x & y).bit_count() for x in X for y in Y] for every edge of a
-    group, where xs holds the nx masks X of each edge and ys its ny masks
-    Y, packed into fields of ``size`` bytes; with ``invert``, each y is
-    taken as ~y.
+    out: Packed, edges, xs: bytes, ys: bytes, nx: int, ny: int, size: int, invert: bool = False
+) -> None:
+    """[(x & y).bit_count() for x in X for y in Y] for every edge of
+    ``edges``, a group, where xs holds the nx masks X of each edge and ys
+    its ny masks Y, packed into fields of ``size`` bytes; with ``invert``,
+    each y is taken as ~y.  Stores each edge's list in ``out``, and its
+    counts as bytes, one a slot, nonzero where the count is.
 
     Each x goes at the start of its run of ny fields and each edge's Y at
     the start of its span of nx runs; doubling shifts fill the rest, one
     AND pairs them all, and the popcount of a field is the sum of its
     bytes' popcounts.  The edges are paired at most _PAIR_BATCH slots at a
     time, so that no buffer outgrows the lists it fills.  Fields past 8
-    bytes are paired by the formula, slot by slot."""
+    bytes are paired by the formula, slot by slot, and their counts, which
+    can pass 255, flagged as 0 or 1."""
     if size > 8:
         xs, ys = _unpack(xs, size), _unpack(ys, size)
         if invert:
             ys = [~y for y in ys]
-        lists = []
-        for n in range(len(xs) // nx):
+        for n, e in enumerate(edges):
             ye = ys[n * ny : (n + 1) * ny]
-            lists.append([(x & y).bit_count() for x in xs[n * nx : (n + 1) * nx] for y in ye])
-        return lists
+            counts = [(x & y).bit_count() for x in xs[n * nx : (n + 1) * nx] for y in ye]
+            out.lists[e], out.packed[e] = counts, bytes(map(bool, counts))
+        return
     run, span = ny * size, nx * ny * size
-    edges, batch = len(xs) // (nx * size), max(1, _PAIR_BATCH // (nx * ny))
-    lists = []
-    for start in range(0, edges, batch):
-        count = min(batch, edges - start)
+    batch = max(1, _PAIR_BATCH // (nx * ny))
+    for start in range(0, len(edges), batch):
+        count = min(batch, len(edges) - start)
         xb = xs[start * nx * size : (start + count) * nx * size]
         yb = ys[start * run : (start + count) * run]
         x = _replicate(_spread(xb, size, run), 8 * size, ny)
@@ -603,27 +616,28 @@ def _pair_counts(
         while lane < size:
             sums += sums >> 8 * lane
             lane *= 2
-        buf = sums.to_bytes(count * span, "little")
-        lists += [list(buf[n * span : (n + 1) * span : size]) for n in range(count)]
-    return lists
+        counts = _split(sums.to_bytes(count * span, "little")[::size], count)
+        for e, cells in zip(edges[start : start + count], counts):
+            out.lists[e], out.packed[e] = list(cells), cells
 
 
 def _pair_probes(inst: Instance) -> int:
     """The probes of a set-builder that visits, for every oriented edge
     (i,j), each ordered pair of distinct values of x_i against each value
-    of x_j."""
+    of x_j: s_i (s_i - 1) s_j + s_j (s_j - 1) s_i for every edge {i,j}."""
     sizes = [len(dom) for dom in inst.domains]
-    return sum(sizes[i] * (sizes[i] - 1) * sizes[j] for i, j in oriented_edges(inst))
+    return sum(sizes[i] * sizes[j] * (sizes[i] + sizes[j] - 2) for i, j in inst.edges)
 
 
-def _fits(inst: Instance, masks: Masks, holders: Flat, transposed=False) -> Callable[[list], bytes]:
+def _fits(
+    inst: Instance, masks: Masks, holders: Packed, transposed=False
+) -> Callable[[list], bytes]:
     """The fit masks of the holder masks ``holders`` (block_vars or
     stop_vars), as a function of pairs (k,l) whose x_k all have original
     domains of one size S: it packs, for each pair, S fields of _field(S)
     bytes, one pair after the other.  The field at the position of v holds
     the mask of the w != v of D(x_k) whose holder mask of (v,w), or
     transposed (w,v), holds no neighbour but x_l; 0 for a dead v."""
-    held = [_pack([holders[k]], _field(len(inst.neighbors(k)))) for k in range(inst.n)]
     others = [
         [live & ~(1 << p) if live >> p & 1 else 0 for p in range(len(pos))]
         for live, pos in zip(masks.live, inst.positions)
@@ -633,7 +647,7 @@ def _fits(inst: Instance, masks: Masks, holders: Flat, transposed=False) -> Call
         size_k = len(inst.positions[pairs[0][0]])
         flags = []
         for k, l in pairs:
-            cells, t = held[k], masks.nbit[k][l].bit_length() - 1
+            cells, t = holders.packed[k], masks.nbit[k][l].bit_length() - 1
             width = len(cells) // (size_k * size_k)
             fit = cells[t >> 3 :: width].translate(_FITS[t & 7])
             if width > 1:
@@ -654,139 +668,137 @@ def _fits(inst: Instance, masks: Masks, holders: Flat, transposed=False) -> Call
     return fits
 
 
-def flat_nb_blocks(inst: Instance, masks: Masks) -> tuple[Flat, int]:
+def flat_nb_blocks(inst: Instance, masks: Masks) -> tuple[Packed, int]:
     """compute_nb_blocks as (m_d & ~m_e).bit_count() over the row masks."""
-    table: Flat = dict.fromkeys(masks.row)
+    out = Packed(dict.fromkeys(masks.row), {})
     for (size_k, size_l), edges in masks.groups:
-        size = _field(size_l)
-        rows = _pack([masks.row[e] for e in edges], size)
-        table.update(zip(edges, _pair_counts(rows, rows, size_k, size_k, size, invert=True)))
-    return table, _pair_probes(inst)
+        rows = masks.packed[(size_k, size_l)]
+        _pair_counts(out, edges, rows, rows, size_k, size_k, _field(size_l), invert=True)
+    return out, _pair_probes(inst)
 
 
-def flat_holders(inst: Instance, masks: Masks, counts: Flat) -> tuple[Flat, int]:
+def flat_holders(inst: Instance, masks: Masks, counts: Packed) -> tuple[Packed, int]:
     """compute_holders as masks: the list of x_k holds, at the slot of each
     pair of its values, the bit of every neighbour x_l where the list of
     (k,l) is positive.  For the variables of one original domain size and
-    holder field width, the lists of every t-th neighbour, as 0/1 bytes,
-    go to bit t of the holder fields at once."""
+    holder field width, the count bytes of every t-th neighbour, as 0/1
+    bytes, go to bit t of the holder fields at once."""
     groups: dict[tuple[int, int], list[int]] = {}
     for k, pos in enumerate(inst.positions):
         groups.setdefault((len(pos), _field(len(inst.neighbors(k)))), []).append(k)
-    table: Flat = dict.fromkeys(range(inst.n))
+    out = Packed(dict.fromkeys(range(inst.n)), {})
     for (size_k, size), group in groups.items():
         cells = size_k * size_k
         nbrs = [inst.neighbors(k) for k in group]
-        lanes, none = [0] * size, [0] * cells
+        lanes, none = [0] * size, bytes(cells)
         for t in range(max(map(len, nbrs))):
-            lists = [counts[(k, ls[t])] if t < len(ls) else none for k, ls in zip(group, nbrs)]
-            lanes[t >> 3] |= int.from_bytes(_flag_bytes(lists, _NONZERO), "little") << (t & 7)
-        held = _interleave(lanes, len(group) * cells, size)
-        table.update(zip(group, _unpack_each(held, len(group), cells * size, size)))
+            got = [counts.packed[k, ls[t]] if t < len(ls) else none for k, ls in zip(group, nbrs)]
+            flags = b"".join(got).translate(_NONZERO)
+            lanes[t >> 3] |= int.from_bytes(flags, "little") << (t & 7)
+        fields = _interleave(lanes, len(group) * cells, size)
+        out.packed.update(zip(group, _split(fields, len(group))))
+        out.lists.update(zip(group, _split(_unpack(fields, size), len(group))))
     probes = sum(
         len(dom) * (len(dom) - 1) * len(inst.neighbors(k)) for k, dom in enumerate(inst.domains)
     )
-    return table, probes
+    return out, probes
 
 
-def flat_nb_subs(inst: Instance, masks: Masks, block_vars: Flat) -> tuple[Flat, int]:
+def flat_nb_subs(inst: Instance, masks: Masks, block_vars: Packed) -> tuple[Packed, int]:
     """compute_nb_subs as the popcount of a's row mask and the mask of the
     e that d may be replaced by, blocked at most at x_i.  The slots of the
     compatible pairs (a,d), which compute_nb_subs leaves out, are never
-    read."""
+    read; each edge is charged for the pairs it has, from the popcounts of
+    its packed rows."""
     fits = _fits(inst, masks, block_vars)
     sizes = [len(dom) for dom in inst.domains]
-    table: Flat = dict.fromkeys(masks.row)
-    probes = 0
+    out, probes = Packed(dict.fromkeys(masks.row), {}), 0
     for (size_i, size_k), edges in masks.groups:
-        size = _field(size_k)
-        rows = [masks.row[e] for e in edges]
+        rows = masks.packed[(size_i, size_k)]
         fit = fits([(k, i) for i, k in edges])
-        table.update(zip(edges, _pair_counts(_pack(rows, size), fit, size_i, size_k, size)))
-        for (i, k), row in zip(edges, rows):
-            probes += sizes[k] * (sizes[i] * sizes[k] - sum(map(int.bit_count, row)))
-    return table, probes
+        _pair_counts(out, edges, rows, fit, size_i, size_k, _field(size_k))
+        for (i, k), pops in zip(edges, _split(rows.translate(_POPCOUNT), len(edges))):
+            probes += sizes[k] * (sizes[i] * sizes[k] - sum(pops))
+    return out, probes
 
 
-def flat_nb_stops(inst: Instance, masks: Masks, nb_subs: Flat) -> tuple[Flat, int]:
+def flat_nb_stops(inst: Instance, masks: Masks, nb_subs: Packed) -> tuple[Packed, int]:
     """compute_nb_stops as the popcount of b's row mask and the mask of the
     d incompatible with a that have no sub."""
-    table: Flat = dict.fromkeys(masks.row)
+    out = Packed(dict.fromkeys(masks.row), {})
     for (size_i, size_k), edges in masks.groups:
-        size = _field(size_k)
-        rows = _pack([masks.row[e] for e in edges], size)
+        rows = masks.packed[(size_i, size_k)]
         # by the position of a, the d with no sub less those a takes; b's
         # row mask holds no dead d
-        subless = _run_masks(_flag_bytes([nb_subs[e] for e in edges], _ZERO), size_k)
+        subless = _run_masks(_flags(nb_subs, edges, _ZERO), size_k)
         nosubs = (subless & ~int.from_bytes(rows, "little")).to_bytes(len(rows), "little")
-        table.update(zip(edges, _pair_counts(nosubs, rows, size_i, size_i, size)))
-    return table, _pair_probes(inst)
+        _pair_counts(out, edges, nosubs, rows, size_i, size_i, _field(size_k))
+    return out, _pair_probes(inst)
 
 
-def _count_covers(inst: Instance, masks: Masks, fits, cols) -> tuple[Flat, int]:
+def _count_covers(
+    inst: Instance, masks: Masks, fits, nb_subs: Packed | None = None
+) -> tuple[Packed, int]:
     """table[i,j][b,c] = (m_c & ok).bit_count() for every oriented edge
     (i,j) and every position of b at x_i and c at x_j, where ok is the mask
     of the a whose holder set of (b,a), or (a,b), fits inside {j}, from
-    ``fits`` (see _fits), and m_c comes from cols(edges, size_i, size_j,
-    size), the masks m_c of each edge of a group packed into fields of
-    ``size`` bytes; charged the probes of the cover set-builders."""
-    table: Flat = dict.fromkeys(masks.row)
+    ``fits`` (see _fits), and m_c is the row mask of c at x_j over x_i,
+    with the a that have a sub for c added when ``nb_subs`` is given;
+    charged the probes of the cover set-builders."""
+    out = Packed(dict.fromkeys(masks.row), {})
     for (size_i, size_j), edges in masks.groups:
-        size = _field(size_i)
-        col = cols(edges, size_i, size_j, size)
-        table.update(zip(edges, _pair_counts(fits(edges), col, size_i, size_j, size)))
-    return table, _pair_probes(inst)
+        # the rows of the reverse edges, in the order of ``edges`` (see
+        # Static.groups)
+        if size_i != size_j:
+            takes = masks.packed[(size_j, size_i)]
+        else:
+            rows = _split(masks.packed[(size_i, size_j)], len(edges))
+            takes = b"".join([rows[n ^ 1] for n in range(len(edges))])
+        if nb_subs is not None:
+            # the nb_subs slot of an a that takes c holds no defined count,
+            # but such an a is in m_c already; the slot of a dead a holds 0
+            subbed = _transpose(_flags(nb_subs, edges, _NONZERO), size_i, size_j)
+            subbed = _run_masks(subbed, size_i) | int.from_bytes(takes, "little")
+            takes = subbed.to_bytes(len(takes), "little")
+        _pair_counts(out, edges, fits(edges), takes, size_i, size_j, _field(size_i))
+    return out, _pair_probes(inst)
 
 
-def flat_nb_covers(inst: Instance, masks: Masks, block_vars: Flat) -> tuple[Flat, int]:
+def flat_nb_covers(inst: Instance, masks: Masks, block_vars: Packed) -> tuple[Packed, int]:
     """compute_nb_covers as the popcount of the mask of the a that take c
     and the mask of the a != b blocked at most at x_j."""
-
-    def cols(edges, size_i, size_j, size):
-        return _pack([masks.row[(j, i)] for i, j in edges], size)
-
-    return _count_covers(inst, masks, _fits(inst, masks, block_vars), cols)
+    return _count_covers(inst, masks, _fits(inst, masks, block_vars))
 
 
 def flat_nb_snake_covers(
-    inst: Instance, masks: Masks, nb_subs: Flat, stop_vars: Flat
-) -> tuple[Flat, int]:
+    inst: Instance, masks: Masks, nb_subs: Packed, stop_vars: Packed
+) -> tuple[Packed, int]:
     """compute_nb_snake_covers as nb_covers, with the a that have a sub for
     c added to c's mask and the fit taken over stop_vars(i,a,b)."""
-
-    def cols(edges, size_i, size_j, size):
-        # the nb_subs slot of an a that takes c holds no defined count, but
-        # such an a is in m_c already; the slot of a dead a holds 0
-        takes = _pack([masks.row[(j, i)] for i, j in edges], size)
-        subbed = _flag_bytes([nb_subs[e] for e in edges], _NONZERO)
-        subbed = _run_masks(_transpose(subbed, size_i, size_j), size_i)
-        return (int.from_bytes(takes, "little") | subbed).to_bytes(len(takes), "little")
-
-    return _count_covers(inst, masks, _fits(inst, masks, stop_vars, transposed=True), cols)
+    return _count_covers(inst, masks, _fits(inst, masks, stop_vars, transposed=True), nb_subs)
 
 
-def flat_uncovered(inst: Instance, masks: Masks, covers: Flat) -> tuple[Flat, int]:
+def flat_uncovered(inst: Instance, masks: Masks, covers: Packed) -> tuple[Flat, int]:
     """compute_uncovered as masks: the list of (i,j) holds, at the position
     of b, b's row mask less the c whose cover slot is positive."""
     table: Flat = dict.fromkeys(masks.row)
     for (size_i, size_j), edges in masks.groups:
-        size = _field(size_j)
-        rows = _pack([masks.row[e] for e in edges], size)
-        uncovered = _run_masks(_flag_bytes([covers[e] for e in edges], _ZERO), size_j)
-        uncovered &= int.from_bytes(rows, "little")
-        table.update(zip(edges, _unpack_each(uncovered, len(edges), size_i * size, size)))
-    probes = sum(len(inst.domains[i]) * len(inst.domains[j]) for i, j in oriented_edges(inst))
+        rows = masks.packed[(size_i, size_j)]
+        uncovered = _run_masks(_flags(covers, edges, _ZERO), size_j)
+        uncovered = (uncovered & int.from_bytes(rows, "little")).to_bytes(len(rows), "little")
+        table.update(zip(edges, _split(_unpack(uncovered, _field(size_j)), len(edges))))
+    probes = 2 * sum(len(inst.domains[i]) * len(inst.domains[j]) for i, j in inst.edges)
     return table, probes
 
 
-def flat_nb_snake(inst: Instance, masks: Masks, stop_vars: Flat) -> tuple[Count, int]:
+def flat_nb_snake(inst: Instance, masks: Masks, stop_vars: Packed) -> tuple[Count, int]:
     """compute_nb_snake over the stop_vars masks."""
     table: Count = {}
     probes = 0
     for i, dom in enumerate(inst.domains):
         pos_i = inst.positions[i]
         size = len(pos_i)
-        held = stop_vars[i]
+        held = stop_vars.lists[i]
         for b in dom:
             # the stop_vars masks of (a,b), by the position of a
             cells = held[pos_i[b] :: size]
@@ -820,8 +832,9 @@ class Table(NamedTuple):
     compute: Callable[..., tuple[dict, int]]
     reads: tuple[str, ...]
     # the builder from the masks, equal to compute on every live cell read
-    # through cell(), probe count included (and key order, for the dicts)
-    flat: Callable[..., tuple[dict, int]]
+    # through cell(), probe count included (and key order, for the dicts);
+    # it takes and gives a count or holder table as Packed
+    flat: Callable[..., tuple[dict | Packed, int]]
     # the flat layout (see _across), None for a dict keyed by (variable, value)
     layout: Callable[..., tuple] | None
     # for a mask table, what each bit stands for (see _neighbours)
@@ -879,7 +892,8 @@ def _build(inst: Instance, names, reference: bool) -> Tables:
         else:
             built[name], p = table.flat(inst, masks, *args)
         probes += p
-    return Tables(**built, probes=probes)
+    lists = {name: t.lists if isinstance(t, Packed) else t for name, t in built.items()}
+    return Tables(**lists, probes=probes)
 
 
 def build_ns(inst: Instance) -> Tables:
