@@ -1,8 +1,10 @@
 """Arc consistency and plain neighbourhood substitution to convergence.
 
-establish_ac is the classic arc-revision worklist over the row masks
-(counters.Static), with no walk over allowed pairs.  ns_to_convergence keeps
-the block counters (counters.build_ns) and deletes any value all of whose
+establish_ac is the classic arc-revision worklist over each edge's full
+row masks (counters.Static.full), with no walk over allowed pairs; it drops
+each unsupported value from one working snapshot (Instance._working), as
+the engines do, and returns it frozen.  ns_to_convergence keeps the block
+counters (counters.build_ns) and deletes any value all of whose
 replacement blocks have disappeared, requeueing candidates as blocks vanish.
 Both are deterministic: worklists are FIFO and every scan runs ascending.
 The block counters, their propagation and the substitution worklist live
@@ -31,7 +33,7 @@ def is_arc_consistent(inst: Instance) -> bool:
     full row mask (counters.Static) meets the live mask of the neighbour."""
     static = counters.static_masks(inst)
     live = counters.live_masks(inst)
-    for (i, j), full in zip(static.edges, static.full):
+    for (i, j), full in static.full.items():
         live_j, pos_i = live[j], inst.positions[i]
         for b in inst.domains[i]:
             if not full[pos_i[b]] & live_j:
@@ -52,11 +54,10 @@ def establish_ac(inst: Instance) -> tuple[Instance, Trace]:
     Returns the reduced instance and the trace of removals; a wiped-out
     domain shows up as ``unsatisfiable`` on the result.
     """
-    static = counters.static_masks(inst)
-    full = dict(zip(static.edges, static.full))
+    full = counters.static_masks(inst).full
     live = list(counters.live_masks(inst))
-    domains = [list(dom) for dom in inst.domains]
-    queue: deque[tuple[int, int]] = deque(static.edges)
+    cur = inst._working()
+    queue: deque[tuple[int, int]] = deque(full)
     queued = set(queue)
     steps: list[EliminationRecord] = []
     while queue:
@@ -64,21 +65,20 @@ def establish_ac(inst: Instance) -> tuple[Instance, Trace]:
         queued.discard((i, j))
         rows, live_j, pos_i = full[(i, j)], live[j], inst.positions[i]
         # positions ascend with values, so these go in ascending order
-        unsupported = [b for b in domains[i] if not rows[pos_i[b]] & live_j]
+        unsupported = [b for b in cur.domains[i] if not rows[pos_i[b]] & live_j]
         if not unsupported:
             continue
         for b in unsupported:
+            cur._drop(i, b)
             live[i] ^= 1 << pos_i[b]
             steps.append(EliminationRecord(len(steps) + 1, AC, i, b, AcWitness(unsupported_at=j)))
-        live_i = live[i]
-        domains[i] = [b for b in domains[i] if live_i >> pos_i[b] & 1]
-        if not domains[i]:
+        if not cur.domains[i]:
             break
         for k in inst.neighbors(i):
             if k != j and (k, i) not in queued:
                 queue.append((k, i))
                 queued.add((k, i))
-    return inst.restrict(domains), Trace(inst.name, steps)
+    return cur._frozen(), Trace(inst.name, steps)
 
 
 class NsEngine(Substitutions):

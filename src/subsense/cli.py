@@ -240,6 +240,10 @@ def cmd_verify(args) -> int:
         trace = load_trace(args.trace)
     except (OSError, ValueError) as exc:
         return _fail(f"cannot read trace {args.trace}: {exc}")
+    for position, rec in enumerate(trace.steps, start=1):
+        if rec.step != position:
+            print(f"FAIL: step {position} is numbered {rec.step}")
+            return 1
     steps, rules = replay_steps(trace)
     try:
         reduced, _ = replay_sequence(inst, steps, rules)

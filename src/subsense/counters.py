@@ -71,16 +71,11 @@ from __future__ import annotations
 import os
 import sys
 from array import array
-from itertools import chain, repeat
-from operator import lshift, or_
+from itertools import chain
 from types import SimpleNamespace
 from typing import Callable, Iterator, NamedTuple
 
 from .instance import Instance
-
-Count = dict
-Sets = dict
-Flat = dict
 
 DEBUG_ENV = "SUBSENSE_DEBUG_RECOMPUTE"
 
@@ -97,11 +92,11 @@ def oriented_edges(inst: Instance) -> Iterator[tuple[int, int]]:
         yield j, i
 
 
-def compute_nb_blocks(inst: Instance) -> tuple[Count, int]:
+def compute_nb_blocks(inst: Instance) -> tuple[dict, int]:
     """nb_blocks[k,d,e,l] = number of values f in D(x_l) compatible with d
     but not with e (the blocks of d's replacement by e), for every edge
     {k,l} and every ordered pair d != e of D(x_k)."""
-    table: Count = {}
+    table: dict = {}
     probes = 0
     for k, l in oriented_edges(inst):
         row = inst.rows[(k, l)]
@@ -117,7 +112,7 @@ def compute_nb_blocks(inst: Instance) -> tuple[Count, int]:
     return table, probes
 
 
-def compute_holders(inst: Instance, counts: Count) -> tuple[Sets, int]:
+def compute_holders(inst: Instance, counts: dict) -> tuple[dict, int]:
     """The neighbours where a 4-index count is still positive, for every
     ordered pair of one variable's values:
 
@@ -125,7 +120,7 @@ def compute_holders(inst: Instance, counts: Count) -> tuple[Sets, int]:
       empty means d is substitutable by e.
     - stop_vars[i,a,b] = neighbours x_k of x_i with nb_stops[i,a,b,k] > 0,
       the neighbours holding at least one stop."""
-    table: Sets = {}
+    table: dict = {}
     probes = 0
     for k in range(inst.n):
         nbrs = inst.neighbors(k)
@@ -140,10 +135,10 @@ def compute_holders(inst: Instance, counts: Count) -> tuple[Sets, int]:
     return table, probes
 
 
-def compute_nb_subs(inst: Instance, block_vars: Sets) -> tuple[Count, int]:
+def compute_nb_subs(inst: Instance, block_vars: dict) -> tuple[dict, int]:
     """nb_subs[i,a,k,d] = number of subs e for d at x_k in the context of
     substituting by a at x_i; stored only where (a,d) is disallowed."""
-    table: Count = {}
+    table: dict = {}
     probes = 0
     for i, k in oriented_edges(inst):
         row = inst.rows[(i, k)]
@@ -161,10 +156,10 @@ def compute_nb_subs(inst: Instance, block_vars: Sets) -> tuple[Count, int]:
     return table, probes
 
 
-def compute_nb_stops(inst: Instance, nb_subs: Count) -> tuple[Count, int]:
+def compute_nb_stops(inst: Instance, nb_subs: dict) -> tuple[dict, int]:
     """nb_stops[i,a,b,k] = number of stops at x_k against replacing b by a
     at x_i, for a != b."""
-    table: Count = {}
+    table: dict = {}
     probes = 0
     for i, k in oriented_edges(inst):
         row = inst.rows[(i, k)]
@@ -183,10 +178,10 @@ def compute_nb_stops(inst: Instance, nb_subs: Count) -> tuple[Count, int]:
     return table, probes
 
 
-def compute_nb_snake(inst: Instance, stop_vars: Sets) -> tuple[Count, int]:
+def compute_nb_snake(inst: Instance, stop_vars: dict) -> tuple[dict, int]:
     """nb_snake[i,b] = number of values a != b with no stop variable, i.e.
     the number of ways to eliminate b by a (possibly swapped) replacement."""
-    table: Count = {}
+    table: dict = {}
     probes = 0
     for i in range(inst.n):
         for b in inst.domains[i]:
@@ -201,9 +196,9 @@ def compute_nb_snake(inst: Instance, stop_vars: Sets) -> tuple[Count, int]:
     return table, probes
 
 
-def compute_inconsistent(inst: Instance) -> tuple[Count, int]:
+def compute_inconsistent(inst: Instance) -> tuple[dict, int]:
     """inconsistent[i,b] = True when b lacks a support at some neighbour."""
-    table: Count = {}
+    table: dict = {}
     probes = 0
     for i in range(inst.n):
         nbrs = inst.neighbors(i)
@@ -218,10 +213,10 @@ def compute_inconsistent(inst: Instance) -> tuple[Count, int]:
     return table, probes
 
 
-def compute_nb_covers(inst: Instance, block_vars: Sets) -> tuple[Count, int]:
+def compute_nb_covers(inst: Instance, block_vars: dict) -> tuple[dict, int]:
     """nb_covers[i,b,j,c] = number of values a != b compatible with c and
     blocked at most at x_j: the covers for conditioning value c."""
-    table: Count = {}
+    table: dict = {}
     probes = 0
     for i, j in oriented_edges(inst):
         row = inst.rows[(i, j)]
@@ -238,14 +233,14 @@ def compute_nb_covers(inst: Instance, block_vars: Sets) -> tuple[Count, int]:
     return table, probes
 
 
-def compute_uncovered(inst: Instance, covers: Count) -> tuple[Sets, int]:
+def compute_uncovered(inst: Instance, covers: dict) -> tuple[dict, int]:
     """The conditioning values compatible with b that have no cover, for
     every edge {i,j} and b in D(x_i); empty means b is eliminable
     conditioned by x_j:
 
     - uncovered[i,b,j] reads the cover counts nb_covers.
     - not_snake_covered[i,b,j] reads the snake-cover counts nb_snake_covers."""
-    table: Sets = {}
+    table: dict = {}
     probes = 0
     for i, j in oriented_edges(inst):
         row = inst.rows[(i, j)]
@@ -261,11 +256,11 @@ def compute_uncovered(inst: Instance, covers: Count) -> tuple[Sets, int]:
 
 
 def compute_nb_snake_covers(
-    inst: Instance, nb_subs: Count, stop_vars: Sets
-) -> tuple[Count, int]:
+    inst: Instance, nb_subs: dict, stop_vars: dict
+) -> tuple[dict, int]:
     """nb_snake_covers[i,b,j,c] = number of values a != b that either take c
     directly or have a sub for it, and stop at most at x_j."""
-    table: Count = {}
+    table: dict = {}
     probes = 0
     for i, j in oriented_edges(inst):
         row = inst.rows[(i, j)]
@@ -334,7 +329,7 @@ def slot(inst: Instance, name: str, key: tuple) -> tuple:
     return TABLES[name].layout(inst.positions, *key)
 
 
-def cell(inst: Instance, name: str, table: Flat, key: tuple):
+def cell(inst: Instance, name: str, table: dict, key: tuple):
     """The cell ``key`` of the flat table ``name`` in the form its
     set-builder gives: the count, or the set a mask has a bit for.  Raises
     LookupError when the table has no such cell, and CounterMismatch for a
@@ -352,19 +347,18 @@ def cell(inst: Instance, name: str, table: Flat, key: tuple):
 class Static(NamedTuple):
     """The masks that no snapshot changes, since relations are stored over
     the original domains: built at the first table build of any snapshot
-    and shared by its whole lineage (static_masks).  Tuples of ints, which
-    the cyclic garbage collector stops tracking, and dicts of ints, which it
-    never tracks."""
+    and shared by its whole lineage (static_masks).  An oriented edge's
+    full rows are found by the edge.  Tuples of ints, which the cyclic
+    garbage collector stops tracking, and dicts of them and of ints."""
 
-    # the oriented edges, in oriented_edges() order
-    edges: tuple[tuple[int, int], ...]
-    # full[n][p] = the mask of rows[edges[n]][a] over the original D(x_j),
-    # for the value a at position p of the original D(x_i)
-    full: tuple[tuple[int, ...], ...]
+    # full[i,j][p] = the mask of rows[(i,j)][a] over the original D(x_j),
+    # for the value a at position p of the original D(x_i); the oriented
+    # edges in oriented_edges() order
+    full: dict[tuple[int, int], tuple[int, ...]]
     # nbit[k][l] = the bit of the neighbour x_l in the holder masks of x_k
     nbit: tuple[dict[int, int], ...]
     # ((s, t), edges) for the oriented edges (i,j) whose original D(x_i) has
-    # s values and D(x_j) has t, in ``edges`` order, so that (t,s) lists the
+    # s values and D(x_j) has t, in ``full`` order, so that (t,s) lists the
     # reverse of each edge of (s,t) in turn, and (s,s) both orientations of
     # an edge side by side: the packed byte kernels take one at a time
     groups: tuple[tuple[tuple[int, int], tuple[tuple[int, int], ...]], ...]
@@ -377,18 +371,17 @@ def static_masks(inst: Instance) -> Static:
     if not held:
         pos = inst.positions
         bits = [{v: 1 << p for v, p in pos_k.items()} for pos_k in pos]
-        edges = tuple(oriented_edges(inst))
-        full = []
-        for i, j in edges:
+        full = {}
+        for i, j in oriented_edges(inst):
             # the bits are distinct, so their sum is their OR
             rel, bit_j = inst.rows[(i, j)], bits[j].__getitem__
-            full.append(tuple(sum(map(bit_j, rel[a])) for a in inst.original_domains[i]))
+            full[(i, j)] = tuple(sum(map(bit_j, rel[a])) for a in inst.original_domains[i])
         nbit = tuple({l: 1 << t for t, l in enumerate(inst.neighbors(k))} for k in range(inst.n))
         by_sizes: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for i, j in edges:
+        for i, j in full:
             by_sizes.setdefault((len(pos[i]), len(pos[j])), []).append((i, j))
         groups = tuple((sizes, tuple(group)) for sizes, group in by_sizes.items())
-        held.append(Static(edges, tuple(full), nbit, groups))
+        held.append(Static(full, nbit, groups))
     return held[0]
 
 
@@ -400,13 +393,17 @@ def live_masks(inst: Instance) -> tuple[int, ...]:
 
 class Masks(NamedTuple):
     """The current domains as bitmasks, for one build() call: the Static
-    masks ANDed with the live ones.  Bit p of a mask of x_k stands for the
+    masks ANDed with the live ones, and the masks every fit test reads
+    (others), each derived once.  Bit p of a mask of x_k stands for the
     value at position p of the original D(x_k) (Instance.positions), never
     for the value itself: values are arbitrary non-negative ints."""
 
     live: tuple[int, ...]  # live_masks
+    # others[k][p] = live[k] less bit p for a live value at position p of
+    # x_k, 0 for a dead one: the values that may replace it (see _fits)
+    others: list[list[int]]
     # row[i,j][p] = the mask of rows[(i,j)][a] ∩ D(x_j) for the value a at
-    # position p of x_i, 0 when a is not in D(x_i); Static.edges order
+    # position p of x_i, 0 when a is not in D(x_i); Static.full order
     row: dict[tuple[int, int], list[int]]
     nbit: tuple[dict[int, int], ...]  # Static.nbit
     groups: tuple[tuple[tuple[int, int], tuple[tuple[int, int], ...]], ...]  # Static.groups
@@ -424,15 +421,19 @@ def value_masks(inst: Instance) -> Masks:
         [p for p in range(len(pos_k)) if not live_k >> p & 1] if live_k != whole_k else ()
         for pos_k, live_k, whole_k in zip(inst.positions, live, whole)
     ]
+    others = [
+        [live_k & ~(1 << p) if live_k >> p & 1 else 0 for p in range(len(pos_k))]
+        for live_k, pos_k in zip(live, inst.positions)
+    ]
     row = {}
-    for (i, j), full in zip(static.edges, static.full):
+    for (i, j), full in static.full.items():
         live_j = live[j]
         cur = list(full) if live_j == whole[j] else [f & live_j for f in full]
         for p in dead[i]:
             cur[p] = 0
         row[(i, j)] = cur
     packed = {(s, t): _pack([row[e] for e in edges], _field(t)) for (s, t), edges in static.groups}
-    return Masks(live, row, static.nbit, static.groups, packed)
+    return Masks(live, others, row, static.nbit, static.groups, packed)
 
 
 class Packed(NamedTuple):
@@ -441,7 +442,7 @@ class Packed(NamedTuple):
     count table one a slot, nonzero where the count is, and for a holder
     table its masks as fields of _field(degree of x_k) bytes."""
 
-    lists: Flat
+    lists: dict
     packed: dict
 
 
@@ -499,12 +500,7 @@ def _pack(lists, size: int) -> bytes:
 def _unpack(buf, size: int) -> list[int]:
     """The little-endian fields of ``size`` bytes in ``buf``, as ints."""
     if size > 8:
-        # eight-byte words, word w of each field shifted into place
-        words, step = _unpack(buf, 8), size // 8
-        fields = words[::step]
-        for w in range(1, step):
-            fields = list(map(or_, fields, map(lshift, words[w::step], repeat(64 * w))))
-        return fields
+        return [int.from_bytes(buf[n : n + size], "little") for n in range(0, len(buf), size)]
     packed = array(_TYPECODE[size], buf)
     if _BIG_ENDIAN:
         packed.byteswap()
@@ -629,43 +625,33 @@ def _pair_probes(inst: Instance) -> int:
     return sum(sizes[i] * sizes[j] * (sizes[i] + sizes[j] - 2) for i, j in inst.edges)
 
 
-def _fits(
-    inst: Instance, masks: Masks, holders: Packed, transposed=False
-) -> Callable[[list], bytes]:
+def _fits(inst: Instance, masks: Masks, holders: Packed, pairs, transposed=False) -> bytes:
     """The fit masks of the holder masks ``holders`` (block_vars or
-    stop_vars), as a function of pairs (k,l) whose x_k all have original
-    domains of one size S: it packs, for each pair, S fields of _field(S)
-    bytes, one pair after the other.  The field at the position of v holds
-    the mask of the w != v of D(x_k) whose holder mask of (v,w), or
-    transposed (w,v), holds no neighbour but x_l; 0 for a dead v."""
-    others = [
-        [live & ~(1 << p) if live >> p & 1 else 0 for p in range(len(pos))]
-        for live, pos in zip(masks.live, inst.positions)
-    ]
-
-    def fits(pairs: list[tuple[int, int]]) -> bytes:
-        size_k = len(inst.positions[pairs[0][0]])
-        flags = []
-        for k, l in pairs:
-            cells, t = holders.packed[k], masks.nbit[k][l].bit_length() - 1
-            width = len(cells) // (size_k * size_k)
-            fit = cells[t >> 3 :: width].translate(_FITS[t & 7])
-            if width > 1:
-                # every other byte of the holder field must be 0
-                mask = int.from_bytes(fit, "little")
-                for b in range(width):
-                    if b != t >> 3:
-                        mask &= int.from_bytes(cells[b::width].translate(_ZERO), "little")
-                fit = mask.to_bytes(len(fit), "little")
-            flags.append(fit)
-        flags = b"".join(flags)
-        if transposed:
-            flags = _transpose(flags, size_k, size_k)
-        allowed = _pack([others[k] for k, _ in pairs], _field(size_k))
-        fit = _run_masks(flags, size_k) & int.from_bytes(allowed, "little")
-        return fit.to_bytes(len(allowed), "little")
-
-    return fits
+    stop_vars) for the pairs (k,l), whose x_k all have original domains of
+    one size S: for each pair, S fields of _field(S) bytes, one pair after
+    the other.  The field at the position of v holds the mask of the w != v
+    of D(x_k) (Masks.others) whose holder mask of (v,w), or transposed
+    (w,v), holds no neighbour but x_l; 0 for a dead v."""
+    size_k = len(inst.positions[pairs[0][0]])
+    flags = []
+    for k, l in pairs:
+        cells, t = holders.packed[k], masks.nbit[k][l].bit_length() - 1
+        width = len(cells) // (size_k * size_k)
+        fit = cells[t >> 3 :: width].translate(_FITS[t & 7])
+        if width > 1:
+            # every other byte of the holder field must be 0
+            mask = int.from_bytes(fit, "little")
+            for b in range(width):
+                if b != t >> 3:
+                    mask &= int.from_bytes(cells[b::width].translate(_ZERO), "little")
+            fit = mask.to_bytes(len(fit), "little")
+        flags.append(fit)
+    flags = b"".join(flags)
+    if transposed:
+        flags = _transpose(flags, size_k, size_k)
+    allowed = _pack([masks.others[k] for k, _ in pairs], _field(size_k))
+    fit = _run_masks(flags, size_k) & int.from_bytes(allowed, "little")
+    return fit.to_bytes(len(allowed), "little")
 
 
 def flat_nb_blocks(inst: Instance, masks: Masks) -> tuple[Packed, int]:
@@ -710,12 +696,11 @@ def flat_nb_subs(inst: Instance, masks: Masks, block_vars: Packed) -> tuple[Pack
     compatible pairs (a,d), which compute_nb_subs leaves out, are never
     read; each edge is charged for the pairs it has, from the popcounts of
     its packed rows."""
-    fits = _fits(inst, masks, block_vars)
     sizes = [len(dom) for dom in inst.domains]
     out, probes = Packed(dict.fromkeys(masks.row), {}), 0
     for (size_i, size_k), edges in masks.groups:
         rows = masks.packed[(size_i, size_k)]
-        fit = fits([(k, i) for i, k in edges])
+        fit = _fits(inst, masks, block_vars, [(k, i) for i, k in edges])
         _pair_counts(out, edges, rows, fit, size_i, size_k, _field(size_k))
         for (i, k), pops in zip(edges, _split(rows.translate(_POPCOUNT), len(edges))):
             probes += sizes[k] * (sizes[i] * sizes[k] - sum(pops))
@@ -737,14 +722,14 @@ def flat_nb_stops(inst: Instance, masks: Masks, nb_subs: Packed) -> tuple[Packed
 
 
 def _count_covers(
-    inst: Instance, masks: Masks, fits, nb_subs: Packed | None = None
+    inst: Instance, masks: Masks, holders: Packed, transposed: bool, nb_subs: Packed | None = None
 ) -> tuple[Packed, int]:
     """table[i,j][b,c] = (m_c & ok).bit_count() for every oriented edge
     (i,j) and every position of b at x_i and c at x_j, where ok is the mask
-    of the a whose holder set of (b,a), or (a,b), fits inside {j}, from
-    ``fits`` (see _fits), and m_c is the row mask of c at x_j over x_i,
-    with the a that have a sub for c added when ``nb_subs`` is given;
-    charged the probes of the cover set-builders."""
+    of the a whose holder set in ``holders`` of (b,a), or with
+    ``transposed`` (a,b), fits inside {j} (see _fits), and m_c is the row
+    mask of c at x_j over x_i, with the a that have a sub for c added when
+    ``nb_subs`` is given; charged the probes of the cover set-builders."""
     out = Packed(dict.fromkeys(masks.row), {})
     for (size_i, size_j), edges in masks.groups:
         # the rows of the reverse edges, in the order of ``edges`` (see
@@ -760,14 +745,15 @@ def _count_covers(
             subbed = _transpose(_flags(nb_subs, edges, _NONZERO), size_i, size_j)
             subbed = _run_masks(subbed, size_i) | int.from_bytes(takes, "little")
             takes = subbed.to_bytes(len(takes), "little")
-        _pair_counts(out, edges, fits(edges), takes, size_i, size_j, _field(size_i))
+        fits = _fits(inst, masks, holders, edges, transposed)
+        _pair_counts(out, edges, fits, takes, size_i, size_j, _field(size_i))
     return out, _pair_probes(inst)
 
 
 def flat_nb_covers(inst: Instance, masks: Masks, block_vars: Packed) -> tuple[Packed, int]:
     """compute_nb_covers as the popcount of the mask of the a that take c
     and the mask of the a != b blocked at most at x_j."""
-    return _count_covers(inst, masks, _fits(inst, masks, block_vars))
+    return _count_covers(inst, masks, block_vars, False)
 
 
 def flat_nb_snake_covers(
@@ -775,13 +761,13 @@ def flat_nb_snake_covers(
 ) -> tuple[Packed, int]:
     """compute_nb_snake_covers as nb_covers, with the a that have a sub for
     c added to c's mask and the fit taken over stop_vars(i,a,b)."""
-    return _count_covers(inst, masks, _fits(inst, masks, stop_vars, transposed=True), nb_subs)
+    return _count_covers(inst, masks, stop_vars, True, nb_subs)
 
 
-def flat_uncovered(inst: Instance, masks: Masks, covers: Packed) -> tuple[Flat, int]:
+def flat_uncovered(inst: Instance, masks: Masks, covers: Packed) -> tuple[dict, int]:
     """compute_uncovered as masks: the list of (i,j) holds, at the position
     of b, b's row mask less the c whose cover slot is positive."""
-    table: Flat = dict.fromkeys(masks.row)
+    table: dict = dict.fromkeys(masks.row)
     for (size_i, size_j), edges in masks.groups:
         rows = masks.packed[(size_i, size_j)]
         uncovered = _run_masks(_flags(covers, edges, _ZERO), size_j)
@@ -791,9 +777,9 @@ def flat_uncovered(inst: Instance, masks: Masks, covers: Packed) -> tuple[Flat, 
     return table, probes
 
 
-def flat_nb_snake(inst: Instance, masks: Masks, stop_vars: Packed) -> tuple[Count, int]:
+def flat_nb_snake(inst: Instance, masks: Masks, stop_vars: Packed) -> tuple[dict, int]:
     """compute_nb_snake over the stop_vars masks."""
-    table: Count = {}
+    table: dict = {}
     probes = 0
     for i, dom in enumerate(inst.domains):
         pos_i = inst.positions[i]
@@ -807,10 +793,10 @@ def flat_nb_snake(inst: Instance, masks: Masks, stop_vars: Packed) -> tuple[Coun
     return table, probes
 
 
-def flat_inconsistent(inst: Instance, masks: Masks) -> tuple[Count, int]:
+def flat_inconsistent(inst: Instance, masks: Masks) -> tuple[dict, int]:
     """compute_inconsistent over the row masks, charging each neighbour's
     domain up to and including the first that gives b no support."""
-    table: Count = {}
+    table: dict = {}
     probes = 0
     for i, dom in enumerate(inst.domains):
         rows = [(masks.row[(i, k)], len(inst.domains[k])) for k in inst.neighbors(i)]
@@ -880,6 +866,9 @@ def _build(inst: Instance, names, reference: bool) -> Tables:
     for name in reversed(TABLES):
         if name in need:
             need.update(TABLES[name].reads)
+    # the last table built that reads each table: a Packed table keeps its
+    # bytes only until then
+    last = {r: name for name in TABLES if name in need for r in TABLES[name].reads}
     built: dict[str, dict] = {}
     probes = 0
     masks = None if reference else value_masks(inst)
@@ -892,6 +881,9 @@ def _build(inst: Instance, names, reference: bool) -> Tables:
         else:
             built[name], p = table.flat(inst, masks, *args)
         probes += p
+        for r in table.reads:
+            if last[r] == name and isinstance(built[r], Packed):
+                built[r] = built[r].lists
     lists = {name: t.lists if isinstance(t, Packed) else t for name, t in built.items()}
     return Tables(**lists, probes=probes)
 

@@ -7,17 +7,20 @@ a stable integer label for its variable's column in every relation it
 touches.  Pairs of variables without a stored relation are unconstrained
 (every combination allowed).
 
-Instances are immutable snapshots.  A derived snapshot (``remove_value``,
-``restrict``) shares with its parent the relation tables, the neighbour
-lists, the original domains with their value index (``positions``), the
-masks no snapshot changes (``counters.Static``) and the domain tuple and
-set of every variable it leaves alone.  An engine run or a replay instead
-drops values in place (``_drop``) from one private working snapshot, which
-holds its domains in lists, so an elimination pays O(d), not O(n); frozen
-copies (``_frozen``) leave the run.  ``remove_value`` stays for the API and
-for the backtracking ``oracle.longest_elimination_sequence``.  Only the
-constructor computes the neighbour lists and the value index; the masks
-wait for the first table build of any snapshot.
+Instances are immutable snapshots.  A derived snapshot shares with its
+parent the relation tables, the neighbour lists, the original domains with
+their value index (``positions``), the masks no snapshot changes
+(``counters.Static``) and the domain tuple and set of every variable it
+leaves alone.  Every domain shrinks on a private working snapshot
+(``_working``), which holds its domains in lists: an engine run, a replay
+and arc consistency drop values in place (``_drop``), so an elimination
+pays O(d), not O(n), and a frozen copy (``_frozen``) leaves the run.
+``remove_value`` and ``restrict`` derive through the same two helpers.
+They stay for the API: only the backtracking
+``oracle.longest_elimination_sequence`` calls ``remove_value``, and no
+library loop calls ``restrict``.  Only the constructor computes the
+neighbour lists and the value index; the masks wait for the first table
+build of any snapshot.
 
 An instance file is ``json.dumps(to_json_dict(inst), indent=2)`` and a
 newline, written by the one writer of instance and trace files
@@ -129,12 +132,10 @@ class Instance:
         """
         if len(domains) != self.n:
             raise ValueError("restrict() needs one domain per variable")
-        new_domains, new_sets = [], []
+        child = self._working()
         for i, dom in enumerate(domains):
             sub = tuple(sorted(dom))
-            if sub == self.domains[i]:
-                sub, sub_set = self.domains[i], self._cur_sets[i]
-            else:
+            if sub != self.domains[i]:
                 sub_set = frozenset(sub)
                 if len(sub_set) != len(sub):
                     raise ValueError(f"domain for variable {i} repeats a value")
@@ -142,9 +143,8 @@ class Instance:
                     raise ValueError(f"domain for variable {i} must hold ints")
                 if not sub_set <= self._cur_sets[i]:
                     raise ValueError(f"domain for variable {i} is not a subset")
-            new_domains.append(sub)
-            new_sets.append(sub_set)
-        return self._derive(tuple(new_domains), tuple(new_sets))
+                child.domains[i], child._cur_sets[i] = sub, sub_set
+        return child._frozen()
 
     def _working(self) -> "Instance":
         """A private snapshot whose domains ``_drop`` changes in place."""

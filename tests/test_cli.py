@@ -183,6 +183,8 @@ def test_deeply_nested_json_is_bad_input(tmp_path, capsys):
     run(["gen", "figure1a", "-o", inst_path])
     _assert_cannot_read(capsys, ["reduce", deep, "--rules", "ns"])
     _assert_cannot_read(capsys, ["verify", inst_path, deep])
+    _assert_cannot_read(capsys, ["verify", deep, inst_path])
+    _assert_cannot_read(capsys, ["solve", deep])
 
 
 @pytest.mark.parametrize(
@@ -206,6 +208,25 @@ def test_reduce_rejects_non_integer_instances(tmp_path, capsys, mutate):
     path.write_text(json.dumps(obj))
     _assert_cannot_read(capsys, ["reduce", path, "--rules", "ns", "--out", out])
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ('[{"name": "p", "variables": []}]', "instance must be an object"),
+        ('{"name": "p", "variables": {}}', "variables must be a list"),
+        ('{"name": "p", "variables": [5]}', "variable must be an object"),
+        ('{"name": "p", "variables": [], "constraints": [[0, 1]]}', "constraint must be an object"),
+        ('{"name": "p", "variables": [{"id": 0, "name": "x1", "domain": "01"}]}',
+         "variable domain must be a list"),
+    ],
+    ids=["instance", "variables", "variable", "constraint", "domain"],
+)
+def test_reduce_rejects_instances_of_the_wrong_shape(tmp_path, capsys, text, message):
+    path = tmp_path / "p.json"
+    path.write_text(text)
+    assert run(["reduce", path, "--rules", "ns"]) == 2
+    assert capsys.readouterr().err == f"error: cannot read instance {path}: {message}\n"
 
 
 @pytest.mark.parametrize("constraints", [None, 5, "ab", {}], ids=["null", "int", "str", "object"])
@@ -287,6 +308,30 @@ def test_verify_rejects_tampered_trace(tmp_path, capsys):
     capsys.readouterr()
     assert run(["verify", inst_path, bad]) == 1
     assert "step 1" in capsys.readouterr().out
+
+
+def test_verify_rejects_misnumbered_steps(tmp_path, capsys):
+    inst_path, trace_path = tmp_path / "c.json", tmp_path / "tr.json"
+    run(["gen", "figure1c", "-o", inst_path])
+    run(["reduce", inst_path, "--rules", "scss", "--trace", trace_path])
+    obj = json.loads(trace_path.read_text())
+    bad = tmp_path / "bad.json"
+    renumbered = json.loads(json.dumps(obj))
+    renumbered["steps"][0]["step"] = 7
+    swapped = json.loads(json.dumps(obj))
+    swapped["steps"][1]["step"], swapped["steps"][2]["step"] = 3, 2
+    for changed, message in ((renumbered, "step 1 is numbered 7"), (swapped, "step 2 is numbered 3")):
+        bad.write_text(json.dumps(changed))
+        capsys.readouterr()
+        assert run(["verify", inst_path, bad]) == 1
+        assert capsys.readouterr().out == f"FAIL: {message}\n"
+    # the reader numbers a step that has no number
+    for rec in obj["steps"]:
+        del rec["step"]
+    bad.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run(["verify", inst_path, bad]) == 0
+    assert capsys.readouterr().out == "OK: 12 steps certified\n"
 
 
 def test_verify_rejects_wrong_final_domains(tmp_path, capsys):
@@ -419,8 +464,10 @@ def test_bench_rejects_bad_arguments(tmp_path, capsys):
     assert run(["bench", "--family", "random", "--d", "x", "-o", path]) == 2
     assert run(["bench", "--family", "setcover", "--sets", "12,23,13",
                 "--rules", "ns", "--seeds", 1, "-o", path]) == 2
-    # no seed would run: an error, not a CSV with only a header
     capsys.readouterr()
+    assert run(["bench", "--family", "nope", "-o", path]) == 2
+    assert capsys.readouterr().err == "error: unknown family 'nope'\n"
+    # no seed would run: an error, not a CSV with only a header
     for seeds in (0, -2):
         assert run(["bench", "--family", "random", "--seeds", seeds, "-o", path]) == 2
         captured = capsys.readouterr()

@@ -401,6 +401,11 @@ def _assert_masks_match_the_walk(inst):
     live, row, nbit, groups = reference.value_masks(inst)
     masks = counters.value_masks(inst)
     assert masks.live == live
+    pos = inst.positions
+    assert masks.others == [
+        [sum(1 << pos[k][w] for w in dom if w != v) if v in dom else 0 for v in pos[k]]
+        for k, dom in enumerate(inst.domains)
+    ]
     assert list(masks.row) == list(row) and masks.row == row
     assert masks.nbit == nbit and counters.static_masks(inst).nbit == nbit
     assert masks.groups == tuple((key, tuple(edges)) for key, edges in groups.items())
@@ -414,8 +419,8 @@ def _assert_static_matches_the_walk(root):
     assert root.domains == root.original_domains
     static = counters.static_masks(root)
     _, row, nbit, _ = reference.value_masks(root)
-    assert static.edges == tuple(row)
-    assert [list(full) for full in static.full] == list(row.values())
+    assert list(static.full) == list(row)
+    assert [list(full) for full in static.full.values()] == list(row.values())
     assert static.nbit == nbit
 
 

@@ -222,11 +222,13 @@ def test_relations_keep_original_domain_rows():
             {},
             "constraint scope must be a pair of variable ids",
         ),
+        (("x", [(0, 1)], {}), {"names": ["a", "b"]}, "need exactly one name per variable"),
     ],
-    ids=["variable-name", "instance-name", "bool-scope"],
+    ids=["variable-name", "instance-name", "bool-scope", "name-count"],
 )
 def test_make_instance_rejects_what_a_file_cannot_hold(args, kwargs, message):
-    # each was once stored, and then failed to be written or read back
+    # no file could hold any of these; all but the last were once stored,
+    # and then failed to be written or read back
     with pytest.raises(InstanceFormatError, match=f"^{message}$"):
         make_instance(*args, **kwargs)
 

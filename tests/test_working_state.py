@@ -1,4 +1,4 @@
-"""Engines and replay eliminate on one private working snapshot.
+"""Arc consistency, the engines and replay eliminate on one private working snapshot.
 
 No run calls ``Instance.remove_value``.  Each returns an immutable snapshot
 equal to its input restricted to the final domains and to the
@@ -47,6 +47,7 @@ def _replay(inst):
 
 
 RUNS = {
+    "ac": establish_ac,
     "ns": ns_to_convergence,
     "ss": ss_to_convergence,
     "cns": cns_to_convergence,
