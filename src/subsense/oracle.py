@@ -6,8 +6,9 @@ domination they ask about ("e dominates d at x_k on every neighbour but
 one") goes through one private helper that reads the relation rows
 directly and decides each question once per call: replay asks the same
 question again for every candidate substitute and every conditioning
-value.  Nothing is cached
-beyond the call.  A check validates its arguments once on entry.  Ties
+value.  The helper walks the neighbours in a plain loop and stops at the
+first one where the domination fails.  Nothing is cached beyond the
+call.  A check validates its arguments once on entry.  Ties
 always break toward the smallest qualifying value, then the smallest
 conditioning variable, then the smallest replacement, so results are
 deterministic.
@@ -116,21 +117,26 @@ def _dominance(inst: Instance):
 
     ``dominates(k, d, e, skip)`` says e dominates d at x_k on every
     neighbour x_l of x_k other than x_skip: each current value of x_l
-    compatible with d is compatible with e.  It reads the relation rows and
-    current domains directly; the checks validate their arguments on entry.
+    compatible with d is compatible with e, that is, no current value of
+    x_l is compatible with d and not with e.  It reads the relation rows
+    and current domains directly, stops at the first neighbour where the
+    domination fails, and the checks validate their arguments on entry.
     """
-    rows = inst.rows
+    rows, neighbors, current = inst.rows, inst._neighbors, inst._cur_sets
     memo: dict[tuple, bool] = {}
 
     def dominates(k: int, d: int, e: int, skip: Optional[int]) -> bool:
         key = (k, d, e, skip)
         hit = memo.get(key)
         if hit is None:
-            hit = memo[key] = all(
-                (rows[k, l][d] & inst.domain_set(l)) <= rows[k, l][e]
-                for l in inst.neighbors(k)
-                if l != skip
-            )
+            hit = True
+            for l in neighbors[k]:
+                if l != skip:
+                    row = rows[k, l]
+                    if not (row[d] - row[e]).isdisjoint(current[l]):
+                        hit = False
+                        break
+            memo[key] = hit
         return hit
 
     return dominates

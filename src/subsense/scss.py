@@ -209,14 +209,16 @@ def replay_sequence(inst: Instance, steps, rules=None):
         for v in (i,) if j is None else (i, j):
             if not 0 <= v < cur.n:
                 raise ReplayError(f"step {pos} ({rule}): no variable with index {v}")
-        label = f"step {pos} ({rule} at {cur.names[i]}={b})"
         if j == i:
-            raise ReplayError(f"{label}: the conditioning variable must differ from the target")
-        if b not in cur.domain_set(i):
-            raise ReplayError(f"{label}: value not in the current domain")
-        witness = oracle.certify(rule, cur, i, b, j)
-        if witness is None:
-            raise ReplayError(f"{label}: the rule does not hold at this point")
-        cur._drop(i, b)
-        records.append(EliminationRecord(pos, rule, i, b, witness))
+            problem = "the conditioning variable must differ from the target"
+        elif b not in cur.domain_set(i):
+            problem = "value not in the current domain"
+        elif (witness := oracle.certify(rule, cur, i, b, j)) is None:
+            problem = "the rule does not hold at this point"
+        else:
+            cur._drop(i, b)
+            records.append(EliminationRecord(pos, rule, i, b, witness))
+            continue
+        # the step's label is formatted only for the step that fails
+        raise ReplayError(f"step {pos} ({rule} at {cur.names[i]}={b}): {problem}")
     return cur._frozen(), Trace(inst.name, records)

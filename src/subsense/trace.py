@@ -3,12 +3,19 @@
 A trace file is ``json.dumps(trace_to_json_dict(trace), indent=2)`` and a
 newline, streamed to disk by the writer that also writes instance files
 (``_jsonwrite``).
+
+Reading one back rejects an unknown key at every level: the trace, each
+step and each witness and cover object.  The readers make no call per map
+key or int value that is already well formed: one load memoises the int
+each string key reads as, and an int leaf is taken as it is when its type
+is exactly ``int``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields, is_dataclass
+from itertools import chain
 from typing import Mapping, Optional, Union, get_args, get_type_hints
 
 from ._jsonwrite import dump
@@ -135,24 +142,67 @@ def _key(key, what: str) -> int:
     raise ValueError(f"{what} keys must be integers, not {key!r}")
 
 
+def _unknown_keys(obj, allowed, what: str) -> ValueError:
+    """The error for an object with keys outside ``allowed``."""
+    extra = sorted(obj.keys() - allowed, key=repr)
+    return ValueError(f"{what} has unknown keys: {extra}")
+
+
 def _reader(shape):
-    """The function that reads a value of type ``shape`` back from its JSON
-    form: an int, a witness dataclass, whose missing map fields read as
-    empty, or a Mapping[int, ...], whose JSON keys are the decimal strings
-    of ints."""
-    if shape is int:
-        return _int
+    """The function ``read(obj, what, keys)`` that reads a value of type
+    ``shape`` back from its JSON form: a witness dataclass, whose keys must
+    be its field names and whose missing map fields read as empty, or a
+    Mapping[int, ...], whose JSON keys are the decimal strings of ints.
+
+    ``keys`` memoises ``_key`` of each str key for one load; a key of any
+    other type is never looked up in it, since ``True`` and ``1.0`` hash
+    like ``1``.  Int leaves are read inline, ``_int`` only judging a leaf
+    that is not exactly an int.
+    """
     if is_dataclass(shape):
         hints = get_type_hints(shape)
-        parts = [(f.name, hints[f.name] is int, _reader(hints[f.name])) for f in fields(shape)]
-        return lambda obj, what: shape(
-            **{
-                name: read(obj[name] if scalar else obj.get(name, {}), name)
-                for name, scalar, read in parts
-            }
-        )
-    read = _reader(get_args(shape)[1])
-    return lambda obj, what: {_key(k, what): read(v, what) for k, v in obj.items()}
+        allowed = frozenset(f.name for f in fields(shape))
+        parts = [(f.name, None if hints[f.name] is int else _reader(hints[f.name]))
+                 for f in fields(shape)]
+
+        def read_fields(obj, what, keys):
+            if not obj.keys() <= allowed:
+                raise _unknown_keys(obj, allowed, what)
+            args = []
+            for name, read in parts:
+                if read is not None:
+                    value = read(obj.get(name, {}), name, keys)
+                elif type(value := obj[name]) is not int:
+                    value = _int(value, name)
+                args.append(value)
+            return shape(*args)
+
+        return read_fields
+    leaf = get_args(shape)[1]
+    read = None if leaf is int else _reader(leaf)
+
+    def read_map(obj, what, keys):
+        out = {}
+        for k, v in obj.items():
+            key = keys.get(k) if type(k) is str else None
+            if key is None:
+                key = _memo_key(k, what, keys)
+            if read is not None:
+                v = read(v, what, keys)
+            elif type(v) is not int:
+                v = _int(v, what)
+            out[key] = v
+        return out
+
+    return read_map
+
+
+def _memo_key(key, what: str, keys: dict):
+    """``_key(key, what)``, remembered in ``keys`` when ``key`` is a str."""
+    value = _key(key, what)
+    if type(key) is str:
+        keys[key] = value
+    return value
 
 
 def _as_is(value):
@@ -211,6 +261,9 @@ def trace_to_json_dict(trace: Trace) -> dict:
     return obj
 
 
+STEP_KEYS = frozenset({"step", "rule", "variable", "value", "witness"})
+
+
 def trace_from_json_dict(obj: dict) -> Trace:
     allowed = {"instance", "steps", "final_domains"}
     _require_keys(obj, allowed, {"instance", "steps"}, "trace", ValueError)
@@ -218,33 +271,40 @@ def trace_from_json_dict(obj: dict) -> Trace:
         raise ValueError(f"trace instance must be a string, not {obj['instance']!r}")
     if not isinstance(obj["steps"], list):
         raise ValueError("trace steps must be a list")
+    keys: dict[str, int] = {}
     steps = []
     for rec in obj["steps"]:
-        if not isinstance(rec, dict) or not {"rule", "variable", "value"} <= set(rec):
+        if not isinstance(rec, dict) or not {"rule", "variable", "value"} <= rec.keys():
             raise ValueError("each trace step needs rule, variable and value")
+        pos = len(steps) + 1
+        if not rec.keys() <= STEP_KEYS:
+            raise _unknown_keys(rec, STEP_KEYS, f"step {pos}")
         rule = rec["rule"]
         if rule not in RULES:
             raise ValueError(f"unknown rule {rule!r} in trace")
-        pos = len(steps) + 1
         try:
             raw = rec.get("witness")
-            witness = None if raw is None else WITNESS_READERS[rule](raw, rule)
+            witness = None if raw is None else WITNESS_READERS[rule](raw, rule, keys)
         except (KeyError, TypeError, AttributeError) as exc:
             raise ValueError(f"step {pos}: malformed {rule} witness ({exc!r})") from exc
+        step, variable, value = rec.get("step", pos), rec["variable"], rec["value"]
         steps.append(
             EliminationRecord(
-                step=_int(rec.get("step", pos), "step"),
-                rule=rule,
-                variable=_int(rec["variable"], "variable"),
-                value=_int(rec["value"], "value"),
-                witness=witness,
+                step if type(step) is int else _int(step, "step"),
+                rule,
+                variable if type(variable) is int else _int(variable, "variable"),
+                value if type(value) is int else _int(value, "value"),
+                witness,
             )
         )
     final = obj.get("final_domains")
     if final is not None:
         if not (isinstance(final, list) and all(isinstance(dom, list) for dom in final)):
             raise ValueError("trace final_domains must be a list of lists of integers")
-        final = [sorted(_int(v, "final_domains entry") for v in dom) for dom in final]
+        if not {*map(type, chain.from_iterable(final))} <= {int}:
+            for v in chain.from_iterable(final):
+                _int(v, "final_domains entry")
+        final = list(map(sorted, final))
     return Trace(instance=obj["instance"], steps=steps, final_domains=final)
 
 

@@ -9,16 +9,21 @@ Below them, the walks over allowed pairs that the library replaced with
 masks built once per instance lineage (``counters.Static``): the value
 masks of one build, the arc-consistency test and the arc-revision
 worklist, each as it read the relation rows directly.
+
+Last, the trace reader as it was before it memoised keys and read int
+leaves inline: one nested comprehension per map and a call per key and
+value, and no check for unknown keys below the top level.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
+from dataclasses import fields, is_dataclass
+from typing import Optional, get_args, get_type_hints
 
-from subsense.instance import Instance
+from subsense.instance import Instance, _require_keys
 from subsense.oracle import scss_with_conditioning, solvable
-from subsense.trace import AC, AcWitness, EliminationRecord, Trace
+from subsense.trace import AC, RULES, WITNESS_CLASSES, AcWitness, EliminationRecord, Trace
 
 
 def _check_value(inst: Instance, i: int, a: int) -> None:
@@ -178,3 +183,78 @@ def establish_ac(inst: Instance) -> tuple[Instance, Trace]:
                 queue.append((k, i))
                 queued.add((k, i))
     return inst.restrict(domains), Trace(inst.name, steps)
+
+
+def _int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
+def _key(key, what: str) -> int:
+    if isinstance(key, str):
+        try:
+            value = int(key)
+        except ValueError:
+            value = None
+        if value is not None and str(value) == key:
+            return value
+    elif isinstance(key, int) and not isinstance(key, bool):
+        return key
+    raise ValueError(f"{what} keys must be integers, not {key!r}")
+
+
+def _reader(shape):
+    if shape is int:
+        return _int
+    if is_dataclass(shape):
+        hints = get_type_hints(shape)
+        parts = [(f.name, hints[f.name] is int, _reader(hints[f.name])) for f in fields(shape)]
+        return lambda obj, what: shape(
+            **{
+                name: read(obj[name] if scalar else obj.get(name, {}), name)
+                for name, scalar, read in parts
+            }
+        )
+    read = _reader(get_args(shape)[1])
+    return lambda obj, what: {_key(k, what): read(v, what) for k, v in obj.items()}
+
+
+WITNESS_READERS = {rule: _reader(cls) for rule, cls in WITNESS_CLASSES.items()}
+
+
+def trace_from_json_dict(obj: dict) -> Trace:
+    allowed = {"instance", "steps", "final_domains"}
+    _require_keys(obj, allowed, {"instance", "steps"}, "trace", ValueError)
+    if not isinstance(obj["instance"], str):
+        raise ValueError(f"trace instance must be a string, not {obj['instance']!r}")
+    if not isinstance(obj["steps"], list):
+        raise ValueError("trace steps must be a list")
+    steps = []
+    for rec in obj["steps"]:
+        if not isinstance(rec, dict) or not {"rule", "variable", "value"} <= set(rec):
+            raise ValueError("each trace step needs rule, variable and value")
+        rule = rec["rule"]
+        if rule not in RULES:
+            raise ValueError(f"unknown rule {rule!r} in trace")
+        pos = len(steps) + 1
+        try:
+            raw = rec.get("witness")
+            witness = None if raw is None else WITNESS_READERS[rule](raw, rule)
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"step {pos}: malformed {rule} witness ({exc!r})") from exc
+        steps.append(
+            EliminationRecord(
+                step=_int(rec.get("step", pos), "step"),
+                rule=rule,
+                variable=_int(rec["variable"], "variable"),
+                value=_int(rec["value"], "value"),
+                witness=witness,
+            )
+        )
+    final = obj.get("final_domains")
+    if final is not None:
+        if not (isinstance(final, list) and all(isinstance(dom, list) for dom in final)):
+            raise ValueError("trace final_domains must be a list of lists of integers")
+        final = [sorted(_int(v, "final_domains entry") for v in dom) for dom in final]
+    return Trace(instance=obj["instance"], steps=steps, final_domains=final)
