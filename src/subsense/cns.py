@@ -10,15 +10,16 @@ orders may eliminate different (equally safe) value sets.
 
 The block counters, the substitution worklist and the cover layer that cns
 shares with scss come from kernel.Kernel, kernel.Substitutions and
-kernel.CoverKernel.  This module states only what a cover is: a fits when
-block_vars(p,b,a) fits inside {q}, which the block pass reports through
-``_fits_within`` as a +1 cover step, and a reaches c when it takes c.
+kernel.CoverKernel.  This module states only what a cover is, as masks
+over value positions: a's holder mask for b is block_vars(p,b,a), which
+fits inside {q} when it has no bit but q's, as the block pass reports
+through ``_fits_within`` with a +1 cover step, and a's reach at x_q is its
+full row mask (counters.Static.full): a reaches c when it takes c.
 """
 
 from __future__ import annotations
 
 from .acns import require_arc_consistent
-from .counters import pair_index
 from .instance import Instance
 from .kernel import CoverKernel, Substitutions
 from .trace import CNS, NS, CnsWitness, ReductionReport, Trace
@@ -40,17 +41,19 @@ class CnsEngine(CoverKernel, Substitutions):
             return self._pop_substitution() or self._pop_conditioned()
         return self._pop_conditioned() or self._pop_substitution()
 
-    def _fits(self, i: int, b: int, a: int, j: int) -> bool:
-        return not self.tables.block_vars[i][pair_index(self.pos, i, b, i, a)] & ~self.nbit[i][j]
+    def _holders(self, i: int, b: int, a: int) -> int:
+        return self.tables.block_vars[i][b * len(self.pos[i]) + a]
 
-    def _reaches(self, i: int, a: int, j: int, c: int) -> bool:
-        return c in self.inst.rows[(i, j)][a]
+    def _reach(self, i: int, a: int, j: int) -> int:
+        return self.full[(i, j)][a]
 
     def _fits_within(self, i: int, b: int, a: int, j: int) -> None:
         self._scope_changed(i, b, a, j, 1)
 
     def _witness(self, i: int, b: int, j: int) -> CnsWitness:
-        return CnsWitness(conditioning=j, covers=self._first_covers(i, b, j))
+        vals_i, vals_j = self.vals[i], self.vals[j]
+        covers = {vals_j[c]: vals_i[a] for c, a in self._first_covers(i, b, j).items()}
+        return CnsWitness(conditioning=j, covers=covers)
 
 
 def cns_to_convergence(

@@ -16,7 +16,8 @@ Three layers sit on it:
 - CoverKernel adds the cover layer that cns and scss share: the cover
   counters and uncovered masks, the conditioned worklist, the pass in which
   a removed value stops covering, the scope change and the first-cover
-  search.  Each of the two rules states only its fit and reach predicates.
+  search.  Each of the two rules states only its holder mask, whose fit
+  inside {j} the layer tests, and its reach mask.
 
 A rule module adds its table choice (``BUILD``), its pop policy
 (``_pop``), its witness builder and its own passes, appended to
@@ -37,16 +38,25 @@ they go stale, are never written during a pass, and are never read after
 it.  Each counter step, bit set or cleared, flag change and worklist push
 adds one to ``updates``.  A count below zero, a bit set that is already set
 and a bit cleared that is not set are errors.
+
+Passes, hooks and counter steps name each value by its position, not its
+label; the letters (a, b, c, d, e, u) keep their roles.  A pass walks the
+set bits (``bit_positions``) of a row mask of ``counters.Static.full``
+ANDed with ``live``, the mask of each current domain that ``eliminate``
+keeps beside the snapshot, so it visits only the values that the removed
+one splits, and a cover step takes a mask of conditioning values.  Bits
+ascend in domain order, so each walk meets values in the order a domain
+scan would.  Labels appear only where a run leaves the kernel: in the
+worklists, the records, the witnesses and the error messages.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import counters
-from .counters import pair_index
 from .instance import Instance
 from .trace import NS, EliminationRecord, NsWitness, ReductionReport, Trace, Witness
 
@@ -64,13 +74,29 @@ def conditioned(inst: Instance, uncovered: dict) -> Iterator[tuple[int, int, int
                     yield i, b, j
 
 
-def _toggled(mask: int, bit: int, on: bool, name: str, key: tuple, member: int) -> int:
-    """``mask`` with ``bit``, which stands for ``member`` in the cell ``key``
-    of the mask table ``name``, set (``on``) or cleared.  A bit that is
-    already so signals an internal-consistency bug."""
-    if bool(mask & bit) == on:
-        raise RuntimeError(f"{name}{key} {'already holds' if on else 'does not hold'} {member}")
-    return mask ^ bit
+# the set-bit positions of every mask below 2^8: a fixed table, never grown
+_BYTE_POSITIONS = tuple(tuple(p for p in range(8) if m >> p & 1) for m in range(256))
+
+
+def bit_positions(mask: int) -> Sequence[int]:
+    """The positions of the set bits of ``mask``, ascending: read from a
+    fixed table below 2^8, computed afresh byte by byte above it."""
+    if mask < 256:
+        return _BYTE_POSITIONS[mask]
+    out = []
+    base = 0
+    for byte in mask.to_bytes((mask.bit_length() + 7) >> 3, "little"):
+        for p in _BYTE_POSITIONS[byte]:
+            out.append(base + p)
+        base += 8
+    return out
+
+
+def _bit_error(name: str, key: tuple, on: bool, member: int) -> RuntimeError:
+    """The error for setting (``on``) a bit of the cell ``key`` of the mask
+    table ``name`` that already stands for ``member``, or clearing one that
+    does not: either signals an internal-consistency bug."""
+    return RuntimeError(f"{name}{key} {'already holds' if on else 'does not hold'} {member}")
 
 
 class Kernel:
@@ -87,7 +113,11 @@ class Kernel:
         # looked up at call time, so wrappers installed on counters see it
         self.tables = getattr(counters, self.BUILD)(inst)
         self.pos = inst.positions
-        self.nbit = counters.static_masks(inst).nbit
+        self.vals = inst.original_domains  # vals[k][p] = the value at position p
+        static = counters.static_masks(inst)
+        self.full, self.nbit = static.full, static.nbit
+        # live[k] = the mask of D(x_k), which eliminate keeps beside the snapshot
+        self.live = list(counters.live_masks(inst))
         self.updates = self.tables.probes
         self.steps: list[EliminationRecord] = []
         self.unsat = inst.unsatisfiable
@@ -99,7 +129,7 @@ class Kernel:
             r, u, rule, witness = picked
             if not self.eliminate(r, u, rule, witness):
                 break
-            self._propagate(r, u)
+            self._propagate(r, self.pos[r][u])
             if self.debug:
                 self.verify()
         return self.report()
@@ -107,14 +137,18 @@ class Kernel:
     def eliminate(self, r: int, u: int, rule: str, witness: Witness) -> bool:
         """Remove u from D(x_r) and record it; False once that domain is empty."""
         self.inst._drop(r, u)
+        self.live[r] ^= 1 << self.pos[r][u]
         self.steps.append(EliminationRecord(len(self.steps) + 1, rule, r, u, witness))
         self.unsat = not self.inst.domains[r]
         return not self.unsat
 
     def verify(self) -> None:
-        """Recompute every kept table from its definition and compare."""
+        """Recompute every kept table, and the live masks, from their
+        definitions and compare."""
         kept = {name: t for name, t in vars(self.tables).items() if name != "probes"}
         counters.verify_tables(self.inst._frozen(), **kept)
+        if self.live != list(counters.live_masks(self.inst)):
+            raise counters.CounterMismatch("the live masks differ from the domains")
 
     def report(self) -> tuple[Instance, Trace, ReductionReport]:
         final = self.inst._frozen()
@@ -138,41 +172,45 @@ class Kernel:
         raise NotImplementedError
 
     def _substitutable(self, k: int, d: int, e: int) -> None:
-        """block_vars(k,d,e) became empty: e plainly substitutes for d."""
+        """block_vars(k,d,e), for the values at positions d and e of x_k,
+        became empty: e plainly substitutes for d."""
 
     def _fits_within(self, k: int, d: int, e: int, i: int) -> None:
-        """block_vars(k,d,e) newly fits inside {i}."""
+        """block_vars(k,d,e), for the values at positions d and e of x_k,
+        newly fits inside {i}."""
 
     # -- propagation ----------------------------------------------------------
 
     def _propagate(self, r: int, u: int) -> None:
-        """Blocks through u disappear at r's neighbours."""
-        inst = self.inst
-        for k in inst.neighbors(r):
-            row = inst.rows[(k, r)]
-            dom_k = inst.domains[k]
-            blocks = self.tables.nb_blocks[(k, r)]
-            block_vars = self.tables.block_vars[k]
+        """Blocks through the value at position u of x_r disappear at r's
+        neighbours: at each x_k, for each d that u supports and each e that
+        it does not."""
+        blocks_of, block_vars_of = self.tables.nb_blocks, self.tables.block_vars
+        for k in self.inst.neighbors(r):
+            live_k = self.live[k]
+            with_u = self.full[(r, k)][u] & live_k
+            if not with_u or with_u == live_k:
+                continue
+            without_u = bit_positions(live_k ^ with_u)
+            blocks, block_vars = blocks_of[(k, r)], block_vars_of[k]
             bit_r = self.nbit[k][r]
-            pos_k = self.pos[k]
-            size_k = len(pos_k)
-            for d in dom_k:
-                if u not in row[d]:
-                    continue
-                base = pos_k[d] * size_k  # pair_index, hoisted out of the e loop
-                for e in dom_k:
-                    if e == d or u in row[e]:
-                        continue
-                    cell = base + pos_k[e]
-                    blocks[cell] -= 1
-                    self.updates += 1
-                    left = blocks[cell]
-                    if left < 0:
-                        raise RuntimeError(f"nb_blocks{(k, d, e, r)} went negative")
+            size_k = len(self.pos[k])
+            for d in bit_positions(with_u):
+                base = d * size_k
+                self.updates += len(without_u)
+                for e in without_u:
+                    cell = base + e
+                    left = blocks[cell] = blocks[cell] - 1
                     if left:
+                        if left < 0:
+                            key = (k, self.vals[k][d], self.vals[k][e], r)
+                            raise RuntimeError(f"nb_blocks{key} went negative")
                         continue
-                    holders = _toggled(block_vars[cell], bit_r, False, "block_vars", (k, d, e), r)
-                    block_vars[cell] = holders
+                    holders = block_vars[cell]
+                    if not holders & bit_r:
+                        key = (k, self.vals[k][d], self.vals[k][e])
+                        raise _bit_error("block_vars", key, False, r)
+                    holders = block_vars[cell] = holders ^ bit_r
                     self.updates += 1
                     if not holders:
                         self._substitutable(k, d, e)
@@ -192,36 +230,40 @@ class Kernel:
 
     # -- helpers shared by several rules --------------------------------------
 
-    def _swap(self, k: int, d: int, takes, r: int) -> Optional[int]:
-        """The smallest e of x_k in ``takes`` that is d itself or is blocked
-        at most at x_r, or None: e stands in for d on every neighbour of x_k
-        but x_r, which need not be a neighbour of x_k."""
+    def _swap(self, k: int, d: int, takes: int, r: int) -> Optional[int]:
+        """The smallest value of x_k in the position mask ``takes`` that is
+        the value at position d itself or is blocked at most at x_r, or
+        None: it stands in for d on every neighbour of x_k but x_r, which
+        need not be a neighbour of x_k."""
         block_vars = self.tables.block_vars[k]
-        pos_k = self.pos[k]
-        base = pos_k[d] * len(pos_k)
+        base = d * len(self.pos[k])
         others = ~self.nbit[k].get(r, 0)
-        for e in self.inst.domains[k]:
-            if e in takes and (e == d or not block_vars[base + pos_k[e]] & others):
-                return e
+        for e in bit_positions(takes & self.live[k]):
+            if e == d or not block_vars[base + e] & others:
+                return self.vals[k][e]
         return None
 
     def _swaps(
         self, r: int, u: int, a: int, skip: Optional[int] = None
     ) -> dict[int, dict[int, int]]:
-        """For each neighbour x_k of x_r other than ``skip``, the swap that a
-        takes for every value of x_k that supports u but not a."""
+        """For each neighbour x_k of x_r other than ``skip``, the swap that
+        the value at position a takes for every value of x_k that supports
+        the value at position u but not a."""
         swaps: dict[int, dict[int, int]] = {}
         for k in self.inst.neighbors(r):
             if k == skip:
                 continue
-            row_u, row_a = self.inst.rows[(r, k)][u], self.inst.rows[(r, k)][a]
+            full, vals_k = self.full[(r, k)], self.vals[k]
+            row_a = full[a]
             needed = {
-                d: self._swap(k, d, row_a, r)
-                for d in self.inst.domains[k]
-                if d in row_u and d not in row_a
+                vals_k[d]: self._swap(k, d, row_a, r)
+                for d in bit_positions(full[u] & ~row_a & self.live[k])
             }
             if None in needed.values():
-                raise RuntimeError(f"no replacement at x{k} when x{r}={u} yields to {a}")
+                raise RuntimeError(
+                    f"no replacement at x{k} when x{r}={self.vals[r][u]} "
+                    f"yields to {self.vals[r][a]}"
+                )
             if needed:
                 swaps[k] = needed
         return swaps
@@ -233,40 +275,47 @@ class SnakeKernel(Kernel):
 
     def _fits_within(self, k: int, d: int, e: int, i: int) -> None:
         # e becomes a sub for d in the context of each a at x_i it supports
-        row = self.inst.rows[(i, k)]
-        for a in self.inst.domains[i]:
-            row_a = row[a]
-            if d not in row_a and e in row_a:
-                self._step_subs(i, a, k, d, 1)
+        full = self.full[(k, i)]
+        for a in bit_positions(full[e] & ~full[d] & self.live[i]):
+            self._step_subs(i, a, k, d, 1)
 
     def _propagate(self, r: int, u: int) -> None:
         super()._propagate(r, u)
-        inst = self.inst
-        tables = self.tables
-        # u no longer counts as a sub at r
-        block_vars = tables.block_vars[r]
-        pos_r = self.pos[r]
-        size_r, pos_u = len(pos_r), pos_r[u]
-        for i in inst.neighbors(r):
-            row = inst.rows[(i, r)]
+        full, live = self.full, self.live
+        size_r = len(self.pos[r])
+        # u no longer counts as a sub at r: for each a at x_i that takes u,
+        # at each d that a does not take and whose block_vars(r,d,u) fits
+        # inside {i}
+        block_vars = self.tables.block_vars[r]
+        held = [(1 << d, block_vars[d * size_r + u]) for d in bit_positions(live[r])]
+        for i in self.inst.neighbors(r):
+            takes_u = full[(r, i)][u] & live[i]
+            if not takes_u:
+                continue
             others = ~self.nbit[r][i]
-            for a in inst.domains[i]:
-                row_a = row[a]
-                if u not in row_a:
+            subbed = 0
+            for bit, holders in held:
+                if not holders & others:
+                    subbed |= bit
+            if not subbed:
+                continue
+            full_i = full[(i, r)]
+            for a in bit_positions(takes_u):
+                for d in bit_positions(subbed & ~full_i[a]):
+                    self._step_subs(i, a, r, d, -1)
+        # u no longer counts as a stop at r: against replacing each b at x_i
+        # that takes u by each a that does not take it and has no sub for it
+        for i in self.inst.neighbors(r):
+            takes_u = full[(r, i)][u] & live[i]
+            if not takes_u:
+                continue
+            subs = self.tables.nb_subs[(i, r)]
+            takers = bit_positions(takes_u)
+            for a in bit_positions(live[i] ^ takes_u):
+                if subs[a * size_r + u]:
                     continue
-                for d in inst.domains[r]:
-                    if d not in row_a and not block_vars[pos_r[d] * size_r + pos_u] & others:
-                        self._step_subs(i, a, r, d, -1)
-        # u no longer counts as a stop at r
-        for i in inst.neighbors(r):
-            row = inst.rows[(i, r)]
-            subs = tables.nb_subs[(i, r)]
-            for a in inst.domains[i]:
-                if u in row[a] or subs[pair_index(self.pos, i, a, r, u)] != 0:
-                    continue
-                for b in inst.domains[i]:
-                    if u in row[b]:
-                        self._step_stops(i, a, b, r, -1)
+                for b in takers:
+                    self._step_stops(i, a, b, r, -1)
 
     # -- rule hooks -----------------------------------------------------------
 
@@ -283,17 +332,15 @@ class SnakeKernel(Kernel):
         """nb_subs(i,a,k,d) moves by ``delta``.  Once d at x_k has a sub for
         a, it stops stopping replacements by a; once it has none, it resumes."""
         subs = self.tables.nb_subs[(i, k)]
-        cell = pair_index(self.pos, i, a, k, d)
+        cell = a * len(self.pos[k]) + d
         left = subs[cell] = subs[cell] + delta
         self.updates += 1
         if left < 0:
-            raise RuntimeError(f"nb_subs{(i, a, k, d)} went negative")
+            raise RuntimeError(f"nb_subs{(i, self.vals[i][a], k, self.vals[k][d])} went negative")
         if left != (delta > 0):  # a flip leaves one after +1, none after -1
             return
-        row = self.inst.rows[(i, k)]
-        for b in self.inst.domains[i]:
-            if d in row[b]:
-                self._step_stops(i, a, b, k, -delta)
+        for b in bit_positions(self.full[(k, i)][d] & self.live[i]):
+            self._step_stops(i, a, b, k, -delta)
         self._sub_flipped(i, a, k, d, delta)
 
     def _step_stops(self, i: int, a: int, b: int, k: int, delta: int) -> None:
@@ -301,17 +348,19 @@ class SnakeKernel(Kernel):
         ``delta``; x_k joins stop_vars(i,a,b) with the first and leaves it
         with the last."""
         stops = self.tables.nb_stops[(i, k)]
-        cell = pair_index(self.pos, i, a, i, b)
+        cell = a * len(self.pos[i]) + b
         left = stops[cell] = stops[cell] + delta
         self.updates += 1
         if left < 0:
-            raise RuntimeError(f"nb_stops{(i, a, b, k)} went negative")
+            key = (i, self.vals[i][a], self.vals[i][b], k)
+            raise RuntimeError(f"nb_stops{key} went negative")
         if left != (delta > 0):
             return
         stop_vars = self.tables.stop_vars[i]
-        holders = stop_vars[cell] = _toggled(
-            stop_vars[cell], self.nbit[i][k], delta > 0, "stop_vars", (i, a, b), k
-        )
+        holders, bit = stop_vars[cell], self.nbit[i][k]
+        if bool(holders & bit) == (delta > 0):
+            raise _bit_error("stop_vars", (i, self.vals[i][a], self.vals[i][b]), delta > 0, k)
+        holders = stop_vars[cell] = holders ^ bit
         self.updates += 1
         self._stop_var_changed(i, a, b, k, holders, delta)
 
@@ -322,14 +371,15 @@ class Substitutions(Kernel):
 
     def __init__(self, inst: Instance):
         super().__init__(inst)
-        block_vars = self.tables.block_vars
-        self.substitutions = deque(
-            (i, b, a)
-            for i in range(inst.n)
-            for b in inst.domains[i]
-            for a in inst.domains[i]
-            if a != b and not block_vars[i][pair_index(self.pos, i, b, i, a)]
-        )
+        self.substitutions: deque[tuple[int, int, int]] = deque()
+        for i, live_i in enumerate(self.live):
+            block_vars, vals_i = self.tables.block_vars[i], self.vals[i]
+            live_ps = bit_positions(live_i)
+            for b in live_ps:
+                base = b * len(vals_i)
+                for a in live_ps:
+                    if a != b and not block_vars[base + a]:
+                        self.substitutions.append((i, vals_i[b], vals_i[a]))
         self.updates += len(self.substitutions)
 
     def _pop_substitution(self) -> Optional[tuple[int, int, str, Witness]]:
@@ -344,7 +394,7 @@ class Substitutions(Kernel):
     _pop = _pop_substitution
 
     def _substitutable(self, k: int, d: int, e: int) -> None:
-        self.substitutions.append((k, d, e))
+        self.substitutions.append((k, self.vals[k][d], self.vals[k][e]))
         self.updates += 1
 
 
@@ -353,12 +403,12 @@ class CoverKernel(Kernel):
 
     b at x_i is eliminable conditioned by a neighbour x_j when every c in
     D(x_j) compatible with b has a cover: a value a != b whose holder set
-    for b fits inside {j} (``_fits``) and that reaches c (``_reaches``).  A
-    rule states only those two predicates.  The layer keeps the cover count
-    of every cell (i,b,j,c) in the table named by COVERS, the compatible
-    values without a cover of every (i,b,j), as a mask, in the table named
-    by UNCOVERED, and a FIFO worklist of the triples (i,b,j) whose mask
-    emptied.
+    for b (``_holders``) fits inside {j} and whose reach mask over the
+    positions of x_j (``_reach``) holds c.  A rule states only those two.
+    The layer keeps the cover count of every cell (i,b,j,c) in the table
+    named by COVERS, the compatible values without a cover of every (i,b,j),
+    as a mask, in the table named by UNCOVERED, and a FIFO worklist of the
+    triples (i,b,j) whose mask emptied.
     """
 
     COVERS: str
@@ -373,17 +423,22 @@ class CoverKernel(Kernel):
 
     # -- rule hooks -----------------------------------------------------------
 
-    def _fits(self, i: int, b: int, a: int, j: int) -> bool:
-        """a's holder set for b at x_i fits inside {j}."""
+    def _holders(self, i: int, b: int, a: int) -> int:
+        """The holder mask of a's replacement of b at x_i."""
         raise NotImplementedError
 
-    def _reaches(self, i: int, a: int, j: int, c: int) -> bool:
-        """a at x_i reaches the conditioning value c at x_j."""
+    def _reach(self, i: int, a: int, j: int) -> int:
+        """The mask over the positions of x_j of the values that a at x_i
+        reaches, read at the moment; it may hold dead ones."""
         raise NotImplementedError
 
     def _witness(self, i: int, b: int, j: int) -> Witness:
         """The witness for eliminating b at x_i conditioned by x_j."""
         raise NotImplementedError
+
+    def _fits(self, i: int, b: int, a: int, j: int) -> bool:
+        """a's holder set for b at x_i fits inside {j}."""
+        return not self._holders(i, b, a) & ~self.nbit[i][j]
 
     # -- worklist and witnesses -----------------------------------------------
 
@@ -391,86 +446,106 @@ class CoverKernel(Kernel):
         """The next triple whose value is live and whose values are all covered."""
         while self.conditioned_work:
             i, b, j = self.conditioned_work.popleft()
-            if b in self.inst.domain_set(i) and not self.uncovered[(i, j)][self.pos[i][b]]:
-                return i, b, self.RULE, self._witness(i, b, j)
+            p = self.pos[i][b]
+            if self.live[i] >> p & 1 and not self.uncovered[(i, j)][p]:
+                return i, b, self.RULE, self._witness(i, p, j)
         return None
 
     _pop = _pop_conditioned
 
     def _first_covers(self, i: int, b: int, j: int) -> dict[int, int]:
-        """For each c in D(x_j) compatible with b, its first cover in D(x_i)."""
-        fitting = [a for a in self.inst.domains[i] if a != b and self._fits(i, b, a, j)]
-        row_b = self.inst.rows[(i, j)][b]
-        covers: dict[int, int] = {}
-        for c in self.inst.domains[j]:
-            if c not in row_b:
-                continue
-            for a in fitting:
-                if self._reaches(i, a, j, c):
-                    covers[c] = a
-                    break
-            else:
-                raise RuntimeError(f"no cover for x{j}={c} while eliminating x{i}={b}")
-        return covers
+        """For each c in D(x_j) compatible with b, ascending, its first
+        cover in D(x_i)."""
+        compatible = self.full[(i, j)][b] & self.live[j]
+        first: dict[int, int] = {}
+        todo = compatible
+        for a in bit_positions(self.live[i] & ~(1 << b)):
+            if not todo:
+                break
+            if self._fits(i, b, a, j):
+                got = self._reach(i, a, j) & todo
+                for c in bit_positions(got):
+                    first[c] = a
+                todo ^= got
+        if todo:
+            c = bit_positions(todo)[0]
+            raise RuntimeError(
+                f"no cover for x{j}={self.vals[j][c]} while eliminating x{i}={self.vals[i][b]}"
+            )
+        return {c: first[c] for c in bit_positions(compatible)}
 
     # -- counter steps --------------------------------------------------------
 
-    def _step_cover(self, i: int, b: int, j: int, c: int, delta: int) -> None:
-        """The covers of c for b move by ``delta``.  A compatible c leaves b's
-        uncovered mask with its first cover, queueing (i,b,j) once the mask
-        is empty, and rejoins it when its last cover goes."""
+    def _step_cover(self, i: int, b: int, j: int, cs: int, delta: int) -> None:
+        """The covers for b of each c in the position mask ``cs`` move by
+        ``delta``.  A compatible c leaves b's uncovered mask with its first
+        cover, queueing (i,b,j) once the mask is empty, and rejoins it when
+        its last cover goes."""
         covers = self.covers[(i, j)]
-        cell = pair_index(self.pos, i, b, j, c)
-        left = covers[cell] = covers[cell] + delta
-        self.updates += 1
-        if left < 0:
-            raise RuntimeError(f"{self.COVERS}{(i, b, j, c)} went negative")
-        if left != (delta > 0) or c not in self.inst.rows[(i, j)][b]:
+        base = b * len(self.pos[j])
+        flipped = 0
+        for c in bit_positions(cs):
+            cell = base + c
+            left = covers[cell] = covers[cell] + delta
+            if left < 0:
+                key = (i, self.vals[i][b], j, self.vals[j][c])
+                raise RuntimeError(f"{self.COVERS}{key} went negative")
+            if left == (delta > 0):  # a flip leaves one after +1, none after -1
+                flipped |= 1 << c
+        self.updates += cs.bit_count()
+        flipped &= self.full[(i, j)][b]
+        if not flipped:
             return
         uncovered = self.uncovered[(i, j)]
-        p = self.pos[i][b]
-        values = uncovered[p] = _toggled(
-            uncovered[p], 1 << self.pos[j][c], delta < 0, self.UNCOVERED, (i, b, j), c
-        )
-        self.updates += 1
+        held = uncovered[b]
+        stray = held & flipped if delta < 0 else flipped & ~held  # a bit already so
+        if stray:
+            key = (i, self.vals[i][b], j)
+            member = self.vals[j][bit_positions(stray)[0]]
+            raise _bit_error(self.UNCOVERED, key, delta < 0, member)
+        values = uncovered[b] = held ^ flipped
+        self.updates += flipped.bit_count()
         if not values:
-            self.conditioned_work.append((i, b, j))
+            self.conditioned_work.append((i, self.vals[i][b], j))
             self.updates += 1
 
     def _scope_changed(self, i: int, b: int, a: int, j: int, delta: int) -> None:
         """a's holder set for b came to fit inside {j} (``delta`` +1) or
         stopped fitting (-1): a covers b for each value of x_j it reaches."""
-        for c in self.inst.domains[j]:
-            if self._reaches(i, a, j, c):
-                self._step_cover(i, b, j, c, delta)
+        reach = self._reach(i, a, j) & self.live[j]
+        if reach:
+            self._step_cover(i, b, j, reach, delta)
 
     # -- propagation ----------------------------------------------------------
 
     def _propagate(self, r: int, u: int) -> None:
         super()._propagate(r, u)
-        inst = self.inst
-        # u no longer covers r's remaining values
-        for j in inst.neighbors(r):
-            lost = [b for b in inst.domains[r] if self._fits(r, b, u, j)]
+        # u no longer covers r's remaining values; the -1 steps never push,
+        # so they may run value by value
+        held = [(b, self._holders(r, b, u)) for b in bit_positions(self.live[r])]
+        for j in self.inst.neighbors(r):
+            others = ~self.nbit[r][j]
+            lost = [b for b, holders in held if not holders & others]
             if not lost:
                 continue
-            for c in inst.domains[j]:
-                if self._reaches(r, u, j, c):
-                    for b in lost:
-                        self._step_cover(r, b, j, c, -1)
+            reach = self._reach(r, u, j) & self.live[j]
+            if reach:
+                for b in lost:
+                    self._step_cover(r, b, j, reach, -1)
         self._conditioning_gone(r, u)
 
     def _conditioning_gone(self, r: int, u: int) -> None:
-        """u no longer serves as a conditioning value at x_r."""
-        bit_u = 1 << self.pos[r][u]
+        """u no longer serves as a conditioning value at x_r: it leaves the
+        uncovered masks of the values it supports."""
+        bit_u = 1 << u
+        full, live = self.full, self.live
         for i in self.inst.neighbors(r):
             uncovered = self.uncovered[(i, r)]
-            pos_i = self.pos[i]
-            for b in self.inst.domains[i]:
-                p = pos_i[b]
-                if uncovered[p] & bit_u:
-                    uncovered[p] ^= bit_u
+            for b in bit_positions(full[(r, i)][u] & live[i]):
+                held = uncovered[b]
+                if held & bit_u:
+                    uncovered[b] = held ^ bit_u
                     self.updates += 1
-                    if not uncovered[p]:
-                        self.conditioned_work.append((i, b, r))
+                    if held == bit_u:
+                        self.conditioned_work.append((i, self.vals[i][b], r))
                         self.updates += 1

@@ -9,10 +9,13 @@ vacuous cases.
 The engine keeps the tables of counters.build_scss.  The block, sub and
 stop counters with their passes come from kernel.SnakeKernel, and the cover
 layer that scss shares with cns from kernel.CoverKernel.  This module states
-only what a snake cover is: a fits when stop_vars(i,a,b) fits inside {j},
-which ``_stop_var_changed`` reports, and a reaches c when it takes c or has
-a sub for it, which ``_sub_flipped`` reports.  Both hand the cover step a
-``delta``: -1 for a stop var gained or a last sub lost, +1 otherwise.
+only what a snake cover is, as masks over value positions: a's holder mask
+for b is stop_vars(i,a,b), which fits inside {j} when it has no bit but
+j's, as ``_stop_var_changed`` reports, and a's reach at x_j is its full row
+mask plus the live c that it does not take but has a sub for
+(nb_subs > 0), read from the table at the moment, as ``_sub_flipped``
+reports.  Both hand the cover step a ``delta``: -1 for a stop var gained or
+a last sub lost, +1 otherwise.
 
 Variables with no constraints at all sit outside the edge-indexed tables,
 so the engine pops their eliminations first (any value substitutes for any
@@ -26,9 +29,8 @@ from __future__ import annotations
 from collections import deque
 
 from . import counters, oracle
-from .counters import pair_index
 from .instance import Instance
-from .kernel import CoverKernel, SnakeKernel, conditioned
+from .kernel import CoverKernel, SnakeKernel, bit_positions, conditioned
 from .trace import (
     NS,
     RULES,
@@ -81,25 +83,30 @@ class ScssEngine(CoverKernel, SnakeKernel):
             self.unconstrained.popleft()
         return self._pop_conditioned()
 
-    def _fits(self, i: int, b: int, a: int, j: int) -> bool:
-        return not self.tables.stop_vars[i][pair_index(self.pos, i, a, i, b)] & ~self.nbit[i][j]
+    def _holders(self, i: int, b: int, a: int) -> int:
+        return self.tables.stop_vars[i][a * len(self.pos[i]) + b]
 
-    def _reaches(self, i: int, a: int, j: int, c: int) -> bool:
-        return (
-            c in self.inst.rows[(i, j)][a]
-            or self.tables.nb_subs[(i, j)][pair_index(self.pos, i, a, j, c)] > 0
-        )
+    def _reach(self, i: int, a: int, j: int) -> int:
+        # a's row, plus each live value it does not take but has a sub for
+        reach = row = self.full[(i, j)][a]
+        subs = self.tables.nb_subs[(i, j)]
+        base = a * len(self.pos[j])
+        for c in bit_positions(self.live[j] & ~row):
+            if subs[base + c]:
+                reach |= 1 << c
+        return reach
 
     def _unconstrained_witness(self, i: int, b: int) -> ScssWitness:
         # condition on the smallest other variable: with no constraint on
         # x_i, any other a takes every value of x_j and needs no snake swaps
         j = 1 if i == 0 else 0
-        a = next(v for v in self.inst.domains[i] if v != b)
+        a = bit_positions(self.live[i] & ~(1 << self.pos[i][b]))[0]
+        substitute, vals_j = self.vals[i][a], self.vals[j]
         return ScssWitness(
             conditioning=j,
             covers={
-                c: ScssCover(a, self._conditioning_swap(i, j, a, c), {})
-                for c in self.inst.domains[j]
+                vals_j[c]: ScssCover(substitute, self._conditioning_swap(i, j, a, c), {})
+                for c in bit_positions(self.live[j])
             },
         )
 
@@ -112,24 +119,26 @@ class ScssEngine(CoverKernel, SnakeKernel):
             if a not in swap_cache:
                 swap_cache[a] = self._swaps(r, u, a, skip=t)
             g = self._conditioning_swap(r, t, a, c)
-            covers[c] = ScssCover(a, g, swap_cache[a])
+            covers[self.vals[t][c]] = ScssCover(self.vals[r][a], g, swap_cache[a])
         return ScssWitness(conditioning=t, covers=covers)
 
     def _conditioning_swap(self, r: int, t: int, a: int, c: int) -> int:
         """The swap g for c at x_t that a at x_r takes."""
-        row = self.inst.rows.get((r, t))
-        g = self._swap(t, c, self.inst.domain_set(t) if row is None else row[a], r)
+        full = self.full.get((r, t))
+        g = self._swap(t, c, self.live[t] if full is None else full[a], r)
         if g is None:
-            raise RuntimeError(f"no conditioning swap for x{t}={c} toward {a}")
+            raise RuntimeError(
+                f"no conditioning swap for x{t}={self.vals[t][c]} toward {self.vals[r][a]}"
+            )
         return g
 
     # -- cover scope and reach ------------------------------------------------
 
     def _sub_flipped(self, i: int, a: int, k: int, d: int, delta: int) -> None:
         # a starts (or stops) reaching conditioning value d at x_k
-        for b in self.inst.domains[i]:
-            if b != a and self._fits(i, b, a, k):
-                self._step_cover(i, b, k, d, delta)
+        for b in bit_positions(self.live[i] & ~(1 << a)):
+            if self._fits(i, b, a, k):
+                self._step_cover(i, b, k, 1 << d, delta)
 
     def _stop_var_changed(self, i: int, a: int, b: int, k: int, holders: int, delta: int) -> None:
         # a stop var more narrows a's scope for b, one fewer widens it

@@ -22,9 +22,8 @@ from collections import deque
 from typing import Optional
 
 from .acns import require_arc_consistent
-from .counters import pair_index
 from .instance import Instance
-from .kernel import SnakeKernel
+from .kernel import SnakeKernel, bit_positions
 from .trace import (
     AC,
     NS,
@@ -50,7 +49,7 @@ class SsEngine(SnakeKernel):
         for i in range(inst.n):
             for b in inst.domains[i]:
                 if self.tables.nb_snake[(i, b)] > 0:
-                    if self._ns_substitute(i, b) is None:
+                    if self._ns_substitute(i, self.pos[i][b]) is None:
                         self.low.append((i, b))
                     else:
                         self.high.append((i, b))
@@ -69,47 +68,57 @@ class SsEngine(SnakeKernel):
     # -- labelling ----------------------------------------------------------
 
     def _ns_substitute(self, r: int, u: int) -> Optional[int]:
-        for a in self.inst.domains[r]:
-            if a != u and not self.tables.block_vars[r][pair_index(self.pos, r, u, r, a)]:
+        """The position of the first value of x_r that plainly substitutes
+        for the value at position u, or None."""
+        block_vars = self.tables.block_vars[r]
+        base = u * len(self.pos[r])
+        for a in bit_positions(self.live[r] & ~(1 << u)):
+            if not block_vars[base + a]:
                 return a
         return None
 
-    def _classify(self, r: int, u: int):
-        if self.tables.inconsistent[(r, u)]:
+    def _classify(self, r: int, value: int):
+        u = self.pos[r][value]
+        if self.tables.inconsistent[(r, value)]:
             for k in self.inst.neighbors(r):
-                if not (self.inst.rows[(r, k)][u] & self.inst.domain_set(k)):
+                if not self.full[(r, k)][u] & self.live[k]:
                     return AC, AcWitness(unsupported_at=k)
-            raise RuntimeError(f"x{r}={u} is flagged inconsistent but has support")
+            raise RuntimeError(f"x{r}={value} is flagged inconsistent but has support")
         a = self._ns_substitute(r, u)
         if a is not None:
-            return NS, NsWitness(substitute=a)
-        for a in self.inst.domains[r]:
-            if a != u and not self.tables.stop_vars[r][pair_index(self.pos, r, a, r, u)]:
-                return SS, SsWitness(substitute=a, swaps=self._swaps(r, u, a))
-        raise RuntimeError(f"queued pair x{r}={u} has no eliminating value")
+            return NS, NsWitness(substitute=self.vals[r][a])
+        stop_vars = self.tables.stop_vars[r]
+        size_r = len(self.pos[r])
+        for a in bit_positions(self.live[r] & ~(1 << u)):
+            if not stop_vars[a * size_r + u]:
+                return SS, SsWitness(substitute=self.vals[r][a], swaps=self._swaps(r, u, a))
+        raise RuntimeError(f"queued pair x{r}={value} has no eliminating value")
 
     # -- propagation --------------------------------------------------------
 
     def _propagate(self, r: int, u: int) -> None:
         super()._propagate(r, u)
-        inst = self.inst
-        tables = self.tables
-        # values whose last support at r was u
+        inconsistent = self.tables.inconsistent
+        live_r = self.live[r]
+        # values whose last support at r was u: only those that u supports
+        # can have lost it
         newly_flagged: list[tuple[int, int]] = []
-        cur_r = inst.domain_set(r)
-        for i in inst.neighbors(r):
-            row = inst.rows[(i, r)]
-            for v in inst.domains[i]:
-                if tables.inconsistent[(i, v)] or row[v] & cur_r:
+        for i in self.inst.neighbors(r):
+            full_i, vals_i = self.full[(i, r)], self.vals[i]
+            for p in bit_positions(self.full[(r, i)][u] & self.live[i]):
+                v = vals_i[p]
+                if full_i[p] & live_r or inconsistent[(i, v)]:
                     continue
-                tables.inconsistent[(i, v)] = True
+                inconsistent[(i, v)] = True
                 self.high.append((i, v))
                 self.updates += 2
                 newly_flagged.append((i, v))
         # u no longer counts as a replacement for r's remaining values
-        for b in inst.domains[r]:
-            if not tables.stop_vars[r][pair_index(self.pos, r, u, r, b)]:
-                self._step_snake(r, b, -1)
+        stop_vars = self.tables.stop_vars[r]
+        base = u * len(self.pos[r])
+        for b in bit_positions(live_r):
+            if not stop_vars[base + b]:
+                self._step_snake(r, self.vals[r][b], -1)
         if self.debug and self.steps[-1].rule == AC and newly_flagged:
             raise AssertionError(
                 "support-loss deletions are not expected to expose "
@@ -117,13 +126,13 @@ class SsEngine(SnakeKernel):
             )
 
     def _substitutable(self, k: int, d: int, e: int) -> None:
-        self.high.append((k, d))
+        self.high.append((k, self.vals[k][d]))
         self.updates += 1
 
     def _stop_var_changed(self, i: int, a: int, b: int, k: int, holders: int, delta: int) -> None:
         # a replaces b with swaps exactly while stop_vars(i,a,b) is empty
         if not holders & ~self.nbit[i][k]:
-            self._step_snake(i, b, -delta)
+            self._step_snake(i, self.vals[i][b], -delta)
 
     def _step_snake(self, i: int, b: int, delta: int) -> None:
         """nb_snake(i,b) moves by ``delta``; a rise to one queues (i,b)."""

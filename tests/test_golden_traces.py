@@ -3,7 +3,8 @@
 ``golden_traces.json`` holds, for each engine and input set, the sha256 of
 the ``dump_trace`` bytes of every run, the reported ``updates`` of each run
 and the sha256 of the final domains.  A refactor or speed-up of the engines
-must leave all three unchanged, with or without SUBSENSE_DEBUG_RECOMPUTE.
+must leave all three unchanged, with or without SUBSENSE_DEBUG_RECOMPUTE
+(without only on counts-300, whose recheck is too slow to run).
 Each case also pins, as ``replay_sha256``, the ``dump_trace`` bytes of the
 trace that ``replay_sequence`` certifies from every run, so the oracle's
 witnesses cannot drift under a rewrite of the checks either.
@@ -36,7 +37,7 @@ from subsense import (
 from subsense.counters import DEBUG_ENV
 from subsense.scss import replay_steps
 
-from conftest import corpus
+from conftest import WIDTH_INPUTS, corpus
 
 GOLDEN = Path(__file__).with_name("golden_traces.json")
 
@@ -66,6 +67,8 @@ INPUTS = {
     "cnsvsns-30": lambda: [generators.two_var_cns_vs_ns(30)],
     "corpus-0": lambda: list(corpus((0,))),
     "corpus-1": lambda: list(corpus((1,))),
+    # masks past 8 and past 64 bits, counts past 255, 70 neighbours
+    **{name: lambda make=make: [make()] for name, make in WIDTH_INPUTS.items()},
 }
 
 
@@ -113,6 +116,10 @@ def record_replay(engine: str, inputs: str, workdir: Path) -> str:
 
 
 CASES = [f"{engine}/{inputs}" for engine in ENGINES for inputs in INPUTS]
+# inputs too wide to recheck every table after each elimination: counts-300
+# has 90,000 holder slots a variable, and the set-builders walk them all
+NO_RECHECK = ("counts-300",)
+RECHECKED = [case for case in CASES if case.split("/")[1] not in NO_RECHECK]
 
 
 @pytest.fixture(scope="module")
@@ -124,8 +131,9 @@ def test_golden_file_covers_every_case(golden):
     assert sorted(golden) == sorted(CASES)
 
 
-@pytest.mark.parametrize("debug", ["", "1"], ids=["plain", "debug"])
-@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("case, debug", [
+    *((case, "") for case in CASES), *((case, "1") for case in RECHECKED)
+], ids=lambda value: {"": "plain", "1": "debug"}.get(value, value))
 def test_engine_reproduces_golden_trace(case, debug, golden, tmp_path, monkeypatch):
     monkeypatch.setenv(DEBUG_ENV, debug)
     engine, inputs = case.split("/")
@@ -134,8 +142,10 @@ def test_engine_reproduces_golden_trace(case, debug, golden, tmp_path, monkeypat
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_replay_reproduces_golden_witnesses(case, golden, tmp_path):
+def test_replay_reproduces_golden_witnesses(case, golden, tmp_path, monkeypatch):
     engine, inputs = case.split("/")
+    if inputs in NO_RECHECK:
+        monkeypatch.setenv(DEBUG_ENV, "")
     assert record_replay(engine, inputs, tmp_path) == golden[case]["replay_sha256"]
 
 

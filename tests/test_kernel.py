@@ -5,15 +5,24 @@ import copy
 
 import pytest
 
-from subsense import cli, counters, establish_ac, generators, make_instance, replay_sequence
+from subsense import (
+    cli,
+    counters,
+    establish_ac,
+    generators,
+    kernel,
+    make_instance,
+    replay_sequence,
+    scss_to_convergence,
+)
 from subsense.acns import NsEngine
 from subsense.cns import CnsEngine
 from subsense.scss import ScssEngine, replay_steps
 from subsense.ss import SsEngine
 from subsense.trace import NS, NsWitness
 
-from conftest import set_cell
-from test_counters import FLAT_INPUTS, WIDTH_INPUTS
+from conftest import WIDTH_INPUTS, set_cell
+from test_counters import FLAT_INPUTS
 
 ENGINES = {
     "cns": lambda inst: CnsEngine(inst, ns_priority=True),
@@ -47,18 +56,24 @@ def _uncovered(engine, key):
     return counters.cell(engine.inst, engine.UNCOVERED, engine.uncovered, key)
 
 
+def _step_cover(engine, cell, delta):
+    # the kernel steps take value positions, and a cover step a mask of c
+    i, b, j, c = cell
+    engine._step_cover(i, engine.pos[i][b], j, 1 << engine.pos[j][c], delta)
+
+
 @pytest.mark.parametrize("rule", sorted(ENGINES))
 def test_cover_steps_keep_the_uncovered_set_and_the_worklist(rule):
     engine, cell = _cover_engine(ENGINES[rule])
     i, b, j, c = cell
-    engine._step_cover(*cell, -1)
+    _step_cover(engine, cell, -1)
     # the count and the uncovered set
     assert engine.updates == 2
     assert _cover(engine, cell) == 0
     assert _uncovered(engine, (i, b, j)) == {c}
     assert not engine.conditioned_work
     engine.updates = 0
-    engine._step_cover(*cell, 1)
+    _step_cover(engine, cell, 1)
     # the count, the uncovered set and the push of the emptied triple
     assert engine.updates == 3
     assert _cover(engine, cell) == 1
@@ -71,7 +86,52 @@ def test_cover_underflow_is_an_error(rule):
     engine, cell = _cover_engine(ENGINES[rule])
     _set_cover(engine, cell, 0)
     with pytest.raises(RuntimeError, match="went negative"):
-        engine._step_cover(*cell, -1)
+        _step_cover(engine, cell, -1)
+
+
+@pytest.mark.parametrize("rule", sorted(ENGINES))
+def test_a_cover_step_over_a_mask_pushes_once_when_the_mask_empties(rule):
+    inst = generators.figure1c()
+    engine = ENGINES[rule](inst)
+    i, b, j = next(
+        (i, b, j)
+        for i, j in counters.oriented_edges(inst)
+        for b in inst.domains[i]
+        if len(inst.rows[(i, j)][b]) > 2
+    )
+    cs = sorted(inst.rows[(i, j)][b])
+    for c in cs:
+        _set_cover(engine, (i, b, j, c), 0)
+    set_cell(inst, engine.UNCOVERED, engine.uncovered, (i, b, j), set(cs))
+    engine.conditioned_work.clear()
+    engine.updates = 0
+    p = engine.pos[i][b]
+    mask = lambda values: sum(1 << engine.pos[j][c] for c in values)
+    # all but the last c: one update per count and per bit cleared, no push
+    engine._step_cover(i, p, j, mask(cs[:-1]), 1)
+    assert engine.updates == 2 * (len(cs) - 1)
+    assert _uncovered(engine, (i, b, j)) == {cs[-1]}
+    assert not engine.conditioned_work
+    # every c: one update per count, one for the last bit and one for the push
+    engine.updates = 0
+    engine._step_cover(i, p, j, mask(cs), 1)
+    assert engine.updates == len(cs) + 2
+    assert [_cover(engine, (i, b, j, c)) for c in cs] == [2] * (len(cs) - 1) + [1]
+    assert _uncovered(engine, (i, b, j)) == set()
+    assert list(engine.conditioned_work) == [(i, b, j)]
+
+
+def test_bit_positions_walk_each_mask_in_ascending_order(monkeypatch):
+    wide = [2**64, 2**64 - 1, 2**65 + 2**8, 2**70 + 5, 2**299, 2**300 - 1, 0xA5 << 200]
+    for mask in [*range(256), *wide]:
+        assert list(kernel.bit_positions(mask)) == [
+            p for p in range(mask.bit_length()) if mask >> p & 1
+        ]
+    # a wide mask is walked afresh: the held table keeps one entry a byte;
+    # counts-300 is too wide to recheck after each elimination
+    monkeypatch.setenv(counters.DEBUG_ENV, "")
+    assert scss_to_convergence(WIDTH_INPUTS["counts-300"]())[1].steps
+    assert len(kernel._BYTE_POSITIONS) == 256
 
 
 @pytest.mark.parametrize(
@@ -115,15 +175,15 @@ def _unset_bit_engine(name):
         # u goes from the engine's working domains as converge removes it
         a = next(v for v in inst.domains[r] if v != u)
         assert engine.eliminate(r, u, NS, NsWitness(substitute=a))
-        return lambda: engine._propagate(r, u)
+        return lambda: engine._propagate(r, engine.pos[r][u])
     if name == "stop_vars":
         engine = SsEngine(inst)
         set_cell(inst, "nb_stops", engine.tables.nb_stops, (0, 1, 0, 1), 1)
         set_cell(inst, name, engine.tables.stop_vars, (0, 1, 0), set())
-        return lambda: engine._step_stops(0, 1, 0, 1, -1)
+        return lambda: engine._step_stops(0, engine.pos[0][1], engine.pos[0][0], 1, -1)
     engine, cell = _cover_engine(ENGINES["cns" if name == "uncovered" else "scss"])
     _set_cover(engine, cell, 0)
-    return lambda: engine._step_cover(*cell, 1)
+    return lambda: _step_cover(engine, cell, 1)
 
 
 def _set_bit_engine(name):
@@ -135,12 +195,12 @@ def _set_bit_engine(name):
         engine = ScssEngine(inst)
         set_cell(inst, "nb_stops", engine.tables.nb_stops, (0, 1, 0, 1), 0)
         set_cell(inst, name, engine.tables.stop_vars, (0, 1, 0), {1})
-        return lambda: engine._step_stops(0, 1, 0, 1, 1)
+        return lambda: engine._step_stops(0, engine.pos[0][1], engine.pos[0][0], 1, 1)
     # the cover cell falling to none adds c to the uncovered set of (i,b,j)
     engine, cell = _cover_engine(ENGINES["cns" if name == "uncovered" else "scss"])
     i, b, j, c = cell
     set_cell(engine.inst, name, engine.uncovered, (i, b, j), {c})
-    return lambda: engine._step_cover(*cell, -1)
+    return lambda: _step_cover(engine, cell, -1)
 
 
 @pytest.mark.parametrize(
@@ -170,9 +230,10 @@ def test_sub_steps_round_trip():
                     engine = ScssEngine(inst)
                     before = copy.deepcopy([getattr(engine.tables, t) for t in SUB_CASCADE])
                     engine.updates = 0
-                    engine._step_subs(i, a, k, d, 1)
+                    at = (i, engine.pos[i][a], k, engine.pos[k][d])
+                    engine._step_subs(*at, 1)
                     cascaded += engine.updates > 1
-                    engine._step_subs(i, a, k, d, -1)
+                    engine._step_subs(*at, -1)
                     assert [getattr(engine.tables, t) for t in SUB_CASCADE] == before
                     cells += 1
     # both a plain step and a flip that cascades ran
@@ -184,7 +245,7 @@ def test_sub_underflow_is_an_error():
     engine = ScssEngine(inst)
     set_cell(inst, "nb_subs", engine.tables.nb_subs, (0, 1, 1, 0), 0)
     with pytest.raises(RuntimeError, match=r"^nb_subs\(0, 1, 1, 0\) went negative"):
-        engine._step_subs(0, 1, 1, 0, -1)
+        engine._step_subs(0, engine.pos[0][1], 1, engine.pos[1][0], -1)
 
 
 @pytest.mark.parametrize("rule", sorted(cli.ENGINES))

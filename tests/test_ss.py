@@ -46,6 +46,12 @@ def test_counter_init_on_figures():
     assert not any(ta.inconsistent.values())
 
 
+def _step_stops(engine, cell, delta):
+    # the kernel steps take value positions
+    i, a, b, k = cell
+    engine._step_stops(i, engine.pos[i][a], engine.pos[i][b], k, delta)
+
+
 def _cascade_engine(nb_stops, stop_vars, nb_snake):
     # an ss engine whose own tables hold the given values in the three cells
     # the stop cascade reads
@@ -64,7 +70,7 @@ def test_stop_cascade_and_callback():
     cell = (0, 1, 0, 3)  # replacing b=0 by a=1 at x1, stop at x4
     engine = _cascade_engine({cell: 1}, {(0, 1, 0): {3}}, {(0, 0): 0})
     tables = engine.tables
-    engine._step_stops(0, 1, 0, 3, -1)
+    _step_stops(engine, cell, -1)
     # nb_stops, stop_vars, nb_snake and the low-class push
     assert list(engine.low) == [(0, 0)]
     assert engine.updates == 4
@@ -73,7 +79,7 @@ def test_stop_cascade_and_callback():
     assert tables.nb_snake[(0, 0)] == 1
     # the mirror restores every level
     engine.updates = 0
-    engine._step_stops(0, 1, 0, 3, 1)
+    _step_stops(engine, cell, 1)
     assert engine.updates == 3
     assert _cell(engine.inst, tables, "nb_stops", cell) == 1
     assert _cell(engine.inst, tables, "stop_vars", (0, 1, 0)) == {3}
@@ -81,12 +87,13 @@ def test_stop_cascade_and_callback():
 
 
 def test_stop_cascade_underflow_is_an_error():
-    engine = _cascade_engine({(0, 1, 0, 3): 0}, {(0, 1, 0): set()}, {(0, 0): 0})
+    cell = (0, 1, 0, 3)
+    engine = _cascade_engine({cell: 0}, {(0, 1, 0): set()}, {(0, 0): 0})
     with pytest.raises(RuntimeError):
-        engine._step_stops(0, 1, 0, 3, -1)
-    set_cell(engine.inst, "nb_stops", engine.tables.nb_stops, (0, 1, 0, 3), 0)
+        _step_stops(engine, cell, -1)
+    set_cell(engine.inst, "nb_stops", engine.tables.nb_stops, cell, 0)
     with pytest.raises(RuntimeError):
-        engine._step_stops(0, 1, 0, 3, 1)
+        _step_stops(engine, cell, 1)
 
 
 def test_ss_requires_arc_consistency():
