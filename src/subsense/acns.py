@@ -14,6 +14,7 @@ in kernel.Substitutions; plain substitution adds nothing of its own.
 from __future__ import annotations
 
 from collections import deque
+from typing import Optional
 
 from . import counters
 from .instance import Instance
@@ -89,13 +90,17 @@ class NsEngine(Substitutions):
     BUILD = "build_ns"
 
 
-def ns_to_convergence(inst: Instance) -> tuple[Instance, Trace, ReductionReport]:
+def ns_to_convergence(
+    inst: Instance, *, held: Optional[counters.Held] = None
+) -> tuple[Instance, Trace, ReductionReport]:
     """Eliminate values substitutable by a same-domain value that is blocked
     nowhere, until no such value remains.
 
     The input must be arc consistent (ValueError otherwise).  Candidate
     triples (variable, value, substitute) are processed FIFO; a stale triple
     whose value or substitute is gone is skipped.
+    ``held``, a pool of counter tables (counters.Held), gives the run the
+    tables it holds and takes back the run's own (see kernel.Kernel).
     """
     require_arc_consistent(inst, "ns_to_convergence")
-    return NsEngine(inst).converge()
+    return NsEngine(inst, held).converge()

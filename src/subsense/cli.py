@@ -19,7 +19,7 @@ import sys
 import time
 from dataclasses import replace
 
-from . import generators, instance, oracle
+from . import counters, generators, instance, oracle
 from .acns import establish_ac, ns_to_convergence
 from .cns import cns_to_convergence
 from .scss import ReplayError, replay_sequence, replay_steps, scss_to_convergence
@@ -118,14 +118,17 @@ def cmd_gen(args) -> int:
 
 # -- reduce -------------------------------------------------------------------
 
-def _run_stage(inst, rule):
-    """Run one pipeline stage; returns (reduced, records, updates, micros)."""
+def _run_stage(inst, rule, held=None):
+    """Run one pipeline stage, handing an engine the pool ``held`` when
+    given; returns (reduced, records, updates, micros)."""
     if rule == "ac":
         start = time.perf_counter_ns()
         reduced, trace = establish_ac(inst)
         micros = (time.perf_counter_ns() - start) // 1000
+        if trace.steps and held is not None:
+            held.clear()
         return reduced, trace.steps, 0, micros
-    reduced, trace, report = ENGINES[rule](inst)
+    reduced, trace, report = ENGINES[rule](inst, held=held)
     return reduced, trace.steps, report.updates, report.micros
 
 
@@ -134,19 +137,28 @@ def run_pipeline(inst, rules):
     pass eliminates nothing (the rules can re-enable one another).
 
     Arc consistency is prepended when the pipeline contains a rule that
-    needs it.  Returns (reduced, steps, updates, micros, unsatisfiable).
+    needs it.  The stages share one pool of counter tables
+    (counters.Held): each engine takes the tables it needs from it, builds
+    only the rest, and hands back all it kept current.  After a stage that
+    eliminated anything the pool holds only that stage's tables, since the
+    others went stale; after one that eliminated nothing it holds them
+    beside the rest.  An ac stage that removes a value empties it.  The
+    charges of a handed table equal those of its build, so ``updates`` is
+    the same as with fresh builds.
+    Returns (reduced, steps, updates, micros, unsatisfiable).
     """
     stages = list(rules)
     if any(rule in NEEDS_AC for rule in stages) and stages[0] != "ac":
         stages.insert(0, "ac")
     cur = inst
+    held = counters.Held()
     steps: list = []
     updates = 0
     micros = 0
     while True:
         eliminated_this_pass = 0
         for rule in stages:
-            cur, records, stage_updates, stage_micros = _run_stage(cur, rule)
+            cur, records, stage_updates, stage_micros = _run_stage(cur, rule, held)
             for rec in records:
                 steps.append(replace(rec, step=len(steps) + 1))
             eliminated_this_pass += len(records)

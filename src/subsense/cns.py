@@ -19,6 +19,9 @@ full row mask (counters.Static.full): a reaches c when it takes c.
 
 from __future__ import annotations
 
+from typing import Optional
+
+from . import counters
 from .acns import require_arc_consistent
 from .instance import Instance
 from .kernel import CoverKernel, Substitutions
@@ -32,8 +35,8 @@ class CnsEngine(CoverKernel, Substitutions):
     COVERS = "nb_covers"
     UNCOVERED = "uncovered"
 
-    def __init__(self, inst: Instance, ns_priority: bool):
-        super().__init__(inst)
+    def __init__(self, inst: Instance, ns_priority: bool, held: Optional[counters.Held] = None):
+        super().__init__(inst, held)
         self.ns_priority = ns_priority
 
     def _pop(self):
@@ -57,7 +60,7 @@ class CnsEngine(CoverKernel, Substitutions):
 
 
 def cns_to_convergence(
-    inst: Instance, ns_priority: bool = True
+    inst: Instance, ns_priority: bool = True, *, held: Optional[counters.Held] = None
 ) -> tuple[Instance, Trace, ReductionReport]:
     """Apply conditioned neighbourhood substitution until no eliminable
     value remains.
@@ -67,6 +70,8 @@ def cns_to_convergence(
     otherwise.  With ns_priority (the default) plain substitutions drain
     first; with ns_priority=False conditioned ones do, which can change how
     many values go (the rule is not confluent across pop orders).
+    ``held``, a pool of counter tables (counters.Held), gives the run the
+    tables it holds and takes back the run's own (see kernel.Kernel).
     """
     require_arc_consistent(inst, "cns_to_convergence")
-    return CnsEngine(inst, ns_priority).converge()
+    return CnsEngine(inst, ns_priority, held).converge()

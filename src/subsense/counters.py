@@ -7,7 +7,8 @@ that set-builder reads, its flat builder, its flat layout and, for a mask
 table, what each bit stands for.  build(inst, *names) computes the named
 tables plus everything they read, in TABLES order, and returns them as one
 Tables object.  Engine initialisation calls the build_* helpers, one per
-rule, which only name the rule's tables.
+rule, which only name the rule's tables, and hands them the pool of tables
+(Held) that it was given, if any.
 
 build() computes every table with its flat builder, from per-edge value
 masks (Masks): the row masks over the original domains (Static), which
@@ -59,11 +60,29 @@ with a cell for every live value; a missing cell on lookup is a bug, never
 an implicit zero.  Cells indexed by an eliminated value go stale and are
 likewise never read.
 
-Each build step also reports how many elementary membership probes the
-set-builder evaluation performs; engines fold that into their update
-accounting as the cost of initialisation.  A flat builder charges the
-probes of the set-builder it replaces, as a closed formula in the domain
-sizes and the row masks, so ``updates`` does not depend on which one ran.
+Each table is charged the elementary membership probes that its
+set-builder makes on the current domains; engines fold that into their
+update accounting as the cost of initialisation.  TABLES states the charge
+once per table, as a closed formula in the domain sizes and the row masks
+(Static.full ANDed with the live masks), and build() charges it for every
+table it returns, so ``updates`` depends neither on which builder ran nor
+on whether the table was built at all.
+
+Handed tables.  A pipeline of engines (cli.run_pipeline) keeps one pool,
+a Held: by name, tables that some engine kept current, with the Static of
+their lineage and the live masks of the domains they are current for.
+build(inst, ..., held=pool) takes each table the pool holds as it is and
+builds only the rest, refusing a pool of another lineage or of other
+domains.  The value masks are made only when some table must be built,
+and a handed count or holder table is packed into bytes (Packed) only
+list by list, as a builder that runs reads it.  The taking engine owns
+the tables: it changes them in place with each elimination and, when its
+run ends, hands back every table it kept (Kernel.converge).  The engine
+keeps only its own tables current, so once it has eliminated a value the
+pool holds exactly its tables; after a run that eliminated nothing the
+pool holds its tables beside those it already had.  Under
+SUBSENSE_DEBUG_RECOMPUTE=1 an engine that took a handed table rechecks
+every table before its first elimination.
 """
 
 from __future__ import annotations
@@ -73,7 +92,7 @@ import sys
 from array import array
 from itertools import chain
 from types import SimpleNamespace
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .instance import Instance
 
@@ -387,8 +406,31 @@ def static_masks(inst: Instance) -> Static:
 
 def live_masks(inst: Instance) -> tuple[int, ...]:
     """live[k] = the mask of D(x_k)."""
-    pos = inst.positions
-    return tuple(sum([1 << pos[k][v] for v in dom]) for k, dom in enumerate(inst.domains))
+    live = []
+    for pos_k, dom in zip(inst.positions, inst.domains):
+        mask = 0
+        for v in dom:
+            mask |= 1 << pos_k[v]
+        live.append(mask)
+    return tuple(live)
+
+
+# the set-bit positions of every mask below 2^8: a fixed table, never grown
+_BYTE_POSITIONS = tuple(tuple(p for p in range(8) if m >> p & 1) for m in range(256))
+
+
+def bit_positions(mask: int) -> Sequence[int]:
+    """The positions of the set bits of ``mask``, ascending: read from a
+    fixed table below 2^8, computed afresh byte by byte above it."""
+    if mask < 256:
+        return _BYTE_POSITIONS[mask]
+    out = []
+    base = 0
+    for byte in mask.to_bytes((mask.bit_length() + 7) >> 3, "little"):
+        for p in _BYTE_POSITIONS[byte]:
+            out.append(base + p)
+        base += 8
+    return out
 
 
 class Masks(NamedTuple):
@@ -617,14 +659,6 @@ def _pair_counts(
             out.lists[e], out.packed[e] = list(cells), cells
 
 
-def _pair_probes(inst: Instance) -> int:
-    """The probes of a set-builder that visits, for every oriented edge
-    (i,j), each ordered pair of distinct values of x_i against each value
-    of x_j: s_i (s_i - 1) s_j + s_j (s_j - 1) s_i for every edge {i,j}."""
-    sizes = [len(dom) for dom in inst.domains]
-    return sum(sizes[i] * sizes[j] * (sizes[i] + sizes[j] - 2) for i, j in inst.edges)
-
-
 def _fits(inst: Instance, masks: Masks, holders: Packed, pairs, transposed=False) -> bytes:
     """The fit masks of the holder masks ``holders`` (block_vars or
     stop_vars) for the pairs (k,l), whose x_k all have original domains of
@@ -654,16 +688,16 @@ def _fits(inst: Instance, masks: Masks, holders: Packed, pairs, transposed=False
     return fit.to_bytes(len(allowed), "little")
 
 
-def flat_nb_blocks(inst: Instance, masks: Masks) -> tuple[Packed, int]:
+def flat_nb_blocks(inst: Instance, masks: Masks) -> Packed:
     """compute_nb_blocks as (m_d & ~m_e).bit_count() over the row masks."""
     out = Packed(dict.fromkeys(masks.row), {})
     for (size_k, size_l), edges in masks.groups:
         rows = masks.packed[(size_k, size_l)]
         _pair_counts(out, edges, rows, rows, size_k, size_k, _field(size_l), invert=True)
-    return out, _pair_probes(inst)
+    return out
 
 
-def flat_holders(inst: Instance, masks: Masks, counts: Packed) -> tuple[Packed, int]:
+def flat_holders(inst: Instance, masks: Masks, counts: Packed) -> Packed:
     """compute_holders as masks: the list of x_k holds, at the slot of each
     pair of its values, the bit of every neighbour x_l where the list of
     (k,l) is positive.  For the variables of one original domain size and
@@ -684,30 +718,23 @@ def flat_holders(inst: Instance, masks: Masks, counts: Packed) -> tuple[Packed, 
         fields = _interleave(lanes, len(group) * cells, size)
         out.packed.update(zip(group, _split(fields, len(group))))
         out.lists.update(zip(group, _split(_unpack(fields, size), len(group))))
-    probes = sum(
-        len(dom) * (len(dom) - 1) * len(inst.neighbors(k)) for k, dom in enumerate(inst.domains)
-    )
-    return out, probes
+    return out
 
 
-def flat_nb_subs(inst: Instance, masks: Masks, block_vars: Packed) -> tuple[Packed, int]:
+def flat_nb_subs(inst: Instance, masks: Masks, block_vars: Packed) -> Packed:
     """compute_nb_subs as the popcount of a's row mask and the mask of the
     e that d may be replaced by, blocked at most at x_i.  The slots of the
     compatible pairs (a,d), which compute_nb_subs leaves out, are never
-    read; each edge is charged for the pairs it has, from the popcounts of
-    its packed rows."""
-    sizes = [len(dom) for dom in inst.domains]
-    out, probes = Packed(dict.fromkeys(masks.row), {}), 0
+    read."""
+    out = Packed(dict.fromkeys(masks.row), {})
     for (size_i, size_k), edges in masks.groups:
         rows = masks.packed[(size_i, size_k)]
         fit = _fits(inst, masks, block_vars, [(k, i) for i, k in edges])
         _pair_counts(out, edges, rows, fit, size_i, size_k, _field(size_k))
-        for (i, k), pops in zip(edges, _split(rows.translate(_POPCOUNT), len(edges))):
-            probes += sizes[k] * (sizes[i] * sizes[k] - sum(pops))
-    return out, probes
+    return out
 
 
-def flat_nb_stops(inst: Instance, masks: Masks, nb_subs: Packed) -> tuple[Packed, int]:
+def flat_nb_stops(inst: Instance, masks: Masks, nb_subs: Packed) -> Packed:
     """compute_nb_stops as the popcount of b's row mask and the mask of the
     d incompatible with a that have no sub."""
     out = Packed(dict.fromkeys(masks.row), {})
@@ -718,18 +745,18 @@ def flat_nb_stops(inst: Instance, masks: Masks, nb_subs: Packed) -> tuple[Packed
         subless = _run_masks(_flags(nb_subs, edges, _ZERO), size_k)
         nosubs = (subless & ~int.from_bytes(rows, "little")).to_bytes(len(rows), "little")
         _pair_counts(out, edges, nosubs, rows, size_i, size_i, _field(size_k))
-    return out, _pair_probes(inst)
+    return out
 
 
 def _count_covers(
     inst: Instance, masks: Masks, holders: Packed, transposed: bool, nb_subs: Packed | None = None
-) -> tuple[Packed, int]:
+) -> Packed:
     """table[i,j][b,c] = (m_c & ok).bit_count() for every oriented edge
     (i,j) and every position of b at x_i and c at x_j, where ok is the mask
     of the a whose holder set in ``holders`` of (b,a), or with
     ``transposed`` (a,b), fits inside {j} (see _fits), and m_c is the row
     mask of c at x_j over x_i, with the a that have a sub for c added when
-    ``nb_subs`` is given; charged the probes of the cover set-builders."""
+    ``nb_subs`` is given."""
     out = Packed(dict.fromkeys(masks.row), {})
     for (size_i, size_j), edges in masks.groups:
         # the rows of the reverse edges, in the order of ``edges`` (see
@@ -741,16 +768,16 @@ def _count_covers(
             takes = b"".join([rows[n ^ 1] for n in range(len(edges))])
         if nb_subs is not None:
             # the nb_subs slot of an a that takes c holds no defined count,
-            # but such an a is in m_c already; the slot of a dead a holds 0
+            # but such an a is in m_c already; the fit masks hold no dead a
             subbed = _transpose(_flags(nb_subs, edges, _NONZERO), size_i, size_j)
             subbed = _run_masks(subbed, size_i) | int.from_bytes(takes, "little")
             takes = subbed.to_bytes(len(takes), "little")
         fits = _fits(inst, masks, holders, edges, transposed)
         _pair_counts(out, edges, fits, takes, size_i, size_j, _field(size_i))
-    return out, _pair_probes(inst)
+    return out
 
 
-def flat_nb_covers(inst: Instance, masks: Masks, block_vars: Packed) -> tuple[Packed, int]:
+def flat_nb_covers(inst: Instance, masks: Masks, block_vars: Packed) -> Packed:
     """compute_nb_covers as the popcount of the mask of the a that take c
     and the mask of the a != b blocked at most at x_j."""
     return _count_covers(inst, masks, block_vars, False)
@@ -758,13 +785,13 @@ def flat_nb_covers(inst: Instance, masks: Masks, block_vars: Packed) -> tuple[Pa
 
 def flat_nb_snake_covers(
     inst: Instance, masks: Masks, nb_subs: Packed, stop_vars: Packed
-) -> tuple[Packed, int]:
+) -> Packed:
     """compute_nb_snake_covers as nb_covers, with the a that have a sub for
     c added to c's mask and the fit taken over stop_vars(i,a,b)."""
     return _count_covers(inst, masks, stop_vars, True, nb_subs)
 
 
-def flat_uncovered(inst: Instance, masks: Masks, covers: Packed) -> tuple[dict, int]:
+def flat_uncovered(inst: Instance, masks: Masks, covers: Packed) -> dict:
     """compute_uncovered as masks: the list of (i,j) holds, at the position
     of b, b's row mask less the c whose cover slot is positive."""
     table: dict = dict.fromkeys(masks.row)
@@ -773,14 +800,12 @@ def flat_uncovered(inst: Instance, masks: Masks, covers: Packed) -> tuple[dict, 
         uncovered = _run_masks(_flags(covers, edges, _ZERO), size_j)
         uncovered = (uncovered & int.from_bytes(rows, "little")).to_bytes(len(rows), "little")
         table.update(zip(edges, _split(_unpack(uncovered, _field(size_j)), len(edges))))
-    probes = 2 * sum(len(inst.domains[i]) * len(inst.domains[j]) for i, j in inst.edges)
-    return table, probes
+    return table
 
 
-def flat_nb_snake(inst: Instance, masks: Masks, stop_vars: Packed) -> tuple[dict, int]:
+def flat_nb_snake(inst: Instance, masks: Masks, stop_vars: Packed) -> dict:
     """compute_nb_snake over the stop_vars masks."""
     table: dict = {}
-    probes = 0
     for i, dom in enumerate(inst.domains):
         pos_i = inst.positions[i]
         size = len(pos_i)
@@ -789,26 +814,87 @@ def flat_nb_snake(inst: Instance, masks: Masks, stop_vars: Packed) -> tuple[dict
             # the stop_vars masks of (a,b), by the position of a
             cells = held[pos_i[b] :: size]
             table[(i, b)] = sum(1 for a in dom if a != b and not cells[pos_i[a]])
-        probes += len(dom) * (len(dom) - 1)
-    return table, probes
+    return table
 
 
-def flat_inconsistent(inst: Instance, masks: Masks) -> tuple[dict, int]:
-    """compute_inconsistent over the row masks, charging each neighbour's
-    domain up to and including the first that gives b no support."""
+def flat_inconsistent(inst: Instance, masks: Masks) -> dict:
+    """compute_inconsistent over the row masks."""
     table: dict = {}
-    probes = 0
     for i, dom in enumerate(inst.domains):
-        rows = [(masks.row[(i, k)], len(inst.domains[k])) for k in inst.neighbors(i)]
+        rows = [masks.row[(i, k)] for k in inst.neighbors(i)]
+        pos_i = inst.positions[i]
         for b in dom:
-            p = inst.positions[i][b]
-            table[(i, b)] = False
-            for row, size in rows:
+            p = pos_i[b]
+            table[(i, b)] = not all([row[p] for row in rows])
+    return table
+
+
+# -- charges --------------------------------------------------------------------
+#
+# What each set-builder probes over the current domains, in the domain sizes
+# and the row masks (Static.full ANDed with the live masks): one charge per
+# table, which build() adds to ``probes`` whether it builds the table or takes
+# it handed, so ``updates`` depends on neither.
+
+
+def charge_pairs(inst: Instance, static: Static, live: tuple[int, ...]) -> int:
+    """A set-builder that visits, for every oriented edge (i,j), each
+    ordered pair of distinct values of x_i against each value of x_j:
+    s_i s_j (s_i + s_j - 2) for every edge {i,j}."""
+    s = [m.bit_count() for m in live]
+    return sum(s[i] * s[j] * (s[i] + s[j] - 2) for i, j in inst.edges)
+
+
+def charge_holders(inst: Instance, static: Static, live: tuple[int, ...]) -> int:
+    """compute_holders: every neighbour of x_k for each ordered pair of
+    distinct values of x_k."""
+    return sum(
+        m.bit_count() * (m.bit_count() - 1) * len(inst.neighbors(k)) for k, m in enumerate(live)
+    )
+
+
+def charge_nb_subs(inst: Instance, static: Static, live: tuple[int, ...]) -> int:
+    """compute_nb_subs: every e of x_k for each pair of a at x_i and d at
+    x_k that a does not take, for every oriented edge (i,k).  An edge {i,j}
+    has as many such pairs, s_i s_j less its compatible ones, either way."""
+    s = [m.bit_count() for m in live]
+    probes = 0
+    for i, live_i in enumerate(live):
+        ps = bit_positions(live_i)
+        for j in inst.neighbors(i):
+            if j < i:
+                continue
+            full, live_j = static.full[(i, j)], live[j]
+            compatible = 0
+            for p in ps:
+                compatible += (full[p] & live_j).bit_count()
+            probes += (s[i] + s[j]) * (s[i] * s[j] - compatible)
+    return probes
+
+
+def charge_nb_snake(inst: Instance, static: Static, live: tuple[int, ...]) -> int:
+    """compute_nb_snake: each ordered pair of distinct values of x_i."""
+    return sum(m.bit_count() * (m.bit_count() - 1) for m in live)
+
+
+def charge_inconsistent(inst: Instance, static: Static, live: tuple[int, ...]) -> int:
+    """compute_inconsistent: for each value, each neighbour's domain up to
+    and including the first that gives it no support."""
+    probes = 0
+    for i, live_i in enumerate(live):
+        rows = [(static.full[(i, k)], live[k], live[k].bit_count()) for k in inst.neighbors(i)]
+        for p in bit_positions(live_i):
+            for full, live_k, size in rows:
                 probes += size
-                if not row[p]:
-                    table[(i, b)] = True
+                if not full[p] & live_k:
                     break
-    return table, probes
+    return probes
+
+
+def charge_uncovered(inst: Instance, static: Static, live: tuple[int, ...]) -> int:
+    """compute_uncovered: each value of x_j for each b of x_i, for every
+    oriented edge (i,j)."""
+    return 2 * sum(live[i].bit_count() * live[j].bit_count() for i, j in inst.edges)
 
 
 class Table(NamedTuple):
@@ -818,9 +904,11 @@ class Table(NamedTuple):
     compute: Callable[..., tuple[dict, int]]
     reads: tuple[str, ...]
     # the builder from the masks, equal to compute on every live cell read
-    # through cell(), probe count included (and key order, for the dicts);
-    # it takes and gives a count or holder table as Packed
-    flat: Callable[..., tuple[dict | Packed, int]]
+    # through cell() (and in key order, for the dicts); it takes and gives a
+    # count or holder table as Packed
+    flat: Callable[..., dict | Packed]
+    # the probes of compute on the current domains (see charge_pairs)
+    charge: Callable[[Instance, Static, tuple[int, ...]], int]
     # the flat layout (see _across), None for a dict keyed by (variable, value)
     layout: Callable[..., tuple] | None
     # for a mask table, what each bit stands for (see _neighbours)
@@ -829,79 +917,154 @@ class Table(NamedTuple):
 
 # Every table, in an order where each comes after the tables it reads.
 TABLES: dict[str, Table] = {
-    "nb_blocks": Table(compute_nb_blocks, (), flat_nb_blocks, _along),
-    "block_vars": Table(compute_holders, ("nb_blocks",), flat_holders, _pair, _neighbours),
-    "nb_subs": Table(compute_nb_subs, ("block_vars",), flat_nb_subs, _across),
-    "nb_stops": Table(compute_nb_stops, ("nb_subs",), flat_nb_stops, _along),
-    "stop_vars": Table(compute_holders, ("nb_stops",), flat_holders, _pair, _neighbours),
-    "nb_snake": Table(compute_nb_snake, ("stop_vars",), flat_nb_snake, None),
-    "inconsistent": Table(compute_inconsistent, (), flat_inconsistent, None),
-    "nb_covers": Table(compute_nb_covers, ("block_vars",), flat_nb_covers, _across),
-    "uncovered": Table(compute_uncovered, ("nb_covers",), flat_uncovered, _value, _values),
+    "nb_blocks": Table(compute_nb_blocks, (), flat_nb_blocks, charge_pairs, _along),
+    "block_vars": Table(
+        compute_holders, ("nb_blocks",), flat_holders, charge_holders, _pair, _neighbours
+    ),
+    "nb_subs": Table(compute_nb_subs, ("block_vars",), flat_nb_subs, charge_nb_subs, _across),
+    "nb_stops": Table(compute_nb_stops, ("nb_subs",), flat_nb_stops, charge_pairs, _along),
+    "stop_vars": Table(
+        compute_holders, ("nb_stops",), flat_holders, charge_holders, _pair, _neighbours
+    ),
+    "nb_snake": Table(compute_nb_snake, ("stop_vars",), flat_nb_snake, charge_nb_snake, None),
+    "inconsistent": Table(compute_inconsistent, (), flat_inconsistent, charge_inconsistent, None),
+    "nb_covers": Table(compute_nb_covers, ("block_vars",), flat_nb_covers, charge_pairs, _across),
+    "uncovered": Table(
+        compute_uncovered, ("nb_covers",), flat_uncovered, charge_uncovered, _value, _values
+    ),
     "nb_snake_covers": Table(
-        compute_nb_snake_covers, ("nb_subs", "stop_vars"), flat_nb_snake_covers, _across
+        compute_nb_snake_covers, ("nb_subs", "stop_vars"), flat_nb_snake_covers, charge_pairs,
+        _across,
     ),
     "not_snake_covered": Table(
-        compute_uncovered, ("nb_snake_covers",), flat_uncovered, _value, _values
+        compute_uncovered, ("nb_snake_covers",), flat_uncovered, charge_uncovered, _value,
+        _values,
     ),
 }
 
 
 class Tables(SimpleNamespace):
     """Built tables, one attribute per name, plus ``probes``: the membership
-    probes their set-builders made."""
+    probes their set-builders make on the current domains."""
 
 
-def build(inst: Instance, *names: str) -> Tables:
-    """Compute the named tables and every table they read, in TABLES order."""
-    return _build(inst, names, reference=False)
+class Held(dict):
+    """The tables that one engine run hands to the next (see build): by
+    name, the lists of each table as the engine that kept it current left
+    them, current on every live cell of the domains whose live masks are
+    ``live``, in the lineage whose Static is ``static``."""
+
+    static: Static | None = None
+    live: tuple[int, ...] | None = None
+
+    def keep(self, tables: dict, static: Static, live, replace: bool) -> None:
+        """Hold ``tables``, current on the domains ``live``: in place of
+        every table held when ``replace`` (the domains changed, so the rest
+        went stale), else beside them."""
+        if replace:
+            self.clear()
+        self.update(tables)
+        self.static, self.live = static, tuple(live)
 
 
-def _build(inst: Instance, names, reference: bool) -> Tables:
-    """build(), with every table computed by its set-builder when
-    ``reference`` is set."""
+class _HandedBytes(dict):
+    """The bytes of a handed count or holder table, as Packed holds them,
+    each list packed at its first read: a builder packs only what it reads."""
+
+    def __init__(self, inst: Instance, name: str, lists: dict):
+        super().__init__()
+        self.inst, self.lists, self.holders = inst, lists, TABLES[name].layout is _pair
+
+    def __missing__(self, key):
+        cells = self.lists[key]
+        if self.holders:
+            packed = _pack([cells], _field(len(self.inst.neighbors(key))))
+        else:
+            packed = bytes(map(bool, cells))
+        self[key] = packed
+        return packed
+
+
+# the tables that some builder reads, as Packed
+_READ = {r for table in TABLES.values() for r in table.reads}
+
+
+def _closure(names) -> list[str]:
+    """The named tables and every table they read, in TABLES order."""
     need = set(names)
     if not need <= TABLES.keys():
         raise KeyError(f"no counter table named {sorted(need - TABLES.keys())}")
     for name in reversed(TABLES):
         if name in need:
             need.update(TABLES[name].reads)
+    return [name for name in TABLES if name in need]
+
+
+def _taken(held: Held | None, need: list[str], static: Static, live: tuple[int, ...]) -> dict:
+    """The tables of ``need`` that ``held`` holds, once it is shown to hold
+    them for these domains of this lineage."""
+    if not held:
+        return {}
+    if held.static is not static:
+        raise ValueError("the held counter tables belong to another instance")
+    if held.live != live:
+        raise ValueError("the held counter tables are for other domains")
+    return {name: held[name] for name in need if name in held}
+
+
+def build(inst: Instance, *names: str, held: Held | None = None) -> Tables:
+    """Compute the named tables and every table they read, in TABLES order,
+    each with its flat builder, but take each table that ``held`` holds as
+    it is: the caller owns it from then on.  The value masks are made only
+    when some table must be built, and a handed table's lists are packed
+    only as a builder that runs reads them; every table, built or handed,
+    is charged the same probes."""
+    need = _closure(names)
+    static, live = static_masks(inst), live_masks(inst)
+    built: dict = dict.fromkeys(need)
+    for name, lists in _taken(held, need, static, live).items():
+        built[name] = Packed(lists, _HandedBytes(inst, name, lists)) if name in _READ else lists
+    todo = [name for name in need if built[name] is None]
+    masks = value_masks(inst) if todo else None
     # the last table built that reads each table: a Packed table keeps its
     # bytes only until then
-    last = {r: name for name in TABLES if name in need for r in TABLES[name].reads}
-    built: dict[str, dict] = {}
-    probes = 0
-    masks = None if reference else value_masks(inst)
-    for name, table in TABLES.items():
-        if name not in need:
-            continue
-        args = [built[r] for r in table.reads]
-        if reference:
-            built[name], p = table.compute(inst, *args)
-        else:
-            built[name], p = table.flat(inst, masks, *args)
-        probes += p
+    last = {r: name for name in todo for r in TABLES[name].reads}
+    for name in todo:
+        table = TABLES[name]
+        built[name] = table.flat(inst, masks, *(built[r] for r in table.reads))
         for r in table.reads:
             if last[r] == name and isinstance(built[r], Packed):
                 built[r] = built[r].lists
     lists = {name: t.lists if isinstance(t, Packed) else t for name, t in built.items()}
+    probes = sum(TABLES[name].charge(inst, static, live) for name in need)
     return Tables(**lists, probes=probes)
 
 
-def build_ns(inst: Instance) -> Tables:
-    return build(inst, "block_vars")
+def _compute(inst: Instance, names) -> Tables:
+    """build(), with every table computed by its set-builder."""
+    built: dict = {}
+    probes = 0
+    for name in _closure(names):
+        table = TABLES[name]
+        built[name], p = table.compute(inst, *(built[r] for r in table.reads))
+        probes += p
+    return Tables(**built, probes=probes)
 
 
-def build_ss(inst: Instance) -> Tables:
-    return build(inst, "nb_snake", "inconsistent")
+def build_ns(inst: Instance, held: Held | None = None) -> Tables:
+    return build(inst, "block_vars", held=held)
 
 
-def build_cns(inst: Instance) -> Tables:
-    return build(inst, "uncovered")
+def build_ss(inst: Instance, held: Held | None = None) -> Tables:
+    return build(inst, "nb_snake", "inconsistent", held=held)
 
 
-def build_scss(inst: Instance) -> Tables:
-    return build(inst, "not_snake_covered")
+def build_cns(inst: Instance, held: Held | None = None) -> Tables:
+    return build(inst, "uncovered", held=held)
+
+
+def build_scss(inst: Instance, held: Held | None = None) -> Tables:
+    return build(inst, "not_snake_covered", held=held)
 
 
 class CounterMismatch(AssertionError):
@@ -913,7 +1076,7 @@ def verify_tables(inst: Instance, **kept: dict) -> None:
     their set-builders and compare against the engine-maintained tables,
     the flat ones read through cell() (live cells only; dead slots and
     stale cells for eliminated values are ignored)."""
-    fresh = _build(inst, kept, reference=True)
+    fresh = _compute(inst, kept)
     for name, table in kept.items():
         for key, want in getattr(fresh, name).items():
             try:

@@ -8,6 +8,14 @@ the report, and the pass every elimination starts with, in which the
 blocks through the removed value disappear at its variable's neighbours.
 Each elimination drops its value from the working snapshot in place
 (``Instance._drop``); only frozen copies of it leave the kernel.
+An engine may be given a pool of tables (``counters.Held``) that an earlier
+engine kept current on the same domains: it takes from the pool what its
+rule needs, builds only the rest, and owns them all for its run.  When the
+run ends it hands them all back, in place of everything the pool held if it
+eliminated a value (the others went stale), beside it otherwise, and none
+if a domain emptied, since that last elimination went unpropagated.  With
+SUBSENSE_DEBUG_RECOMPUTE=1, a run that took any handed table rechecks
+every table once before it starts.
 Three layers sit on it:
 
 - SnakeKernel adds the sub and stop cascades that ss and scss both keep.
@@ -54,9 +62,10 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 from . import counters
+from .counters import bit_positions
 from .instance import Instance
 from .trace import NS, EliminationRecord, NsWitness, ReductionReport, Trace, Witness
 
@@ -74,24 +83,6 @@ def conditioned(inst: Instance, uncovered: dict) -> Iterator[tuple[int, int, int
                     yield i, b, j
 
 
-# the set-bit positions of every mask below 2^8: a fixed table, never grown
-_BYTE_POSITIONS = tuple(tuple(p for p in range(8) if m >> p & 1) for m in range(256))
-
-
-def bit_positions(mask: int) -> Sequence[int]:
-    """The positions of the set bits of ``mask``, ascending: read from a
-    fixed table below 2^8, computed afresh byte by byte above it."""
-    if mask < 256:
-        return _BYTE_POSITIONS[mask]
-    out = []
-    base = 0
-    for byte in mask.to_bytes((mask.bit_length() + 7) >> 3, "little"):
-        for p in _BYTE_POSITIONS[byte]:
-            out.append(base + p)
-        base += 8
-    return out
-
-
 def _bit_error(name: str, key: tuple, on: bool, member: int) -> RuntimeError:
     """The error for setting (``on``) a bit of the cell ``key`` of the mask
     table ``name`` that already stands for ``member``, or clearing one that
@@ -106,25 +97,30 @@ class Kernel:
     LABELS: tuple[str, ...]  # the record labels the report counts
     BUILD: str  # the counters builder of the rule's tables
 
-    def __init__(self, inst: Instance):
+    def __init__(self, inst: Instance, held: Optional[counters.Held] = None):
         self.start = time.perf_counter_ns()
         self.initial = inst
         self.inst = inst._working()
         # looked up at call time, so wrappers installed on counters see it
-        self.tables = getattr(counters, self.BUILD)(inst)
+        self.tables = getattr(counters, self.BUILD)(inst, held=held)
+        self.held = held
         self.pos = inst.positions
         self.vals = inst.original_domains  # vals[k][p] = the value at position p
-        static = counters.static_masks(inst)
-        self.full, self.nbit = static.full, static.nbit
+        self.static = counters.static_masks(inst)
+        self.full, self.nbit = self.static.full, self.static.nbit
         # live[k] = the mask of D(x_k), which eliminate keeps beside the snapshot
         self.live = list(counters.live_masks(inst))
         self.updates = self.tables.probes
         self.steps: list[EliminationRecord] = []
         self.unsat = inst.unsatisfiable
         self.debug = counters.debug_recompute_enabled()
+        if self.debug and held and not held.keys().isdisjoint(self._kept()):
+            # a handed table is rechecked before the run trusts it
+            self.verify()
 
     def converge(self) -> tuple[Instance, Trace, ReductionReport]:
-        """Eliminate until no candidate is left or a domain is empty."""
+        """Eliminate until no candidate is left or a domain is empty, then
+        hand the kept tables back to the pool, if the run took one."""
         while not self.unsat and (picked := self._pop()) is not None:
             r, u, rule, witness = picked
             if not self.eliminate(r, u, rule, witness):
@@ -132,6 +128,11 @@ class Kernel:
             self._propagate(r, self.pos[r][u])
             if self.debug:
                 self.verify()
+        if self.held is not None:
+            if self.unsat:  # the last elimination went unpropagated
+                self.held.clear()
+            else:
+                self.held.keep(self._kept(), self.static, self.live, replace=bool(self.steps))
         return self.report()
 
     def eliminate(self, r: int, u: int, rule: str, witness: Witness) -> bool:
@@ -142,11 +143,14 @@ class Kernel:
         self.unsat = not self.inst.domains[r]
         return not self.unsat
 
+    def _kept(self) -> dict:
+        """Every table the run keeps current, by name."""
+        return {name: t for name, t in vars(self.tables).items() if name != "probes"}
+
     def verify(self) -> None:
         """Recompute every kept table, and the live masks, from their
         definitions and compare."""
-        kept = {name: t for name, t in vars(self.tables).items() if name != "probes"}
-        counters.verify_tables(self.inst._frozen(), **kept)
+        counters.verify_tables(self.inst._frozen(), **self._kept())
         if self.live != list(counters.live_masks(self.inst)):
             raise counters.CounterMismatch("the live masks differ from the domains")
 
@@ -369,8 +373,8 @@ class Substitutions(Kernel):
     """Kernel plus the FIFO worklist of plain substitution triples
     (variable, value, substitute) that ns and cns keep."""
 
-    def __init__(self, inst: Instance):
-        super().__init__(inst)
+    def __init__(self, inst: Instance, held: Optional[counters.Held] = None):
+        super().__init__(inst, held)
         self.substitutions: deque[tuple[int, int, int]] = deque()
         for i, live_i in enumerate(self.live):
             block_vars, vals_i = self.tables.block_vars[i], self.vals[i]
@@ -414,8 +418,8 @@ class CoverKernel(Kernel):
     COVERS: str
     UNCOVERED: str
 
-    def __init__(self, inst: Instance):
-        super().__init__(inst)
+    def __init__(self, inst: Instance, held: Optional[counters.Held] = None):
+        super().__init__(inst, held)
         self.covers = getattr(self.tables, self.COVERS)
         self.uncovered = getattr(self.tables, self.UNCOVERED)
         self.conditioned_work = deque(conditioned(inst, self.uncovered))

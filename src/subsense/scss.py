@@ -27,6 +27,7 @@ drops each value in place, and returns a frozen copy of it.
 from __future__ import annotations
 
 from collections import deque
+from typing import Optional
 
 from . import counters, oracle
 from .instance import Instance
@@ -66,8 +67,8 @@ class ScssEngine(CoverKernel, SnakeKernel):
     COVERS = "nb_snake_covers"
     UNCOVERED = "not_snake_covered"
 
-    def __init__(self, inst: Instance):
-        super().__init__(inst)
+    def __init__(self, inst: Instance, held: Optional[counters.Held] = None):
+        super().__init__(inst, held)
         # the counter tables cover only constrained variables; before anything
         # else goes, each variable with no constraint sheds all but one value
         self.unconstrained = deque(
@@ -146,15 +147,19 @@ class ScssEngine(CoverKernel, SnakeKernel):
             self._scope_changed(i, b, a, j, -delta)
 
 
-def scss_to_convergence(inst: Instance) -> tuple[Instance, Trace, ReductionReport]:
+def scss_to_convergence(
+    inst: Instance, *, held: Optional[counters.Held] = None
+) -> tuple[Instance, Trace, ReductionReport]:
     """Apply snake-conditioned snake substitution until no eliminable value
     remains.
 
     No precondition: the rule subsumes support-based removal, so values
     without support fall out along the way.  If a domain empties the run
     stops and the report is flagged unsatisfiable.
+    ``held``, a pool of counter tables (counters.Held), gives the run the
+    tables it holds and takes back the run's own (see kernel.Kernel).
     """
-    return ScssEngine(inst).converge()
+    return ScssEngine(inst, held).converge()
 
 
 # -- replay -------------------------------------------------------------------

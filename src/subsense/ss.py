@@ -21,6 +21,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
+from . import counters
 from .acns import require_arc_consistent
 from .instance import Instance
 from .kernel import SnakeKernel, bit_positions
@@ -41,8 +42,8 @@ class SsEngine(SnakeKernel):
     LABELS = (AC, NS, SS)
     BUILD = "build_ss"
 
-    def __init__(self, inst: Instance):
-        super().__init__(inst)
+    def __init__(self, inst: Instance, held: Optional[counters.Held] = None):
+        super().__init__(inst, held)
         self.high: deque[tuple[int, int]] = deque()
         self.low: deque[tuple[int, int]] = deque()
         # arc-consistent input: nothing is inconsistent yet
@@ -146,7 +147,9 @@ class SsEngine(SnakeKernel):
             self.updates += 1
 
 
-def ss_to_convergence(inst: Instance) -> tuple[Instance, Trace, ReductionReport]:
+def ss_to_convergence(
+    inst: Instance, *, held: Optional[counters.Held] = None
+) -> tuple[Instance, Trace, ReductionReport]:
     """Apply snake substitution (with its plain and support-loss special
     cases) until no eliminable value remains.
 
@@ -155,6 +158,8 @@ def ss_to_convergence(inst: Instance) -> tuple[Instance, Trace, ReductionReport]
     the value had lost all support somewhere, ``ns`` when an unswapped
     substitute existed, ``ss`` otherwise.  If a domain empties the run stops
     and the report is flagged unsatisfiable.
+    ``held``, a pool of counter tables (counters.Held), gives the run the
+    tables it holds and takes back the run's own (see kernel.Kernel).
     """
     require_arc_consistent(inst, "ss_to_convergence")
-    return SsEngine(inst).converge()
+    return SsEngine(inst, held).converge()

@@ -5,7 +5,17 @@ import json
 
 import pytest
 
-from subsense import cli, dump_file, generators, load_file, load_trace
+from subsense import (
+    cli,
+    counters,
+    dump_file,
+    establish_ac,
+    generators,
+    load_file,
+    load_trace,
+    scss_to_convergence,
+    ss_to_convergence,
+)
 
 
 def run(argv):
@@ -106,6 +116,90 @@ def test_reduce_pipeline_repeats_until_quiescent(tmp_path):
     assert all(len(dom) == 1 for dom in load_file(out).domains)
     steps = load_trace(trace_path).steps
     assert [r.step for r in steps] == list(range(1, len(steps) + 1))
+
+
+# the tables each engine keeps current, by the pipeline rule that runs it
+ENGINE_TABLES = {
+    rule: set(vars(getattr(counters, f"build_{rule}")(generators.figure1a()))) - {"probes"}
+    for rule in cli.ENGINES
+}
+
+
+def _builds_by_stage(monkeypatch, inst):
+    """Run the reduce pipeline of the four engines on ``inst``; for each
+    stage, its rule, how many values it removed and the flat builders it
+    called, in order."""
+    stages = []
+    for name, entry in counters.TABLES.items():
+        def flat(*args, _flat=entry.flat, _name=name):
+            stages[-1][2].append(_name)
+            return _flat(*args)
+        monkeypatch.setitem(counters.TABLES, name, entry._replace(flat=flat))
+    run_stage = cli._run_stage
+
+    def stage(cur, rule, held=None):
+        stages.append([rule, None, []])
+        out = run_stage(cur, rule, held)
+        stages[-1][1] = len(out[1])
+        return out
+
+    monkeypatch.setattr(cli, "_run_stage", stage)
+    cli.run_pipeline(inst, ("ns", "ss", "cns", "scss"))
+    return stages
+
+
+@pytest.mark.parametrize("make", [generators.figure1b, generators.figure1c,
+                                  lambda: generators.geq_chain(12)])
+def test_pipeline_stages_build_only_the_tables_no_earlier_stage_kept(monkeypatch, make):
+    # a stage takes what the pool holds and builds the rest; the pool then
+    # holds only its tables if it removed a value, else its tables beside
+    # the rest, and nothing once an ac stage removes a value
+    stages = _builds_by_stage(monkeypatch, make())
+    pool: set = set()
+    for rule, removed, built in stages:
+        if rule == "ac":
+            assert built == []
+            pool = set() if removed else pool
+            continue
+        need = ENGINE_TABLES[rule]
+        assert built == [name for name in counters.TABLES if name in need - pool], rule
+        pool = need if removed else pool | need
+    assert any(0 < len(built) < len(ENGINE_TABLES[rule]) for rule, _, built in stages)
+    assert not any(removed for _, removed, _ in stages[-5:])
+
+
+def test_the_last_pipeline_pass_builds_nothing_when_its_pool_is_full(monkeypatch):
+    # on figure1b only ss removes values, in the first pass; cns and scss
+    # build beside its tables, so the pass that removes nothing builds none
+    stages = _builds_by_stage(monkeypatch, generators.figure1b())
+    assert [(rule, removed) for rule, removed, _ in stages if removed] == [("ss", 6)]
+    first, last = stages[:5], stages[-5:]
+    assert [built for _, _, built in first] == [
+        [], ["nb_blocks", "block_vars"],
+        ["nb_subs", "nb_stops", "stop_vars", "nb_snake", "inconsistent"],
+        ["nb_covers", "uncovered"], ["nb_snake_covers", "not_snake_covered"],
+    ]
+    assert len(stages) == 10 and [built for _, _, built in last] == [[]] * 5
+
+
+def test_a_stale_handed_table_fails_the_recheck(monkeypatch):
+    # nb_snake, kept from before an scss run that removed values, is stale;
+    # the recheck of handed tables at engine start finds it
+    monkeypatch.setenv(counters.DEBUG_ENV, "1")
+    inst, _ = establish_ac(generators.two_var_cns_vs_ns(30))
+    tables = counters.build_ss(inst)
+    held = counters.Held()
+    kept = {name: table for name, table in vars(tables).items() if name != "probes"}
+    held.keep(kept, counters.static_masks(inst), counters.live_masks(inst), replace=True)
+    stale = held["nb_snake"]
+    reduced, trace, _ = scss_to_convergence(inst, held=held)
+    assert trace.steps and "nb_snake" not in held
+    held["nb_snake"] = stale
+    with pytest.raises(counters.CounterMismatch, match="nb_snake"):
+        ss_to_convergence(reduced, held=held)
+    # the same run with the table built afresh passes the recheck
+    del held["nb_snake"]
+    ss_to_convergence(reduced, held=held)
 
 
 def test_reduce_exit_codes(tmp_path):

@@ -162,18 +162,19 @@ def _holds_only_ints(table):
 
 def assert_flat_builders_match(inst):
     # each flat builder, fed the flat tables it reads, and build() equal the
-    # set-builders on every live cell, with the same probes; no built table
-    # holds a set
+    # set-builders on every live cell; each table's charge equals its
+    # set-builder's probes; no built table holds a set
     ref = _reference(inst)
     masks = counters.value_masks(inst)
+    static, live = counters.static_masks(inst), counters.live_masks(inst)
     built = counters.build(inst, *counters.TABLES)
     flat = {}
     for name, (want, want_probes) in ref.items():
         got = getattr(built, name)
         assert _holds_only_ints(got), f"{inst.name} {name}: cell types"
         entry = counters.TABLES[name]
-        flat[name], probes = entry.flat(inst, masks, *(flat[r] for r in entry.reads))
-        assert probes == want_probes, f"{inst.name} {name}: probes"
+        assert entry.charge(inst, static, live) == want_probes, f"{inst.name} {name}: probes"
+        flat[name] = entry.flat(inst, masks, *(flat[r] for r in entry.reads))
         table = flat[name]
         if isinstance(table, counters.Packed):
             _assert_packed_match(inst, name, table)
@@ -189,6 +190,29 @@ def assert_flat_builders_match(inst):
             assert table == want, f"{inst.name} {name}: cells"
             assert got == want, f"{inst.name} {name}: build"
     assert built.probes == sum(p for _, p in ref.values())
+    _assert_handed_builds_match(inst, built)
+
+
+def _held(inst, tables):
+    """A pool holding ``tables`` for the current domains of ``inst``."""
+    held = counters.Held()
+    held.keep(tables, counters.static_masks(inst), counters.live_masks(inst), replace=True)
+    return held
+
+
+def _assert_handed_builds_match(inst, built):
+    # a build handed every table takes each as it is and charges what a
+    # fresh one does; a build of one table, handed the rest, packs the
+    # handed lists it reads and gives that table as build() does
+    tables = {name: getattr(built, name) for name in counters.TABLES}
+    handed = counters.build(inst, *tables, held=_held(inst, tables))
+    assert handed.probes == built.probes, f"{inst.name}: handed probes"
+    for name, table in tables.items():
+        assert getattr(handed, name) is table, f"{inst.name} {name}: handed"
+        rest = _held(inst, {other: t for other, t in tables.items() if other != name})
+        again = counters.build(inst, name, held=rest)
+        assert getattr(again, name) == table, f"{inst.name} {name}: built from handed tables"
+        assert again.probes == counters.build(inst, name).probes, f"{inst.name} {name}: probes"
 
 
 def _assert_packed_match(inst, name, packed):
@@ -272,6 +296,74 @@ def test_flat_builders_across_field_widths(name):
     assert_flat_builders_match(inst)
     if name != "counts-300":  # 90,000 holder slots a variable: slow to recheck twice
         assert_flat_builders_match(_partly_reduced(inst))
+
+
+def _part_way(inst, engine):
+    """The snapshots an engine run passes through a third and two thirds of
+    the way, from the steps of its trace."""
+    _, trace, _ = engine(inst)
+    snapshots, cur = [], inst
+    marks = {len(trace.steps) // 3, 2 * len(trace.steps) // 3}
+    for done, rec in enumerate(trace.steps, start=1):
+        cur = cur.remove_value(rec.variable, rec.value)
+        if done in marks and not cur.unsatisfiable:
+            snapshots.append(cur)
+    return snapshots
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_charges_hold_part_way_through_engine_runs(seed):
+    # a handed table is charged on the domains the engine left it on, which
+    # are smaller than those of any fresh build at the start of a run
+    checked = 0
+    for inst in corpus(seeds=(seed,)):
+        ac, _ = establish_ac(inst)
+        runs = [(inst, scss_to_convergence)]
+        if not ac.unsatisfiable:
+            runs += [(ac, ss_to_convergence), (ac, cns_to_convergence)]
+        for start, engine in runs:
+            for snapshot in _part_way(start, engine):
+                assert_flat_builders_match(snapshot)
+                checked += 1
+    assert checked > 50
+
+
+def test_engines_hand_back_tables_current_on_their_domains():
+    # tables an engine kept through its eliminations, dead slots and all,
+    # are charged and read by the builders as fresh ones are
+    for inst in corpus(seeds=(0,)):
+        ac, _ = establish_ac(inst)
+        if ac.unsatisfiable:
+            continue
+        for engine in (ns_to_convergence, ss_to_convergence, cns_to_convergence,
+                       scss_to_convergence):
+            held = counters.Held()
+            final = engine(ac, held=held)[0]
+            if final.unsatisfiable:
+                assert not held
+                continue
+            built = counters.build(final, *counters.TABLES, held=held)
+            assert built.probes == sum(p for _, p in _reference(final).values())
+            counters.verify_tables(
+                final, **{name: getattr(built, name) for name in counters.TABLES}
+            )
+            for name, table in held.items():
+                assert getattr(built, name) is table
+
+
+def test_build_refuses_tables_held_for_other_domains_or_another_instance():
+    inst, _ = establish_ac(generators.figure1c())
+    held = counters.Held()
+    reduced = scss_to_convergence(inst, held=held)[0]
+    assert held and held.live == counters.live_masks(reduced)
+    with pytest.raises(ValueError, match="other domains"):
+        counters.build_scss(inst, held=held)
+    # the same problem, built again: another lineage, with its own Static
+    twin = generators.figure1c().restrict(reduced.domains)
+    assert counters.live_masks(twin) == held.live
+    with pytest.raises(ValueError, match="another instance"):
+        counters.build_scss(twin, held=held)
+    assert counters.build_scss(reduced, held=held).nb_blocks is held["nb_blocks"]
 
 
 def _relabel(inst, seed):

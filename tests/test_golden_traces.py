@@ -4,7 +4,10 @@
 the ``dump_trace`` bytes of every run, the reported ``updates`` of each run
 and the sha256 of the final domains.  A refactor or speed-up of the engines
 must leave all three unchanged, with or without SUBSENSE_DEBUG_RECOMPUTE
-(without only on counts-300, whose recheck is too slow to run).
+(without only on counts-300, whose recheck is too slow to run).  The
+``pipeline`` cases pin ``subsense reduce``'s pipeline of the four engines
+(``cli.run_pipeline``) the same way, with the steps of all its stages as
+one trace and the sum of their ``updates``.
 Each case also pins, as ``replay_sha256``, the ``dump_trace`` bytes of the
 trace that ``replay_sequence`` certifies from every run, so the oracle's
 witnesses cannot drift under a rewrite of the checks either.
@@ -21,10 +24,13 @@ import hashlib
 import json
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from subsense import (
+    Trace,
+    cli,
     cns_to_convergence,
     dump_trace,
     establish_ac,
@@ -41,14 +47,24 @@ from conftest import WIDTH_INPUTS, corpus
 
 GOLDEN = Path(__file__).with_name("golden_traces.json")
 
+
+def _pipeline(inst):
+    """``subsense reduce --rules ns,ss,cns,scss`` as one engine run: the
+    reduced instance, the trace of every stage's steps and their updates."""
+    reduced, steps, updates, _, _ = cli.run_pipeline(inst, ("ns", "ss", "cns", "scss"))
+    return reduced, Trace(inst.name, steps), SimpleNamespace(updates=updates)
+
+
 ENGINES = {
     "ns": ns_to_convergence,
     "ss": ss_to_convergence,
     "cns": cns_to_convergence,
     "cns-first": lambda inst: cns_to_convergence(inst, ns_priority=False),
     "scss": scss_to_convergence,
+    "pipeline": _pipeline,
 }
-# scss needs no arc-consistent input; the others get establish_ac first
+# scss needs no arc-consistent input, and the pipeline runs establish_ac
+# itself; the others get establish_ac first
 NEEDS_AC = ("ns", "ss", "cns", "cns-first")
 
 SET_COVER_SETS = (

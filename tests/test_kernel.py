@@ -131,7 +131,7 @@ def test_bit_positions_walk_each_mask_in_ascending_order(monkeypatch):
     # counts-300 is too wide to recheck after each elimination
     monkeypatch.setenv(counters.DEBUG_ENV, "")
     assert scss_to_convergence(WIDTH_INPUTS["counts-300"]())[1].steps
-    assert len(kernel._BYTE_POSITIONS) == 256
+    assert len(counters._BYTE_POSITIONS) == 256
 
 
 @pytest.mark.parametrize(
