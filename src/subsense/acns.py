@@ -1,7 +1,7 @@
 """Arc consistency and plain neighbourhood substitution to convergence.
 
 establish_ac is the classic arc-revision worklist over each edge's full
-row masks (counters.Static.full), with no walk over allowed pairs; it drops
+row masks (counters.Static.full) and live masks (Instance.live); it drops
 each unsupported value from one working snapshot (Instance._working), as
 the engines do, and returns it frozen.  ns_to_convergence keeps the block
 counters (counters.build_ns) and deletes any value all of whose
@@ -17,6 +17,7 @@ from collections import deque
 from typing import Optional
 
 from . import counters
+from .counters import bit_positions
 from .instance import Instance
 from .kernel import Substitutions
 from .trace import (
@@ -32,12 +33,11 @@ from .trace import (
 def is_arc_consistent(inst: Instance) -> bool:
     """True when every current value has a support at every neighbour: its
     full row mask (counters.Static) meets the live mask of the neighbour."""
-    static = counters.static_masks(inst)
-    live = counters.live_masks(inst)
-    for (i, j), full in static.full.items():
-        live_j, pos_i = live[j], inst.positions[i]
-        for b in inst.domains[i]:
-            if not full[pos_i[b]] & live_j:
+    live = inst.live
+    for (i, j), full in counters.static_masks(inst).full.items():
+        live_j = live[j]
+        for b in bit_positions(live[i]):
+            if not full[b] & live_j:
                 return False
     return True
 
@@ -56,24 +56,23 @@ def establish_ac(inst: Instance) -> tuple[Instance, Trace]:
     domain shows up as ``unsatisfiable`` on the result.
     """
     full = counters.static_masks(inst).full
-    live = list(counters.live_masks(inst))
     cur = inst._working()
+    live, vals = cur.live, inst.original_domains
     queue: deque[tuple[int, int]] = deque(full)
     queued = set(queue)
     steps: list[EliminationRecord] = []
     while queue:
         i, j = queue.popleft()
         queued.discard((i, j))
-        rows, live_j, pos_i = full[(i, j)], live[j], inst.positions[i]
+        rows, live_j = full[(i, j)], live[j]
         # positions ascend with values, so these go in ascending order
-        unsupported = [b for b in cur.domains[i] if not rows[pos_i[b]] & live_j]
+        unsupported = [b for b in bit_positions(live[i]) if not rows[b] & live_j]
         if not unsupported:
             continue
         for b in unsupported:
             cur._drop(i, b)
-            live[i] ^= 1 << pos_i[b]
-            steps.append(EliminationRecord(len(steps) + 1, AC, i, b, AcWitness(unsupported_at=j)))
-        if not cur.domains[i]:
+            steps.append(EliminationRecord(len(steps) + 1, AC, i, vals[i][b], AcWitness(j)))
+        if not live[i]:
             break
         for k in inst.neighbors(i):
             if k != j and (k, i) not in queued:

@@ -13,12 +13,12 @@ rule, which only name the rule's tables, and hands them the pool of tables
 build() computes every table with its flat builder, from per-edge value
 masks (Masks): the row masks over the original domains (Static), which
 the first build of any snapshot makes and every snapshot of the lineage
-shares, ANDed with the live masks of the build.  The set-builders stay the
-reference: verify_tables rebuilds every table with them, so with
-SUBSENSE_DEBUG_RECOMPUTE=1 the engines compare the flat build plus every
-incremental update, cell by cell, against the definitions after each
-elimination.  That recheck is what makes the incremental bookkeeping
-trustworthy.
+shares, ANDed with the live masks that the snapshot keeps (Instance.live).
+The set-builders stay the reference: verify_tables rebuilds every table
+with them, so with SUBSENSE_DEBUG_RECOMPUTE=1 the engines compare the flat
+build plus every incremental update, cell by cell, against the definitions
+after each elimination.  That recheck is what makes the incremental
+bookkeeping trustworthy.
 
 Vocabulary, for a candidate replacement of value b by value a at variable
 x_i:
@@ -404,17 +404,6 @@ def static_masks(inst: Instance) -> Static:
     return held[0]
 
 
-def live_masks(inst: Instance) -> tuple[int, ...]:
-    """live[k] = the mask of D(x_k)."""
-    live = []
-    for pos_k, dom in zip(inst.positions, inst.domains):
-        mask = 0
-        for v in dom:
-            mask |= 1 << pos_k[v]
-        live.append(mask)
-    return tuple(live)
-
-
 # the set-bit positions of every mask below 2^8: a fixed table, never grown
 _BYTE_POSITIONS = tuple(tuple(p for p in range(8) if m >> p & 1) for m in range(256))
 
@@ -435,12 +424,11 @@ def bit_positions(mask: int) -> Sequence[int]:
 
 class Masks(NamedTuple):
     """The current domains as bitmasks, for one build() call: the Static
-    masks ANDed with the live ones, and the masks every fit test reads
-    (others), each derived once.  Bit p of a mask of x_k stands for the
-    value at position p of the original D(x_k) (Instance.positions), never
-    for the value itself: values are arbitrary non-negative ints."""
+    masks ANDed with the live ones (Instance.live), and the masks every fit
+    test reads (others), each derived once.  Bit p of a mask of x_k stands
+    for the value at position p of the original D(x_k) (Instance.positions),
+    never for the value itself: values are arbitrary non-negative ints."""
 
-    live: tuple[int, ...]  # live_masks
     # others[k][p] = live[k] less bit p for a live value at position p of
     # x_k, 0 for a dead one: the values that may replace it (see _fits)
     others: list[list[int]]
@@ -457,12 +445,9 @@ class Masks(NamedTuple):
 def value_masks(inst: Instance) -> Masks:
     """The masks of the current domains of ``inst``: a live value's row is
     its full row ANDed with the live mask of the far end, a dead one's 0."""
-    static, live = static_masks(inst), live_masks(inst)
+    static, live = static_masks(inst), inst.live
     whole = [(1 << len(pos_k)) - 1 for pos_k in inst.positions]
-    dead = [
-        [p for p in range(len(pos_k)) if not live_k >> p & 1] if live_k != whole_k else ()
-        for pos_k, live_k, whole_k in zip(inst.positions, live, whole)
-    ]
+    dead = [bit_positions(whole_k ^ live_k) for whole_k, live_k in zip(whole, live)]
     others = [
         [live_k & ~(1 << p) if live_k >> p & 1 else 0 for p in range(len(pos_k))]
         for live_k, pos_k in zip(live, inst.positions)
@@ -475,7 +460,7 @@ def value_masks(inst: Instance) -> Masks:
             cur[p] = 0
         row[(i, j)] = cur
     packed = {(s, t): _pack([row[e] for e in edges], _field(t)) for (s, t), edges in static.groups}
-    return Masks(live, others, row, static.nbit, static.groups, packed)
+    return Masks(others, row, static.nbit, static.groups, packed)
 
 
 class Packed(NamedTuple):
@@ -806,83 +791,79 @@ def flat_uncovered(inst: Instance, masks: Masks, covers: Packed) -> dict:
 def flat_nb_snake(inst: Instance, masks: Masks, stop_vars: Packed) -> dict:
     """compute_nb_snake over the stop_vars masks."""
     table: dict = {}
-    for i, dom in enumerate(inst.domains):
-        pos_i = inst.positions[i]
-        size = len(pos_i)
-        held = stop_vars.lists[i]
-        for b in dom:
+    for i, vals_i in enumerate(inst.original_domains):
+        size, held = len(vals_i), stop_vars.lists[i]
+        ps = bit_positions(inst.live[i])
+        for b in ps:
             # the stop_vars masks of (a,b), by the position of a
-            cells = held[pos_i[b] :: size]
-            table[(i, b)] = sum(1 for a in dom if a != b and not cells[pos_i[a]])
+            cells = held[b::size]
+            table[(i, vals_i[b])] = sum(1 for a in ps if a != b and not cells[a])
     return table
 
 
 def flat_inconsistent(inst: Instance, masks: Masks) -> dict:
     """compute_inconsistent over the row masks."""
     table: dict = {}
-    for i, dom in enumerate(inst.domains):
+    for i, vals_i in enumerate(inst.original_domains):
         rows = [masks.row[(i, k)] for k in inst.neighbors(i)]
-        pos_i = inst.positions[i]
-        for b in dom:
-            p = pos_i[b]
-            table[(i, b)] = not all([row[p] for row in rows])
+        for p in bit_positions(inst.live[i]):
+            table[(i, vals_i[p])] = not all([row[p] for row in rows])
     return table
 
 
 # -- charges --------------------------------------------------------------------
 #
 # What each set-builder probes over the current domains, in the domain sizes
-# and the row masks (Static.full ANDed with the live masks): one charge per
+# and the row masks (Static.full ANDed with Instance.live): one charge per
 # table, which build() adds to ``probes`` whether it builds the table or takes
 # it handed, so ``updates`` depends on neither.
 
 
-def charge_pairs(inst: Instance, static: Static, live: tuple[int, ...]) -> int:
+def charge_pairs(inst: Instance) -> int:
     """A set-builder that visits, for every oriented edge (i,j), each
     ordered pair of distinct values of x_i against each value of x_j:
     s_i s_j (s_i + s_j - 2) for every edge {i,j}."""
-    s = [m.bit_count() for m in live]
+    s = [m.bit_count() for m in inst.live]
     return sum(s[i] * s[j] * (s[i] + s[j] - 2) for i, j in inst.edges)
 
 
-def charge_holders(inst: Instance, static: Static, live: tuple[int, ...]) -> int:
+def charge_holders(inst: Instance) -> int:
     """compute_holders: every neighbour of x_k for each ordered pair of
     distinct values of x_k."""
     return sum(
-        m.bit_count() * (m.bit_count() - 1) * len(inst.neighbors(k)) for k, m in enumerate(live)
+        m.bit_count() * (m.bit_count() - 1) * len(inst.neighbors(k))
+        for k, m in enumerate(inst.live)
     )
 
 
-def charge_nb_subs(inst: Instance, static: Static, live: tuple[int, ...]) -> int:
+def charge_nb_subs(inst: Instance) -> int:
     """compute_nb_subs: every e of x_k for each pair of a at x_i and d at
     x_k that a does not take, for every oriented edge (i,k).  An edge {i,j}
     has as many such pairs, s_i s_j less its compatible ones, either way."""
+    live, full_of = inst.live, static_masks(inst).full
     s = [m.bit_count() for m in live]
     probes = 0
-    for i, live_i in enumerate(live):
-        ps = bit_positions(live_i)
-        for j in inst.neighbors(i):
-            if j < i:
-                continue
-            full, live_j = static.full[(i, j)], live[j]
-            compatible = 0
-            for p in ps:
-                compatible += (full[p] & live_j).bit_count()
-            probes += (s[i] + s[j]) * (s[i] * s[j] - compatible)
+    for i, j in inst.edges:
+        full, live_j = full_of[(i, j)], live[j]
+        compatible = 0
+        for p in bit_positions(live[i]):
+            compatible += (full[p] & live_j).bit_count()
+        probes += (s[i] + s[j]) * (s[i] * s[j] - compatible)
     return probes
 
 
-def charge_nb_snake(inst: Instance, static: Static, live: tuple[int, ...]) -> int:
+def charge_nb_snake(inst: Instance) -> int:
     """compute_nb_snake: each ordered pair of distinct values of x_i."""
-    return sum(m.bit_count() * (m.bit_count() - 1) for m in live)
+    return sum(m.bit_count() * (m.bit_count() - 1) for m in inst.live)
 
 
-def charge_inconsistent(inst: Instance, static: Static, live: tuple[int, ...]) -> int:
+def charge_inconsistent(inst: Instance) -> int:
     """compute_inconsistent: for each value, each neighbour's domain up to
     and including the first that gives it no support."""
+    live, full_of = inst.live, static_masks(inst).full
     probes = 0
     for i, live_i in enumerate(live):
-        rows = [(static.full[(i, k)], live[k], live[k].bit_count()) for k in inst.neighbors(i)]
+        rows = [(full_of[(i, k)], live[k], live[k].bit_count()) for k in inst.neighbors(i)]
         for p in bit_positions(live_i):
             for full, live_k, size in rows:
                 probes += size
@@ -891,10 +872,10 @@ def charge_inconsistent(inst: Instance, static: Static, live: tuple[int, ...]) -
     return probes
 
 
-def charge_uncovered(inst: Instance, static: Static, live: tuple[int, ...]) -> int:
+def charge_uncovered(inst: Instance) -> int:
     """compute_uncovered: each value of x_j for each b of x_i, for every
     oriented edge (i,j)."""
-    return 2 * sum(live[i].bit_count() * live[j].bit_count() for i, j in inst.edges)
+    return 2 * sum(inst.live[i].bit_count() * inst.live[j].bit_count() for i, j in inst.edges)
 
 
 class Table(NamedTuple):
@@ -908,7 +889,7 @@ class Table(NamedTuple):
     # count or holder table as Packed
     flat: Callable[..., dict | Packed]
     # the probes of compute on the current domains (see charge_pairs)
-    charge: Callable[[Instance, Static, tuple[int, ...]], int]
+    charge: Callable[[Instance], int]
     # the flat layout (see _across), None for a dict keyed by (variable, value)
     layout: Callable[..., tuple] | None
     # for a mask table, what each bit stands for (see _neighbours)
@@ -1000,14 +981,14 @@ def _closure(names) -> list[str]:
     return [name for name in TABLES if name in need]
 
 
-def _taken(held: Held | None, need: list[str], static: Static, live: tuple[int, ...]) -> dict:
+def _taken(held: Held | None, need: list[str], inst: Instance) -> dict:
     """The tables of ``need`` that ``held`` holds, once it is shown to hold
-    them for these domains of this lineage."""
+    them for the domains of ``inst`` in its lineage."""
     if not held:
         return {}
-    if held.static is not static:
+    if held.static is not static_masks(inst):
         raise ValueError("the held counter tables belong to another instance")
-    if held.live != live:
+    if held.live != tuple(inst.live):
         raise ValueError("the held counter tables are for other domains")
     return {name: held[name] for name in need if name in held}
 
@@ -1020,9 +1001,8 @@ def build(inst: Instance, *names: str, held: Held | None = None) -> Tables:
     only as a builder that runs reads them; every table, built or handed,
     is charged the same probes."""
     need = _closure(names)
-    static, live = static_masks(inst), live_masks(inst)
     built: dict = dict.fromkeys(need)
-    for name, lists in _taken(held, need, static, live).items():
+    for name, lists in _taken(held, need, inst).items():
         built[name] = Packed(lists, _HandedBytes(inst, name, lists)) if name in _READ else lists
     todo = [name for name in need if built[name] is None]
     masks = value_masks(inst) if todo else None
@@ -1036,7 +1016,7 @@ def build(inst: Instance, *names: str, held: Held | None = None) -> Tables:
             if last[r] == name and isinstance(built[r], Packed):
                 built[r] = built[r].lists
     lists = {name: t.lists if isinstance(t, Packed) else t for name, t in built.items()}
-    probes = sum(TABLES[name].charge(inst, static, live) for name in need)
+    probes = sum(TABLES[name].charge(inst) for name in need)
     return Tables(**lists, probes=probes)
 
 

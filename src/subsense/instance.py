@@ -7,20 +7,21 @@ a stable integer label for its variable's column in every relation it
 touches.  Pairs of variables without a stored relation are unconstrained
 (every combination allowed).
 
-Instances are immutable snapshots.  A derived snapshot shares with its
-parent the relation tables, the neighbour lists, the original domains with
-their value index (``positions``), the masks no snapshot changes
-(``counters.Static``) and the domain tuple and set of every variable it
-leaves alone.  Every domain shrinks on a private working snapshot
-(``_working``), which holds its domains in lists: an engine run, a replay
-and arc consistency drop values in place (``_drop``), so an elimination
-pays O(d), not O(n), and a frozen copy (``_frozen``) leaves the run.
-``remove_value`` and ``restrict`` derive through the same two helpers.
-They stay for the API: only the backtracking
+Instances are immutable snapshots, each the one owner of the ``live``
+masks of its domains, which every table build and engine reads.  A derived
+snapshot shares with its parent the relation tables, the neighbour lists,
+the original domains with their value index (``positions``), the masks no
+snapshot changes (``counters.Static``) and the domain tuple, set and mask
+of every variable it leaves alone.  Every domain shrinks on a private
+working snapshot (``_working``), which holds them in lists: an engine run,
+a replay and arc consistency drop the value at a position in place
+(``_drop``), so an elimination pays O(d), not O(n), and a frozen copy
+(``_frozen``) leaves the run.  ``remove_value`` and ``restrict`` derive
+through the same two helpers.  They stay for the API: only the backtracking
 ``oracle.longest_elimination_sequence`` calls ``remove_value``, and no
 library loop calls ``restrict``.  Only the constructor computes the
-neighbour lists and the value index; the masks wait for the first table
-build of any snapshot.
+neighbour lists and the value index; the static masks wait for the first
+table build of any snapshot.
 
 An instance file is ``json.dumps(to_json_dict(inst), indent=2)`` and a
 newline, written by the one writer of instance and trace files
@@ -67,6 +68,9 @@ class Instance:
     # dense value index that no snapshot changes
     positions: tuple[dict[int, int], ...] = field(init=False, repr=False, compare=False)
     _cur_sets: tuple[frozenset[int], ...] = field(init=False, repr=False, compare=False)
+    # live[i] = the mask of D(x_i): bit p for the value at position p; a
+    # tuple, or a list on a working snapshot, where only _drop changes it
+    live: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _neighbors: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     # the masks no snapshot changes (counters.Static): an empty list until
     # the first table build of any snapshot puts them in, shared by all
@@ -79,6 +83,8 @@ class Instance:
             tuple({v: p for p, v in enumerate(d)} for d in self.original_domains),
         )
         object.__setattr__(self, "_cur_sets", tuple(frozenset(d) for d in self.domains))
+        masks = (sum(1 << pos[v] for v in d) for pos, d in zip(self.positions, self.domains))
+        object.__setattr__(self, "live", tuple(masks))
         nbrs: list[list[int]] = [[] for _ in range(len(self.domains))]
         for i, j in self.edges:
             nbrs[i].append(j)
@@ -120,8 +126,11 @@ class Instance:
         Removing the last value is permitted; the result then reports
         ``unsatisfiable``.
         """
+        self._check_var(i)
+        if b not in self._cur_sets[i]:
+            raise ValueError(f"value {b} not in the current domain of variable {i}")
         child = self._working()
-        child._drop(i, b)
+        child._drop(i, self.positions[i][b])
         return child._frozen()
 
     def restrict(self, domains: Sequence[Iterable[int]]) -> "Instance":
@@ -144,25 +153,28 @@ class Instance:
                 if not sub_set <= self._cur_sets[i]:
                     raise ValueError(f"domain for variable {i} is not a subset")
                 child.domains[i], child._cur_sets[i] = sub, sub_set
+                child.live[i] = sum(1 << self.positions[i][v] for v in sub)
         return child._frozen()
 
     def _working(self) -> "Instance":
         """A private snapshot whose domains ``_drop`` changes in place."""
-        return self._derive(list(self.domains), list(self._cur_sets))
+        return self._derive(list(self.domains), list(self._cur_sets), list(self.live))
 
-    def _drop(self, i: int, b: int) -> None:
-        """Remove b from the current domain of x_i of this working snapshot."""
+    def _drop(self, i: int, p: int) -> None:
+        """Remove the value at position p of x_i from this working snapshot."""
         self._check_var(i)
-        if b not in self._cur_sets[i]:
+        b = self.original_domains[i][p]
+        if not self.live[i] >> p & 1:
             raise ValueError(f"value {b} not in the current domain of variable {i}")
+        self.live[i] ^= 1 << p
         dom = self.domains[i] = tuple(v for v in self.domains[i] if v != b)
         self._cur_sets[i] = frozenset(dom)
 
     def _frozen(self) -> "Instance":
         """An immutable snapshot of the current domains of this one."""
-        return self._derive(tuple(self.domains), tuple(self._cur_sets))
+        return self._derive(tuple(self.domains), tuple(self._cur_sets), tuple(self.live))
 
-    def _derive(self, domains, cur_sets) -> "Instance":
+    def _derive(self, domains, cur_sets, live) -> "Instance":
         """A snapshot with new current domains sharing everything else."""
         # set in field order, never through vars(): on CPython 3.11 a
         # materialised __dict__ makes later attribute reads of the object
@@ -172,7 +184,10 @@ class Instance:
             object.__setattr__(child, key, getattr(self, key))
         object.__setattr__(child, "domains", domains)
         object.__setattr__(child, "_cur_sets", cur_sets)
+        object.__setattr__(child, "live", live)
         return child
+
+
 
 
 def make_instance(

@@ -47,40 +47,26 @@ it.  Each counter step, bit set or cleared, flag change and worklist push
 adds one to ``updates``.  A count below zero, a bit set that is already set
 and a bit cleared that is not set are errors.
 
-Passes, hooks and counter steps name each value by its position, not its
-label; the letters (a, b, c, d, e, u) keep their roles.  A pass walks the
-set bits (``bit_positions``) of a row mask of ``counters.Static.full``
-ANDed with ``live``, the mask of each current domain that ``eliminate``
-keeps beside the snapshot, so it visits only the values that the removed
-one splits, and a cover step takes a mask of conditioning values.  Bits
-ascend in domain order, so each walk meets values in the order a domain
-scan would.  Labels appear only where a run leaves the kernel: in the
-worklists, the records, the witnesses and the error messages.
+Worklists, passes, hooks and counter steps name each value by its
+position; the letters (a, b, c, d, e, u) keep their roles.  A pop tests a
+bit of ``live``, the working snapshot's masks of its domains
+(``Instance.live``), and a pass walks the set bits (``bit_positions``) of
+a row mask of ``counters.Static.full`` ANDed with ``live``, so it visits
+only the values that the removed one splits.  Bits ascend in domain order,
+as a domain scan would.  Labels appear only in the records, the
+witnesses, the keys of nb_snake and inconsistent and the error messages.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from . import counters
 from .counters import bit_positions
 from .instance import Instance
 from .trace import NS, EliminationRecord, NsWitness, ReductionReport, Trace, Witness
-
-
-def conditioned(inst: Instance, uncovered: dict) -> Iterator[tuple[int, int, int]]:
-    """Triples (i, b, j) whose conditioning values at x_j are all covered:
-    the (variable, value, conditioning) triples with an empty ``uncovered``
-    (or ``not_snake_covered``) mask."""
-    for i in range(inst.n):
-        pos_i = inst.positions[i]
-        for b in inst.domains[i]:
-            p = pos_i[b]
-            for j in inst.neighbors(i):
-                if not uncovered[(i, j)][p]:
-                    yield i, b, j
 
 
 def _bit_error(name: str, key: tuple, on: bool, member: int) -> RuntimeError:
@@ -108,8 +94,7 @@ class Kernel:
         self.vals = inst.original_domains  # vals[k][p] = the value at position p
         self.static = counters.static_masks(inst)
         self.full, self.nbit = self.static.full, self.static.nbit
-        # live[k] = the mask of D(x_k), which eliminate keeps beside the snapshot
-        self.live = list(counters.live_masks(inst))
+        self.live = self.inst.live  # the working snapshot's, which _drop keeps
         self.updates = self.tables.probes
         self.steps: list[EliminationRecord] = []
         self.unsat = inst.unsatisfiable
@@ -125,7 +110,7 @@ class Kernel:
             r, u, rule, witness = picked
             if not self.eliminate(r, u, rule, witness):
                 break
-            self._propagate(r, self.pos[r][u])
+            self._propagate(r, u)
             if self.debug:
                 self.verify()
         if self.held is not None:
@@ -136,11 +121,11 @@ class Kernel:
         return self.report()
 
     def eliminate(self, r: int, u: int, rule: str, witness: Witness) -> bool:
-        """Remove u from D(x_r) and record it; False once that domain is empty."""
+        """Remove the value at position u from D(x_r) and record it; False
+        once that domain is empty."""
         self.inst._drop(r, u)
-        self.live[r] ^= 1 << self.pos[r][u]
-        self.steps.append(EliminationRecord(len(self.steps) + 1, rule, r, u, witness))
-        self.unsat = not self.inst.domains[r]
+        self.steps.append(EliminationRecord(len(self.steps) + 1, rule, r, self.vals[r][u], witness))
+        self.unsat = not self.live[r]
         return not self.unsat
 
     def _kept(self) -> dict:
@@ -151,7 +136,8 @@ class Kernel:
         """Recompute every kept table, and the live masks, from their
         definitions and compare."""
         counters.verify_tables(self.inst._frozen(), **self._kept())
-        if self.live != list(counters.live_masks(self.inst)):
+        # restrict derives the mask of each domain it changes afresh
+        if tuple(self.live) != self.initial.restrict(self.inst.domains).live:
             raise counters.CounterMismatch("the live masks differ from the domains")
 
     def report(self) -> tuple[Instance, Trace, ReductionReport]:
@@ -172,7 +158,8 @@ class Kernel:
     # -- rule hooks -----------------------------------------------------------
 
     def _pop(self) -> Optional[tuple[int, int, str, Witness]]:
-        """The next (variable, value, rule, witness) to eliminate, or None."""
+        """The next (variable, value position, rule, witness) to eliminate,
+        or None."""
         raise NotImplementedError
 
     def _substitutable(self, k: int, d: int, e: int) -> None:
@@ -371,34 +358,34 @@ class SnakeKernel(Kernel):
 
 class Substitutions(Kernel):
     """Kernel plus the FIFO worklist of plain substitution triples
-    (variable, value, substitute) that ns and cns keep."""
+    (variable, value, substitute), by value position, that ns and cns keep."""
 
     def __init__(self, inst: Instance, held: Optional[counters.Held] = None):
         super().__init__(inst, held)
         self.substitutions: deque[tuple[int, int, int]] = deque()
         for i, live_i in enumerate(self.live):
-            block_vars, vals_i = self.tables.block_vars[i], self.vals[i]
+            block_vars, size = self.tables.block_vars[i], len(self.pos[i])
             live_ps = bit_positions(live_i)
             for b in live_ps:
-                base = b * len(vals_i)
+                base = b * size
                 for a in live_ps:
                     if a != b and not block_vars[base + a]:
-                        self.substitutions.append((i, vals_i[b], vals_i[a]))
+                        self.substitutions.append((i, b, a))
         self.updates += len(self.substitutions)
 
     def _pop_substitution(self) -> Optional[tuple[int, int, str, Witness]]:
         """The next triple whose value and substitute are both still live."""
         while self.substitutions:
             i, b, a = self.substitutions.popleft()
-            dom = self.inst.domain_set(i)
-            if b in dom and a in dom:
-                return i, b, NS, NsWitness(substitute=a)
+            live_i = self.live[i]
+            if live_i >> b & 1 and live_i >> a & 1:
+                return i, b, NS, NsWitness(substitute=self.vals[i][a])
         return None
 
     _pop = _pop_substitution
 
     def _substitutable(self, k: int, d: int, e: int) -> None:
-        self.substitutions.append((k, self.vals[k][d], self.vals[k][e]))
+        self.substitutions.append((k, d, e))
         self.updates += 1
 
 
@@ -412,7 +399,7 @@ class CoverKernel(Kernel):
     The layer keeps the cover count of every cell (i,b,j,c) in the table
     named by COVERS, the compatible values without a cover of every (i,b,j),
     as a mask, in the table named by UNCOVERED, and a FIFO worklist of the
-    triples (i,b,j) whose mask emptied.
+    triples (i,b,j), b by position, whose mask emptied.
     """
 
     COVERS: str
@@ -421,8 +408,15 @@ class CoverKernel(Kernel):
     def __init__(self, inst: Instance, held: Optional[counters.Held] = None):
         super().__init__(inst, held)
         self.covers = getattr(self.tables, self.COVERS)
-        self.uncovered = getattr(self.tables, self.UNCOVERED)
-        self.conditioned_work = deque(conditioned(inst, self.uncovered))
+        self.uncovered = uncovered = getattr(self.tables, self.UNCOVERED)
+        # every triple whose conditioning values are all covered already
+        self.conditioned_work = deque(
+            (i, b, j)
+            for i, live_i in enumerate(self.live)
+            for b in bit_positions(live_i)
+            for j in inst.neighbors(i)
+            if not uncovered[(i, j)][b]
+        )
         self.updates += len(self.conditioned_work)
 
     # -- rule hooks -----------------------------------------------------------
@@ -450,9 +444,8 @@ class CoverKernel(Kernel):
         """The next triple whose value is live and whose values are all covered."""
         while self.conditioned_work:
             i, b, j = self.conditioned_work.popleft()
-            p = self.pos[i][b]
-            if self.live[i] >> p & 1 and not self.uncovered[(i, j)][p]:
-                return i, b, self.RULE, self._witness(i, p, j)
+            if self.live[i] >> b & 1 and not self.uncovered[(i, j)][b]:
+                return i, b, self.RULE, self._witness(i, b, j)
         return None
 
     _pop = _pop_conditioned
@@ -510,7 +503,7 @@ class CoverKernel(Kernel):
         values = uncovered[b] = held ^ flipped
         self.updates += flipped.bit_count()
         if not values:
-            self.conditioned_work.append((i, self.vals[i][b], j))
+            self.conditioned_work.append((i, b, j))
             self.updates += 1
 
     def _scope_changed(self, i: int, b: int, a: int, j: int, delta: int) -> None:
@@ -551,5 +544,5 @@ class CoverKernel(Kernel):
                     uncovered[b] = held ^ bit_u
                     self.updates += 1
                     if held == bit_u:
-                        self.conditioned_work.append((i, self.vals[i][b], r))
+                        self.conditioned_work.append((i, b, r))
                         self.updates += 1

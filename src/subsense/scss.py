@@ -31,7 +31,8 @@ from typing import Optional
 
 from . import counters, oracle
 from .instance import Instance
-from .kernel import CoverKernel, SnakeKernel, bit_positions, conditioned
+from .counters import bit_positions
+from .kernel import CoverKernel, SnakeKernel
 from .trace import (
     NS,
     RULES,
@@ -51,13 +52,15 @@ def check_scss(inst: Instance) -> list[tuple[int, int, int]]:
     """All (variable, value, conditioning) triples eliminable right now
     whose conditioning variable is a constrained neighbour of the variable.
 
-    Builds the counter tables for the current domains without mutating
-    anything; a triple qualifies when every conditioning value compatible
-    with the value has a snake cover.  A variable with no constraint may be
-    conditioned on any other variable, as ``oracle.is_scss`` and the engine
-    do, but none of its triples is listed.
+    These are the triples an engine starts its conditioned worklist with: it
+    builds the counter tables for the current domains without mutating
+    anything, and a triple qualifies when every conditioning value
+    compatible with the value has a snake cover.  A variable with no
+    constraint may be conditioned on any other variable, as
+    ``oracle.is_scss`` and the engine do, but none of its triples is listed.
     """
-    return list(conditioned(inst, counters.build_scss(inst).not_snake_covered))
+    vals = inst.original_domains
+    return [(i, vals[i][b], j) for i, b, j in ScssEngine(inst).conditioned_work]
 
 
 class ScssEngine(CoverKernel, SnakeKernel):
@@ -78,9 +81,9 @@ class ScssEngine(CoverKernel, SnakeKernel):
     def _pop(self):
         while self.unconstrained:
             i = self.unconstrained[0]
-            if len(self.inst.domains[i]) > 1:
-                b = self.inst.domains[i][0]
-                return i, b, SCSS, self._unconstrained_witness(i, b)
+            live_ps = bit_positions(self.live[i])
+            if len(live_ps) > 1:
+                return i, live_ps[0], SCSS, self._unconstrained_witness(i, live_ps[0])
             self.unconstrained.popleft()
         return self._pop_conditioned()
 
@@ -101,7 +104,7 @@ class ScssEngine(CoverKernel, SnakeKernel):
         # condition on the smallest other variable: with no constraint on
         # x_i, any other a takes every value of x_j and needs no snake swaps
         j = 1 if i == 0 else 0
-        a = bit_positions(self.live[i] & ~(1 << self.pos[i][b]))[0]
+        a = bit_positions(self.live[i] & ~(1 << b))[0]
         substitute, vals_j = self.vals[i][a], self.vals[j]
         return ScssWitness(
             conditioning=j,
@@ -223,14 +226,15 @@ def replay_sequence(inst: Instance, steps, rules=None):
         for v in (i,) if j is None else (i, j):
             if not 0 <= v < cur.n:
                 raise ReplayError(f"step {pos} ({rule}): no variable with index {v}")
+        p = cur.positions[i].get(b)
         if j == i:
             problem = "the conditioning variable must differ from the target"
-        elif b not in cur.domain_set(i):
+        elif p is None or not cur.live[i] >> p & 1:
             problem = "value not in the current domain"
         elif (witness := oracle.certify(rule, cur, i, b, j)) is None:
             problem = "the rule does not hold at this point"
         else:
-            cur._drop(i, b)
+            cur._drop(i, p)
             records.append(EliminationRecord(pos, rule, i, b, witness))
             continue
         # the step's label is formatted only for the step that fails

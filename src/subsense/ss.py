@@ -3,11 +3,12 @@
 The engine keeps the full counter stack of counters.build_ss.  A value b of
 x_r is eliminable once some other value a has no stop variable left
 (nb_snake(r,b) > 0) or b has lost all support somewhere (inconsistent).
-Candidates live in a two-class FIFO worklist: pairs queued because of a
-plain substitution or a lost support go to the high class, pairs queued
-because a snake substitution appeared go to the low class.  Classes are
-fixed when a pair is pushed; on popping, a pair is revalidated and labelled
-by the strongest rule that applies (ac over ns over ss).
+Candidates, by value position, live in a two-class FIFO worklist: pairs
+queued because of a plain substitution or a lost support go to the high
+class, pairs queued because a snake substitution appeared go to the low
+class.  Classes are fixed when a pair is pushed; on popping, a pair is
+revalidated and labelled by the strongest rule that applies (ac over ns
+over ss).
 
 Deleting u from D(x_r) runs the block, sub and stop passes of
 kernel.SnakeKernel; nb_snake takes one step up for each stop_vars mask that
@@ -24,7 +25,8 @@ from typing import Optional
 from . import counters
 from .acns import require_arc_consistent
 from .instance import Instance
-from .kernel import SnakeKernel, bit_positions
+from .counters import bit_positions
+from .kernel import SnakeKernel
 from .trace import (
     AC,
     NS,
@@ -47,23 +49,23 @@ class SsEngine(SnakeKernel):
         self.high: deque[tuple[int, int]] = deque()
         self.low: deque[tuple[int, int]] = deque()
         # arc-consistent input: nothing is inconsistent yet
-        for i in range(inst.n):
-            for b in inst.domains[i]:
-                if self.tables.nb_snake[(i, b)] > 0:
-                    if self._ns_substitute(i, self.pos[i][b]) is None:
+        snake = self.tables.nb_snake
+        for i, live_i in enumerate(self.live):
+            for b in bit_positions(live_i):
+                if snake[(i, self.vals[i][b])] > 0:
+                    if self._ns_substitute(i, b) is None:
                         self.low.append((i, b))
                     else:
                         self.high.append((i, b))
                     self.updates += 1
 
     def _pop(self):
+        snake, inconsistent = self.tables.nb_snake, self.tables.inconsistent
         while self.high or self.low:
             r, u = (self.high or self.low).popleft()
-            if u not in self.inst.domain_set(r):
-                continue
-            if self.tables.nb_snake[(r, u)] == 0 and not self.tables.inconsistent[(r, u)]:
-                continue
-            return (r, u, *self._classify(r, u))
+            key = (r, self.vals[r][u])
+            if self.live[r] >> u & 1 and (snake[key] or inconsistent[key]):
+                return (r, u, *self._classify(r, u))
         return None
 
     # -- labelling ----------------------------------------------------------
@@ -78,8 +80,8 @@ class SsEngine(SnakeKernel):
                 return a
         return None
 
-    def _classify(self, r: int, value: int):
-        u = self.pos[r][value]
+    def _classify(self, r: int, u: int):
+        value = self.vals[r][u]
         if self.tables.inconsistent[(r, value)]:
             for k in self.inst.neighbors(r):
                 if not self.full[(r, k)][u] & self.live[k]:
@@ -111,7 +113,7 @@ class SsEngine(SnakeKernel):
                 if full_i[p] & live_r or inconsistent[(i, v)]:
                     continue
                 inconsistent[(i, v)] = True
-                self.high.append((i, v))
+                self.high.append((i, p))
                 self.updates += 2
                 newly_flagged.append((i, v))
         # u no longer counts as a replacement for r's remaining values
@@ -119,7 +121,7 @@ class SsEngine(SnakeKernel):
         base = u * len(self.pos[r])
         for b in bit_positions(live_r):
             if not stop_vars[base + b]:
-                self._step_snake(r, self.vals[r][b], -1)
+                self._step_snake(r, b, -1)
         if self.debug and self.steps[-1].rule == AC and newly_flagged:
             raise AssertionError(
                 "support-loss deletions are not expected to expose "
@@ -127,21 +129,21 @@ class SsEngine(SnakeKernel):
             )
 
     def _substitutable(self, k: int, d: int, e: int) -> None:
-        self.high.append((k, self.vals[k][d]))
+        self.high.append((k, d))
         self.updates += 1
 
     def _stop_var_changed(self, i: int, a: int, b: int, k: int, holders: int, delta: int) -> None:
         # a replaces b with swaps exactly while stop_vars(i,a,b) is empty
         if not holders & ~self.nbit[i][k]:
-            self._step_snake(i, self.vals[i][b], -delta)
+            self._step_snake(i, b, -delta)
 
     def _step_snake(self, i: int, b: int, delta: int) -> None:
         """nb_snake(i,b) moves by ``delta``; a rise to one queues (i,b)."""
-        snake = self.tables.nb_snake
-        left = snake[(i, b)] = snake[(i, b)] + delta
+        snake, key = self.tables.nb_snake, (i, self.vals[i][b])
+        left = snake[key] = snake[key] + delta
         self.updates += 1
         if left < 0:
-            raise RuntimeError(f"nb_snake{(i, b)} went negative")
+            raise RuntimeError(f"nb_snake{key} went negative")
         if delta > 0 and left == 1:
             self.low.append((i, b))
             self.updates += 1

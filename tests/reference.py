@@ -110,9 +110,9 @@ def scss_conditionings(inst: Instance, i: int, b: int) -> tuple[int, ...]:
 
 
 def value_masks(inst: Instance):
-    """(live, row, nbit, groups) of ``counters.Masks`` for the current
-    domains, walking every allowed pair of every edge; groups as a dict
-    from the two domain sizes to a list of oriented edges."""
+    """``Instance.live`` and (row, nbit, groups) of ``counters.Masks`` for
+    the current domains, walking every allowed pair of every edge; groups
+    as a dict from the two domain sizes to a list of oriented edges."""
     pos = inst.positions
     bit = [{v: 1 << p[v] for v in dom} for p, dom in zip(pos, inst.domains)]
     row = {}

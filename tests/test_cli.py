@@ -190,7 +190,7 @@ def test_a_stale_handed_table_fails_the_recheck(monkeypatch):
     tables = counters.build_ss(inst)
     held = counters.Held()
     kept = {name: table for name, table in vars(tables).items() if name != "probes"}
-    held.keep(kept, counters.static_masks(inst), counters.live_masks(inst), replace=True)
+    held.keep(kept, counters.static_masks(inst), inst.live, replace=True)
     stale = held["nb_snake"]
     reduced, trace, _ = scss_to_convergence(inst, held=held)
     assert trace.steps and "nb_snake" not in held
@@ -426,6 +426,21 @@ def test_verify_rejects_misnumbered_steps(tmp_path, capsys):
     capsys.readouterr()
     assert run(["verify", inst_path, bad]) == 0
     assert capsys.readouterr().out == "OK: 12 steps certified\n"
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: verify does not check witnesses")
+def test_verify_rejects_forged_scss_covers(tmp_path, capsys):
+    # every cover of step 1 names a substitute that no domain holds
+    inst_path, trace_path = tmp_path / "c.json", tmp_path / "tr.json"
+    run(["gen", "figure1c", "-o", inst_path])
+    run(["reduce", inst_path, "--rules", "scss", "--trace", trace_path])
+    obj = json.loads(trace_path.read_text())
+    for cover in obj["steps"][0]["witness"]["covers"].values():
+        cover["substitute"] = 99
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run(["verify", inst_path, bad]) == 1
 
 
 def test_verify_rejects_wrong_final_domains(tmp_path, capsys):

@@ -14,7 +14,7 @@ from subsense import (
     make_instance,
     to_json_dict,
 )
-from subsense.kernel import conditioned
+from subsense.cns import CnsEngine
 from subsense.oracle import is_cns, solvable
 
 from conftest import corpus
@@ -30,7 +30,7 @@ def test_counter_init_on_figures():
     # nothing is conditioned-substitutable anywhere in figure1a: no live
     # uncovered mask is empty
     fig_a = generators.figure1a()
-    assert list(conditioned(fig_a, counters.build_cns(fig_a).uncovered)) == []
+    assert not CnsEngine(fig_a, ns_priority=True).conditioned_work
 
 
 def test_cns_requires_arc_consistency():

@@ -166,14 +166,13 @@ def assert_flat_builders_match(inst):
     # set-builder's probes; no built table holds a set
     ref = _reference(inst)
     masks = counters.value_masks(inst)
-    static, live = counters.static_masks(inst), counters.live_masks(inst)
     built = counters.build(inst, *counters.TABLES)
     flat = {}
     for name, (want, want_probes) in ref.items():
         got = getattr(built, name)
         assert _holds_only_ints(got), f"{inst.name} {name}: cell types"
         entry = counters.TABLES[name]
-        assert entry.charge(inst, static, live) == want_probes, f"{inst.name} {name}: probes"
+        assert entry.charge(inst) == want_probes, f"{inst.name} {name}: probes"
         flat[name] = entry.flat(inst, masks, *(flat[r] for r in entry.reads))
         table = flat[name]
         if isinstance(table, counters.Packed):
@@ -196,7 +195,7 @@ def assert_flat_builders_match(inst):
 def _held(inst, tables):
     """A pool holding ``tables`` for the current domains of ``inst``."""
     held = counters.Held()
-    held.keep(tables, counters.static_masks(inst), counters.live_masks(inst), replace=True)
+    held.keep(tables, counters.static_masks(inst), inst.live, replace=True)
     return held
 
 
@@ -355,12 +354,12 @@ def test_build_refuses_tables_held_for_other_domains_or_another_instance():
     inst, _ = establish_ac(generators.figure1c())
     held = counters.Held()
     reduced = scss_to_convergence(inst, held=held)[0]
-    assert held and held.live == counters.live_masks(reduced)
+    assert held and held.live == reduced.live
     with pytest.raises(ValueError, match="other domains"):
         counters.build_scss(inst, held=held)
     # the same problem, built again: another lineage, with its own Static
     twin = generators.figure1c().restrict(reduced.domains)
-    assert counters.live_masks(twin) == held.live
+    assert twin.live == held.live
     with pytest.raises(ValueError, match="another instance"):
         counters.build_scss(twin, held=held)
     assert counters.build_scss(reduced, held=held).nb_blocks is held["nb_blocks"]
@@ -440,7 +439,7 @@ def _lineage(inst, seed, steps):
 def _assert_masks_match_the_walk(inst):
     live, row, nbit, groups = reference.value_masks(inst)
     masks = counters.value_masks(inst)
-    assert masks.live == live
+    assert inst.live == live
     pos = inst.positions
     assert masks.others == [
         [sum(1 << pos[k][w] for w in dom if w != v) if v in dom else 0 for v in pos[k]]

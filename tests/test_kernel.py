@@ -78,7 +78,7 @@ def test_cover_steps_keep_the_uncovered_set_and_the_worklist(rule):
     assert engine.updates == 3
     assert _cover(engine, cell) == 1
     assert _uncovered(engine, (i, b, j)) == set()
-    assert list(engine.conditioned_work) == [(i, b, j)]
+    assert list(engine.conditioned_work) == [(i, engine.pos[i][b], j)]
 
 
 @pytest.mark.parametrize("rule", sorted(ENGINES))
@@ -118,7 +118,7 @@ def test_a_cover_step_over_a_mask_pushes_once_when_the_mask_empties(rule):
     assert engine.updates == len(cs) + 2
     assert [_cover(engine, (i, b, j, c)) for c in cs] == [2] * (len(cs) - 1) + [1]
     assert _uncovered(engine, (i, b, j)) == set()
-    assert list(engine.conditioned_work) == [(i, b, j)]
+    assert list(engine.conditioned_work) == [(i, engine.pos[i][b], j)]
 
 
 def test_bit_positions_walk_each_mask_in_ascending_order(monkeypatch):
@@ -174,7 +174,7 @@ def _unset_bit_engine(name):
         set_cell(inst, name, engine.tables.block_vars, (k, d, e), set())
         # u goes from the engine's working domains as converge removes it
         a = next(v for v in inst.domains[r] if v != u)
-        assert engine.eliminate(r, u, NS, NsWitness(substitute=a))
+        assert engine.eliminate(r, engine.pos[r][u], NS, NsWitness(substitute=a))
         return lambda: engine._propagate(r, engine.pos[r][u])
     if name == "stop_vars":
         engine = SsEngine(inst)
@@ -213,6 +213,15 @@ def test_clearing_a_bit_that_is_not_set_is_an_error(name):
     if name != "block_vars":
         with pytest.raises(RuntimeError, match=rf"^{name}\(.* already holds"):
             _set_bit_engine(name)()
+
+
+def test_the_recheck_compares_the_live_masks_with_the_domains():
+    engine = NsEngine(generators.figure1a())
+    engine.verify()
+    # a mask that no longer stands for D(x_0); every table still matches
+    engine.inst.live[0] = 0
+    with pytest.raises(counters.CounterMismatch, match="live masks"):
+        engine.verify()
 
 
 SUB_CASCADE = ("nb_subs", "nb_stops", "stop_vars", "nb_snake_covers", "not_snake_covered")

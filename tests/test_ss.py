@@ -72,7 +72,7 @@ def test_stop_cascade_and_callback():
     tables = engine.tables
     _step_stops(engine, cell, -1)
     # nb_stops, stop_vars, nb_snake and the low-class push
-    assert list(engine.low) == [(0, 0)]
+    assert list(engine.low) == [(0, engine.pos[0][0])]
     assert engine.updates == 4
     assert _cell(engine.inst, tables, "nb_stops", cell) == 0
     assert _cell(engine.inst, tables, "stop_vars", (0, 1, 0)) == set()

@@ -5,6 +5,7 @@ equal to its input restricted to the final domains and to the
 ``remove_value`` chain of its trace, and leaves its input as it was.
 """
 
+import random
 import re
 
 import pytest
@@ -23,7 +24,7 @@ from subsense.acns import NsEngine
 from subsense.scss import replay_steps
 from subsense.trace import NS, NsWitness
 
-from conftest import corpus
+from conftest import WIDTH_INPUTS, corpus
 
 SET_COVER = (
     range(1, 7),
@@ -102,11 +103,55 @@ def test_eliminating_a_value_already_gone_is_the_remove_value_error():
     inst = generators.figure1a()
     engine = NsEngine(inst)
     b, a = inst.domains[0][:2]
-    assert engine.eliminate(0, b, NS, NsWitness(substitute=a))
+    # the engine names the value by its position
+    p = inst.positions[0][b]
+    assert engine.eliminate(0, p, NS, NsWitness(substitute=a))
     steps = list(engine.steps)
-    for i, v in ((0, b), (inst.n, b)):
+    for i in (0, inst.n):
         with pytest.raises(ValueError) as expected:
-            inst.remove_value(0, b).remove_value(i, v)
+            inst.remove_value(0, b).remove_value(i, b)
         with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
-            engine.eliminate(i, v, NS, NsWitness(substitute=a))
+            engine.eliminate(i, p, NS, NsWitness(substitute=a))
         assert engine.steps == steps
+
+
+def _masks_of(inst: Instance) -> list[int]:
+    """The mask of each current domain over its value positions."""
+    return [sum(1 << inst.positions[k][v] for v in dom) for k, dom in enumerate(inst.domains)]
+
+
+@pytest.mark.parametrize("name", ["corpus", *WIDTH_INPUTS])
+def test_every_snapshot_keeps_the_live_masks_of_its_domains(name):
+    # random chains of drops, restricts, removals, working and frozen copies,
+    # each branching from any snapshot made so far; ten chains from a wide input
+    bases = list(corpus(seeds=(0,))) if name == "corpus" else [WIDTH_INPUTS[name]()] * 10
+    rng = random.Random(name)
+    drops = 0
+    for base in bases:
+        snapshots, working = [base], set()
+        for _ in range(24):
+            parent = rng.choice(snapshots)
+            values = [(i, b) for i, dom in enumerate(parent.domains) for b in dom]
+            op = rng.choice(("_drop", "restrict", "remove_value", "_working", "_frozen"))
+            if op == "_drop" and id(parent) in working and values:
+                others = [(snap, list(snap.live)) for snap in snapshots if snap is not parent]
+                i, b = rng.choice(values)
+                parent._drop(i, parent.positions[i][b])
+                drops += 1
+                assert b not in parent.domain_set(i)
+                # the parent's masks, and every sibling's, are as they were
+                assert all(list(snap.live) == live for snap, live in others)
+            elif op == "restrict":
+                kept = [[b for b in dom if rng.random() < 0.8] for dom in parent.domains]
+                snapshots.append(parent.restrict(kept))
+            elif op == "remove_value" and values:
+                snapshots.append(parent.remove_value(*rng.choice(values)))
+            elif op == "_working":
+                snapshots.append(parent._working())
+                working.add(id(snapshots[-1]))
+            else:
+                snapshots.append(parent._frozen())
+            for snap in snapshots:
+                assert type(snap.live) is (list if id(snap) in working else tuple)
+                assert list(snap.live) == _masks_of(snap)
+    assert drops
