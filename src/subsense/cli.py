@@ -3,7 +3,8 @@
 The families are stated once, in ``FAMILIES``: each name maps to its
 builder and to the bench parameters it reads, and ``gen`` and ``bench``
 both read that table.  ``reduce`` and ``bench`` run arc consistency and
-every engine through ``_run_stage``.
+every engine through ``_run_stage``; ``reduce`` reports a stage whose rule
+is settled through ``_settled_stage`` instead, without running it.
 
 Exit codes: 0 success (for reduce: reduced without emptying a domain),
 10 proven unsatisfiable during reduction, 2 bad input (parse error,
@@ -36,6 +37,17 @@ PIPELINE_RULES = ("ac", *ENGINES)
 # the engines that take only arc-consistent input; scss removes
 # unsupported values itself
 NEEDS_AC = ("ns", "ss", "cns")
+# the rules that a stage at its fixpoint leaves nothing to remove, on two or
+# more variables: each stronger rule removes every value the weaker ones
+# would (with one variable there is no conditioning variable, so ns removes
+# values that cns and scss cannot, and a stage settles only its own rule)
+SETTLES = {
+    "ac": ("ac",),
+    "ns": ("ns",),
+    "ss": ("ac", "ns", "ss"),
+    "cns": ("ac", "ns", "cns"),
+    "scss": PIPELINE_RULES,
+}
 TIGHTNESS_HELP = (
     "random: probability that a value pair is allowed "
     "(the reverse of the usual CSP tightness)"
@@ -132,6 +144,16 @@ def _run_stage(inst, rule, held=None):
     return reduced, trace.steps, report.updates, report.micros
 
 
+def _settled_stage(inst, rule, held=None):
+    """A stage whose rule has nothing to remove from ``inst``, reported as
+    _run_stage would report its run without running it: no records, and
+    the charges of its tables, since at the rule's fixpoint no worklist
+    starts with an entry.  The pool ``held`` stays as it is."""
+    start = time.perf_counter_ns()
+    updates = counters.charges(inst, *counters.RULE_TABLES.get(rule, ()))
+    return inst, (), updates, (time.perf_counter_ns() - start) // 1000
+
+
 def run_pipeline(inst, rules):
     """Run the engines in order, repeating the whole pipeline until a full
     pass eliminates nothing (the rules can re-enable one another).
@@ -145,11 +167,21 @@ def run_pipeline(inst, rules):
     beside the rest.  An ac stage that removes a value empties it.  The
     charges of a handed table equal those of its build, so ``updates`` is
     the same as with fresh builds.
+
+    A stage whose rule is settled on the current domains is not run: a
+    stage that ran to its fixpoint settles its rule and every rule it
+    contains (SETTLES), in place of the settled set if it eliminated
+    anything, beside it otherwise.  A settled stage reports what its run
+    would, no steps and its tables' charges, so the steps, ``updates`` and
+    final domains are those of running every stage; the pass that
+    eliminates nothing runs no engine.
     Returns (reduced, steps, updates, micros, unsatisfiable).
     """
     stages = list(rules)
     if any(rule in NEEDS_AC for rule in stages) and stages[0] != "ac":
         stages.insert(0, "ac")
+    settles = SETTLES if inst.n >= 2 else {rule: (rule,) for rule in SETTLES}
+    settled: set = set()
     cur = inst
     held = counters.Held()
     steps: list = []
@@ -158,7 +190,12 @@ def run_pipeline(inst, rules):
     while True:
         eliminated_this_pass = 0
         for rule in stages:
-            cur, records, stage_updates, stage_micros = _run_stage(cur, rule, held)
+            run = _settled_stage if rule in settled else _run_stage
+            cur, records, stage_updates, stage_micros = run(cur, rule, held)
+            if records:
+                settled = set(settles[rule])
+            else:
+                settled.update(settles[rule])
             for rec in records:
                 steps.append(replace(rec, step=len(steps) + 1))
             eliminated_this_pass += len(records)

@@ -1016,8 +1016,23 @@ def build(inst: Instance, *names: str, held: Held | None = None) -> Tables:
             if last[r] == name and isinstance(built[r], Packed):
                 built[r] = built[r].lists
     lists = {name: t.lists if isinstance(t, Packed) else t for name, t in built.items()}
-    probes = sum(TABLES[name].charge(inst) for name in need)
-    return Tables(**lists, probes=probes)
+    return Tables(**lists, probes=charges(inst, *need))
+
+
+def charges(inst: Instance, *names: str) -> int:
+    """The probes that the set-builders of the named tables and of every
+    table they read make on the current domains of ``inst``: what build()
+    charges for them, built or handed."""
+    return sum(TABLES[name].charge(inst) for name in _closure(names))
+
+
+# the tables each rule's engine builds, with every table they read
+RULE_TABLES = {
+    "ns": ("block_vars",),
+    "ss": ("nb_snake", "inconsistent"),
+    "cns": ("uncovered",),
+    "scss": ("not_snake_covered",),
+}
 
 
 def _compute(inst: Instance, names) -> Tables:
@@ -1032,19 +1047,19 @@ def _compute(inst: Instance, names) -> Tables:
 
 
 def build_ns(inst: Instance, held: Held | None = None) -> Tables:
-    return build(inst, "block_vars", held=held)
+    return build(inst, *RULE_TABLES["ns"], held=held)
 
 
 def build_ss(inst: Instance, held: Held | None = None) -> Tables:
-    return build(inst, "nb_snake", "inconsistent", held=held)
+    return build(inst, *RULE_TABLES["ss"], held=held)
 
 
 def build_cns(inst: Instance, held: Held | None = None) -> Tables:
-    return build(inst, "uncovered", held=held)
+    return build(inst, *RULE_TABLES["cns"], held=held)
 
 
 def build_scss(inst: Instance, held: Held | None = None) -> Tables:
-    return build(inst, "not_snake_covered", held=held)
+    return build(inst, *RULE_TABLES["scss"], held=held)
 
 
 class CounterMismatch(AssertionError):

@@ -127,23 +127,25 @@ ENGINE_TABLES = {
 
 def _builds_by_stage(monkeypatch, inst):
     """Run the reduce pipeline of the four engines on ``inst``; for each
-    stage, its rule, how many values it removed and the flat builders it
-    called, in order."""
+    stage, its rule, how many values it removed, the flat builders it
+    called, in order, and whether it ran (False for a settled stage)."""
     stages = []
     for name, entry in counters.TABLES.items():
         def flat(*args, _flat=entry.flat, _name=name):
             stages[-1][2].append(_name)
             return _flat(*args)
         monkeypatch.setitem(counters.TABLES, name, entry._replace(flat=flat))
-    run_stage = cli._run_stage
 
-    def stage(cur, rule, held=None):
-        stages.append([rule, None, []])
-        out = run_stage(cur, rule, held)
-        stages[-1][1] = len(out[1])
-        return out
+    def recorded(run, ran):
+        def stage(cur, rule, held=None):
+            stages.append([rule, None, [], ran])
+            out = run(cur, rule, held)
+            stages[-1][1] = len(out[1])
+            return out
+        return stage
 
-    monkeypatch.setattr(cli, "_run_stage", stage)
+    monkeypatch.setattr(cli, "_run_stage", recorded(cli._run_stage, True))
+    monkeypatch.setattr(cli, "_settled_stage", recorded(cli._settled_stage, False))
     cli.run_pipeline(inst, ("ns", "ss", "cns", "scss"))
     return stages
 
@@ -153,10 +155,14 @@ def _builds_by_stage(monkeypatch, inst):
 def test_pipeline_stages_build_only_the_tables_no_earlier_stage_kept(monkeypatch, make):
     # a stage takes what the pool holds and builds the rest; the pool then
     # holds only its tables if it removed a value, else its tables beside
-    # the rest, and nothing once an ac stage removes a value
+    # the rest, and nothing once an ac stage removes a value; a settled
+    # stage does not run, and leaves the pool as it is
     stages = _builds_by_stage(monkeypatch, make())
     pool: set = set()
-    for rule, removed, built in stages:
+    for rule, removed, built, ran in stages:
+        if not ran:
+            assert removed == 0 and built == []
+            continue
         if rule == "ac":
             assert built == []
             pool = set() if removed else pool
@@ -164,22 +170,27 @@ def test_pipeline_stages_build_only_the_tables_no_earlier_stage_kept(monkeypatch
         need = ENGINE_TABLES[rule]
         assert built == [name for name in counters.TABLES if name in need - pool], rule
         pool = need if removed else pool | need
-    assert any(0 < len(built) < len(ENGINE_TABLES[rule]) for rule, _, built in stages)
-    assert not any(removed for _, removed, _ in stages[-5:])
+    assert any(0 < len(built) < len(ENGINE_TABLES[rule]) for rule, _, built, _ in stages)
+    # the pass that removes nothing runs no stage, unless it is the first
+    assert not any(removed for _, removed, _, _ in stages[-5:])
+    assert len(stages) == 5 or not any(ran for *_, ran in stages[-5:])
 
 
 def test_the_last_pipeline_pass_builds_nothing_when_its_pool_is_full(monkeypatch):
     # on figure1b only ss removes values, in the first pass; cns and scss
-    # build beside its tables, so the pass that removes nothing builds none
+    # build beside its tables, and then every rule is settled, so the pass
+    # that removes nothing runs no stage and builds nothing
     stages = _builds_by_stage(monkeypatch, generators.figure1b())
-    assert [(rule, removed) for rule, removed, _ in stages if removed] == [("ss", 6)]
+    assert [(rule, removed) for rule, removed, _, _ in stages if removed] == [("ss", 6)]
     first, last = stages[:5], stages[-5:]
-    assert [built for _, _, built in first] == [
+    assert [built for _, _, built, _ in first] == [
         [], ["nb_blocks", "block_vars"],
         ["nb_subs", "nb_stops", "stop_vars", "nb_snake", "inconsistent"],
         ["nb_covers", "uncovered"], ["nb_snake_covers", "not_snake_covered"],
     ]
-    assert len(stages) == 10 and [built for _, _, built in last] == [[]] * 5
+    assert all(ran for *_, ran in first)
+    assert len(stages) == 10 and [built for _, _, built, _ in last] == [[]] * 5
+    assert not any(ran for *_, ran in last)
 
 
 def test_a_stale_handed_table_fails_the_recheck(monkeypatch):

@@ -7,7 +7,9 @@ must leave all three unchanged, with or without SUBSENSE_DEBUG_RECOMPUTE
 (without only on counts-300, whose recheck is too slow to run).  The
 ``pipeline`` cases pin ``subsense reduce``'s pipeline of the four engines
 (``cli.run_pipeline``) the same way, with the steps of all its stages as
-one trace and the sum of their ``updates``.
+one trace and the sum of their ``updates``; the ``pipeline-<rules>`` cases
+pin other rule orders, in several of which a stage is settled by a stronger
+one before the first pass ends.
 Each case also pins, as ``replay_sha256``, the ``dump_trace`` bytes of the
 trace that ``replay_sequence`` certifies from every run, so the oracle's
 witnesses cannot drift under a rewrite of the checks either.
@@ -48,11 +50,19 @@ from conftest import WIDTH_INPUTS, corpus
 GOLDEN = Path(__file__).with_name("golden_traces.json")
 
 
-def _pipeline(inst):
-    """``subsense reduce --rules ns,ss,cns,scss`` as one engine run: the
-    reduced instance, the trace of every stage's steps and their updates."""
-    reduced, steps, updates, _, _ = cli.run_pipeline(inst, ("ns", "ss", "cns", "scss"))
-    return reduced, Trace(inst.name, steps), SimpleNamespace(updates=updates)
+def _pipeline(*rules):
+    """``subsense reduce --rules <rules>`` as one engine run: the reduced
+    instance, the trace of every stage's steps and their updates."""
+
+    def run(inst):
+        reduced, steps, updates, _, _ = cli.run_pipeline(inst, rules)
+        return reduced, Trace(inst.name, steps), SimpleNamespace(updates=updates)
+
+    return run
+
+
+# the pipeline orders pinned beside ns,ss,cns,scss
+PIPELINE_ORDERS = (("scss", "ns", "ss", "cns"), ("cns", "ss", "ns"), ("ns", "scss"), ("ss",))
 
 
 ENGINES = {
@@ -61,7 +71,8 @@ ENGINES = {
     "cns": cns_to_convergence,
     "cns-first": lambda inst: cns_to_convergence(inst, ns_priority=False),
     "scss": scss_to_convergence,
-    "pipeline": _pipeline,
+    "pipeline": _pipeline("ns", "ss", "cns", "scss"),
+    **{f"pipeline-{','.join(rules)}": _pipeline(*rules) for rules in PIPELINE_ORDERS},
 }
 # scss needs no arc-consistent input, and the pipeline runs establish_ac
 # itself; the others get establish_ac first
