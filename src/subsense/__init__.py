@@ -18,7 +18,8 @@ from .instance import (
     make_instance,
     to_json_dict,
 )
-from .scss import ReplayError, check_scss, replay_sequence, scss_to_convergence
+from .oracle import ReplayError, replay_sequence
+from .scss import check_scss, scss_to_convergence
 from .ss import ss_to_convergence
 from .trace import (
     AC,

@@ -14,9 +14,13 @@ conditioning variable, then the smallest replacement, so results are
 deterministic.
 
 ``certify`` is the one place that maps a rule name to its check: replay
-(``scss.replay_sequence``) and the longest-sequence search both ask it.
-The solver and that search keep their own stacks, so deep instances cannot
-overflow the interpreter's.
+and the longest-sequence search both ask it.  Replay certifies each step of
+a trace on one working snapshot that drops each value in place, and returns
+a frozen copy of it.  The solver and that search keep their own stacks, so
+deep instances cannot overflow the interpreter's.
+
+It imports only ``instance`` and ``trace``: with those two it is all that
+``subsense verify`` trusts, and no engine module is in its import graph.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from .instance import Instance
-from .trace import AC, CNS, NS, SCSS, SS, Witness
+from .trace import AC, CNS, NS, RULES, SCSS, SS, EliminationRecord, Trace, Witness
 from .trace import AcWitness, CnsWitness, NsWitness, ScssCover, ScssWitness, SsWitness
 
 
@@ -309,6 +313,80 @@ def certify(
     if rule == SCSS:
         return is_scss(inst, i, b) if j is None else scss_with_conditioning(inst, i, b, j)
     raise ValueError(f"unknown rule {rule!r}")
+
+
+class ReplayError(ValueError):
+    """A claimed elimination step failed certification."""
+
+
+def replay_steps(trace: Trace) -> tuple[list[tuple[int, ...]], list[str]]:
+    """The steps and rules of a trace as ``replay_sequence`` takes them:
+    each step carries the conditioning variable of a cns or scss witness,
+    or the variable an ac witness names, when it has one."""
+    steps, rules = [], []
+    for rec in trace.steps:
+        cond = None
+        if isinstance(rec.witness, (CnsWitness, ScssWitness)):
+            cond = rec.witness.conditioning
+        elif isinstance(rec.witness, AcWitness):
+            cond = rec.witness.unsupported_at
+        step = (rec.variable, rec.value)
+        steps.append(step if cond is None else (*step, cond))
+        rules.append(rec.rule)
+    return steps, rules
+
+
+def replay_sequence(inst: Instance, steps, rules=None):
+    """Apply a claimed elimination sequence, certifying every step at its
+    moment.
+
+    ``steps`` holds (variable, value) or (variable, value, conditioning)
+    tuples; ``rules`` is an optional parallel list of rule names, default
+    ``scss``.  Conditioned rules are certified against the given
+    conditioning variable when one is present, otherwise against any; an
+    ns or ss step with a third element fails.
+    Returns the reduced instance and a trace carrying the certifying
+    witnesses; raises ReplayError naming the first step that fails.
+    """
+    steps = list(steps)
+    if rules is None:
+        rules = [SCSS] * len(steps)
+    rules = list(rules)
+    if len(rules) != len(steps):
+        raise ValueError("need exactly one rule per step")
+    cur = inst._working()
+    records: list[EliminationRecord] = []
+    for pos, step in enumerate(steps, start=1):
+        step = tuple(step)
+        if len(step) == 2:
+            i, b = step
+            j = None
+        elif len(step) == 3:
+            i, b, j = step
+        else:
+            raise ValueError(f"step {pos}: expected (variable, value[, conditioning])")
+        rule = rules[pos - 1]
+        if rule not in RULES:
+            raise ValueError(f"step {pos}: unknown rule {rule!r}")
+        if j is not None and rule in (NS, SS):
+            raise ReplayError(f"step {pos} ({rule}): the rule takes no third element, got {j}")
+        for v in (i,) if j is None else (i, j):
+            if not 0 <= v < cur.n:
+                raise ReplayError(f"step {pos} ({rule}): no variable with index {v}")
+        p = cur.positions[i].get(b)
+        if j == i:
+            problem = "the conditioning variable must differ from the target"
+        elif p is None or not cur.live[i] >> p & 1:
+            problem = "value not in the current domain"
+        elif (witness := certify(rule, cur, i, b, j)) is None:
+            problem = "the rule does not hold at this point"
+        else:
+            cur._drop(i, p)
+            records.append(EliminationRecord(pos, rule, i, b, witness))
+            continue
+        # the step's label is formatted only for the step that fails
+        raise ReplayError(f"step {pos} ({rule} at {cur.names[i]}={b}): {problem}")
+    return cur._frozen(), Trace(inst.name, records)
 
 
 def longest_elimination_sequence(

@@ -1,4 +1,4 @@
-"""Snake-conditioned snake substitution to convergence, plus trace replay.
+"""Snake-conditioned snake substitution to convergence.
 
 SCSS is the strongest of the elimination rules here: b at x_i goes when,
 for some conditioning neighbour x_j, every c compatible with b has a snake
@@ -19,9 +19,7 @@ a last sub lost, +1 otherwise.
 
 Variables with no constraints at all sit outside the edge-indexed tables,
 so the engine pops their eliminations first (any value substitutes for any
-other when nothing is constrained).  Replay certifies each step of a trace
-with ``oracle.certify``, which caches nothing, on one working snapshot that
-drops each value in place, and returns a frozen copy of it.
+other when nothing is constrained).
 """
 
 from __future__ import annotations
@@ -29,23 +27,13 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from . import counters, oracle
+from . import counters
 from .instance import Instance
 from .counters import bit_positions
 from .kernel import CoverKernel, SnakeKernel
-from .trace import (
-    NS,
-    RULES,
-    SCSS,
-    SS,
-    AcWitness,
-    CnsWitness,
-    EliminationRecord,
-    ReductionReport,
-    ScssCover,
-    ScssWitness,
-    Trace,
-)
+# re-exported: perfbench calls scss.replay_sequence and wraps it here
+from .oracle import replay_sequence
+from .trace import SCSS, ReductionReport, ScssCover, ScssWitness, Trace
 
 
 def check_scss(inst: Instance) -> list[tuple[int, int, int]]:
@@ -163,80 +151,3 @@ def scss_to_convergence(
     tables it holds and takes back the run's own (see kernel.Kernel).
     """
     return ScssEngine(inst, held).converge()
-
-
-# -- replay -------------------------------------------------------------------
-
-
-class ReplayError(ValueError):
-    """A claimed elimination step failed certification."""
-
-
-def replay_steps(trace: Trace) -> tuple[list[tuple[int, ...]], list[str]]:
-    """The steps and rules of a trace as ``replay_sequence`` takes them:
-    each step carries the conditioning variable of a cns or scss witness,
-    or the variable an ac witness names, when it has one."""
-    steps, rules = [], []
-    for rec in trace.steps:
-        cond = None
-        if isinstance(rec.witness, (CnsWitness, ScssWitness)):
-            cond = rec.witness.conditioning
-        elif isinstance(rec.witness, AcWitness):
-            cond = rec.witness.unsupported_at
-        step = (rec.variable, rec.value)
-        steps.append(step if cond is None else (*step, cond))
-        rules.append(rec.rule)
-    return steps, rules
-
-
-def replay_sequence(inst: Instance, steps, rules=None):
-    """Apply a claimed elimination sequence, certifying every step at its
-    moment.
-
-    ``steps`` holds (variable, value) or (variable, value, conditioning)
-    tuples; ``rules`` is an optional parallel list of rule names, default
-    ``scss``.  Conditioned rules are certified against the given
-    conditioning variable when one is present, otherwise against any; an
-    ns or ss step with a third element fails.
-    Returns the reduced instance and a trace carrying the certifying
-    witnesses; raises ReplayError naming the first step that fails.
-    """
-    steps = list(steps)
-    if rules is None:
-        rules = [SCSS] * len(steps)
-    rules = list(rules)
-    if len(rules) != len(steps):
-        raise ValueError("need exactly one rule per step")
-    cur = inst._working()
-    records: list[EliminationRecord] = []
-    for pos, step in enumerate(steps, start=1):
-        step = tuple(step)
-        if len(step) == 2:
-            i, b = step
-            j = None
-        elif len(step) == 3:
-            i, b, j = step
-        else:
-            raise ValueError(f"step {pos}: expected (variable, value[, conditioning])")
-        rule = rules[pos - 1]
-        if rule not in RULES:
-            raise ValueError(f"step {pos}: unknown rule {rule!r}")
-        if j is not None and rule in (NS, SS):
-            raise ReplayError(f"step {pos} ({rule}): the rule takes no third element, got {j}")
-        for v in (i,) if j is None else (i, j):
-            if not 0 <= v < cur.n:
-                raise ReplayError(f"step {pos} ({rule}): no variable with index {v}")
-        p = cur.positions[i].get(b)
-        if j == i:
-            problem = "the conditioning variable must differ from the target"
-        elif p is None or not cur.live[i] >> p & 1:
-            problem = "value not in the current domain"
-        elif (witness := oracle.certify(rule, cur, i, b, j)) is None:
-            problem = "the rule does not hold at this point"
-        else:
-            cur._drop(i, p)
-            records.append(EliminationRecord(pos, rule, i, b, witness))
-            continue
-        # the step's label is formatted only for the step that fails
-        raise ReplayError(f"step {pos} ({rule} at {cur.names[i]}={b}): {problem}")
-    return cur._frozen(), Trace(inst.name, records)

@@ -43,7 +43,7 @@ from subsense import (
     ss_to_convergence,
 )
 from subsense.counters import DEBUG_ENV
-from subsense.scss import replay_steps
+from subsense.oracle import replay_steps
 
 from conftest import WIDTH_INPUTS, corpus
 

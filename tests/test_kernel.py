@@ -17,7 +17,8 @@ from subsense import (
 )
 from subsense.acns import NsEngine
 from subsense.cns import CnsEngine
-from subsense.scss import ScssEngine, replay_steps
+from subsense.oracle import replay_steps
+from subsense.scss import ScssEngine
 from subsense.ss import SsEngine
 from subsense.trace import NS, NsWitness
 

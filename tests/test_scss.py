@@ -19,8 +19,7 @@ from subsense import (
     scss_to_convergence,
     ss_to_convergence,
 )
-from subsense.oracle import is_scss, solvable, solve
-from subsense.scss import replay_steps
+from subsense.oracle import is_scss, replay_steps, solvable, solve
 
 from conftest import corpus
 from reference import scss_conditionings

@@ -21,7 +21,7 @@ from subsense import (
     ss_to_convergence,
 )
 from subsense.acns import NsEngine
-from subsense.scss import replay_steps
+from subsense.oracle import replay_steps
 from subsense.trace import NS, NsWitness
 
 from conftest import WIDTH_INPUTS, corpus
