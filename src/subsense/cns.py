@@ -14,7 +14,9 @@ kernel.CoverKernel.  This module states only what a cover is, as masks
 over value positions: a's holder mask for b is block_vars(p,b,a), which
 fits inside {q} when it has no bit but q's, as the block pass reports
 through ``_fits_within`` with a +1 cover step, and a's reach at x_q is its
-full row mask (counters.Static.full): a reaches c when it takes c.
+full row mask (counters.Static.full): a reaches c when it takes c.  The
+witness of a conditioned step is ``oracle.cns_with_conditioning``'s; a
+plain step's substitute is the one its queued triple names.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from . import counters
 from .acns import require_arc_consistent
 from .instance import Instance
 from .kernel import CoverKernel, Substitutions
-from .trace import CNS, NS, CnsWitness, ReductionReport, Trace
+from .oracle import cns_with_conditioning
+from .trace import CNS, NS, ReductionReport, Trace
 
 
 class CnsEngine(CoverKernel, Substitutions):
@@ -34,6 +37,7 @@ class CnsEngine(CoverKernel, Substitutions):
     BUILD = "build_cns"
     COVERS = "nb_covers"
     UNCOVERED = "uncovered"
+    CHECK = staticmethod(cns_with_conditioning)
 
     def __init__(self, inst: Instance, ns_priority: bool, held: Optional[counters.Held] = None):
         super().__init__(inst, held)
@@ -52,11 +56,6 @@ class CnsEngine(CoverKernel, Substitutions):
 
     def _fits_within(self, i: int, b: int, a: int, j: int) -> None:
         self._scope_changed(i, b, a, j, 1)
-
-    def _witness(self, i: int, b: int, j: int) -> CnsWitness:
-        vals_i, vals_j = self.vals[i], self.vals[j]
-        covers = {vals_j[c]: vals_i[a] for c, a in self._first_covers(i, b, j).items()}
-        return CnsWitness(conditioning=j, covers=covers)
 
 
 def cns_to_convergence(

@@ -23,18 +23,20 @@ Three layers sit on it:
   both pop.
 - CoverKernel adds the cover layer that cns and scss share: the cover
   counters and uncovered masks, the conditioned worklist, the pass in which
-  a removed value stops covering, the scope change and the first-cover
-  search.  Each of the two rules states only its holder mask, whose fit
-  inside {j} the layer tests, and its reach mask.
+  a removed value stops covering, and the scope change.  Each of the two
+  rules states only its holder mask, whose fit inside {j} the layer tests,
+  its reach mask, and the check in ``oracle`` that gives its witness.
 
 A rule module adds its table choice (``BUILD``), its pop policy
-(``_pop``), its witness builder and its own passes, appended to
-``_propagate``.  ``converge`` is the one elimination loop: a rule never
-removes a value outside it.  Every swap in a witness (a value of x_k that
-stands in for d) comes from ``_swap``, which reads ``block_vars``.  Each
-counter that rises and falls has one step that moves it by ``delta`` (+1
-or -1).  Only where the count flips, up to one or down to none, does it go
-further; the rule hook it then calls takes the same ``delta``.
+(``_pop``) and its own passes, appended to ``_propagate``.  ``converge``
+is the one elimination loop: a rule never removes a value outside it.  The
+tables decide which value goes and by which rule; every ac, ss, cns and
+scss witness is the one that rule's check in ``oracle`` gives on the
+working snapshot at the pop, before ``eliminate`` drops the value.  Only
+an ns substitute comes from the tables.  Each counter that rises and
+falls has one step that moves it by ``delta`` (+1 or -1).  Only where the
+count flips, up to one or down to none, does it go further; the rule hook
+it then calls takes the same ``delta``.
 
 The count, holder and uncovered tables are flat lists indexed by value
 position (``Instance.positions``), laid out as ``counters.TABLES`` states;
@@ -61,7 +63,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from . import counters
 from .counters import bit_positions
@@ -219,46 +221,6 @@ class Kernel:
             return (self.inst.neighbors(i)[rest.bit_length() - 1],)
         return ()
 
-    # -- helpers shared by several rules --------------------------------------
-
-    def _swap(self, k: int, d: int, takes: int, r: int) -> Optional[int]:
-        """The smallest value of x_k in the position mask ``takes`` that is
-        the value at position d itself or is blocked at most at x_r, or
-        None: it stands in for d on every neighbour of x_k but x_r, which
-        need not be a neighbour of x_k."""
-        block_vars = self.tables.block_vars[k]
-        base = d * len(self.pos[k])
-        others = ~self.nbit[k].get(r, 0)
-        for e in bit_positions(takes & self.live[k]):
-            if e == d or not block_vars[base + e] & others:
-                return self.vals[k][e]
-        return None
-
-    def _swaps(
-        self, r: int, u: int, a: int, skip: Optional[int] = None
-    ) -> dict[int, dict[int, int]]:
-        """For each neighbour x_k of x_r other than ``skip``, the swap that
-        the value at position a takes for every value of x_k that supports
-        the value at position u but not a."""
-        swaps: dict[int, dict[int, int]] = {}
-        for k in self.inst.neighbors(r):
-            if k == skip:
-                continue
-            full, vals_k = self.full[(r, k)], self.vals[k]
-            row_a = full[a]
-            needed = {
-                vals_k[d]: self._swap(k, d, row_a, r)
-                for d in bit_positions(full[u] & ~row_a & self.live[k])
-            }
-            if None in needed.values():
-                raise RuntimeError(
-                    f"no replacement at x{k} when x{r}={self.vals[r][u]} "
-                    f"yields to {self.vals[r][a]}"
-                )
-            if needed:
-                swaps[k] = needed
-        return swaps
-
 
 class SnakeKernel(Kernel):
     """Kernel plus the sub and stop counters of snake substitution
@@ -399,11 +361,14 @@ class CoverKernel(Kernel):
     The layer keeps the cover count of every cell (i,b,j,c) in the table
     named by COVERS, the compatible values without a cover of every (i,b,j),
     as a mask, in the table named by UNCOVERED, and a FIFO worklist of the
-    triples (i,b,j), b by position, whose mask emptied.
+    triples (i,b,j), b by position, whose mask emptied.  The witness of a
+    popped triple is what the rule's check in ``oracle``, named by CHECK,
+    gives on the working snapshot before the value goes.
     """
 
     COVERS: str
     UNCOVERED: str
+    CHECK: Callable[[Instance, int, int, int], Optional[Witness]]
 
     def __init__(self, inst: Instance, held: Optional[counters.Held] = None):
         super().__init__(inst, held)
@@ -430,10 +395,6 @@ class CoverKernel(Kernel):
         reaches, read at the moment; it may hold dead ones."""
         raise NotImplementedError
 
-    def _witness(self, i: int, b: int, j: int) -> Witness:
-        """The witness for eliminating b at x_i conditioned by x_j."""
-        raise NotImplementedError
-
     def _fits(self, i: int, b: int, a: int, j: int) -> bool:
         """a's holder set for b at x_i fits inside {j}."""
         return not self._holders(i, b, a) & ~self.nbit[i][j]
@@ -450,26 +411,13 @@ class CoverKernel(Kernel):
 
     _pop = _pop_conditioned
 
-    def _first_covers(self, i: int, b: int, j: int) -> dict[int, int]:
-        """For each c in D(x_j) compatible with b, ascending, its first
-        cover in D(x_i)."""
-        compatible = self.full[(i, j)][b] & self.live[j]
-        first: dict[int, int] = {}
-        todo = compatible
-        for a in bit_positions(self.live[i] & ~(1 << b)):
-            if not todo:
-                break
-            if self._fits(i, b, a, j):
-                got = self._reach(i, a, j) & todo
-                for c in bit_positions(got):
-                    first[c] = a
-                todo ^= got
-        if todo:
-            c = bit_positions(todo)[0]
-            raise RuntimeError(
-                f"no cover for x{j}={self.vals[j][c]} while eliminating x{i}={self.vals[i][b]}"
-            )
-        return {c: first[c] for c in bit_positions(compatible)}
+    def _witness(self, i: int, b: int, j: int) -> Witness:
+        """The witness for eliminating the value at position b of x_i
+        conditioned by x_j, as the rule's definition gives it."""
+        witness = self.CHECK(self.inst, i, self.vals[i][b], j)
+        if witness is None:
+            raise RuntimeError(f"x{i}={self.vals[i][b]} conditioned by x{j} fails {self.RULE}")
+        return witness
 
     # -- counter steps --------------------------------------------------------
 

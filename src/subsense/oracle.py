@@ -3,15 +3,18 @@
 The solver is plain backtracking with no propagation.  The rule checkers
 state the elimination definitions quantifier by quantifier, and every
 domination they ask about ("e dominates d at x_k on every neighbour but
-one") goes through one private helper that reads the relation rows
-directly and decides each question once per call: replay asks the same
-question again for every candidate substitute and every conditioning
-value.  The helper walks the neighbours in a plain loop and stops at the
-first one where the domination fails.  Nothing is cached beyond the
-call.  A check validates its arguments once on entry.  Ties
-always break toward the smallest qualifying value, then the smallest
-conditioning variable, then the smallest replacement, so results are
-deterministic.
+one") goes through one private helper that reads the relation rows and
+current domains directly.  It walks the neighbours in a plain loop and
+stops at the first one where the domination fails.  A check keeps what
+it would ask again within the call (cns each candidate's answer, scss
+each candidate's swaps), and nothing beyond it.  A check validates its
+arguments once on entry.  Ties always break toward the smallest
+qualifying value, then the smallest conditioning variable, then the
+smallest replacement, so results are deterministic.
+
+The engines call these checks too, by name: every witness in an engine's
+trace but an ns substitute is the one a check here gave on the engine's
+working snapshot when the value went.
 
 ``certify`` is the one place that maps a rule name to its check: replay
 and the longest-sequence search both ask it.  Replay certifies each step of
@@ -117,7 +120,7 @@ def _row(inst: Instance, i: int, j: int):
 
 
 def _dominance(inst: Instance):
-    """The domination test of one check, memoised for that check only.
+    """The domination test of one check.
 
     ``dominates(k, d, e, skip)`` says e dominates d at x_k on every
     neighbour x_l of x_k other than x_skip: each current value of x_l
@@ -127,21 +130,16 @@ def _dominance(inst: Instance):
     domination fails, and the checks validate their arguments on entry.
     """
     rows, neighbors, current = inst.rows, inst._neighbors, inst._cur_sets
-    memo: dict[tuple, bool] = {}
 
     def dominates(k: int, d: int, e: int, skip: Optional[int]) -> bool:
-        key = (k, d, e, skip)
-        hit = memo.get(key)
-        if hit is None:
-            hit = True
-            for l in neighbors[k]:
-                if l != skip:
-                    row = rows[k, l]
-                    if not (row[d] - row[e]).isdisjoint(current[l]):
-                        hit = False
-                        break
-            memo[key] = hit
-        return hit
+        if d == e:  # every value dominates itself
+            return True
+        for l in neighbors[k]:
+            if l != skip:
+                row = rows[k, l]
+                if not (row[d] - row[e]).isdisjoint(current[l]):
+                    return False
+        return True
 
     return dominates
 
@@ -225,12 +223,17 @@ def cns_with_conditioning(
     _check_conditioning(inst, i, j)
     dominates = _dominance(inst)
     row = _row(inst, i, j)
+    fits: dict[int, bool] = {}  # a dominates b on every neighbour but x_j
     covers: dict[int, int] = {}
     for c in inst.domains[j]:
         if c not in row[b]:
             continue
         for a in inst.domains[i]:
-            if a != b and c in row[a] and dominates(i, b, a, j):
+            if a == b or c not in row[a]:
+                continue
+            if a not in fits:
+                fits[a] = dominates(i, b, a, j)
+            if fits[a]:
                 covers[c] = a
                 break
         else:

@@ -15,11 +15,12 @@ j's, as ``_stop_var_changed`` reports, and a's reach at x_j is its full row
 mask plus the live c that it does not take but has a sub for
 (nb_subs > 0), read from the table at the moment, as ``_sub_flipped``
 reports.  Both hand the cover step a ``delta``: -1 for a stop var gained or
-a last sub lost, +1 otherwise.
+a last sub lost, +1 otherwise.  The witness of each step is the one
+``oracle.scss_with_conditioning`` gives for the popped triple.
 
 Variables with no constraints at all sit outside the edge-indexed tables,
 so the engine pops their eliminations first (any value substitutes for any
-other when nothing is constrained).
+other when nothing is constrained), each with ``oracle.is_scss``'s witness.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ from . import counters
 from .instance import Instance
 from .counters import bit_positions
 from .kernel import CoverKernel, SnakeKernel
-# re-exported: perfbench calls scss.replay_sequence and wraps it here
-from .oracle import replay_sequence
-from .trace import SCSS, ReductionReport, ScssCover, ScssWitness, Trace
+# replay_sequence is re-exported: perfbench calls scss.replay_sequence and wraps it here
+from .oracle import is_scss, replay_sequence, scss_with_conditioning
+from .trace import SCSS, ReductionReport, Trace
 
 
 def check_scss(inst: Instance) -> list[tuple[int, int, int]]:
@@ -57,6 +58,7 @@ class ScssEngine(CoverKernel, SnakeKernel):
     BUILD = "build_scss"
     COVERS = "nb_snake_covers"
     UNCOVERED = "not_snake_covered"
+    CHECK = staticmethod(scss_with_conditioning)
 
     def __init__(self, inst: Instance, held: Optional[counters.Held] = None):
         super().__init__(inst, held)
@@ -71,7 +73,7 @@ class ScssEngine(CoverKernel, SnakeKernel):
             i = self.unconstrained[0]
             live_ps = bit_positions(self.live[i])
             if len(live_ps) > 1:
-                return i, live_ps[0], SCSS, self._unconstrained_witness(i, live_ps[0])
+                return i, live_ps[0], SCSS, is_scss(self.inst, i, self.vals[i][live_ps[0]])
             self.unconstrained.popleft()
         return self._pop_conditioned()
 
@@ -87,42 +89,6 @@ class ScssEngine(CoverKernel, SnakeKernel):
             if subs[base + c]:
                 reach |= 1 << c
         return reach
-
-    def _unconstrained_witness(self, i: int, b: int) -> ScssWitness:
-        # condition on the smallest other variable: with no constraint on
-        # x_i, any other a takes every value of x_j and needs no snake swaps
-        j = 1 if i == 0 else 0
-        a = bit_positions(self.live[i] & ~(1 << b))[0]
-        substitute, vals_j = self.vals[i][a], self.vals[j]
-        return ScssWitness(
-            conditioning=j,
-            covers={
-                vals_j[c]: ScssCover(substitute, self._conditioning_swap(i, j, a, c), {})
-                for c in bit_positions(self.live[j])
-            },
-        )
-
-    # -- witness construction ------------------------------------------------
-
-    def _witness(self, r: int, u: int, t: int) -> ScssWitness:
-        swap_cache: dict[int, dict[int, dict[int, int]]] = {}
-        covers: dict[int, ScssCover] = {}
-        for c, a in self._first_covers(r, u, t).items():
-            if a not in swap_cache:
-                swap_cache[a] = self._swaps(r, u, a, skip=t)
-            g = self._conditioning_swap(r, t, a, c)
-            covers[self.vals[t][c]] = ScssCover(self.vals[r][a], g, swap_cache[a])
-        return ScssWitness(conditioning=t, covers=covers)
-
-    def _conditioning_swap(self, r: int, t: int, a: int, c: int) -> int:
-        """The swap g for c at x_t that a at x_r takes."""
-        full = self.full.get((r, t))
-        g = self._swap(t, c, self.live[t] if full is None else full[a], r)
-        if g is None:
-            raise RuntimeError(
-                f"no conditioning swap for x{t}={self.vals[t][c]} toward {self.vals[r][a]}"
-            )
-        return g
 
     # -- cover scope and reach ------------------------------------------------
 

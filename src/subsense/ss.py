@@ -8,7 +8,9 @@ queued because of a plain substitution or a lost support go to the high
 class, pairs queued because a snake substitution appeared go to the low
 class.  Classes are fixed when a pair is pushed; on popping, a pair is
 revalidated and labelled by the strongest rule that applies (ac over ns
-over ss).
+over ss).  The tables choose the label and an ns substitute; an ac or ss
+witness is what ``oracle.is_ac`` or ``oracle.is_ss`` gives on the working
+snapshot.
 
 Deleting u from D(x_r) runs the block, sub and stop passes of
 kernel.SnakeKernel; nb_snake takes one step up for each stop_vars mask that
@@ -27,16 +29,8 @@ from .acns import require_arc_consistent
 from .instance import Instance
 from .counters import bit_positions
 from .kernel import SnakeKernel
-from .trace import (
-    AC,
-    NS,
-    SS,
-    AcWitness,
-    NsWitness,
-    ReductionReport,
-    SsWitness,
-    Trace,
-)
+from .oracle import is_ac, is_ss
+from .trace import AC, NS, SS, NsWitness, ReductionReport, Trace
 
 
 class SsEngine(SnakeKernel):
@@ -81,21 +75,21 @@ class SsEngine(SnakeKernel):
         return None
 
     def _classify(self, r: int, u: int):
+        """The label the tables give the value at position u of x_r, and its
+        witness: an ac or ss one is the oracle's."""
         value = self.vals[r][u]
         if self.tables.inconsistent[(r, value)]:
-            for k in self.inst.neighbors(r):
-                if not self.full[(r, k)][u] & self.live[k]:
-                    return AC, AcWitness(unsupported_at=k)
-            raise RuntimeError(f"x{r}={value} is flagged inconsistent but has support")
+            witness = is_ac(self.inst, r, value)
+            if witness is None:
+                raise RuntimeError(f"x{r}={value} is flagged inconsistent but has support")
+            return AC, witness
         a = self._ns_substitute(r, u)
         if a is not None:
             return NS, NsWitness(substitute=self.vals[r][a])
-        stop_vars = self.tables.stop_vars[r]
-        size_r = len(self.pos[r])
-        for a in bit_positions(self.live[r] & ~(1 << u)):
-            if not stop_vars[a * size_r + u]:
-                return SS, SsWitness(substitute=self.vals[r][a], swaps=self._swaps(r, u, a))
-        raise RuntimeError(f"queued pair x{r}={value} has no eliminating value")
+        witness = is_ss(self.inst, r, value)
+        if witness is None:
+            raise RuntimeError(f"queued pair x{r}={value} has no eliminating value")
+        return SS, witness
 
     # -- propagation --------------------------------------------------------
 

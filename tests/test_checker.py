@@ -1,8 +1,11 @@
 """The trusted checker: replay lives beside the rule definitions in
-``oracle``, whose import graph holds no engine module."""
+``oracle``, whose import graph holds no engine module, and the engines
+take every witness but an ns substitute from those definitions."""
 
 import ast
 from pathlib import Path
+
+import pytest
 
 import subsense
 from subsense import cli, oracle, scss
@@ -58,3 +61,32 @@ def test_every_replay_entry_point_is_the_checkers():
     assert subsense.replay_sequence is oracle.replay_sequence
     assert subsense.ReplayError is oracle.ReplayError
     assert issubclass(oracle.ReplayError, ValueError)
+
+
+# the engines' modules: their tables choose each value, and every witness
+# but an ns substitute is the oracle's (acns's AcWitness is AC's own)
+ENGINE_MODULES = ("kernel", "ss", "cns", "scss")
+ORACLE_WITNESSES = {"AcWitness", "SsWitness", "CnsWitness", "ScssWitness", "ScssCover"}
+
+
+def _constructed(module: str) -> set[str]:
+    """The names that ``module`` calls, as ``Name(...)`` or ``x.Name(...)``."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    called = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            called.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
+    return called
+
+
+@pytest.mark.parametrize("module", ENGINE_MODULES)
+def test_the_engines_build_no_witness_the_oracle_gives(module):
+    built = _constructed(module) & ORACLE_WITNESSES
+    assert not built, sorted(built)
+
+
+def test_the_witness_pin_sees_the_witnesses_that_are_built():
+    assert "NsWitness" in _constructed("kernel")
+    assert "AcWitness" in _constructed("acns")
+    assert {"CnsWitness", "ScssCover", "ScssWitness"} <= _constructed("oracle")

@@ -22,7 +22,7 @@ from subsense.scss import ScssEngine
 from subsense.ss import SsEngine
 from subsense.trace import NS, NsWitness
 
-from conftest import WIDTH_INPUTS, set_cell
+from conftest import WIDTH_INPUTS, corpus, set_cell
 from test_counters import FLAT_INPUTS
 
 ENGINES = {
@@ -256,6 +256,24 @@ def test_sub_underflow_is_an_error():
     set_cell(inst, "nb_subs", engine.tables.nb_subs, (0, 1, 1, 0), 0)
     with pytest.raises(RuntimeError, match=r"^nb_subs\(0, 1, 1, 0\) went negative"):
         engine._step_subs(0, engine.pos[0][1], 1, engine.pos[1][0], -1)
+
+
+def test_an_engine_cannot_record_a_step_its_rule_refuses():
+    # x1 = 0 takes only 1 at x0 and 1 takes everything, so with its blocks
+    # forged to sit at x0 alone the tables claim 1 covers it; but 1 does
+    # not dominate 0 at x2, and the definition refuses the step
+    inst = next(i for i in corpus() if i.name == "random-n3-d2-p1-t0.7-s0")
+    engine = CnsEngine(establish_ac(inst)[0], ns_priority=False)
+    b, size = engine.pos[1][0], len(engine.pos[1])
+    block_vars = engine.tables.block_vars[1]
+    for a in range(size):
+        block_vars[b * size + a] &= engine.nbit[1][0]
+    engine.uncovered[(1, 0)][b] = 0
+    engine.conditioned_work.clear()
+    engine.conditioned_work.append((1, b, 0))
+    with pytest.raises(RuntimeError, match=r"^x1=0 conditioned by x0 fails cns$"):
+        engine._pop()
+    assert not engine.steps
 
 
 @pytest.mark.parametrize("rule", sorted(cli.ENGINES))

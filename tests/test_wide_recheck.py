@@ -1,18 +1,25 @@
-"""The table recheck on counts-300, whose counts pass one byte.
+"""The table recheck on 300-value domains.
 
 Rechecking every table after each elimination takes seconds a step on
-counts-300, so test_golden_traces leaves it out (NO_RECHECK).  Here each
-engine runs on it with Kernel.verify at chosen steps instead: cns and scss
-at the first and the last step always, and every engine at steps 1, 2, 4,
-8, ... and the last, plus scss against a fresh flat build at every step,
-under SUBSENSE_DEBUG_RECOMPUTE=1.
+counts-300, whose counts pass one byte, so test_golden_traces leaves it out
+(NO_RECHECK).  Here each engine runs on it with Kernel.verify at chosen
+steps instead: cns and scss at the first and the last step always, and
+every engine at steps 1, 2, 4, 8, ... and the last, plus scss against a
+fresh flat build at every step, under SUBSENSE_DEBUG_RECOMPUTE=1.
+
+No step on counts-300 propagates into a 300-value domain that keeps two
+values, so geq-300, x_0 >= x_1 over range(300), covers that: each of its
+first 299 steps removes a value of x_0 and walks all 300 values of x_1.
+ns and ss are rechecked there at step 299, where x_0 has one value left and
+the set-builders are cheap, and every engine at steps 1, 2, 4, ... and the
+last under SUBSENSE_DEBUG_RECOMPUTE=1.
 """
 
 from operator import itemgetter
 
 import pytest
 
-from subsense import counters, establish_ac
+from subsense import counters, establish_ac, make_instance
 from subsense.acns import NsEngine
 from subsense.cns import CnsEngine
 from subsense.counters import bit_positions
@@ -21,6 +28,15 @@ from subsense.ss import SsEngine
 
 from conftest import WIDTH_INPUTS
 
+
+def _geq_300():
+    """x_0 >= x_1 over range(300): x_0 loses every value but 299, each walk
+    splitting the values of x_1, then x_1 every value but one."""
+    big = range(300)
+    return make_instance("geq-300", [big, big], {(0, 1): [(a, b) for a in big for b in big if a >= b]})
+
+
+INPUTS = {"counts-300": WIDTH_INPUTS["counts-300"], "geq-300": _geq_300}
 # each engine as its *_to_convergence runs it (cns with ns priority)
 ENGINES = {"ns": NsEngine, "ss": SsEngine, "cns": lambda inst: CnsEngine(inst, True), "scss": ScssEngine}
 DEBUG_ONLY = pytest.mark.skipif(
@@ -28,12 +44,12 @@ DEBUG_ONLY = pytest.mark.skipif(
 )
 
 
-def _run(rule, recheck, each_step=None) -> list[int]:
-    """Run ``rule``'s engine to convergence on counts-300, made arc
+def _run(rule, recheck, each_step=None, name="counts-300") -> list[int]:
+    """Run ``rule``'s engine to convergence on the input ``name``, made arc
     consistent first unless the rule is scss, calling Kernel.verify after
     each step that ``recheck(step)`` picks and after the last, and
     ``each_step(engine)`` after every step.  Returns the steps rechecked."""
-    inst = WIDTH_INPUTS["counts-300"]()
+    inst = INPUTS[name]()
     engine = ENGINES[rule](inst if rule == "scss" else establish_ac(inst)[0])
     # the steps picked here take the place of the recheck after every step
     engine.debug = False
@@ -65,10 +81,18 @@ def test_tables_hold_at_the_first_and_last_step_on_300_values(rule):
     assert first == 1 and last > 256
 
 
+@pytest.mark.parametrize("rule", ["ns", "ss"])
+def test_tables_hold_after_walks_of_a_wide_neighbour(rule):
+    # steps 1-299 each split the 300 live values of x_1; step 299 leaves
+    # every one of them live, beside the last value of x_0
+    assert _run(rule, lambda step: step == 299, name="geq-300") == [299, 598]
+
+
 @DEBUG_ONLY
+@pytest.mark.parametrize("name", INPUTS)
 @pytest.mark.parametrize("rule", ENGINES)
-def test_tables_hold_at_doubling_steps_on_300_values(rule):
-    rechecked = _run(rule, lambda step: step & (step - 1) == 0)
+def test_tables_hold_at_doubling_steps_on_300_values(rule, name):
+    rechecked = _run(rule, lambda step: step & (step - 1) == 0, name=name)
     assert rechecked[:-1] == [1, 2, 4, 8, 16, 32, 64, 128, 256, 512]
 
 
