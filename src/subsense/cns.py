@@ -49,7 +49,7 @@ class CnsEngine(CoverKernel, Substitutions):
         return self._pop_conditioned() or self._pop_substitution()
 
     def _holders(self, i: int, b: int, a: int) -> int:
-        return self.tables.block_vars[i][b * len(self.pos[i]) + a]
+        return self.tables.block_vars[self.pairs[i] + b * len(self.pos[i]) + a]
 
     def _reach(self, i: int, a: int, j: int) -> int:
         return self.full[(i, j)][a]

@@ -10,10 +10,11 @@ Tables object.  Engine initialisation calls the build_* helpers, one per
 rule, which only name the rule's tables, and hands them the pool of tables
 (Held) that it was given, if any.
 
-build() computes every table with its flat builder, from per-edge value
-masks (Masks): the row masks over the original domains (Static), which
-the first build of any snapshot makes and every snapshot of the lineage
-shares, ANDed with the live masks that the snapshot keeps (Instance.live).
+build() computes every table with its flat builder, from the value masks
+of one group of edges at a time (Masks): the packed row masks over the
+original domains (Static), which the first build of any snapshot makes and
+every snapshot of the lineage shares, ANDed with the live masks that the
+snapshot keeps (Instance.live).
 The set-builders stay the reference: verify_tables rebuilds every table
 with them, so with SUBSENSE_DEBUG_RECOMPUTE=1 the engines compare the flat
 build plus every incremental update, cell by cell, against the definitions
@@ -36,18 +37,21 @@ x_i:
 
 Each variable has a value index that no elimination changes: the position
 of a value in its original domain (Instance.positions), since relations are
-stored over the original domains.  Nine tables are flat, laid out as their
-TABLES entry states and read through cell():
+stored over the original domains.  Nine tables are flat: each is one list,
+in which every oriented edge or variable owns a run of slots, laid out as
+the table's TABLES entry states, found by slot() and read through cell().
+The runs lie group after group (Static.groups, Static.holders), and each
+key's run starts at its offset in Static, which the whole lineage shares:
 
 - the five count tables (nb_blocks, nb_subs, nb_stops, nb_covers,
-  nb_snake_covers): a dict from each oriented edge to one list of ints,
-  with one slot per pair of value positions;
-- the holder tables (block_vars, stop_vars): a dict from each variable x_k
-  to one list with a slot per pair of its value positions, as nb_blocks
-  has, each an int mask with bit t for the t-th neighbour of x_k;
-- the uncovered tables (uncovered, not_snake_covered): a dict from each
-  oriented edge (i,j) to one list with a slot per value position of x_i,
-  each an int mask over the value positions of x_j.
+  nb_snake_covers): ints, a run per oriented edge with one slot per pair
+  of value positions;
+- the holder tables (block_vars, stop_vars): a run per variable x_k with a
+  slot per pair of its value positions, as nb_blocks has, each an int mask
+  with bit t for the t-th neighbour of x_k;
+- the uncovered tables (uncovered, not_snake_covered): a run per oriented
+  edge (i,j) with a slot per value position of x_i, each an int mask over
+  the value positions of x_j.
 
 Each count is the popcount of the AND of two masks.  The flat builders
 compute them with the packed byte kernels (section below), for a whole
@@ -75,7 +79,7 @@ build(inst, ..., held=pool) takes each table the pool holds as it is and
 builds only the rest, refusing a pool of another lineage or of other
 domains.  The value masks are made only when some table must be built,
 and a handed count or holder table is packed into bytes (Packed) only
-list by list, as a builder that runs reads it.  The taking engine owns
+when a builder that runs reads it.  The taking engine owns
 the tables: it changes them in place with each elimination and, when its
 run ends, hands back every table it kept (Kernel.converge).  The engine
 keeps only its own tables current, so once it has eliminated a value the
@@ -90,7 +94,8 @@ from __future__ import annotations
 import os
 import sys
 from array import array
-from itertools import chain
+from itertools import accumulate, chain, repeat
+from operator import itemgetter
 from types import SimpleNamespace
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -308,27 +313,28 @@ def pair_index(pos: tuple[dict[int, int], ...], i: int, v: int, k: int, w: int) 
     return pos[i][v] * len(pos_k) + pos_k[w]
 
 
-# How build() lays out each table it stores flat: a function from the value
-# index and a definition key to the key of the list that holds the cell and
-# the index in that list.
-def _across(pos, i, v, k, w):
+# How build() lays out each table it stores flat: a function from the
+# lineage's Static, the value index and a definition key to the index of
+# the cell in the table's one list.  Each oriented edge or variable owns a
+# run of slots that starts at its offset in Static.
+def _across(static, pos, i, v, k, w):
     # v at x_i, w at the far end of the oriented edge (i, k)
-    return (i, k), pair_index(pos, i, v, k, w)
+    return static.across[(i, k)] + pair_index(pos, i, v, k, w)
 
 
-def _along(pos, k, v, w, l):
+def _along(static, pos, k, v, w, l):
     # both values at x_k, counted at the neighbour x_l
-    return (k, l), pair_index(pos, k, v, k, w)
+    return static.along[(k, l)] + pair_index(pos, k, v, k, w)
 
 
-def _pair(pos, k, v, w):
-    # both values at x_k: one list per variable
-    return k, pair_index(pos, k, v, k, w)
+def _pair(static, pos, k, v, w):
+    # both values at x_k: a run per variable
+    return static.pairs[k] + pair_index(pos, k, v, k, w)
 
 
-def _value(pos, i, b, j):
+def _value(static, pos, i, b, j):
     # one slot per value of x_i, for the edge (i, j)
-    return (i, j), pos[i][b]
+    return static.ends[(i, j)] + pos[i][b]
 
 
 # What bit t of a mask cell stands for: the t-th neighbour of x_k for a holder
@@ -342,19 +348,18 @@ def _values(inst, key):
     return inst.original_domains[key[2]]
 
 
-def slot(inst: Instance, name: str, key: tuple) -> tuple:
-    """The list key (an oriented edge or a variable) and the list index that
-    hold the cell ``key`` of the flat table ``name``."""
-    return TABLES[name].layout(inst.positions, *key)
+def slot(inst: Instance, name: str, key: tuple) -> int:
+    """The index, in the one list of the flat table ``name``, of the cell
+    ``key``."""
+    return TABLES[name].layout(static_masks(inst), inst.positions, *key)
 
 
-def cell(inst: Instance, name: str, table: dict, key: tuple):
+def cell(inst: Instance, name: str, table: list, key: tuple):
     """The cell ``key`` of the flat table ``name`` in the form its
     set-builder gives: the count, or the set a mask has a bit for.  Raises
     LookupError when the table has no such cell, and CounterMismatch for a
     mask with a bit that stands for no neighbour or value."""
-    where, index = slot(inst, name, key)
-    value, labels = table[where][index], TABLES[name].labels
+    value, labels = table[slot(inst, name, key)], TABLES[name].labels
     if labels is None:
         return value
     labels = labels(inst, key)
@@ -364,11 +369,11 @@ def cell(inst: Instance, name: str, table: dict, key: tuple):
 
 
 class Static(NamedTuple):
-    """The masks that no snapshot changes, since relations are stored over
-    the original domains: built at the first table build of any snapshot
-    and shared by its whole lineage (static_masks).  An oriented edge's
-    full rows are found by the edge.  Tuples of ints, which the cyclic
-    garbage collector stops tracking, and dicts of them and of ints."""
+    """The masks and the table layout that no snapshot changes, since
+    relations are stored over the original domains: built at the first
+    table build of any snapshot and shared by its whole lineage
+    (static_masks).  Tuples of ints and bytes, which the cyclic garbage
+    collector stops tracking, and dicts of them and of ints."""
 
     # full[i,j][p] = the mask of rows[(i,j)][a] over the original D(x_j),
     # for the value a at position p of the original D(x_i); the oriented
@@ -381,6 +386,31 @@ class Static(NamedTuple):
     # reverse of each edge of (s,t) in turn, and (s,s) both orientations of
     # an edge side by side: the packed byte kernels take one at a time
     groups: tuple[tuple[tuple[int, int], tuple[tuple[int, int], ...]], ...]
+    # packed[s,t] = the full rows of the group (s,t), one edge after the
+    # other, as fields of _field(t) bytes
+    packed: dict[tuple[int, int], bytes]
+    # ((s, width), variables), ascending, for the x_k whose original D(x_k)
+    # has s values and whose holder masks take fields of _field(degree)
+    # bytes: flat_holders takes one at a time
+    holders: tuple[tuple[tuple[int, int], tuple[int, ...]], ...]
+    # The offset of each key's run in a flat table, whose runs lie group
+    # after group (``holders`` order for a holder table): the oriented edge
+    # (i,j) has a slot per pair of values of x_i (along), per value of x_i
+    # and value of x_j (across) or per value of x_i (ends); x_k has one per
+    # pair of its values (pairs, by k)
+    along: dict[tuple[int, int], int]
+    across: dict[tuple[int, int], int]
+    ends: dict[tuple[int, int], int]
+    pairs: tuple[int, ...]
+    # fields[k] = the ``holders`` key of x_k and where its fields start in
+    # that group's packed holder masks
+    fields: tuple[tuple[tuple[int, int], int], ...]
+
+
+def _offsets(keys, cells) -> dict:
+    """The offset of each key's run when the runs of ``cells`` slots each
+    lie back to back."""
+    return dict(zip(keys, accumulate(cells, initial=0)))
 
 
 def static_masks(inst: Instance) -> Static:
@@ -389,6 +419,7 @@ def static_masks(inst: Instance) -> Static:
     held = inst._static
     if not held:
         pos = inst.positions
+        sizes = [len(pos_k) for pos_k in pos]
         bits = [{v: 1 << p for v, p in pos_k.items()} for pos_k in pos]
         full = {}
         for i, j in oriented_edges(inst):
@@ -396,11 +427,31 @@ def static_masks(inst: Instance) -> Static:
             rel, bit_j = inst.rows[(i, j)], bits[j].__getitem__
             full[(i, j)] = tuple(sum(map(bit_j, rel[a])) for a in inst.original_domains[i])
         nbit = tuple({l: 1 << t for t, l in enumerate(inst.neighbors(k))} for k in range(inst.n))
-        by_sizes: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        by_sizes: dict[tuple[int, int], list] = {}
         for i, j in full:
-            by_sizes.setdefault((len(pos[i]), len(pos[j])), []).append((i, j))
-        groups = tuple((sizes, tuple(group)) for sizes, group in by_sizes.items())
-        held.append(Static(full, nbit, groups))
+            by_sizes.setdefault((sizes[i], sizes[j]), []).append((i, j))
+        by_widths: dict[tuple[int, int], list] = {}
+        for k, s in enumerate(sizes):
+            by_widths.setdefault((s, _field(len(nbit[k]))), []).append(k)
+        groups = tuple((key, tuple(group)) for key, group in by_sizes.items())
+        holders = tuple((key, tuple(group)) for key, group in by_widths.items())
+        packed = {key: _pack([full[e] for e in edges], _field(key[1])) for key, edges in groups}
+        edges = [e for _, group in groups for e in group]
+        variables = [k for _, group in holders for k in group]
+        pairs = _offsets(variables, [sizes[k] ** 2 for k in variables])
+        fields = {
+            k: (key, (pairs[k] - pairs[group[0]]) * key[1])
+            for key, group in holders
+            for k in group
+        }
+        held.append(Static(
+            full, nbit, groups, packed, holders,
+            along=_offsets(edges, [sizes[i] ** 2 for i, _ in edges]),
+            across=_offsets(edges, [sizes[i] * sizes[j] for i, j in edges]),
+            ends=_offsets(edges, [sizes[i] for i, _ in edges]),
+            pairs=tuple(pairs[k] for k in range(inst.n)),
+            fields=tuple(fields[k] for k in range(inst.n)),
+        ))
     return held[0]
 
 
@@ -423,53 +474,63 @@ def bit_positions(mask: int) -> Sequence[int]:
 
 
 class Masks(NamedTuple):
-    """The current domains as bitmasks, for one build() call: the Static
-    masks ANDed with the live ones (Instance.live), and the masks every fit
-    test reads (others), each derived once.  Bit p of a mask of x_k stands
-    for the value at position p of the original D(x_k) (Instance.positions),
-    never for the value itself: values are arbitrary non-negative ints."""
+    """The current domains as bitmasks, for one build() call: the packed
+    full rows of Static ANDed with the live masks (Instance.live), and the
+    masks every fit test reads (others), each derived once.  Bit p of a
+    mask of x_k stands for the value at position p of the original D(x_k)
+    (Instance.positions), never for the value itself: values are arbitrary
+    non-negative ints."""
 
+    static: Static
     # others[k][p] = live[k] less bit p for a live value at position p of
     # x_k, 0 for a dead one: the values that may replace it (see _fits)
     others: list[list[int]]
-    # row[i,j][p] = the mask of rows[(i,j)][a] ∩ D(x_j) for the value a at
-    # position p of x_i, 0 when a is not in D(x_i); Static.full order
-    row: dict[tuple[int, int], list[int]]
-    nbit: tuple[dict[int, int], ...]  # Static.nbit
-    groups: tuple[tuple[tuple[int, int], tuple[tuple[int, int], ...]], ...]  # Static.groups
-    # packed[s,t] = the rows of the edges of the group (s,t), one edge after
-    # the other, as fields of _field(t) bytes: packed once for every builder
+    # packed[s,t] = Static.packed[s,t] with the row of each live value at
+    # x_i ANDed with the live mask of the far end x_j, and a dead value's
+    # row 0: packed once for every builder
     packed: dict[tuple[int, int], bytes]
 
 
 def value_masks(inst: Instance) -> Masks:
-    """The masks of the current domains of ``inst``: a live value's row is
-    its full row ANDed with the live mask of the far end, a dead one's 0."""
+    """The masks of the current domains of ``inst``, a group of edges at a
+    time: the group's full rows ANDed with a mask of the live values at
+    each end, joined from one run of fields per variable."""
     static, live = static_masks(inst), inst.live
-    whole = [(1 << len(pos_k)) - 1 for pos_k in inst.positions]
-    dead = [bit_positions(whole_k ^ live_k) for whole_k, live_k in zip(whole, live)]
+    sizes = [len(pos_k) for pos_k in inst.positions]
     others = [
-        [live_k & ~(1 << p) if live_k >> p & 1 else 0 for p in range(len(pos_k))]
-        for live_k, pos_k in zip(live, inst.positions)
+        [live_k & ~(1 << p) if live_k >> p & 1 else 0 for p in range(s)]
+        for live_k, s in zip(live, sizes)
     ]
-    row = {}
-    for (i, j), full in static.full.items():
-        live_j = live[j]
-        cur = list(full) if live_j == whole[j] else [f & live_j for f in full]
-        for p in dead[i]:
-            cur[p] = 0
-        row[(i, j)] = cur
-    packed = {(s, t): _pack([row[e] for e in edges], _field(t)) for (s, t), edges in static.groups}
-    return Masks(others, row, static.nbit, static.groups, packed)
+    # the variables with a dead value: only their runs differ from all ones
+    partial = [k for k, (live_k, s) in enumerate(zip(live, sizes)) if live_k != (1 << s) - 1]
+    packed = dict(static.packed)
+    for (s, t), edges in static.groups:
+        size = _field(t)
+        ones = (1 << 8 * size) - 1
+        # by variable, ones in the field of each live value at the near end,
+        # and its live mask in each of s fields at the far end
+        near = {i: _pack([[ones * (live[i] >> p & 1) for p in range(s)]], size)
+                for i in partial if sizes[i] == s}
+        far = {j: _pack([[live[j]] * s], size) for j in partial if sizes[j] == t}
+        if near or far:
+            # every other variable's run, of all its values
+            whole_i, whole_j = bytes([255]) * (s * size), _pack([[(1 << t) - 1] * s], size)
+            nears = b"".join(map(near.get, map(itemgetter(0), edges), repeat(whole_i)))
+            fars = b"".join(map(far.get, map(itemgetter(1), edges), repeat(whole_j)))
+            mask = int.from_bytes(nears, "little") & int.from_bytes(fars, "little")
+            full = packed[(s, t)]
+            packed[(s, t)] = (int.from_bytes(full, "little") & mask).to_bytes(len(full), "little")
+    return Masks(static, others, packed)
 
 
 class Packed(NamedTuple):
     """A count or holder table as one build() hands it from builder to
-    builder: its lists, and by list the bytes that its readers take, for a
-    count table one a slot, nonzero where the count is, and for a holder
-    table its masks as fields of _field(degree of x_k) bytes."""
+    builder: its list, and the bytes that its readers take, one bytes a
+    group: for a count table one byte a slot, nonzero where the count is,
+    by Static.groups; for a holder table its masks as fields of
+    _field(degree of x_k) bytes, by Static.holders."""
 
-    lists: dict
+    table: list
     packed: dict
 
 
@@ -477,14 +538,14 @@ class Packed(NamedTuple):
 #
 # The flat builders do their per-slot work in C, on bytes and big ints, for a
 # whole group of oriented edges whose two ends have the same original domain
-# sizes (Masks.groups), and hand each other bytes (Packed): the rows of a group
-# are packed once per build (Masks.packed), a reader of a count table flags
-# its count bytes with one translate, and _fits reads the holder fields that
-# flat_holders interleaved.  Each list of a table is made once, for the
-# engines.  The Python work per edge grows with D, not D².  _pair_counts
-# pairs every mask of one list with every mask of another and counts the
-# common bits, at most _PAIR_BATCH slots at a time; _run_masks is a
-# movemask, gathering runs of 0/1 bytes into one int each.
+# sizes (Static.groups), and hand each other bytes (Packed): the rows of a
+# group are packed once per build (Masks.packed), a reader of a count table
+# flags its count bytes with one translate, and _fits reads the holder fields
+# that flat_holders interleaved.  Each table is one list, which every builder
+# extends a group at a time.  The Python work per edge grows with D, not D².
+# _pair_counts pairs every mask of one run with every mask of another and
+# counts the common bits, at most _PAIR_BATCH slots at a time; _run_masks is
+# a movemask, gathering runs of 0/1 bytes into one int each.
 
 # array typecodes by item size, for the fields array packs and unpacks
 _TYPECODE = {array(code).itemsize: code for code in "QLIHB"}
@@ -534,17 +595,19 @@ def _unpack(buf, size: int) -> list[int]:
     return packed.tolist()
 
 
-def _split(seq, count: int) -> list:
-    """The bytes or list ``seq`` cut into ``count`` slices of equal length,
-    one per edge or variable."""
-    span = len(seq) // count
-    return [seq[n * span : (n + 1) * span] for n in range(count)]
-
-
-def _flags(counts: Packed, edges, translate: bytes) -> bytes:
-    """The count bytes of ``counts`` for ``edges``, one edge after the
-    other, as 0/1 bytes by the translate table ``_NONZERO`` or ``_ZERO``."""
-    return b"".join([counts.packed[e] for e in edges]).translate(translate)
+def _field_flags(buf, start: int, count: int, size: int, lane: int, table: bytes) -> bytes:
+    """One 0/1 byte for each of ``count`` fields of ``size`` bytes from byte
+    ``start`` of ``buf``: 1 where the translate table ``table`` takes the
+    field's byte ``lane`` to 1 and every other byte of the field is 0."""
+    stop = start + count * size
+    flags = buf[start + lane : stop : size].translate(table)
+    if size > 1:
+        mask = int.from_bytes(flags, "little")
+        for b in range(size):
+            if b != lane:
+                mask &= int.from_bytes(buf[start + b : stop : size].translate(_ZERO), "little")
+        flags = mask.to_bytes(count, "little")
+    return flags
 
 
 def _interleave(lanes: list[int], count: int, size: int) -> bytearray:
@@ -556,14 +619,14 @@ def _interleave(lanes: list[int], count: int, size: int) -> bytearray:
     return buf
 
 
-def _run_masks(flags, run: int) -> int:
+def _run_masks(flags, run: int) -> bytearray:
     """A movemask: for ``flags``, 0/1 bytes in runs of ``run``, one field
     of _field(run) bytes per run with bit q set where its byte q is 1."""
     size = _field(run)
     lanes = [0] * size
     for q in range(run):
         lanes[q >> 3] |= int.from_bytes(flags[q::run], "little") << (q & 7)
-    return int.from_bytes(_interleave(lanes, len(flags) // run, size), "little")
+    return _interleave(lanes, len(flags) // run, size)
 
 
 def _transpose(flags: bytes, rows: int, cols: int) -> bytearray:
@@ -574,6 +637,15 @@ def _transpose(flags: bytes, rows: int, cols: int) -> bytearray:
         for c in range(cols):
             out[c * rows + r :: block] = flags[r * cols + c :: block]
     return out
+
+
+def _swap_pairs(buf: bytes, span: int) -> bytes:
+    """``buf`` with each two neighbouring blocks of ``span`` bytes swapped."""
+    firsts = (bytes([255]) * span + bytes(span)) * (len(buf) // (2 * span))
+    firsts = int.from_bytes(firsts, "little")
+    whole = int.from_bytes(buf, "little")
+    swapped = (whole & firsts) << 8 * span | (whole >> 8 * span) & firsts
+    return swapped.to_bytes(len(buf), "little")
 
 
 def _spread(packed: bytes, chunk: int, stride: int) -> int:
@@ -597,41 +669,48 @@ def _replicate(packed: int, unit: int, copies: int) -> int:
 
 
 def _pair_counts(
-    out: Packed, edges, xs: bytes, ys: bytes, nx: int, ny: int, size: int, invert: bool = False
+    out: Packed, key, count: int, xs, ys, nx: int, ny: int, size: int, invert: bool = False
 ) -> None:
-    """[(x & y).bit_count() for x in X for y in Y] for every edge of
-    ``edges``, a group, where xs holds the nx masks X of each edge and ys
-    its ny masks Y, packed into fields of ``size`` bytes; with ``invert``,
-    each y is taken as ~y.  Stores each edge's list in ``out``, and its
-    counts as bytes, one a slot, nonzero where the count is.
+    """[(x & y).bit_count() for x in X for y in Y] for each of the ``count``
+    edges of the group ``key``, where xs holds the nx masks X of each edge
+    and ys its ny masks Y, packed into fields of ``size`` bytes; with
+    ``invert``, each y is taken as ~y.  Appends the counts to out.table,
+    one edge after the other, and stores them as bytes in out.packed[key],
+    one a slot, nonzero where the count is.
 
     Each x goes at the start of its run of ny fields and each edge's Y at
     the start of its span of nx runs; doubling shifts fill the rest, one
     AND pairs them all, and the popcount of a field is the sum of its
     bytes' popcounts.  The edges are paired at most _PAIR_BATCH slots at a
-    time, so that no buffer outgrows the lists it fills.  Fields past 8
+    time, so that no buffer outgrows the counts it gives.  Fields past 8
     bytes are paired by the formula, slot by slot, and their counts, which
     can pass 255, flagged as 0 or 1."""
     if size > 8:
         xs, ys = _unpack(xs, size), _unpack(ys, size)
         if invert:
             ys = [~y for y in ys]
-        for n, e in enumerate(edges):
-            ye = ys[n * ny : (n + 1) * ny]
-            counts = [(x & y).bit_count() for x in xs[n * nx : (n + 1) * nx] for y in ye]
-            out.lists[e], out.packed[e] = counts, bytes(map(bool, counts))
+        yss = [ys[n * ny : (n + 1) * ny] for n in range(count)]
+        counts = [
+            (x & y).bit_count()
+            for n in range(count)
+            for x in xs[n * nx : (n + 1) * nx]
+            for y in yss[n]
+        ]
+        out.table.extend(counts)
+        out.packed[key] = bytes(map(bool, counts))
         return
     run, span = ny * size, nx * ny * size
     batch = max(1, _PAIR_BATCH // (nx * ny))
-    for start in range(0, len(edges), batch):
-        count = min(batch, len(edges) - start)
-        xb = xs[start * nx * size : (start + count) * nx * size]
-        yb = ys[start * run : (start + count) * run]
+    parts = []
+    for start in range(0, count, batch):
+        edges = min(batch, count - start)
+        xb = xs[start * nx * size : (start + edges) * nx * size]
+        yb = ys[start * run : (start + edges) * run]
         x = _replicate(_spread(xb, size, run), 8 * size, ny)
         y = _replicate(_spread(yb, run, span), 8 * run, nx)
         if invert:
-            y ^= (1 << 8 * count * span) - 1
-        counts = (x & y).to_bytes(count * span, "little").translate(_POPCOUNT)
+            y ^= (1 << 8 * edges * span) - 1
+        counts = (x & y).to_bytes(edges * span, "little").translate(_POPCOUNT)
         del x, y
         # sum each field's bytes into its first byte, at most 64
         sums, lane = int.from_bytes(counts, "little"), 1
@@ -639,9 +718,10 @@ def _pair_counts(
         while lane < size:
             sums += sums >> 8 * lane
             lane *= 2
-        counts = _split(sums.to_bytes(count * span, "little")[::size], count)
-        for e, cells in zip(edges[start : start + count], counts):
-            out.lists[e], out.packed[e] = list(cells), cells
+        counts = sums.to_bytes(edges * span, "little")[::size]
+        out.table.extend(counts)
+        parts.append(counts)
+    out.packed[key] = b"".join(parts)
 
 
 def _fits(inst: Instance, masks: Masks, holders: Packed, pairs, transposed=False) -> bytes:
@@ -651,58 +731,52 @@ def _fits(inst: Instance, masks: Masks, holders: Packed, pairs, transposed=False
     the other.  The field at the position of v holds the mask of the w != v
     of D(x_k) (Masks.others) whose holder mask of (v,w), or transposed
     (w,v), holds no neighbour but x_l; 0 for a dead v."""
+    static = masks.static
     size_k = len(inst.positions[pairs[0][0]])
     flags = []
     for k, l in pairs:
-        cells, t = holders.packed[k], masks.nbit[k][l].bit_length() - 1
-        width = len(cells) // (size_k * size_k)
-        fit = cells[t >> 3 :: width].translate(_FITS[t & 7])
-        if width > 1:
-            # every other byte of the holder field must be 0
-            mask = int.from_bytes(fit, "little")
-            for b in range(width):
-                if b != t >> 3:
-                    mask &= int.from_bytes(cells[b::width].translate(_ZERO), "little")
-            fit = mask.to_bytes(len(fit), "little")
-        flags.append(fit)
+        (_, width), start = static.fields[k]
+        t = static.nbit[k][l].bit_length() - 1
+        cells = holders.packed[size_k, width]
+        flags.append(_field_flags(cells, start, size_k * size_k, width, t >> 3, _FITS[t & 7]))
     flags = b"".join(flags)
     if transposed:
         flags = _transpose(flags, size_k, size_k)
     allowed = _pack([masks.others[k] for k, _ in pairs], _field(size_k))
-    fit = _run_masks(flags, size_k) & int.from_bytes(allowed, "little")
+    fit = int.from_bytes(_run_masks(flags, size_k), "little") & int.from_bytes(allowed, "little")
     return fit.to_bytes(len(allowed), "little")
 
 
 def flat_nb_blocks(inst: Instance, masks: Masks) -> Packed:
     """compute_nb_blocks as (m_d & ~m_e).bit_count() over the row masks."""
-    out = Packed(dict.fromkeys(masks.row), {})
-    for (size_k, size_l), edges in masks.groups:
-        rows = masks.packed[(size_k, size_l)]
-        _pair_counts(out, edges, rows, rows, size_k, size_k, _field(size_l), invert=True)
+    out = Packed([], {})
+    for key, edges in masks.static.groups:
+        (size_k, size_l), rows = key, masks.packed[key]
+        _pair_counts(out, key, len(edges), rows, rows, size_k, size_k, _field(size_l), True)
     return out
 
 
 def flat_holders(inst: Instance, masks: Masks, counts: Packed) -> Packed:
-    """compute_holders as masks: the list of x_k holds, at the slot of each
-    pair of its values, the bit of every neighbour x_l where the list of
-    (k,l) is positive.  For the variables of one original domain size and
-    holder field width, the count bytes of every t-th neighbour, as 0/1
-    bytes, go to bit t of the holder fields at once."""
-    groups: dict[tuple[int, int], list[int]] = {}
-    for k, pos in enumerate(inst.positions):
-        groups.setdefault((len(pos), _field(len(inst.neighbors(k)))), []).append(k)
-    out = Packed(dict.fromkeys(range(inst.n)), {})
-    for (size_k, size), group in groups.items():
+    """compute_holders as masks: x_k's run holds, at the slot of each pair
+    of its values, the bit of every neighbour x_l where the run of (k,l) is
+    positive.  For the variables of one holder group (Static.holders), the
+    count bytes of every t-th neighbour, as 0/1 bytes, go to bit t of the
+    holder fields at once."""
+    static = masks.static
+    # one 0/1 byte a count, at the count's index in its table
+    flags = b"".join([counts.packed[key] for key, _ in static.groups]).translate(_NONZERO)
+    out = Packed([], {})
+    for (size_k, size), group in static.holders:
         cells = size_k * size_k
         nbrs = [inst.neighbors(k) for k in group]
+        starts = [[static.along[k, l] for l in ls] for k, ls in zip(group, nbrs)]
         lanes, none = [0] * size, bytes(cells)
         for t in range(max(map(len, nbrs))):
-            got = [counts.packed[k, ls[t]] if t < len(ls) else none for k, ls in zip(group, nbrs)]
-            flags = b"".join(got).translate(_NONZERO)
-            lanes[t >> 3] |= int.from_bytes(flags, "little") << (t & 7)
+            got = [flags[at[t] : at[t] + cells] if t < len(at) else none for at in starts]
+            lanes[t >> 3] |= int.from_bytes(b"".join(got), "little") << (t & 7)
         fields = _interleave(lanes, len(group) * cells, size)
-        out.packed.update(zip(group, _split(fields, len(group))))
-        out.lists.update(zip(group, _split(_unpack(fields, size), len(group))))
+        out.packed[(size_k, size)] = fields
+        out.table.extend(_unpack(fields, size))
     return out
 
 
@@ -711,25 +785,26 @@ def flat_nb_subs(inst: Instance, masks: Masks, block_vars: Packed) -> Packed:
     e that d may be replaced by, blocked at most at x_i.  The slots of the
     compatible pairs (a,d), which compute_nb_subs leaves out, are never
     read."""
-    out = Packed(dict.fromkeys(masks.row), {})
-    for (size_i, size_k), edges in masks.groups:
-        rows = masks.packed[(size_i, size_k)]
+    out = Packed([], {})
+    for key, edges in masks.static.groups:
+        (size_i, size_k), rows = key, masks.packed[key]
         fit = _fits(inst, masks, block_vars, [(k, i) for i, k in edges])
-        _pair_counts(out, edges, rows, fit, size_i, size_k, _field(size_k))
+        _pair_counts(out, key, len(edges), rows, fit, size_i, size_k, _field(size_k))
     return out
 
 
 def flat_nb_stops(inst: Instance, masks: Masks, nb_subs: Packed) -> Packed:
     """compute_nb_stops as the popcount of b's row mask and the mask of the
     d incompatible with a that have no sub."""
-    out = Packed(dict.fromkeys(masks.row), {})
-    for (size_i, size_k), edges in masks.groups:
-        rows = masks.packed[(size_i, size_k)]
+    out = Packed([], {})
+    for key, edges in masks.static.groups:
+        (size_i, size_k), rows = key, masks.packed[key]
         # by the position of a, the d with no sub less those a takes; b's
         # row mask holds no dead d
-        subless = _run_masks(_flags(nb_subs, edges, _ZERO), size_k)
-        nosubs = (subless & ~int.from_bytes(rows, "little")).to_bytes(len(rows), "little")
-        _pair_counts(out, edges, nosubs, rows, size_i, size_i, _field(size_k))
+        subless = _run_masks(nb_subs.packed[key].translate(_ZERO), size_k)
+        nosubs = int.from_bytes(subless, "little") & ~int.from_bytes(rows, "little")
+        nosubs = nosubs.to_bytes(len(rows), "little")
+        _pair_counts(out, key, len(edges), nosubs, rows, size_i, size_i, _field(size_k))
     return out
 
 
@@ -742,23 +817,23 @@ def _count_covers(
     ``transposed`` (a,b), fits inside {j} (see _fits), and m_c is the row
     mask of c at x_j over x_i, with the a that have a sub for c added when
     ``nb_subs`` is given."""
-    out = Packed(dict.fromkeys(masks.row), {})
-    for (size_i, size_j), edges in masks.groups:
+    out = Packed([], {})
+    for key, edges in masks.static.groups:
+        size_i, size_j = key
         # the rows of the reverse edges, in the order of ``edges`` (see
         # Static.groups)
         if size_i != size_j:
             takes = masks.packed[(size_j, size_i)]
         else:
-            rows = _split(masks.packed[(size_i, size_j)], len(edges))
-            takes = b"".join([rows[n ^ 1] for n in range(len(edges))])
+            takes = _swap_pairs(masks.packed[key], size_j * _field(size_i))
         if nb_subs is not None:
             # the nb_subs slot of an a that takes c holds no defined count,
             # but such an a is in m_c already; the fit masks hold no dead a
-            subbed = _transpose(_flags(nb_subs, edges, _NONZERO), size_i, size_j)
-            subbed = _run_masks(subbed, size_i) | int.from_bytes(takes, "little")
-            takes = subbed.to_bytes(len(takes), "little")
+            subbed = _transpose(nb_subs.packed[key].translate(_NONZERO), size_i, size_j)
+            subbed = int.from_bytes(_run_masks(subbed, size_i), "little")
+            takes = (subbed | int.from_bytes(takes, "little")).to_bytes(len(takes), "little")
         fits = _fits(inst, masks, holders, edges, transposed)
-        _pair_counts(out, edges, fits, takes, size_i, size_j, _field(size_i))
+        _pair_counts(out, key, len(edges), fits, takes, size_i, size_j, _field(size_i))
     return out
 
 
@@ -776,15 +851,15 @@ def flat_nb_snake_covers(
     return _count_covers(inst, masks, stop_vars, True, nb_subs)
 
 
-def flat_uncovered(inst: Instance, masks: Masks, covers: Packed) -> dict:
-    """compute_uncovered as masks: the list of (i,j) holds, at the position
+def flat_uncovered(inst: Instance, masks: Masks, covers: Packed) -> list:
+    """compute_uncovered as masks: the run of (i,j) holds, at the position
     of b, b's row mask less the c whose cover slot is positive."""
-    table: dict = dict.fromkeys(masks.row)
-    for (size_i, size_j), edges in masks.groups:
+    table: list = []
+    for (size_i, size_j), edges in masks.static.groups:
         rows = masks.packed[(size_i, size_j)]
-        uncovered = _run_masks(_flags(covers, edges, _ZERO), size_j)
-        uncovered = (uncovered & int.from_bytes(rows, "little")).to_bytes(len(rows), "little")
-        table.update(zip(edges, _split(_unpack(uncovered, _field(size_j)), len(edges))))
+        uncovered = _run_masks(covers.packed[(size_i, size_j)].translate(_ZERO), size_j)
+        uncovered = int.from_bytes(uncovered, "little") & int.from_bytes(rows, "little")
+        table.extend(_unpack(uncovered.to_bytes(len(rows), "little"), _field(size_j)))
     return table
 
 
@@ -792,22 +867,29 @@ def flat_nb_snake(inst: Instance, masks: Masks, stop_vars: Packed) -> dict:
     """compute_nb_snake over the stop_vars masks."""
     table: dict = {}
     for i, vals_i in enumerate(inst.original_domains):
-        size, held = len(vals_i), stop_vars.lists[i]
+        size, start = len(vals_i), masks.static.pairs[i]
         ps = bit_positions(inst.live[i])
         for b in ps:
             # the stop_vars masks of (a,b), by the position of a
-            cells = held[b::size]
+            cells = stop_vars.table[start + b : start + size * size : size]
             table[(i, vals_i[b])] = sum(1 for a in ps if a != b and not cells[a])
     return table
 
 
 def flat_inconsistent(inst: Instance, masks: Masks) -> dict:
-    """compute_inconsistent over the row masks."""
+    """compute_inconsistent over the row masks: a value is inconsistent
+    where its row at some neighbour is 0."""
+    # bit p of unsupported[i]: the value at position p of x_i has a row of
+    # 0 somewhere, as has every dead value
+    unsupported = [0] * inst.n
+    for (s, t), edges in masks.static.groups:
+        zero = _field_flags(masks.packed[(s, t)], 0, len(edges) * s, _field(t), 0, _ZERO)
+        for (i, _), mask in zip(edges, _unpack(_run_masks(zero, s), _field(s))):
+            unsupported[i] |= mask
     table: dict = {}
     for i, vals_i in enumerate(inst.original_domains):
-        rows = [masks.row[(i, k)] for k in inst.neighbors(i)]
         for p in bit_positions(inst.live[i]):
-            table[(i, vals_i[p])] = not all([row[p] for row in rows])
+            table[(i, vals_i[p])] = bool(unsupported[i] >> p & 1)
     return table
 
 
@@ -887,11 +969,11 @@ class Table(NamedTuple):
     # the builder from the masks, equal to compute on every live cell read
     # through cell() (and in key order, for the dicts); it takes and gives a
     # count or holder table as Packed
-    flat: Callable[..., dict | Packed]
+    flat: Callable[..., dict | list | Packed]
     # the probes of compute on the current domains (see charge_pairs)
     charge: Callable[[Instance], int]
     # the flat layout (see _across), None for a dict keyed by (variable, value)
-    layout: Callable[..., tuple] | None
+    layout: Callable[..., int] | None
     # for a mask table, what each bit stands for (see _neighbours)
     labels: Callable[[Instance, tuple], tuple[int, ...]] | None = None
 
@@ -931,8 +1013,7 @@ class Tables(SimpleNamespace):
 
 class Held(dict):
     """The tables that one engine run hands to the next (see build): by
-    name, the lists of each table as the engine that kept it current left
-    them, current on every live cell of the domains whose live masks are
+    name, each table as the engine that kept it current left it, current on every live cell of the domains whose live masks are
     ``live``, in the lineage whose Static is ``static``."""
 
     static: Static | None = None
@@ -948,26 +1029,21 @@ class Held(dict):
         self.static, self.live = static, tuple(live)
 
 
-class _HandedBytes(dict):
-    """The bytes of a handed count or holder table, as Packed holds them,
-    each list packed at its first read: a builder packs only what it reads."""
-
-    def __init__(self, inst: Instance, name: str, lists: dict):
-        super().__init__()
-        self.inst, self.lists, self.holders = inst, lists, TABLES[name].layout is _pair
-
-    def __missing__(self, key):
-        cells = self.lists[key]
-        if self.holders:
-            packed = _pack([cells], _field(len(self.inst.neighbors(key))))
-        else:
-            packed = bytes(map(bool, cells))
-        self[key] = packed
-        return packed
-
-
-# the tables that some builder reads, as Packed
-_READ = {r for table in TABLES.values() for r in table.reads}
+def _handed(masks: Masks, name: str, table: list) -> Packed:
+    """The handed count or holder table ``name`` with the bytes that its
+    readers take, packed a group at a time from the group's run of slots."""
+    static, layout, packed = masks.static, TABLES[name].layout, {}
+    if layout is _pair:
+        for (size, width), group in static.holders:
+            start = static.pairs[group[0]]
+            packed[size, width] = _pack([table[start : start + len(group) * size * size]], width)
+    else:
+        offsets = static.along if layout is _along else static.across
+        for (s, t), edges in static.groups:
+            start = offsets[edges[0]]
+            stop = start + len(edges) * s * (s if layout is _along else t)
+            packed[s, t] = bytes(map(bool, table[start:stop]))
+    return Packed(table, packed)
 
 
 def _closure(names) -> list[str]:
@@ -997,26 +1073,28 @@ def build(inst: Instance, *names: str, held: Held | None = None) -> Tables:
     """Compute the named tables and every table they read, in TABLES order,
     each with its flat builder, but take each table that ``held`` holds as
     it is: the caller owns it from then on.  The value masks are made only
-    when some table must be built, and a handed table's lists are packed
-    only as a builder that runs reads them; every table, built or handed,
+    when some table must be built, and a handed table is packed into bytes
+    only when a builder that runs reads it; every table, built or handed,
     is charged the same probes."""
     need = _closure(names)
     built: dict = dict.fromkeys(need)
-    for name, lists in _taken(held, need, inst).items():
-        built[name] = Packed(lists, _HandedBytes(inst, name, lists)) if name in _READ else lists
+    built.update(_taken(held, need, inst))
     todo = [name for name in need if built[name] is None]
     masks = value_masks(inst) if todo else None
     # the last table built that reads each table: a Packed table keeps its
     # bytes only until then
     last = {r: name for name in todo for r in TABLES[name].reads}
+    for r in last:
+        if built[r] is not None:
+            built[r] = _handed(masks, r, built[r])
     for name in todo:
         table = TABLES[name]
         built[name] = table.flat(inst, masks, *(built[r] for r in table.reads))
         for r in table.reads:
-            if last[r] == name and isinstance(built[r], Packed):
-                built[r] = built[r].lists
-    lists = {name: t.lists if isinstance(t, Packed) else t for name, t in built.items()}
-    return Tables(**lists, probes=charges(inst, *need))
+            if last[r] == name:
+                built[r] = built[r].table
+    tables = {name: t.table if isinstance(t, Packed) else t for name, t in built.items()}
+    return Tables(**tables, probes=charges(inst, *need))
 
 
 def charges(inst: Instance, *names: str) -> int:
@@ -1066,7 +1144,7 @@ class CounterMismatch(AssertionError):
     """An incrementally maintained cell disagrees with its definition."""
 
 
-def verify_tables(inst: Instance, **kept: dict) -> None:
+def verify_tables(inst: Instance, **kept: dict | list) -> None:
     """Recompute the named tables for the current domains of ``inst`` with
     their set-builders and compare against the engine-maintained tables,
     the flat ones read through cell() (live cells only; dead slots and

@@ -38,14 +38,17 @@ falls has one step that moves it by ``delta`` (+1 or -1).  Only where the
 count flips, up to one or down to none, does it go further; the rule hook
 it then calls takes the same ``delta``.
 
-The count, holder and uncovered tables are flat lists indexed by value
-position (``Instance.positions``), laid out as ``counters.TABLES`` states;
-each pass computes its slots inline.  A holder cell is an int mask with
-the bit ``nbit[k][l]`` for each neighbour x_l of x_k that holds it; an
-uncovered cell is an int mask over the value positions of the
-conditioning variable.  Slots indexed by the removed value are read before
-they go stale, are never written during a pass, and are never read after
-it.  Each counter step, bit set or cleared, flag change and worklist push
+Each count, holder and uncovered table is one flat list, indexed by value
+position (``Instance.positions``) and laid out as ``counters.TABLES``
+states: each oriented edge or variable owns a run of slots, which starts at
+its offset in ``counters.Static`` (``along``, ``across``, ``ends``,
+``pairs``), shared by the whole lineage.  Each pass computes its slots
+inline, adding the key's offset into the base it computes per row.  A
+holder cell is an int mask with the bit ``nbit[k][l]`` for each neighbour
+x_l of x_k that holds it; an uncovered cell is an int mask over the value
+positions of the conditioning variable.  Slots indexed by the removed
+value are read before they go stale, are never written during a pass, and
+are never read after it.  Each counter step, bit set or cleared, flag change and worklist push
 adds one to ``updates``.  A count below zero, a bit set that is already set
 and a bit cleared that is not set are errors.
 
@@ -96,6 +99,9 @@ class Kernel:
         self.vals = inst.original_domains  # vals[k][p] = the value at position p
         self.static = counters.static_masks(inst)
         self.full, self.nbit = self.static.full, self.static.nbit
+        # where each key's run of slots starts in the flat tables
+        self.along, self.across = self.static.along, self.static.across
+        self.ends, self.pairs = self.static.ends, self.static.pairs
         self.live = self.inst.live  # the working snapshot's, which _drop keeps
         self.updates = self.tables.probes
         self.steps: list[EliminationRecord] = []
@@ -178,18 +184,20 @@ class Kernel:
         """Blocks through the value at position u of x_r disappear at r's
         neighbours: at each x_k, for each d that u supports and each e that
         it does not."""
-        blocks_of, block_vars_of = self.tables.nb_blocks, self.tables.block_vars
+        blocks, block_vars = self.tables.nb_blocks, self.tables.block_vars
         for k in self.inst.neighbors(r):
             live_k = self.live[k]
             with_u = self.full[(r, k)][u] & live_k
             if not with_u or with_u == live_k:
                 continue
             without_u = bit_positions(live_k ^ with_u)
-            blocks, block_vars = blocks_of[(k, r)], block_vars_of[k]
+            start = self.along[(k, r)]
+            # from a cell of (k,r)'s run to the same pair's cell in x_k's run
+            to_holders = self.pairs[k] - start
             bit_r = self.nbit[k][r]
             size_k = len(self.pos[k])
             for d in bit_positions(with_u):
-                base = d * size_k
+                base = start + d * size_k
                 self.updates += len(without_u)
                 for e in without_u:
                     cell = base + e
@@ -199,6 +207,7 @@ class Kernel:
                             key = (k, self.vals[k][d], self.vals[k][e], r)
                             raise RuntimeError(f"nb_blocks{key} went negative")
                         continue
+                    cell += to_holders
                     holders = block_vars[cell]
                     if not holders & bit_r:
                         key = (k, self.vals[k][d], self.vals[k][e])
@@ -239,8 +248,8 @@ class SnakeKernel(Kernel):
         # u no longer counts as a sub at r: for each a at x_i that takes u,
         # at each d that a does not take and whose block_vars(r,d,u) fits
         # inside {i}
-        block_vars = self.tables.block_vars[r]
-        held = [(1 << d, block_vars[d * size_r + u]) for d in bit_positions(live[r])]
+        block_vars, base = self.tables.block_vars, self.pairs[r] + u
+        held = [(1 << d, block_vars[base + d * size_r]) for d in bit_positions(live[r])]
         for i in self.inst.neighbors(r):
             takes_u = full[(r, i)][u] & live[i]
             if not takes_u:
@@ -262,10 +271,10 @@ class SnakeKernel(Kernel):
             takes_u = full[(r, i)][u] & live[i]
             if not takes_u:
                 continue
-            subs = self.tables.nb_subs[(i, r)]
+            subs, base = self.tables.nb_subs, self.across[(i, r)] + u
             takers = bit_positions(takes_u)
             for a in bit_positions(live[i] ^ takes_u):
-                if subs[a * size_r + u]:
+                if subs[base + a * size_r]:
                     continue
                 for b in takers:
                     self._step_stops(i, a, b, r, -1)
@@ -284,8 +293,8 @@ class SnakeKernel(Kernel):
     def _step_subs(self, i: int, a: int, k: int, d: int, delta: int) -> None:
         """nb_subs(i,a,k,d) moves by ``delta``.  Once d at x_k has a sub for
         a, it stops stopping replacements by a; once it has none, it resumes."""
-        subs = self.tables.nb_subs[(i, k)]
-        cell = a * len(self.pos[k]) + d
+        subs = self.tables.nb_subs
+        cell = self.across[(i, k)] + a * len(self.pos[k]) + d
         left = subs[cell] = subs[cell] + delta
         self.updates += 1
         if left < 0:
@@ -300,8 +309,9 @@ class SnakeKernel(Kernel):
         """The stops against replacing b by a at x_i that sit at x_k move by
         ``delta``; x_k joins stop_vars(i,a,b) with the first and leaves it
         with the last."""
-        stops = self.tables.nb_stops[(i, k)]
-        cell = a * len(self.pos[i]) + b
+        stops = self.tables.nb_stops
+        pair = a * len(self.pos[i]) + b
+        cell = self.along[(i, k)] + pair
         left = stops[cell] = stops[cell] + delta
         self.updates += 1
         if left < 0:
@@ -309,7 +319,7 @@ class SnakeKernel(Kernel):
             raise RuntimeError(f"nb_stops{key} went negative")
         if left != (delta > 0):
             return
-        stop_vars = self.tables.stop_vars[i]
+        stop_vars, cell = self.tables.stop_vars, self.pairs[i] + pair
         holders, bit = stop_vars[cell], self.nbit[i][k]
         if bool(holders & bit) == (delta > 0):
             raise _bit_error("stop_vars", (i, self.vals[i][a], self.vals[i][b]), delta > 0, k)
@@ -325,11 +335,12 @@ class Substitutions(Kernel):
     def __init__(self, inst: Instance, held: Optional[counters.Held] = None):
         super().__init__(inst, held)
         self.substitutions: deque[tuple[int, int, int]] = deque()
+        block_vars = self.tables.block_vars
         for i, live_i in enumerate(self.live):
-            block_vars, size = self.tables.block_vars[i], len(self.pos[i])
+            size = len(self.pos[i])
             live_ps = bit_positions(live_i)
             for b in live_ps:
-                base = b * size
+                base = self.pairs[i] + b * size
                 for a in live_ps:
                     if a != b and not block_vars[base + a]:
                         self.substitutions.append((i, b, a))
@@ -374,13 +385,14 @@ class CoverKernel(Kernel):
         super().__init__(inst, held)
         self.covers = getattr(self.tables, self.COVERS)
         self.uncovered = uncovered = getattr(self.tables, self.UNCOVERED)
+        ends = self.ends
         # every triple whose conditioning values are all covered already
         self.conditioned_work = deque(
             (i, b, j)
             for i, live_i in enumerate(self.live)
             for b in bit_positions(live_i)
             for j in inst.neighbors(i)
-            if not uncovered[(i, j)][b]
+            if not uncovered[ends[(i, j)] + b]
         )
         self.updates += len(self.conditioned_work)
 
@@ -405,7 +417,7 @@ class CoverKernel(Kernel):
         """The next triple whose value is live and whose values are all covered."""
         while self.conditioned_work:
             i, b, j = self.conditioned_work.popleft()
-            if self.live[i] >> b & 1 and not self.uncovered[(i, j)][b]:
+            if self.live[i] >> b & 1 and not self.uncovered[self.ends[(i, j)] + b]:
                 return i, b, self.RULE, self._witness(i, b, j)
         return None
 
@@ -426,8 +438,8 @@ class CoverKernel(Kernel):
         ``delta``.  A compatible c leaves b's uncovered mask with its first
         cover, queueing (i,b,j) once the mask is empty, and rejoins it when
         its last cover goes."""
-        covers = self.covers[(i, j)]
-        base = b * len(self.pos[j])
+        covers = self.covers
+        base = self.across[(i, j)] + b * len(self.pos[j])
         flipped = 0
         for c in bit_positions(cs):
             cell = base + c
@@ -441,14 +453,14 @@ class CoverKernel(Kernel):
         flipped &= self.full[(i, j)][b]
         if not flipped:
             return
-        uncovered = self.uncovered[(i, j)]
-        held = uncovered[b]
+        uncovered, at = self.uncovered, self.ends[(i, j)] + b
+        held = uncovered[at]
         stray = held & flipped if delta < 0 else flipped & ~held  # a bit already so
         if stray:
             key = (i, self.vals[i][b], j)
             member = self.vals[j][bit_positions(stray)[0]]
             raise _bit_error(self.UNCOVERED, key, delta < 0, member)
-        values = uncovered[b] = held ^ flipped
+        values = uncovered[at] = held ^ flipped
         self.updates += flipped.bit_count()
         if not values:
             self.conditioned_work.append((i, b, j))
@@ -483,13 +495,13 @@ class CoverKernel(Kernel):
         """u no longer serves as a conditioning value at x_r: it leaves the
         uncovered masks of the values it supports."""
         bit_u = 1 << u
-        full, live = self.full, self.live
+        full, live, uncovered = self.full, self.live, self.uncovered
         for i in self.inst.neighbors(r):
-            uncovered = self.uncovered[(i, r)]
+            start = self.ends[(i, r)]
             for b in bit_positions(full[(r, i)][u] & live[i]):
-                held = uncovered[b]
+                held = uncovered[start + b]
                 if held & bit_u:
-                    uncovered[b] = held ^ bit_u
+                    uncovered[start + b] = held ^ bit_u
                     self.updates += 1
                     if held == bit_u:
                         self.conditioned_work.append((i, b, r))

@@ -78,13 +78,13 @@ class ScssEngine(CoverKernel, SnakeKernel):
         return self._pop_conditioned()
 
     def _holders(self, i: int, b: int, a: int) -> int:
-        return self.tables.stop_vars[i][a * len(self.pos[i]) + b]
+        return self.tables.stop_vars[self.pairs[i] + a * len(self.pos[i]) + b]
 
     def _reach(self, i: int, a: int, j: int) -> int:
         # a's row, plus each live value it does not take but has a sub for
         reach = row = self.full[(i, j)][a]
-        subs = self.tables.nb_subs[(i, j)]
-        base = a * len(self.pos[j])
+        subs = self.tables.nb_subs
+        base = self.across[(i, j)] + a * len(self.pos[j])
         for c in bit_positions(self.live[j] & ~row):
             if subs[base + c]:
                 reach |= 1 << c

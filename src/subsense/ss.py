@@ -67,8 +67,8 @@ class SsEngine(SnakeKernel):
     def _ns_substitute(self, r: int, u: int) -> Optional[int]:
         """The position of the first value of x_r that plainly substitutes
         for the value at position u, or None."""
-        block_vars = self.tables.block_vars[r]
-        base = u * len(self.pos[r])
+        block_vars = self.tables.block_vars
+        base = self.pairs[r] + u * len(self.pos[r])
         for a in bit_positions(self.live[r] & ~(1 << u)):
             if not block_vars[base + a]:
                 return a
@@ -111,8 +111,8 @@ class SsEngine(SnakeKernel):
                 self.updates += 2
                 newly_flagged.append((i, v))
         # u no longer counts as a replacement for r's remaining values
-        stop_vars = self.tables.stop_vars[r]
-        base = u * len(self.pos[r])
+        stop_vars = self.tables.stop_vars
+        base = self.pairs[r] + u * len(self.pos[r])
         for b in bit_positions(live_r):
             if not stop_vars[base + b]:
                 self._step_snake(r, b, -1)

@@ -41,14 +41,13 @@ def corpus_size(seeds=(0,)) -> int:
     )
 
 
-def set_cell(inst: Instance, name: str, table: dict, key: tuple, value) -> None:
+def set_cell(inst: Instance, name: str, table: list, key: tuple, value) -> None:
     """Write ``value``, in the form counters.cell reads (a count, or the set
     a mask has a bit for), into the cell ``key`` of the flat table ``name``."""
-    where, index = counters.slot(inst, name, key)
     labels = counters.TABLES[name].labels
     if labels is not None:
         value = sum(1 << labels(inst, key).index(x) for x in value)
-    table[where][index] = value
+    table[counters.slot(inst, name, key)] = value
 
 
 def _sized(name, sizes, edges, seed):

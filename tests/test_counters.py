@@ -21,6 +21,8 @@ from subsense import (
     ss_to_convergence,
 )
 
+from subsense.scss import ScssEngine
+
 import reference
 from conftest import WIDTH_INPUTS, _wide_counts, corpus, set_cell
 from test_golden_traces import SET_COVER_SETS
@@ -51,8 +53,7 @@ def test_verify_tables_accepts_fresh_tables():
 def test_verify_tables_rejects_a_corrupted_count():
     inst = generators.figure1b()
     t = counters.build_ss(inst)
-    edge, index = counters.slot(inst, "nb_stops", (0, 1, 0, 1))
-    t.nb_stops[edge][index] += 1
+    t.nb_stops[counters.slot(inst, "nb_stops", (0, 1, 0, 1))] += 1
     with pytest.raises(counters.CounterMismatch):
         counters.verify_tables(inst, nb_stops=t.nb_stops)
 
@@ -65,8 +66,7 @@ def test_verify_tables_rejects_a_corrupted_mask():
     with pytest.raises(counters.CounterMismatch, match=r"engine has set\(\)"):
         counters.verify_tables(inst, nb_covers=t.nb_covers, uncovered=t.uncovered)
     # a bit past the last value of x_j stands for nothing
-    edge, index = counters.slot(inst, "uncovered", key)
-    t.uncovered[edge][index] = 1 << len(inst.original_domains[key[2]])
+    t.uncovered[counters.slot(inst, "uncovered", key)] = 1 << len(inst.original_domains[key[2]])
     with pytest.raises(counters.CounterMismatch, match="has a bit past"):
         counters.verify_tables(inst, uncovered=t.uncovered)
 
@@ -78,18 +78,15 @@ def test_verify_tables_rechecks_every_table_alone(name):
     table = getattr(counters.build(inst, name), name)
     counters.verify_tables(inst, **{name: table})
     key = next(iter(_reference(inst)[name][0]))
-    if counters.TABLES[name].layout:
-        # a flat table: one slot of one list, then the whole list
-        where, index = counters.slot(inst, name, key)
-        cells = table[where]
-    else:
-        where, index, cells = key, key, table
+    flat = counters.TABLES[name].layout is not None
+    index = counters.slot(inst, name, key) if flat else key
     # a different count, flag or mask (bit 0 stands for a neighbour or a value)
-    value = cells[index]
-    cells[index] = not value if isinstance(value, bool) else value ^ 1
+    value = table[index]
+    table[index] = not value if isinstance(value, bool) else value ^ 1
     with pytest.raises(counters.CounterMismatch, match="definition gives"):
         counters.verify_tables(inst, **{name: table})
-    del table[where]
+    # a flat table cut short before the cell, a dict without it
+    del table[slice(index, None) if flat else key]
     with pytest.raises(counters.CounterMismatch, match="cell missing"):
         counters.verify_tables(inst, **{name: table})
 
@@ -123,12 +120,11 @@ def test_verify_tables_ignores_dead_cells():
             continue
         table = getattr(t, name)
         live = {counters.slot(smaller, name, key) for key in ref[name][0]}
-        dead = [(where, i) for where, cells in table.items() for i in range(len(cells))
-                if (where, i) not in live]
+        dead = [i for i in range(len(table)) if i not in live]
         assert dead, name
-        for where, i in dead:
+        for i in dead:
             # as a mask, -7 has bits past every neighbour and value
-            table[where][i] = -7
+            table[i] = -7
         counters.verify_tables(smaller, **{name: table})
 
 
@@ -156,7 +152,7 @@ def _flat_cells(inst, name, table, keys):
 
 
 def _holds_only_ints(table):
-    cells = [c for v in table.values() for c in (v if isinstance(v, list) else [v])]
+    cells = table if isinstance(table, list) else table.values()
     return all(type(c) in (int, bool) for c in cells)
 
 
@@ -177,10 +173,8 @@ def assert_flat_builders_match(inst):
         table = flat[name]
         if isinstance(table, counters.Packed):
             _assert_packed_match(inst, name, table)
-            table = table.lists
+            table = table.table
         if entry.layout:
-            lists = range(inst.n) if name in ("block_vars", "stop_vars") else counters.oriented_edges(inst)
-            assert set(table) == set(lists), f"{inst.name} {name}: lists"
             assert _flat_cells(inst, name, table, want) == want, f"{inst.name} {name}: cells"
             # build() runs the same builders on the same inputs
             assert got == table, f"{inst.name} {name}: build"
@@ -215,17 +209,18 @@ def _assert_handed_builds_match(inst, built):
 
 
 def _assert_packed_match(inst, name, packed):
-    """The bytes handed on with each list of ``packed`` agree with it: count
-    flags nonzero where the count is, or holder masks packed into fields."""
-    assert packed.packed.keys() == packed.lists.keys(), f"{inst.name} {name}: byte keys"
-    for key, cells in packed.lists.items():
-        got = packed.packed[key]
-        if name in ("block_vars", "stop_vars"):
-            got = counters._unpack(got, counters._field(len(inst.neighbors(key))))
-            assert got == cells, f"{inst.name} {name}{key}: holder bytes"
-        else:
-            flags = [c > 0 for c in cells]
-            assert [b > 0 for b in got] == flags, f"{inst.name} {name}{key}: count bytes"
+    """The bytes handed on with the list of ``packed``, one bytes a group,
+    agree with it group after group: count flags nonzero where the count
+    is, or holder masks packed into fields."""
+    static = counters.static_masks(inst)
+    if name in ("block_vars", "stop_vars"):
+        assert list(packed.packed) == [key for key, _ in static.holders], f"{inst.name} {name}"
+        got = [m for (_, size), buf in packed.packed.items() for m in counters._unpack(buf, size)]
+        assert got == packed.table, f"{inst.name} {name}: holder bytes"
+    else:
+        assert list(packed.packed) == [key for key, _ in static.groups], f"{inst.name} {name}"
+        flags = [b > 0 for buf in packed.packed.values() for b in buf]
+        assert flags == [c > 0 for c in packed.table], f"{inst.name} {name}: count bytes"
 
 
 def _partly_reduced(inst):
@@ -285,8 +280,8 @@ def test_flat_builders_across_field_widths(name):
     inst = WIDTH_INPUTS[name]()
     built = counters.build(inst, "nb_blocks", "nb_subs")
     if name == "counts-300":
-        assert max(max(cells) for cells in built.nb_blocks.values()) > 255
-        assert max(max(cells) for cells in built.nb_subs.values()) > 255
+        assert max(built.nb_blocks) > 255
+        assert max(built.nb_subs) > 255
     if name == "star-70":
         assert len(inst.neighbors(0)) == 70
     if name == "mixed-sizes":
@@ -445,10 +440,12 @@ def _assert_masks_match_the_walk(inst):
         [sum(1 << pos[k][w] for w in dom if w != v) if v in dom else 0 for v in pos[k]]
         for k, dom in enumerate(inst.domains)
     ]
-    assert list(masks.row) == list(row) and masks.row == row
-    assert masks.nbit == nbit and counters.static_masks(inst).nbit == nbit
-    assert masks.groups == tuple((key, tuple(edges)) for key, edges in groups.items())
-    for (s, t), edges in masks.groups:
+    static = counters.static_masks(inst)
+    assert masks.static is static
+    assert list(static.full) == list(row)
+    assert static.nbit == nbit
+    assert static.groups == tuple((key, tuple(edges)) for key, edges in groups.items())
+    for (s, t), edges in static.groups:
         fields = counters._unpack(masks.packed[(s, t)], counters._field(t))
         assert fields == [m for e in edges for m in row[e]]
 
@@ -527,14 +524,37 @@ def _table_inputs():
 TABLE_INPUTS = _table_inputs()
 
 
+def _run_keys(inst, name):
+    """Each run of the flat table ``name``, by its oriented edge in
+    Static.full order, or by its variable ascending for a holder table,
+    with the definition key of every slot of the run, dead ones included,
+    in slot order."""
+    vals, layout = inst.original_domains, counters.TABLES[name].layout
+    if layout is counters._pair:
+        return {k: [(k, v, w) for v in vals[k] for w in vals[k]] for k in range(inst.n)}
+    keys = {
+        counters._along: lambda i, j: [(i, v, w, j) for v in vals[i] for w in vals[i]],
+        counters._across: lambda i, j: [(i, v, j, w) for v in vals[i] for w in vals[j]],
+        counters._value: lambda i, j: [(i, b, j) for b in vals[i]],
+    }[layout]
+    return {(i, j): keys(i, j) for i, j in counters.static_masks(inst).full}
+
+
 def table_digests(inst):
     """The sha256 of the repr of each built table's items, in TABLES order,
-    and the probes."""
+    and the probes.  A flat table is hashed as the dict from each key of
+    _run_keys to its run of cells, each read through counters.slot: the
+    form every table took when each run was a list of its own."""
     built = counters.build(inst, *counters.TABLES)
-    digests = {
-        name: hashlib.sha256(repr(list(getattr(built, name).items())).encode()).hexdigest()
-        for name in counters.TABLES
-    }
+    digests = {}
+    for name, entry in counters.TABLES.items():
+        table = getattr(built, name)
+        if entry.layout:
+            table = {
+                where: [table[counters.slot(inst, name, key)] for key in keys]
+                for where, keys in _run_keys(inst, name).items()
+            }
+        digests[name] = hashlib.sha256(repr(list(table.items())).encode()).hexdigest()
     return {**digests, "probes": built.probes}
 
 
@@ -543,6 +563,46 @@ def test_build_keeps_every_list_of_every_table(name):
     want = json.loads(GOLDEN_TABLES.read_text())[name]
     got = table_digests(TABLE_INPUTS[name]())
     assert [key for key in want if got[key] != want[key]] == []
+
+
+@pytest.mark.parametrize("name", [name for name in TABLE_INPUTS if not name.endswith("-reduced")])
+def test_each_flat_table_is_one_list_laid_out_by_its_lineage(name):
+    root = TABLE_INPUTS[name]()
+    reduced = _partly_reduced(root)
+    static = counters.static_masks(root)
+    # the offsets hang on the original domains only: a lineage whose first
+    # build is of a reduced snapshot lays its tables out the same way
+    twin = counters.static_masks(_partly_reduced(TABLE_INPUTS[name]()))
+    offsets = ("along", "across", "ends", "pairs", "fields")
+    assert [getattr(twin, o) for o in offsets] == [getattr(static, o) for o in offsets]
+    for inst in (root, reduced):
+        assert counters.static_masks(inst) is static
+        built = counters.build(inst, *counters.TABLES)
+        for table_name, entry in counters.TABLES.items():
+            table = getattr(built, table_name)
+            if entry.layout is None:
+                assert type(table) is dict, table_name
+                continue
+            assert type(table) is list, table_name
+            slots = sorted(
+                counters.slot(inst, table_name, key)
+                for keys in _run_keys(inst, table_name).values()
+                for key in keys
+            )
+            assert slots == list(range(len(table))), table_name
+    if name == "counts-300":  # rechecked under the debug switch, a step takes minutes
+        return
+    # an engine handed the tables changes the very lists the pool held
+    tables = {n: t for n, t in vars(counters.build_scss(reduced)).items() if n != "probes"}
+    held = counters.Held()
+    held.keep(tables, static, reduced.live, replace=True)
+    before = {n: list(t) for n, t in tables.items()}
+    engine = ScssEngine(reduced, held)
+    assert all(getattr(engine.tables, n) is t for n, t in tables.items())
+    engine.converge()
+    if engine.steps and not engine.unsat:
+        assert all(held[n] is t for n, t in tables.items())
+        assert any(t != before[n] for n, t in tables.items())
 
 
 # The memory traced inside build() peaks at a fixed multiple of what the

@@ -265,10 +265,10 @@ def test_an_engine_cannot_record_a_step_its_rule_refuses():
     inst = next(i for i in corpus() if i.name == "random-n3-d2-p1-t0.7-s0")
     engine = CnsEngine(establish_ac(inst)[0], ns_priority=False)
     b, size = engine.pos[1][0], len(engine.pos[1])
-    block_vars = engine.tables.block_vars[1]
+    block_vars, base = engine.tables.block_vars, engine.pairs[1] + b * size
     for a in range(size):
-        block_vars[b * size + a] &= engine.nbit[1][0]
-    engine.uncovered[(1, 0)][b] = 0
+        block_vars[base + a] &= engine.nbit[1][0]
+    engine.uncovered[engine.ends[(1, 0)] + b] = 0
     engine.conditioned_work.clear()
     engine.conditioned_work.append((1, b, 0))
     with pytest.raises(RuntimeError, match=r"^x1=0 conditioned by x0 fails cns$"):
