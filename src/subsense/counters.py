@@ -37,11 +37,10 @@ x_i:
 
 Each variable has a value index that no elimination changes: the position
 of a value in its original domain (Instance.positions), since relations are
-stored over the original domains.  Nine tables are flat: each is one list,
-in which every oriented edge or variable owns a run of slots, laid out as
-the table's TABLES entry states, found by slot() and read through cell().
-The runs lie group after group (Static.groups, Static.holders), and each
-key's run starts at its offset in Static, which the whole lineage shares:
+stored over the original domains.  Each table is one list, in which every
+oriented edge or variable owns a run of slots that starts at its offset in
+Static, which the whole lineage shares, laid out as the table's TABLES
+entry states, found by slot() and read through cell():
 
 - the five count tables (nb_blocks, nb_subs, nb_stops, nb_covers,
   nb_snake_covers): ints, a run per oriented edge with one slot per pair
@@ -51,7 +50,9 @@ key's run starts at its offset in Static, which the whole lineage shares:
   with bit t for the t-th neighbour of x_k;
 - the uncovered tables (uncovered, not_snake_covered): a run per oriented
   edge (i,j) with a slot per value position of x_i, each an int mask over
-  the value positions of x_j.
+  the value positions of x_j;
+- the value tables (nb_snake, inconsistent): a run per variable x_i, in
+  order, with a slot per value position of x_i, a count or a flag.
 
 Each count is the popcount of the AND of two masks.  The flat builders
 compute them with the packed byte kernels (section below), for a whole
@@ -59,10 +60,7 @@ group of equally sized edges at a time, with no Python loop per slot.  A
 slot indexed by an eliminated value, or by a pair the definition leaves
 out (the compatible pairs of nb_subs), is dead: it holds whatever the
 build or the updates left there, engines never read it, and comparisons
-skip it.  nb_snake and inconsistent are dicts keyed by (variable, value),
-with a cell for every live value; a missing cell on lookup is a bug, never
-an implicit zero.  Cells indexed by an eliminated value go stale and are
-likewise never read.
+skip it.
 
 Each table is charged the elementary membership probes that its
 set-builder makes on the current domains; engines fold that into their
@@ -94,6 +92,7 @@ from __future__ import annotations
 import os
 import sys
 from array import array
+from collections import Counter
 from itertools import accumulate, chain, repeat
 from operator import itemgetter
 from types import SimpleNamespace
@@ -337,6 +336,11 @@ def _value(static, pos, i, b, j):
     return static.ends[(i, j)] + pos[i][b]
 
 
+def _single(static, pos, i, b):
+    # one slot per value of x_i: a run per variable
+    return static.singles[i] + pos[i][b]
+
+
 # What bit t of a mask cell stands for: the t-th neighbour of x_k for a holder
 # cell (k, d, e), the value at position t of the original D(x_j) for an
 # uncovered cell (i, b, j).
@@ -393,15 +397,16 @@ class Static(NamedTuple):
     # has s values and whose holder masks take fields of _field(degree)
     # bytes: flat_holders takes one at a time
     holders: tuple[tuple[tuple[int, int], tuple[int, ...]], ...]
-    # The offset of each key's run in a flat table, whose runs lie group
-    # after group (``holders`` order for a holder table): the oriented edge
-    # (i,j) has a slot per pair of values of x_i (along), per value of x_i
-    # and value of x_j (across) or per value of x_i (ends); x_k has one per
-    # pair of its values (pairs, by k)
+    # The offset of each key's run in a table, whose runs lie group after
+    # group (``holders`` order for a holder table, by k for a value table):
+    # the oriented edge (i,j) has a slot per pair of values of x_i (along),
+    # per value of x_i and value of x_j (across) or per value of x_i (ends);
+    # x_k has one per pair of its values (pairs) and one per value (singles)
     along: dict[tuple[int, int], int]
     across: dict[tuple[int, int], int]
     ends: dict[tuple[int, int], int]
     pairs: tuple[int, ...]
+    singles: tuple[int, ...]
     # fields[k] = the ``holders`` key of x_k and where its fields start in
     # that group's packed holder masks
     fields: tuple[tuple[tuple[int, int], int], ...]
@@ -450,6 +455,7 @@ def static_masks(inst: Instance) -> Static:
             across=_offsets(edges, [sizes[i] * sizes[j] for i, j in edges]),
             ends=_offsets(edges, [sizes[i] for i, _ in edges]),
             pairs=tuple(pairs[k] for k in range(inst.n)),
+            singles=tuple(accumulate(sizes, initial=0))[: inst.n],
             fields=tuple(fields[k] for k in range(inst.n)),
         ))
     return held[0]
@@ -863,20 +869,20 @@ def flat_uncovered(inst: Instance, masks: Masks, covers: Packed) -> list:
     return table
 
 
-def flat_nb_snake(inst: Instance, masks: Masks, stop_vars: Packed) -> dict:
+def flat_nb_snake(inst: Instance, masks: Masks, stop_vars: Packed) -> list:
     """compute_nb_snake over the stop_vars masks."""
-    table: dict = {}
-    for i, vals_i in enumerate(inst.original_domains):
-        size, start = len(vals_i), masks.static.pairs[i]
+    table: list = []
+    for i, pos_i in enumerate(inst.positions):
+        size, start = len(pos_i), masks.static.pairs[i]
         ps = bit_positions(inst.live[i])
-        for b in ps:
+        for b in range(size):
             # the stop_vars masks of (a,b), by the position of a
             cells = stop_vars.table[start + b : start + size * size : size]
-            table[(i, vals_i[b])] = sum(1 for a in ps if a != b and not cells[a])
+            table.append(sum(1 for a in ps if a != b and not cells[a]))
     return table
 
 
-def flat_inconsistent(inst: Instance, masks: Masks) -> dict:
+def flat_inconsistent(inst: Instance, masks: Masks) -> list:
     """compute_inconsistent over the row masks: a value is inconsistent
     where its row at some neighbour is 0."""
     # bit p of unsupported[i]: the value at position p of x_i has a row of
@@ -886,11 +892,7 @@ def flat_inconsistent(inst: Instance, masks: Masks) -> dict:
         zero = _field_flags(masks.packed[(s, t)], 0, len(edges) * s, _field(t), 0, _ZERO)
         for (i, _), mask in zip(edges, _unpack(_run_masks(zero, s), _field(s))):
             unsupported[i] |= mask
-    table: dict = {}
-    for i, vals_i in enumerate(inst.original_domains):
-        for p in bit_positions(inst.live[i]):
-            table[(i, vals_i[p])] = bool(unsupported[i] >> p & 1)
-    return table
+    return [bool(m >> p & 1) for m, ps in zip(unsupported, inst.positions) for p in ps.values()]
 
 
 # -- charges --------------------------------------------------------------------
@@ -967,13 +969,12 @@ class Table(NamedTuple):
     compute: Callable[..., tuple[dict, int]]
     reads: tuple[str, ...]
     # the builder from the masks, equal to compute on every live cell read
-    # through cell() (and in key order, for the dicts); it takes and gives a
-    # count or holder table as Packed
-    flat: Callable[..., dict | list | Packed]
+    # through cell(); it takes and gives a count or holder table as Packed
+    flat: Callable[..., list | Packed]
     # the probes of compute on the current domains (see charge_pairs)
     charge: Callable[[Instance], int]
-    # the flat layout (see _across), None for a dict keyed by (variable, value)
-    layout: Callable[..., int] | None
+    # the flat layout (see _across)
+    layout: Callable[..., int]
     # for a mask table, what each bit stands for (see _neighbours)
     labels: Callable[[Instance, tuple], tuple[int, ...]] | None = None
 
@@ -989,8 +990,10 @@ TABLES: dict[str, Table] = {
     "stop_vars": Table(
         compute_holders, ("nb_stops",), flat_holders, charge_holders, _pair, _neighbours
     ),
-    "nb_snake": Table(compute_nb_snake, ("stop_vars",), flat_nb_snake, charge_nb_snake, None),
-    "inconsistent": Table(compute_inconsistent, (), flat_inconsistent, charge_inconsistent, None),
+    "nb_snake": Table(compute_nb_snake, ("stop_vars",), flat_nb_snake, charge_nb_snake, _single),
+    "inconsistent": Table(
+        compute_inconsistent, (), flat_inconsistent, charge_inconsistent, _single
+    ),
     "nb_covers": Table(compute_nb_covers, ("block_vars",), flat_nb_covers, charge_pairs, _across),
     "uncovered": Table(
         compute_uncovered, ("nb_covers",), flat_uncovered, charge_uncovered, _value, _values
@@ -1100,8 +1103,10 @@ def build(inst: Instance, *names: str, held: Held | None = None) -> Tables:
 def charges(inst: Instance, *names: str) -> int:
     """The probes that the set-builders of the named tables and of every
     table they read make on the current domains of ``inst``: what build()
-    charges for them, built or handed."""
-    return sum(TABLES[name].charge(inst) for name in _closure(names))
+    charges for them, built or handed.  Each charge function runs once, its
+    result counted once per table that uses it."""
+    uses = Counter(TABLES[name].charge for name in _closure(names))
+    return sum(charge(inst) * count for charge, count in uses.items())
 
 
 # the tables each rule's engine builds, with every table they read
@@ -1144,16 +1149,15 @@ class CounterMismatch(AssertionError):
     """An incrementally maintained cell disagrees with its definition."""
 
 
-def verify_tables(inst: Instance, **kept: dict | list) -> None:
+def verify_tables(inst: Instance, **kept: list) -> None:
     """Recompute the named tables for the current domains of ``inst`` with
     their set-builders and compare against the engine-maintained tables,
-    the flat ones read through cell() (live cells only; dead slots and
-    stale cells for eliminated values are ignored)."""
+    read through cell() (live cells only; dead slots are ignored)."""
     fresh = _compute(inst, kept)
     for name, table in kept.items():
         for key, want in getattr(fresh, name).items():
             try:
-                got = cell(inst, name, table, key) if TABLES[name].layout else table[key]
+                got = cell(inst, name, table, key)
             except LookupError:
                 raise CounterMismatch(f"{name}{key}: cell missing from engine state") from None
             if got != want:

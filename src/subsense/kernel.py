@@ -38,19 +38,19 @@ falls has one step that moves it by ``delta`` (+1 or -1).  Only where the
 count flips, up to one or down to none, does it go further; the rule hook
 it then calls takes the same ``delta``.
 
-Each count, holder and uncovered table is one flat list, indexed by value
-position (``Instance.positions``) and laid out as ``counters.TABLES``
-states: each oriented edge or variable owns a run of slots, which starts at
-its offset in ``counters.Static`` (``along``, ``across``, ``ends``,
-``pairs``), shared by the whole lineage.  Each pass computes its slots
+Each table is one flat list, indexed by value position
+(``Instance.positions``) and laid out as ``counters.TABLES`` states: each
+oriented edge or variable owns a run of slots, which starts at its offset
+in ``counters.Static`` (``along``, ``across``, ``ends``, ``pairs``,
+``singles``), shared by the whole lineage.  Each pass computes its slots
 inline, adding the key's offset into the base it computes per row.  A
 holder cell is an int mask with the bit ``nbit[k][l]`` for each neighbour
 x_l of x_k that holds it; an uncovered cell is an int mask over the value
-positions of the conditioning variable.  Slots indexed by the removed
-value are read before they go stale, are never written during a pass, and
-are never read after it.  Each counter step, bit set or cleared, flag change and worklist push
-adds one to ``updates``.  A count below zero, a bit set that is already set
-and a bit cleared that is not set are errors.
+positions of the conditioning variable.  Slots indexed by the removed value
+are read before they go stale, are never written during a pass, and are
+never read after it.  Each counter step, bit set or cleared, flag change
+and worklist push adds one to ``updates``.  A count below zero, a bit set
+that is already set and a bit cleared that is not set are errors.
 
 Worklists, passes, hooks and counter steps name each value by its
 position; the letters (a, b, c, d, e, u) keep their roles.  A pop tests a
@@ -59,7 +59,7 @@ bit of ``live``, the working snapshot's masks of its domains
 a row mask of ``counters.Static.full`` ANDed with ``live``, so it visits
 only the values that the removed one splits.  Bits ascend in domain order,
 as a domain scan would.  Labels appear only in the records, the
-witnesses, the keys of nb_snake and inconsistent and the error messages.
+witnesses, the oracle calls and the error messages.
 """
 
 from __future__ import annotations
@@ -97,11 +97,11 @@ class Kernel:
         self.held = held
         self.pos = inst.positions
         self.vals = inst.original_domains  # vals[k][p] = the value at position p
-        self.static = counters.static_masks(inst)
-        self.full, self.nbit = self.static.full, self.static.nbit
+        static = self.static = counters.static_masks(inst)
+        self.full, self.nbit = static.full, static.nbit
         # where each key's run of slots starts in the flat tables
-        self.along, self.across = self.static.along, self.static.across
-        self.ends, self.pairs = self.static.ends, self.static.pairs
+        self.along, self.across, self.ends = static.along, static.across, static.ends
+        self.pairs, self.singles = static.pairs, static.singles
         self.live = self.inst.live  # the working snapshot's, which _drop keeps
         self.updates = self.tables.probes
         self.steps: list[EliminationRecord] = []

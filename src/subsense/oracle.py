@@ -18,9 +18,13 @@ working snapshot when the value went.
 
 ``certify`` is the one place that maps a rule name to its check: replay
 and the longest-sequence search both ask it.  Replay certifies each step of
-a trace on one working snapshot that drops each value in place, and returns
-a frozen copy of it.  The solver and that search keep their own stacks, so
-deep instances cannot overflow the interpreter's.
+a sequence on one working snapshot that drops each value in place, and
+returns a frozen copy of it.  Replaying a trace's records (replay_trace)
+also checks the witness each gives: an ac, ss, cns or scss witness must be
+the one ``certify`` gives with the record's conditioning variable, and an
+ns substitute must dominate the removed value, so a forged witness fails
+even where the step holds.  The solver and that search keep their own
+stacks, so deep instances cannot overflow the interpreter's.
 
 It imports only ``instance`` and ``trace``: with those two it is all that
 ``subsense verify`` trusts, and no engine module is in its import graph.
@@ -300,10 +304,10 @@ def certify(
     allows removing b from D(x_i), or None.
 
     A given j is the conditioning variable of cns and scss and the
-    unsupported neighbour of ac.  ns and ss take no j: replay_sequence
-    rejects a step that gives them one, and replay_steps never writes one.  Without j the
-    smallest that works is taken.  Each check is looked up when called, so
-    a check replaced on the module is the one that runs.
+    unsupported neighbour of ac.  ns and ss take no j: replay rejects a
+    step that gives them one.  Without j the smallest that works is taken.
+    Each check is looked up when called, so a check replaced on the module
+    is the one that runs.
     """
     if rule == AC:
         return is_ac(inst, i, b, j)
@@ -320,23 +324,6 @@ def certify(
 
 class ReplayError(ValueError):
     """A claimed elimination step failed certification."""
-
-
-def replay_steps(trace: Trace) -> tuple[list[tuple[int, ...]], list[str]]:
-    """The steps and rules of a trace as ``replay_sequence`` takes them:
-    each step carries the conditioning variable of a cns or scss witness,
-    or the variable an ac witness names, when it has one."""
-    steps, rules = [], []
-    for rec in trace.steps:
-        cond = None
-        if isinstance(rec.witness, (CnsWitness, ScssWitness)):
-            cond = rec.witness.conditioning
-        elif isinstance(rec.witness, AcWitness):
-            cond = rec.witness.unsupported_at
-        step = (rec.variable, rec.value)
-        steps.append(step if cond is None else (*step, cond))
-        rules.append(rec.rule)
-    return steps, rules
 
 
 def replay_sequence(inst: Instance, steps, rules=None):
@@ -357,6 +344,37 @@ def replay_sequence(inst: Instance, steps, rules=None):
     rules = list(rules)
     if len(rules) != len(steps):
         raise ValueError("need exactly one rule per step")
+    return _replay(inst, steps, rules)
+
+
+def replay_trace(inst: Instance, trace: Trace):
+    """Replay the records of ``trace`` as replay_sequence replays its steps,
+    each conditioned by its witness's variable (for ac, the neighbour it
+    names), and check the witness each record gives: an ac, ss, cns or scss
+    witness must be the one ``certify`` gives, and an ns substitute must be
+    that one or another live value that dominates the removed one at every
+    neighbour.  A record with no witness is certified by search alone.
+    Returns what replay_sequence returns."""
+    steps = []
+    for rec in trace.steps:
+        w = rec.witness
+        j = w.unsupported_at if isinstance(w, AcWitness) else getattr(w, "conditioning", None)
+        steps.append((rec.variable, rec.value) if j is None else (rec.variable, rec.value, j))
+    return _replay(inst, steps, [r.rule for r in trace.steps], [r.witness for r in trace.steps])
+
+
+def _substitutes(inst: Instance, rule: str, i: int, b: int, witness) -> bool:
+    """``witness`` is an ns witness whose substitute is a live value of x_i
+    other than b that dominates b at every neighbour."""
+    if rule != NS or not isinstance(witness, NsWitness):
+        return False
+    a = witness.substitute
+    return a != b and a in inst.domain_set(i) and _dominance(inst)(i, b, a, None)
+
+
+def _replay(inst: Instance, steps: list, rules: list, witnesses: Optional[list] = None):
+    """replay_sequence, with each step's ``witnesses`` entry, when given and
+    not None, checked against the witness the step certifies with."""
     cur = inst._working()
     records: list[EliminationRecord] = []
     for pos, step in enumerate(steps, start=1):
@@ -383,6 +401,15 @@ def replay_sequence(inst: Instance, steps, rules=None):
             problem = "value not in the current domain"
         elif (witness := certify(rule, cur, i, b, j)) is None:
             problem = "the rule does not hold at this point"
+        elif (
+            witnesses is not None
+            and (given := witnesses[pos - 1]) is not None
+            and given != witness
+            and not _substitutes(cur, rule, i, b, given)
+        ):
+            problem = "the witness given is not the rule's"
+            if rule == NS:
+                problem = "the substitute given does not dominate the value"
         else:
             cur._drop(i, p)
             records.append(EliminationRecord(pos, rule, i, b, witness))

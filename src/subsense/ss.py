@@ -2,7 +2,8 @@
 
 The engine keeps the full counter stack of counters.build_ss.  A value b of
 x_r is eliminable once some other value a has no stop variable left
-(nb_snake(r,b) > 0) or b has lost all support somewhere (inconsistent).
+(nb_snake(r,b) > 0) or b has lost all support somewhere (inconsistent);
+both tables hold b at its position in x_r's run (counters.Static.singles).
 Candidates, by value position, live in a two-class FIFO worklist: pairs
 queued because of a plain substitution or a lost support go to the high
 class, pairs queued because a snake substitution appeared go to the low
@@ -46,19 +47,16 @@ class SsEngine(SnakeKernel):
         snake = self.tables.nb_snake
         for i, live_i in enumerate(self.live):
             for b in bit_positions(live_i):
-                if snake[(i, self.vals[i][b])] > 0:
-                    if self._ns_substitute(i, b) is None:
-                        self.low.append((i, b))
-                    else:
-                        self.high.append((i, b))
+                if snake[self.singles[i] + b] > 0:
+                    (self.low if self._ns_substitute(i, b) is None else self.high).append((i, b))
                     self.updates += 1
 
     def _pop(self):
         snake, inconsistent = self.tables.nb_snake, self.tables.inconsistent
         while self.high or self.low:
             r, u = (self.high or self.low).popleft()
-            key = (r, self.vals[r][u])
-            if self.live[r] >> u & 1 and (snake[key] or inconsistent[key]):
+            cell = self.singles[r] + u
+            if self.live[r] >> u & 1 and (snake[cell] or inconsistent[cell]):
                 return (r, u, *self._classify(r, u))
         return None
 
@@ -78,7 +76,7 @@ class SsEngine(SnakeKernel):
         """The label the tables give the value at position u of x_r, and its
         witness: an ac or ss one is the oracle's."""
         value = self.vals[r][u]
-        if self.tables.inconsistent[(r, value)]:
+        if self.tables.inconsistent[self.singles[r] + u]:
             witness = is_ac(self.inst, r, value)
             if witness is None:
                 raise RuntimeError(f"x{r}={value} is flagged inconsistent but has support")
@@ -101,15 +99,14 @@ class SsEngine(SnakeKernel):
         # can have lost it
         newly_flagged: list[tuple[int, int]] = []
         for i in self.inst.neighbors(r):
-            full_i, vals_i = self.full[(i, r)], self.vals[i]
+            full_i, start = self.full[(i, r)], self.singles[i]
             for p in bit_positions(self.full[(r, i)][u] & self.live[i]):
-                v = vals_i[p]
-                if full_i[p] & live_r or inconsistent[(i, v)]:
+                if full_i[p] & live_r or inconsistent[start + p]:
                     continue
-                inconsistent[(i, v)] = True
+                inconsistent[start + p] = True
                 self.high.append((i, p))
                 self.updates += 2
-                newly_flagged.append((i, v))
+                newly_flagged.append((i, p))
         # u no longer counts as a replacement for r's remaining values
         stop_vars = self.tables.stop_vars
         base = self.pairs[r] + u * len(self.pos[r])
@@ -119,7 +116,7 @@ class SsEngine(SnakeKernel):
         if self.debug and self.steps[-1].rule == AC and newly_flagged:
             raise AssertionError(
                 "support-loss deletions are not expected to expose "
-                f"further unsupported values, yet {newly_flagged} appeared"
+                f"further unsupported values, yet {newly_flagged} (by position) appeared"
             )
 
     def _substitutable(self, k: int, d: int, e: int) -> None:
@@ -133,11 +130,11 @@ class SsEngine(SnakeKernel):
 
     def _step_snake(self, i: int, b: int, delta: int) -> None:
         """nb_snake(i,b) moves by ``delta``; a rise to one queues (i,b)."""
-        snake, key = self.tables.nb_snake, (i, self.vals[i][b])
-        left = snake[key] = snake[key] + delta
+        snake, cell = self.tables.nb_snake, self.singles[i] + b
+        left = snake[cell] = snake[cell] + delta
         self.updates += 1
         if left < 0:
-            raise RuntimeError(f"nb_snake{key} went negative")
+            raise RuntimeError(f"nb_snake{(i, self.vals[i][b])} went negative")
         if delta > 0 and left == 1:
             self.low.append((i, b))
             self.updates += 1

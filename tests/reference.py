@@ -65,6 +65,14 @@ def arrow(inst: Instance, i: int, j: int, b: int, a: int) -> bool:
     return (row[b] & inst.domain_set(j)) <= row[a]
 
 
+def substitutes(inst: Instance, i: int, b: int, a: int) -> bool:
+    """True iff a is a current value of x_i other than b that arrow()
+    accepts against b at every other variable: a plain substitute."""
+    if a == b or a not in inst.domain_set(i):
+        return False
+    return all(arrow(inst, i, k, b, a) for k in range(inst.n) if k != i)
+
+
 def snake_arrow(
     inst: Instance, i: int, k: int, b: int, a: int
 ) -> tuple[bool, Optional[dict[int, int]]]:

@@ -58,6 +58,7 @@ def test_every_replay_entry_point_is_the_checkers():
     # perfbench calls scss.replay_sequence and wraps it on scss and cli
     assert scss.replay_sequence is oracle.replay_sequence
     assert cli.replay_sequence is oracle.replay_sequence
+    assert cli.replay_trace is oracle.replay_trace
     assert subsense.replay_sequence is oracle.replay_sequence
     assert subsense.ReplayError is oracle.ReplayError
     assert issubclass(oracle.ReplayError, ValueError)

@@ -439,7 +439,6 @@ def test_verify_rejects_misnumbered_steps(tmp_path, capsys):
     assert capsys.readouterr().out == "OK: 12 steps certified\n"
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: verify does not check witnesses")
 def test_verify_rejects_forged_scss_covers(tmp_path, capsys):
     # every cover of step 1 names a substitute that no domain holds
     inst_path, trace_path = tmp_path / "c.json", tmp_path / "tr.json"
@@ -452,6 +451,24 @@ def test_verify_rejects_forged_scss_covers(tmp_path, capsys):
     bad.write_text(json.dumps(obj))
     capsys.readouterr()
     assert run(["verify", inst_path, bad]) == 1
+    assert "step 1 (scss at x1=0): the witness given is not the rule's" in capsys.readouterr().out
+
+
+def test_verify_rejects_an_ns_substitute_that_does_not_dominate(tmp_path, capsys):
+    # figure1b's first ns step removes x3=1 by 0; 2 is live but does not
+    # dominate 1, while a substitute other than the smallest may pass
+    inst_path, trace_path = tmp_path / "b.json", tmp_path / "tr.json"
+    run(["gen", "figure1b", "-o", inst_path])
+    run(["reduce", inst_path, "--rules", "ac,ns,ss,cns,scss", "--trace", trace_path])
+    obj = json.loads(trace_path.read_text())
+    step = next(s for s in obj["steps"] if s["rule"] == "ns")
+    assert (step["variable"], step["value"], step["witness"]) == (2, 1, {"substitute": 0})
+    step["witness"]["substitute"] = 2
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run(["verify", inst_path, bad]) == 1
+    assert "the substitute given does not dominate the value" in capsys.readouterr().out
 
 
 def test_verify_rejects_wrong_final_domains(tmp_path, capsys):

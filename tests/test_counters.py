@@ -78,15 +78,14 @@ def test_verify_tables_rechecks_every_table_alone(name):
     table = getattr(counters.build(inst, name), name)
     counters.verify_tables(inst, **{name: table})
     key = next(iter(_reference(inst)[name][0]))
-    flat = counters.TABLES[name].layout is not None
-    index = counters.slot(inst, name, key) if flat else key
+    index = counters.slot(inst, name, key)
     # a different count, flag or mask (bit 0 stands for a neighbour or a value)
     value = table[index]
     table[index] = not value if isinstance(value, bool) else value ^ 1
     with pytest.raises(counters.CounterMismatch, match="definition gives"):
         counters.verify_tables(inst, **{name: table})
-    # a flat table cut short before the cell, a dict without it
-    del table[slice(index, None) if flat else key]
+    # the table cut short before the cell
+    del table[index:]
     with pytest.raises(counters.CounterMismatch, match="cell missing"):
         counters.verify_tables(inst, **{name: table})
 
@@ -115,9 +114,7 @@ def test_verify_tables_ignores_dead_cells():
     smaller = inst.remove_value(1, 0)
     t = counters.build(smaller, *counters.TABLES)
     ref = _reference(smaller)
-    for name, entry in counters.TABLES.items():
-        if not entry.layout:
-            continue
+    for name in counters.TABLES:
         table = getattr(t, name)
         live = {counters.slot(smaller, name, key) for key in ref[name][0]}
         dead = [i for i in range(len(table)) if i not in live]
@@ -152,8 +149,7 @@ def _flat_cells(inst, name, table, keys):
 
 
 def _holds_only_ints(table):
-    cells = table if isinstance(table, list) else table.values()
-    return all(type(c) in (int, bool) for c in cells)
+    return type(table) is list and all(type(c) in (int, bool) for c in table)
 
 
 def assert_flat_builders_match(inst):
@@ -174,14 +170,9 @@ def assert_flat_builders_match(inst):
         if isinstance(table, counters.Packed):
             _assert_packed_match(inst, name, table)
             table = table.table
-        if entry.layout:
-            assert _flat_cells(inst, name, table, want) == want, f"{inst.name} {name}: cells"
-            # build() runs the same builders on the same inputs
-            assert got == table, f"{inst.name} {name}: build"
-        else:
-            assert list(table) == list(want), f"{inst.name} {name}: key order"
-            assert table == want, f"{inst.name} {name}: cells"
-            assert got == want, f"{inst.name} {name}: build"
+        assert _flat_cells(inst, name, table, want) == want, f"{inst.name} {name}: cells"
+        # build() runs the same builders on the same inputs
+        assert got == table, f"{inst.name} {name}: build"
     assert built.probes == sum(p for _, p in ref.values())
     _assert_handed_builds_match(inst, built)
 
@@ -526,12 +517,14 @@ TABLE_INPUTS = _table_inputs()
 
 def _run_keys(inst, name):
     """Each run of the flat table ``name``, by its oriented edge in
-    Static.full order, or by its variable ascending for a holder table,
-    with the definition key of every slot of the run, dead ones included,
-    in slot order."""
+    Static.full order, or by its variable ascending for a holder or value
+    table, with the definition key of every slot of the run, dead ones
+    included, in slot order."""
     vals, layout = inst.original_domains, counters.TABLES[name].layout
     if layout is counters._pair:
         return {k: [(k, v, w) for v in vals[k] for w in vals[k]] for k in range(inst.n)}
+    if layout is counters._single:
+        return {k: [(k, v) for v in vals[k]] for k in range(inst.n)}
     keys = {
         counters._along: lambda i, j: [(i, v, w, j) for v in vals[i] for w in vals[i]],
         counters._across: lambda i, j: [(i, v, j, w) for v in vals[i] for w in vals[j]],
@@ -542,14 +535,23 @@ def _run_keys(inst, name):
 
 def table_digests(inst):
     """The sha256 of the repr of each built table's items, in TABLES order,
-    and the probes.  A flat table is hashed as the dict from each key of
-    _run_keys to its run of cells, each read through counters.slot: the
-    form every table took when each run was a list of its own."""
+    and the probes.  A value table (nb_snake, inconsistent) is hashed as
+    the dict from each live (variable, value) to its cell, read through
+    counters.cell: the form it took when it was a dict.  Any other table is
+    hashed as the dict from each key of _run_keys to its run of cells, each
+    read through counters.slot: the form it took when each run was a list
+    of its own."""
     built = counters.build(inst, *counters.TABLES)
     digests = {}
     for name, entry in counters.TABLES.items():
         table = getattr(built, name)
-        if entry.layout:
+        if entry.layout is counters._single:
+            table = {
+                (i, v): counters.cell(inst, name, table, (i, v))
+                for i, dom in enumerate(inst.domains)
+                for v in dom
+            }
+        else:
             table = {
                 where: [table[counters.slot(inst, name, key)] for key in keys]
                 for where, keys in _run_keys(inst, name).items()
@@ -573,16 +575,13 @@ def test_each_flat_table_is_one_list_laid_out_by_its_lineage(name):
     # the offsets hang on the original domains only: a lineage whose first
     # build is of a reduced snapshot lays its tables out the same way
     twin = counters.static_masks(_partly_reduced(TABLE_INPUTS[name]()))
-    offsets = ("along", "across", "ends", "pairs", "fields")
+    offsets = ("along", "across", "ends", "pairs", "singles", "fields")
     assert [getattr(twin, o) for o in offsets] == [getattr(static, o) for o in offsets]
     for inst in (root, reduced):
         assert counters.static_masks(inst) is static
         built = counters.build(inst, *counters.TABLES)
-        for table_name, entry in counters.TABLES.items():
+        for table_name in counters.TABLES:
             table = getattr(built, table_name)
-            if entry.layout is None:
-                assert type(table) is dict, table_name
-                continue
             assert type(table) is list, table_name
             slots = sorted(
                 counters.slot(inst, table_name, key)

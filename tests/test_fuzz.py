@@ -1,5 +1,7 @@
 """A seeded fuzz of the files the CLI reads: a trace or an instance with one
-JSON path changed must end in an exit code, never in a traceback."""
+JSON path changed must end in an exit code, never in a traceback.  A
+changed trace that verify accepts keeps every witness it gives: each is the
+original's or absent, or an ns substitute that still plainly substitutes."""
 
 import copy
 import json
@@ -8,7 +10,10 @@ from collections import Counter
 
 import pytest
 
-from subsense import cli, dump_file, generators
+from subsense import cli, dump_file, generators, load_file, load_trace
+from subsense.trace import NS
+
+import reference
 
 # what a mutation may put in place of a value
 VALUES = [None, True, -1, 2**70, 1.5, float("nan"), "x", [], {}, [[]]]
@@ -55,9 +60,10 @@ def _mutate(doc, rng: random.Random):
     return doc, f"{kind} at {list(path)}"
 
 
-def _outcomes(tmp_path, doc, argvs, count: int, seed: int) -> Counter:
+def _outcomes(tmp_path, doc, argvs, count: int, seed: int, accepted=None) -> Counter:
     """Run each of ``argvs`` on ``count`` mutants of ``doc``, written to the
-    file the argv names as ``{mutant}``, and count the exit codes."""
+    file the argv names as ``{mutant}``, and count the exit codes; call
+    ``accepted(mutant, change)`` on each mutant that exits 0."""
     rng = random.Random(seed)
     mutant = tmp_path / "mutant.json"
     outcomes: Counter = Counter()
@@ -73,6 +79,8 @@ def _outcomes(tmp_path, doc, argvs, count: int, seed: int) -> Counter:
             except Exception as exc:
                 raise AssertionError(f"{argv[0]} raised on the file with {change}") from exc
             assert code in EXITS, f"{argv[0]} exits {code} on the file with {change}"
+            if code == 0 and accepted is not None:
+                accepted(mutant, change)
             outcomes[code] += 1
     return outcomes
 
@@ -89,8 +97,27 @@ def test_mutated_traces_verify_without_a_traceback(tmp_path, capsys, name, rules
     dump_file(INSTANCES[name](), inst)
     assert cli.main(["reduce", str(inst), "--rules", rules, "--trace", str(trace)]) == 0
     doc = json.loads(trace.read_text(encoding="utf-8"))
-    outcomes = _outcomes(tmp_path, doc, [["verify", inst, "{mutant}"]], 150, SEED)
+    base, original = load_file(inst), load_trace(trace)
+
+    def accepted(mutant, change):
+        _assert_witnesses_kept(base, original, load_trace(mutant), change)
+
+    outcomes = _outcomes(tmp_path, doc, [["verify", inst, "{mutant}"]], 150, SEED, accepted)
     _report(capsys, f"{name} --rules {rules} trace, verify", outcomes)
+
+
+def _assert_witnesses_kept(inst, original, mutated, change: str) -> None:
+    """Each witness of ``mutated`` is the one ``original`` gives at its step
+    or absent, or an ns substitute that plainly substitutes on the domains
+    of that step (``reference.substitutes``)."""
+    assert len(mutated.steps) == len(original.steps), change
+    state = inst
+    for old, new in zip(original.steps, mutated.steps):
+        w = new.witness
+        if w is not None and w != old.witness:
+            assert new.rule == NS, f"verify accepts the file with {change}"
+            assert reference.substitutes(state, new.variable, new.value, w.substitute), change
+        state = state.remove_value(old.variable, old.value)
 
 
 @pytest.mark.parametrize("name", INSTANCES)

@@ -12,12 +12,11 @@ from subsense import (
     generators,
     kernel,
     make_instance,
-    replay_sequence,
     scss_to_convergence,
 )
 from subsense.acns import NsEngine
 from subsense.cns import CnsEngine
-from subsense.oracle import replay_steps
+from subsense.oracle import replay_trace
 from subsense.scss import ScssEngine
 from subsense.ss import SsEngine
 from subsense.trace import NS, NsWitness
@@ -299,7 +298,7 @@ def test_engines_recheck_their_tables_on_relabelled_inputs(rule, monkeypatch):
         "isolated", [(3, 8, 20), (1, 6, 40), (50, 70, 90)],
         {(0, 1): [(3, 1), (8, 6), (20, 6), (20, 40)]},
     )
-    removed = 0
+    removed = flagged = 0
     wide = [WIDTH_INPUTS[name]() for name in ("domain-65", "star-70")]
     for inst in [*FLAT_INPUTS["relabelled"](), isolated, *wide]:
         if rule != "scss":
@@ -307,7 +306,12 @@ def test_engines_recheck_their_tables_on_relabelled_inputs(rule, monkeypatch):
             if inst.unsatisfiable:
                 continue
         reduced, trace, _ = cli.ENGINES[rule](inst)
-        replayed, _ = replay_sequence(inst, *replay_steps(trace))
+        replayed, _ = replay_trace(inst, trace)
         assert replayed == reduced
         removed += len(trace)
+        flagged += trace.count("ac")
     assert removed
+    if rule == "ss":
+        # its support-loss flags, indexed by value position, are compared
+        # cell by cell after each of these steps
+        assert flagged >= 30

@@ -19,7 +19,7 @@ from subsense import (
     scss_to_convergence,
     ss_to_convergence,
 )
-from subsense.oracle import is_scss, replay_steps, solvable, solve
+from subsense.oracle import is_scss, replay_trace, solvable, solve
 
 from conftest import corpus
 from reference import scss_conditionings
@@ -219,11 +219,10 @@ def test_replay_rejects_a_third_element_on_ns_and_ss_steps(rule):
     for step in ((0, 0, 0), (0, 0, 1), (0, 0, 5)):
         with pytest.raises(ReplayError, match="takes no third element"):
             replay_sequence(inst, [step], [rule])
-    # the steps an engine's trace replays as never give ns or ss one
-    _, trace, _ = ss_to_convergence(generators.figure1a())
-    steps, rules = replay_steps(trace)
-    assert {NS, SS} & set(rules)
-    assert all(len(step) == 2 for step, r in zip(steps, rules) if r in (NS, SS))
+    # the records of an engine's trace never give ns or ss one
+    reduced, trace, _ = ss_to_convergence(generators.figure1a())
+    assert {NS, SS} & {rec.rule for rec in trace.steps}
+    assert replay_trace(generators.figure1a(), trace)[0] == reduced
 
 
 @pytest.mark.parametrize("rule", [CNS, SCSS])

@@ -38,12 +38,14 @@ def test_counter_init_on_figures():
     block_vars, _ = counters.compute_holders(inst, counters.compute_nb_blocks(inst)[0])
     assert (0, 1, 1, 0) not in counters.compute_nb_subs(inst, block_vars)[0]
     # x1's extreme values are snake substitutable by the middle one
-    assert {b: t.nb_snake[(0, b)] for b in (0, 1, 2)} == {0: 1, 1: 0, 2: 1}
+    assert {b: _cell(inst, t, "nb_snake", (0, b)) for b in (0, 1, 2)} == {0: 1, 1: 0, 2: 1}
 
-    ta = counters.build_ss(generators.figure1a())
-    assert ta.nb_snake[(0, 0)] == 1
-    assert ta.nb_snake[(0, 1)] == 0
-    assert not any(ta.inconsistent.values())
+    figure1a = generators.figure1a()
+    ta = counters.build_ss(figure1a)
+    assert _cell(figure1a, ta, "nb_snake", (0, 0)) == 1
+    assert _cell(figure1a, ta, "nb_snake", (0, 1)) == 0
+    # every value is live, so every slot is a cell
+    assert not any(ta.inconsistent)
 
 
 def _step_stops(engine, cell, delta):
@@ -56,10 +58,9 @@ def _cascade_engine(nb_stops, stop_vars, nb_snake):
     # an ss engine whose own tables hold the given values in the three cells
     # the stop cascade reads
     engine = SsEngine(generators.figure1a())
-    for name, cells in (("nb_stops", nb_stops), ("stop_vars", stop_vars)):
+    for name, cells in (("nb_stops", nb_stops), ("stop_vars", stop_vars), ("nb_snake", nb_snake)):
         for key, value in cells.items():
             set_cell(engine.inst, name, getattr(engine.tables, name), key, value)
-    engine.tables.nb_snake.update(nb_snake)
     engine.updates = 0
     engine.high.clear()
     engine.low.clear()
@@ -76,14 +77,14 @@ def test_stop_cascade_and_callback():
     assert engine.updates == 4
     assert _cell(engine.inst, tables, "nb_stops", cell) == 0
     assert _cell(engine.inst, tables, "stop_vars", (0, 1, 0)) == set()
-    assert tables.nb_snake[(0, 0)] == 1
+    assert _cell(engine.inst, tables, "nb_snake", (0, 0)) == 1
     # the mirror restores every level
     engine.updates = 0
     _step_stops(engine, cell, 1)
     assert engine.updates == 3
     assert _cell(engine.inst, tables, "nb_stops", cell) == 1
     assert _cell(engine.inst, tables, "stop_vars", (0, 1, 0)) == {3}
-    assert tables.nb_snake[(0, 0)] == 0
+    assert _cell(engine.inst, tables, "nb_snake", (0, 0)) == 0
 
 
 def test_stop_cascade_underflow_is_an_error():

@@ -111,20 +111,17 @@ def _assert_matches_a_fresh_build(engine) -> None:
         counters._across: static.across,
         counters._value: static.ends,
         counters._pair: dict(enumerate(static.pairs)),
+        counters._single: dict(enumerate(static.singles)),
     }
     for name, table in kept.items():
         layout, want = counters.TABLES[name].layout, getattr(fresh, name)
-        if layout is None:  # a dict keyed by (variable, value)
-            keys = [(i, vals[i][p]) for i in range(inst.n) for p in bit_positions(live[i])]
-            assert [table[key] for key in keys] == [want[key] for key in keys], name
-            continue
         for where, start in starts[layout].items():
-            i, k = (where, where) if layout is counters._pair else where
+            i, k = (where, where) if layout in (counters._pair, counters._single) else where
             if layout is counters._along:
                 k = i
             width = len(vals[k])
             for p in bit_positions(live[i]):
-                if layout is counters._value:
+                if layout in (counters._value, counters._single):
                     assert table[start + p] == want[start + p], (name, where, p)
                     continue
                 mask = live[k] & ~(1 << p) if i == k else live[k]

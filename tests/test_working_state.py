@@ -16,12 +16,11 @@ from subsense import (
     establish_ac,
     generators,
     ns_to_convergence,
-    replay_sequence,
     scss_to_convergence,
     ss_to_convergence,
 )
 from subsense.acns import NsEngine
-from subsense.oracle import replay_steps
+from subsense.oracle import replay_trace
 from subsense.trace import NS, NsWitness
 
 from conftest import WIDTH_INPUTS, corpus
@@ -43,8 +42,7 @@ INPUTS = [
 
 
 def _replay(inst):
-    steps, rules = replay_steps(scss_to_convergence(inst)[1])
-    return replay_sequence(inst, steps, rules)
+    return replay_trace(inst, scss_to_convergence(inst)[1])
 
 
 RUNS = {
