@@ -1,104 +1,68 @@
-"""The one JSON writer of instance and trace files.
+"""The text helpers every instance and trace file template shares.
 
-``pieces(obj)`` yields the text of ``json.dumps(obj, indent=2)``, byte for
-byte, for the trees that ``to_json_dict`` and ``trace_to_json_dict`` build:
-dicts with str or int keys, lists, ints, strs and None.  With an
+An instance or trace file is exactly ``json.dumps(tree, indent=2)`` and a
+newline, for the tree ``to_json_dict`` or ``trace_to_json_dict`` builds,
+but no tree is built to write it: ``instance`` and ``trace`` fill text
+templates fixed by their schema straight from their objects.  With an
 indent, CPython's ``json`` runs its pure-Python encoder, a generator step
-per value.  Here the inner loops run in C: a list of ints is one
-``str.join``, and a list of equal-length int lists, such as the allowed
-pairs of a constraint, is one ``%`` template per item.  Strings are escaped
-by ``json.encoder.encode_basestring_ascii``, as ``json.dumps`` escapes them.
+per value; a template runs its inner loops in C instead, one ``%`` per
+record and one ``str.join`` per list of ints or map of ints.
 
-The pieces are the items of the top-level container and of its values, so
-``dump`` streams a file with ``writelines``, as ``json.dump`` does, and no
-string of the whole file is held.
+A template is made for the newline and indent (``nl``) its text starts
+after, the text of one level deeper being ``nl + "  "``.  ``%d`` writes
+a float or a bool as an int, so the trace writer checks that what went
+into the int slots of a step is exactly ints, all at once, and raises
+``TypeError`` for what its schema does not hold; ``make_instance`` has
+checked every int of an instance.  Strings are escaped by
+``json.encoder.encode_basestring_ascii``, as ``json.dumps`` escapes them.
+
+``write`` streams a file from its pieces, one variable, constraint or
+trace step each, with ``writelines``, as ``json.dump`` does, so no string
+of the whole file is held.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain
 
-_escape = json.encoder.encode_basestring_ascii
-_INTS = {int}
-_LISTS = {list}
+escape = json.encoder.encode_basestring_ascii
 
 
-def _key(key) -> str:
-    if type(key) is str:
-        return _escape(key)
-    if type(key) is int:
-        return '"' + int.__repr__(key) + '"'
-    raise TypeError(f"keys must be str or int, not {type(key).__name__}")
-
-
-def _text(obj, nl: str) -> str:
-    """``obj`` as ``json.dumps(indent=2)`` writes it after the newline and
-    indent ``nl``."""
-    kind = type(obj)
-    if kind is int:
-        return int.__repr__(obj)
-    if kind is str:
-        return _escape(obj)
-    if obj is None:
-        return "null"
+def ints_writer(nl: str):
+    """The function that writes a list of ints, checked by the caller, as
+    ``json.dumps(indent=2)`` writes it after ``nl``."""
     inner = nl + "  "
-    sep = "," + inner
-    if kind is list:
-        if not obj:
+    head, sep, tail = "[" + inner, "," + inner, nl + "]"
+
+    def write(values) -> str:
+        if not values:
             return "[]"
-        kinds = set(map(type, obj))
-        if kinds == _INTS:
-            return "[" + inner + sep.join(map(int.__repr__, obj)) + nl + "]"
-        if kinds == _LISTS:
-            sizes = set(map(len, obj))
-            # lists all empty hold no int, so they take the general path
-            if len(sizes) == 1 and set(map(type, chain.from_iterable(obj))) == _INTS:
-                deeper = inner + "  "
-                item = "[" + deeper + ("," + deeper).join(["%d"] * sizes.pop()) + inner + "]"
-                return "[" + inner + sep.join(map(item.__mod__, map(tuple, obj))) + nl + "]"
-        return "[" + inner + sep.join([_text(value, inner) for value in obj]) + nl + "]"
-    if kind is dict:
-        if not obj:
-            return "{}"
-        return (
-            "{"
-            + inner
-            + sep.join([_key(key) + ": " + _text(value, inner) for key, value in obj.items()])
-            + nl
-            + "}"
-        )
-    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+        return head + sep.join(map(int.__repr__, values)) + tail
+
+    return write
 
 
-def pieces(obj, nl: str = "\n", depth: int = 2):
-    """Yield the text of ``json.dumps(obj, indent=2)`` in pieces: each
-    value ``depth`` levels below ``obj`` whole, and the brackets, keys and
-    separators around it apart."""
-    kind = type(obj)
-    if not (depth and obj and (kind is dict or kind is list)):
-        yield _text(obj, nl)
-        return
+def object_template(names, slots, nl: str) -> str:
+    """The ``%`` template of an object whose keys are ``names`` and whose
+    values fill ``slots`` (``"%d"`` or ``"%s"``), after ``nl``."""
     inner = nl + "  "
-    lead = inner
-    if kind is dict:
-        yield "{"
-        for key, value in obj.items():
-            yield lead + _key(key) + ": "
-            yield from pieces(value, inner, depth - 1)
-            lead = "," + inner
-        yield nl + "}"
-    else:
-        yield "["
-        for value in obj:
-            yield lead
-            yield from pieces(value, inner, depth - 1)
-            lead = "," + inner
-        yield nl + "]"
+    items = [f"{escape(name)}: {slot}" for name, slot in zip(names, slots)]
+    return "{" + inner + ("," + inner).join(items) + nl + "}"
 
 
-def dump(obj, path) -> None:
-    """Write ``json.dumps(obj, indent=2)`` and a newline to ``path``."""
+def list_pieces(texts, nl: str):
+    """The pieces of a list, after ``nl``, whose items have the texts
+    ``texts``: one item each, with the separator or bracket before it."""
+    inner = nl + "  "
+    lead, sep = "[" + inner, "," + inner
+    for text in texts:
+        yield lead + text
+        lead = sep
+    yield nl + "]" if lead is sep else "[]"
+
+
+def write(path, pieces) -> None:
+    """Write the text of ``pieces`` and a newline to ``path``."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(pieces(obj))
+        fh.writelines(pieces)
         fh.write("\n")

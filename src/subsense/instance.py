@@ -24,8 +24,12 @@ neighbour lists and the value index; the static masks wait for the first
 table build of any snapshot.
 
 An instance file is ``json.dumps(to_json_dict(inst), indent=2)`` and a
-newline, written by the one writer of instance and trace files
-(``_jsonwrite``) in C-joined pieces and streamed to disk.
+newline, but ``dump_file`` and ``dumps`` build no dict to write it: each
+variable and each constraint is one ``%`` template filled from the
+instance, and the allowed pairs of one value a of x_i are one join of the
+ints of ``sorted(rows[(i, j)][a] & D(x_j))``, with no list per pair.  Equal
+rows give equal text, written once per file.  The file is streamed one
+variable or constraint at a time (``_jsonwrite``).
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
-from ._jsonwrite import dump, pieces
+from ._jsonwrite import escape, ints_writer, list_pieces, object_template, write
 
 
 class InstanceFormatError(ValueError):
@@ -324,6 +328,66 @@ def to_json_dict(inst: Instance) -> dict:
     return {"name": inst.name, "variables": variables, "constraints": constraints}
 
 
+# the text of to_json_dict(inst) in json.dumps(indent=2), from the instance:
+# each variable and constraint one template, items of a list at indent 4
+_VARIABLE = object_template(("id", "name", "domain"), ("%d", "%s", "%s"), "\n    ")
+_DOMAIN = ints_writer("\n      ")
+_CONSTRAINT = object_template(
+    ("scope", "allowed"), ("[\n        %d,\n        %d\n      ]", "%s"), "\n    "
+)
+# an allowed pair, an item at indent 8 whose a and b are at indent 10
+_PAIR_HEAD = "[\n          %d,\n          "
+_PAIR_TAIL = "\n        ]"
+_PAIR_SEP = ",\n        "
+
+
+def _allowed(inst: Instance, i: int, j: int, memo: dict) -> Optional[str]:
+    """The text of the allowed pairs of the constraint on x_i and x_j over
+    the current domains, or None when they are the full product.
+
+    The pairs of one value a of x_i are one join of the b's ints, and equal
+    rows, which ``make_instance`` shares, repeat it: ``memo`` keeps the
+    text of each (a, row) for one file.
+    """
+    row, dom_i, dom_j = inst.rows[(i, j)], inst.domains[i], inst.domain_set(j)
+    # on a full domain of x_j every row lies inside it
+    full = len(dom_j) == len(inst.original_domains[j])
+    texts, count = [], 0
+    for a in dom_i:
+        bs = row[a] if full else row[a] & dom_j
+        if bs:
+            count += len(bs)
+            key = (a, bs)
+            text = memo.get(key)
+            if text is None:
+                head = _PAIR_HEAD % a
+                joint = _PAIR_TAIL + _PAIR_SEP + head
+                text = memo[key] = head + joint.join(map(int.__repr__, sorted(bs))) + _PAIR_TAIL
+            texts.append(text)
+    if count == len(dom_i) * len(dom_j):
+        return None
+    # ascending in a, then in b, as sorting the pairs would give
+    return "[\n        " + _PAIR_SEP.join(texts) + "\n      ]" if texts else "[]"
+
+
+def _pieces(inst: Instance):
+    """The text of ``json.dumps(to_json_dict(inst), indent=2)`` in pieces,
+    one variable or constraint each."""
+    yield '{\n  "name": %s,\n  "variables": ' % escape(inst.name)
+    yield from list_pieces(
+        (
+            _VARIABLE % (i, escape(name), _DOMAIN(dom))
+            for i, (name, dom) in enumerate(zip(inst.names, inst.domains))
+        ),
+        "\n  ",
+    )
+    yield ',\n  "constraints": '
+    memo: dict = {}
+    constraints = ((i, j, _allowed(inst, i, j, memo)) for i, j in inst.edges)
+    yield from list_pieces((_CONSTRAINT % c for c in constraints if c[2] is not None), "\n  ")
+    yield "\n}"
+
+
 def _require_keys(
     obj: dict, allowed: set[str], required: set[str], what: str, error=InstanceFormatError
 ) -> None:
@@ -385,7 +449,7 @@ def from_json_dict(obj: dict) -> Instance:
 
 
 def dumps(inst: Instance) -> str:
-    return "".join(pieces(to_json_dict(inst))) + "\n"
+    return "".join(_pieces(inst)) + "\n"
 
 
 def loads(text: str) -> Instance:
@@ -398,7 +462,7 @@ def loads(text: str) -> Instance:
 
 
 def dump_file(inst: Instance, path) -> None:
-    dump(to_json_dict(inst), path)
+    write(path, _pieces(inst))
 
 
 def load_file(path) -> Instance:

@@ -1,7 +1,13 @@
 """Elimination records, per-rule witnesses, and reduction reports.
 
 A trace file is ``json.dumps(trace_to_json_dict(trace), indent=2)`` and a
-newline, streamed to disk by the writer that also writes instance files
+newline, but ``dump_trace`` builds no dict to write it: each step is one
+``%`` template filled from its record, and each witness class has a text
+writer derived from its dataclass fields (``_text_writer``), as its
+reader (``_reader``) is, so a witness is one ``%`` of its fields and a map
+of ints one join.  What a step puts in its int slots is checked to be
+exactly ints, all at once: a bool, a float, a str map key or a container
+there raises ``TypeError``.  The file is streamed one step at a time
 (``_jsonwrite``).
 
 Reading one back rejects an unknown key at every level: the trace, each
@@ -14,11 +20,12 @@ is exactly ``int``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from itertools import chain
+from operator import attrgetter
 from typing import Mapping, Optional, Union, get_args, get_type_hints
 
-from ._jsonwrite import dump
+from ._jsonwrite import escape, ints_writer, list_pieces, object_template, write
 from .instance import _require_keys
 
 AC = "ac"
@@ -205,27 +212,6 @@ def _memo_key(key, what: str, keys: dict):
     return value
 
 
-def _as_is(value):
-    return value
-
-
-def _writer(shape):
-    """The function that turns a value of type ``shape`` into its JSON
-    form, the inverse of ``_reader``: a witness dataclass becomes a dict of
-    its fields and a map a new dict, as ``dataclasses.asdict`` writes them,
-    but the ints are not deep-copied one by one."""
-    if is_dataclass(shape):
-        hints = get_type_hints(shape)
-        parts = [(f.name, _writer(hints[f.name])) for f in fields(shape)]
-        return lambda obj: {name: write(getattr(obj, name)) for name, write in parts}
-    if shape is int:
-        return _as_is
-    write = _writer(get_args(shape)[1])
-    if write is _as_is:
-        return dict
-    return lambda obj: {key: write(value) for key, value in obj.items()}
-
-
 WITNESS_CLASSES = {
     AC: AcWitness,
     NS: NsWitness,
@@ -233,9 +219,8 @@ WITNESS_CLASSES = {
     CNS: CnsWitness,
     SCSS: ScssWitness,
 }
-# each rule's witness read back from its JSON, and each witness class written
+# each rule's witness read back from its JSON
 WITNESS_READERS = {rule: _reader(cls) for rule, cls in WITNESS_CLASSES.items()}
-WITNESS_WRITERS = {cls: _writer(cls) for cls in WITNESS_CLASSES.values()}
 
 
 def trace_to_json_dict(trace: Trace) -> dict:
@@ -247,11 +232,7 @@ def trace_to_json_dict(trace: Trace) -> dict:
                 "rule": rec.rule,
                 "variable": rec.variable,
                 "value": rec.value,
-                "witness": (
-                    None
-                    if rec.witness is None
-                    else WITNESS_WRITERS[type(rec.witness)](rec.witness)
-                ),
+                "witness": None if rec.witness is None else asdict(rec.witness),
             }
             for rec in trace.steps
         ],
@@ -261,7 +242,8 @@ def trace_to_json_dict(trace: Trace) -> dict:
     return obj
 
 
-STEP_KEYS = frozenset({"step", "rule", "variable", "value", "witness"})
+STEP_FIELDS = ("step", "rule", "variable", "value", "witness")
+STEP_KEYS = frozenset(STEP_FIELDS)
 
 
 def trace_from_json_dict(obj: dict) -> Trace:
@@ -308,8 +290,108 @@ def trace_from_json_dict(obj: dict) -> Trace:
     return Trace(instance=obj["instance"], steps=steps, final_domains=final)
 
 
+def _text_writer(shape, nl: str):
+    """The function ``write(obj, ints)`` that gives the text of a value of
+    type ``shape`` as ``json.dumps(indent=2)`` writes its JSON form (the
+    one ``dataclasses.asdict`` gives) after ``nl``: a witness dataclass one
+    ``%`` template of its fields, a map of ints one join.
+
+    ``write`` appends to the list ``ints`` what it put in each int slot
+    (fields, map keys and int map values), for the caller to check.
+    """
+    inner = nl + "  "
+    if is_dataclass(shape):
+        hints = get_type_hints(shape)
+        names = [f.name for f in fields(shape)]
+        parts = [None if hints[name] is int else _text_writer(hints[name], inner) for name in names]
+        template = object_template(names, ["%d" if w is None else "%s" for w in parts], nl)
+        get, many = attrgetter(*names), len(names) > 1
+        slots = list(enumerate(parts))
+
+        def write_fields(obj, ints):
+            # attrgetter of one name gives the value, not a 1-tuple
+            values = list(get(obj)) if many else [get(obj)]
+            for k, write in slots:
+                if write is None:
+                    ints.append(values[k])
+                else:
+                    values[k] = write(values[k], ints)
+            return template % tuple(values)
+
+        return write_fields
+    head, sep, tail = "{" + inner, "," + inner, nl + "}"
+    leaf = get_args(shape)[1]
+    if leaf is int:
+        item = '"%d": %d'.__mod__
+
+        def write_ints(obj, ints):
+            if not obj:
+                return "{}"
+            ints += obj.keys()
+            ints += obj.values()
+            return head + sep.join(map(item, obj.items())) + tail
+
+        return write_ints
+    item = '"%d": %s'
+    write_leaf = _text_writer(leaf, inner)
+
+    def write_map(obj, ints):
+        if not obj:
+            return "{}"
+        ints += obj.keys()
+        return head + sep.join([item % (k, write_leaf(v, ints)) for k, v in obj.items()]) + tail
+
+    return write_map
+
+
+# each witness class written as the value of a step's "witness" key, and a
+# step as an item of the steps list
+WITNESS_TEXTS = {cls: _text_writer(cls, "\n      ") for cls in WITNESS_CLASSES.values()}
+_STEP = object_template(STEP_FIELDS, ("%d", "%s", "%d", "%d", "%s"), "\n    ")
+_FINAL_DOMAIN = ints_writer("\n    ")
+
+
+_INT = {int}
+
+
+def _check_ints(values) -> None:
+    """Raise ``TypeError`` unless every item of ``values`` is exactly an int."""
+    if not _INT.issuperset(map(type, values)):
+        bad = next(v for v in values if type(v) is not int)
+        raise TypeError(f"Object of type {type(bad).__name__} is not an int")
+
+
+def _step_text(rec: EliminationRecord) -> str:
+    witness = rec.witness
+    ints = [rec.step, rec.variable, rec.value]
+    text = "null" if witness is None else WITNESS_TEXTS[type(witness)](witness, ints)
+    _check_ints(ints)
+    return _STEP % (rec.step, escape(rec.rule), rec.variable, rec.value, text)
+
+
+def _final_domain_text(dom) -> str:
+    if type(dom) is not list:
+        raise TypeError(f"a final domain must be a list, not {type(dom).__name__}")
+    _check_ints(dom)
+    return _FINAL_DOMAIN(dom)
+
+
+def _pieces(trace: Trace):
+    """The text of ``json.dumps(trace_to_json_dict(trace), indent=2)`` in
+    pieces, one step or final domain each."""
+    yield '{\n  "instance": %s,\n  "steps": ' % escape(trace.instance)
+    yield from list_pieces(map(_step_text, trace.steps), "\n  ")
+    final = trace.final_domains
+    if final is not None:
+        if type(final) is not list:
+            raise TypeError(f"final_domains must be a list, not {type(final).__name__}")
+        yield ',\n  "final_domains": '
+        yield from list_pieces(map(_final_domain_text, final), "\n  ")
+    yield "\n}"
+
+
 def dump_trace(trace: Trace, path) -> None:
-    dump(trace_to_json_dict(trace), path)
+    write(path, _pieces(trace))
 
 
 def load_trace(path) -> Trace:

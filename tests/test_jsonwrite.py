@@ -1,12 +1,15 @@
-"""The JSON writer of instance and trace files: the bytes of
-``json.dumps(obj, indent=2)``, written in pieces."""
+"""The writers of instance and trace files: the bytes of
+``json.dumps(to_json_dict(inst), indent=2)`` and of
+``json.dumps(trace_to_json_dict(trace), indent=2)``, and a newline, written
+in pieces straight from the objects."""
 
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from subsense import (
+    RULES,
     AcWitness,
     CnsWitness,
     EliminationRecord,
@@ -28,7 +31,8 @@ from subsense import (
     to_json_dict,
     trace_to_json_dict,
 )
-from subsense._jsonwrite import pieces
+from subsense.instance import _pieces as instance_pieces
+from subsense.trace import _pieces as trace_pieces
 
 from conftest import corpus, corpus_size
 from reference import allows
@@ -37,35 +41,100 @@ from reference import allows
 # characters, lone surrogates and characters past the BMP
 TEXT = st.one_of(
     st.text(),
-    st.text(alphabet='"\\/\b\f\n\r\t\x00\x1f\x7fé 𐏿\U0001f600ab'),
+    st.text(alphabet='"\\/\b\f\n\r\t\x00\x1f\x7fé 𐏿\U0001f600ab'),
 )
-INTS = st.one_of(st.integers(-(2**70), 2**70), st.integers(-3, 3))
-INT_LISTS = st.lists(INTS)
-# lists of equal-length int lists, such as the allowed pairs
-EQUAL_LISTS = st.integers(0, 3).flatmap(lambda k: st.lists(st.lists(INTS, min_size=k, max_size=k)))
-LEAVES = st.one_of(st.none(), INTS, TEXT, INT_LISTS, EQUAL_LISTS, st.lists(INT_LISTS))
-TREES = st.recursive(
-    LEAVES,
-    lambda children: st.one_of(
-        st.lists(children, max_size=4),
-        st.dictionaries(st.one_of(TEXT, INTS), children, max_size=4),
+INTS = st.one_of(
+    st.integers(-(2**70), 2**70), st.integers(-3, 3), st.sampled_from([2**70, -(2**70)])
+)
+# maps of every size from empty, as swaps and covers may be
+INT_MAPS = st.dictionaries(INTS, INTS, max_size=3)
+SWAPS = st.dictionaries(INTS, INT_MAPS, max_size=3)
+WITNESSES = st.one_of(
+    st.none(),
+    st.builds(AcWitness, INTS),
+    st.builds(NsWitness, INTS),
+    st.builds(SsWitness, INTS, SWAPS),
+    st.builds(CnsWitness, INTS, INT_MAPS),
+    st.builds(
+        ScssWitness,
+        INTS,
+        st.dictionaries(INTS, st.builds(ScssCover, INTS, INTS, SWAPS), max_size=3),
     ),
-    max_leaves=20,
 )
-
-
-@settings(max_examples=300, deadline=None)
-@given(TREES)
-def test_pieces_give_the_bytes_of_json_dumps(obj):
-    assert "".join(pieces(obj)) == json.dumps(obj, indent=2)
-
-
-@pytest.mark.parametrize(
-    "obj", [True, 1.5, [0, False], {"a": 2.0}, {True: 1}, {(0, 1): 1}, [(0, 1)], (0, 1)]
+RECORDS = st.builds(
+    EliminationRecord, INTS, st.one_of(st.sampled_from(RULES), TEXT), INTS, INTS, WITNESSES
 )
-def test_pieces_reject_what_they_do_not_write(obj):
-    with pytest.raises(TypeError):
-        "".join(pieces(obj))
+# no final domains, none, or some, an empty one among them
+FINALS = st.one_of(st.none(), st.lists(st.lists(INTS, max_size=4), max_size=4))
+TRACES = st.builds(Trace, TEXT, st.lists(RECORDS, max_size=5), FINALS)
+
+
+def _trace_text(t: Trace) -> str:
+    return json.dumps(trace_to_json_dict(t), indent=2) + "\n"
+
+
+# tmp_path is one file for every example, which each rewrites whole
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(TRACES)
+def test_pieces_give_the_bytes_of_json_dumps(tmp_path, t):
+    # the file dump_trace writes, for traces of every witness class
+    path = tmp_path / "trace.json"
+    dump_trace(t, path)
+    assert path.read_bytes() == _trace_text(t).encode("ascii")
+
+
+# what json.dumps writes but a trace holds in no int slot: a bool, a
+# float, containers, a dict whose key or value is not an int, and a str,
+# which as a map key json.dumps writes as it writes the int (every witness
+# map is typed Mapping[int, ...], and load_trace makes only int keys)
+NOT_INTS = [True, 1.5, [0, False], {"a": 2.0}, {True: 1}, {(0, 1): 1}, [(0, 1)], (0, 1), "1"]
+
+
+def _with_in_an_int_slot(obj):
+    """Traces each with ``obj`` in one place an int goes: a record field,
+    a witness field, a witness map key or value, or a final domain; or in
+    place of a final domain or of the list of them."""
+    record = EliminationRecord(1, "ns", 0, 1, NsWitness(2))
+    for name in ("step", "variable", "value"):
+        yield Trace("t", [EliminationRecord(**{**vars(record), name: obj})])
+    witnesses = [
+        AcWitness(obj),
+        NsWitness(obj),
+        SsWitness(obj, {}),
+        SsWitness(0, {1: {2: obj}}),
+        CnsWitness(obj, {1: 2}),
+        CnsWitness(0, {1: obj}),
+        ScssWitness(obj, {}),
+        ScssWitness(0, {1: ScssCover(obj, 2, {})}),
+        ScssWitness(0, {1: ScssCover(0, obj, {})}),
+        ScssWitness(0, {1: ScssCover(0, 2, {3: {4: obj}})}),
+    ]
+    try:
+        hash(obj)
+    except TypeError:
+        pass  # no map holds it as a key
+    else:
+        witnesses += [
+            SsWitness(0, {obj: {}}),
+            SsWitness(0, {1: {obj: 2}}),
+            CnsWitness(0, {obj: 2}),
+            ScssWitness(0, {obj: ScssCover(0, 2, {})}),
+            ScssWitness(0, {1: ScssCover(0, 2, {obj: {}})}),
+        ]
+    for witness in witnesses:
+        yield Trace("t", [EliminationRecord(1, "ns", 0, 1, witness)])
+    yield Trace("t", [record], final_domains=[[0], [1, obj]])
+    yield Trace("t", [record], final_domains=[[0], obj])
+    yield Trace("t", [record], final_domains=obj)
+
+
+@pytest.mark.parametrize("obj", NOT_INTS)
+def test_pieces_reject_what_they_do_not_write(tmp_path, obj):
+    for t in _with_in_an_int_slot(obj):
+        with pytest.raises(TypeError):
+            dump_trace(t, tmp_path / "trace.json")
 
 
 def _reference_json_dict(inst):
@@ -141,8 +210,23 @@ def test_instance_files_are_the_bytes_of_json_dumps(tmp_path):
 
 def test_instance_files_are_written_in_pieces():
     # no piece holds the whole file, only one variable or constraint
-    obj = to_json_dict(generators.random_instance(200, 4, 0.03, 0.85, 3))
-    assert max(map(len, pieces(obj))) * 100 < len(json.dumps(obj, indent=2))
+    inst = generators.random_instance(200, 4, 0.03, 0.85, 3)
+    assert max(map(len, instance_pieces(inst))) * 100 < len(dumps(inst))
+
+
+def test_trace_files_are_written_in_pieces():
+    # no piece holds more than one step
+    witnesses = [
+        AcWitness(3),
+        SsWitness(1, {0: {1: 2}, 3: {}}),
+        ScssWitness(0, {1: ScssCover(0, 2, {2: {0: 1, 4: 3}})}),
+    ]
+    steps = [EliminationRecord(k + 1, "ac", k, 0, witnesses[k % 3]) for k in range(1200)]
+    t = Trace("long", steps, final_domains=[[1, 2]] * 1200)
+    parts = list(trace_pieces(t))
+    assert "".join(parts) + "\n" == _trace_text(t)
+    assert max(part.count('"step": ') for part in parts) == 1
+    assert sum(part.count('"step": ') for part in parts) == len(steps)
 
 
 def _every_witness_shape():
