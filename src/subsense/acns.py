@@ -1,7 +1,7 @@
 """Arc consistency and plain neighbourhood substitution to convergence.
 
 establish_ac is the classic arc-revision worklist over each edge's full
-row masks (counters.Static.full) and live masks (Instance.live); it drops
+row masks (Instance.full) and live masks (Instance.live); it drops
 each unsupported value from one working snapshot (Instance._working), as
 the engines do, and returns it frozen.  ns_to_convergence keeps the block
 counters (counters.build_ns) and deletes any value all of whose
@@ -32,9 +32,9 @@ from .trace import (
 
 def is_arc_consistent(inst: Instance) -> bool:
     """True when every current value has a support at every neighbour: its
-    full row mask (counters.Static) meets the live mask of the neighbour."""
+    full row mask (Instance.full) meets the live mask of the neighbour."""
     live = inst.live
-    for (i, j), full in counters.static_masks(inst).full.items():
+    for (i, j), full in inst.full.items():
         live_j = live[j]
         for b in bit_positions(live[i]):
             if not full[b] & live_j:
@@ -55,7 +55,7 @@ def establish_ac(inst: Instance) -> tuple[Instance, Trace]:
     Returns the reduced instance and the trace of removals; a wiped-out
     domain shows up as ``unsatisfiable`` on the result.
     """
-    full = counters.static_masks(inst).full
+    full = inst.full
     cur = inst._working()
     live, vals = cur.live, inst.original_domains
     queue: deque[tuple[int, int]] = deque(full)

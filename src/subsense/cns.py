@@ -14,7 +14,7 @@ kernel.CoverKernel.  This module states only what a cover is, as masks
 over value positions: a's holder mask for b is block_vars(p,b,a), which
 fits inside {q} when it has no bit but q's, as the block pass reports
 through ``_fits_within`` with a +1 cover step, and a's reach at x_q is its
-full row mask (counters.Static.full): a reaches c when it takes c.  The
+full row mask (Instance.full): a reaches c when it takes c.  The
 witness of a conditioned step is ``oracle.cns_with_conditioning``'s; a
 plain step's substitute is the one its queued triple names.
 """

@@ -11,10 +11,10 @@ rule, which only name the rule's tables, and hands them the pool of tables
 (Held) that it was given, if any.
 
 build() computes every table with its flat builder, from the value masks
-of one group of edges at a time (Masks): the packed row masks over the
-original domains (Static), which the first build of any snapshot makes and
-every snapshot of the lineage shares, ANDed with the live masks that the
-snapshot keeps (Instance.live).
+of one group of edges at a time (Masks): the row masks over the original
+domains (Instance.full), packed a group at a time in Static, which the
+first build of any snapshot makes and every snapshot of the lineage
+shares, ANDed with the live masks that the snapshot keeps (Instance.live).
 The set-builders stay the reference: verify_tables rebuilds every table
 with them, so with SUBSENSE_DEBUG_RECOMPUTE=1 the engines compare the flat
 build plus every incremental update, cell by cell, against the definitions
@@ -66,7 +66,7 @@ Each table is charged the elementary membership probes that its
 set-builder makes on the current domains; engines fold that into their
 update accounting as the cost of initialisation.  TABLES states the charge
 once per table, as a closed formula in the domain sizes and the row masks
-(Static.full ANDed with the live masks), and build() charges it for every
+(Instance.full ANDed with the live masks), and build() charges it for every
 table it returns, so ``updates`` depends neither on which builder ran nor
 on whether the table was built at all.
 
@@ -96,9 +96,9 @@ from collections import Counter
 from itertools import accumulate, chain, repeat
 from operator import itemgetter
 from types import SimpleNamespace
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple
 
-from .instance import Instance
+from .instance import Instance, bit_positions
 
 DEBUG_ENV = "SUBSENSE_DEBUG_RECOMPUTE"
 
@@ -373,25 +373,21 @@ def cell(inst: Instance, name: str, table: list, key: tuple):
 
 
 class Static(NamedTuple):
-    """The masks and the table layout that no snapshot changes, since
-    relations are stored over the original domains: built at the first
-    table build of any snapshot and shared by its whole lineage
+    """The packed masks and the table layout that no snapshot changes,
+    since relations are stored over the original domains: built at the
+    first table build of any snapshot and shared by its whole lineage
     (static_masks).  Tuples of ints and bytes, which the cyclic garbage
     collector stops tracking, and dicts of them and of ints."""
 
-    # full[i,j][p] = the mask of rows[(i,j)][a] over the original D(x_j),
-    # for the value a at position p of the original D(x_i); the oriented
-    # edges in oriented_edges() order
-    full: dict[tuple[int, int], tuple[int, ...]]
     # nbit[k][l] = the bit of the neighbour x_l in the holder masks of x_k
     nbit: tuple[dict[int, int], ...]
     # ((s, t), edges) for the oriented edges (i,j) whose original D(x_i) has
-    # s values and D(x_j) has t, in ``full`` order, so that (t,s) lists the
-    # reverse of each edge of (s,t) in turn, and (s,s) both orientations of
-    # an edge side by side: the packed byte kernels take one at a time
+    # s values and D(x_j) has t, in Instance.full order, so that (t,s) lists
+    # the reverse of each edge of (s,t) in turn, and (s,s) both orientations
+    # of an edge side by side: the packed byte kernels take one at a time
     groups: tuple[tuple[tuple[int, int], tuple[tuple[int, int], ...]], ...]
-    # packed[s,t] = the full rows of the group (s,t), one edge after the
-    # other, as fields of _field(t) bytes
+    # packed[s,t] = the full rows (Instance.full) of the group (s,t), one
+    # edge after the other, as fields of _field(t) bytes
     packed: dict[tuple[int, int], bytes]
     # ((s, width), variables), ascending, for the x_k whose original D(x_k)
     # has s values and whose holder masks take fields of _field(degree)
@@ -401,7 +397,8 @@ class Static(NamedTuple):
     # group (``holders`` order for a holder table, by k for a value table):
     # the oriented edge (i,j) has a slot per pair of values of x_i (along),
     # per value of x_i and value of x_j (across) or per value of x_i (ends);
-    # x_k has one per pair of its values (pairs) and one per value (singles)
+    # x_k has one per pair of its values (pairs) and one per value (singles).
+    # across is along itself where both ends of every edge have one size
     along: dict[tuple[int, int], int]
     across: dict[tuple[int, int], int]
     ends: dict[tuple[int, int], int]
@@ -419,18 +416,12 @@ def _offsets(keys, cells) -> dict:
 
 
 def static_masks(inst: Instance) -> Static:
-    """The Static of ``inst``'s lineage, walking every allowed pair of every
-    edge at the first call on any of its snapshots."""
+    """The Static of ``inst``'s lineage, packed from its row masks
+    (Instance.full) at the first call on any of its snapshots."""
     held = inst._static
     if not held:
-        pos = inst.positions
-        sizes = [len(pos_k) for pos_k in pos]
-        bits = [{v: 1 << p for v, p in pos_k.items()} for pos_k in pos]
-        full = {}
-        for i, j in oriented_edges(inst):
-            # the bits are distinct, so their sum is their OR
-            rel, bit_j = inst.rows[(i, j)], bits[j].__getitem__
-            full[(i, j)] = tuple(sum(map(bit_j, rel[a])) for a in inst.original_domains[i])
+        full = inst.full
+        sizes = [len(pos_k) for pos_k in inst.positions]
         nbit = tuple({l: 1 << t for t, l in enumerate(inst.neighbors(k))} for k in range(inst.n))
         by_sizes: dict[tuple[int, int], list] = {}
         for i, j in full:
@@ -449,10 +440,13 @@ def static_masks(inst: Instance) -> Static:
             for key, group in holders
             for k in group
         }
+        along = _offsets(edges, [sizes[i] ** 2 for i, _ in edges])
+        if any(sizes[i] != sizes[j] for i, j in edges):
+            across = _offsets(edges, [sizes[i] * sizes[j] for i, j in edges])
+        else:
+            across = along  # the same offsets: one dict serves both
         held.append(Static(
-            full, nbit, groups, packed, holders,
-            along=_offsets(edges, [sizes[i] ** 2 for i, _ in edges]),
-            across=_offsets(edges, [sizes[i] * sizes[j] for i, j in edges]),
+            nbit, groups, packed, holders, along, across,
             ends=_offsets(edges, [sizes[i] for i, _ in edges]),
             pairs=tuple(pairs[k] for k in range(inst.n)),
             singles=tuple(accumulate(sizes, initial=0))[: inst.n],
@@ -461,27 +455,9 @@ def static_masks(inst: Instance) -> Static:
     return held[0]
 
 
-# the set-bit positions of every mask below 2^8: a fixed table, never grown
-_BYTE_POSITIONS = tuple(tuple(p for p in range(8) if m >> p & 1) for m in range(256))
-
-
-def bit_positions(mask: int) -> Sequence[int]:
-    """The positions of the set bits of ``mask``, ascending: read from a
-    fixed table below 2^8, computed afresh byte by byte above it."""
-    if mask < 256:
-        return _BYTE_POSITIONS[mask]
-    out = []
-    base = 0
-    for byte in mask.to_bytes((mask.bit_length() + 7) >> 3, "little"):
-        for p in _BYTE_POSITIONS[byte]:
-            out.append(base + p)
-        base += 8
-    return out
-
-
 class Masks(NamedTuple):
     """The current domains as bitmasks, for one build() call: the packed
-    full rows of Static ANDed with the live masks (Instance.live), and the
+    full rows (Static.packed) ANDed with the live masks (Instance.live), and the
     masks every fit test reads (others), each derived once.  Bit p of a
     mask of x_k stands for the value at position p of the original D(x_k)
     (Instance.positions), never for the value itself: values are arbitrary
@@ -898,7 +874,7 @@ def flat_inconsistent(inst: Instance, masks: Masks) -> list:
 # -- charges --------------------------------------------------------------------
 #
 # What each set-builder probes over the current domains, in the domain sizes
-# and the row masks (Static.full ANDed with Instance.live): one charge per
+# and the row masks (Instance.full ANDed with Instance.live): one charge per
 # table, which build() adds to ``probes`` whether it builds the table or takes
 # it handed, so ``updates`` depends on neither.
 
@@ -924,7 +900,7 @@ def charge_nb_subs(inst: Instance) -> int:
     """compute_nb_subs: every e of x_k for each pair of a at x_i and d at
     x_k that a does not take, for every oriented edge (i,k).  An edge {i,j}
     has as many such pairs, s_i s_j less its compatible ones, either way."""
-    live, full_of = inst.live, static_masks(inst).full
+    live, full_of = inst.live, inst.full
     s = [m.bit_count() for m in live]
     probes = 0
     for i, j in inst.edges:
@@ -944,7 +920,7 @@ def charge_nb_snake(inst: Instance) -> int:
 def charge_inconsistent(inst: Instance) -> int:
     """compute_inconsistent: for each value, each neighbour's domain up to
     and including the first that gives it no support."""
-    live, full_of = inst.live, static_masks(inst).full
+    live, full_of = inst.live, inst.full
     probes = 0
     for i, live_i in enumerate(live):
         rows = [(full_of[(i, k)], live[k], live[k].bit_count()) for k in inst.neighbors(i)]

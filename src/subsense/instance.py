@@ -4,31 +4,42 @@ An instance holds n variables with integer domains and at most one binary
 relation per unordered pair of variables.  Relations are stored over the
 *original* domains, so removing values never reindexes anything: a value is
 a stable integer label for its variable's column in every relation it
-touches.  Pairs of variables without a stored relation are unconstrained
-(every combination allowed).
+touches, and its position in the original domain (``positions``) is its
+bit in every mask.  Pairs of variables without a stored relation are
+unconstrained (every combination allowed).
+
+A relation has one stored form, ``full``: for each oriented edge (i, j),
+the mask over the positions of the original D(x_j) of the values
+compatible with each value of x_i, by position.  ``make_instance`` fills
+both orientations in its one pass over the allowed pairs.  The table
+builds, the engines, arc consistency, the oracle and the writer read these
+masks with the ``live`` masks of the current domains.  ``rows``, the same
+relations as frozensets of values, is a view derived at its first read and
+shared by the lineage, with equal rows one frozenset; only the reference
+builders, ``to_json_dict`` and the tests read it.
 
 Instances are immutable snapshots, each the one owner of the ``live``
 masks of its domains, which every table build and engine reads.  A derived
-snapshot shares with its parent the relation tables, the neighbour lists,
-the original domains with their value index (``positions``), the masks no
-snapshot changes (``counters.Static``) and the domain tuple, set and mask
-of every variable it leaves alone.  Every domain shrinks on a private
-working snapshot (``_working``), which holds them in lists: an engine run,
-a replay and arc consistency drop the value at a position in place
-(``_drop``), so an elimination pays O(d), not O(n), and a frozen copy
-(``_frozen``) leaves the run.  ``remove_value`` and ``restrict`` derive
-through the same two helpers.  They stay for the API: only the backtracking
-``oracle.longest_elimination_sequence`` calls ``remove_value``, and no
-library loop calls ``restrict``.  Only the constructor computes the
-neighbour lists and the value index; the static masks wait for the first
-table build of any snapshot.
+snapshot shares with its parent the relation masks and their ``rows`` view,
+the neighbour lists, the original domains with their value index
+(``positions``), the masks no snapshot changes (``counters.Static``) and
+the domain tuple, set and mask of every variable it leaves alone.  Every
+domain shrinks on a private working snapshot (``_working``), which holds
+them in lists: an engine run, a replay and arc consistency drop the value
+at a position in place (``_drop``), so an elimination pays O(d), not O(n),
+and a frozen copy (``_frozen``) leaves the run.  ``remove_value`` and
+``restrict`` derive through the same two helpers.  They stay for the API:
+only the backtracking ``oracle.longest_elimination_sequence`` calls
+``remove_value``, and no library loop calls ``restrict``.  Only the
+constructor computes the neighbour lists and the value index; the static
+masks wait for the first table build of any snapshot.
 
 An instance file is ``json.dumps(to_json_dict(inst), indent=2)`` and a
 newline, but ``dump_file`` and ``dumps`` build no dict to write it: each
 variable and each constraint is one ``%`` template filled from the
 instance, and the allowed pairs of one value a of x_i are one join of the
-ints of ``sorted(rows[(i, j)][a] & D(x_j))``, with no list per pair.  Equal
-rows give equal text, written once per file.  The file is streamed one
+ints of the live values in a's mask, with no list per pair.  Equal masks
+give equal text, written once per file.  The file is streamed one
 variable or constraint at a time (``_jsonwrite``).
 """
 
@@ -36,6 +47,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterable, Mapping, Optional, Sequence
 
 from ._jsonwrite import escape, ints_writer, list_pieces, object_template, write
@@ -56,8 +68,36 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+# the set-bit positions of every mask below 2^8: a fixed table, never grown
+_BYTE_POSITIONS = tuple(tuple(p for p in range(8) if m >> p & 1) for m in range(256))
+
+
+def bit_positions(mask: int) -> Sequence[int]:
+    """The positions of the set bits of ``mask``, ascending: read from a
+    fixed table below 2^8, computed afresh byte by byte above it."""
+    if mask < 256:
+        return _BYTE_POSITIONS[mask]
+    out = []
+    base = 0
+    for byte in mask.to_bytes((mask.bit_length() + 7) >> 3, "little"):
+        for p in _BYTE_POSITIONS[byte]:
+            out.append(base + p)
+        base += 8
+    return out
+
+
+# bytes.translate table from the digits of bin() to 0 and 1
+_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bits(mask: int) -> bytes:
+    """A 0 or 1 byte for each bit of ``mask``, lowest first: the selectors
+    of ``compress`` over a domain."""
+    return bin(mask)[:1:-1].encode().translate(_DIGITS)
+
+
 # equality compares the six defining fields; hash() raises TypeError, since
-# rows is a dict
+# full is a dict
 @dataclass(frozen=True)
 class Instance:
     name: str
@@ -65,9 +105,11 @@ class Instance:
     domains: tuple[tuple[int, ...], ...]
     original_domains: tuple[tuple[int, ...], ...]
     edges: tuple[Pair, ...]
-    # rows[(i, j)][a] = frozenset of values b of x_j compatible with x_i = a,
-    # present for both orientations of every edge
-    rows: Mapping[Pair, Mapping[int, frozenset[int]]]
+    # full[(i, j)][p] = the mask over the positions of the original D(x_j)
+    # of the values compatible with the value at position p of the original
+    # D(x_i); both orientations of every edge, in counters.oriented_edges
+    # order
+    full: Mapping[Pair, tuple[int, ...]]
     # positions[i][v] = the position of v in the original domain of x_i: a
     # dense value index that no snapshot changes
     positions: tuple[dict[int, int], ...] = field(init=False, repr=False, compare=False)
@@ -79,6 +121,9 @@ class Instance:
     # the masks no snapshot changes (counters.Static): an empty list until
     # the first table build of any snapshot puts them in, shared by all
     _static: list = field(init=False, repr=False, compare=False)
+    # the rows view: an empty list until its first read puts it in, shared
+    # by all
+    _rows: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -95,6 +140,7 @@ class Instance:
             nbrs[j].append(i)
         object.__setattr__(self, "_neighbors", tuple(tuple(sorted(ns)) for ns in nbrs))
         object.__setattr__(self, "_static", [])
+        object.__setattr__(self, "_rows", [])
 
     # -- basic queries ----------------------------------------------------
 
@@ -117,6 +163,29 @@ class Instance:
 
     def domain_set(self, i: int) -> frozenset[int]:
         return self._cur_sets[i]
+
+    @property
+    def rows(self) -> Mapping[Pair, Mapping[int, frozenset[int]]]:
+        """rows[(i, j)][a] = the frozenset of values b of the original D(x_j)
+        compatible with x_i = a, for both orientations of every edge: the
+        masks of ``full`` read as values.  Derived at the first read on any
+        snapshot and shared by all of them; equal rows over equal original
+        domains are one frozenset across values, orientations and edges."""
+        held = self._rows
+        if not held:
+            shared: dict[tuple[int, ...], dict[int, frozenset[int]]] = {}
+            rows = {}
+            for (i, j), masks in self.full.items():
+                dom_j = self.original_domains[j]
+                memo = shared.setdefault(dom_j, {})
+                row = rows[(i, j)] = {}
+                for a, mask in zip(self.original_domains[i], masks):
+                    values = memo.get(mask)
+                    if values is None:
+                        values = memo[mask] = frozenset(compress(dom_j, _bits(mask)))
+                    row[a] = values
+            held.append(rows)
+        return held[0]
 
     def _check_var(self, i: int) -> None:
         if not 0 <= i < self.n:
@@ -237,9 +306,9 @@ def make_instance(
     else:
         items = list(constraints)
 
-    rows: dict[Pair, dict[int, frozenset[int]]] = {}
-    distinct: dict[frozenset[int], frozenset[int]] = {}
-    edges: list[Pair] = []
+    # by variable, the position of each value
+    index = [{v: p for p, v in enumerate(dom)} for dom in doms]
+    masks: dict[Pair, tuple[tuple[int, ...], tuple[int, ...]]] = {}
     seen: set[Pair] = set()
     for i, j, pairs in items:
         if not (_is_int(i) and _is_int(j)):
@@ -257,9 +326,10 @@ def make_instance(
         seen.add(key)
         flip = i > j
         i, j = key
-        # one pass over the pairs checks each and files it in both rows
-        fwd = {a: set() for a in doms[i]}
-        bwd = {b: set() for b in doms[j]}
+        # one pass over the pairs checks each and sets its bit in both masks
+        pos_i, pos_j = index[i].get, index[j].get
+        fwd = [0] * len(doms[i])
+        bwd = [0] * len(doms[j])
         for pair in pairs:
             try:
                 a, b = pair
@@ -273,35 +343,33 @@ def make_instance(
                     # a two-character string or two-key object unpacks too
                     raise InstanceFormatError(_NOT_PAIRS)
                 raise InstanceFormatError(f"pair ({a!r}, {b!r}) must hold ints")
-            row_a, col_b = fwd.get(a), bwd.get(b)
-            if row_a is None or col_b is None:
+            p, q = pos_i(a), pos_j(b)
+            if p is None or q is None:
                 raise InstanceFormatError(
                     f"pair ({a}, {b}) outside the domains of variables {i} and {j}"
                 )
-            size = len(row_a)
-            row_a.add(b)
-            if len(row_a) == size:
+            bit = 1 << q
+            if fwd[p] & bit:
                 raise InstanceFormatError(
                     f"duplicate allowed pair ({a}, {b}) on variables {i} and {j}"
                 )
-            col_b.add(a)
-        if sum(map(len, fwd.values())) == len(doms[i]) * len(doms[j]):
+            fwd[p] |= bit
+            bwd[q] |= 1 << p
+        if sum(map(int.bit_count, fwd)) == len(fwd) * len(bwd):
             continue  # trivial: allows everything
-        edges.append((i, j))
-        # frozen edge by edge, so that the working sets die young (held to the
-        # end, they would hasten the collector's next full collection), and
-        # equal rows share one frozenset: fewer containers for it to trace
-        for key, working in (((i, j), fwd), ((j, i), bwd)):
-            frozen = map(frozenset, working.values())
-            rows[key] = dict(zip(working, [distinct.setdefault(row, row) for row in frozen]))
+        masks[key] = (tuple(fwd), tuple(bwd))
 
+    edges = sorted(masks)
+    full = {}
+    for i, j in edges:
+        full[(i, j)], full[(j, i)] = masks[(i, j)]
     return Instance(
         name=name,
         names=names,
         domains=tuple(doms),
         original_domains=tuple(doms),
-        edges=tuple(sorted(edges)),
-        rows=rows,
+        edges=tuple(edges),
+        full=full,
     )
 
 
@@ -341,33 +409,49 @@ _PAIR_TAIL = "\n        ]"
 _PAIR_SEP = ",\n        "
 
 
-def _allowed(inst: Instance, i: int, j: int, memo: dict) -> Optional[str]:
-    """The text of the allowed pairs of the constraint on x_i and x_j over
-    the current domains, or None when they are the full product.
+def _constraints(inst: Instance):
+    """The text of each constraint over the current domains that is not
+    the full product, in ``edges`` order.
 
-    The pairs of one value a of x_i are one join of the b's ints, and equal
-    rows, which ``make_instance`` shares, repeat it: ``memo`` keeps the
-    text of each (a, row) for one file.
+    The allowed pairs of one value a of x_i are one join of the texts of
+    the live values in its mask, and equal masks repeat it: by original
+    domain of x_j, the text of each of its values and of each (a, mask) is
+    made once per file.
     """
-    row, dom_i, dom_j = inst.rows[(i, j)], inst.domains[i], inst.domain_set(j)
-    # on a full domain of x_j every row lies inside it
-    full = len(dom_j) == len(inst.original_domains[j])
-    texts, count = [], 0
-    for a in dom_i:
-        bs = row[a] if full else row[a] & dom_j
-        if bs:
-            count += len(bs)
-            key = (a, bs)
-            text = memo.get(key)
-            if text is None:
-                head = _PAIR_HEAD % a
-                joint = _PAIR_TAIL + _PAIR_SEP + head
-                text = memo[key] = head + joint.join(map(int.__repr__, sorted(bs))) + _PAIR_TAIL
-            texts.append(text)
-    if count == len(dom_i) * len(dom_j):
-        return None
-    # ascending in a, then in b, as sorting the pairs would give
-    return "[\n        " + _PAIR_SEP.join(texts) + "\n      ]" if texts else "[]"
+    full, live, vals = inst.full, inst.live, inst.original_domains
+    whole = [(1 << len(dom)) - 1 for dom in vals]
+    shared: dict = {}
+    memos = []
+    for dom in vals:
+        memo = shared.get(dom)
+        if memo is None:
+            memo = shared[dom] = ({}, [*map(int.__repr__, dom)])
+        memos.append(memo)
+    for i, j in inst.edges:
+        masks, live_j, vals_i = full[(i, j)], live[j], vals[i]
+        texts, reprs = memos[j]
+        rows = zip(vals_i, masks)
+        if live[i] != whole[i]:
+            rows = ((vals_i[p], masks[p]) for p in bit_positions(live[i]))
+        narrowed = live_j != whole[j]
+        pieces, product = [], True
+        for a, mask in rows:
+            if narrowed:
+                mask &= live_j
+            if mask != live_j:
+                product = False
+            if mask:
+                text = texts.get((a, mask))
+                if text is None:
+                    head = _PAIR_HEAD % a
+                    joint = _PAIR_TAIL + _PAIR_SEP + head
+                    bs = compress(reprs, _bits(mask))
+                    text = texts[a, mask] = head + joint.join(bs) + _PAIR_TAIL
+                pieces.append(text)
+        if not product:
+            # ascending in a, then in b, as sorting the pairs would give
+            allowed = "[\n        " + _PAIR_SEP.join(pieces) + "\n      ]" if pieces else "[]"
+            yield _CONSTRAINT % (i, j, allowed)
 
 
 def _pieces(inst: Instance):
@@ -382,9 +466,7 @@ def _pieces(inst: Instance):
         "\n  ",
     )
     yield ',\n  "constraints": '
-    memo: dict = {}
-    constraints = ((i, j, _allowed(inst, i, j, memo)) for i, j in inst.edges)
-    yield from list_pieces((_CONSTRAINT % c for c in constraints if c[2] is not None), "\n  ")
+    yield from list_pieces(_constraints(inst), "\n  ")
     yield "\n}"
 
 

@@ -56,7 +56,7 @@ Worklists, passes, hooks and counter steps name each value by its
 position; the letters (a, b, c, d, e, u) keep their roles.  A pop tests a
 bit of ``live``, the working snapshot's masks of its domains
 (``Instance.live``), and a pass walks the set bits (``bit_positions``) of
-a row mask of ``counters.Static.full`` ANDed with ``live``, so it visits
+a row mask of ``Instance.full`` ANDed with ``live``, so it visits
 only the values that the removed one splits.  Bits ascend in domain order,
 as a domain scan would.  Labels appear only in the records, the
 witnesses, the oracle calls and the error messages.
@@ -98,7 +98,7 @@ class Kernel:
         self.pos = inst.positions
         self.vals = inst.original_domains  # vals[k][p] = the value at position p
         static = self.static = counters.static_masks(inst)
-        self.full, self.nbit = static.full, static.nbit
+        self.full, self.nbit = inst.full, static.nbit
         # where each key's run of slots starts in the flat tables
         self.along, self.across, self.ends = static.along, static.across, static.ends
         self.pairs, self.singles = static.pairs, static.singles

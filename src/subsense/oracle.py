@@ -3,9 +3,14 @@
 The solver is plain backtracking with no propagation.  The rule checkers
 state the elimination definitions quantifier by quantifier, and every
 domination they ask about ("e dominates d at x_k on every neighbour but
-one") goes through one private helper that reads the relation rows and
-current domains directly.  It walks the neighbours in a plain loop and
-stops at the first one where the domination fails.  A check keeps what
+one") goes through one private helper that reads the relation masks
+(``Instance.full``) and the live masks of the current domains
+(``Instance.live``) directly: e dominates d at x_l when no live value of
+x_l is in d's mask and not in e's.  It walks the neighbours in a plain
+loop and stops at the first one where the domination fails.  The checks
+name each value by its position (``Instance.positions``) inside and
+return witnesses in values; positions ascend with values, so a walk over
+the set bits of a mask meets the values in ascending order.  A check keeps what
 it would ask again within the call (cns each candidate's answer, scss
 each candidate's swaps), and nothing beyond it.  A check validates its
 arguments once on entry.  Ties always break toward the smallest
@@ -32,9 +37,9 @@ It imports only ``instance`` and ``trace``: with those two it is all that
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
-from .instance import Instance
+from .instance import Instance, bit_positions
 from .trace import AC, CNS, NS, RULES, SCSS, SS, EliminationRecord, Trace, Witness
 from .trace import AcWitness, CnsWitness, NsWitness, ScssCover, ScssWitness, SsWitness
 
@@ -63,34 +68,37 @@ def solve(
         )
     n = inst.n
     # constraints against already-assigned (lower-index) variables
-    checks: list[list[tuple[int, dict]]] = [[] for _ in range(n)]
+    checks: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(n)]
     for i, j in inst.edges:
-        checks[j].append((i, inst.rows[(j, i)]))
+        checks[j].append((i, inst.full[(j, i)]))
+    # ps[i] = the positions of the current D(x_i), ascending
+    ps = [bit_positions(live) for live in inst.live]
     solutions: list[tuple[int, ...]] = []
-    assign = [0] * n
+    assign = [0] * n  # the position of the value of each assigned variable
     # an explicit stack, so that deep instances cannot overflow the
-    # interpreter's: tried[i] is the position in D(x_i) to resume from
+    # interpreter's: tried[i] is the index in ps[i] to resume from
     tried = [0] * n
     i = 0
     while i >= 0:
         if i == n:
-            solutions.append(tuple(assign))
+            vals = inst.original_domains
+            solutions.append(tuple(vals[k][p] for k, p in enumerate(assign)))
             if limit is not None and len(solutions) >= limit:
                 break
             i -= 1
             continue
-        dom = inst.domains[i]
-        pos = tried[i]
-        while pos < len(dom) and not all(
-            assign[jj] in row[dom[pos]] for jj, row in checks[i]
+        dom = ps[i]
+        t = tried[i]
+        while t < len(dom) and not all(
+            row[dom[t]] >> assign[jj] & 1 for jj, row in checks[i]
         ):
-            pos += 1
-        if pos == len(dom):
+            t += 1
+        if t == len(dom):
             tried[i] = 0
             i -= 1
             continue
-        assign[i] = dom[pos]
-        tried[i] = pos + 1
+        assign[i] = dom[t]
+        tried[i] = t + 1
         i += 1
     return solutions
 
@@ -99,11 +107,14 @@ def solvable(inst: Instance, space_cap: int = 10**8) -> bool:
     return bool(solve(inst, limit=1, space_cap=space_cap))
 
 
-def _check_target(inst: Instance, i: int, b: int) -> None:
+def _check_target(inst: Instance, i: int, b: int) -> int:
+    """The position of b, a current value of x_i."""
     if not 0 <= i < inst.n:
         raise ValueError(f"variable index {i} out of range (n={inst.n})")
-    if b not in inst.domain_set(i):
+    p = inst.positions[i].get(b)
+    if p is None or not inst.live[i] >> p & 1:
         raise ValueError(f"value {b} not in the current domain of variable {i}")
+    return p
 
 
 def _check_conditioning(inst: Instance, i: int, j: int) -> None:
@@ -113,53 +124,54 @@ def _check_conditioning(inst: Instance, i: int, j: int) -> None:
         raise ValueError("conditioning variable must differ from the target")
 
 
-def _row(inst: Instance, i: int, j: int):
-    """``rows[(i, j)]``, or a row allowing everything when x_i and x_j
-    share no constraint: ``c in row[a]`` says x_i = a is compatible with
-    x_j = c."""
-    row = inst.rows.get((i, j))
+def _row(inst: Instance, i: int, j: int) -> tuple[int, ...]:
+    """``full[(i, j)]``, or masks allowing everything when x_i and x_j
+    share no constraint: bit q of ``row[p]`` says the value at position p
+    of x_i is compatible with the one at position q of x_j."""
+    row = inst.full.get((i, j))
     if row is None:
-        row = dict.fromkeys(inst.original_domains[i], frozenset(inst.original_domains[j]))
+        row = ((1 << len(inst.positions[j])) - 1,) * len(inst.positions[i])
     return row
 
 
 def _dominance(inst: Instance):
     """The domination test of one check.
 
-    ``dominates(k, d, e, skip)`` says e dominates d at x_k on every
-    neighbour x_l of x_k other than x_skip: each current value of x_l
-    compatible with d is compatible with e, that is, no current value of
-    x_l is compatible with d and not with e.  It reads the relation rows
-    and current domains directly, stops at the first neighbour where the
-    domination fails, and the checks validate their arguments on entry.
+    ``dominates(k, d, e, skip)`` says the value at position e of x_k
+    dominates the one at position d on every neighbour x_l of x_k other
+    than x_skip: no current value of x_l is compatible with d and not with
+    e.  It reads the relation masks and live masks directly, stops at the
+    first neighbour where the domination fails, and the checks validate
+    their arguments on entry.
     """
-    rows, neighbors, current = inst.rows, inst._neighbors, inst._cur_sets
+    full, neighbors, live = inst.full, inst._neighbors, inst.live
 
     def dominates(k: int, d: int, e: int, skip: Optional[int]) -> bool:
         if d == e:  # every value dominates itself
             return True
         for l in neighbors[k]:
             if l != skip:
-                row = rows[k, l]
-                if not (row[d] - row[e]).isdisjoint(current[l]):
+                row = full[k, l]
+                if row[d] & ~row[e] & live[l]:
                     return False
         return True
 
     return dominates
 
 
-def _swap(inst: Instance, dominates, k: int, d: int, takes, skip: int) -> Optional[int]:
-    """The smallest e of x_k in ``takes`` that dominates d at x_k on every
-    neighbour but x_skip, or None."""
-    for e in inst.domains[k]:
-        if e in takes and dominates(k, d, e, skip):
+def _swap(inst: Instance, dominates, k: int, d: int, takes: int, skip: int) -> Optional[int]:
+    """The smallest live position e of x_k in the mask ``takes`` that
+    dominates d at x_k on every neighbour but x_skip, or None."""
+    for e in bit_positions(takes & inst.live[k]):
+        if dominates(k, d, e, skip):
             return e
     return None
 
 
 def _snake_swaps(inst: Instance, dominates, i: int, b: int, a: int, ks):
-    """The swaps by which a snake-dominates b at x_i on the neighbours
-    ``ks``, or None when it does not.
+    """The swaps by which the value at position a snake-dominates the one
+    at position b at x_i on the neighbours ``ks``, or None when it does
+    not; in values.
 
     For each k, every current d of x_k that b takes and a does not needs a
     swap e that a takes, dominating d at x_k on every neighbour but x_i.  A
@@ -168,43 +180,44 @@ def _snake_swaps(inst: Instance, dominates, i: int, b: int, a: int, ks):
     """
     swaps: dict[int, dict[int, int]] = {}
     for k in ks:
-        row = inst.rows[i, k]
-        takes_b, takes_a = row[b], row[a]
+        row, vals = inst.full[i, k], inst.original_domains[k]
+        takes_a = row[a]
         needed: dict[int, int] = {}
-        for d in inst.domains[k]:
-            if d not in takes_b or d in takes_a:
-                continue
+        for d in bit_positions(row[b] & ~takes_a & inst.live[k]):
             e = _swap(inst, dominates, k, d, takes_a, i)
             if e is None:
                 return None
-            needed[d] = e
+            needed[vals[d]] = vals[e]
         if needed:
             swaps[k] = needed
     return swaps
 
 
+def _others(inst: Instance, i: int, b: int) -> Sequence[int]:
+    """The live positions of x_i other than b, ascending."""
+    return bit_positions(inst.live[i] & ~(1 << b))
+
+
 def is_ns(inst: Instance, i: int, b: int) -> Optional[NsWitness]:
     """Smallest a whose compatibilities cover b's at every other variable."""
-    _check_target(inst, i, b)
+    pb = _check_target(inst, i, b)
     dominates = _dominance(inst)
-    for a in inst.domains[i]:
-        if a != b and dominates(i, b, a, None):
-            return NsWitness(substitute=a)
+    for a in _others(inst, i, pb):
+        if dominates(i, pb, a, None):
+            return NsWitness(substitute=inst.original_domains[i][a])
     return None
 
 
 def is_ss(inst: Instance, i: int, b: int) -> Optional[SsWitness]:
     """Like is_ns but each support of b may be swapped for a dominating
     support of a; returns the swap maps as witness."""
-    _check_target(inst, i, b)
+    pb = _check_target(inst, i, b)
     dominates = _dominance(inst)
     nbrs = inst.neighbors(i)
-    for a in inst.domains[i]:
-        if a == b:
-            continue
-        swaps = _snake_swaps(inst, dominates, i, b, a, nbrs)
+    for a in _others(inst, i, pb):
+        swaps = _snake_swaps(inst, dominates, i, pb, a, nbrs)
         if swaps is not None:
-            return SsWitness(substitute=a, swaps=swaps)
+            return SsWitness(substitute=inst.original_domains[i][a], swaps=swaps)
     return None
 
 
@@ -223,22 +236,21 @@ def cns_with_conditioning(
     inst: Instance, i: int, b: int, j: int
 ) -> Optional[CnsWitness]:
     """Direct check of conditioned substitution of b at x_i by values of x_j."""
-    _check_target(inst, i, b)
+    pb = _check_target(inst, i, b)
     _check_conditioning(inst, i, j)
     dominates = _dominance(inst)
-    row = _row(inst, i, j)
+    takers = _row(inst, j, i)  # takers[c] = the values of x_i that take c
+    others = inst.live[i] & ~(1 << pb)
+    vals_i, vals_j = inst.original_domains[i], inst.original_domains[j]
     fits: dict[int, bool] = {}  # a dominates b on every neighbour but x_j
     covers: dict[int, int] = {}
-    for c in inst.domains[j]:
-        if c not in row[b]:
-            continue
-        for a in inst.domains[i]:
-            if a == b or c not in row[a]:
-                continue
-            if a not in fits:
-                fits[a] = dominates(i, b, a, j)
-            if fits[a]:
-                covers[c] = a
+    for c in bit_positions(_row(inst, i, j)[pb] & inst.live[j]):
+        for a in bit_positions(takers[c] & others):
+            fit = fits.get(a)
+            if fit is None:
+                fit = fits[a] = dominates(i, pb, a, j)
+            if fit:
+                covers[vals_j[c]] = vals_i[a]
                 break
         else:
             return None
@@ -258,24 +270,24 @@ def scss_with_conditioning(
     snake-dominates b at every third variable and has a compatible value g
     dominating c at all of x_j's other neighbours.
     """
-    _check_target(inst, i, b)
+    pb = _check_target(inst, i, b)
     _check_conditioning(inst, i, j)
     dominates = _dominance(inst)
     ks = [k for k in inst.neighbors(i) if k != j]
     row = _row(inst, i, j)
+    others = _others(inst, i, pb)
+    vals_i, vals_j = inst.original_domains[i], inst.original_domains[j]
     snake: dict[int, Optional[dict[int, dict[int, int]]]] = {}
     covers: dict[int, ScssCover] = {}
-    for c in inst.domains[j]:
-        if c not in row[b]:
-            continue
-        for a in inst.domains[i]:
-            if a == b:
-                continue
+    for c in bit_positions(row[pb] & inst.live[j]):
+        for a in others:
             if a not in snake:
-                snake[a] = _snake_swaps(inst, dominates, i, b, a, ks)
+                snake[a] = _snake_swaps(inst, dominates, i, pb, a, ks)
             g = None if snake[a] is None else _swap(inst, dominates, j, c, row[a], i)
             if g is not None:
-                covers[c] = ScssCover(substitute=a, conditioning_swap=g, swaps=snake[a])
+                covers[vals_j[c]] = ScssCover(
+                    substitute=vals_i[a], conditioning_swap=vals_j[g], swaps=snake[a]
+                )
                 break
         else:
             return None
@@ -289,10 +301,10 @@ def is_scss(inst: Instance, i: int, b: int) -> Optional[ScssWitness]:
 def is_ac(inst: Instance, i: int, b: int, j: Optional[int] = None) -> Optional[AcWitness]:
     """The neighbour of x_i where b has no current support left, x_j when
     given, else the smallest such neighbour."""
-    _check_target(inst, i, b)
+    pb = _check_target(inst, i, b)
     for k in inst.neighbors(i) if j is None else (j,):
-        row = inst.rows.get((i, k))
-        if row is not None and not (row[b] & inst.domain_set(k)):
+        row = inst.full.get((i, k))
+        if row is not None and not row[pb] & inst.live[k]:
             return AcWitness(unsupported_at=k)
     return None
 
@@ -368,8 +380,11 @@ def _substitutes(inst: Instance, rule: str, i: int, b: int, witness) -> bool:
     other than b that dominates b at every neighbour."""
     if rule != NS or not isinstance(witness, NsWitness):
         return False
-    a = witness.substitute
-    return a != b and a in inst.domain_set(i) and _dominance(inst)(i, b, a, None)
+    pos, live = inst.positions[i], inst.live[i]
+    a, pb = pos.get(witness.substitute), pos[b]
+    if a is None or a == pb or not live >> a & 1:
+        return False
+    return _dominance(inst)(i, pb, a, None)
 
 
 def _replay(inst: Instance, steps: list, rules: list, witnesses: Optional[list] = None):

@@ -1,6 +1,8 @@
 """The trusted checker: replay lives beside the rule definitions in
 ``oracle``, whose import graph holds no engine module, and the engines
-take every witness but an ns substitute from those definitions."""
+take every witness but an ns substitute from those definitions.  The
+checker, the engines and the writer read the relations as masks
+(``Instance.full``): none makes the frozensets of the ``rows`` view."""
 
 import ast
 from pathlib import Path
@@ -8,7 +10,10 @@ from pathlib import Path
 import pytest
 
 import subsense
-from subsense import cli, oracle, scss
+from subsense import cli, counters, generators, oracle, scss
+from subsense import cns_to_convergence, dump_file, dumps, establish_ac, load_file
+from subsense import ns_to_convergence, scss_to_convergence, ss_to_convergence
+from subsense.trace import RULES, Trace
 
 PACKAGE = Path(subsense.__file__).resolve().parent
 # the engines, their tables and what drives them: none may certify a step
@@ -91,3 +96,63 @@ def test_the_witness_pin_sees_the_witnesses_that_are_built():
     assert "NsWitness" in _constructed("kernel")
     assert "AcWitness" in _constructed("acns")
     assert {"CnsWitness", "ScssCover", "ScssWitness"} <= _constructed("oracle")
+
+
+# the modules that read the relations: the top-level functions of each that
+# may read the rows view.  The counters reference builders state the tables
+# over it; to_json_dict is the writer's reference.
+ROWS_READERS = {module: set() for module in UNTRUSTED | {"oracle", "trace"}}
+ROWS_READERS["instance"] = {"to_json_dict"}
+
+
+def _rows_readers(module: str) -> set[str]:
+    """The top-level functions and classes of ``module`` that read an
+    attribute named ``rows``."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    found = set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr == "rows":
+                found.add(getattr(top, "name", None))
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(ROWS_READERS))
+def test_only_the_references_read_the_rows_view(module):
+    readers = _rows_readers(module)
+    if module == "counters":
+        readers = {name for name in readers if not name.startswith("compute_")}
+    assert readers == ROWS_READERS[module]
+
+
+def test_the_rows_and_frozenset_pins_see_what_is_read():
+    assert "compute_nb_blocks" in _rows_readers("counters")
+    assert "frozenset" in _names("instance")
+
+
+def _names(module: str) -> set[str]:
+    """Every name ``module`` loads."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_the_checker_names_no_frozenset():
+    assert "frozenset" not in _names("oracle")
+
+
+def test_the_checker_and_the_engines_leave_the_rows_view_unmade(tmp_path, monkeypatch):
+    # the debug recheck compares against the reference builders, which read
+    # the view; without it nothing on the user's path does
+    monkeypatch.setenv(counters.DEBUG_ENV, "")
+    path = tmp_path / "inst.json"
+    dump_file(generators.random_instance(40, 4, 0.1, 0.7, 2), path)
+    inst = load_file(path)
+    reduced, steps, *_ = cli.run_pipeline(inst, ["ns", "ss", "cns", "scss"])
+    assert {rec.rule for rec in steps} == set(RULES)
+    oracle.replay_trace(inst, Trace(inst.name, steps))
+    narrowed, _ = establish_ac(inst)
+    for run in (ns_to_convergence, ss_to_convergence, cns_to_convergence, scss_to_convergence):
+        run(narrowed)
+    dumps(reduced)
+    oracle.solve(generators.figure1c())
+    assert inst._rows == [] and reduced._rows is inst._rows

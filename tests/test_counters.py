@@ -433,7 +433,7 @@ def _assert_masks_match_the_walk(inst):
     ]
     static = counters.static_masks(inst)
     assert masks.static is static
-    assert list(static.full) == list(row)
+    assert list(inst.full) == list(row)
     assert static.nbit == nbit
     assert static.groups == tuple((key, tuple(edges)) for key, edges in groups.items())
     for (s, t), edges in static.groups:
@@ -446,9 +446,12 @@ def _assert_static_matches_the_walk(root):
     assert root.domains == root.original_domains
     static = counters.static_masks(root)
     _, row, nbit, _ = reference.value_masks(root)
-    assert list(static.full) == list(row)
-    assert [list(full) for full in static.full.values()] == list(row.values())
+    assert list(root.full) == list(row)
+    assert [list(full) for full in root.full.values()] == list(row.values())
     assert static.nbit == nbit
+    # one offset dict serves along and across where they agree
+    sizes = [len(pos_k) for pos_k in root.positions]
+    assert (static.across is static.along) == all(sizes[i] == sizes[j] for i, j in root.full)
 
 
 @settings(max_examples=60, deadline=None)
@@ -517,7 +520,7 @@ TABLE_INPUTS = _table_inputs()
 
 def _run_keys(inst, name):
     """Each run of the flat table ``name``, by its oriented edge in
-    Static.full order, or by its variable ascending for a holder or value
+    Instance.full order, or by its variable ascending for a holder or value
     table, with the definition key of every slot of the run, dead ones
     included, in slot order."""
     vals, layout = inst.original_domains, counters.TABLES[name].layout
@@ -530,7 +533,7 @@ def _run_keys(inst, name):
         counters._across: lambda i, j: [(i, v, j, w) for v in vals[i] for w in vals[j]],
         counters._value: lambda i, j: [(i, b, j) for b in vals[i]],
     }[layout]
-    return {(i, j): keys(i, j) for i, j in counters.static_masks(inst).full}
+    return {(i, j): keys(i, j) for i, j in inst.full}
 
 
 def table_digests(inst):

@@ -1,13 +1,18 @@
 """Instance model: construction, validation, compatibility queries, JSON."""
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 from subsense import (
     Instance,
     InstanceFormatError,
+    dump_file,
     dumps,
     from_json_dict,
+    load_file,
     loads,
     make_instance,
     to_json_dict,
@@ -192,16 +197,26 @@ def test_remove_last_value_flags_unsatisfiable():
 
 
 def test_equal_rows_share_one_frozenset():
-    # across values, orientations and edges
-    inst = make_instance("eq", [(0, 1, 2), (0, 1, 2), (0, 1)],
-                         {(0, 1): [(0, 0), (0, 1), (1, 0), (1, 1)], (0, 2): [(0, 0), (0, 1)]})
-    rows = inst.rows
+    # the relations are stored as masks; the frozensets of the rows view
+    # are made at its first read, once for the lineage, and equal rows over
+    # equal original domains are one frozenset across values, orientations
+    # and edges
+    constraints = {(0, 1): [(0, 0), (0, 1), (1, 0), (1, 1)], (0, 2): [(0, 0), (0, 1)],
+                   (0, 3): [(0, 0), (0, 1)]}
+    inst = make_instance("eq", [(0, 1, 2), (0, 1, 2), (0, 1, 2), (0, 1)], constraints)
+    assert inst.full[(0, 1)] == (0b011, 0b011, 0) and inst.full[(3, 0)] == (0b1, 0b1)
+    child = inst.remove_value(1, 2)
+    assert inst._rows == []
+    rows = child.rows
+    assert inst.rows is rows and inst._rows == [rows]
     assert rows[(0, 1)][0] == frozenset({0, 1})
     assert rows[(0, 1)][0] is rows[(0, 1)][1] is rows[(1, 0)][0] is rows[(1, 0)][1]
     assert rows[(0, 1)][0] is rows[(0, 2)][0]
+    assert rows[(0, 1)][2] is rows[(1, 0)][2] is rows[(0, 2)][1] and not rows[(0, 1)][2]
     assert rows[(2, 0)][0] == frozenset({0}) and rows[(2, 0)][0] is rows[(2, 0)][1]
-    assert inst == make_instance("eq", inst.domains, {
-        (0, 1): [(0, 0), (0, 1), (1, 0), (1, 1)], (0, 2): [(0, 0), (0, 1)]})
+    # over another original domain the same set is another frozenset
+    assert rows[(0, 3)][0] == rows[(0, 1)][0]
+    assert inst == make_instance("eq", inst.domains, constraints)
 
 
 def test_relations_keep_original_domain_rows():
@@ -311,7 +326,7 @@ def test_removal_chain_restrict_and_fresh_instance_agree(inst, data):
         domains=tuple(tuple(dom) for dom in live),
         original_domains=inst.original_domains,
         edges=inst.edges,
-        rows=inst.rows,
+        full=inst.full,
     )
     # make_instance on the narrowed domains keeps only the pairs left there
     built = make_instance(
@@ -368,8 +383,8 @@ def test_derived_snapshots_share_and_leave_the_parent_alone(inst, data):
     assert b in parent.domain_set(i) and b in parent.domains[i]
     for child, changed in children:
         assert child is not parent
-        for attr in ("names", "original_domains", "edges", "rows",
-                     "positions", "_neighbors", "_static"):
+        for attr in ("names", "original_domains", "edges", "full", "rows",
+                     "positions", "_neighbors", "_static", "_rows"):
             assert getattr(child, attr) is getattr(parent, attr)
         for k in range(parent.n):
             if k not in changed:
@@ -414,6 +429,74 @@ def test_json_round_trip_after_removals():
         for a in back.domains[i]:
             for b in back.domains[j]:
                 assert allows(back, i, a, j, b) == allows(inst, i, a, j, b)
+
+
+def _pairs_instance(data):
+    """An instance of up to five variables whose values have gaps, a domain
+    may be empty, and each constraint is a drawn subset of its product, in
+    either scope order; with the constraints it was given."""
+    n = data.draw(st.integers(1, 5))
+    domains = [sorted(data.draw(st.sets(st.integers(0, 20), max_size=5))) for _ in range(n)]
+    constraints = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if data.draw(st.booleans()):
+                product = [(a, b) for a in domains[i] for b in domains[j]]
+                pairs = data.draw(st.sets(st.sampled_from(product))) if product else set()
+                flip = data.draw(st.booleans())
+                constraints[(j, i) if flip else (i, j)] = [
+                    (b, a) if flip else (a, b) for a, b in sorted(pairs)
+                ]
+    return make_instance("drawn", domains, constraints), domains, constraints
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_make_instance_files_each_pair_in_both_masks(data):
+    inst, domains, constraints = _pairs_instance(data)
+    # in oriented_edges order, as the walk of the rows view gives them
+    assert list(inst.full) == list(counters.oriented_edges(inst))
+    _, walked, _, _ = reference.value_masks(inst)
+    assert list(inst.full) == list(walked)
+    assert {key: list(masks) for key, masks in inst.full.items()} == walked
+    # the view holds exactly the pairs given, in both orientations
+    allowed = {}
+    for (i, j), pairs in constraints.items():
+        for a, b in pairs:
+            allowed.setdefault((i, j), set()).add((a, b))
+            allowed.setdefault((j, i), set()).add((b, a))
+    for i, j in counters.oriented_edges(inst):
+        row = inst.rows[(i, j)]
+        assert list(row) == domains[i]
+        assert {(a, b) for a in row for b in row[a]} == allowed.get((i, j), set())
+    # every other constraint given allows the whole product
+    for (i, j), pairs in constraints.items():
+        if (min(i, j), max(i, j)) not in inst.edges:
+            assert len(pairs) == len(domains[i]) * len(domains[j])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_an_instance_rebuilt_from_its_rows_view_is_equal(data):
+    inst, _, _ = _pairs_instance(data)
+    rows = inst.rows
+    rebuilt = make_instance(
+        inst.name,
+        inst.domains,
+        {(i, j): [(a, b) for a in rows[(i, j)] for b in rows[(i, j)][a]] for i, j in inst.edges},
+        names=inst.names,
+    )
+    assert rebuilt == inst and rebuilt.full == inst.full
+
+
+def test_load_file_then_to_json_dict_round_trips(tmp_path):
+    for inst in (*corpus(), generators.figure1c(),
+                 generators.figure1c().remove_value(0, 3).remove_value(2, 0)):
+        path = tmp_path / f"{inst.name}.json"
+        dump_file(inst, path)
+        text = path.read_text(encoding="utf-8")
+        assert to_json_dict(load_file(path)) == json.loads(text) == to_json_dict(inst)
+        assert dumps(load_file(path)) == text
 
 
 def test_json_drops_constraints_trivial_on_current_domains():

@@ -10,6 +10,7 @@ from subsense import (
     counters,
     establish_ac,
     generators,
+    instance,
     kernel,
     make_instance,
     scss_to_convergence,
@@ -131,7 +132,7 @@ def test_bit_positions_walk_each_mask_in_ascending_order(monkeypatch):
     # counts-300 is too wide to recheck after each elimination
     monkeypatch.setenv(counters.DEBUG_ENV, "")
     assert scss_to_convergence(WIDTH_INPUTS["counts-300"]())[1].steps
-    assert len(counters._BYTE_POSITIONS) == 256
+    assert len(instance._BYTE_POSITIONS) == 256
 
 
 @pytest.mark.parametrize(
