@@ -49,6 +49,14 @@ def require_arc_consistent(inst: Instance, caller: str) -> None:
         )
 
 
+def _require_ac_input(inst: Instance, caller: str, held: Optional[counters.Held]) -> None:
+    """require_arc_consistent, but for an instance that the pool ``held``
+    names as arc consistent (the reduce pipeline does once ``ac`` is settled),
+    which is scanned only under SUBSENSE_DEBUG_RECOMPUTE=1."""
+    if held is None or held.arc_consistent is not inst or counters.debug_recompute_enabled():
+        require_arc_consistent(inst, caller)
+
+
 def establish_ac(inst: Instance) -> tuple[Instance, Trace]:
     """Remove unsupported values until arc consistent or a domain empties.
 
@@ -101,5 +109,5 @@ def ns_to_convergence(
     ``held``, a pool of counter tables (counters.Held), gives the run the
     tables it holds and takes back the run's own (see kernel.Kernel).
     """
-    require_arc_consistent(inst, "ns_to_convergence")
+    _require_ac_input(inst, "ns_to_convergence", held)
     return NsEngine(inst, held).converge()

@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Optional
 
 from . import counters
-from .acns import require_arc_consistent
+from .acns import _require_ac_input
 from .instance import Instance
 from .kernel import CoverKernel, Substitutions
 from .oracle import cns_with_conditioning
@@ -72,5 +72,5 @@ def cns_to_convergence(
     ``held``, a pool of counter tables (counters.Held), gives the run the
     tables it holds and takes back the run's own (see kernel.Kernel).
     """
-    require_arc_consistent(inst, "cns_to_convergence")
+    _require_ac_input(inst, "cns_to_convergence", held)
     return CnsEngine(inst, ns_priority, held).converge()

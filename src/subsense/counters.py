@@ -992,11 +992,16 @@ class Tables(SimpleNamespace):
 
 class Held(dict):
     """The tables that one engine run hands to the next (see build): by
-    name, each table as the engine that kept it current left it, current on every live cell of the domains whose live masks are
-    ``live``, in the lineage whose Static is ``static``."""
+    name, each table as the engine that kept it current left it, current
+    on every live cell of the domains whose live masks are ``live``, in the
+    lineage whose Static is ``static``.  The holder may name, as
+    ``arc_consistent``, an instance whose domains it knows to be arc
+    consistent: an engine that needs arc-consistent input and is handed
+    that instance skips its scan (acns.require_arc_consistent)."""
 
     static: Static | None = None
     live: tuple[int, ...] | None = None
+    arc_consistent: Instance | None = None
 
     def keep(self, tables: dict, static: Static, live, replace: bool) -> None:
         """Hold ``tables``, current on the domains ``live``: in place of

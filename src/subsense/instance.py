@@ -282,7 +282,8 @@ def make_instance(
     doms: list[tuple[int, ...]] = []
     for idx, dom in enumerate(domains):
         vals = tuple(dom)
-        if not all(_is_int(v) for v in vals):
+        # the exact type test is a fast path of _is_int for the common case
+        if not (all(type(v) is int for v in vals) or all(map(_is_int, vals))):
             raise InstanceFormatError(f"domain of variable {idx} must hold ints")
         if any(v < 0 for v in vals):
             raise InstanceFormatError(f"domain of variable {idx} has a negative value")
@@ -311,11 +312,11 @@ def make_instance(
     masks: dict[Pair, tuple[tuple[int, ...], tuple[int, ...]]] = {}
     seen: set[Pair] = set()
     for i, j, pairs in items:
-        if not (_is_int(i) and _is_int(j)):
+        if (type(i) is not int or type(j) is not int) and not (_is_int(i) and _is_int(j)):
             raise InstanceFormatError("constraint scope must be a pair of variable ids")
-        for v in (i, j):
-            if not 0 <= v < n:
-                raise InstanceFormatError(f"constraint scope variable {v} out of range")
+        if not (0 <= i < n and 0 <= j < n):
+            v = j if 0 <= i < n else i
+            raise InstanceFormatError(f"constraint scope variable {v} out of range")
         if i == j:
             raise InstanceFormatError(f"constraint scope ({i}, {j}) is not binary")
         key = (min(i, j), max(i, j))
@@ -470,6 +471,11 @@ def _pieces(inst: Instance):
     yield "\n}"
 
 
+# the keys of a variable and of a constraint object, each all required
+_VARIABLE_KEYS = frozenset({"id", "name", "domain"})
+_CONSTRAINT_KEYS = frozenset({"scope", "allowed"})
+
+
 def _require_keys(
     obj: dict, allowed: set[str], required: set[str], what: str, error=InstanceFormatError
 ) -> None:
@@ -491,11 +497,15 @@ def from_json_dict(obj: dict) -> Instance:
         raise InstanceFormatError("variables must be a list")
     domains: list[list[int]] = []
     names: list[str] = []
+    # each object's keys are one comparison; _require_keys runs, to raise,
+    # only where it fails
     for pos, var in enumerate(variables):
-        _require_keys(var, {"id", "name", "domain"}, {"id", "name", "domain"}, "variable")
-        if not _is_int(var["id"]) or var["id"] != pos:
+        if type(var) is not dict or var.keys() != _VARIABLE_KEYS:
+            _require_keys(var, _VARIABLE_KEYS, _VARIABLE_KEYS, "variable")
+        vid = var["id"]
+        if vid != pos or type(vid) is not int and not _is_int(vid):
             raise InstanceFormatError(
-                f"variable ids must be dense and 0-based; got {var['id']} at position {pos}"
+                f"variable ids must be dense and 0-based; got {vid} at position {pos}"
             )
         if not isinstance(var["domain"], list):
             raise InstanceFormatError("variable domain must be a list")
@@ -506,15 +516,14 @@ def from_json_dict(obj: dict) -> Instance:
         raise InstanceFormatError("constraints must be a list")
     constraints = []
     for con in cons:
-        _require_keys(con, {"scope", "allowed"}, {"scope", "allowed"}, "constraint")
+        if type(con) is not dict or con.keys() != _CONSTRAINT_KEYS:
+            _require_keys(con, _CONSTRAINT_KEYS, _CONSTRAINT_KEYS, "constraint")
         scope = con["scope"]
-        if (
-            not isinstance(scope, list)
-            or len(scope) != 2
-            or not all(_is_int(v) for v in scope)
-        ):
+        if not isinstance(scope, list) or len(scope) != 2:
             raise InstanceFormatError("constraint scope must be a pair of variable ids")
         i, j = scope
+        if (type(i) is not int or type(j) is not int) and not (_is_int(i) and _is_int(j)):
+            raise InstanceFormatError("constraint scope must be a pair of variable ids")
         if not i < j:
             raise InstanceFormatError(f"constraint scope must be ordered; got [{i}, {j}]")
         allowed = con["allowed"]

@@ -22,14 +22,19 @@ trace but an ns substitute is the one a check here gave on the engine's
 working snapshot when the value went.
 
 ``certify`` is the one place that maps a rule name to its check: replay
-and the longest-sequence search both ask it.  Replay certifies each step of
-a sequence on one working snapshot that drops each value in place, and
-returns a frozen copy of it.  Replaying a trace's records (replay_trace)
-also checks the witness each gives: an ac, ss, cns or scss witness must be
-the one ``certify`` gives with the record's conditioning variable, and an
-ns substitute must dominate the removed value, so a forged witness fails
-even where the step holds.  The solver and that search keep their own
-stacks, so deep instances cannot overflow the interpreter's.
+of a sequence of steps (replay_sequence) and the longest-sequence search
+both ask it.  ``check_witness`` is its converse: it searches for nothing,
+but states a rule's definition against the witness it is given, each
+value the witness names checked where the definition quantifies over it
+and each map holding exactly the keys the definition asks for, on the
+same masks and domination test.  Replaying a trace's records
+(replay_trace, which ``subsense verify`` runs) checks each given witness
+so, and searches only for a record that gives none: a valid witness passes
+whether or not the search would find it first, and a forged one fails.
+Both replays work on one working snapshot that drops each value in place,
+and return a frozen copy of it.  The solver and the longest-sequence
+search keep their own stacks, so deep instances cannot overflow the
+interpreter's.
 
 It imports only ``instance`` and ``trace``: with those two it is all that
 ``subsense verify`` trusts, and no engine module is in its import graph.
@@ -334,6 +339,169 @@ def certify(
     raise ValueError(f"unknown rule {rule!r}")
 
 
+def check_witness(rule: str, inst: Instance, i: int, b: int, witness) -> bool:
+    """Whether ``witness`` shows that ``rule`` (ac, ns, ss, cns or scss)
+    allows removing b from D(x_i) on the current domains.
+
+    Each rule's definition is stated against the witness alone, with no
+    search: every value the witness names is checked where the definition
+    quantifies over it, and a map must hold exactly the keys the definition
+    asks for.  A witness of another rule's class does not hold.  Raises
+    ValueError for an unknown rule or a b that is not a current value.
+    """
+    if rule not in _HOLDS:
+        raise ValueError(f"unknown rule {rule!r}")
+    pb = _check_target(inst, i, b)
+    return _holds(rule, inst, _dominance(inst), i, pb, witness)
+
+
+def _holds(rule: str, inst: Instance, dominates, i: int, pb: int, witness) -> bool:
+    """check_witness for the value at position pb, with the domination
+    test ``dominates`` of ``inst``."""
+    cls, holds = _HOLDS[rule]
+    return isinstance(witness, cls) and holds(inst, dominates, i, pb, witness)
+
+
+def _live_other(inst: Instance, i: int, pb: int, value) -> Optional[int]:
+    """The position of ``value`` when it is a current value of x_i other
+    than the one at pb, else None."""
+    a = inst.positions[i].get(value)
+    if a is None or a == pb or not inst.live[i] >> a & 1:
+        return None
+    return a
+
+
+def _ac_holds(inst: Instance, dominates, i: int, pb: int, w: AcWitness) -> bool:
+    """The neighbour named gives b no current support."""
+    row = inst.full.get((i, w.unsupported_at))
+    return row is not None and not row[pb] & inst.live[w.unsupported_at]
+
+
+def _ns_holds(inst: Instance, dominates, i: int, pb: int, w: NsWitness) -> bool:
+    """The substitute is a current value other than b that dominates b at
+    every neighbour."""
+    a = _live_other(inst, i, pb, w.substitute)
+    return a is not None and dominates(i, pb, a, None)
+
+
+def _ss_holds(inst: Instance, dominates, i: int, pb: int, w: SsWitness) -> bool:
+    """The substitute is a current value other than b that snake-dominates
+    b at every neighbour by the swaps given."""
+    a = _live_other(inst, i, pb, w.substitute)
+    return a is not None and _swaps_hold(inst, dominates, i, pb, a, None, w.swaps)
+
+
+def _swaps_hold(inst: Instance, dominates, i: int, b: int, a: int, j, swaps) -> bool:
+    """``swaps`` shows that the value at position a snake-dominates the one
+    at position b at x_i on every neighbour but x_j.
+
+    Its keys are such neighbours.  At each such neighbour x_k it maps
+    exactly the current d of x_k that b takes and a does not (none when it
+    has no key k), each to a current e of x_k that a takes and that
+    dominates d at x_k on every neighbour but x_i.
+    """
+    full, live, positions = inst.full, inst.live, inst.positions
+    for k in swaps:
+        if k == j or (i, k) not in full:
+            return False
+    for k in inst._neighbors[i]:
+        if k == j:
+            continue
+        row, live_k = full[i, k], live[k]
+        need = row[b] & ~row[a] & live_k
+        given = swaps.get(k)
+        if given is None:
+            if need:
+                return False
+            continue
+        if len(given) != need.bit_count():
+            return False
+        takes, pos = row[a] & live_k, positions[k]
+        for d, e in given.items():
+            d, e = pos.get(d), pos.get(e)
+            if (
+                d is None
+                or e is None
+                or not need >> d & 1
+                or not takes >> e & 1
+                or not dominates(k, d, e, i)
+            ):
+                return False
+    return True
+
+
+def _cns_holds(inst: Instance, dominates, i: int, pb: int, w: CnsWitness) -> bool:
+    """The covers map exactly the current c of x_j that b takes, each to a
+    current a other than b that takes c and dominates b at every neighbour
+    but x_j."""
+    j, covers = w.conditioning, w.covers
+    if not 0 <= j < inst.n or j == i:
+        return False
+    row = _row(inst, i, j)
+    need = row[pb] & inst.live[j]
+    if len(covers) != need.bit_count():
+        return False
+    pos_j = inst.positions[j]
+    fits: dict[int, bool] = {}  # a dominates b on every neighbour but x_j
+    for c, a in covers.items():
+        c, a = pos_j.get(c), _live_other(inst, i, pb, a)
+        if c is None or a is None or not need >> c & 1 or not row[a] >> c & 1:
+            return False
+        fit = fits.get(a)
+        if fit is None:
+            fit = fits[a] = dominates(i, pb, a, j)
+        if not fit:
+            return False
+    return True
+
+
+def _scss_holds(inst: Instance, dominates, i: int, pb: int, w: ScssWitness) -> bool:
+    """The covers map exactly the current c of x_j that b takes.  Each
+    cover's substitute a is a current value other than b; its conditioning
+    swap g is a current value of x_j that a takes and that dominates c at
+    x_j on every neighbour but x_i; and its swaps show that a
+    snake-dominates b on every neighbour of x_i but x_j.  As for cns, x_j is
+    any other variable, as scss_with_conditioning takes it."""
+    j, covers = w.conditioning, w.covers
+    if not 0 <= j < inst.n or j == i:
+        return False
+    row = _row(inst, i, j)
+    live_j = inst.live[j]
+    need = row[pb] & live_j
+    if len(covers) != need.bit_count():
+        return False
+    pos_j = inst.positions[j]
+    shown: dict[int, object] = {}  # a substitute and swaps shown to hold for it
+    for c, cover in covers.items():
+        c, g = pos_j.get(c), pos_j.get(cover.conditioning_swap)
+        a = _live_other(inst, i, pb, cover.substitute)
+        if (
+            c is None
+            or g is None
+            or a is None
+            or not need >> c & 1
+            or not (row[a] & live_j) >> g & 1
+            or not dominates(j, c, g, i)
+        ):
+            return False
+        swaps = cover.swaps
+        if a not in shown or shown[a] != swaps:
+            if not _swaps_hold(inst, dominates, i, pb, a, j, swaps):
+                return False
+            shown[a] = swaps
+    return True
+
+
+# each rule's witness class and the statement of its definition
+_HOLDS = {
+    AC: (AcWitness, _ac_holds),
+    NS: (NsWitness, _ns_holds),
+    SS: (SsWitness, _ss_holds),
+    CNS: (CnsWitness, _cns_holds),
+    SCSS: (ScssWitness, _scss_holds),
+}
+
+
 class ReplayError(ValueError):
     """A claimed elimination step failed certification."""
 
@@ -356,40 +524,6 @@ def replay_sequence(inst: Instance, steps, rules=None):
     rules = list(rules)
     if len(rules) != len(steps):
         raise ValueError("need exactly one rule per step")
-    return _replay(inst, steps, rules)
-
-
-def replay_trace(inst: Instance, trace: Trace):
-    """Replay the records of ``trace`` as replay_sequence replays its steps,
-    each conditioned by its witness's variable (for ac, the neighbour it
-    names), and check the witness each record gives: an ac, ss, cns or scss
-    witness must be the one ``certify`` gives, and an ns substitute must be
-    that one or another live value that dominates the removed one at every
-    neighbour.  A record with no witness is certified by search alone.
-    Returns what replay_sequence returns."""
-    steps = []
-    for rec in trace.steps:
-        w = rec.witness
-        j = w.unsupported_at if isinstance(w, AcWitness) else getattr(w, "conditioning", None)
-        steps.append((rec.variable, rec.value) if j is None else (rec.variable, rec.value, j))
-    return _replay(inst, steps, [r.rule for r in trace.steps], [r.witness for r in trace.steps])
-
-
-def _substitutes(inst: Instance, rule: str, i: int, b: int, witness) -> bool:
-    """``witness`` is an ns witness whose substitute is a live value of x_i
-    other than b that dominates b at every neighbour."""
-    if rule != NS or not isinstance(witness, NsWitness):
-        return False
-    pos, live = inst.positions[i], inst.live[i]
-    a, pb = pos.get(witness.substitute), pos[b]
-    if a is None or a == pb or not live >> a & 1:
-        return False
-    return _dominance(inst)(i, pb, a, None)
-
-
-def _replay(inst: Instance, steps: list, rules: list, witnesses: Optional[list] = None):
-    """replay_sequence, with each step's ``witnesses`` entry, when given and
-    not None, checked against the witness the step certifies with."""
     cur = inst._working()
     records: list[EliminationRecord] = []
     for pos, step in enumerate(steps, start=1):
@@ -402,36 +536,74 @@ def _replay(inst: Instance, steps: list, rules: list, witnesses: Optional[list] 
         else:
             raise ValueError(f"step {pos}: expected (variable, value[, conditioning])")
         rule = rules[pos - 1]
-        if rule not in RULES:
-            raise ValueError(f"step {pos}: unknown rule {rule!r}")
         if j is not None and rule in (NS, SS):
             raise ReplayError(f"step {pos} ({rule}): the rule takes no third element, got {j}")
-        for v in (i,) if j is None else (i, j):
-            if not 0 <= v < cur.n:
-                raise ReplayError(f"step {pos} ({rule}): no variable with index {v}")
-        p = cur.positions[i].get(b)
-        if j == i:
-            problem = "the conditioning variable must differ from the target"
-        elif p is None or not cur.live[i] >> p & 1:
-            problem = "value not in the current domain"
-        elif (witness := certify(rule, cur, i, b, j)) is None:
-            problem = "the rule does not hold at this point"
-        elif (
-            witnesses is not None
-            and (given := witnesses[pos - 1]) is not None
-            and given != witness
-            and not _substitutes(cur, rule, i, b, given)
-        ):
+        p = _position(cur, pos, rule, i, b, j)
+        witness = certify(rule, cur, i, b, j)
+        if witness is None:
+            raise _failed(cur, pos, rule, i, b, "the rule does not hold at this point")
+        cur._drop(i, p)
+        records.append(EliminationRecord(pos, rule, i, b, witness))
+    return cur._frozen(), Trace(inst.name, records)
+
+
+def replay_trace(inst: Instance, trace: Trace):
+    """Replay the records of ``trace``, checking the witness each gives
+    against its rule's definition on the domains of its moment
+    (``check_witness``), with no search.  Only a record with no witness is
+    certified by search (``certify``, with any conditioning variable).
+    Returns the reduced instance and a trace of the records checked: each
+    record as given, and a record that gave no witness with the one
+    ``certify`` found.  Raises ReplayError naming the first record that
+    fails."""
+    cur = inst._working()
+    # one domination test serves every record: it reads the live masks of
+    # the working snapshot, which each drop changes in place
+    dominates = _dominance(cur)
+    records: list[EliminationRecord] = []
+    for pos, rec in enumerate(trace.steps, start=1):
+        rule, i, b, witness = rec.rule, rec.variable, rec.value, rec.witness
+        # the variable the witness names: checked as a step's third element is
+        j = witness.unsupported_at if isinstance(witness, AcWitness) else getattr(
+            witness, "conditioning", None
+        )
+        p = _position(cur, pos, rule, i, b, j)
+        if witness is None:
+            witness = certify(rule, cur, i, b)
+            if witness is None:
+                raise _failed(cur, pos, rule, i, b, "the rule does not hold at this point")
+            rec = EliminationRecord(rec.step, rule, i, b, witness)
+        elif not _holds(rule, cur, dominates, i, p, witness):
             problem = "the witness given is not the rule's"
             if rule == NS:
                 problem = "the substitute given does not dominate the value"
-        else:
-            cur._drop(i, p)
-            records.append(EliminationRecord(pos, rule, i, b, witness))
-            continue
-        # the step's label is formatted only for the step that fails
-        raise ReplayError(f"step {pos} ({rule} at {cur.names[i]}={b}): {problem}")
+            raise _failed(cur, pos, rule, i, b, problem)
+        cur._drop(i, p)
+        records.append(rec)
     return cur._frozen(), Trace(inst.name, records)
+
+
+def _position(cur: Instance, pos: int, rule: str, i: int, b: int, j) -> int:
+    """The position of b, after the checks both replays make of step
+    ``pos``: a known rule, variables x_i and x_j (when j is given) that
+    exist, j not i, and b a current value of x_i."""
+    if rule not in RULES:
+        raise ValueError(f"step {pos}: unknown rule {rule!r}")
+    n = cur.n
+    for v in (i,) if j is None else (i, j):
+        if not 0 <= v < n:
+            raise ReplayError(f"step {pos} ({rule}): no variable with index {v}")
+    p = cur.positions[i].get(b)
+    if j == i:
+        raise _failed(cur, pos, rule, i, b, "the conditioning variable must differ from the target")
+    if p is None or not cur.live[i] >> p & 1:
+        raise _failed(cur, pos, rule, i, b, "value not in the current domain")
+    return p
+
+
+def _failed(cur: Instance, pos: int, rule: str, i: int, b: int, problem: str) -> ReplayError:
+    # the step's label is formatted only for the step that fails
+    return ReplayError(f"step {pos} ({rule} at {cur.names[i]}={b}): {problem}")
 
 
 def longest_elimination_sequence(

@@ -26,7 +26,7 @@ from collections import deque
 from typing import Optional
 
 from . import counters
-from .acns import require_arc_consistent
+from .acns import _require_ac_input
 from .instance import Instance
 from .counters import bit_positions
 from .kernel import SnakeKernel
@@ -154,5 +154,5 @@ def ss_to_convergence(
     ``held``, a pool of counter tables (counters.Held), gives the run the
     tables it holds and takes back the run's own (see kernel.Kernel).
     """
-    require_arc_consistent(inst, "ss_to_convergence")
+    _require_ac_input(inst, "ss_to_convergence", held)
     return SsEngine(inst, held).converge()

@@ -3,7 +3,9 @@
 Compatibility, domination and snake domination stated over an instance's
 relation rows, each call validating its arguments, plus two questions the
 oracle tests ask about a single value.  The library itself decides these
-through ``oracle`` and the counter tables.
+through ``oracle`` and the counter tables.  ``witness_holds`` reads each
+rule's definition off a given witness, as ``oracle.check_witness`` does on
+masks.
 
 Below them, the walks over allowed pairs that the library replaced with
 masks built once per instance lineage (``counters.Static``): the value
@@ -101,6 +103,68 @@ def snake_arrow(
         else:
             return False, None
     return True, emap
+
+
+def dominates(inst: Instance, k: int, d: int, e: int, skip: int) -> bool:
+    """e dominates d at x_k on every variable but x_k and x_skip."""
+    return all(arrow(inst, k, l, d, e) for l in range(inst.n) if l not in (k, skip))
+
+
+def _takes(inst: Instance, i: int, b: int, j: int) -> set[int]:
+    """The current values of x_j compatible with x_i = b."""
+    return {c for c in inst.domains[j] if allows(inst, i, b, j, c)}
+
+
+def _swaps_hold(inst: Instance, i: int, b: int, a: int, j, swaps) -> bool:
+    """Every key of ``swaps`` is a neighbour x_k of x_i other than x_j, and
+    at each such neighbour the map holds exactly the current d of x_k that
+    b takes and a does not, each to a current e of x_k that a takes and
+    that dominates d on every variable but x_k and x_i."""
+    ks = [k for k in inst.neighbors(i) if k != j]
+    if not set(swaps) <= set(ks):
+        return False
+    for k in ks:
+        emap = swaps.get(k, {})
+        if set(emap) != _takes(inst, i, b, k) - _takes(inst, i, a, k):
+            return False
+        for d, e in emap.items():
+            if not (e in inst.domain_set(k) and allows(inst, i, a, k, e)
+                    and dominates(inst, k, d, e, i)):
+                return False
+    return True
+
+
+def witness_holds(inst: Instance, rule: str, i: int, b: int, w) -> bool:
+    """The definition of ``rule`` read off the witness ``w`` for removing
+    the current value b from D(x_i): a transcription over values and the
+    rows view, each value checked for membership before it is used."""
+    dom_i = inst.domain_set(i)
+    if rule == "ac":
+        k = w.unsupported_at
+        return (i, k) in inst.rows and not _takes(inst, i, b, k)
+    if rule == "ns":
+        return substitutes(inst, i, b, w.substitute)
+    if rule == "ss":
+        a = w.substitute
+        return a != b and a in dom_i and _swaps_hold(inst, i, b, a, None, w.swaps)
+    j = w.conditioning
+    if not (0 <= j < inst.n and j != i):
+        return False
+    if set(w.covers) != _takes(inst, i, b, j):
+        return False
+    for c, cover in w.covers.items():
+        if rule == "cns":
+            a = cover
+            if not (a != b and a in dom_i and allows(inst, i, a, j, c)
+                    and dominates(inst, i, b, a, j)):
+                return False
+            continue
+        a, g = cover.substitute, cover.conditioning_swap
+        if not (a != b and a in dom_i and g in inst.domain_set(j)
+                and allows(inst, i, a, j, g) and dominates(inst, j, c, g, i)
+                and _swaps_hold(inst, i, b, a, j, cover.swaps)):
+            return False
+    return True
 
 
 def preserves_satisfiability(inst: Instance, i: int, b: int) -> bool:

@@ -436,7 +436,9 @@ def test_verify_rejects_misnumbered_steps(tmp_path, capsys):
     bad.write_text(json.dumps(obj))
     capsys.readouterr()
     assert run(["verify", inst_path, bad]) == 0
-    assert capsys.readouterr().out == "OK: 12 steps certified\n"
+    assert capsys.readouterr().out == (
+        "OK: 12 steps certified (12 checked from their witness, 0 by search)\n"
+    )
 
 
 def test_verify_rejects_forged_scss_covers(tmp_path, capsys):

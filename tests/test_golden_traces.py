@@ -11,9 +11,9 @@ one trace and the sum of their ``updates``; the ``pipeline-<rules>`` cases
 pin other rule orders, in several of which a stage is settled by a stronger
 one before the first pass ends.
 Each case also pins, as ``replay_sha256``, the ``dump_trace`` bytes of the
-trace that ``replay_trace`` certifies from every run, each witness the run
-gave checked against it, so the oracle's witnesses cannot drift under a
-rewrite of the checks either.
+trace that ``replay_trace`` returns for every run: the records it checked,
+which must be exactly the records the run gave, each witness checked
+against its rule's definition.
 A change that alters them on purpose re-records the file with
 
     PYTHONPATH=src python tests/test_golden_traces.py
@@ -132,11 +132,12 @@ def record(engine: str, inputs: str, workdir: Path) -> dict:
 
 
 def record_replay(engine: str, inputs: str, workdir: Path) -> str:
-    """Digest the witnesses replay_trace certifies for every run."""
+    """Digest the records replay_trace checks for every run."""
     traces = hashlib.sha256()
     path = workdir / "replay.json"
     for inst, (_, trace, _) in _runs(engine, inputs):
         _, replayed = replay_trace(inst, trace)
+        assert replayed.steps == trace.steps
         dump_trace(replayed, path)
         traces.update(path.read_bytes())
     return traces.hexdigest()

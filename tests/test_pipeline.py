@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from subsense import cli, counters, establish_ac, generators, make_instance, oracle
+from subsense import acns, cli, counters, establish_ac, generators, make_instance, oracle
 from subsense.acns import is_arc_consistent
 from subsense.counters import bit_positions
 
@@ -131,3 +131,59 @@ def test_the_pass_that_removes_nothing_runs_no_engine(monkeypatch, make):
     last_pass = [t for t, event in enumerate(log) if event == "stage"][-5]
     assert "engine" in log[:last_pass] and "engine" not in log[last_pass:]
     assert log.count("stage") > 5
+
+
+def _scans(monkeypatch, debug):
+    """Over every order on every input: the ns, ss and cns runs that the
+    pipeline makes with ``ac`` settled and with it not, and the scans for
+    arc consistency that those runs make."""
+    monkeypatch.setenv(counters.DEBUG_ENV, debug)
+    runs = {True: 0, False: 0}
+    scans = []
+    for rule in cli.NEEDS_AC:
+        def engine(cur, *, held=None, _engine=cli.ENGINES[rule]):
+            runs[held.arc_consistent is cur] += 1
+            return _engine(cur, held=held)
+        monkeypatch.setitem(cli.ENGINES, rule, engine)
+    scan = acns.is_arc_consistent
+    monkeypatch.setattr(acns, "is_arc_consistent", lambda inst: scans.append(inst) or scan(inst))
+    for inst in (generators.figure1a(), generators.figure1b(), *corpus((0,))):
+        for rules in ORDERS:
+            cli.run_pipeline(inst, rules)
+    return runs, len(scans)
+
+
+def test_a_settled_ac_spares_the_engines_their_scan(monkeypatch):
+    runs, scans = _scans(monkeypatch, "")
+    assert runs[True] and runs[False]
+    assert scans == runs[False]
+
+
+def test_the_scan_runs_on_every_engine_run_under_the_debug_switch(monkeypatch):
+    runs, scans = _scans(monkeypatch, "1")
+    assert scans == runs[True] + runs[False]
+
+
+def test_library_callers_keep_the_scan(monkeypatch):
+    monkeypatch.setenv(counters.DEBUG_ENV, "")
+    scans = []
+    scan = acns.is_arc_consistent
+    monkeypatch.setattr(acns, "is_arc_consistent", lambda inst: scans.append(inst) or scan(inst))
+    inst, _ = establish_ac(generators.figure1b())
+
+    def pool(vouched=None):
+        held = counters.Held()
+        held.arc_consistent = vouched
+        return held
+
+    for run in (cli.ENGINES["ns"], cli.ENGINES["ss"], cli.ENGINES["cns"]):
+        run(inst)
+        run(inst, held=pool())
+        run(inst, held=pool(generators.figure1b()))
+        run(inst, held=pool(inst))
+    assert scans == [inst] * 9
+    # an instance that is not arc consistent is still refused
+    chain = generators.geq_chain(5).remove_value(0, 2)
+    assert not scan(chain)
+    with pytest.raises(ValueError, match="needs an arc-consistent instance"):
+        cli.ENGINES["ns"](chain, held=pool(inst))

@@ -1,16 +1,14 @@
-"""Every witness a trace gives is checked: ``subsense verify`` fails on a
-trace in which any int of one witness, a map key or a value, is changed to
-another in range (another value of that variable's original domain, or
-another variable index) or to one out of range.  Two kinds of change may
-pass:
-
-- an ns substitute that still plainly substitutes for the removed value
-  (``reference.substitutes``): the engines' ns substitutes come from their
-  tables, not from the oracle, and need not be the smallest;
-- another conditioning variable (or, for ac, another unsupported
-  neighbour) for which the rest of the witness is exactly what the rule
-  gives: on figure1c, x_1 and x_3 are left with the same domain, so a
-  cover conditioned by one reads the same conditioned by the other.
+"""Every witness a trace gives is checked against its rule's definition:
+``subsense verify`` is run on a trace in which one int of one witness, a
+map key or a value, is changed to another in range (another value of that
+variable's original domain, or another variable index) or to one out of
+range.  It must exit 0 exactly when ``reference.witness_holds``, a literal
+transcription of the rule's definition over values, accepts the changed
+witness on the domains of its step, and 1 otherwise.  So a changed witness
+that still meets the definition passes, whether or not it is the one the
+oracle's search would find first: another dominating ns substitute,
+another swap that dominates, or another conditioning variable for which
+the covers still hold.
 """
 
 import copy
@@ -19,8 +17,8 @@ import json
 import pytest
 
 from subsense import cli, dump_file, generators, load_file
-from subsense.oracle import certify, is_ns
-from subsense.trace import NS, WITNESS_READERS
+from subsense.oracle import is_ns
+from subsense.trace import NS
 
 import reference
 
@@ -124,7 +122,7 @@ def test_verify_fails_on_every_changed_witness_int(tmp_path, capsys, name):
                 mutant.write_text(json.dumps(mutated), encoding="utf-8")
                 code = cli.main(["verify", str(inst_path), str(mutant)])
                 runs += 1
-                if _still_holds(state, step, path, new, mutated["steps"][s]["witness"]):
+                if _still_holds(state, step, mutated["steps"][s]["witness"]):
                     assert code == 0, (s + 1, path, new)
                     accepted += 1
                 else:
@@ -136,15 +134,12 @@ def test_verify_fails_on_every_changed_witness_int(tmp_path, capsys, name):
         print(f"\nwitness mutations {name}: {runs} runs, {accepted} still certify")
 
 
-def _still_holds(state, step, path, new, witness) -> bool:
-    """The changed witness is one of the two kinds that may pass (see the
-    module docstring), on the domains ``state`` of the step."""
-    rule, i, b = step["rule"], step["variable"], step["value"]
-    if rule == NS:
-        return reference.substitutes(state, i, b, new)
-    if path in (("conditioning",), ("unsupported_at",)) and 0 <= new < state.n and new != i:
-        return certify(rule, state, i, b, new) == WITNESS_READERS[rule](witness, rule, {})
-    return False
+def _still_holds(state, step, witness) -> bool:
+    """The definition holds for the changed witness on the domains
+    ``state`` of the step."""
+    rule = step["rule"]
+    read = reference.WITNESS_READERS[rule](witness, rule)
+    return reference.witness_holds(state, rule, step["variable"], step["value"], read)
 
 
 def test_the_cns_trace_gives_an_ns_substitute_that_is_not_the_smallest(tmp_path):
