@@ -150,9 +150,11 @@ def _settled_stage(inst, rule, held=None):
     """A stage whose rule has nothing to remove from ``inst``, reported as
     _run_stage would report its run without running it: no records, and
     the charges of its tables, since at the rule's fixpoint no worklist
-    starts with an entry.  The pool ``held`` stays as it is."""
+    starts with an entry, read from the pool ``held`` where it keeps them
+    for these domains.  The tables of the pool stay as they are."""
     start = time.perf_counter_ns()
-    updates = counters.charges(inst, *counters.RULE_TABLES.get(rule, ()))
+    pool = counters.Held() if held is None else held
+    updates = pool.charges(inst, *counters.RULE_TABLES.get(rule, ()))
     return inst, (), updates, (time.perf_counter_ns() - start) // 1000
 
 

@@ -27,7 +27,7 @@ from . import counters
 from .acns import _require_ac_input
 from .instance import Instance
 from .kernel import CoverKernel, Substitutions
-from .oracle import cns_with_conditioning
+from .oracle import _cns_at
 from .trace import CNS, NS, ReductionReport, Trace
 
 
@@ -37,7 +37,7 @@ class CnsEngine(CoverKernel, Substitutions):
     BUILD = "build_cns"
     COVERS = "nb_covers"
     UNCOVERED = "uncovered"
-    CHECK = staticmethod(cns_with_conditioning)
+    CHECK = staticmethod(_cns_at)
 
     def __init__(self, inst: Instance, ns_priority: bool, held: Optional[counters.Held] = None):
         super().__init__(inst, held)

@@ -1002,6 +1002,11 @@ class Held(dict):
     static: Static | None = None
     live: tuple[int, ...] | None = None
     arc_consistent: Instance | None = None
+    # the value of each charge function on one domain state: the live masks
+    # charged_live over the relation masks charged_full (see charges)
+    charged_full: dict | None = None
+    charged_live: tuple[int, ...] | None = None
+    charged: dict | None = None
 
     def keep(self, tables: dict, static: Static, live, replace: bool) -> None:
         """Hold ``tables``, current on the domains ``live``: in place of
@@ -1011,6 +1016,22 @@ class Held(dict):
             self.clear()
         self.update(tables)
         self.static, self.live = static, tuple(live)
+
+    def charges(self, inst: Instance, *names: str) -> int:
+        """counters.charges, with each charge function's value kept for the
+        domain state it was computed on: a later call on the same domains of
+        the same relations reads it here.  The charges of a table depend on
+        nothing else, so the sum is the one charges() gives."""
+        live = tuple(inst.live)
+        if self.charged_full is not inst.full or self.charged_live != live:
+            self.charged_full, self.charged_live, self.charged = inst.full, live, {}
+        memo, probes = self.charged, 0
+        for charge, count in Counter(TABLES[name].charge for name in _closure(names)).items():
+            value = memo.get(charge)
+            if value is None:
+                value = memo[charge] = charge(inst)
+            probes += value * count
+        return probes
 
 
 def _handed(masks: Masks, name: str, table: list) -> Packed:
@@ -1078,16 +1099,17 @@ def build(inst: Instance, *names: str, held: Held | None = None) -> Tables:
             if last[r] == name:
                 built[r] = built[r].table
     tables = {name: t.table if isinstance(t, Packed) else t for name, t in built.items()}
-    return Tables(**tables, probes=charges(inst, *need))
+    pool = Held() if held is None else held  # an empty pool is falsy
+    return Tables(**tables, probes=pool.charges(inst, *need))
 
 
 def charges(inst: Instance, *names: str) -> int:
     """The probes that the set-builders of the named tables and of every
     table they read make on the current domains of ``inst``: what build()
     charges for them, built or handed.  Each charge function runs once, its
-    result counted once per table that uses it."""
-    uses = Counter(TABLES[name].charge for name in _closure(names))
-    return sum(charge(inst) * count for charge, count in uses.items())
+    result counted once per table that uses it; a pool (Held.charges) keeps
+    each result for its domain state."""
+    return Held().charges(inst, *names)
 
 
 # the tables each rule's engine builds, with every table they read

@@ -24,10 +24,15 @@ snapshot shares with its parent the relation masks and their ``rows`` view,
 the neighbour lists, the original domains with their value index
 (``positions``), the masks no snapshot changes (``counters.Static``) and
 the domain tuple, set and mask of every variable it leaves alone.  Every
-domain shrinks on a private working snapshot (``_working``), which holds
-them in lists: an engine run, a replay and arc consistency drop the value
-at a position in place (``_drop``), so an elimination pays O(d), not O(n),
-and a frozen copy (``_frozen``) leaves the run.  ``remove_value`` and
+domain shrinks on a private working snapshot (``_working``), whose list of
+live masks is the only form of its current domains: it holds no domain
+tuple or set that could be read stale, and ``n``, ``unsatisfiable``,
+``remove_value``, ``restrict`` and ``_working`` read the masks.  An engine
+run, a replay and arc consistency drop the value at a position by flipping
+its live bit (``_drop``), so an elimination pays O(1), and a frozen copy
+(``_frozen``) leaves the run: it makes the domain tuple and set of each
+variable whose mask moved since the frozen snapshot the run started from,
+and shares that snapshot's for the rest.  ``remove_value`` and
 ``restrict`` derive through the same two helpers.  They stay for the API:
 only the backtracking ``oracle.longest_elimination_sequence`` calls
 ``remove_value``, and no library loop calls ``restrict``.  Only the
@@ -117,6 +122,10 @@ class Instance:
     # live[i] = the mask of D(x_i): bit p for the value at position p; a
     # tuple, or a list on a working snapshot, where only _drop changes it
     live: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # on a working snapshot, the frozen snapshot its run started from, whose
+    # domain tuples and sets _frozen shares where live has not moved (its
+    # domains and _cur_sets are None); None on a frozen snapshot
+    _base: Optional["Instance"] = field(init=False, repr=False, compare=False)
     _neighbors: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     # the masks no snapshot changes (counters.Static): an empty list until
     # the first table build of any snapshot puts them in, shared by all
@@ -134,6 +143,7 @@ class Instance:
         object.__setattr__(self, "_cur_sets", tuple(frozenset(d) for d in self.domains))
         masks = (sum(1 << pos[v] for v in d) for pos, d in zip(self.positions, self.domains))
         object.__setattr__(self, "live", tuple(masks))
+        object.__setattr__(self, "_base", None)
         nbrs: list[list[int]] = [[] for _ in range(len(self.domains))]
         for i, j in self.edges:
             nbrs[i].append(j)
@@ -146,7 +156,7 @@ class Instance:
 
     @property
     def n(self) -> int:
-        return len(self.domains)
+        return len(self.live)
 
     @property
     def e(self) -> int:
@@ -155,7 +165,7 @@ class Instance:
     @property
     def unsatisfiable(self) -> bool:
         """True once some domain has been emptied."""
-        return any(not dom for dom in self.domains)
+        return not all(self.live)
 
     def neighbors(self, i: int) -> tuple[int, ...]:
         """Variables sharing a stored constraint with x_i, ascending."""
@@ -200,10 +210,11 @@ class Instance:
         ``unsatisfiable``.
         """
         self._check_var(i)
-        if b not in self._cur_sets[i]:
+        p = self.positions[i].get(b)
+        if p is None or not self.live[i] >> p & 1:
             raise ValueError(f"value {b} not in the current domain of variable {i}")
         child = self._working()
-        child._drop(i, self.positions[i][b])
+        child._drop(i, p)
         return child._frozen()
 
     def restrict(self, domains: Sequence[Iterable[int]]) -> "Instance":
@@ -216,38 +227,50 @@ class Instance:
             raise ValueError("restrict() needs one domain per variable")
         child = self._working()
         for i, dom in enumerate(domains):
-            sub = tuple(sorted(dom))
-            if sub != self.domains[i]:
-                sub_set = frozenset(sub)
-                if len(sub_set) != len(sub):
-                    raise ValueError(f"domain for variable {i} repeats a value")
-                if not all(map(_is_int, sub)):
-                    raise ValueError(f"domain for variable {i} must hold ints")
-                if not sub_set <= self._cur_sets[i]:
-                    raise ValueError(f"domain for variable {i} is not a subset")
-                child.domains[i], child._cur_sets[i] = sub, sub_set
-                child.live[i] = sum(1 << self.positions[i][v] for v in sub)
+            sub = sorted(dom)
+            if len(set(sub)) != len(sub):
+                raise ValueError(f"domain for variable {i} repeats a value")
+            if not all(map(_is_int, sub)):
+                raise ValueError(f"domain for variable {i} must hold ints")
+            ps = [*map(self.positions[i].get, sub)]
+            mask = 0 if None in ps else sum(1 << p for p in ps)
+            if None in ps or mask & ~self.live[i]:
+                raise ValueError(f"domain for variable {i} is not a subset")
+            child.live[i] = mask
         return child._frozen()
 
     def _working(self) -> "Instance":
-        """A private snapshot whose domains ``_drop`` changes in place."""
-        return self._derive(list(self.domains), list(self._cur_sets), list(self.live))
+        """A private snapshot whose live masks ``_drop`` changes in place."""
+        base = self if self._base is None else self._base
+        return self._derive(None, None, list(self.live), base)
 
     def _drop(self, i: int, p: int) -> None:
-        """Remove the value at position p of x_i from this working snapshot."""
-        self._check_var(i)
-        b = self.original_domains[i][p]
-        if not self.live[i] >> p & 1:
+        """Remove the value at position p of x_i from this working snapshot:
+        flip its live bit, and nothing else."""
+        live = self.live
+        if not 0 <= i < len(live):
+            self._check_var(i)  # raises remove_value's error
+        if not live[i] >> p & 1:
+            b = self.original_domains[i][p]
             raise ValueError(f"value {b} not in the current domain of variable {i}")
-        self.live[i] ^= 1 << p
-        dom = self.domains[i] = tuple(v for v in self.domains[i] if v != b)
-        self._cur_sets[i] = frozenset(dom)
+        live[i] ^= 1 << p
 
     def _frozen(self) -> "Instance":
-        """An immutable snapshot of the current domains of this one."""
-        return self._derive(tuple(self.domains), tuple(self._cur_sets), tuple(self.live))
+        """An immutable snapshot of the current domains of this one.  Each
+        variable whose mask has not moved since the frozen snapshot the run
+        started from keeps that snapshot's domain tuple and set."""
+        base = self._base
+        if base is None:
+            return self._derive(self.domains, self._cur_sets, self.live, None)
+        domains, cur_sets = list(base.domains), list(base._cur_sets)
+        vals = self.original_domains
+        for i, (now, was) in enumerate(zip(self.live, base.live)):
+            if now != was:
+                dom = domains[i] = tuple(compress(vals[i], _bits(now)))
+                cur_sets[i] = frozenset(dom)
+        return self._derive(tuple(domains), tuple(cur_sets), tuple(self.live), None)
 
-    def _derive(self, domains, cur_sets, live) -> "Instance":
+    def _derive(self, domains, cur_sets, live, base) -> "Instance":
         """A snapshot with new current domains sharing everything else."""
         # set in field order, never through vars(): on CPython 3.11 a
         # materialised __dict__ makes later attribute reads of the object
@@ -258,9 +281,8 @@ class Instance:
         object.__setattr__(child, "domains", domains)
         object.__setattr__(child, "_cur_sets", cur_sets)
         object.__setattr__(child, "live", live)
+        object.__setattr__(child, "_base", base)
         return child
-
-
 
 
 def make_instance(

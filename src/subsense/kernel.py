@@ -6,8 +6,11 @@ engines share: the working snapshot, the counter tables, the ``updates``
 count, the trace, the unsatisfiable flag, the debug recheck, the run loop,
 the report, and the pass every elimination starts with, in which the
 blocks through the removed value disappear at its variable's neighbours.
-Each elimination drops its value from the working snapshot in place
-(``Instance._drop``); only frozen copies of it leave the kernel.
+Each elimination drops its value from the working snapshot by flipping
+its live bit (``Instance._drop``); only frozen copies of it leave the
+kernel.  Every witness the run asks the oracle for comes from the search
+behind the rule's check, given the value's position and one domination
+test for the working snapshot (``oracle._dominance``).
 An engine may be given a pool of tables (``counters.Held``) that an earlier
 engine kept current on the same domains: it takes from the pool what its
 rule needs, builds only the rest, and owns them all for its run.  When the
@@ -15,7 +18,9 @@ run ends it hands them all back, in place of everything the pool held if it
 eliminated a value (the others went stale), beside it otherwise, and none
 if a domain emptied, since that last elimination went unpropagated.  With
 SUBSENSE_DEBUG_RECOMPUTE=1, a run that took any handed table rechecks
-every table once before it starts.
+every table once before it starts, and every run rechecks after each
+elimination: the live masks against the initial ones less the values its
+records removed, then every table against its set-builder.
 Three layers sit on it:
 
 - SnakeKernel adds the sub and stop cascades that ss and scss both keep.
@@ -71,6 +76,7 @@ from typing import Callable, Iterable, Optional
 from . import counters
 from .counters import bit_positions
 from .instance import Instance
+from .oracle import _dominance
 from .trace import NS, EliminationRecord, NsWitness, ReductionReport, Trace, Witness
 
 
@@ -103,6 +109,9 @@ class Kernel:
         self.along, self.across, self.ends = static.along, static.across, static.ends
         self.pairs, self.singles = static.pairs, static.singles
         self.live = self.inst.live  # the working snapshot's, which _drop keeps
+        # the oracle's domination test on the working snapshot: every witness
+        # the run asks the oracle for shares it
+        self.dominates = _dominance(self.inst)
         self.updates = self.tables.probes
         self.steps: list[EliminationRecord] = []
         self.unsat = inst.unsatisfiable
@@ -141,12 +150,16 @@ class Kernel:
         return {name: t for name, t in vars(self.tables).items() if name != "probes"}
 
     def verify(self) -> None:
-        """Recompute every kept table, and the live masks, from their
-        definitions and compare."""
+        """Recompute the live masks from the run's records, and every kept
+        table from its definition, and compare."""
+        # the initial masks less every value the records removed; a value
+        # recorded twice flips its bit back, and so differs
+        live = list(self.initial.live)
+        for rec in self.steps:
+            live[rec.variable] ^= 1 << self.pos[rec.variable][rec.value]
+        if live != self.live:
+            raise counters.CounterMismatch("the live masks differ from the records")
         counters.verify_tables(self.inst._frozen(), **self._kept())
-        # restrict derives the mask of each domain it changes afresh
-        if tuple(self.live) != self.initial.restrict(self.inst.domains).live:
-            raise counters.CounterMismatch("the live masks differ from the domains")
 
     def report(self) -> tuple[Instance, Trace, ReductionReport]:
         final = self.inst._frozen()
@@ -373,13 +386,15 @@ class CoverKernel(Kernel):
     named by COVERS, the compatible values without a cover of every (i,b,j),
     as a mask, in the table named by UNCOVERED, and a FIFO worklist of the
     triples (i,b,j), b by position, whose mask emptied.  The witness of a
-    popped triple is what the rule's check in ``oracle``, named by CHECK,
-    gives on the working snapshot before the value goes.
+    popped triple is what the rule's search in ``oracle``, named by CHECK,
+    gives on the working snapshot before the value goes: the search behind
+    its public check, which takes b by position and the run's domination
+    test.
     """
 
     COVERS: str
     UNCOVERED: str
-    CHECK: Callable[[Instance, int, int, int], Optional[Witness]]
+    CHECK: Callable[..., Optional[Witness]]
 
     def __init__(self, inst: Instance, held: Optional[counters.Held] = None):
         super().__init__(inst, held)
@@ -426,7 +441,7 @@ class CoverKernel(Kernel):
     def _witness(self, i: int, b: int, j: int) -> Witness:
         """The witness for eliminating the value at position b of x_i
         conditioned by x_j, as the rule's definition gives it."""
-        witness = self.CHECK(self.inst, i, self.vals[i][b], j)
+        witness = self.CHECK(self.inst, self.dominates, i, b, j)
         if witness is None:
             raise RuntimeError(f"x{i}={self.vals[i][b]} conditioned by x{j} fails {self.RULE}")
         return witness

@@ -13,13 +13,20 @@ return witnesses in values; positions ascend with values, so a walk over
 the set bits of a mask meets the values in ascending order.  A check keeps what
 it would ask again within the call (cns each candidate's answer, scss
 each candidate's swaps), and nothing beyond it.  A check validates its
-arguments once on entry.  Ties always break toward the smallest
+arguments once on entry: exact ints (no bool, no float) for the variable,
+the value and the conditioning variable, a variable that exists and a
+current value.  Ties always break toward the smallest
 qualifying value, then the smallest conditioning variable, then the
 smallest replacement, so results are deterministic.
 
-The engines call these checks too, by name: every witness in an engine's
-trace but an ns substitute is the one a check here gave on the engine's
-working snapshot when the value went.
+Each check is its argument checks around a search (``_ns_at``,
+``_ss_at``, ``_cns_at``, ``_scss_at``, ``_ac_at``) that takes the value by
+its position and a domination test.  A caller that checks its own
+arguments and works on one working snapshot makes one domination test for
+it, which reads the snapshot's live masks as they change, and calls the
+searches: both replays do, and so do the engines, so every witness in an
+engine's trace but an ns substitute is the one a check here would give on
+the engine's working snapshot when the value went.
 
 ``certify`` is the one place that maps a rule name to its check: replay
 of a sequence of steps (replay_sequence) and the longest-sequence search
@@ -31,8 +38,9 @@ same masks and domination test.  Replaying a trace's records
 (replay_trace, which ``subsense verify`` runs) checks each given witness
 so, and searches only for a record that gives none: a valid witness passes
 whether or not the search would find it first, and a forged one fails.
-Both replays work on one working snapshot that drops each value in place,
-and return a frozen copy of it.  The solver and the longest-sequence
+Both replays check each step's arguments once (``_position``), work on one
+working snapshot that drops each value by flipping its live bit, and
+return a frozen copy of it.  The solver and the longest-sequence
 search keep their own stacks, so deep instances cannot overflow the
 interpreter's.
 
@@ -44,7 +52,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Sequence
 
-from .instance import Instance, bit_positions
+from .instance import Instance, _is_int, bit_positions
 from .trace import AC, CNS, NS, RULES, SCSS, SS, EliminationRecord, Trace, Witness
 from .trace import AcWitness, CnsWitness, NsWitness, ScssCover, ScssWitness, SsWitness
 
@@ -112,8 +120,17 @@ def solvable(inst: Instance, space_cap: int = 10**8) -> bool:
     return bool(solve(inst, limit=1, space_cap=space_cap))
 
 
+def _check_int(value, what: str) -> None:
+    """Every entry point takes variables and values as exact ints: ``True``
+    and ``1.0`` equal 1 but are neither variable ids nor value labels."""
+    if type(value) is not int and not _is_int(value):
+        raise ValueError(f"{what} must be an int, not {value!r}")
+
+
 def _check_target(inst: Instance, i: int, b: int) -> int:
     """The position of b, a current value of x_i."""
+    _check_int(i, "variable index")
+    _check_int(b, "value")
     if not 0 <= i < inst.n:
         raise ValueError(f"variable index {i} out of range (n={inst.n})")
     p = inst.positions[i].get(b)
@@ -123,6 +140,7 @@ def _check_target(inst: Instance, i: int, b: int) -> int:
 
 
 def _check_conditioning(inst: Instance, i: int, j: int) -> None:
+    _check_int(j, "conditioning variable")
     if not 0 <= j < inst.n:
         raise ValueError(f"conditioning variable {j} out of range (n={inst.n})")
     if j == i:
@@ -203,21 +221,21 @@ def _others(inst: Instance, i: int, b: int) -> Sequence[int]:
     return bit_positions(inst.live[i] & ~(1 << b))
 
 
-def is_ns(inst: Instance, i: int, b: int) -> Optional[NsWitness]:
-    """Smallest a whose compatibilities cover b's at every other variable."""
-    pb = _check_target(inst, i, b)
-    dominates = _dominance(inst)
+# Each search below takes the value b by its position pb, its arguments
+# already checked, and the domination test of its snapshot (_dominance).
+# The public checks after them check their arguments and make that test;
+# a caller that checks its own arguments and keeps one test for a working
+# snapshot (the replays and the engines) calls the searches directly.
+
+
+def _ns_at(inst: Instance, dominates, i: int, pb: int) -> Optional[NsWitness]:
     for a in _others(inst, i, pb):
         if dominates(i, pb, a, None):
             return NsWitness(substitute=inst.original_domains[i][a])
     return None
 
 
-def is_ss(inst: Instance, i: int, b: int) -> Optional[SsWitness]:
-    """Like is_ns but each support of b may be swapped for a dominating
-    support of a; returns the swap maps as witness."""
-    pb = _check_target(inst, i, b)
-    dominates = _dominance(inst)
+def _ss_at(inst: Instance, dominates, i: int, pb: int) -> Optional[SsWitness]:
     nbrs = inst.neighbors(i)
     for a in _others(inst, i, pb):
         swaps = _snake_swaps(inst, dominates, i, pb, a, nbrs)
@@ -226,24 +244,19 @@ def is_ss(inst: Instance, i: int, b: int) -> Optional[SsWitness]:
     return None
 
 
-def _first_conditioned(check, inst: Instance, i: int, b: int):
-    """The witness ``check`` gives for the first conditioning variable that
-    works: a neighbour of x_i, or with no constraint on x_i the smallest
-    other variable, since then it only matters as a quantifier domain."""
+def _first_conditioned(search, inst: Instance, dominates, i: int, pb: int):
+    """The witness ``search`` gives for the first conditioning variable
+    that works: a neighbour of x_i, or with no constraint on x_i the
+    smallest other variable, since then it only matters as a quantifier
+    domain."""
     for j in inst.neighbors(i) or [j for j in range(inst.n) if j != i][:1]:
-        w = check(inst, i, b, j)
+        w = search(inst, dominates, i, pb, j)
         if w is not None:
             return w
     return None
 
 
-def cns_with_conditioning(
-    inst: Instance, i: int, b: int, j: int
-) -> Optional[CnsWitness]:
-    """Direct check of conditioned substitution of b at x_i by values of x_j."""
-    pb = _check_target(inst, i, b)
-    _check_conditioning(inst, i, j)
-    dominates = _dominance(inst)
+def _cns_at(inst: Instance, dominates, i: int, pb: int, j: int) -> Optional[CnsWitness]:
     takers = _row(inst, j, i)  # takers[c] = the values of x_i that take c
     others = inst.live[i] & ~(1 << pb)
     vals_i, vals_j = inst.original_domains[i], inst.original_domains[j]
@@ -262,22 +275,7 @@ def cns_with_conditioning(
     return CnsWitness(conditioning=j, covers=covers)
 
 
-def is_cns(inst: Instance, i: int, b: int) -> Optional[CnsWitness]:
-    return _first_conditioned(cns_with_conditioning, inst, i, b)
-
-
-def scss_with_conditioning(
-    inst: Instance, i: int, b: int, j: int
-) -> Optional[ScssWitness]:
-    """Direct check of snake-conditioned substitution with conditioning x_j.
-
-    For each value c of x_j compatible with b there must be an a that
-    snake-dominates b at every third variable and has a compatible value g
-    dominating c at all of x_j's other neighbours.
-    """
-    pb = _check_target(inst, i, b)
-    _check_conditioning(inst, i, j)
-    dominates = _dominance(inst)
+def _scss_at(inst: Instance, dominates, i: int, pb: int, j: int) -> Optional[ScssWitness]:
     ks = [k for k in inst.neighbors(i) if k != j]
     row = _row(inst, i, j)
     others = _others(inst, i, pb)
@@ -299,19 +297,79 @@ def scss_with_conditioning(
     return ScssWitness(conditioning=j, covers=covers)
 
 
+def _ac_at(inst: Instance, i: int, pb: int, j: Optional[int] = None) -> Optional[AcWitness]:
+    for k in inst.neighbors(i) if j is None else (j,):
+        row = inst.full.get((i, k))
+        if row is not None and not row[pb] & inst.live[k]:
+            return AcWitness(unsupported_at=k)
+    return None
+
+
+def _search(rule: str, inst: Instance, dominates, i: int, pb: int, j: Optional[int]):
+    """certify for the value at position pb of x_i, its arguments checked."""
+    if rule == AC:
+        return _ac_at(inst, i, pb, j)
+    if rule == NS:
+        return _ns_at(inst, dominates, i, pb)
+    if rule == SS:
+        return _ss_at(inst, dominates, i, pb)
+    search = _cns_at if rule == CNS else _scss_at
+    if j is None:
+        return _first_conditioned(search, inst, dominates, i, pb)
+    return search(inst, dominates, i, pb, j)
+
+
+def is_ns(inst: Instance, i: int, b: int) -> Optional[NsWitness]:
+    """Smallest a whose compatibilities cover b's at every other variable."""
+    return _ns_at(inst, _dominance(inst), i, _check_target(inst, i, b))
+
+
+def is_ss(inst: Instance, i: int, b: int) -> Optional[SsWitness]:
+    """Like is_ns but each support of b may be swapped for a dominating
+    support of a; returns the swap maps as witness."""
+    return _ss_at(inst, _dominance(inst), i, _check_target(inst, i, b))
+
+
+def cns_with_conditioning(
+    inst: Instance, i: int, b: int, j: int
+) -> Optional[CnsWitness]:
+    """Direct check of conditioned substitution of b at x_i by values of x_j."""
+    pb = _check_target(inst, i, b)
+    _check_conditioning(inst, i, j)
+    return _cns_at(inst, _dominance(inst), i, pb, j)
+
+
+def is_cns(inst: Instance, i: int, b: int) -> Optional[CnsWitness]:
+    pb = _check_target(inst, i, b)
+    return _first_conditioned(_cns_at, inst, _dominance(inst), i, pb)
+
+
+def scss_with_conditioning(
+    inst: Instance, i: int, b: int, j: int
+) -> Optional[ScssWitness]:
+    """Direct check of snake-conditioned substitution with conditioning x_j.
+
+    For each value c of x_j compatible with b there must be an a that
+    snake-dominates b at every third variable and has a compatible value g
+    dominating c at all of x_j's other neighbours.
+    """
+    pb = _check_target(inst, i, b)
+    _check_conditioning(inst, i, j)
+    return _scss_at(inst, _dominance(inst), i, pb, j)
+
+
 def is_scss(inst: Instance, i: int, b: int) -> Optional[ScssWitness]:
-    return _first_conditioned(scss_with_conditioning, inst, i, b)
+    pb = _check_target(inst, i, b)
+    return _first_conditioned(_scss_at, inst, _dominance(inst), i, pb)
 
 
 def is_ac(inst: Instance, i: int, b: int, j: Optional[int] = None) -> Optional[AcWitness]:
     """The neighbour of x_i where b has no current support left, x_j when
     given, else the smallest such neighbour."""
     pb = _check_target(inst, i, b)
-    for k in inst.neighbors(i) if j is None else (j,):
-        row = inst.full.get((i, k))
-        if row is not None and not row[pb] & inst.live[k]:
-            return AcWitness(unsupported_at=k)
-    return None
+    if j is not None:
+        _check_conditioning(inst, i, j)
+    return _ac_at(inst, i, pb, j)
 
 
 def certify(
@@ -321,22 +379,16 @@ def certify(
     allows removing b from D(x_i), or None.
 
     A given j is the conditioning variable of cns and scss and the
-    unsupported neighbour of ac.  ns and ss take no j: replay rejects a
-    step that gives them one.  Without j the smallest that works is taken.
-    Each check is looked up when called, so a check replaced on the module
-    is the one that runs.
+    unsupported neighbour of ac; it is checked as a conditioning variable
+    for every rule.  ns and ss take no j: replay rejects a step that gives
+    them one.  Without j the smallest that works is taken.
     """
-    if rule == AC:
-        return is_ac(inst, i, b, j)
-    if rule == NS:
-        return is_ns(inst, i, b)
-    if rule == SS:
-        return is_ss(inst, i, b)
-    if rule == CNS:
-        return is_cns(inst, i, b) if j is None else cns_with_conditioning(inst, i, b, j)
-    if rule == SCSS:
-        return is_scss(inst, i, b) if j is None else scss_with_conditioning(inst, i, b, j)
-    raise ValueError(f"unknown rule {rule!r}")
+    if rule not in RULES:
+        raise ValueError(f"unknown rule {rule!r}")
+    pb = _check_target(inst, i, b)
+    if j is not None:
+        _check_conditioning(inst, i, j)
+    return _search(rule, inst, _dominance(inst), i, pb, j)
 
 
 def check_witness(rule: str, inst: Instance, i: int, b: int, witness) -> bool:
@@ -525,6 +577,9 @@ def replay_sequence(inst: Instance, steps, rules=None):
     if len(rules) != len(steps):
         raise ValueError("need exactly one rule per step")
     cur = inst._working()
+    # one domination test serves every step: it reads the live masks of
+    # the working snapshot, which each drop changes in place
+    dominates = _dominance(cur)
     records: list[EliminationRecord] = []
     for pos, step in enumerate(steps, start=1):
         step = tuple(step)
@@ -539,7 +594,7 @@ def replay_sequence(inst: Instance, steps, rules=None):
         if j is not None and rule in (NS, SS):
             raise ReplayError(f"step {pos} ({rule}): the rule takes no third element, got {j}")
         p = _position(cur, pos, rule, i, b, j)
-        witness = certify(rule, cur, i, b, j)
+        witness = _search(rule, cur, dominates, i, p, j)
         if witness is None:
             raise _failed(cur, pos, rule, i, b, "the rule does not hold at this point")
         cur._drop(i, p)
@@ -585,10 +640,17 @@ def replay_trace(inst: Instance, trace: Trace):
 
 def _position(cur: Instance, pos: int, rule: str, i: int, b: int, j) -> int:
     """The position of b, after the checks both replays make of step
-    ``pos``: a known rule, variables x_i and x_j (when j is given) that
-    exist, j not i, and b a current value of x_i."""
+    ``pos``: a known rule, exact ints for i, b and j (when j is given),
+    variables x_i and x_j that exist, j not i, and b a current value of
+    x_i."""
     if rule not in RULES:
         raise ValueError(f"step {pos}: unknown rule {rule!r}")
+    named = (("variable", i), ("value", b), ("conditioning variable", j))
+    try:
+        for what, v in named if j is not None else named[:2]:
+            _check_int(v, f"the {what}")
+    except ValueError as exc:
+        raise ReplayError(f"step {pos} ({rule}): {exc}") from None
     n = cur.n
     for v in (i,) if j is None else (i, j):
         if not 0 <= v < n:

@@ -33,7 +33,7 @@ from .instance import Instance
 from .counters import bit_positions
 from .kernel import CoverKernel, SnakeKernel
 # replay_sequence is re-exported: perfbench calls scss.replay_sequence and wraps it here
-from .oracle import is_scss, replay_sequence, scss_with_conditioning
+from .oracle import _first_conditioned, _scss_at, replay_sequence
 from .trace import SCSS, ReductionReport, Trace
 
 
@@ -58,7 +58,7 @@ class ScssEngine(CoverKernel, SnakeKernel):
     BUILD = "build_scss"
     COVERS = "nb_snake_covers"
     UNCOVERED = "not_snake_covered"
-    CHECK = staticmethod(scss_with_conditioning)
+    CHECK = staticmethod(_scss_at)
 
     def __init__(self, inst: Instance, held: Optional[counters.Held] = None):
         super().__init__(inst, held)
@@ -73,7 +73,8 @@ class ScssEngine(CoverKernel, SnakeKernel):
             i = self.unconstrained[0]
             live_ps = bit_positions(self.live[i])
             if len(live_ps) > 1:
-                return i, live_ps[0], SCSS, is_scss(self.inst, i, self.vals[i][live_ps[0]])
+                witness = _first_conditioned(_scss_at, self.inst, self.dominates, i, live_ps[0])
+                return i, live_ps[0], SCSS, witness
             self.unconstrained.popleft()
         return self._pop_conditioned()
 

@@ -10,8 +10,8 @@ class, pairs queued because a snake substitution appeared go to the low
 class.  Classes are fixed when a pair is pushed; on popping, a pair is
 revalidated and labelled by the strongest rule that applies (ac over ns
 over ss).  The tables choose the label and an ns substitute; an ac or ss
-witness is what ``oracle.is_ac`` or ``oracle.is_ss`` gives on the working
-snapshot.
+witness is what ``oracle.is_ac`` or ``oracle.is_ss`` would give on the working
+snapshot: the engine asks the search behind it, with the value's position.
 
 Deleting u from D(x_r) runs the block, sub and stop passes of
 kernel.SnakeKernel; nb_snake takes one step up for each stop_vars mask that
@@ -30,7 +30,7 @@ from .acns import _require_ac_input
 from .instance import Instance
 from .counters import bit_positions
 from .kernel import SnakeKernel
-from .oracle import is_ac, is_ss
+from .oracle import _ac_at, _ss_at
 from .trace import AC, NS, SS, NsWitness, ReductionReport, Trace
 
 
@@ -77,14 +77,14 @@ class SsEngine(SnakeKernel):
         witness: an ac or ss one is the oracle's."""
         value = self.vals[r][u]
         if self.tables.inconsistent[self.singles[r] + u]:
-            witness = is_ac(self.inst, r, value)
+            witness = _ac_at(self.inst, r, u)
             if witness is None:
                 raise RuntimeError(f"x{r}={value} is flagged inconsistent but has support")
             return AC, witness
         a = self._ns_substitute(r, u)
         if a is not None:
             return NS, NsWitness(substitute=self.vals[r][a])
-        witness = is_ss(self.inst, r, value)
+        witness = _ss_at(self.inst, self.dominates, r, u)
         if witness is None:
             raise RuntimeError(f"queued pair x{r}={value} has no eliminating value")
         return SS, witness

@@ -479,3 +479,69 @@ def test_criterion_13(capsys):
         report(13, ok, f"updates/(e*d^3) over {len(ratios) // len(engines)} "
                        f"instances [{shown}]")
     assert ok, "; ".join(over)
+
+
+# The work the engines do beyond their table build, as d grows.  On
+# criterion 13's d axis the engines remove 0 or 1 value, so its updates are
+# nearly all the build's probes.  On this grid arc consistency removes
+# nothing and, up to d=32, every engine takes every variable down to one
+# value, n*(d-1) steps, so the propagation runs at every point.  It was
+# fixed before any ratio was looked at.  At d=64 ns stops early on seeds 1,
+# 3 and 4 (400, 329 and 394 of 1,260 steps); the bound holds for any run.
+PROPAGATION_DS = (4, 8, 16, 32)
+PROPAGATION_SEEDS = range(5)
+# The paper's O(ed^3) for neighbourhood substitution is the size of its block
+# counters: nb_blocks has a cell for each pair of values of x_k at each of
+# its neighbours, 2*e*d^2 cells over both orientations of every edge, each
+# counting at most d values, so a run that counts them down spends at most
+# 2*e*d^3 steps on them.  Every engine's work past its build is held to
+# that one level, at every point and whatever d, as the claim that the
+# strengthened rules cost no more than NS asks.
+PROPAGATION_C = 2.0
+PROPAGATION_ENGINES = {"ns": ns_to_convergence, "ss": ss_to_convergence,
+                       "cns": cns_to_convergence, "scss": scss_to_convergence}
+
+
+def _propagation_work(d):
+    """(updates - the build's probes) / (e*d^3) of each engine at each seed
+    of random_instance(20, d, 0.3, 0.98, seed)."""
+    ratios = {rule: [] for rule in PROPAGATION_ENGINES}
+    for seed in PROPAGATION_SEEDS:
+        inst = generators.random_instance(20, d, 0.3, 0.98, seed)
+        assert not establish_ac(inst)[1].steps, f"{inst.name}: AC must remove nothing"
+        for rule, engine in PROPAGATION_ENGINES.items():
+            _, trace, run = engine(inst)
+            if d in PROPAGATION_DS:
+                assert len(trace) == inst.n * (d - 1), f"{inst.name}: {rule} must run to one value"
+            probes = getattr(counters, f"build_{rule}")(inst).probes
+            ratios[rule].append((run.updates - probes) / (inst.e * d**3))
+    return ratios
+
+
+def _propagation_bounded(ds, capsys, monkeypatch):
+    # a table recheck after every elimination would swamp the grid; the
+    # updates do not depend on it
+    monkeypatch.setenv(counters.DEBUG_ENV, "")
+    over, medians = [], {}
+    for d in ds:
+        for rule, ratios in _propagation_work(d).items():
+            medians[rule, d] = statistics.median(ratios)
+            over += [f"{rule} d={d} seed {seed}: {ratio:.2f} > {PROPAGATION_C}"
+                     for seed, ratio in zip(PROPAGATION_SEEDS, ratios) if ratio > PROPAGATION_C]
+    with capsys.disabled():
+        print("propagation work/(e*d^3), medians over seeds: " + ", ".join(
+            f"{rule} " + "/".join(f"{medians[rule, d]:.2f}" for d in ds)
+            for rule in PROPAGATION_ENGINES) + f" at d = {'/'.join(map(str, ds))}")
+    assert not over, "; ".join(over)
+
+
+def test_propagation_work_stays_within_e_d_cubed(capsys, monkeypatch):
+    _propagation_bounded(PROPAGATION_DS, capsys, monkeypatch)
+
+
+@pytest.mark.skipif(
+    not counters.debug_recompute_enabled(),
+    reason=f"d=64 takes about 30 s: it runs in a CI step of its own, with {counters.DEBUG_ENV}=1",
+)
+def test_propagation_work_stays_within_e_d_cubed_at_d_64(capsys, monkeypatch):
+    _propagation_bounded((64,), capsys, monkeypatch)

@@ -219,7 +219,8 @@ def test_clearing_a_bit_that_is_not_set_is_an_error(name):
 def test_the_recheck_compares_the_live_masks_with_the_domains():
     engine = NsEngine(generators.figure1a())
     engine.verify()
-    # a mask that no longer stands for D(x_0); every table still matches
+    # a mask that the run's records do not give (they removed nothing from
+    # x_0); every table still matches
     engine.inst.live[0] = 0
     with pytest.raises(counters.CounterMismatch, match="live masks"):
         engine.verify()

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subsense import AC, CNS, NS, SCSS, SS, AcWitness
+from subsense.trace import EliminationRecord, Trace
 from subsense import cns_to_convergence, ns_to_convergence, scss_to_convergence, ss_to_convergence
 from subsense import establish_ac, generators, make_instance
 from subsense.oracle import (
@@ -21,10 +22,12 @@ from subsense.oracle import (
     NsWitness,
     ScssCover,
     ScssWitness,
+    ReplayError,
     SearchSpaceError,
     SsWitness,
     _dominance,
     certify,
+    check_witness,
     cns_with_conditioning,
     is_ac,
     is_cns,
@@ -32,6 +35,8 @@ from subsense.oracle import (
     is_scss,
     is_ss,
     longest_elimination_sequence,
+    replay_sequence,
+    replay_trace,
     scss_with_conditioning,
     solvable,
     solve,
@@ -532,3 +537,57 @@ def test_conditioned_checks_reject_out_of_range_variables(check):
     for i in (inst.n, -1):
         with pytest.raises(ValueError, match="out of range"):
             check(inst, i, 0, 1)
+
+
+# Every entry point of the oracle, called on figure1a with (i, b) = (0, 1)
+# and, where it takes one, the conditioning (or unsupported) variable j = 1.
+def _replay_record(inst, i, b, j):
+    witness = AcWitness(unsupported_at=j)
+    return replay_trace(inst, Trace(inst.name, [EliminationRecord(1, AC, i, b, witness)]))
+
+
+ENTRY_POINTS = {
+    "is_ns": lambda inst, i, b, j: is_ns(inst, i, b),
+    "is_ss": lambda inst, i, b, j: is_ss(inst, i, b),
+    "is_cns": lambda inst, i, b, j: is_cns(inst, i, b),
+    "is_scss": lambda inst, i, b, j: is_scss(inst, i, b),
+    "is_ac": is_ac,
+    "cns_with_conditioning": cns_with_conditioning,
+    "scss_with_conditioning": scss_with_conditioning,
+    **{f"certify-{rule}": (lambda rule: lambda inst, i, b, j: certify(rule, inst, i, b, j))(rule)
+       for rule in (AC, NS, SS, CNS, SCSS)},
+    "check_witness": lambda inst, i, b, j: check_witness(AC, inst, i, b, AcWitness(j)),
+    "replay_sequence": lambda inst, i, b, j: replay_sequence(inst, [(i, b, j)]),
+    "replay_trace": _replay_record,
+}
+# the entry points whose j is an argument, not a value a witness names
+TAKES_J = {"is_ac", "cns_with_conditioning", "scss_with_conditioning", "replay_sequence",
+           "replay_trace"} | {name for name in ENTRY_POINTS if name.startswith("certify")}
+# (i, b, j) = (0, 1, 1) with one argument replaced by a list, a float or a
+# bool that equals the int it replaces
+NOT_INTS = {
+    f"{slot}-{kind}": tuple(bad if t == at else good for t, good in enumerate((0, 1, 1)))
+    for at, slot in enumerate(("variable", "value", "conditioning"))
+    for kind, bad in (("list", [(0, 1, 1)[at]]), ("float", float((0, 1, 1)[at])),
+                      ("bool", bool((0, 1, 1)[at])))
+}
+
+
+@pytest.mark.parametrize("entry, args", [
+    pytest.param(entry, args, id=f"{entry}-{kind}")
+    for entry in ENTRY_POINTS
+    for kind, args in NOT_INTS.items()
+    if entry in TAKES_J or not kind.startswith("conditioning")
+])
+def test_every_entry_point_takes_only_exact_ints(entry, args):
+    inst = generators.figure1a()
+    # a replay names the step that fails
+    error = ReplayError if entry.startswith("replay") else ValueError
+    match = r"^step 1 \(\w+\): the .* must be an int" if error is ReplayError else "must be an int"
+    with pytest.raises(error, match=match):
+        ENTRY_POINTS[entry](inst, *args)
+    # the same call with exact ints raises no such error
+    try:
+        ENTRY_POINTS[entry](inst, 0, 1, 1)
+    except ValueError as exc:
+        assert "must be an int" not in str(exc)

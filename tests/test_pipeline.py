@@ -187,3 +187,48 @@ def test_library_callers_keep_the_scan(monkeypatch):
     assert not scan(chain)
     with pytest.raises(ValueError, match="needs an arc-consistent instance"):
         cli.ENGINES["ns"](chain, held=pool(inst))
+
+
+def _charge_calls(monkeypatch):
+    """Log each call of a charge function as (function, live masks)."""
+    calls = []
+    wrapped = {}
+    for name, entry in counters.TABLES.items():
+        charge = entry.charge
+        if charge not in wrapped:
+            def logged(inst, _charge=charge):
+                calls.append((_charge, tuple(inst.live)))
+                return _charge(inst)
+            wrapped[charge] = logged
+        monkeypatch.setitem(counters.TABLES, name, entry._replace(charge=wrapped[charge]))
+    return calls
+
+
+@pytest.mark.parametrize("make", [
+    generators.figure1b,
+    lambda: generators.random_instance(*SPARSE_400),
+], ids=["figure1b", "sparse-n400"])
+def test_the_pipeline_charges_each_domain_state_once(monkeypatch, make):
+    # within a pipeline each charge function runs once per domain state, its
+    # value kept in the pool; a library caller with no pool charges afresh
+    monkeypatch.setenv(counters.DEBUG_ENV, "")
+    inst = make()
+    calls = _charge_calls(monkeypatch)
+    cli.run_pipeline(inst, ("ns", "ss", "cns", "scss"))
+    assert calls and len(calls) == len(set(calls))
+    del calls[:]
+    counters.charges(inst, "nb_blocks")
+    counters.charges(inst, "nb_blocks")
+    assert calls == [(counters.charge_pairs, inst.live)] * 2
+
+
+def test_a_pool_charges_what_a_fresh_count_gives():
+    # one pool asked on a chain of domain states, each rule's tables in turn:
+    # every sum is the one charges() gives on those domains
+    held = counters.Held()
+    for inst in (generators.figure1c(), *corpus((0,))):
+        cur = inst
+        for i, b in list(_live_values(inst))[:4]:
+            for names in counters.RULE_TABLES.values():
+                assert held.charges(cur, *names) == counters.charges(cur, *names)
+            cur = cur.remove_value(i, b)

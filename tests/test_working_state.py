@@ -5,6 +5,7 @@ equal to its input restricted to the final domains and to the
 ``remove_value`` chain of its trace, and leaves its input as it was.
 """
 
+import copy
 import random
 import re
 
@@ -113,43 +114,126 @@ def test_eliminating_a_value_already_gone_is_the_remove_value_error():
         assert engine.steps == steps
 
 
-def _masks_of(inst: Instance) -> list[int]:
-    """The mask of each current domain over its value positions."""
-    return [sum(1 << inst.positions[k][v] for v in dom) for k, dom in enumerate(inst.domains)]
+def _masks_of(inst: Instance, domains) -> list[int]:
+    """The mask of each of ``domains`` over the value positions of ``inst``."""
+    return [sum(1 << inst.positions[k][v] for v in dom) for k, dom in enumerate(domains)]
 
 
 @pytest.mark.parametrize("name", ["corpus", *WIDTH_INPUTS])
 def test_every_snapshot_keeps_the_live_masks_of_its_domains(name):
     # random chains of drops, restricts, removals, working and frozen copies,
-    # each branching from any snapshot made so far; ten chains from a wide input
+    # each branching from any snapshot made so far; ten chains from a wide
+    # input.  Beside each snapshot the test keeps its own record of the
+    # domains, which every operation updates as its definition says: a
+    # working snapshot holds only its live masks, so those are compared with
+    # the record, and a frozen one's domains too
     bases = list(corpus(seeds=(0,))) if name == "corpus" else [WIDTH_INPUTS[name]()] * 10
     rng = random.Random(name)
     drops = 0
     for base in bases:
         snapshots, working = [base], set()
+        records = {id(base): [list(dom) for dom in base.domains]}
         for _ in range(24):
             parent = rng.choice(snapshots)
-            values = [(i, b) for i, dom in enumerate(parent.domains) for b in dom]
+            record = records[id(parent)]
+            values = [(i, b) for i, dom in enumerate(record) for b in dom]
             op = rng.choice(("_drop", "restrict", "remove_value", "_working", "_frozen"))
             if op == "_drop" and id(parent) in working and values:
                 others = [(snap, list(snap.live)) for snap in snapshots if snap is not parent]
                 i, b = rng.choice(values)
                 parent._drop(i, parent.positions[i][b])
+                record[i].remove(b)
                 drops += 1
-                assert b not in parent.domain_set(i)
+                assert b not in parent._frozen().domain_set(i)
                 # the parent's masks, and every sibling's, are as they were
                 assert all(list(snap.live) == live for snap, live in others)
-            elif op == "restrict":
-                kept = [[b for b in dom if rng.random() < 0.8] for dom in parent.domains]
-                snapshots.append(parent.restrict(kept))
+                continue
+            if op == "restrict":
+                kept = [[b for b in dom if rng.random() < 0.8] for dom in record]
+                child, record = parent.restrict(kept), kept
             elif op == "remove_value" and values:
-                snapshots.append(parent.remove_value(*rng.choice(values)))
+                i, b = rng.choice(values)
+                child = parent.remove_value(i, b)
+                record = [[v for v in dom if (k, v) != (i, b)] for k, dom in enumerate(record)]
             elif op == "_working":
-                snapshots.append(parent._working())
-                working.add(id(snapshots[-1]))
+                child = parent._working()
+                working.add(id(child))
             else:
-                snapshots.append(parent._frozen())
+                child = parent._frozen()
+            snapshots.append(child)
+            records[id(child)] = [list(dom) for dom in record]
             for snap in snapshots:
+                record = records[id(snap)]
                 assert type(snap.live) is (list if id(snap) in working else tuple)
-                assert list(snap.live) == _masks_of(snap)
+                assert list(snap.live) == _masks_of(snap, record)
+                frozen = snap if id(snap) not in working else snap._frozen()
+                assert frozen.domains == tuple(map(tuple, record))
+                assert [set(frozen.domain_set(k)) for k in range(snap.n)] == list(map(set, record))
     assert drops
+
+
+@pytest.mark.parametrize("name", ["corpus", *WIDTH_INPUTS])
+def test_a_frozen_drop_chain_is_restrict_and_the_remove_value_chain(name):
+    # a random chain of drops on one working snapshot, at a random point
+    # carried on by a working snapshot of it; once frozen, it is the input
+    # restricted to what is left and the remove_value chain of the drops,
+    # and every variable no drop touched keeps the input's tuple and set
+    bases = list(corpus(seeds=(0,))) if name == "corpus" else [WIDTH_INPUTS[name]()] * 3
+    rng = random.Random(name)
+    twice = 0
+    for base in bases:
+        values = [(i, b) for i, dom in enumerate(base.domains) for b in dom]
+        rng.shuffle(values)
+        dropped = values[: rng.randint(1, len(values))]
+        handover = rng.randrange(len(dropped))
+        cur, chain = base._working(), base
+        for t, (i, b) in enumerate(dropped):
+            if t == handover:
+                parent, live = cur, list(cur.live)
+                cur = cur._working()
+            p = base.positions[i][b]
+            cur._drop(i, p)
+            chain = chain.remove_value(i, b)
+            if rng.random() < 0.2:
+                # a value dropped twice: the remove_value error, and no change
+                with pytest.raises(ValueError) as expected:
+                    chain.remove_value(i, b)
+                live_now = list(cur.live)
+                with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+                    cur._drop(i, p)
+                assert cur.live == live_now
+                twice += 1
+        # the drops after the handover left the working parent as it was
+        assert parent.live == live
+        frozen = cur._frozen()
+        gone = set(dropped)
+        kept = [[b for b in dom if (i, b) not in gone] for i, dom in enumerate(base.domains)]
+        _same_snapshot(frozen, base.restrict(kept))
+        _same_snapshot(frozen, chain)
+        assert frozen.domains == tuple(map(tuple, kept))
+        touched = {i for i, _ in dropped}
+        for k in range(base.n):
+            if k not in touched:
+                assert frozen.domains[k] is base.domains[k]
+                assert frozen.domain_set(k) is base.domain_set(k)
+    assert twice
+
+
+def test_a_drop_flips_one_live_bit_and_nothing_else():
+    inst = generators.figure1c()
+    cur = inst._working()
+    # a working snapshot holds no domain tuple or set that could go stale
+    assert cur.domains is None and cur._cur_sets is None
+    fields = dict(vars(cur))
+    copies = {key: copy.deepcopy(value) for key, value in fields.items() if key != "full"}
+    live = list(cur.live)
+    i, b = 2, inst.domains[2][1]
+    p = inst.positions[i][b]
+    cur._drop(i, p)
+    assert vars(cur).keys() == fields.keys()
+    assert all(vars(cur)[key] is value for key, value in fields.items())
+    live[i] ^= 1 << p
+    assert cur.live == live
+    for key, value in copies.items():
+        if key != "live":
+            assert vars(cur)[key] == value, key
