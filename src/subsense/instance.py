@@ -172,6 +172,11 @@ class Instance:
         return self._neighbors[i]
 
     def domain_set(self, i: int) -> frozenset[int]:
+        if self._cur_sets is None:
+            raise ValueError(
+                "a working snapshot holds only live masks: freeze it (_frozen()) "
+                "before reading its domains"
+            )
         return self._cur_sets[i]
 
     @property

@@ -15,7 +15,8 @@ it would ask again within the call (cns each candidate's answer, scss
 each candidate's swaps), and nothing beyond it.  A check validates its
 arguments once on entry: exact ints (no bool, no float) for the variable,
 the value and the conditioning variable, a variable that exists and a
-current value.  Ties always break toward the smallest
+current value; one test for a well-formed call; the per-argument checks
+only to name what is wrong.  Ties always break toward the smallest
 qualifying value, then the smallest conditioning variable, then the
 smallest replacement, so results are deterministic.
 
@@ -129,10 +130,11 @@ def _check_int(value, what: str) -> None:
 
 def _check_target(inst: Instance, i: int, b: int) -> int:
     """The position of b, a current value of x_i."""
-    _check_int(i, "variable index")
-    _check_int(b, "value")
-    if not 0 <= i < inst.n:
-        raise ValueError(f"variable index {i} out of range (n={inst.n})")
+    if type(i) is not int or type(b) is not int or not 0 <= i < len(inst.live):
+        _check_int(i, "variable index")
+        _check_int(b, "value")
+        if not 0 <= i < inst.n:
+            raise ValueError(f"variable index {i} out of range (n={inst.n})")
     p = inst.positions[i].get(b)
     if p is None or not inst.live[i] >> p & 1:
         raise ValueError(f"value {b} not in the current domain of variable {i}")
@@ -140,11 +142,12 @@ def _check_target(inst: Instance, i: int, b: int) -> int:
 
 
 def _check_conditioning(inst: Instance, i: int, j: int) -> None:
-    _check_int(j, "conditioning variable")
-    if not 0 <= j < inst.n:
-        raise ValueError(f"conditioning variable {j} out of range (n={inst.n})")
-    if j == i:
-        raise ValueError("conditioning variable must differ from the target")
+    if type(j) is not int or not 0 <= j < len(inst.live) or j == i:
+        _check_int(j, "conditioning variable")
+        if not 0 <= j < inst.n:
+            raise ValueError(f"conditioning variable {j} out of range (n={inst.n})")
+        if j == i:
+            raise ValueError("conditioning variable must differ from the target")
 
 
 def _row(inst: Instance, i: int, j: int) -> tuple[int, ...]:
@@ -182,15 +185,6 @@ def _dominance(inst: Instance):
     return dominates
 
 
-def _swap(inst: Instance, dominates, k: int, d: int, takes: int, skip: int) -> Optional[int]:
-    """The smallest live position e of x_k in the mask ``takes`` that
-    dominates d at x_k on every neighbour but x_skip, or None."""
-    for e in bit_positions(takes & inst.live[k]):
-        if dominates(k, d, e, skip):
-            return e
-    return None
-
-
 def _snake_swaps(inst: Instance, dominates, i: int, b: int, a: int, ks):
     """The swaps by which the value at position a snake-dominates the one
     at position b at x_i on the neighbours ``ks``, or None when it does
@@ -203,16 +197,20 @@ def _snake_swaps(inst: Instance, dominates, i: int, b: int, a: int, ks):
     """
     swaps: dict[int, dict[int, int]] = {}
     for k in ks:
-        row, vals = inst.full[i, k], inst.original_domains[k]
-        takes_a = row[a]
-        needed: dict[int, int] = {}
-        for d in bit_positions(row[b] & ~takes_a & inst.live[k]):
-            e = _swap(inst, dominates, k, d, takes_a, i)
-            if e is None:
+        row, live_k = inst.full[i, k], inst.live[k]
+        need = row[b] & ~row[a] & live_k
+        if not need:  # b needs no swap here
+            continue
+        # every d's candidate swaps, smallest first: the live values a takes
+        takes, vals, needed = bit_positions(row[a] & live_k), inst.original_domains[k], {}
+        for d in bit_positions(need):
+            for e in takes:
+                if dominates(k, d, e, i):
+                    needed[vals[d]] = vals[e]
+                    break
+            else:
                 return None
-            needed[vals[d]] = vals[e]
-        if needed:
-            swaps[k] = needed
+        swaps[k] = needed
     return swaps
 
 
@@ -277,21 +275,28 @@ def _cns_at(inst: Instance, dominates, i: int, pb: int, j: int) -> Optional[CnsW
 
 def _scss_at(inst: Instance, dominates, i: int, pb: int, j: int) -> Optional[ScssWitness]:
     ks = [k for k in inst.neighbors(i) if k != j]
-    row = _row(inst, i, j)
+    row, live_j = _row(inst, i, j), inst.live[j]
     others = _others(inst, i, pb)
     vals_i, vals_j = inst.original_domains[i], inst.original_domains[j]
     snake: dict[int, Optional[dict[int, dict[int, int]]]] = {}
     covers: dict[int, ScssCover] = {}
-    for c in bit_positions(row[pb] & inst.live[j]):
+    for c in bit_positions(row[pb] & live_j):
         for a in others:
-            if a not in snake:
-                snake[a] = _snake_swaps(inst, dominates, i, pb, a, ks)
-            g = None if snake[a] is None else _swap(inst, dominates, j, c, row[a], i)
-            if g is not None:
-                covers[vals_j[c]] = ScssCover(
-                    substitute=vals_i[a], conditioning_swap=vals_j[g], swaps=snake[a]
-                )
-                break
+            swaps = snake.get(a, snake)  # snake itself: not yet looked up
+            if swaps is snake:
+                swaps = snake[a] = _snake_swaps(inst, dominates, i, pb, a, ks)
+            if swaps is None:
+                continue
+            # the conditioning swap: the smallest live g that a takes dominating c
+            for g in bit_positions(row[a] & live_j):
+                if dominates(j, c, g, i):
+                    break
+            else:
+                continue
+            covers[vals_j[c]] = ScssCover(
+                substitute=vals_i[a], conditioning_swap=vals_j[g], swaps=swaps
+            )
+            break
         else:
             return None
     return ScssWitness(conditioning=j, covers=covers)
@@ -643,21 +648,24 @@ def _position(cur: Instance, pos: int, rule: str, i: int, b: int, j) -> int:
     ``pos``: a known rule, exact ints for i, b and j (when j is given),
     variables x_i and x_j that exist, j not i, and b a current value of
     x_i."""
-    if rule not in RULES:
-        raise ValueError(f"step {pos}: unknown rule {rule!r}")
-    named = (("variable", i), ("value", b), ("conditioning variable", j))
-    try:
-        for what, v in named if j is not None else named[:2]:
-            _check_int(v, f"the {what}")
-    except ValueError as exc:
-        raise ReplayError(f"step {pos} ({rule}): {exc}") from None
-    n = cur.n
-    for v in (i,) if j is None else (i, j):
-        if not 0 <= v < n:
-            raise ReplayError(f"step {pos} ({rule}): no variable with index {v}")
+    n = len(cur.live)
+    if (type(i) is not int or type(b) is not int or not 0 <= i < n or rule not in RULES
+            or j is not None and (type(j) is not int or not 0 <= j < n or j == i)):
+        if rule not in RULES:
+            raise ValueError(f"step {pos}: unknown rule {rule!r}")
+        named = (("variable", i), ("value", b), ("conditioning variable", j))
+        try:
+            for what, v in named if j is not None else named[:2]:
+                _check_int(v, f"the {what}")
+        except ValueError as exc:
+            raise ReplayError(f"step {pos} ({rule}): {exc}") from None
+        for v in (i,) if j is None else (i, j):
+            if not 0 <= v < n:
+                raise ReplayError(f"step {pos} ({rule}): no variable with index {v}")
+        if j == i:
+            problem = "the conditioning variable must differ from the target"
+            raise _failed(cur, pos, rule, i, b, problem)
     p = cur.positions[i].get(b)
-    if j == i:
-        raise _failed(cur, pos, rule, i, b, "the conditioning variable must differ from the target")
     if p is None or not cur.live[i] >> p & 1:
         raise _failed(cur, pos, rule, i, b, "value not in the current domain")
     return p

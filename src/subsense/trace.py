@@ -244,6 +244,7 @@ def trace_to_json_dict(trace: Trace) -> dict:
 
 STEP_FIELDS = ("step", "rule", "variable", "value", "witness")
 STEP_KEYS = frozenset(STEP_FIELDS)
+STEP_REQUIRED = frozenset(("rule", "variable", "value"))
 
 
 def trace_from_json_dict(obj: dict) -> Trace:
@@ -256,7 +257,7 @@ def trace_from_json_dict(obj: dict) -> Trace:
     keys: dict[str, int] = {}
     steps = []
     for rec in obj["steps"]:
-        if not isinstance(rec, dict) or not {"rule", "variable", "value"} <= rec.keys():
+        if not isinstance(rec, dict) or not STEP_REQUIRED <= rec.keys():
             raise ValueError("each trace step needs rule, variable and value")
         pos = len(steps) + 1
         if not rec.keys() <= STEP_KEYS:

@@ -12,9 +12,12 @@ masks built once per instance lineage (``counters.Static``): the value
 masks of one build, the arc-consistency test and the arc-revision
 worklist, each as it read the relation rows directly.
 
-Last, the trace reader as it was before it memoised keys and read int
+Then the trace reader as it was before it memoised keys and read int
 leaves inline: one nested comprehension per map and a call per key and
 value, and no check for unknown keys below the top level.
+
+Last, the oracle's entry checks as they were before a well-formed call
+took one test: every argument checked in turn, each with its message.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from collections import deque
 from dataclasses import fields, is_dataclass
 from typing import Optional, get_args, get_type_hints
 
-from subsense.instance import Instance, _require_keys
-from subsense.oracle import scss_with_conditioning, solvable
+from subsense.instance import Instance, _is_int, _require_keys
+from subsense.oracle import ReplayError, scss_with_conditioning, solvable
 from subsense.trace import AC, RULES, WITNESS_CLASSES, AcWitness, EliminationRecord, Trace
 
 
@@ -330,3 +333,57 @@ def trace_from_json_dict(obj: dict) -> Trace:
             raise ValueError("trace final_domains must be a list of lists of integers")
         final = [sorted(_int(v, "final_domains entry") for v in dom) for dom in final]
     return Trace(instance=obj["instance"], steps=steps, final_domains=final)
+
+
+def _check_int(value, what: str) -> None:
+    if type(value) is not int and not _is_int(value):
+        raise ValueError(f"{what} must be an int, not {value!r}")
+
+
+def check_target(inst: Instance, i: int, b: int) -> int:
+    """The position of b, a current value of x_i."""
+    _check_int(i, "variable index")
+    _check_int(b, "value")
+    if not 0 <= i < inst.n:
+        raise ValueError(f"variable index {i} out of range (n={inst.n})")
+    p = inst.positions[i].get(b)
+    if p is None or not inst.live[i] >> p & 1:
+        raise ValueError(f"value {b} not in the current domain of variable {i}")
+    return p
+
+
+def check_conditioning(inst: Instance, i: int, j: int) -> None:
+    _check_int(j, "conditioning variable")
+    if not 0 <= j < inst.n:
+        raise ValueError(f"conditioning variable {j} out of range (n={inst.n})")
+    if j == i:
+        raise ValueError("conditioning variable must differ from the target")
+
+
+def position(cur: Instance, pos: int, rule: str, i: int, b: int, j) -> int:
+    """The position of b, after the checks both replays make of step
+    ``pos``: a known rule, exact ints for i, b and j (when j is given),
+    variables x_i and x_j that exist, j not i, and b a current value of
+    x_i."""
+
+    def failed(problem: str) -> ReplayError:
+        return ReplayError(f"step {pos} ({rule} at {cur.names[i]}={b}): {problem}")
+
+    if rule not in RULES:
+        raise ValueError(f"step {pos}: unknown rule {rule!r}")
+    named = (("variable", i), ("value", b), ("conditioning variable", j))
+    try:
+        for what, v in named if j is not None else named[:2]:
+            _check_int(v, f"the {what}")
+    except ValueError as exc:
+        raise ReplayError(f"step {pos} ({rule}): {exc}") from None
+    n = cur.n
+    for v in (i,) if j is None else (i, j):
+        if not 0 <= v < n:
+            raise ReplayError(f"step {pos} ({rule}): no variable with index {v}")
+    p = cur.positions[i].get(b)
+    if j == i:
+        raise failed("the conditioning variable must differ from the target")
+    if p is None or not cur.live[i] >> p & 1:
+        raise failed("value not in the current domain")
+    return p

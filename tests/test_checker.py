@@ -156,3 +156,50 @@ def test_the_checker_and_the_engines_leave_the_rows_view_unmade(tmp_path, monkey
     dumps(reduced)
     oracle.solve(generators.figure1c())
     assert inst._rows == [] and reduced._rows is inst._rows
+
+
+def _private_definitions(tree: ast.Module) -> list[ast.AST]:
+    """The module-level private functions and classes of ``tree``."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [
+        node for node in tree.body
+        if isinstance(node, kinds) and node.name.startswith("_") and not node.name.startswith("__")
+    ]
+
+
+def _unreferenced(sources: dict[str, str]) -> list[str]:
+    """``module.name`` for every module-level private function or class of
+    ``sources`` (module name to text) whose name is read nowhere outside
+    its own definition: as a name, an attribute or an imported name."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    found = []
+    for module, tree in trees.items():
+        for definition in _private_definitions(tree):
+            inside = {id(node) for node in ast.walk(definition)}
+            name = definition.name
+            if not any(
+                id(node) not in inside
+                and name in (getattr(node, "id", None), getattr(node, "attr", None),
+                             getattr(node, "name", None))
+                and not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                for other in trees.values()
+                for node in ast.walk(other)
+            ):
+                found.append(f"{module}.{name}")
+    return found
+
+
+def test_every_private_helper_has_a_caller():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert "oracle" in sources and "instance" in sources
+    assert _unreferenced(sources) == []
+
+
+def test_the_dead_helper_pin_sees_a_helper_with_no_caller():
+    sources = {
+        "a": "def _used():\n    return 1\n\n\ndef _dead():\n    return _dead()\n",
+        "b": "from .a import _used\n\n\nclass _Alone:\n    pass\n",
+        "c": "from . import a\n\n\ndef f():\n    return a._used()\n",
+    }
+    # a call from inside its own body is not a caller
+    assert _unreferenced(sources) == ["a._dead", "b._Alone"]

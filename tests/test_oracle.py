@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subsense import AC, CNS, NS, SCSS, SS, AcWitness
-from subsense.trace import EliminationRecord, Trace
+from subsense import oracle
+from subsense.trace import RULES, EliminationRecord, Trace
 from subsense import cns_to_convergence, ns_to_convergence, scss_to_convergence, ss_to_convergence
 from subsense import establish_ac, generators, make_instance
 from subsense.oracle import (
@@ -43,6 +44,7 @@ from subsense.oracle import (
 )
 
 from conftest import corpus
+import reference
 from reference import allows, arrow, preserves_satisfiability, scss_conditionings, snake_arrow
 from test_counters import _partly_reduced, _relabel, _with_ac
 from test_golden_traces import SET_COVER_SETS
@@ -591,3 +593,102 @@ def test_every_entry_point_takes_only_exact_ints(entry, args):
         ENTRY_POINTS[entry](inst, 0, 1, 1)
     except ValueError as exc:
         assert "must be an int" not in str(exc)
+
+
+# The entry checks as tests/reference.py transcribes them from before a
+# well-formed call took one test: every argument checked in turn.
+REFERENCE_CHECKS = {
+    "_position": reference.position,
+    "_check_target": reference.check_target,
+    "_check_conditioning": reference.check_conditioning,
+}
+# figure1c with three values gone, so that some values are not live, and
+# figure1a whole
+CHECKED_INSTANCES = [
+    generators.figure1c().remove_value(0, 3).remove_value(2, 0).remove_value(3, 1),
+    generators.figure1a(),
+]
+
+
+def _witness(rule, j):
+    """A witness of ``rule``'s class that names j, or None for no j."""
+    if j is None:
+        return None
+    if rule == AC:
+        return AcWitness(unsupported_at=j)
+    if rule == NS:
+        return NsWitness(substitute=j)
+    if rule == SS:
+        return SsWitness(substitute=j, swaps={})
+    return (CnsWitness if rule == CNS else ScssWitness)(conditioning=j, covers={})
+
+
+@st.composite
+def _entry_step(draw, inst):
+    """(i, b, j): each an int in range, out of range or negative, a bool, a
+    float or a list; b also any value of x_i, live or not; j also None or
+    i itself."""
+    n = inst.n
+
+    def argument(in_range):
+        return draw(st.one_of(
+            in_range, st.integers(n, n + 100), st.integers(-3, -1), st.booleans(),
+            st.sampled_from([0.0, 1.0, 2.5, float(n)]), st.lists(st.integers(0, n), max_size=2),
+        ))
+
+    i = argument(st.integers(0, n - 1))
+    values = inst.original_domains[i] if type(i) is int and 0 <= i < n else (0, 1)
+    b = argument(st.sampled_from(values))
+    kind = draw(st.sampled_from(["none", "i", "drawn"]))
+    j = None if kind == "none" else i if kind == "i" else argument(st.integers(0, n - 1))
+    return i, b, j
+
+
+def _entry_calls(inst, rule, steps):
+    (i, b, j), *_ = steps
+    records = [EliminationRecord(pos, rule, i, b, _witness(rule, j))
+               for pos, (i, b, j) in enumerate(steps, start=1)]
+    return {
+        "replay_sequence": lambda: replay_sequence(
+            inst, [step if step[2] is not None else step[:2] for step in steps], [rule] * len(steps)
+        ),
+        "replay_trace": lambda: replay_trace(inst, Trace(inst.name, records)),
+        "certify": lambda: certify(rule, inst, i, b, j),
+        "check_witness": lambda: check_witness(rule, inst, i, b, _witness(rule, j)),
+    }
+
+
+def _outcome(call):
+    try:
+        return "returned", call()
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+
+
+def _reference_outcome(call):
+    """The outcome of ``call`` with the oracle's entry checks replaced by
+    the reference's."""
+    with pytest.MonkeyPatch.context() as patch:
+        for name, check in REFERENCE_CHECKS.items():
+            patch.setattr(oracle, name, check)
+        return _outcome(call)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_the_entry_checks_raise_what_the_per_argument_checks_raise(data):
+    inst = data.draw(st.sampled_from(CHECKED_INSTANCES))
+    rule = data.draw(st.sampled_from(RULES))
+    steps = data.draw(st.lists(_entry_step(inst), min_size=1, max_size=3))
+    for entry, call in _entry_calls(inst, rule, steps).items():
+        assert _outcome(call) == _reference_outcome(call), (entry, steps)
+
+
+@pytest.mark.parametrize("entry", ["replay_sequence", "replay_trace", "certify", "check_witness"])
+@pytest.mark.parametrize("rule", RULES)
+@pytest.mark.parametrize("variable", [99, -1])
+def test_a_float_value_is_named_before_a_variable_out_of_range(entry, rule, variable):
+    call = _entry_calls(generators.figure1a(), rule, [(variable, 1.0, None)])[entry]
+    got = _outcome(call)
+    assert issubclass(got[0], ValueError) and "value must be an int, not 1.0" in got[1]
+    assert got == _reference_outcome(call)

@@ -237,3 +237,18 @@ def test_a_drop_flips_one_live_bit_and_nothing_else():
     for key, value in copies.items():
         if key != "live":
             assert vars(cur)[key] == value, key
+
+
+def test_a_working_snapshot_names_the_freeze_when_its_domains_are_read():
+    inst = generators.figure1a()
+    cur = inst._working()
+    for i in range(inst.n):
+        with pytest.raises(ValueError, match=r"only live masks: freeze it \(_frozen\(\)\)"):
+            cur.domain_set(i)
+    # its frozen copy reads them, as the input it was taken from does
+    cur._drop(0, 1)
+    frozen = cur._frozen()
+    assert [frozen.domain_set(i) for i in range(inst.n)] == [
+        frozenset(dom) for dom in frozen.domains
+    ]
+    assert frozen.domain_set(0) == inst.domain_set(0) - {inst.original_domains[0][1]}
