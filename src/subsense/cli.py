@@ -18,7 +18,6 @@ import csv
 import itertools
 import sys
 import time
-from dataclasses import replace
 
 from . import counters, generators, instance, oracle
 from .acns import establish_ac, ns_to_convergence
@@ -181,6 +180,10 @@ def run_pipeline(inst, rules):
     eliminates nothing runs no engine.  Where ``ac`` is settled the pool
     names the current instance as arc consistent (Held.arc_consistent), so
     the ns, ss and cns engines skip their scan of their input.
+
+    ``steps`` holds the stages' own records, in order, each renumbered in
+    place to its 1-based ordinal in the whole pipeline; no record is
+    copied (a stage's trace is not kept, so nothing else holds them).
     Returns (reduced, steps, updates, micros, unsatisfiable).
     """
     stages = list(rules)
@@ -205,7 +208,8 @@ def run_pipeline(inst, rules):
             else:
                 settled.update(settles[rule])
             for rec in records:
-                steps.append(replace(rec, step=len(steps) + 1))
+                rec.step = len(steps) + 1
+                steps.append(rec)
             eliminated_this_pass += len(records)
             updates += stage_updates
             micros += stage_micros

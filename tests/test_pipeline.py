@@ -232,3 +232,27 @@ def test_a_pool_charges_what_a_fresh_count_gives():
             for names in counters.RULE_TABLES.values():
                 assert held.charges(cur, *names) == counters.charges(cur, *names)
             cur = cur.remove_value(i, b)
+
+
+@pytest.mark.parametrize("rules", [("ac", "ns", "ss", "cns", "scss"), ("scss", "ns", "ss", "cns")])
+def test_the_pipeline_numbers_the_stages_own_records(monkeypatch, rules):
+    # the steps are the records each stage returned, in order and
+    # renumbered 1..N in place, with none copied; the second order skips
+    # settled stages in its first pass
+    returned = []
+    run_stage = cli._run_stage
+
+    def stage(inst, rule, held=None):
+        out = run_stage(inst, rule, held)
+        returned.extend((rec, rec.step) for rec in out[1])
+        return out
+
+    monkeypatch.setattr(cli, "_run_stage", stage)
+    steps = cli.run_pipeline(generators.figure1c(), rules)[1]
+    assert steps and len(steps) == len(returned)
+    assert all(rec is own for rec, (own, _) in zip(steps, returned))
+    assert [rec.step for rec in steps] == list(range(1, len(steps) + 1))
+    # the first order's scss stage numbered its records from 1, after six
+    # cns steps; the second order's scss stage removes all twelve values
+    renumbered = [rec.step != step for rec, (_, step) in zip(steps, returned)]
+    assert any(renumbered) == (rules[0] == "ac")

@@ -1,7 +1,7 @@
 """Trace records and their JSON round trip."""
 
 import json
-from dataclasses import asdict, fields, is_dataclass
+from dataclasses import asdict, fields, is_dataclass, replace
 from typing import get_args, get_type_hints
 
 import pytest
@@ -66,6 +66,43 @@ def test_engine_traces_round_trip(tmp_path):
         path = tmp_path / "trace.json"
         dump_trace(trace, path)
         assert load_trace(path) == trace
+
+
+# Not frozen, and pinned so: building a frozen dataclass goes through
+# object.__setattr__ per field, about three times as long for five fields
+# as a plain one (820 against 254 ns, CPython 3.11), and frozen cost about
+# 20% of perfbench's sparse-elim verify_s, which builds every step's record
+# and witness in the engine, the reader and the replay.  It never made them
+# immutable: covers and swaps are dicts.
+PER_STEP_CLASSES = (
+    AcWitness, NsWitness, SsWitness, ScssCover, CnsWitness, ScssWitness, EliminationRecord
+)
+
+
+def test_records_and_witnesses_are_plain_dataclasses():
+    assert set(WITNESS_CLASSES.values()) < set(PER_STEP_CLASSES)
+    for cls in PER_STEP_CLASSES:
+        assert not cls.__dataclass_params__.frozen, cls
+    # equality reads the class as well as the fields
+    assert AcWitness(1) != NsWitness(1)
+    assert CnsWitness(1, {}) != ScssWitness(1, {})
+    cover = ScssCover(substitute=0, conditioning_swap=2, swaps={2: {0: 1}})
+    rec = EliminationRecord(5, "scss", 1, 2, ScssWitness(conditioning=0, covers={1: cover}))
+    copy = EliminationRecord(*(getattr(rec, f.name) for f in fields(rec)))
+    assert copy == rec and copy is not rec
+    moved = replace(rec, step=6)
+    assert moved.step == 6 and rec.step == 5 and replace(moved, step=5) == rec
+    assert asdict(rec) == {
+        "step": 5, "rule": "scss", "variable": 1, "value": 2,
+        "witness": {"conditioning": 0, "covers": {1: {
+            "substitute": 0, "conditioning_swap": 2, "swaps": {2: {0: 1}}}}},
+    }
+    rec.step = 7
+    assert rec.step == 7 and rec != copy
+    # no hash, as for any dataclass with eq and no frozen
+    for obj in (rec, cover, AcWitness(1), NsWitness(1), SsWitness(1, {})):
+        with pytest.raises(TypeError):
+            hash(obj)
 
 
 def test_trace_without_final_domains():
